@@ -6,11 +6,12 @@ import resource
 import statistics
 import time
 
+import numpy as np
+
 END_TO_END = {
     "setup_s": "s",
     "job_p50_s": "s",
     "req_p50_ms": "ms",
-    "req_p99_ms": "ms",
     "qps": "1/s",
     "peak_rss_mb": "MB",
 }
@@ -68,7 +69,43 @@ PER_LAYER = {
 median = statistics.median
 
 #: Set-ups per end-to-end run; ``setup_s`` is their median.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
+
+#: Wall time of :func:`reference_work` on the reference host, a round value
+#: near its median on 2 Intel Xeon vCPUs (0.32 s over 216 runs in twelve
+#: minutes). Batch timings are reported in seconds of a host that runs the
+#: reference work in this time.
+REFERENCE_S = 0.30
+
+#: Batch times scale by (REFERENCE_S / reference) to this power. Across 26
+#: bulk runs over half an hour, log(median job) against log(median
+#: reference) fit a slope of 0.74 (correlation 0.95): the reference swings
+#: more than the job as the host's speed drifts, so a full ratio would
+#: over-correct.
+REFERENCE_EXPONENT = 0.75
+
+#: Reference runs before each batch job.
+REFERENCES_PER_JOB = 3
+
+
+def reference_work() -> float:
+    """Wall time of a fixed piece of work that calls nothing in ``repro``.
+
+    The host's speed drifts by up to 1.5x over minutes, and every layer of
+    a job slows by the same factor. This work mixes what the batch layers
+    do, so it slows with them: string keys formatted into a dict and
+    sorted (naming, the event space), then numpy passes, a sort and a
+    gather over 3M floats (slot marginals, the Monte-Carlo kernel).
+    """
+    begin = time.perf_counter()
+    names = {f"f:R({i},{i + 1})": i * 0.5 for i in range(150_000)}
+    ordered = sorted(names, key=len)
+    column = np.arange(3_000_000, dtype=np.float64)
+    for _ in range(5):
+        column = np.sqrt(column * 1.0001 + 1.0)
+    column = column[np.argsort(column[::-1].copy())]
+    del names, ordered, column
+    return time.perf_counter() - begin
 
 
 class Tally:

@@ -14,10 +14,14 @@ import random
 import time
 
 from common import (
+    REFERENCE_EXPONENT,
+    REFERENCE_S,
+    REFERENCES_PER_JOB,
     Spans,
     layer_metrics,
     median,
     own_peak_rss_mb,
+    reference_work,
     untraced,
 )
 
@@ -49,41 +53,58 @@ Q_RST = cq(atom("R", _x), atom("S", _x, _y), atom("T", _y))
 def run_jobs(job, check, seconds: float, trace: bool):
     """Run ``job`` repeatedly for about ``seconds``; check each answer.
 
-    In a traced run jobs alternate traced, untraced, traced, ... Returns
-    the untraced walls, the traced walls and each traced job's spans.
+    In a traced run jobs alternate traced, untraced, traced, ... Each job
+    follows :data:`REFERENCES_PER_JOB` runs of the reference work. Returns
+    the untraced walls, the traced walls, each traced job's spans and the
+    reference walls.
     """
-    untraced_walls, traced_walls, traced_spans = [], [], []
+    untraced_walls, traced_walls, traced_spans, references = [], [], [], []
     started = time.perf_counter()
     last = 0.0
     while (len(untraced_walls) + len(traced_walls) < MIN_JOBS
            or time.perf_counter() - started + last <= seconds):
+        cycle = time.perf_counter()
+        references.extend(reference_work() for _ in range(REFERENCES_PER_JOB))
         traced = trace and len(traced_walls) <= len(untraced_walls)
         spans = Spans() if traced else None
         begin = time.perf_counter()
         out = job(spans or untraced)
-        last = time.perf_counter() - begin
+        wall = time.perf_counter() - begin
         if spans is None:
-            untraced_walls.append(last)
+            untraced_walls.append(wall)
         else:
-            traced_walls.append(last)
+            traced_walls.append(wall)
             traced_spans.append(spans.seconds)
         check(out)
         del out
         gc.collect()
-    return untraced_walls, traced_walls, traced_spans
+        last = time.perf_counter() - cycle
+    return untraced_walls, traced_walls, traced_spans, references
 
 
-def end_to_end(setup_s: float, walls: list[float]) -> dict:
-    """End-to-end metrics of a batch run: one job is one request."""
+def end_to_end(setup_s: float, walls: list[float], references) -> dict:
+    """End-to-end metrics of a batch run: one job is one request.
+
+    Times are scaled to the reference host: multiplied by
+    :data:`REFERENCE_S` over the run's median reference wall, to the power
+    :data:`REFERENCE_EXPONENT`.
+    """
+    reference = median(references)
+    scale = (REFERENCE_S / reference) ** REFERENCE_EXPONENT
+    job = median(walls) * scale
     return {
-        "setup_s": setup_s,
-        "job_p50_s": median(walls),
-        "req_p50_ms": median(walls) * 1e3,
-        # A run holds a few jobs, so no percentile above the median has ten
-        # samples beyond it; the slowest job would only measure host noise.
-        "req_p99_ms": median(walls) * 1e3,
-        "qps": len(walls) / sum(walls),
+        "setup_s": setup_s * scale,
+        "job_p50_s": job,
+        "req_p50_ms": job * 1e3,
+        "qps": len(walls) / (sum(walls) * scale),
         "peak_rss_mb": own_peak_rss_mb(),
+        "samples": len(walls),
+        "notes": [
+            f"reference {reference:.4f} s (median of {len(references)}; "
+            f"{REFERENCE_S} s on the reference host), times scaled by "
+            f"{scale:.4f}",
+            f"unscaled: job_p50_s {median(walls):.4f}, setup_s {setup_s:.4f}",
+        ],
     }
 
 
@@ -114,7 +135,7 @@ class BatchWorkload:
         """An extra oracle run once after the jobs (none by default)."""
 
     def run(self, args, tally, setup_s: float) -> dict:
-        untraced_walls, traced_walls, spans = run_jobs(
+        untraced_walls, traced_walls, spans, references = run_jobs(
             self.job, lambda out: self.check(out, tally), args.seconds,
             bool(args.trace),
         )
@@ -122,7 +143,7 @@ class BatchWorkload:
         if args.trace:
             return traced_layers(untraced_walls, traced_walls, spans,
                                  self.counts)
-        return end_to_end(setup_s, untraced_walls)
+        return end_to_end(setup_s, untraced_walls, references)
 
 
 class BulkRST(BatchWorkload):

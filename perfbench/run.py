@@ -4,7 +4,7 @@ One command runs one named workload in one process and prints every metric
 by name with its unit; the last line of standard output is the JSON result
 ``{"correct", "attempted", "failed", "metrics"}``::
 
-    python3 perfbench/run.py --workload bulk-rst-1e6 --seed 1 --seconds 32 --trace 0
+    python3 perfbench/run.py --workload bulk-rst-1e6 --seed 1 --seconds 50 --trace 0
 
 Workloads (``perfbench/README.md`` records why each was chosen):
 
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=32.0)
+    parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--scale", choices=("full", "toy"), default="full")
     parser.add_argument("--corrupt", action="store_true")
@@ -111,6 +111,10 @@ def main(argv=None) -> int:
                for name, unit in units.items()}
     for name, entry in metrics.items():
         print(f"{name:32s} {entry['value']:14.6g} {entry['unit']}")
+    if "samples" in result:
+        print(f"samples {result['samples']} (jobs or requests timed)")
+    for note in result.get("notes", ()):
+        print(note)
     for miss in tally.misses:
         print(f"MISS {miss}")
     print(f"error_rate {tally.failed / max(1, tally.attempted):.6g} "

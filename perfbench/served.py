@@ -9,11 +9,13 @@ checked bitwise against ``probability_batch`` on the same rows.
 A traced run sends the same traffic as an untraced one, bracketed by
 ``/stats`` snapshots (server-side time per request, passes, result-cache
 hits); after it, the bench times the layers a request crosses from the
-outside: a one-row level-plan pass on the same plan, a ``/health`` round
-trip (HTTP transport) and the JSON encoding and decoding of a request and
-its answer. The snapshots fall outside the measured window and the probes
-come after it, so tracing adds nothing to the request path and the traced
-run reports ``trace.overhead`` as 0.
+outside: a one-row level-plan pass on the same plan, the round trip of a
+request-sized POST the service does not route (HTTP transport) and the
+JSON encoding and decoding of a request and its answer. Last, it times
+one cold d-D pass on the plan, so the traced run covers every layer of
+the Theorem 1 path. The snapshots fall outside the measured window and
+the probes come after it, so tracing adds nothing to the request path and
+the traced run reports ``trace.overhead`` as 0.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import statistics
 import threading
 import time
-from http.client import HTTPException
+from http.client import HTTPConnection, HTTPException
 from pathlib import Path
 
 from common import (
@@ -38,6 +40,7 @@ from jobs import Q_RST
 
 import numpy as np
 from repro.circuits import compile_circuit
+from repro.circuits.evaluation import probability
 from repro.core import build_lineage, instance_decomposition
 from repro.service import ServiceClient, spawn_service
 from repro.util import ReproError
@@ -50,7 +53,7 @@ CONNECTIONS = {"serve-1conn": 1, "serve-2conn": 2}
 #: The mix is synthetic: there is no recorded traffic, and E19 sends cold
 #: rows only. A hit skips the pass and forms a faster latency mode, so the
 #: share stays well under 1/2 to keep p50 and p99 among the misses; 1/4
-#: still gives about 2,000 hits in a 32 s run. Each hot row comes back
+#: still gives thousands of hits in a 50 s run. Each hot row comes back
 #: about every 32 requests, far inside the 4096-entry result cache's LRU
 #: horizon, so after its first miss every re-ask hits. With 8 rows the two
 #: connections seldom send the same hot row within one coalescer window,
@@ -58,9 +61,11 @@ CONNECTIONS = {"serve-1conn": 1, "serve-2conn": 2}
 HOT_SHARE = {"serve-1conn": 0.0, "serve-2conn": 0.25}
 HOT_ROWS = 8
 PROBES = 200  # samples per outside probe of a request's layers
-#: ``req_p99_ms`` is the median p99 over consecutive chunks of this many
-#: requests, in send order, so each p99 has ten samples beyond it. A short
-#: burst of host noise then moves the tail of one chunk, not of the run.
+UNROUTED = "/perfbench-transport-probe"  # a path the service answers 404
+#: The printed ``req_p99_ms`` is the median p99 over consecutive chunks of
+#: this many requests, in send order, so each p99 has ten samples beyond
+#: it. A short burst of host noise then moves the tail of one chunk, not of
+#: the run.
 P99_CHUNK = 1000
 
 
@@ -79,6 +84,7 @@ class Service:
                                  "min_fill")
             lineage = span("core.lineage_s", build_lineage, tid.instance,
                            Q_RST, decomposition)
+            self.tid = tid
             self.compiled = span("circuits.compile_s", compile_circuit,
                                  lineage.circuit)
             plan = span("circuits.plan_build_s", self.compiled.batch_plan)
@@ -193,6 +199,21 @@ def check_first_answer(service: Service, tally) -> None:
                 f"first answer {value!r} != probability_batch {want!r}")
 
 
+def cold_dd_pass(service: Service, span, tally) -> None:
+    """One cold d-D pass on the served plan, codegen included.
+
+    Checked bitwise against a one-row level-plan ``probability_batch`` on
+    the same plan, as ``exact-ktree`` checks its passes.
+    """
+    space = service.tid.event_space()
+    value = tally.answer(span("circuits.dd_s", probability, service.compiled,
+                              space, engine="dd"))
+    row = np.asarray([service.compiled.slot_marginals(space)], dtype=np.float64)
+    want = service.compiled.probability_batch(row)[0]
+    tally.check(value == want,
+                f"cold dd {value!r} != probability_batch {want!r}")
+
+
 def chunked_p99(records) -> float:
     """Median p99 latency over consecutive :data:`P99_CHUNK`-request chunks."""
     latencies = [latency for *_, latency in sorted(records, key=lambda r: r[0])]
@@ -212,31 +233,49 @@ def probe_ms(fn, samples: int = PROBES, statistic=median) -> float:
     return statistic(walls) * 1e3
 
 
-def health_round_trip_ms(service: Service, connections: int) -> float:
-    """Mean ``/health`` round trip over the workload's connection count.
-
-    ``/health`` does no work, so this is the HTTP transport a request
-    crosses, including the contention the concurrent connections add.
-    """
+def concurrent_probe_ms(probe, connections: int) -> float:
+    """Mean of ``probe()`` (a mean in ms) run on ``connections`` threads at
+    once, so the probe sees the contention the workload's connections add."""
     means = [0.0] * connections
 
-    def connection(index: int) -> None:
-        client = ServiceClient(service.handle.address)
-        try:
-            means[index] = probe_ms(client.health, PROBES // connections,
-                                    statistics.fmean)
-        finally:
-            client.close()
+    def thread_body(index: int) -> None:
+        means[index] = probe()
 
-    threads = [threading.Thread(target=connection, args=(i,))
+    threads = [threading.Thread(target=thread_body, args=(i,))
                for i in range(connections)]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join(timeout=60.0)
     if any(thread.is_alive() for thread in threads):
-        raise ReproError("a /health probe connection did not finish")
+        raise ReproError("a concurrent probe did not finish")
     return statistics.fmean(means)
+
+
+def transport_round_trip_ms(service: Service, body: bytes,
+                            samples: int) -> float:
+    """Mean round trip of a request-sized POST the service does not route.
+
+    ``body`` is the encoded body of a one-row ``/probability`` request,
+    sent as bytes on a keep-alive connection. The service answers 404
+    before it parses the body or does any work, so this is the HTTP
+    transport a request crosses, with no JSON work on the client side.
+    """
+    link = HTTPConnection(service.client.host, service.client.port,
+                          timeout=60.0)
+
+    def round_trip() -> None:
+        link.request("POST", UNROUTED, body=body,
+                     headers={"Content-Type": "application/json"})
+        response = link.getresponse()
+        response.read()
+        if response.status != 404:
+            raise ReproError(f"{UNROUTED} answered {response.status}")
+
+    try:
+        return probe_ms(round_trip, samples, statistics.fmean)
+    finally:
+        link.close()
 
 
 def endpoint(stats: dict, path: str) -> dict:
@@ -265,8 +304,12 @@ def traced_window(service: Service, seed: int, connections: int,
     rng = np.random.default_rng([seed, 5])
     pass_1row_ms = probe_ms(lambda: service.compiled.probability_batch(
         rng.random((1, service.width))))
-    http_ms = health_round_trip_ms(service, connections)
     row = rng.random(service.width).tolist()
+    body = json.dumps({"digest": service.digest,
+                       "rows": [list(map(float, row))]}).encode()
+    http_ms = concurrent_probe_ms(
+        lambda: transport_round_trip_ms(service, body, PROBES // connections),
+        connections)
     reply = {"digest": service.digest, "marginals": [0.5],
              "cache_hits": 0, "cache_misses": 1}
     json_ms = probe_ms(lambda: (
@@ -314,6 +357,7 @@ def run(args, tally) -> dict:
         if args.trace:
             traced = traced_window(service, args.seed, connections, hot_share,
                                    args.seconds, tally)
+            cold_dd_pass(service, spans, tally)
             return layer_metrics(
                 {**spans.seconds, **traced["times"]},
                 {**dict.fromkeys(spans.seconds, service.setup_s),
@@ -331,7 +375,11 @@ def run(args, tally) -> dict:
         "setup_s": median(setups + [service.setup_s]),
         "job_p50_s": median(latencies),
         "req_p50_ms": median(latencies) * 1e3,
-        "req_p99_ms": chunked_p99(records) * 1e3,
         "qps": len(records) / wall,
         "peak_rss_mb": peak_rss_mb,
+        "samples": len(records),
+        # Printed, not a result metric: a slow spell of the host doubles
+        # the tail of a whole run, so no bound holds it (README).
+        "notes": [f"req_p99_ms {chunked_p99(records) * 1e3:.4f} ms (median "
+                  f"p99 over {P99_CHUNK}-request chunks; not gated)"],
     }
