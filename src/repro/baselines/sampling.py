@@ -86,8 +86,7 @@ def monte_carlo_probability(
     from repro.core.engine import build_lineage
 
     compiled = build_lineage(tid.instance, query).compiled()
-    space = tid.event_space()
-    marginals = [space.probability(name) for name in compiled.variables()]
+    marginals = compiled.slot_marginals(tid.event_space())
     if numpy_module() is not None:
         from repro.circuits import distributed
 

@@ -16,6 +16,7 @@ from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+from repro.events.space import FactNames
 from repro.util import ReproError, check
 
 VAR = "var"
@@ -43,6 +44,13 @@ _KIND_CODE = {VAR: K_VAR, NOT: K_NOT, AND: K_AND, OR: K_OR}
 # supported CPython platforms satisfy this (checked once at import).
 check(array("i").itemsize == 4, "platform array('i') is not 32-bit")
 check(array("b").itemsize == 1, "platform array('b') is not 8-bit")
+
+
+def _int64_array(np, values):
+    """``values`` as an int64 array; a range skips the per-item pass."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -100,9 +108,11 @@ class Circuit:
         #: lowering gathers its level schedule from here instead of running
         #: a depth pass over the whole circuit.
         self._gate_levels = array("i")
-        #: Interned variable names by arena slot (creation order, which is
-        #: also first-topological-occurrence order for any output).
-        self._slot_names: list[str] = []
+        #: Variable names by arena slot (creation order, which is also
+        #: first-topological-occurrence order for any output). An arena of
+        #: fact-id variables keeps a :class:`FactNames` view here instead:
+        #: one fact id per slot, named only on demand.
+        self._slot_names: list[str] | FactNames = []
         self._slot_of_name: dict[str, int] = {}
         #: Gate id of each slot's VAR gate (slot → gate id), so bulk
         #: variable appends can dedup without the hash-consing table.
@@ -160,6 +170,7 @@ class Circuit:
         if kind == VAR:
             # Hash-consing guarantees one VAR gate per name, so the slot is
             # fresh exactly when the gate is.
+            self._name_slots()
             slot = len(self._slot_names)
             self._slot_of_name[payload] = slot  # type: ignore[index]
             self._slot_names.append(payload)  # type: ignore[arg-type]
@@ -186,14 +197,39 @@ class Circuit:
     # ------------------------------------------------------------------ #
     # bulk construction (flat mirrors only — no Gate objects)
 
-    def append_variables(self, names: Iterable[str]) -> array:
-        """Bulk-create VAR gates; returns one gate id per requested name.
+    def _name_slots(self) -> None:
+        """Key the slots by name; an arena of fact ids switches for good."""
+        view = self._slot_names
+        if isinstance(view, FactNames):
+            self._slot_of_name = dict(view.positions())
+            self._slot_names = list(view)
 
-        Names already interned resolve to their existing gate (same
-        dedup guarantee as :meth:`variable`, via the slot table rather
-        than the hash-consing dict); fresh names append new leaves to the
-        flat mirrors only.
+    def append_variables(self, names, id_space=None) -> array:
+        """Bulk-create VAR gates; returns one gate id per requested variable.
+
+        A name already interned resolves to its existing gate (the dedup
+        guarantee of :meth:`variable`, via the slot table rather than the
+        hash-consing dict); fresh names append new leaves to the flat
+        mirrors only.
+
+        With ``id_space`` (a
+        :class:`~repro.instances.columnar.FactIdSpace`), ``names`` are fact
+        ids of that space instead, and each fact id *is* its variable: the
+        arena stores one id per slot, and its names are a lazy
+        :class:`FactNames` view. An arena holds the ids of one id space
+        only; ids of another space, or a named variable added later,
+        switch it to named slots.
         """
+        if id_space is not None:
+            view = self._slot_names
+            if not view or (
+                isinstance(view, FactNames) and view.id_space is id_space
+            ):
+                return self._append_fact_variables(names, id_space)
+            distinct = list(dict.fromkeys(int(fid) for fid in names))
+            named = dict(zip(distinct, FactNames(id_space, distinct)))
+            names = [named[int(fid)] for fid in names]
+        self._name_slots()
         slot_of = self._slot_of_name
         slot_names = self._slot_names
         var_gates = self._var_gates
@@ -202,48 +238,6 @@ class Circuit:
         offsets = self._input_offsets
         levels = self._gate_levels
         flat_len = len(self._inputs_flat)
-        if not isinstance(names, (list, tuple)):
-            names = list(names)
-        # Bulk fast path: when the whole batch is distinct fresh names (the
-        # witness-DNF case — names come out of a np.unique pass over fact
-        # ids), the slot table grows by one dict.update and every mirror by
-        # one extend, with no per-name work at all.
-        base_gid = len(kind_codes)
-        base_slot = len(slot_names)
-        count = len(names)
-        fresh = dict(zip(names, range(base_slot, base_slot + count)))
-        if len(fresh) == count and (
-            not slot_of or slot_of.keys().isdisjoint(fresh)
-        ):
-            slot_of.update(fresh)
-            slot_names.extend(names)
-            out = array("i")
-            try:
-                import numpy as np
-            except ImportError:
-                np = None
-            if np is not None and count:
-                gids = np.arange(base_gid, base_gid + count, dtype=np.int32)
-                out.frombytes(gids.tobytes())
-                var_gates.frombytes(gids.tobytes())
-                var_slots.frombytes(
-                    np.arange(
-                        base_slot, base_slot + count, dtype=np.int32
-                    ).tobytes()
-                )
-                offsets.frombytes(
-                    np.full(count, flat_len, dtype=np.int32).tobytes()
-                )
-            else:
-                out.extend(range(base_gid, base_gid + count))
-                var_gates.extend(range(base_gid, base_gid + count))
-                var_slots.extend(range(base_slot, base_slot + count))
-                offsets.extend([flat_len] * count)
-            kind_codes.frombytes(bytes([K_VAR]) * count)
-            levels.frombytes(bytes(levels.itemsize * count))
-            if count:
-                self.version += 1
-            return out
         out = array("i")
         appended = 0
         for name in names:
@@ -264,6 +258,57 @@ class Circuit:
             appended += 1
         if appended:
             self.version += 1
+        return out
+
+    def _append_fact_variables(self, fids, id_space) -> array:
+        """:meth:`append_variables` for fact ids: vectorized, name-free.
+
+        Dedup runs through one dense fact id → slot array; an id repeated
+        in the batch keeps its first occurrence's slot.
+        """
+        import numpy as np
+
+        fids = _int64_array(np, fids)
+        if not fids.size:
+            return array("i")
+        n_ids = len(id_space)
+        check(
+            int(fids.min()) >= 0 and int(fids.max()) < n_ids,
+            "fact ids outside the id space",
+        )
+        view = self._slot_names
+        if not isinstance(view, FactNames):
+            view = self._slot_names = FactNames(id_space, array("i"))
+        column = view.fids
+        base_slot = len(column)
+        slot_of = np.full(n_ids, -1, dtype=np.int64)
+        if base_slot:
+            slot_of[np.frombuffer(column, dtype=np.int32)] = np.arange(base_slot)
+        fresh = fids[slot_of[fids] < 0]
+        fresh_slots = np.arange(base_slot, base_slot + fresh.size)
+        slot_of[fresh] = fresh_slots
+        if (slot_of[fresh] != fresh_slots).any():
+            _, first = np.unique(fresh, return_index=True)
+            fresh = fresh[np.sort(first)]
+            fresh_slots = fresh_slots[: fresh.size]
+            slot_of[fresh] = fresh_slots
+        count = fresh.size
+        base_gid = len(self._kind_codes)
+        column.frombytes(fresh.astype(np.int32).tobytes())
+        self._var_gates.frombytes(
+            np.arange(base_gid, base_gid + count, dtype=np.int32).tobytes()
+        )
+        self._var_slots.frombytes(fresh_slots.astype(np.int32).tobytes())
+        self._input_offsets.frombytes(
+            np.full(count, len(self._inputs_flat), dtype=np.int32).tobytes()
+        )
+        self._kind_codes.frombytes(bytes([K_VAR]) * count)
+        self._gate_levels.frombytes(bytes(self._gate_levels.itemsize * count))
+        if count:
+            self.version += 1
+        gates = np.frombuffer(self._var_gates, dtype=np.int32)[slot_of[fids]]
+        out = array("i")
+        out.frombytes(gates.tobytes())
         return out
 
     def append_gates(self, kinds, inputs, offsets) -> range:
@@ -304,8 +349,8 @@ class Circuit:
         check(len(offsets) == count + 1, "offsets must have one entry per gate + 1")
         flat_base = len(self._inputs_flat)
         if np is not None:
-            inputs64 = np.asarray(inputs, dtype=np.int64)
-            offsets64 = np.asarray(offsets, dtype=np.int64)
+            inputs64 = _int64_array(np, inputs)
+            offsets64 = _int64_array(np, offsets)
             row_ids = base + np.arange(count, dtype=np.int64)
             counts = np.diff(offsets64)
             check(bool((counts >= 1).all()), "append_gates rows need >= 1 input")
@@ -318,9 +363,7 @@ class Circuit:
                 bool((inputs64 >= 0).all() and (inputs64 < bound).all()),
                 "append_gates inputs must reference earlier gates",
             )
-            self._kind_codes.frombytes(
-                np.asarray(kind_list, dtype=np.int8).tobytes()
-            )
+            self._kind_codes.frombytes(bytes(kind_list))
             self._var_slots.frombytes(
                 np.full(count, -1, dtype=np.int32).tobytes()
             )

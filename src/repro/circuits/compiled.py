@@ -68,19 +68,15 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 
 from repro.circuits.circuit import (
-    AND,
-    CONST,
     K_AND,
     K_FALSE,
     K_NOT,
     K_OR,
     K_TRUE,
     K_VAR,
-    NOT,
-    OR,
-    VAR,
     Circuit,
 )
+from repro.events.space import FactNames
 from repro.util import ReproError, check
 
 try:  # capability check: the vectorized batch kernels need numpy
@@ -701,49 +697,41 @@ class CompiledCircuit:
         self._wire_digest = None  # content digest of _wire_cache, cached with it
 
     def _lower_python(self, circuit: Circuit) -> None:
-        """The reference per-gate lowering (numpy-free, and small circuits)."""
+        """The reference per-gate lowering (numpy-free, and small circuits).
+
+        Reads the arena's flat mirrors, so fact-id variables stay unnamed.
+        """
         gate_ids = circuit.reachable_from_output()
         self._gate_ids = tuple(gate_ids)
         position_of: dict[int, int] = {gid: pos for pos, gid in enumerate(gate_ids)}
         self._position_of = position_of
         self.size = len(gate_ids)
+        codes = circuit._kind_codes
+        arena_slots = circuit._var_slots
+        flat = circuit._inputs_flat
+        arena_offsets = circuit._input_offsets
         kinds: list[int] = []
         offsets: list[int] = [0]
         indices: list[int] = []
         var_slot: list[int] = []
-        var_names: list[str] = []
-        var_index: dict[str, int] = {}
+        rank: dict[int, int] = {}  # arena slot → compiled slot
         for gid in gate_ids:
-            gate = circuit.gate(gid)
+            kind = codes[gid]
             slot = -1
-            if gate.kind == VAR:
-                kind = K_VAR
-                name = gate.payload
-                slot = var_index.get(name, -1)
-                if slot < 0:
-                    slot = len(var_names)
-                    var_index[name] = slot
-                    var_names.append(name)
-            elif gate.kind == CONST:
-                kind = K_TRUE if gate.payload else K_FALSE
-            elif gate.kind == NOT:
-                kind = K_NOT
-            elif gate.kind == AND:
-                kind = K_AND
-            elif gate.kind == OR:
-                kind = K_OR
-            else:  # pragma: no cover - guarded by Circuit construction
-                raise ReproError(f"unknown gate kind {gate.kind!r}")
+            if kind == K_VAR:
+                slot = rank.setdefault(arena_slots[gid], len(rank))
             kinds.append(kind)
             var_slot.append(slot)
-            indices.extend(position_of[i] for i in gate.inputs)
+            indices.extend(
+                position_of[i]
+                for i in flat[arena_offsets[gid] : arena_offsets[gid + 1]]
+            )
             offsets.append(len(indices))
         self._kinds = kinds
         self._offsets = offsets
         self._indices = indices
         self._var_slot = var_slot
-        self.var_names: tuple[str, ...] = tuple(var_names)
-        self._var_index = var_index
+        self.var_names = _names_of_slots(circuit._slot_names, list(rank))
         self.output = position_of[circuit.output]  # type: ignore[index]
         #: Whether any NOT gate is reachable — precomputed once here rather
         #: than rescanning ``kinds`` on every property access.
@@ -816,12 +804,11 @@ class CompiledCircuit:
         slot_rank[arena_slots] = _np.arange(arena_slots.size, dtype=_np.int32)
         var_slot32 = _np.full(size, -1, dtype=_np.int32)
         var_slot32[var_mask] = slot_rank[arena_slots]
-        slot_names = circuit._slot_names
         self.size = size
         # The lists stay unmaterialized (the properties build them from
         # ``_np32`` if a scalar consumer asks); the level schedule is a
         # single gather from the arena's incrementally maintained levels.
-        self.var_names = tuple(slot_names[s] for s in arena_slots.tolist())
+        self.var_names = _names_of_slots(circuit._slot_names, arena_slots)
         self.output = int(pos_of[circuit.output])
         self.has_negation = bool((kinds32 == K_NOT).any())
         self._gate_ids = gate_ids
@@ -964,9 +951,11 @@ class CompiledCircuit:
         """Variable name → slot, built lazily (inverse of ``var_names``)."""
         mapping = self._var_index
         if mapping is None:
-            mapping = self._var_index = {
-                name: slot for slot, name in enumerate(self.var_names)
-            }
+            names = self.var_names
+            mapping = self._var_index = (
+                names.positions() if isinstance(names, FactNames)
+                else {name: slot for slot, name in enumerate(names)}
+            )
         return mapping
 
     def levels_list(self) -> list[int]:
@@ -987,8 +976,12 @@ class CompiledCircuit:
                 self._levels = gate_levels(self.kinds, self.offsets, self.indices)
         return self._levels
 
-    def variables(self) -> tuple[str, ...]:
-        """Variable names in slot order (first topological occurrence)."""
+    def variables(self) -> Sequence[str]:
+        """Variable names in slot order (first topological occurrence).
+
+        A tuple, or for fact-id variables a lazy :class:`FactNames` view
+        that compares equal to the tuple of names.
+        """
         return self.var_names
 
     def inputs_of(self, position: int) -> list[int]:
@@ -1033,13 +1026,24 @@ class CompiledCircuit:
         name to probability, or a sequence indexed by slot. Anything else —
         including another circuit passed by mistake — is rejected with a
         clear error instead of being duck-typed on a ``probability``
-        attribute.
+        attribute. When the variables are fact ids and the space holds the
+        probabilities of the same id space (:meth:`EventSpace.of_facts`),
+        the marginals are one gather from its column, as a float64 array;
+        every other case looks each variable up by name.
         """
         from repro.events import EventSpace
 
         if isinstance(marginals, EventSpace):
+            names = self.var_names
+            probs = marginals.fact_probs
+            if (
+                isinstance(names, FactNames)
+                and names.id_space is marginals.id_space
+                and (not names.fids.size or int(names.fids.max()) < len(probs))
+            ):
+                return probs[names.fids]
             probability = marginals.probability
-            return [probability(name) for name in self.var_names]
+            return [probability(name) for name in names]
         if isinstance(marginals, Mapping):
             missing = [n for n in self.var_names if n not in marginals]
             check(not missing, f"marginals are missing variables {missing!r}")
@@ -1516,6 +1520,26 @@ class CompiledCircuit:
         return cached
 
 
+def _names_of_slots(slot_names, arena_slots):
+    """``var_names`` for these arena slots: a tuple, or a fact-id view."""
+    if isinstance(slot_names, FactNames):
+        return slot_names.take(arena_slots)
+    if hasattr(arena_slots, "tolist"):
+        arena_slots = arena_slots.tolist()
+    return tuple(slot_names[s] for s in arena_slots)
+
+
+def _joined(head, tail):
+    """``head + tail`` of two ``var_names``, staying a view when both are."""
+    if (
+        isinstance(head, FactNames)
+        and isinstance(tail, FactNames)
+        and head.id_space is tail.id_space
+    ):
+        return FactNames(head.id_space, _np.concatenate([head.fids, tail.fids]))
+    return tuple(head) + tuple(tail)
+
+
 #: Entries kept in the per-arena ``(version, output)`` compile memo; small,
 #: because each entry pins a full lowering alive for the arena's lifetime.
 ARENA_CACHE_LIMIT = 8
@@ -1561,6 +1585,8 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
     max_old = old_ids[-1]
     old_out_id = old_ids[prev.output]
     limit = max(64, int(old_n * _DELTA_MAX_FRACTION))
+    flat = circuit._inputs_flat
+    arena_offsets = circuit._input_offsets
     seen: set[int] = set()
     dirty: list[int] = []
     stack = [out]
@@ -1580,7 +1606,7 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
         dirty.append(gid)
         if len(dirty) > limit:
             return None
-        stack.extend(circuit.gate(gid).inputs)
+        stack.extend(flat[arena_offsets[gid] : arena_offsets[gid + 1]])
     if not old_out_seen:
         return None
     if not dirty:
@@ -1593,7 +1619,6 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
 
     kind_codes = circuit._kind_codes
     var_slots = circuit._var_slots
-    slot_names = circuit._slot_names
     arena_levels = circuit._gate_levels
     old_levels = prev.levels_list()
     position: dict[int, int] = {}
@@ -1601,7 +1626,7 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
     add_indices: list[int] = []
     add_offsets: list[int] = []
     add_var_slot: list[int] = []
-    new_names: list[str] = []
+    new_slots: list[int] = []  # arena slots of the new variables
     prev_np = prev._np32
     running = (
         int(prev_np[1][-1]) if prev_np is not None else prev.offsets[-1]
@@ -1616,14 +1641,14 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
         add_kinds.append(kind)
         slot = -1
         if kind == K_VAR:
-            # A dirty VAR gate is a genuinely new name: hash-consing keeps
-            # one gate per name, and old names' gates are all old gates.
-            slot = n_old_vars + len(new_names)
-            new_names.append(slot_names[var_slots[gid]])
+            # A dirty VAR gate is a genuinely new variable: the arena keeps
+            # one gate per slot, and old variables' gates are all old gates.
+            slot = n_old_vars + len(new_slots)
+            new_slots.append(var_slots[gid])
         elif kind == K_NOT:
             has_negation = True
         add_var_slot.append(slot)
-        inputs = circuit.gate(gid).inputs
+        inputs = flat[arena_offsets[gid] : arena_offsets[gid + 1]]
         for child in inputs:
             at = position.get(child)
             add_indices.append(
@@ -1654,7 +1679,9 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
         compiled._offsets = prev.offsets + add_offsets
         compiled._indices = prev.indices + add_indices
         compiled._var_slot = prev.var_slot + add_var_slot
-    compiled.var_names = prev.var_names + tuple(new_names)
+    compiled.var_names = _joined(
+        prev.var_names, _names_of_slots(circuit._slot_names, new_slots)
+    )
     compiled.output = position[out] if out in position else bisect_left(old_ids, out)
     compiled.has_negation = has_negation
     compiled.arena_version = circuit.version

@@ -329,14 +329,17 @@ def _mc_shard_hits(np, plan, probs32, seed: int, index: int, count: int) -> int:
     marginals, runs them through the level-scheduled kernels, and returns
     only the hit count. float32 draws halve the RNG cost of the dominant
     step; the ≤2⁻²⁴ rounding of each marginal is far below Monte-Carlo
-    noise at any feasible sample count.
+    noise at any feasible sample count. Each kernel chunk draws its own
+    rows from the generator in turn — the same stream as one
+    ``(count, n_vars)`` draw, without ever holding it.
     """
     rng = np.random.default_rng((seed, index))
-    worlds = rng.random((count, probs32.size), dtype=np.float32) < probs32
     hits = 0
     step = max(1, _compiled.BATCH_BYTE_BUDGET // max(1, plan.size))
     for start in range(0, count, step):
-        hits += int(np.count_nonzero(plan.run(worlds[start : start + step], False)))
+        rows = min(step, count - start)
+        worlds = rng.random((rows, probs32.size), dtype=np.float32) < probs32
+        hits += int(np.count_nonzero(plan.run(worlds, False)))
     return hits
 
 

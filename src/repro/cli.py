@@ -447,8 +447,7 @@ def command_dist_eval(
     query = cq(atom("R", x), atom("S", x, y), atom("T", y))
     tid = rst_chain_tid(60, probability=0.15, seed=0)
     compiled = compile_circuit(build_lineage(tid.instance, query).circuit)
-    space = tid.event_space()
-    marginals = [space.probability(n) for n in compiled.variables()]
+    marginals = compiled.slot_marginals(tid.event_space())
     plan_bytes = compiled.wire_bytes()
     print(f"lineage circuit: {compiled.size} gates, "
           f"{len(compiled.variables())} variables; wire plan {len(plan_bytes)} "

@@ -309,15 +309,16 @@ def pc_probability(query, pc, **kwargs):
 def _witness_rows(query, instance):
     """Witness fact variables of every homomorphism, index-encoded.
 
-    Returns ``(names, flat_indices, width, n_rows)``: the distinct variable
-    names in first-occurrence row-major order, the flattened witness matrix
-    as indices into ``names`` (row-major, ``width`` entries per row), the
-    number of atoms, and the number of homomorphisms. On a columnar
-    instance (with numpy) the witness matrix comes straight out of the
-    vectorized join — no ``Fact`` objects are materialized; the object
-    backend enumerates the backtracking search's witnesses. Both produce
-    the identical sequence, so the circuits built from them are
-    bit-identical.
+    Returns ``(variables, id_space, flat_indices, width, n_rows)``: the
+    distinct variables in first-occurrence row-major order, the id space
+    they are fact ids of (``None`` when they are names), the flattened
+    witness matrix as indices into ``variables`` (row-major, ``width``
+    entries per row), the number of atoms, and the number of
+    homomorphisms. On a columnar instance (with numpy) the variables are
+    the witness fact ids straight out of the vectorized join — no ``Fact``
+    objects, no names; the object backend enumerates the backtracking
+    search's witnesses by name. Both produce the identical sequence, so
+    the circuits built from them are bit-identical.
     """
     from repro.instances.columnar import ColumnarInstance
 
@@ -331,18 +332,17 @@ def _witness_rows(query, instance):
             np = columnar_numpy()
             result = evaluate_cq(query, instance)
             if result.n_rows == 0:
-                return [], [], width, 0
+                return [], None, [], width, 0
             flat = result.witnesses.ravel()  # row-major
-            uniq, first_at, inverse = np.unique(
-                flat, return_index=True, return_inverse=True
-            )
-            # np.unique sorts by fact id; re-rank to first-occurrence order
-            # so variable creation order matches the object path.
-            order = np.argsort(first_at)
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order), dtype=np.int64)
-            names = instance.variable_names_for(uniq[order])
-            return names, rank[inverse], width, result.n_rows
+            # Variables in first-occurrence order (the object path's slot
+            # order), found through dense per-fact-id arrays, no sort.
+            positions = np.arange(flat.size, dtype=np.int64)
+            first = np.full(len(instance), flat.size, dtype=np.int64)
+            np.minimum.at(first, flat, positions)
+            fids = flat[first[flat] == positions]
+            rank = np.empty(len(instance), dtype=np.int64)
+            rank[fids] = np.arange(fids.size, dtype=np.int64)
+            return fids, instance.id_space, rank[flat], width, result.n_rows
     index_of: dict[str, int] = {}
     names: list[str] = []
     flat_indices: list[int] = []
@@ -357,7 +357,7 @@ def _witness_rows(query, instance):
                 index_of[name] = idx
                 names.append(name)
             flat_indices.append(idx)
-    return names, flat_indices, width, n_rows
+    return names, None, flat_indices, width, n_rows
 
 
 def _append_witness_dnf(circuit: Circuit, query, instance) -> tuple[int, int]:
@@ -366,11 +366,14 @@ def _append_witness_dnf(circuit: Circuit, query, instance) -> tuple[int, int]:
     One bulk variable append, one bulk AND append (a gate per
     homomorphism), one OR over them — entirely on the arena's flat
     mirrors, so a million-row lineage never materializes gate objects.
+    A query without homomorphisms appends nothing and returns gate -1.
     """
-    names, flat_indices, width, n_rows = _witness_rows(query, instance)
+    variables, id_space, flat_indices, width, n_rows = _witness_rows(
+        query, instance
+    )
     if n_rows == 0:
-        return circuit.false(), 0
-    var_gates = circuit.append_variables(names)
+        return -1, 0
+    var_gates = circuit.append_variables(variables, id_space)
     if isinstance(flat_indices, list):
         inputs = [var_gates[i] for i in flat_indices]
     else:
@@ -460,13 +463,16 @@ def build_provenance_circuit(
     max_rows = 0
     for q in disjuncts:
         gate, n_rows = _append_witness_dnf(circuit, q, instance)
-        outputs.append(gate)
+        if n_rows:
+            outputs.append(gate)
         max_rows = max(max_rows, n_rows)
-    if len(outputs) == 1:
+    if not outputs:
+        circuit.set_output(circuit.false())
+    elif len(outputs) == 1:
         circuit.set_output(outputs[0])
     else:
-        # Bulk OR keeps the arena object-free even for empty disjuncts
-        # (ORing in their false gate is a no-op semantically).
+        # A bulk OR keeps the arena object-free (and fact-id variables
+        # unnamed); empty disjuncts are left out of it.
         circuit.set_output(
             circuit.append_gates(K_OR, outputs, (0, len(outputs)))[0]
         )

@@ -4,15 +4,103 @@ A :class:`EventSpace` assigns an independent marginal probability to each
 named event. pc-instances, PrXML documents and probabilistic chase runs all
 draw their randomness from such a space; correlations are expressed *through*
 formulas and circuits over the events, never inside the space itself.
+
+A TID on the columnar backend has one event per fact, and there the fact id
+*is* the event: :meth:`EventSpace.of_facts` keeps the probability column
+indexed by fact id, and :class:`FactNames` derives the ``f:R(1)`` names only
+when a name-keyed call needs them.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.events.formulas import Formula, Valuation
 from repro.util import ReproError, check, stable_rng
+
+try:
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the numpy-free CI job
+    _np = None
+
+
+class FactNames(Sequence):
+    """The names of fact-id variables, built on first use.
+
+    ``fids`` are fact ids of ``id_space`` (a
+    :class:`repro.instances.columnar.FactIdSpace`), one per variable.
+    ``len()`` reads only the ids; anything else builds every name with one
+    bulk namer call and caches them. If ``fids`` grows (an arena's slot
+    column), only the new ids are named. The view compares equal to the
+    tuple of its names.
+
+    Names must identify facts: two facts whose names collide, like ``R(1)``
+    and ``R("1")``, raise :class:`~repro.util.ReproError` naming both
+    rather than merge into one event.
+    """
+
+    __slots__ = ("id_space", "fids", "_names", "_positions")
+
+    def __init__(self, id_space, fids):
+        self.id_space = id_space
+        self.fids = fids
+        self._names: list[str] = []
+        self._positions: dict[str, int] = {}
+
+    def _built(self) -> list[str]:
+        names = self._names
+        start, stop = len(names), len(self.fids)
+        if start < stop:
+            fresh = self.id_space.names(self.fids[start:])
+            positions = self._positions
+            for pos, name in enumerate(fresh, start):
+                first = positions.setdefault(name, pos)
+                if first != pos:
+                    raise self.id_space.collision(
+                        int(self.fids[first]), int(self.fids[pos])
+                    )
+            names.extend(fresh)
+        return names
+
+    def positions(self) -> dict[str, int]:
+        """Name → position, built with the names."""
+        self._built()
+        return self._positions
+
+    def take(self, positions) -> "FactNames":
+        """The view of the ids at ``positions`` (an int array)."""
+        return FactNames(self.id_space, _np.asarray(self.fids)[positions])
+
+    def __len__(self) -> int:
+        return len(self.fids)
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._built())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"FactNames({len(self)} fact ids)"
+
+
+def _probability_column(probabilities):
+    """A float64 copy of ``probabilities``, checked in [0, 1] in one pass."""
+    if _np is not None:
+        column = _np.array(probabilities, dtype=_np.float64)
+        ok = bool(((column >= 0.0) & (column <= 1.0)).all())
+    else:
+        column = array("d", probabilities)
+        ok = all(0.0 <= p <= 1.0 for p in column)
+    check(ok, "fact probabilities must be in [0,1]")
+    return column
 
 
 class EventSpace:
@@ -26,10 +114,40 @@ class EventSpace:
     """
 
     def __init__(self, probabilities: Mapping[str, float] | None = None):
-        self._probabilities: dict[str, float] = {}
+        self._by_name: dict[str, float] | None = {}
+        #: The id space and probability column of a space built by
+        #: :meth:`of_facts`; ``None`` for a space of named events.
+        self.id_space = None
+        self.fact_probs = None
         if probabilities:
             for name, p in probabilities.items():
                 self.add(name, p)
+
+    @classmethod
+    def of_facts(cls, id_space, probabilities) -> "EventSpace":
+        """One event per fact id of ``id_space``; fact ``i`` has ``probabilities[i]``.
+
+        The space keeps a float64 copy of the column, so later changes to
+        the source do not reach it. Its events are named like any other's
+        (``f:R(1)``), but the name → probability dict is built only on the
+        first name-keyed call; a circuit whose variables are fact ids of
+        the same id space gathers its marginals straight from the column
+        (:meth:`repro.circuits.compiled.CompiledCircuit.slot_marginals`).
+        """
+        space = cls()
+        space.id_space = id_space
+        space.fact_probs = _probability_column(probabilities)
+        space._by_name = None
+        return space
+
+    @property
+    def _probabilities(self) -> dict[str, float]:
+        by_name = self._by_name
+        if by_name is None:
+            probs = self.fact_probs
+            names = FactNames(self.id_space, range(len(probs)))
+            by_name = self._by_name = dict(zip(names, probs.tolist()))
+        return by_name
 
     def add(self, name: str, probability: float) -> str:
         """Register event ``name`` with the given marginal probability."""
@@ -53,7 +171,9 @@ class EventSpace:
         return name in self._probabilities
 
     def __len__(self) -> int:
-        return len(self._probabilities)
+        if self._by_name is None:
+            return len(self.fact_probs)
+        return len(self._by_name)
 
     def restrict(self, names: Iterable[str]) -> "EventSpace":
         """Return the sub-space containing only the events in ``names``."""

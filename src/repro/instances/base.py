@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.util import check
+from repro.util import ReproError, check
 
 Constant = Hashable
 
@@ -86,6 +86,23 @@ def variable_name_of(relation: str, args: Iterable[Constant]) -> str:
     """
     inside = ",".join(str(a) for a in args)
     return f"f:{relation}({inside})"
+
+
+def name_collision(first: Fact, second: Fact) -> ReproError:
+    """The error for two distinct facts that share a variable name.
+
+    Names render constants with ``str``, so ``R(1)`` and ``R("1")`` are
+    both ``f:R(1)``. Wherever names key the events, merging them would
+    silently drop one fact's probability; this error names both instead.
+    """
+
+    def shown(f: Fact) -> str:
+        return f"{f.relation}({', '.join(repr(a) for a in f.args)})"
+
+    return ReproError(
+        f"facts {shown(first)} and {shown(second)} share the variable name "
+        f"{first.variable_name!r}; name-keyed events cannot tell them apart"
+    )
 
 
 class AbstractInstance(ABC):

@@ -5,8 +5,9 @@ becomes cheap once instances are stored as flat columns a conventional
 engine can scan. This backend mirrors that design (and the CSR layout of
 the compiled circuit backend): every relation is a set of parallel int32
 arrays — one per attribute position, dictionary-encoded against a shared
-constant dictionary — plus a fact-id column that doubles as the variable
-slot of the fact's presence variable in lineage circuits.
+constant dictionary — plus a fact-id column. The fact id is the fact's
+presence variable in lineage circuits and its event in the TID's event
+space (:class:`FactIdSpace`); names are derived only on demand.
 
 The representation is lossless with respect to the object backend
 (:func:`ColumnarInstance.to_instance` / :func:`from_instance` round-trip
@@ -28,6 +29,7 @@ workload generators — construct by default.
 
 from __future__ import annotations
 
+import copy
 import os
 from array import array
 from collections.abc import Iterable, Sequence
@@ -37,7 +39,7 @@ from repro.instances.base import (
     Constant,
     Fact,
     Instance,
-    variable_name_of,
+    name_collision,
 )
 from repro.util import ReproError, check
 
@@ -80,6 +82,36 @@ def _pack_rows(columns: Sequence, length: int):
     for col in columns[1:]:
         keys = [k * _PACK + int(c) for k, c in zip(keys, col)]
     return keys
+
+
+class FactIdSpace:
+    """The fact ids of one columnar instance, as lineage variables.
+
+    Ids are dense and append-only: adding facts never renumbers the
+    existing ones, so a circuit or event space that stores fact ids and
+    this object can name its facts at any later time. Holders share an id
+    space exactly when their ids mean the same facts. ``discard`` is the
+    one operation that renumbers: it first hands this space a frozen copy
+    of the instance's columns, and the instance goes on with a fresh space.
+    """
+
+    __slots__ = ("_instance",)
+
+    def __init__(self, instance: "ColumnarInstance"):
+        self._instance = instance
+
+    def __len__(self) -> int:
+        return len(self._instance)
+
+    def names(self, fids) -> list[str]:
+        """Variable names of ``fids`` (see :meth:`ColumnarInstance.variable_names_for`)."""
+        return self._instance.variable_names_for(fids)
+
+    def collision(self, first: int, second: int) -> ReproError:
+        """The error for two fact ids whose names collide."""
+        return name_collision(
+            self._instance.fact_at(first), self._instance.fact_at(second)
+        )
 
 
 class _RelationColumns:
@@ -144,6 +176,9 @@ class ColumnarInstance(AbstractInstance):
         #: Count of Fact objects this instance has materialized — the E18
         #: bench asserts the columnar pipeline keeps this at zero.
         self.facts_materialized = 0
+        #: What this instance's fact ids mean; lineage variables and event
+        #: spaces hold it next to their ids.
+        self.id_space = FactIdSpace(self)
         for f in facts:
             self.add(f)
 
@@ -258,6 +293,9 @@ class ColumnarInstance(AbstractInstance):
             return
         count_before = self.facts_materialized
         survivors = [g for g in self.facts() if g != f]
+        # The survivors are renumbered; whatever holds the old id space
+        # keeps naming the facts it was built over, from a frozen copy.
+        self.id_space._instance = copy.copy(self)
         self.__init__(survivors)
         self.facts_materialized = count_before + len(survivors) + 1
 
@@ -335,44 +373,22 @@ class ColumnarInstance(AbstractInstance):
     def variable_names_for(self, fids: Iterable[int]) -> list[str]:
         """Circuit-leaf names for fact ids, without materializing Facts.
 
+        ``fids`` is any sized int sequence (range, list, array, ndarray).
         Follows :attr:`repro.instances.base.Fact.variable_name` exactly, so
         both backends agree on every leaf of every lineage circuit.
+
+        With numpy, sorts the requested ids (the id space is
+        relation-blocked for bulk loads, so sorted ids form a handful of
+        same-relation runs), gathers each run's code columns in one shot,
+        formats the names through the cached code→str table, and scatters
+        them back to the callers' order with one object-array assignment.
         """
-        if _np is not None and isinstance(fids, _np.ndarray):
-            return self._variable_names_bulk(fids)
-        names = []
-        rel_names = self._rel_names
-        fid_rel = self._fid_rel
-        fid_row = self._fid_row
-        decode = self.decode
-        for fid in fids:
-            relation = rel_names[fid_rel[fid]]
-            row = fid_row[fid]
-            cols = self._rels[relation].columns
-            names.append(
-                variable_name_of(relation, (decode(col[row]) for col in cols))
-            )
-        return names
-
-    def _code_strs(self) -> list[str]:
-        """Decoded-constant strings per code, extended lazily as codes grow."""
-        strs = self._strs
-        n = self.n_codes()
-        if len(strs) < n:
-            decode = self.decode
-            strs.extend(str(decode(c)) for c in range(len(strs), n))
-        return strs
-
-    def _variable_names_bulk(self, fids) -> list[str]:
-        """The numpy path of :meth:`variable_names_for`.
-
-        Sorts the requested fact ids (fid space is relation-blocked for
-        bulk loads, so sorted fids form a handful of same-relation runs),
-        gathers each run's code columns in one shot, formats names through
-        the cached code→str table, and scatters them back to the callers'
-        order with one object-array fancy assignment — no per-fact decode
-        or Fact materialization.
-        """
+        if _np is None:
+            return self._names_per_fact(fids)
+        if isinstance(fids, range):
+            fids = _np.arange(fids.start, fids.stop, fids.step, dtype=_np.int64)
+        else:
+            fids = _np.asarray(fids, dtype=_np.int64)
         n = fids.size
         if n == 0:
             return []
@@ -380,24 +396,12 @@ class ColumnarInstance(AbstractInstance):
         sorted_fids = fids[order]
         rel_ids = _np.frombuffer(self._fid_rel, dtype=_np.int32)[sorted_fids]
         rows = _np.frombuffer(self._fid_row, dtype=_np.int32)[sorted_fids]
-        strs = self._code_strs()
         run_starts = [0, *(_np.flatnonzero(_np.diff(rel_ids)) + 1).tolist(), n]
         if len(run_starts) - 2 > max(8, n >> 3):
-            # Heavily interleaved fid space (per-fact add path): the run
+            # Heavily interleaved id space (per-fact add path): the run
             # machinery would pay per-run numpy overhead ~per fact.
-            rel_names = self._rel_names
-            fid_rel = self._fid_rel
-            fid_row = self._fid_row
-            rels = self._rels
-            out_list = []
-            for fid in fids.tolist():
-                relation = rel_names[fid_rel[fid]]
-                row = fid_row[fid]
-                inside = ",".join(
-                    [strs[col[row]] for col in rels[relation].columns]
-                )
-                out_list.append(f"f:{relation}({inside})")
-            return out_list
+            return self._names_per_fact(fids.tolist())
+        strs = self._code_strs()
         names: list[str] = []
         for start, stop in zip(run_starts, run_starts[1:]):
             relation = self._rel_names[rel_ids[start]]
@@ -422,6 +426,30 @@ class ColumnarInstance(AbstractInstance):
         out = _np.empty(n, dtype=object)
         out[order] = names
         return out.tolist()
+
+    def _names_per_fact(self, fids: Iterable[int]) -> list[str]:
+        """:meth:`variable_names_for`, one fact at a time."""
+        strs = self._code_strs()
+        rel_names = self._rel_names
+        fid_rel = self._fid_rel
+        fid_row = self._fid_row
+        rels = self._rels
+        names = []
+        for fid in fids:
+            relation = rel_names[fid_rel[fid]]
+            row = fid_row[fid]
+            inside = ",".join([strs[col[row]] for col in rels[relation].columns])
+            names.append(f"f:{relation}({inside})")
+        return names
+
+    def _code_strs(self) -> list[str]:
+        """Decoded-constant strings per code, extended lazily as codes grow."""
+        strs = self._strs
+        n = self.n_codes()
+        if len(strs) < n:
+            decode = self.decode
+            strs.extend(str(decode(c)) for c in range(len(strs), n))
+        return strs
 
     # ------------------------------------------------------------------ #
     # bulk loads

@@ -21,7 +21,7 @@ from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
 from repro.events import EventSpace
-from repro.instances.base import Fact, Instance
+from repro.instances.base import Fact, Instance, name_collision
 from repro.instances.columnar import ColumnarInstance, make_instance
 from repro.util import check, stable_rng
 
@@ -43,8 +43,8 @@ class TIDInstance:
         self.instance = make_instance(backend)
         self._columnar = isinstance(self.instance, ColumnarInstance)
         if self._columnar:
-            # One float per fact id — stays aligned because TIDs are
-            # append-only (there is no discard API on this wrapper).
+            # One float per fact id; :meth:`discard` keeps it aligned when
+            # the instance renumbers its ids.
             self._probs = array("d")
         else:
             self._probabilities: dict[Fact, float] = {}
@@ -95,6 +95,22 @@ class TIDInstance:
             for fid, p in zip(fids, probabilities):
                 self._probs[fid] = float(p)
 
+    def discard(self, f: Fact) -> None:
+        """Remove ``f`` and its probability, if present.
+
+        On the columnar backend the facts after ``f`` move down one id
+        (:meth:`~repro.instances.columnar.ColumnarInstance.discard`), and
+        so do their probabilities.
+        """
+        if self._columnar:
+            fid = self.instance.fact_id_of(f)
+            if fid is None:
+                return
+            del self._probs[fid]
+        else:
+            self._probabilities.pop(f, None)
+        self.instance.discard(f)
+
     def probability(self, f: Fact) -> float:
         """Return the presence probability of ``f``."""
         if self._columnar:
@@ -121,16 +137,24 @@ class TIDInstance:
         """Return the event space with one independent event per fact.
 
         Event names follow :attr:`repro.instances.base.Fact.variable_name`,
-        the convention the lineage engine uses for its circuit leaves. On
-        the columnar backend the names come straight off the columns — no
-        Fact objects are materialized.
+        the convention the lineage engine uses for its circuit leaves; two
+        facts with the same name raise
+        :func:`~repro.instances.base.name_collision`. On the columnar
+        backend the events are the fact ids (:meth:`EventSpace.of_facts`):
+        the space snapshots the probability column, and names are built
+        only if a name-keyed call asks.
         """
         if self._columnar:
-            names = self.instance.variable_names_for(range(len(self.instance)))
-            return EventSpace(dict(zip(names, self._probs)))
-        return EventSpace(
-            {f.variable_name: p for f, p in self._probabilities.items()}
-        )
+            return EventSpace.of_facts(self.instance.id_space, self._probs)
+        probabilities = self._probabilities
+        by_name = {f.variable_name: p for f, p in probabilities.items()}
+        if len(by_name) < len(probabilities):
+            first: dict[str, Fact] = {}
+            for f in probabilities:
+                other = first.setdefault(f.variable_name, f)
+                if other is not f:
+                    raise name_collision(other, f)
+        return EventSpace(by_name)
 
     # ------------------------------------------------------------------ #
     # possible-world semantics

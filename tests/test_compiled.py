@@ -465,3 +465,45 @@ class TestCompiledConsumers:
         )
         assert abs(batched - exact) < 0.05
         assert abs(legacy - exact) < 0.05
+
+
+def test_fact_id_arena_through_delta_recompile_and_named_appends():
+    """An arena of fact-id variables dedups ids, keeps its variables a view
+    through a delta recompile (still gathering from the event space), and
+    switches to named slots, names intact, once a named variable joins."""
+    pytest.importorskip("numpy")
+    from repro.circuits import compiled as compiled_module
+    from repro.circuits import recompile
+    from repro.events.space import FactNames
+
+    probs = [0.1, 0.2, 0.3, 0.4]
+    tid = TIDInstance(
+        [(fact("R", i), p) for i, p in enumerate(probs)], backend="columnar"
+    )
+    stale = tid.event_space()
+    tid.add(fact("R", 4), 0.5)
+    ids = tid.instance.id_space
+    c = Circuit()
+    first = list(c.append_variables([0, 2, 4], ids))
+    c.set_output(c.append_gates(K_OR, first, (0, 3))[0])
+    old = compile_circuit(c)
+    more = list(c.append_variables([3, 2, 3], ids))
+    assert more[1] == first[1] and more[0] == more[2]
+    c.set_output(c.append_gates(K_OR, [c.output, more[0]], (0, 2))[0])
+    before = compiled_module.compile_stats()["delta_recompiles"]
+    updated = recompile(old, c)
+    assert compiled_module.compile_stats()["delta_recompiles"] == before + 1
+    assert isinstance(updated.var_names, FactNames)
+    names = ("f:R(0)", "f:R(2)", "f:R(4)", "f:R(3)")
+    assert updated.var_names == CompiledCircuit(c).var_names == names
+    assert list(updated.slot_marginals(tid.event_space())) == [0.1, 0.3, 0.5, 0.4]
+    # A space snapshot taken before R(4) existed has no event for it.
+    with pytest.raises(ReproError, match="unknown event"):
+        updated.slot_marginals(stale)
+    c.variable("x")
+    assert c._slot_names == [*names, "x"]
+    assert c.variable("f:R(2)") == first[1]
+    # Fact ids appended to the now name-keyed arena resolve by name.
+    again = list(c.append_variables([2, 1], ids))
+    assert again[0] == first[1]
+    assert c._slot_names == [*names, "x", "f:R(1)"]

@@ -515,3 +515,103 @@ def test_columnar_backend_matches_object_oracle(rows, query_index):
         assert lineage_col.circuit.evaluate(valuation) == query.holds_in(
             Instance(kept)
         )
+
+
+# --------------------------------------------------------------------------- #
+# fact-id identity: on the columnar backend the fact id is the variable
+
+from unittest import mock
+
+from repro.instances import TIDInstance
+from repro.util import ReproError
+
+#: The backend pool plus a UCQ whose disjuncts share their S facts.
+FACT_ID_QUERIES = BACKEND_QUERIES + (
+    ucq(cq(atom("R", _qx), atom("S", _qx, _qy)),
+        cq(atom("S", _qx, _qy), atom("T", _qy))),
+)
+
+_p = st.sampled_from((0.0, 0.125, 0.3, 0.5, 0.7, 1.0))
+_tid_rows = st.tuples(
+    st.lists(st.tuples(_small, _p), max_size=6),
+    st.lists(st.tuples(_small, _small, _p), max_size=8),
+    st.lists(st.tuples(_small, _p), max_size=6),
+)
+
+
+def _by_name(compiled, tid):
+    """Slot marginals looked up by name in a space built off Fact objects."""
+    space = EventSpace({f.variable_name: tid.probability(f) for f in tid.facts()})
+    return compiled.slot_marginals(space)
+
+
+def _bits(marginals):
+    import numpy as np
+
+    return np.asarray(marginals, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=_tid_rows,
+    query_index=st.integers(0, len(FACT_ID_QUERIES) - 1),
+    edit=st.sampled_from(("none", "discard", "overwrite")),
+    pick=st.integers(0, 1 << 16),
+    vector=st.booleans(),
+)
+def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vector):
+    """Columnar lineage variables are fact ids, named only on demand.
+
+    The marginals gathered by fact id are bitwise the name path's; the
+    variables' names equal the object backend's circuit's, one slot per
+    fact even across UCQ disjuncts; reading ``len()`` names nothing. After
+    a ``discard`` renumbers the ids, the circuit still names the facts it
+    was built over and no gather reads the new numbering; after a ``tid.add``
+    overwrites a probability, an earlier event space keeps its snapshot.
+    """
+    pytest.importorskip("numpy")
+    tid = TIDInstance(backend="columnar")
+    obj = Instance()
+    for relation, rel_rows in zip("RST", rows):
+        for *args, p in rel_rows:
+            tid.add(fact(relation, *args), p)
+            obj.add(fact(relation, *args))
+    query = FACT_ID_QUERIES[query_index]
+    namer = mock.patch.object(
+        ColumnarInstance, "variable_names_for", side_effect=AssertionError
+    )
+    min_gates = 0 if vector else compiled_module.VECTOR_MIN_GATES
+    lowering = mock.patch.object(compiled_module, "VECTOR_MIN_GATES", min_gates)
+    # The on-disk plan cache keys plans by variable name, so it names them.
+    with namer, lowering, plancache.plan_cache_dir_set(None):
+        lineage = build_provenance_circuit(tid.instance, query)
+        compiled = compile_circuit(lineage.circuit)
+        space = tid.event_space()
+        n_vars = len(compiled.variables())
+        assert len(lineage.circuit._slot_names) == n_vars
+        assert len(space) == len(tid)
+        gathered = compiled.slot_marginals(space)
+    assert tid.instance.facts_materialized == 0
+    expected = compile_circuit(build_provenance_circuit(obj, query).circuit)
+    assert compiled.variables() == expected.variables()
+    assert len(set(expected.variables())) == n_vars  # one slot per fact
+    assert _bits(gathered) == _bits(_by_name(compiled, tid))
+
+    facts = tid.facts()
+    if edit == "discard" and facts:
+        victim = facts[pick % len(facts)]
+        tid.discard(victim)
+        after = tid.event_space()
+        assert compiled.variables() == expected.variables()  # build-time names
+        if victim.variable_name in expected.variables():
+            with pytest.raises(ReproError, match="unknown event"):
+                compiled.slot_marginals(after)
+        else:
+            assert _bits(compiled.slot_marginals(after)) == _bits(
+                _by_name(compiled, tid)
+            )
+    elif edit == "overwrite" and facts:
+        target = facts[pick % len(facts)]
+        before = _bits(_by_name(compiled, tid))
+        tid.add(target, 1.0 - tid.probability(target))
+        assert _bits(compiled.slot_marginals(space)) == before

@@ -106,11 +106,57 @@ class TestTIDInstance:
         tid = TIDInstance({fact("R", 1): 0.3})
         assert tid.event_space().probability(fact("R", 1).variable_name) == 0.3
 
+    @pytest.mark.parametrize("backend", ("object", "columnar"))
+    def test_discard_keeps_probabilities_aligned(self, backend):
+        tid = TIDInstance(
+            {fact("R", 1): 0.1, fact("R", 2): 0.2, fact("S", 1, 2): 0.3},
+            backend=backend,
+        )
+        tid.discard(fact("R", 2))
+        tid.discard(fact("R", 9))  # absent: no-op
+        assert tid.facts() == [fact("R", 1), fact("S", 1, 2)]
+        assert tid.probability(fact("S", 1, 2)) == 0.3
+        space = tid.event_space()
+        assert len(space) == 2
+        assert space.probability(fact("S", 1, 2).variable_name) == 0.3
+
     def test_sampler_marginals(self):
         tid = TIDInstance({fact("R", 1): 0.7})
         draw = tid.world_sampler(seed=0)
         hits = sum(fact("R", 1) in draw() for _ in range(2000))
         assert abs(hits / 2000 - 0.7) < 0.05
+
+
+class TestNameCollisions:
+    """``R(1)`` and ``R("1")`` are distinct facts with the same name ``f:R(1)``."""
+
+    ROWS = ((fact("R", 1), 0.3), (fact("R", "1"), 0.9))
+
+    def test_object_event_space_names_both_facts(self):
+        tid = TIDInstance(self.ROWS, backend="object")
+        with pytest.raises(ReproError, match=r"R\(1\) and R\('1'\)"):
+            tid.event_space()
+
+    def test_fact_ids_keep_them_distinct(self):
+        from repro.circuits import compile_circuit, probability
+        from repro.core import build_provenance_circuit
+        from repro.queries import atom, cq, variables
+
+        pytest.importorskip("numpy")
+        (x,) = variables("x")
+        tid = TIDInstance(self.ROWS, backend="columnar")
+        lineage = build_provenance_circuit(tid.instance, cq(atom("R", x)))
+        compiled = compile_circuit(lineage.circuit)
+        space = tid.event_space()
+        assert len(compiled.variables()) == 2
+        # P(exists x R(x)) = 1 - 0.7 * 0.1, not the merged 0.9.
+        value = probability(compiled, space, engine="enumerate")
+        assert math.isclose(value, 0.93, abs_tol=1e-12)
+        # Name-keyed views cannot tell the two apart, so they refuse.
+        with pytest.raises(ReproError, match=r"R\(1\) and R\('1'\)"):
+            list(compiled.variables())
+        with pytest.raises(ReproError, match=r"R\(1\) and R\('1'\)"):
+            space.probability("f:R(1)")
 
 
 class TestCInstance:
@@ -291,6 +337,37 @@ class TestColumnarInstance:
         fids = [col.fact_id_of(f) for f in col.facts()]
         names = col.variable_names_for(fids)
         assert names == [f.variable_name for f in col.facts()]
+
+    def test_variable_names_take_one_path_for_every_int_sequence(self):
+        from array import array
+        from unittest import mock
+
+        np = pytest.importorskip("numpy")
+        col = ColumnarInstance()
+        col.intern_int_range(50)
+        col.extend_encoded("E", [list(range(49)), list(range(1, 50))])
+        col.extend_encoded("V", [list(range(50))])
+        fids = [5, 70, 0, 98, 5]
+        want = [f.variable_name for f in (col.fact_at(fid) for fid in fids)]
+        with mock.patch.object(
+            ColumnarInstance, "_names_per_fact", side_effect=AssertionError
+        ):
+            for given_ids in (fids, tuple(fids), array("i", fids),
+                              np.asarray(fids, dtype=np.int32)):
+                assert col.variable_names_for(given_ids) == want
+            assert col.variable_names_for(range(95, 99)) == [
+                col.fact_at(fid).variable_name for fid in range(95, 99)
+            ]
+
+    def test_discard_renumbers_into_a_fresh_id_space(self):
+        col = self.build()
+        old_space = col.id_space
+        col.discard(fact("R", 1))
+        assert col.id_space is not old_space
+        assert len(old_space) == 3 and len(col.id_space) == 2
+        # The old space still names the facts its ids meant.
+        assert old_space.names([0, 2]) == ["f:R(1)", "f:S(2,b)"]
+        assert col.id_space.names([0, 1]) == ["f:S(1,a)", "f:S(2,b)"]
 
     def test_extend_encoded_dedups_against_add(self):
         col = ColumnarInstance()

@@ -191,6 +191,30 @@ class TestFusedSampling:
             compiled, marginals, samples=500, seed=9, workers=2
         )
 
+    @pytest.mark.parametrize("width", (5, 6, 7))
+    def test_chunked_draws_equal_one_whole_matrix_draw(self, monkeypatch, width):
+        """Each kernel chunk draws its rows in turn from the shard's
+        generator; the hits equal those of one ``(count, width)`` draw."""
+        c = Circuit()
+        vs = [c.variable(f"v{i}") for i in range(width)]
+        c.set_output(c.or_gate([c.and_gate(vs[: width // 2 + 1]),
+                                c.and_gate(vs[width // 2 :])]))
+        compiled = compile_circuit(c)
+        assert len(compiled.variables()) == width
+        plan = compiled.batch_plan()
+        probs32 = np.asarray([0.55 + 0.05 * (i % 7) for i in range(width)],
+                             dtype=np.float32)
+        # Three rows per kernel chunk.
+        monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", 3 * plan.size)
+        for seed in (0, 1, 17):
+            for count in (1, 3, 7, 50):
+                rng = np.random.default_rng((seed, 2))
+                worlds = rng.random((count, width), dtype=np.float32) < probs32
+                whole = int(np.count_nonzero(plan.run(worlds, False)))
+                assert parallel._mc_shard_hits(
+                    np, plan, probs32, seed, 2, count
+                ) == whole
+
     def test_karp_luby_identical_across_worker_counts(self, monkeypatch):
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         membership = np.array([[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=np.int32)
