@@ -29,15 +29,17 @@ When numpy is importable (:func:`numpy_available`), the topologically
 sorted gates are grouped into *levels* — every gate's inputs live in
 strictly earlier levels — and the CSR arrays are materialized as ``int32``
 numpy buffers. A batch of worlds is a ``(n_worlds, n_vars)`` matrix; the
-value buffer is gate-major (one row per gate, one column per world) and
-each level evaluates in a handful of vectorized operations: NOT is a
-whole-block negation, and the AND/OR gates of one fan-in are gathered as a
-``(fan_in, count, n_worlds)`` stack and collapsed with one
-``np.logical_and.reduce`` / ``np.logical_or.reduce`` (``np.multiply`` /
-``np.add`` in the float pass of
-:meth:`~CompiledCircuit.probability_batch`). Thousands of sampled worlds
-are evaluated per pass instead of one kernel call per world; batches are
-chunked so the value buffer stays within :data:`BATCH_BYTE_BUDGET` bytes.
+value buffer is gate-major (one row per gate) and each level evaluates in
+a handful of vectorized operations. The Boolean pass is bit-sliced: a
+gate's row holds one ``uint64`` word per 64 worlds, NOT is ``~``, and the
+AND/OR gates of one fan-in are gathered as a ``(fan_in, count, n_words)``
+stack and collapsed with one ``np.bitwise_and.reduce`` /
+``np.bitwise_or.reduce``. The float pass of
+:meth:`~CompiledCircuit.probability_batch` keeps one float64 column per
+marginal row and reduces with ``np.multiply`` / ``np.add``. Thousands of
+sampled worlds are evaluated per pass instead of one kernel call per
+world; batches are chunked so the value buffer stays within
+:data:`BATCH_BYTE_BUDGET` bytes.
 Without numpy every batch entry point falls back to the scalar generated
 kernels (or, above :data:`CODEGEN_GATE_LIMIT`, the array interpreter) —
 same results, one world at a time.
@@ -114,8 +116,10 @@ ENUMERATION_VARIABLE_CAP = 26
 #: runs instead.
 CODEGEN_GATE_LIMIT = 200_000
 
-#: Per-chunk cap on the ``(n_worlds, size)`` value buffer of the numpy
-#: batch kernels, in bytes; larger batches are processed in slices.
+#: Per-chunk cap on the gate-major value buffer of the numpy batch kernels,
+#: in bytes; larger batches are processed in slices. Each gate costs 8
+#: bytes per chunk unit: one float64 per marginal row in the float pass,
+#: one ``uint64`` word per 64 worlds in the Boolean pass.
 BATCH_BYTE_BUDGET = 1 << 25
 
 #: Below this gate count lowering stays on the plain Python passes even
@@ -433,18 +437,29 @@ class _BatchPlan:
     """The third lowering stage: level-scheduled numpy batch arrays.
 
     Gates are grouped into *levels* — every gate's inputs live in strictly
-    earlier levels — and renumbered into a gate-major layout: the value
-    matrix is ``(size, n_worlds)``, variables first, then constants, then
-    one contiguous row block per (level, kind, fan-in) group. Each world
-    is a column, so gathering a gate's inputs reads whole contiguous rows,
-    every scatter is a slice assignment, and each group is one gather plus
-    one reduction regardless of the world count.
+    earlier levels — and renumbered into a gate-major layout: one value row
+    per gate, variables first, then constants, then one contiguous row
+    block per (level, kind, fan-in) group. Gathering a gate's inputs reads
+    whole contiguous rows, every scatter is a slice assignment, and each
+    group is one gather plus one reduction regardless of the batch width.
+
+    Two passes share the schedule. The float pass gives each marginal row
+    one float64 column. The Boolean pass is bit-sliced: a row holds one
+    ``uint64`` word per 64 worlds, world ``i`` in bit ``i % 8`` of byte
+    ``i // 8`` of the row, so AND/OR are ``bitwise_and``/``bitwise_or``
+    reductions, NOT is ``~``, and constants are all-ones or all-zero
+    words. The bits past the last world of a pass are padding: no
+    operation mixes bits, so whatever they hold stays in its own lane,
+    and only the output row's first ``rows`` bits are ever read
+    (:meth:`output_bits`) — a NOT cannot leak its set padding bits.
 
     The plan also materializes the compiled CSR arrays (``kinds``,
     ``offsets``, ``indices``, ``var_slot``) as int32 numpy buffers — the
     exact form :mod:`repro.circuits.parallel` publishes into shared memory
     so worker processes can rebuild this plan without repickling the
     circuit. :meth:`run` executes one pass; :meth:`run_into` chunks it.
+    Callers that draw worlds themselves fill a :meth:`word_buffer`'s
+    variable rows directly and call :meth:`run_words`.
     """
 
     __slots__ = (
@@ -560,21 +575,30 @@ class _BatchPlan:
         self.output_row = int(row_of[compiled.output])
 
     def run(self, matrix, as_float: bool):
-        """One level-scheduled pass over a ``(n_worlds, n_vars)`` matrix.
+        """One level-scheduled pass over a ``(n_rows, n_vars)`` matrix.
 
         ``matrix`` holds one row per world (bool) or per marginal vector
         (float64), columns indexed by variable slot. Returns the output
-        values as a 1-D array, one entry per input row. Internally the
-        value matrix is gate-major — ``(size, n_worlds)``, rows in plan
-        order — so each group's gather reads contiguous rows and each
-        scatter is a slice assignment; per (level, kind, fan-in) group the
-        work is one gather plus one reduction over the stacked inputs.
-        This is the kernel the sharded workers of
-        :mod:`repro.circuits.parallel` execute after rebuilding the plan
-        from the shared CSR arrays.
+        values as a 1-D array, one entry per input row: bool for worlds,
+        float64 for marginals. Worlds are packed into the bit-sliced word
+        buffer (:meth:`run_words`); marginals fill a ``(size, n_rows)``
+        float64 buffer. Either way each (level, kind, fan-in) group costs
+        one gather plus one reduction over the stacked inputs. This is the
+        kernel the sharded workers of :mod:`repro.circuits.parallel`
+        execute after rebuilding the plan from the shared CSR arrays.
         """
-        n_worlds = matrix.shape[0]
-        if as_float and n_worlds == 1:
+        n_rows = matrix.shape[0]
+        n_vars = self.var_slots.size
+        if not as_float:
+            values = self.word_buffer(n_rows)
+            if n_vars:
+                planes = _np.packbits(
+                    matrix.T[self.var_slots], axis=1, bitorder="little"
+                )
+                values[:n_vars].view(_np.uint8)[:, : planes.shape[1]] = planes
+            self.run_words(values)
+            return self.output_bits(values, n_rows)
+        if n_rows == 1:
             # A single-column value buffer makes numpy's reduce kernels
             # pick a different inner loop than wider batches do (a few
             # ulps of drift on deep plans), while batches of two or more
@@ -583,39 +607,79 @@ class _BatchPlan:
             # batch shape shares one reduction order, and keep element 0.
             widened = _np.broadcast_to(matrix, (2, matrix.shape[1]))
             return self.run(widened, as_float)[:1].copy()
-        values = _np.empty(
-            (self.size, n_worlds), dtype=_np.float64 if as_float else _np.bool_
-        )
-        n_vars = self.var_slots.size
+        values = _np.empty((self.size, n_rows), dtype=_np.float64)
         if n_vars:
             values[:n_vars] = matrix.T[self.var_slots]
         const_start, const_end = self.const_rows
         if const_end > const_start:
             values[const_start:const_end] = self.const_values[:, None]
-        and_reduce = _np.multiply.reduce if as_float else _np.logical_and.reduce
-        or_reduce = _np.add.reduce if as_float else _np.logical_or.reduce
+        and_reduce, or_reduce = _np.multiply.reduce, _np.add.reduce
         for level in self.levels:
             for op in level:
                 start, end = op.rows
                 if op.kind == K_NOT:
-                    children = values[op.gather]
-                    values[start:end] = 1.0 - children if as_float else ~children
+                    values[start:end] = 1.0 - values[op.gather]
                 else:
                     reduce = and_reduce if op.kind == K_AND else or_reduce
                     reduce(values[op.gather], axis=0, out=values[start:end])
         return values[self.output_row].copy()
 
-    def run_into(self, matrix, out, as_float: bool) -> None:
-        """Run :meth:`run` into ``out`` row range by row range.
+    def chunk_rows(self, as_float: bool) -> int:
+        """Rows per pass so the value buffer stays under the byte budget.
 
-        Chunks the input so the gate-major value buffer stays under
-        :data:`BATCH_BYTE_BUDGET` bytes regardless of the batch size;
-        ``out`` must be a 1-D array with one entry per matrix row.
+        Both passes spend 8 bytes per gate per unit of width — a float64
+        per marginal row, a ``uint64`` word per 64 worlds — so Boolean
+        chunks are whole words.
         """
-        itemsize = 8 if as_float else 1
-        step = max(1, BATCH_BYTE_BUDGET // max(1, self.size * itemsize))
+        units = max(1, BATCH_BYTE_BUDGET // max(1, 8 * self.size))
+        return units if as_float else 64 * units
+
+    def run_into(self, matrix, out, as_float: bool) -> None:
+        """Run :meth:`run` into ``out`` in :meth:`chunk_rows` slices.
+
+        The gate-major value buffer stays under :data:`BATCH_BYTE_BUDGET`
+        bytes regardless of the batch size; ``out`` must be a 1-D array
+        with one entry per matrix row.
+        """
+        step = self.chunk_rows(as_float)
         for start in range(0, matrix.shape[0], step):
             out[start : start + step] = self.run(matrix[start : start + step], as_float)
+
+    def word_buffer(self, rows: int):
+        """A ``(size, ceil(rows / 64))`` uint64 value buffer, constants set.
+
+        The first ``var_slots.size`` rows belong to the variables, row
+        ``i`` to slot ``var_slots[i]``; the caller fills them — byte ``k``
+        of a row (through a ``uint8`` view) holds worlds ``8k .. 8k+7``,
+        world ``8k + j`` in bit ``j`` — and then calls :meth:`run_words`.
+        """
+        values = _np.empty((self.size, -(-rows // 64)), dtype=_np.uint64)
+        const_start, const_end = self.const_rows
+        if const_end > const_start:
+            values[const_start:const_end] = _np.where(
+                self.const_values, ~_np.uint64(0), _np.uint64(0)
+            )[:, None]
+        return values
+
+    def run_words(self, values) -> None:
+        """Evaluate every operator row of a filled :meth:`word_buffer`."""
+        and_reduce, or_reduce = _np.bitwise_and.reduce, _np.bitwise_or.reduce
+        for level in self.levels:
+            for op in level:
+                start, end = op.rows
+                if op.kind == K_NOT:
+                    _np.invert(values[op.gather], out=values[start:end])
+                else:
+                    reduce = and_reduce if op.kind == K_AND else or_reduce
+                    reduce(values[op.gather], axis=0, out=values[start:end])
+
+    def output_bits(self, values, rows: int):
+        """The output row's first ``rows`` bits, as a bool array.
+
+        Only these bits are worlds; the rest of the last word is padding.
+        """
+        row = values[self.output_row].view(_np.uint8)
+        return _np.unpackbits(row, count=rows, bitorder="little").view(_np.bool_)
 
 
 class CompiledCircuit:
@@ -1101,16 +1165,25 @@ class CompiledCircuit:
                 else:
                     listing = ", ".join(terms)
                     if as_float:
-                        fn = "_prod" if kind == K_AND else "sum"
+                        fn = "_prod" if kind == K_AND else "_sum"
                         expr = f"{fn}([{listing}])"
                     else:
                         fn = "all" if kind == K_AND else "any"
                         expr = f"1 if {fn}([{listing}]) else 0"
             lines.append(f"    v{pos} = {expr}")
         lines.append(f"    return v{self.output}")
+        import functools
         import math
+        import operator
 
-        namespace: dict[str, object] = {"_prod": math.prod}
+        # Both reductions run strictly left to right, like the infix chains
+        # above and the level plan's ``np.add.reduce``/``np.multiply.reduce``,
+        # so every float pass is bitwise equal. (Builtin ``sum`` is
+        # compensated since Python 3.12 and would round differently.)
+        namespace: dict[str, object] = {
+            "_prod": math.prod,
+            "_sum": functools.partial(functools.reduce, operator.add),
+        }
         exec(compile("\n".join(lines), "<compiled-circuit>", "exec"), namespace)
         return namespace["_kernel"]
 
@@ -1133,10 +1206,6 @@ class CompiledCircuit:
         if self._batch_plan is _UNBUILT:
             self._batch_plan = _BatchPlan(self)
         return self._batch_plan
-
-    def _batch_pass(self, matrix, as_float: bool):
-        """One level-scheduled pass over a matrix (see :meth:`_BatchPlan.run`)."""
-        return self.batch_plan().run(matrix, as_float)
 
     def wire_bytes(self) -> bytes:
         """This circuit's plan in the versioned wire format, packed once.
@@ -1201,11 +1270,6 @@ class CompiledCircuit:
                 "single-process kernels"
             )
             return None
-
-    def _batch_chunk(self, as_float: bool) -> int:
-        """Rows per chunk so the value buffer stays under the byte budget."""
-        itemsize = 8 if as_float else 1
-        return max(1, BATCH_BYTE_BUDGET // max(1, self.size * itemsize))
 
     def _as_world_matrix(self, valuations):
         """Normalize worlds to a ``(n_worlds, n_vars)`` bool matrix.
@@ -1437,8 +1501,15 @@ class CompiledCircuit:
     def _enumerate_batched(self, probs, n: int) -> float:
         """Enumeration oracle over the numpy batch kernels, chunked."""
         probs = _np.asarray(probs, dtype=_np.float64)
+        plan = self.batch_plan()
         world_count = 1 << n
-        step = max(1, min(world_count, self._batch_chunk(as_float=False)))
+        # The world matrix below costs 8 bytes per cell while it is built,
+        # so it gets the byte budget too, not only the value buffer.
+        step = min(
+            world_count,
+            plan.chunk_rows(as_float=False),
+            max(1, BATCH_BYTE_BUDGET // (8 * max(1, n))),
+        )
         bits = _np.arange(n, dtype=_np.uint64)
         total = 0.0
         for start in range(0, world_count, step):
@@ -1446,7 +1517,7 @@ class CompiledCircuit:
                 start, min(start + step, world_count), dtype=_np.uint64
             )
             worlds = ((masks[:, None] >> bits) & 1).astype(_np.bool_)
-            satisfied = self._batch_pass(worlds, False)
+            satisfied = plan.run(worlds, False)
             if satisfied.any():
                 weights = _np.where(worlds[satisfied], probs, 1.0 - probs)
                 total += float(weights.prod(axis=1).sum())

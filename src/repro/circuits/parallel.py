@@ -321,40 +321,133 @@ def _worker_plan(manifest, cache):
     return plan
 
 
+#: Byte cap on the raw 32-bit outputs of one ``random_raw`` call of a
+#: Monte-Carlo shard (its bool test results take a quarter of that).
+_DRAW_BYTES = 1 << 25
+
+
+def _mc_limits(np, probs32):
+    """Integer form of the float32 hit test ``draw < p``, per variable.
+
+    numpy's float32 draw from a 32-bit generator output ``u`` is
+    ``(u >> 8) * 2**-24``, so ``draw < p`` holds exactly when
+    ``u >> 8 < t`` with ``t = ceil(p * 2**24)`` (clipped to ``[0, 2**24]``,
+    0 for NaN), that is when ``u <= 256 * t - 1``. Returns those ``uint32``
+    limits and the variables with ``t == 0``, whose limit would wrap: they
+    never hold.
+    """
+    scaled = probs32.astype(np.float64) * float(1 << 24)  # exact
+    thresholds = np.ceil(
+        np.where(scaled > 0, np.minimum(scaled, float(1 << 24)), 0.0)
+    )
+    limits = np.maximum(thresholds * 256 - 1, 0).astype(np.uint32)
+    return limits, np.flatnonzero(thresholds == 0)
+
+
 def _mc_shard_hits(np, plan, probs32, seed: int, index: int, count: int) -> int:
     """Fused sample+evaluate for one Monte-Carlo shard: worlds never escape.
 
     Draws ``count`` worlds from the shard's own ``default_rng((seed,
-    index))`` as a float32 comparison against the (float32-rounded)
-    marginals, runs them through the level-scheduled kernels, and returns
-    only the hit count. float32 draws halve the RNG cost of the dominant
-    step; the ≤2⁻²⁴ rounding of each marginal is far below Monte-Carlo
-    noise at any feasible sample count. Each kernel chunk draws its own
-    rows from the generator in turn — the same stream as one
-    ``(count, n_vars)`` draw, without ever holding it.
+    index))``, runs them through the plan's bit-sliced Boolean pass, and
+    returns only the hit count. Variable ``s`` holds in a world when that
+    world's float32 draw is below ``probs32[s]``; the ≤2⁻²⁴ rounding of
+    each marginal is far below Monte-Carlo noise at any feasible sample
+    count. The draws never become floats: raw 32-bit generator outputs
+    (``random_raw`` viewed as ``uint32``) meet the integer limits of
+    :func:`_mc_limits`, each 8 worlds' results pack into one byte plane,
+    and one transposing copy per staged run of whole words moves the
+    planes into the variable rows of the plan's
+    :meth:`~repro.circuits.compiled._BatchPlan.word_buffer`. One draw
+    stays under :data:`_DRAW_BYTES`: 8 worlds at 10⁶ variables, a whole
+    shard on small plans. The outputs are consumed in the order
+    ``rng.random((count, n_vars), dtype=float32)`` consumes them, so the
+    hits are bit-identical to that whole-matrix draw, which is never
+    held.
     """
-    rng = np.random.default_rng((seed, index))
+    bitgen = np.random.default_rng((seed, index)).bit_generator
+    n_vars = probs32.size
+    limits, never = _mc_limits(np, probs32)
+    if np.array_equal(plan.var_slots, np.arange(n_vars)):
+        columns = slice(None, n_vars)
+    else:
+        columns = plan.var_slots
+    step = plan.chunk_rows(as_float=False)
+    # Bool result rows are padded to whole uint64 lanes, so the 8 rows of a
+    # plane pack with seven word-wide shift-ors over every plane of a
+    # draw. Worlds per draw: whole planes, so only a shard's last draw can
+    # end halfway through a 64-bit output. Per staged copy: whole words.
+    width = max(8, -(-n_vars // 8) * 8)
+    per_draw = _DRAW_BYTES // (4 * max(1, n_vars)) // 8 * 8
+    per_draw = max(8, min(step, -(-count // 8) * 8, per_draw))
+    per_stage = -(-per_draw // 64) * 64
+    # Zeroed, never empty: a byte above 1 would spill into its neighbour
+    # when shifted.
+    results = np.zeros((per_draw, width), dtype=np.bool_)
+    planes = np.zeros((per_stage // 8, width), dtype=np.uint8)
+    plane_lanes = planes.view(np.uint64)
+    shifted = np.empty((per_draw // 8, width // 8), dtype=np.uint64)
     hits = 0
-    step = max(1, _compiled.BATCH_BYTE_BUDGET // max(1, plan.size))
     for start in range(0, count, step):
         rows = min(step, count - start)
-        worlds = rng.random((rows, probs32.size), dtype=np.float32) < probs32
-        hits += int(np.count_nonzero(plan.run(worlds, False)))
+        values = plan.word_buffer(rows)
+        var_bytes = values[: plan.var_slots.size].view(np.uint8)
+        for first in range(0, rows, per_stage):
+            staged = min(per_stage, rows - first)
+            for low in range(0, staged, per_draw):
+                filled = min(per_draw, staged - low)
+                need = filled * n_vars
+                # Little-endian words split low half first, the order
+                # numpy's own 32-bit draws take them in.
+                raw = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False)
+                np.less_equal(
+                    raw.view("<u4")[:need].reshape(filled, n_vars),
+                    limits,
+                    out=results[:filled, :n_vars],
+                )
+                # Rows past ``filled`` hold stale results: padding worlds.
+                n_planes = -(-filled // 8)
+                lanes = results[: 8 * n_planes].view(np.uint64)
+                lanes = lanes.reshape(n_planes, 8, width // 8)
+                packed = plane_lanes[low // 8 : low // 8 + n_planes]
+                np.copyto(packed, lanes[:, 0])
+                for bit in range(1, 8):
+                    np.left_shift(lanes[:, bit], np.uint64(bit), out=shifted[:n_planes])
+                    packed |= shifted[:n_planes]
+            n_planes = -(-staged // 8)
+            if never.size:
+                planes[:n_planes, never] = 0
+            var_bytes[:, first // 8 : first // 8 + n_planes] = (
+                planes[:n_planes, columns].T
+            )
+        plan.run_words(values)
+        hits += int(np.count_nonzero(plan.output_bits(values, rows)))
     return hits
 
 
 def _kl_shard_hits(
     np, membership, sizes, probs, cumulative, total_weight, seed, index, count
 ) -> int:
-    """Fused Karp–Luby trial for one shard (witness pick + world + test)."""
+    """Fused Karp–Luby trial for one shard (witness pick + world + test).
+
+    The witness picks come first, then the worlds, chunk by chunk from the
+    same generator — the stream of one ``(count, n_facts)`` draw, with no
+    chunk's float64 draw above :data:`~repro.circuits.compiled.BATCH_BYTE_BUDGET`.
+    """
     rng = np.random.default_rng((seed, index))
     chosen = np.searchsorted(cumulative, rng.random(count) * total_weight)
     chosen = np.minimum(chosen, len(cumulative) - 1)
-    worlds = rng.random((count, probs.size)) < probs
-    worlds |= membership[chosen].astype(bool)
-    contained = worlds.astype(np.int32) @ membership.T == sizes
-    first = contained.argmax(axis=1)  # chosen is contained, so a True exists
-    return int(np.count_nonzero(first == chosen))
+    step = max(
+        1, _compiled.BATCH_BYTE_BUDGET // (8 * max(1, probs.size, len(cumulative)))
+    )
+    hits = 0
+    for start in range(0, count, step):
+        picks = chosen[start : start + step]
+        worlds = rng.random((picks.size, probs.size)) < probs
+        worlds |= membership[picks].astype(bool)
+        contained = worlds.astype(np.int32) @ membership.T == sizes
+        first = contained.argmax(axis=1)  # the pick is contained: a True exists
+        hits += int(np.count_nonzero(first == picks))
+    return hits
 
 
 def _execute_task(np, kind, payload, plan_cache):

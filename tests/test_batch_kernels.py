@@ -188,11 +188,14 @@ class TestBatchInputs:
         assert compiled.evaluate_batch(reuse()) == compiled.evaluate_batch(worlds)
 
     def test_batches_larger_than_chunk_budget(self, monkeypatch):
-        # Shrink the byte budget so a small batch spans several chunks.
+        # Shrink the byte budget so a small batch spans several chunks of
+        # one 64-world word each, the last one partial.
         monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", 1)
-        compiled = compile_circuit(random_circuit(31))
+        compiled = compile_circuit(random_circuit(122, n_vars=8, steps=24))
         worlds = all_worlds(len(compiled.variables()))
-        assert compiled._batch_chunk(as_float=False) < len(worlds)
+        worlds += worlds[:37]
+        assert compiled.batch_plan().chunk_rows(as_float=False) == 64
+        assert len(worlds) % 64 and len(worlds) > 2 * 64
         assert compiled.evaluate_batch(worlds) == [
             compiled.evaluate(w) for w in worlds
         ]
@@ -277,6 +280,17 @@ class TestSingleRowReductionOrder:
             for i in range(4):
                 single = compiled.probability_batch(rows[i : i + 1])
                 assert single[0] == wide[i]  # bitwise, not isclose
+
+    def test_wide_or_kernel_sums_left_to_right(self):
+        """Regression: the generated float kernel reduces an OR wider than
+        the infix limit left to right, like the level plan. Builtin ``sum``
+        is compensated since Python 3.12 and rounds forty 0.025s to 1.0."""
+        c = Circuit()
+        c.set_output(c.or_gate([c.variable(f"x{i}") for i in range(40)]))
+        compiled = compile_circuit(c)
+        row = [0.025] * 40
+        assert compiled.probability(row) == 1.0000000000000004
+        assert compiled.probability(row) == compiled.probability_batch([row, row])[0]
 
     def test_single_row_plan_pass_shape_and_dtype(self):
         compiled = compile_circuit(random_circuit(11))

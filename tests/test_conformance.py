@@ -93,8 +93,26 @@ def _deep_chain() -> Circuit:
     return c
 
 
+def _negated_constants() -> Circuit:
+    # ``append_gates`` neither folds nor hash-conses, so TRUE and FALSE stay
+    # inputs of NOT/AND/OR gates: all-ones and all-zero words in the
+    # bit-sliced Boolean pass, and an output NOT that sets its padding bits.
+    c = Circuit()
+    a, b = c.variable("a"), c.variable("b")
+    t, f = c.true(), c.false()
+    base = len(c)
+    c.append_gates(
+        ["not", "not", "and", "or", "not"],
+        [t, a, t, base + 1, b, f, base, base + 2, base + 3],
+        [0, 1, 2, 5, 8, 9],
+    )
+    c.set_output(base + 4)  # NOT(OR(FALSE, NOT TRUE, AND(TRUE, NOT a, b)))
+    return c
+
+
 SCENARIOS = {
     "negation": _negation_heavy,
+    "negated-constants": _negated_constants,
     "shared-subcircuit": _shared_subcircuit,
     "empty-world": _empty_world,
     "singleton-world": _singleton_world,
@@ -386,14 +404,13 @@ def test_path_agrees_with_scalar_oracle(
 @pytest.mark.parametrize("producer", sorted(PRODUCERS))
 def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
     """numpy / pool / wire run the same kernels: equality, no tolerance."""
-    pytest.importorskip("numpy")
+    np = pytest.importorskip("numpy")
     compiled, worlds, marginal_rows = scenario_fixture_data(scenario, producer)
     base_eval, base_probs = _path_numpy_batch(
         compiled, worlds, marginal_rows, None, None
     )
+    n = len(compiled.variables())
     if parallel.parallel_available():
-        np = pytest.importorskip("numpy")
-        n = len(compiled.variables())
         world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
         for workers in (0, 1, 2, 4):
             sharded = parallel.evaluate_batch_sharded(
@@ -410,6 +427,20 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
     plan = distributed.plan_from_bytes(compiled.wire_bytes())
     assert plan.run_rows(worlds, as_float=False) == base_eval
     assert plan.run_rows(marginal_rows, as_float=True) == base_probs
+    # Batch widths around the 64-world word of the Boolean pass, against
+    # the scalar oracle: one row, a word short, a word, one over, two and
+    # a bit (row shards of the pool split words too).
+    for rows in (1, 63, 64, 65, 129):
+        picked = [worlds[(37 * i + 5) % len(worlds)] for i in range(rows)]
+        expected = [compiled.evaluate(w) for w in picked]
+        assert compiled.evaluate_batch(picked) == expected
+        if parallel.parallel_available():
+            matrix = np.asarray(picked, dtype=np.bool_).reshape(rows, n)
+            for workers in (0, 2):
+                assert parallel.evaluate_batch_sharded(
+                    compiled, matrix, workers=workers
+                ).tolist() == expected
+        assert plan.run_rows(picked, as_float=False) == expected
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

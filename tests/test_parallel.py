@@ -194,7 +194,9 @@ class TestFusedSampling:
     @pytest.mark.parametrize("width", (5, 6, 7))
     def test_chunked_draws_equal_one_whole_matrix_draw(self, monkeypatch, width):
         """Each kernel chunk draws its rows in turn from the shard's
-        generator; the hits equal those of one ``(count, width)`` draw."""
+        generator; the hits equal those of one ``(count, width)`` float32
+        draw compared with the marginals, including marginals at the edges
+        of the integer thresholds the shard compares raw outputs with."""
         c = Circuit()
         vs = [c.variable(f"v{i}") for i in range(width)]
         c.set_output(c.or_gate([c.and_gate(vs[: width // 2 + 1]),
@@ -202,18 +204,81 @@ class TestFusedSampling:
         compiled = compile_circuit(c)
         assert len(compiled.variables()) == width
         plan = compiled.batch_plan()
-        probs32 = np.asarray([0.55 + 0.05 * (i % 7) for i in range(width)],
-                             dtype=np.float32)
-        # Three rows per kernel chunk.
-        monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", 3 * plan.size)
+        edges = (0.0, 2.0**-149, 2.0**-24, 0.5, 1 - 2.0**-24, 1.0)
+        marginal_sets = (
+            [0.55 + 0.05 * (i % 7) for i in range(width)],
+            [edges[i % len(edges)] for i in range(width)],
+            [edges[-1 - i % len(edges)] for i in range(width)],
+            # Outside [0, 1] the float test still decides; so must the shard.
+            [(1.5, -0.5, float("nan"), float("inf"))[i % 4] for i in range(width)],
+        )
+        # One 64-world word per kernel chunk, or whole shards per chunk.
+        budgets = (8 * plan.size, compiled_module.BATCH_BYTE_BUDGET)
+        monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", budgets[0])
+        assert plan.chunk_rows(as_float=False) == 64
+        for marginals in marginal_sets:
+            probs32 = np.asarray(marginals, dtype=np.float32)
+            # Random draws almost never land on a threshold, so probe the
+            # integer test at the boundary outputs against numpy's float32
+            # draw of a 32-bit output u, (u >> 8) * 2**-24.
+            limits, never = parallel._mc_limits(np, probs32)
+            for i, p in enumerate(probs32):
+                limit = int(limits[i])
+                for u in {0, limit, min(limit + 1, 2**32 - 1), 2**32 - 1}:
+                    holds = u <= limit and i not in never
+                    assert holds == (np.float32((u >> 8) * 2.0**-24) < p)
+            for seed in (0, 1, 17):
+                for count in (1, 3, 7, 50, 63, 64, 65, 200):
+                    rng = np.random.default_rng((seed, 2))
+                    draws = rng.random((count, width), dtype=np.float32)
+                    worlds = draws < probs32
+                    whole = sum(compiled.evaluate(w) for w in worlds.tolist())
+                    # Whole-chunk draws, then 8-world draws staged a word
+                    # at a time, as at 10⁶ variables.
+                    for budget in budgets:
+                        for draw_bytes in (1 << 25, 32 * width):
+                            monkeypatch.setattr(
+                                compiled_module, "BATCH_BYTE_BUDGET", budget
+                            )
+                            monkeypatch.setattr(
+                                parallel, "_DRAW_BYTES", draw_bytes
+                            )
+                            assert parallel._mc_shard_hits(
+                                np, plan, probs32, seed, 2, count
+                            ) == whole
+
+    @pytest.mark.parametrize("width", (5, 7))
+    def test_karp_luby_chunked_draws_equal_one_whole_matrix_draw(
+        self, monkeypatch, width
+    ):
+        """The Karp–Luby shard draws its world rows chunk by chunk after
+        the witness picks; the hits equal those of one whole draw."""
+        membership = np.array(
+            [[(i + k) % 3 == 0 for i in range(width)] for k in range(3)],
+            dtype=np.int32,
+        )
+        sizes = membership.sum(axis=1, dtype=np.int32)
+        probs = np.array([0.2 + 0.1 * (i % 6) for i in range(width)])
+        cumulative = np.cumsum([0.06, 0.1, 0.03])
+        total = float(cumulative[-1])
+
+        def whole_draw(seed, count):
+            rng = np.random.default_rng((seed, 3))
+            chosen = np.searchsorted(cumulative, rng.random(count) * total)
+            chosen = np.minimum(chosen, len(cumulative) - 1)
+            worlds = rng.random((count, width)) < probs
+            worlds |= membership[chosen].astype(bool)
+            contained = worlds.astype(np.int32) @ membership.T == sizes
+            return int(np.count_nonzero(contained.argmax(axis=1) == chosen))
+
+        # Four trials per chunk: 8 bytes per fact, width facts per row.
+        monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", 4 * 8 * width)
         for seed in (0, 1, 17):
             for count in (1, 3, 7, 50):
-                rng = np.random.default_rng((seed, 2))
-                worlds = rng.random((count, width), dtype=np.float32) < probs32
-                whole = int(np.count_nonzero(plan.run(worlds, False)))
-                assert parallel._mc_shard_hits(
-                    np, plan, probs32, seed, 2, count
-                ) == whole
+                assert parallel._kl_shard_hits(
+                    np, membership, sizes, probs, cumulative, total,
+                    seed, 3, count,
+                ) == whole_draw(seed, count)
 
     def test_karp_luby_identical_across_worker_counts(self, monkeypatch):
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
