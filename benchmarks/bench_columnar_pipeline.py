@@ -17,10 +17,7 @@ Correctness is checked, not assumed, at the sizes where both backends run:
   probabilities, so any drift in either shows up as a float mismatch.
 
 Writes ``BENCH_columnar_pipeline.json`` at the repo root; the committed
-copy is the baseline that ``check_regression.py`` gates in CI. Without
-numpy the columnar fast paths degrade to scalar fallbacks and the speedup
-collapses honestly — the JSON records ``"numpy": false`` and the runner
-must use ``--report-only`` judgement, as with E16/E17.
+copy is the baseline that ``check_regression.py`` gates in CI.
 """
 
 from __future__ import annotations
@@ -32,8 +29,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+import numpy as np
+
 from repro.circuits import compile_circuit
-from repro.circuits.compiled import numpy_available, numpy_module
 from repro.core.engine import build_provenance_circuit
 from repro.instances.columnar import ColumnarInstance
 from repro.queries import atom, cq, variables
@@ -62,8 +60,7 @@ def _count_witnesses(instance) -> int:
     if isinstance(instance, ColumnarInstance):
         from repro.queries.vectorized import evaluate_cq
 
-        if numpy_available():
-            return evaluate_cq(Q_RST, instance).n_rows
+        return evaluate_cq(Q_RST, instance).n_rows
     return sum(1 for _ in Q_RST.homomorphisms(instance))
 
 
@@ -129,7 +126,6 @@ def _mc_marginal(compiled, tid) -> float:
     the fixed seed — so two backends that really built the same circuit
     over the same event space produce the *bit-identical* float.
     """
-    np = numpy_module()
     probs = np.asarray(
         compiled.slot_marginals(tid.event_space()), dtype=np.float64
     )
@@ -140,10 +136,8 @@ def _mc_marginal(compiled, tid) -> float:
 
 
 def run() -> dict:
-    has_numpy = numpy_available()
     result: dict = {
         "bench": "columnar_pipeline",
-        "numpy": has_numpy,
         "query": "R(x), S(x, y), T(y)",
         "mc_worlds": MC_WORLDS,
         "sizes": {},
@@ -157,13 +151,6 @@ def run() -> dict:
     for n, label in SIZES:
         facts = 3 * n - 1
         entry: dict = {"n": n, "facts": facts}
-        if label == LARGEST and not has_numpy:
-            # Without the vectorized join the largest size would crawl
-            # through the scalar fallback; skip it honestly.
-            entry["skipped"] = "no numpy"
-            result["sizes"][label] = entry
-            continue
-
         repeats = 1 if label == LARGEST else 2
         columnar = _best_pipeline(n, "columnar", repeats)
         entry["columnar_seconds"] = columnar["stages"]
@@ -190,14 +177,13 @@ def run() -> dict:
             entry["circuits_bit_identical"] = same_circuit
             entry["lowerings_bit_identical"] = same_lowering
             pipeline_identical = pipeline_identical and same_circuit and same_lowering
-            if has_numpy:
-                m_obj = _mc_marginal(obj["compiled"], obj["tid"])
-                m_col = _mc_marginal(columnar["compiled"], columnar["tid"])
-                entry["marginal_object"] = m_obj
-                entry["marginal_columnar"] = m_col
-                same_marginal = m_obj == m_col
-                entry["marginals_bit_identical"] = same_marginal
-                marginals_identical = marginals_identical and same_marginal
+            m_obj = _mc_marginal(obj["compiled"], obj["tid"])
+            m_col = _mc_marginal(columnar["compiled"], columnar["tid"])
+            entry["marginal_object"] = m_obj
+            entry["marginal_columnar"] = m_col
+            same_marginal = m_obj == m_col
+            entry["marginals_bit_identical"] = same_marginal
+            marginals_identical = marginals_identical and same_marginal
             speedup = obj["stages"]["total"] / max(
                 columnar["stages"]["total"], 1e-9
             )

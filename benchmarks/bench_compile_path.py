@@ -20,9 +20,7 @@ same Theorem-1 lineage circuit:
 
 Every fast path is asserted gate-for-gate identical to a from-scratch
 compile before its time is reported. Writes ``BENCH_compile_path.json``;
-``check_regression.py`` gates the speedups and the equality booleans. When
-numpy is unavailable the vectorized rows honestly collapse to ~1x and only
-the correctness booleans gate.
+``check_regression.py`` gates the speedups and the equality booleans.
 
 Run the table:  python benchmarks/bench_compile_path.py
 """
@@ -34,9 +32,11 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.circuits import Circuit, compile_circuit, plancache, recompile
 from repro.circuits import compiled as compiled_module
-from repro.circuits.compiled import CompiledCircuit, numpy_module
+from repro.circuits.compiled import CompiledCircuit
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
 from repro.workloads import rst_chain_tid
@@ -82,20 +82,21 @@ def _same_lowering(left: CompiledCircuit, right: CompiledCircuit) -> bool:
 
 
 def python_lowering(circuit: Circuit) -> CompiledCircuit:
-    """The seed-era cold compile: per-gate python passes, numpy masked off.
+    """The seed-era cold compile: per-gate python passes only.
 
-    Includes the per-gate level pass (``levels_list``) so both sides of
-    the comparison produce the same artifact — a lowering plus its level
-    schedule, ready for batch planning and the wire format.
+    Raising ``VECTOR_MIN_GATES`` above the arena size keeps the lowering
+    and the level pass (``levels_list``) on their python loops, so both
+    sides of the comparison produce the same artifact — a lowering plus
+    its level schedule, ready for batch planning and the wire format.
     """
-    saved = compiled_module._np
-    compiled_module._np = None
+    saved = compiled_module.VECTOR_MIN_GATES
+    compiled_module.VECTOR_MIN_GATES = len(circuit) + 1
     try:
         compiled = CompiledCircuit(circuit)
         compiled.levels_list()
         return compiled
     finally:
-        compiled_module._np = saved
+        compiled_module.VECTOR_MIN_GATES = saved
 
 
 def grow_monitor() -> StreamingLogMonitor:
@@ -162,18 +163,12 @@ def measure_cache(build):
 
 
 def main() -> None:
-    np = numpy_module()
     print("E17 — compile path: vectorized lowering, delta recompile, plan cache")
     circuit = build_lineage_circuit()
     gates = len(circuit.reachable_from_output())
     print(f"lineage circuit: {gates} reachable gates,"
           f" {len(circuit.variables())} variables")
-    backend = (
-        f"numpy {np.__version__} array lowering passes"
-        if np is not None
-        else "per-gate python lowering (numpy not installed)"
-    )
-    print(f"lowering backend: {backend}")
+    print(f"lowering backend: numpy {np.__version__} array lowering passes")
 
     cold_seconds, cold = _best_of(lambda: python_lowering(circuit), repeats=3)
     vector_seconds, vectorized = _best_of(
@@ -211,7 +206,6 @@ def main() -> None:
     result = {
         "gates": gates,
         "variables": len(circuit.variables()),
-        "numpy": np is not None,
         "cold_lower_seconds": cold_seconds,
         "vector_lower_seconds": vector_seconds,
         "vectorized_speedup": vectorized_speedup,

@@ -13,9 +13,7 @@ circuit (the Theorem-1 pipeline on an R–S–T chain TID), then compare
   per row against :meth:`CompiledCircuit.probability_batch`.
 
 Writes ``BENCH_compiled_eval.json`` next to the repository root with the
-raw numbers so CI and future sessions can track the speedup. When numpy is
-unavailable the batch rows fall back to the scalar kernels and the batch
-speedups collapse onto the kernel speedups — the numbers stay honest.
+raw numbers so CI can track the speedup.
 
 Run the table:  python benchmarks/bench_compiled_eval.py
 """
@@ -26,13 +24,12 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.circuits import compile_circuit
-from repro.circuits import compiled as compiled_module
-from repro.circuits.compiled import numpy_module
 from repro.circuits.dd import _probability_dd_object_graph
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
-from repro.util import stable_rng
 from repro.workloads import rst_chain_tid
 
 CHAIN_LENGTH = 200  # ~13k reachable gates, comfortably past the 10k target
@@ -55,12 +52,8 @@ def build_circuit():
 
 
 def sample_worlds(n_worlds: int, n_vars: int, seed: int = 0):
-    """``n_worlds`` fair-coin worlds, as a numpy matrix when available."""
-    np = numpy_module()
-    if np is not None:
-        return np.random.default_rng(seed).random((n_worlds, n_vars)) < 0.5
-    rng = stable_rng(seed)
-    return [[rng.random() < 0.5 for _ in range(n_vars)] for _ in range(n_worlds)]
+    """``n_worlds`` fair-coin worlds, as a numpy bool matrix."""
+    return np.random.default_rng(seed).random((n_worlds, n_vars)) < 0.5
 
 
 def _best_of(run, per_call_divisor: int, repeats: int):
@@ -75,29 +68,18 @@ def _best_of(run, per_call_divisor: int, repeats: int):
 
 
 def scalar_only_batch(compiled, rows):
-    """Run evaluate_batch with the numpy kernels masked off (fallback path)."""
-    saved = compiled_module._np
-    compiled_module._np = None
-    try:
-        return compiled.evaluate_batch(rows)
-    finally:
-        compiled_module._np = saved
+    """One generated-kernel call per world: the scalar evaluation path."""
+    return [compiled.evaluate(row) for row in rows]
 
 
 def main() -> None:
-    np = numpy_module()
     print("E13 — compiled circuit IR vs object-graph evaluation")
     lineage, space = build_circuit()
     circuit = lineage.circuit
     gates = len(circuit.reachable_from_output())
     print(f"lineage circuit: {gates} reachable gates,"
           f" {len(circuit.variables())} variables")
-    backend = (
-        f"numpy {np.__version__} level-scheduled kernels"
-        if np is not None
-        else "scalar generated kernels (numpy not installed)"
-    )
-    print(f"batch backend: {backend}")
+    print(f"batch backend: numpy {np.__version__} level-scheduled kernels")
 
     start = time.perf_counter()
     compiled = compile_circuit(circuit)
@@ -174,7 +156,6 @@ def main() -> None:
     result = {
         "gates": gates,
         "variables": len(names),
-        "numpy": np is not None,
         "probability_repeats": PROBABILITY_REPEATS,
         "world_count": OBJECT_WORLD_COUNT,
         "batch_world_count": BATCH_WORLD_COUNT,
@@ -198,14 +179,11 @@ def main() -> None:
     verdict = "PASS" if probability_speedup >= 5.0 else "FAIL"
     print(f"target: >= 5x on repeated probability evaluation — {verdict}"
           f" ({probability_speedup:.1f}x)")
-    if np is not None:
-        target = 3.0 * PR1_BATCH_SPEEDUP
-        verdict = "PASS" if batch_speedup >= target else "FAIL"
-        print(f"target: >= {target:.0f}x batch eval at >= 1000 worlds "
-              f"(3x the PR 1 kernel speedup of {PR1_BATCH_SPEEDUP}x) — "
-              f"{verdict} ({batch_speedup:.1f}x)")
-    else:
-        print("numpy unavailable: batch rows measured on the scalar fallback")
+    target = 3.0 * PR1_BATCH_SPEEDUP
+    verdict = "PASS" if batch_speedup >= target else "FAIL"
+    print(f"target: >= {target:.0f}x batch eval at >= 1000 worlds "
+          f"(3x the PR 1 kernel speedup of {PR1_BATCH_SPEEDUP}x) — "
+          f"{verdict} ({batch_speedup:.1f}x)")
 
 
 if __name__ == "__main__":

@@ -27,9 +27,9 @@ sides of the trichotomy story:
 Writes ``BENCH_cqa.json`` at the repo root; the committed copy is the
 baseline that ``check_regression.py`` gates in CI.  The correctness
 booleans are machine-independent and always gate; the speedup is
-wall-clock and report-only (it holds at ~10x+ with or without numpy —
-both paths are pure python at these sizes — but stays ungated like every
-other timing headline on the 1-CPU runners).
+wall-clock and report-only (it holds at ~10x+ — both paths are pure
+python at these sizes — but stays ungated like every other timing
+headline on the 1-CPU runners).
 """
 
 from __future__ import annotations

@@ -40,9 +40,10 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.circuits import compile_circuit
 from repro.circuits import distributed, parallel
-from repro.circuits.compiled import numpy_module
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
 from repro.util import ReproError
@@ -172,12 +173,7 @@ def _timed(fn, repeats: int = 3):
 
 
 def main() -> None:
-    np = numpy_module()
     print("E15 — distributed shard execution over wire-serialized plans")
-    if np is None:
-        print("numpy unavailable: the distributed matrix/sampling paths need "
-              "the batch kernels; nothing to measure")
-        return
     compiled, space = build_compiled()
     probs = [space.probability(n) for n in compiled.variables()]
     cpu_count = os.cpu_count() or 1

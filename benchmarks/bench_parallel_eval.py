@@ -36,9 +36,10 @@ import os
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.circuits import compile_circuit
 from repro.circuits import parallel
-from repro.circuits.compiled import numpy_module
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
 from repro.workloads import rst_chain_tid
@@ -87,12 +88,7 @@ def _timed(fn, repeats: int = 3):
 
 
 def main() -> None:
-    np = numpy_module()
     print("E14 — sharded multi-process vs single-process batch evaluation")
-    if np is None:
-        print("numpy unavailable: the sharded backend needs the batch kernels;"
-              " nothing to measure")
-        return
     cpu_count = os.cpu_count() or 1
     compiled, space = build_compiled()
     probs = np.asarray([space.probability(n) for n in compiled.variables()])

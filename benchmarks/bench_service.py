@@ -45,8 +45,9 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
+
 from repro.circuits import compile_circuit
-from repro.circuits import compiled as compiled_module
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
 from repro.service import ServiceClient, spawn_service
@@ -69,10 +70,7 @@ def build_compiled():
 
 
 def direct_marginals(compiled, rows):
-    np = compiled_module.numpy_module()
-    if np is not None:
-        return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
-    return compiled.probability_batch(rows)
+    return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
 
 
 def _percentile(sorted_values: list[float], q: float) -> float:
@@ -193,10 +191,7 @@ def main() -> None:
     compiled = build_compiled()
     print(f"plan: {compiled.size} gates, {len(compiled.variables())} "
           f"variables, digest {compiled.plan_digest()}")
-    numpy_note = ("numpy batch kernels"
-                  if compiled_module.numpy_module() is not None
-                  else "scalar kernels (numpy unavailable)")
-    print(f"evaluation backend: {numpy_note}")
+    print("evaluation backend: numpy batch kernels")
     rng = stable_rng(19)
     modes = {
         "uncoalesced": run_mode(False, compiled, rng),
@@ -236,7 +231,6 @@ def main() -> None:
         "experiment": "E19",
         "chain_length": CHAIN_LENGTH,
         "requests_per_cell": REQUESTS_PER_CELL,
-        "numpy": compiled_module.numpy_module() is not None,
         "modes": {
             name: {
                 "served_matches_direct": mode["served_matches_direct"],

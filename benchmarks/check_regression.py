@@ -75,9 +75,7 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     # E17 compile path. The speedup floors sit under the measured numbers
     # (6.3x / 29.5x / 11.2x / 9.4x locally) with CI-noise headroom; the
     # booleans pin every fast path bit-identical to the per-gate python
-    # lowering. Without numpy the speedups honestly collapse to ~1x, so a
-    # numpy-less runner must use --report-only (as the no-numpy CI job
-    # already does); the correctness booleans still gate there.
+    # lowering.
     ("BENCH_compile_path.json", "vectorized_speedup", "min", 4.0),
     ("BENCH_compile_path.json", "delta_speedup_vs_cold_python", "min", 15.0),
     ("BENCH_compile_path.json", "delta_recompile_speedup", "min", 4.0),
@@ -90,8 +88,7 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     # ~12x with CI-noise headroom; the booleans pin the columnar pipeline
     # bit-identical (circuits, lowerings, Monte-Carlo marginals) to the
     # object path, and the 10^6-fact run must finish without materializing
-    # a single Fact object. Without numpy the speedup honestly collapses
-    # (scalar fallbacks) — a numpy-less runner must use --report-only.
+    # a single Fact object.
     ("BENCH_columnar_pipeline.json", "speedup_at_1e5", "min", 6.0),
     ("BENCH_columnar_pipeline.json", "pipeline_bit_identical", "true", None),
     ("BENCH_columnar_pipeline.json", "marginals_bit_identical", "true", None),
@@ -108,9 +105,6 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     # batch plan routes single-row passes through the wide-batch
     # reduction order, so even the one-row-per-pass uncoalesced baseline
     # produces identical doubles (see bench_service.py).
-    # Without numpy a matrix pass degenerates to per-row scalar loops and
-    # the speedup honestly collapses — a numpy-less runner must use
-    # --report-only; the correctness boolean still gates there.
     ("BENCH_service.json", "coalescing_speedup_at_64", "min", 1.5),
     ("BENCH_service.json", "passes_per_request_at_64", "max", 0.5),
     ("BENCH_service.json", "served_matches_direct", "true", None),

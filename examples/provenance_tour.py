@@ -100,8 +100,8 @@ def sampled_lineage_section(confidences) -> None:
     TID instance), compares the exact engine against a Monte-Carlo
     estimate, and demonstrates the ``workers`` knob of the sharded
     backend: fixed seed, same estimate at any worker count. Skips the
-    worker-pool half gracefully when only one core (or no numpy) is
-    available.
+    worker-pool half gracefully when only one core (or no shared memory)
+    is available.
     """
     from repro.baselines import monte_carlo_probability, tid_probability_enumerate
     from repro.circuits import capabilities
@@ -117,7 +117,7 @@ def sampled_lineage_section(confidences) -> None:
     if not caps["parallel"] or caps["cpu_count"] < 2:
         reason = (
             "only one CPU visible" if caps["parallel"]
-            else "sharded backend unavailable (needs numpy + shared memory)"
+            else "sharded backend unavailable (needs shared memory)"
         )
         print(f"  {reason} — skipping the worker-pool demo; estimates are "
               "guaranteed bit-identical at any worker count")

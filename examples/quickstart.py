@@ -138,10 +138,8 @@ def compiled_circuit_example() -> None:
     and reuse the compiled form for probabilities, single worlds, and whole
     batches of sampled worlds. ``evaluate_batch`` accepts either an
     iterable of valuations or a ``(n_worlds, n_vars)`` numpy matrix in
-    variable-slot order; with numpy installed the whole batch runs through
-    level-scheduled vectorized kernels, and without it the same call falls
-    back to the scalar generated kernels — identical results either way
-    (``repro.circuits.numpy_available()`` tells you which is active).
+    variable-slot order; the whole batch runs through level-scheduled
+    vectorized kernels, with results identical to per-world ``evaluate``.
     ``probability_batch`` is the matching bulk form of the Theorem 1
     linear-time probability pass, one result per marginal assignment.
 
@@ -172,8 +170,6 @@ def compiled_circuit_example() -> None:
     compiled = compile_circuit(lineage.circuit)   # once
     space = tid.event_space()
 
-    from repro import numpy_available
-
     exact = compiled.probability(space)           # Theorem 1 linear pass
     sampled_worlds = [space.sample(seed) for seed in range(5)]
     hits = compiled.evaluate_batch(sampled_worlds)  # one vectorized pass
@@ -188,9 +184,8 @@ def compiled_circuit_example() -> None:
     swept_probs = compiled.probability_batch(sweeps)
     via_registry = circuit_probability(lineage.circuit, space, engine="message_passing")
 
-    backend = "numpy batch kernels" if numpy_available() else "scalar fallback"
     print(f"compiled lineage: {len(compiled)} gates over "
-          f"{len(compiled.variables())} variables ({backend})")
+          f"{len(compiled.variables())} variables (numpy batch kernels)")
     print(f"P(query) via compiled d-D pass:      {exact:.6f}")
     print(f"P(query) via message-passing engine: {via_registry:.6f}")
     print(f"query true in sampled worlds:        {hits}")
@@ -215,14 +210,14 @@ def columnar_example() -> None:
     """
     import time
 
-    from repro import build_provenance_circuit, numpy_available, rst_chain_tid
+    from repro import build_provenance_circuit, rst_chain_tid
 
     print()
     print("=" * 70)
     print("Columnar instances: a million facts through the pipeline")
     print("=" * 70)
     # 3n - 1 facts: R(i), T(i) for each position, S(i, i+1) between them.
-    n = 333_334 if numpy_available() else 3_334
+    n = 333_334
     x, y = variables("x", "y")
     query = cq(atom("R", x), atom("S", x, y), atom("T", y))
 
@@ -234,7 +229,7 @@ def columnar_example() -> None:
     done = time.perf_counter()
 
     print(f"instance: {len(tid.instance):,} uncertain facts "
-          f"({'columnar + numpy joins' if numpy_available() else 'scalar fallback'})")
+          "(columnar + numpy joins)")
     print(f"generate:             {generated - start:8.3f} s")
     print(f"provenance + compile: {done - generated:8.3f} s "
           f"({len(compiled):,} gates)")
@@ -265,7 +260,7 @@ def parallel_example() -> None:
     print("=" * 70)
     caps = capabilities()
     if not caps["parallel"]:
-        print("sharded backend unavailable (needs numpy + shared memory) — "
+        print("sharded backend unavailable (needs shared memory) — "
               "skipping; the same calls run on the serial kernels")
         return
     x, y = variables("x", "y")
@@ -325,7 +320,7 @@ def distributed_example() -> None:
     the HMAC secret compose — see "Transport security" in
     ``ARCHITECTURE.md``.
     """
-    from repro import distributed_hosts, numpy_available, plan_from_bytes
+    from repro import distributed_hosts, plan_from_bytes
 
     print()
     print("=" * 70)
@@ -341,7 +336,7 @@ def distributed_example() -> None:
             tid.add(fact("S", i, i + 1), 0.6)
     compiled = compile_circuit(build_lineage(tid.instance, query).circuit)
 
-    blob = compiled.wire_bytes()  # versioned + CRC-checksummed, numpy optional
+    blob = compiled.wire_bytes()  # versioned + CRC-checksummed
     plan = plan_from_bytes(blob)  # what a remote worker reconstructs
     space = tid.event_space()
     world = space.sample(seed=1)
@@ -351,7 +346,7 @@ def distributed_example() -> None:
           "decoded copy agrees with the local circuit")
 
     hosts = distributed_hosts()
-    if not hosts or not numpy_available():
+    if not hosts:
         print("no REPRO_DISTRIBUTED_HOSTS set — start workers with")
         print("  repro-worker serve --port 7761   (and 7762, ...)")
         print("then export REPRO_DISTRIBUTED_HOSTS=127.0.0.1:7761,127.0.0.1:7762")

@@ -5,10 +5,8 @@ Kept as a plain ``setup.py`` (rather than ``pyproject.toml``) so
 editable installs are unavailable.
 
 ``numpy`` is a hard install requirement: the compiled circuit IR's batch
-kernels (``repro/circuits/compiled.py``) vectorize over it. The library
-still *imports* and passes its test suite without numpy — every batch
-entry point falls back to the scalar kernels behind a capability check —
-but installs should get the fast path by default.
+kernels (``repro/circuits/compiled.py``), the columnar instances, the
+samplers and the wire format all run on it, with no numpy-free fallback.
 """
 
 from setuptools import find_packages, setup

@@ -53,7 +53,6 @@ from repro.circuits import (
     capabilities,
     compile_circuit,
     distributed_hosts,
-    numpy_available,
     plan_from_bytes,
     pool_stats,
     probability_batch,
@@ -200,7 +199,6 @@ __all__ = [
     "key_violation_instance",
     "make_instance",
     "monte_carlo_probability",
-    "numpy_available",
     "overrides",
     "path_pattern",
     "pc_from_tid",

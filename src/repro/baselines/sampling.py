@@ -5,21 +5,17 @@ evaluation is #P-hard ("makes it necessary in practice to approximate query
 results via sampling"), and as the partner of the exact method in the
 partial-decomposition hybrid (E12).
 
-Execution model — three tiers, picked automatically per install:
-
-- **numpy + workers**: both estimators run the *fused sample+evaluate*
-  shards of :mod:`repro.circuits.parallel` — the sample range is cut into
-  fixed :data:`~repro.circuits.parallel.MC_SHARD`-sized shards, each shard
-  draws its own worlds from ``default_rng((seed, shard_index))`` inside a
-  worker process, evaluates them through the compiled circuit's
-  level-scheduled batch kernels (Monte Carlo) or one containment matrix
-  product (Karp–Luby), and returns a single hit count. The full world
-  matrix never exists in any process.
-- **numpy, serial**: the same shards run in-process. Because the shard
-  decomposition and seeding are independent of the worker count, a fixed
-  seed gives *bit-identical* estimates at 0, 1, 2 or 8 workers.
-- **no numpy**: the scalar per-sample loops run instead, with identical
-  estimator semantics (different random streams, same guarantees).
+Execution model: both estimators run the *fused sample+evaluate* shards
+of :mod:`repro.circuits.parallel` — the sample range is cut into fixed
+:data:`~repro.circuits.parallel.MC_SHARD`-sized shards, each shard draws
+its own worlds from ``default_rng((seed, shard_index))``, evaluates them
+through the compiled circuit's level-scheduled batch kernels (Monte Carlo)
+or one containment matrix product (Karp–Luby), and returns a single hit
+count. The full world matrix never exists in any process. The shards run
+inside worker processes when ``workers >= 2`` and in-process otherwise;
+because the shard decomposition and seeding are independent of the worker
+count, a fixed seed gives *bit-identical* estimates at 0, 1, 2 or 8
+workers.
 
 ``workers=None`` defers to the process-wide knob
 (:func:`repro.circuits.parallel.parallel_workers`, settable via
@@ -36,15 +32,11 @@ from __future__ import annotations
 
 import math
 
-from repro.circuits.compiled import numpy_module
+import numpy as np
+
 from repro.instances.base import Fact, Instance
 from repro.instances.tid import TIDInstance
-from repro.util import check, stable_rng
-
-#: Cap on sampled worlds held in memory at once by the scalar-era vectorized
-#: paths; kept for backward compatibility — the fused paths shard by
-#: :data:`repro.circuits.parallel.MC_SHARD` instead.
-SAMPLE_CHUNK = 1 << 14
+from repro.util import check
 
 
 def monte_carlo_probability(
@@ -63,16 +55,15 @@ def monte_carlo_probability(
 
     With ``method="lineage"`` (the default) the query's lineage circuit is
     built and compiled *once* and the sampled worlds are evaluated in bulk
-    over the flat IR — with numpy, through the fused sample+evaluate shards
-    of :func:`repro.circuits.parallel.monte_carlo_hits` (on ``workers``
+    over the flat IR, through the fused sample+evaluate shards of
+    :func:`repro.circuits.parallel.monte_carlo_hits` (on ``workers``
     processes when >= 2, in-process otherwise, bit-identical either way) —
     or, when ``hosts`` (or the process-wide ``distributed_hosts`` knob)
     names remote workers, the same shards stream over TCP through
     :func:`repro.circuits.distributed.monte_carlo_hits`, still
-    bit-identical; without numpy, one generated-kernel call per world.
-    ``method="worlds"`` keeps the original per-world ``query.holds_in``
-    evaluation (works for any query object, including those without
-    lineage support).
+    bit-identical. ``method="worlds"`` keeps the original per-world
+    ``query.holds_in`` evaluation (works for any query object, including
+    those without lineage support).
     """
     check(samples > 0, "need at least one sample")
     if method == "worlds":
@@ -83,27 +74,15 @@ def monte_carlo_probability(
                 hits += 1
         return hits / samples
     check(method == "lineage", f"unknown sampling method {method!r}")
+    from repro.circuits import distributed
     from repro.core.engine import build_lineage
 
     compiled = build_lineage(tid.instance, query).compiled()
     marginals = compiled.slot_marginals(tid.event_space())
-    if numpy_module() is not None:
-        from repro.circuits import distributed
-
-        hits = distributed.monte_carlo_hits(
-            compiled, marginals, samples, seed=seed, hosts=hosts, workers=workers
-        )
-        return hits / samples
-    rng = stable_rng(seed)
-    row = [0] * len(marginals)
-
-    def worlds():
-        for _ in range(samples):
-            for i, p in enumerate(marginals):
-                row[i] = rng.random() < p
-            yield row
-
-    return sum(compiled.evaluate_batch(worlds())) / samples
+    hits = distributed.monte_carlo_hits(
+        compiled, marginals, samples, seed=seed, hosts=hosts, workers=workers
+    )
+    return hits / samples
 
 
 def required_samples(epsilon: float, delta: float) -> int:
@@ -128,9 +107,9 @@ def karp_luby_probability(
     is bounded even for tiny probabilities — the classic FPRAS for DNF.
 
     A sample counts iff its drawn witness is the *first* witness fully
-    contained in the sampled world. With numpy the trials run as the fused
-    shards of :func:`repro.circuits.parallel.karp_luby_hits` — witness
-    picks, conditioned worlds and the containment matrix product all happen
+    contained in the sampled world. The trials run as the fused shards of
+    :func:`repro.circuits.parallel.karp_luby_hits` — witness picks,
+    conditioned worlds and the containment matrix product all happen
     inside the shard (a worker process when ``workers >= 2``, a remote host
     when ``hosts`` names one), and a fixed seed gives identical estimates
     at any worker or host count.
@@ -149,58 +128,20 @@ def karp_luby_probability(
     if total_weight == 0.0:
         return 0.0
 
+    from repro.circuits import distributed
+
     facts = list(tid.facts())
-    np = numpy_module()
-    if np is not None:
-        from repro.circuits import distributed
-
-        fact_index = {f: i for i, f in enumerate(facts)}
-        probs = np.asarray([tid.probability(f) for f in facts], dtype=np.float64)
-        membership = np.zeros((len(witnesses), len(facts)), dtype=np.int32)
-        for w, witness in enumerate(witnesses):
-            for f in witness:
-                membership[w, fact_index[f]] = 1
-        hits = distributed.karp_luby_hits(
-            membership, probs, weights, samples, seed=seed, hosts=hosts,
-            workers=workers,
-        )
-    else:
-        hits = _karp_luby_hits_scalar(
-            witnesses, weights, total_weight, facts, tid, samples, seed
-        )
+    fact_index = {f: i for i, f in enumerate(facts)}
+    probs = np.asarray([tid.probability(f) for f in facts], dtype=np.float64)
+    membership = np.zeros((len(witnesses), len(facts)), dtype=np.int32)
+    for w, witness in enumerate(witnesses):
+        for f in witness:
+            membership[w, fact_index[f]] = 1
+    hits = distributed.karp_luby_hits(
+        membership, probs, weights, samples, seed=seed, hosts=hosts,
+        workers=workers,
+    )
     return total_weight * hits / samples
-
-
-def _karp_luby_hits_scalar(
-    witnesses, weights, total_weight, facts, tid, samples: int, seed: int
-) -> int:
-    """The per-sample loop of the Karp–Luby trial (numpy-free fallback)."""
-    rng = stable_rng(seed)
-    probabilities = {f: tid.probability(f) for f in facts}
-    hits = 0
-    for _ in range(samples):
-        # Pick a witness with probability proportional to its weight.
-        target = rng.random() * total_weight
-        cumulative = 0.0
-        chosen = len(witnesses) - 1
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if target <= cumulative:
-                chosen = index
-                break
-        witness = witnesses[chosen]
-        # Sample the remaining facts conditioned on the witness being present.
-        world = set(witness)
-        for f in facts:
-            if f not in world and rng.random() < probabilities[f]:
-                world.add(f)
-        # Count only if ``chosen`` is the first witness fully contained.
-        for index, other in enumerate(witnesses):
-            if all(f in world for f in other):
-                if index == chosen:
-                    hits += 1
-                break
-    return hits
 
 
 def _dnf_witnesses(query, tid: TIDInstance) -> list[frozenset[Fact]]:

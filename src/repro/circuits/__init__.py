@@ -46,8 +46,7 @@ Typical use::
 
     compiled = compile_circuit(lineage.circuit)     # once
     compiled.evaluate(world)                        # per possible world
-    compiled.evaluate_batch(sampled_worlds)         # vectorized with numpy,
-                                                    # scalar kernels otherwise
+    compiled.evaluate_batch(sampled_worlds)         # level-scheduled numpy pass
     compiled.probability_batch(marginal_rows)       # batched Theorem 1 pass
     probability(lineage.circuit, space, engine="dd")  # Theorem 1 fast path
 
@@ -63,7 +62,6 @@ from repro.circuits.compiled import (
     batch_stats,
     compile_circuit,
     compile_stats,
-    numpy_available,
     recompile,
     reset_batch_stats,
     reset_compile_stats,
@@ -162,7 +160,6 @@ __all__ = [
     "from_formula",
     "get_engine",
     "moral_graph",
-    "numpy_available",
     "parallel_available",
     "parallel_workers",
     "parallel_workers_set",

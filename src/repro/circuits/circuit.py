@@ -16,6 +16,8 @@ from array import array
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.events.space import FactNames
 from repro.util import ReproError, check
 
@@ -46,7 +48,7 @@ check(array("i").itemsize == 4, "platform array('i') is not 32-bit")
 check(array("b").itemsize == 1, "platform array('b') is not 8-bit")
 
 
-def _int64_array(np, values):
+def _int64_array(values):
     """``values`` as an int64 array; a range skips the per-item pass."""
     if isinstance(values, range):
         return np.arange(values.start, values.stop, values.step, dtype=np.int64)
@@ -266,9 +268,7 @@ class Circuit:
         Dedup runs through one dense fact id → slot array; an id repeated
         in the batch keeps its first occurrence's slot.
         """
-        import numpy as np
-
-        fids = _int64_array(np, fids)
+        fids = _int64_array(fids)
         if not fids.size:
             return array("i")
         n_ids = len(id_space)
@@ -324,10 +324,6 @@ class Circuit:
         by pure array extends and the vectorized lowering can consume the
         result without ever materializing ``Gate`` objects.
         """
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
         base = len(self._kind_codes)
         if isinstance(kinds, str):
             kinds = _KIND_CODE[kinds]
@@ -348,81 +344,50 @@ class Circuit:
             )
         check(len(offsets) == count + 1, "offsets must have one entry per gate + 1")
         flat_base = len(self._inputs_flat)
-        if np is not None:
-            inputs64 = _int64_array(np, inputs)
-            offsets64 = _int64_array(np, offsets)
-            row_ids = base + np.arange(count, dtype=np.int64)
-            counts = np.diff(offsets64)
-            check(bool((counts >= 1).all()), "append_gates rows need >= 1 input")
-            check(
-                int(offsets64[0]) == 0 and int(offsets64[-1]) == len(inputs64),
-                "offsets must span the inputs array",
-            )
-            bound = np.repeat(row_ids, counts)
-            check(
-                bool((inputs64 >= 0).all() and (inputs64 < bound).all()),
-                "append_gates inputs must reference earlier gates",
-            )
-            self._kind_codes.frombytes(bytes(kind_list))
-            self._var_slots.frombytes(
-                np.full(count, -1, dtype=np.int32).tobytes()
-            )
-            self._inputs_flat.frombytes(inputs64.astype(np.int32).tobytes())
-            self._input_offsets.frombytes(
-                (flat_base + offsets64[1:]).astype(np.int32).tobytes()
-            )
-            # Levels: existing inputs resolve in one gather; in-batch
-            # references resolve in waves (bulk producers layer their
-            # batches, so this converges in one or two rounds).
-            # Copy: a frombuffer view would pin the array against the
-            # frombytes extend below.
-            existing = np.frombuffer(self._gate_levels, dtype=np.int32)[
-                :base
-            ].copy()
-            batch_levels = np.full(count, -1, dtype=np.int64)
-            in_batch = inputs64 >= base
-            input_levels = np.where(
-                in_batch, -1, existing[np.minimum(inputs64, base - 1)]
-                if base
-                else -1,
-            )
-            starts = offsets64[:-1]
-            pending = np.arange(count, dtype=np.int64)
-            while pending.size:
-                input_levels[in_batch] = batch_levels[
-                    inputs64[in_batch] - base
-                ]
-                row_min = np.minimum.reduceat(input_levels, starts)[pending]
-                row_max = np.maximum.reduceat(input_levels, starts)[pending]
-                ready = row_min >= 0
-                check(bool(ready.any()), "append_gates batch has a dependency cycle")
-                batch_levels[pending[ready]] = 1 + row_max[ready]
-                pending = pending[~ready]
-            self._gate_levels.frombytes(
-                batch_levels.astype(np.int32).tobytes()
-            )
-        else:
-            offsets_list = [int(o) for o in offsets]
-            inputs_list = [int(i) for i in inputs]
-            check(
-                offsets_list[0] == 0 and offsets_list[-1] == len(inputs_list),
-                "offsets must span the inputs array",
-            )
-            levels = self._gate_levels
-            for row, code in enumerate(kind_list):
-                gid = base + row
-                row_inputs = inputs_list[offsets_list[row] : offsets_list[row + 1]]
-                check(len(row_inputs) >= 1, "append_gates rows need >= 1 input")
-                for g in row_inputs:
-                    check(
-                        0 <= g < gid,
-                        "append_gates inputs must reference earlier gates",
-                    )
-                self._kind_codes.append(code)
-                self._var_slots.append(-1)
-                self._inputs_flat.extend(row_inputs)
-                self._input_offsets.append(len(self._inputs_flat))
-                levels.append(1 + max(levels[g] for g in row_inputs))
+        inputs64 = _int64_array(inputs)
+        offsets64 = _int64_array(offsets)
+        row_ids = base + np.arange(count, dtype=np.int64)
+        counts = np.diff(offsets64)
+        check(bool((counts >= 1).all()), "append_gates rows need >= 1 input")
+        check(
+            int(offsets64[0]) == 0 and int(offsets64[-1]) == len(inputs64),
+            "offsets must span the inputs array",
+        )
+        bound = np.repeat(row_ids, counts)
+        check(
+            bool((inputs64 >= 0).all() and (inputs64 < bound).all()),
+            "append_gates inputs must reference earlier gates",
+        )
+        self._kind_codes.frombytes(bytes(kind_list))
+        self._var_slots.frombytes(np.full(count, -1, dtype=np.int32).tobytes())
+        self._inputs_flat.frombytes(inputs64.astype(np.int32).tobytes())
+        self._input_offsets.frombytes(
+            (flat_base + offsets64[1:]).astype(np.int32).tobytes()
+        )
+        # Levels: existing inputs resolve in one gather; in-batch
+        # references resolve in waves (bulk producers layer their
+        # batches, so this converges in one or two rounds).
+        # Copy: a frombuffer view would pin the array against the
+        # frombytes extend below.
+        existing = np.frombuffer(self._gate_levels, dtype=np.int32)[:base].copy()
+        batch_levels = np.full(count, -1, dtype=np.int64)
+        in_batch = inputs64 >= base
+        input_levels = np.where(
+            in_batch, -1, existing[np.minimum(inputs64, base - 1)]
+            if base
+            else -1,
+        )
+        starts = offsets64[:-1]
+        pending = np.arange(count, dtype=np.int64)
+        while pending.size:
+            input_levels[in_batch] = batch_levels[inputs64[in_batch] - base]
+            row_min = np.minimum.reduceat(input_levels, starts)[pending]
+            row_max = np.maximum.reduceat(input_levels, starts)[pending]
+            ready = row_min >= 0
+            check(bool(ready.any()), "append_gates batch has a dependency cycle")
+            batch_levels[pending[ready]] = 1 + row_max[ready]
+            pending = pending[~ready]
+        self._gate_levels.frombytes(batch_levels.astype(np.int32).tobytes())
         self.version += 1
         return range(base, base + count)
 

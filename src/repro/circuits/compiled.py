@@ -25,10 +25,10 @@ once, and :meth:`CompiledCircuit.probability_enumerate` for the
 brute-force oracle.
 
 **Batch evaluation** adds a third lowering stage on top of the flat IR.
-When numpy is importable (:func:`numpy_available`), the topologically
-sorted gates are grouped into *levels* — every gate's inputs live in
-strictly earlier levels — and the CSR arrays are materialized as ``int32``
-numpy buffers. A batch of worlds is a ``(n_worlds, n_vars)`` matrix; the
+The topologically sorted gates are grouped into *levels* — every gate's
+inputs live in strictly earlier levels — and the CSR arrays are
+materialized as ``int32`` numpy buffers. A batch of worlds is a
+``(n_worlds, n_vars)`` matrix; the
 value buffer is gate-major (one row per gate) and each level evaluates in
 a handful of vectorized operations. The Boolean pass is bit-sliced: a
 gate's row holds one ``uint64`` word per 64 worlds, NOT is ``~``, and the
@@ -40,9 +40,6 @@ marginal row and reduces with ``np.multiply`` / ``np.add``. Thousands of
 sampled worlds are evaluated per pass instead of one kernel call per
 world; batches are chunked so the value buffer stays within
 :data:`BATCH_BYTE_BUDGET` bytes.
-Without numpy every batch entry point falls back to the scalar generated
-kernels (or, above :data:`CODEGEN_GATE_LIMIT`, the array interpreter) —
-same results, one world at a time.
 
 **Sharded multi-process evaluation** is the fourth lowering stage, in
 :mod:`repro.circuits.parallel`: the plan's int32 CSR buffers are published
@@ -69,6 +66,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
+import numpy as _np
+
 from repro.circuits.circuit import (
     K_AND,
     K_FALSE,
@@ -80,27 +79,6 @@ from repro.circuits.circuit import (
 )
 from repro.events.space import FactNames
 from repro.util import ReproError, check
-
-try:  # capability check: the vectorized batch kernels need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-
-def numpy_available() -> bool:
-    """Whether the level-scheduled numpy batch kernels are active."""
-    return _np is not None
-
-
-def numpy_module():
-    """The numpy module the batch kernels use, or ``None`` without numpy.
-
-    Consumers that build their own world matrices (sampling baselines,
-    benchmarks) go through this accessor so the capability check stays in
-    one place and tests can disable the vectorized path by monkeypatching
-    ``repro.circuits.compiled._np``.
-    """
-    return _np
 
 # Gate kind codes of the flat IR (defined on the arena in ``circuit.py``,
 # which maintains them incrementally; re-exported here for compatibility).
@@ -122,10 +100,9 @@ CODEGEN_GATE_LIMIT = 200_000
 #: one ``uint64`` word per 64 worlds in the Boolean pass.
 BATCH_BYTE_BUDGET = 1 << 25
 
-#: Below this gate count lowering stays on the plain Python passes even
-#: with numpy available — per-call array overhead beats them on tiny
-#: circuits, and the Python path is the reference the vectorized one is
-#: pinned against.
+#: Below this gate count lowering stays on the plain Python passes —
+#: per-call array overhead beats them on tiny circuits, and the Python
+#: path is the reference the vectorized one is pinned against.
 VECTOR_MIN_GATES = 512
 
 #: Iteration bound of the level-synchronous wavefront passes (one
@@ -274,10 +251,10 @@ def gate_levels(kinds, offsets, indices) -> list[int]:
     deepest input. This is the schedule :class:`_BatchPlan` groups by and
     the one :mod:`repro.circuits.distributed` ships (and re-verifies) in
     the wire format, so both derive it from this single definition. Large
-    inputs take a vectorized wavefront pass when numpy is available; the
-    Python loop below is the definition both must match.
+    inputs take a vectorized wavefront pass; the Python loop below is the
+    definition both must match.
     """
-    if _np is not None and len(kinds) >= VECTOR_MIN_GATES:
+    if len(kinds) >= VECTOR_MIN_GATES:
         arr = _levels_np(
             _np.asarray(kinds, dtype=_np.int32),
             _np.asarray(offsets, dtype=_np.int32),
@@ -312,7 +289,7 @@ def levels_consistent(kinds, offsets, indices, levels) -> bool:
     size = len(kinds)
     if len(levels) != size:
         return False
-    if _np is not None and size >= VECTOR_MIN_GATES:
+    if size >= VECTOR_MIN_GATES:
         akinds = _np.asarray(kinds, dtype=_np.int32)
         aoffsets = _np.asarray(offsets, dtype=_np.int64)
         aindices = _np.asarray(indices, dtype=_np.int64)
@@ -339,8 +316,9 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
     the wire format and the on-disk plan cache: consistent lengths, an
     in-range output, monotone offsets, known gate kinds, leaf gates without
     inputs, in-range variable slots, and strictly topological input
-    references (every input position below its gate's). Vectorized when
-    numpy is available; the Python loops below are the same checks.
+    references (every input position below its gate's). Vectorized from
+    :data:`VECTOR_MIN_GATES` gates; the Python loops below are the same
+    checks.
     """
     check(size >= 1, "plan has no gates")
     check(
@@ -354,7 +332,7 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
         offsets[0] == 0 and offsets[-1] == len(indices),
         "plan CSR offsets are inconsistent",
     )
-    if _np is not None and size >= VECTOR_MIN_GATES:
+    if size >= VECTOR_MIN_GATES:
         akinds = _np.asarray(kinds, dtype=_np.int64)
         aoffsets = _np.asarray(offsets, dtype=_np.int64)
         aindices = _np.asarray(indices, dtype=_np.int64)
@@ -725,8 +703,7 @@ class CompiledCircuit:
         self._init_lazy()
         self.source = circuit
         lowered = (
-            _np is not None
-            and len(circuit) >= VECTOR_MIN_GATES
+            len(circuit) >= VECTOR_MIN_GATES
             and getattr(circuit, "_kind_codes", None) is not None
             and self._lower_vector(circuit)
         )
@@ -761,7 +738,7 @@ class CompiledCircuit:
         self._wire_digest = None  # content digest of _wire_cache, cached with it
 
     def _lower_python(self, circuit: Circuit) -> None:
-        """The reference per-gate lowering (numpy-free, and small circuits).
+        """The reference per-gate lowering (small and chain-deep circuits).
 
         Reads the arena's flat mirrors, so fact-id variables stay unnamed.
         """
@@ -904,22 +881,14 @@ class CompiledCircuit:
             levels_consistent(kinds, offsets, indices, levels),
             "cached plan level schedule does not match its CSR arrays",
         )
-        if _np is not None:
-            ids = _np.asarray(gate_ids, dtype=_np.int64)
-            ids_ok = (
-                ids.size == size
-                and bool((ids[1:] > ids[:-1]).all())
-                and 0 <= int(ids[0])
-                and int(ids[-1]) < len(circuit)
-            )
-        else:
-            ids_ok = (
-                len(gate_ids) == size
-                and all(a < b for a, b in zip(gate_ids, gate_ids[1:]))
-                and 0 <= gate_ids[0]
-                and gate_ids[-1] < len(circuit)
-            )
-        check(ids_ok, "cached plan gate ids do not fit the arena")
+        ids = _np.asarray(gate_ids, dtype=_np.int64)
+        check(
+            ids.size == size
+            and bool((ids[1:] > ids[:-1]).all())
+            and 0 <= int(ids[0])
+            and int(ids[-1]) < len(circuit),
+            "cached plan gate ids do not fit the arena",
+        )
         check(
             gate_ids[output] == circuit.output,
             "cached plan output does not match the arena output",
@@ -932,29 +901,16 @@ class CompiledCircuit:
         compiled.output = int(output)
         compiled.arena_version = circuit.version
         compiled.arena_size = len(circuit)
-        # ``tolist`` keeps the elements python ints whatever sequence type
-        # the decoder handed over (ndarray, array.array, list).
-        compiled._gate_ids = tuple(
-            gate_ids.tolist() if hasattr(gate_ids, "tolist") else gate_ids
+        compiled._gate_ids = tuple(ids.tolist())
+        compiled._levels = _np.asarray(levels).tolist()
+        kinds32 = _np.asarray(kinds, dtype=_np.int32)
+        compiled._np32 = (
+            kinds32,
+            _np.asarray(offsets, dtype=_np.int32),
+            _np.asarray(indices, dtype=_np.int32),
+            _np.asarray(var_slot, dtype=_np.int32),
         )
-        compiled._levels = (
-            levels.tolist() if hasattr(levels, "tolist") else list(levels)
-        )
-        if _np is not None:
-            kinds32 = _np.asarray(kinds, dtype=_np.int32)
-            compiled._np32 = (
-                kinds32,
-                _np.asarray(offsets, dtype=_np.int32),
-                _np.asarray(indices, dtype=_np.int32),
-                _np.asarray(var_slot, dtype=_np.int32),
-            )
-            compiled.has_negation = bool((kinds32 == K_NOT).any())
-        else:
-            compiled._kinds = list(kinds)
-            compiled._offsets = list(offsets)
-            compiled._indices = list(indices)
-            compiled._var_slot = list(var_slot)
-            compiled.has_negation = K_NOT in compiled._kinds
+        compiled.has_negation = bool((kinds32 == K_NOT).any())
         return compiled
 
     # ------------------------------------------------------------------ #
@@ -1199,10 +1155,8 @@ class CompiledCircuit:
     # ------------------------------------------------------------------ #
     # level-scheduled numpy batch kernels (third lowering stage)
 
-    def batch_plan(self) -> _BatchPlan | None:
-        """The level-scheduled numpy plan, built once; ``None`` without numpy."""
-        if _np is None:
-            return None
+    def batch_plan(self) -> _BatchPlan:
+        """The level-scheduled numpy plan, built once."""
         if self._batch_plan is _UNBUILT:
             self._batch_plan = _BatchPlan(self)
         return self._batch_plan
@@ -1214,7 +1168,7 @@ class CompiledCircuit:
         (:func:`repro.circuits.distributed.plan_to_bytes`) carries the int32
         CSR buffers, the level schedule and the plan metadata, and round-trips
         through :func:`repro.circuits.distributed.plan_from_bytes` on any
-        host — with or without numpy on either side.
+        host.
         """
         from repro.circuits import distributed
 
@@ -1338,44 +1292,24 @@ class CompiledCircuit:
 
         ``valuations`` is an iterable of valuations as accepted by
         :meth:`evaluate`, or a ``(n_worlds, n_vars)`` numpy matrix in slot
-        order. With numpy available the whole batch runs through the
-        level-scheduled vectorized kernels (:meth:`batch_plan`), chunked to
-        bound memory — and row-sharded across the worker processes of
+        order. The whole batch runs through the level-scheduled vectorized
+        kernels (:meth:`batch_plan`), chunked to bound memory — and
+        row-sharded across the worker processes of
         :mod:`repro.circuits.parallel` when the ``parallel_workers`` knob
         is set and the batch is big enough, with identical results.
-        Without numpy each world costs one generated-kernel call (or,
-        above the codegen limit, one pass of the array interpreter over a
-        single reusable buffer) — no per-world dict or buffer allocation
-        either way.
         """
-        if _np is not None:
-            matrix = self._as_world_matrix(valuations)
-            n_worlds = matrix.shape[0]
-            if n_worlds == 0:
-                return []
-            _BATCH_STATS["evaluate_passes"] += 1
-            _BATCH_STATS["evaluate_rows"] += n_worlds
-            sharded = self._maybe_sharded(matrix, as_float=False)
-            if sharded is not None:
-                return sharded.tolist()
-            out = _np.empty(n_worlds, dtype=_np.bool_)
-            self.batch_plan().run_into(matrix, out, as_float=False)
-            return out.tolist()
-        kernel = self._kernel("bool")
-        slot_values = self.slot_values
-        if kernel is not None:
-            results = [
-                bool(kernel(slot_values(valuation))) for valuation in valuations
-            ]
-        else:
-            buffer = bytearray(self.size)
-            results = [
-                bool(self._evaluate_into(buffer, slot_values(valuation)))
-                for valuation in valuations
-            ]
+        matrix = self._as_world_matrix(valuations)
+        n_worlds = matrix.shape[0]
+        if n_worlds == 0:
+            return []
         _BATCH_STATS["evaluate_passes"] += 1
-        _BATCH_STATS["evaluate_rows"] += len(results)
-        return results
+        _BATCH_STATS["evaluate_rows"] += n_worlds
+        sharded = self._maybe_sharded(matrix, as_float=False)
+        if sharded is not None:
+            return sharded.tolist()
+        out = _np.empty(n_worlds, dtype=_np.bool_)
+        self.batch_plan().run_into(matrix, out, as_float=False)
+        return out.tolist()
 
     # ------------------------------------------------------------------ #
     # probability fast paths
@@ -1421,19 +1355,13 @@ class CompiledCircuit:
         ``marginals_batch`` is an iterable of marginal assignments as
         accepted by :meth:`probability` (event spaces, mappings, slot
         sequences), or a ``(n_rows, n_vars)`` float matrix in slot order.
-        With numpy available all rows share one level-scheduled float pass
-        (grouped ``np.multiply.reduce`` at AND, ``np.add.reduce`` at OR),
+        All rows share one level-scheduled float pass (grouped
+        ``np.multiply.reduce`` at AND, ``np.add.reduce`` at OR),
         row-sharded across worker processes for big batches when the
-        ``parallel_workers`` knob is set; otherwise each row costs one
-        scalar :meth:`probability` call. Like
-        :meth:`probability`, correct only on deterministic decomposable
-        circuits over independent variables.
+        ``parallel_workers`` knob is set. Like :meth:`probability`, correct
+        only on deterministic decomposable circuits over independent
+        variables.
         """
-        if _np is None:
-            results = [float(self.probability(row)) for row in marginals_batch]
-            _BATCH_STATS["probability_passes"] += 1
-            _BATCH_STATS["probability_rows"] += len(results)
-            return results
         n_vars = len(self.var_names)
         if isinstance(marginals_batch, _np.ndarray) and marginals_batch.ndim == 2:
             check(
@@ -1461,11 +1389,9 @@ class CompiledCircuit:
     ) -> float:
         """Exact probability by enumerating all variable valuations.
 
-        With numpy available the ``2^n`` worlds are unpacked from bitmask
-        ranges into world matrices and evaluated through the batch kernels,
-        chunk by chunk; otherwise a reusable slot array iterates the masks
-        one kernel call at a time — no per-world dict allocation either
-        way. Exponential; capped at ``max_vars`` (default
+        The ``2^n`` worlds are unpacked from bitmask ranges into world
+        matrices and evaluated through the batch kernels, chunk by chunk.
+        Exponential; capped at ``max_vars`` (default
         :data:`ENUMERATION_VARIABLE_CAP`) variables.
         """
         n = len(self.var_names)
@@ -1475,32 +1401,7 @@ class CompiledCircuit:
                 f"(circuit has {n}; 2^{n} worlds); use the 'shannon' or "
                 "'message_passing' engine instead"
             )
-        probs = self.slot_marginals(marginals)
-        if _np is not None:
-            return self._enumerate_batched(probs, n)
-        slot_values = [0] * n
-        kernel = self._kernel("bool")
-        buffer = None if kernel is not None else bytearray(self.size)
-        total = 0.0
-        for mask in range(1 << n):
-            for i in range(n):
-                slot_values[i] = (mask >> i) & 1
-            satisfied = (
-                kernel(slot_values)
-                if kernel is not None
-                else self._evaluate_into(buffer, slot_values)
-            )
-            if satisfied:
-                weight = 1.0
-                for i in range(n):
-                    p = probs[i]
-                    weight *= p if slot_values[i] else 1.0 - p
-                total += weight
-        return total
-
-    def _enumerate_batched(self, probs, n: int) -> float:
-        """Enumeration oracle over the numpy batch kernels, chunked."""
-        probs = _np.asarray(probs, dtype=_np.float64)
+        probs = _np.asarray(self.slot_marginals(marginals), dtype=_np.float64)
         plan = self.batch_plan()
         world_count = 1 << n
         # The world matrix below costs 8 bytes per cell while it is built,
@@ -1735,7 +1636,7 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
     compiled._init_lazy()
     compiled.source = circuit
     compiled.size = old_n + len(dirty)
-    if _np is not None and prev_np is not None:
+    if prev_np is not None:
         old_kinds32, old_offsets32, old_indices32, old_var32 = prev_np
         compiled._np32 = (
             _np.concatenate([old_kinds32, _np.asarray(add_kinds, _np.int32)]),

@@ -10,9 +10,7 @@ over TCP so any number of hosts can chew on one batch or Monte-Carlo run:
   versioned, CRC-checksummed binary blob (layout table in
   ``ARCHITECTURE.md``). Corrupted, truncated, or wrong-version payloads are
   rejected with :class:`~repro.util.ReproError` before any evaluation can
-  happen. Packing and unpacking work with or without numpy (the pure-python
-  path uses :mod:`array`), so a numpy-less host can still decode and
-  evaluate a plan with the scalar interpreter.
+  happen.
 - **Protocol** — length-prefixed frames over TCP (``uint32`` length, one
   message-kind byte, a JSON header, a binary blob). A coordinator publishes
   the plan (and, for Karp–Luby, the witness tables) **once per connection**,
@@ -88,9 +86,10 @@ import warnings
 import zlib
 from collections import deque
 
+import numpy as np
+
 from repro.circuits import compiled as _compiled
 from repro.circuits import parallel as _parallel
-from repro.circuits.compiled import numpy_module
 from repro.util import ReproError, check
 
 # --------------------------------------------------------------------------- #
@@ -165,43 +164,23 @@ MAX_FRAME_BYTES = 1 << 31
 
 
 def _values_to_bytes(typecode: str, values) -> bytes:
-    """Little-endian bytes of a flat numeric sequence, with or without numpy."""
-    np = numpy_module()
-    dtype, itemsize = _DTYPES[typecode]
-    if np is not None:
-        return np.ascontiguousarray(values, dtype=dtype).reshape(-1).tobytes()
-    import array
-
-    arr = array.array(typecode, [v for v in values])
-    check(arr.itemsize == itemsize, f"platform array('{typecode}') width unsupported")
-    if sys.byteorder == "big":  # pragma: no cover - little-endian dev hosts
-        arr.byteswap()
-    return arr.tobytes()
+    """Little-endian bytes of a flat numeric sequence."""
+    dtype = _DTYPES[typecode][0]
+    return np.ascontiguousarray(values, dtype=dtype).reshape(-1).tobytes()
 
 
 def _values_from_bytes(typecode: str, raw: bytes, arrays: bool = False):
     """Inverse of :func:`_values_to_bytes`.
 
-    Returns a python list by default (what the numpy-less wire interpreter
-    indexes). With ``arrays=True`` the caller gets the cheapest flat
-    sequence instead — a numpy array when available, else an
-    ``array.array`` — skipping the ``tolist`` round-trip; the plan cache
-    loads through this so a disk hit never materializes python lists.
+    Returns a python list by default. With ``arrays=True`` the caller gets
+    a numpy array instead, skipping the ``tolist`` round-trip; the plan
+    cache loads through this so a disk hit never materializes python lists.
     """
-    np = numpy_module()
     dtype, itemsize = _DTYPES[typecode]
     check(len(raw) % itemsize == 0, "wire section length is not a whole item count")
-    if np is not None:
-        values = np.frombuffer(raw, dtype=dtype)
-        # ``copy`` detaches from (and drops the reference pinning) the blob.
-        return values.copy() if arrays else values.tolist()
-    import array
-
-    arr = array.array(typecode)
-    arr.frombytes(raw)
-    if sys.byteorder == "big":  # pragma: no cover - little-endian dev hosts
-        arr.byteswap()
-    return arr if arrays else arr.tolist()
+    values = np.frombuffer(raw, dtype=dtype)
+    # ``copy`` detaches from (and drops the reference pinning) the blob.
+    return values.copy() if arrays else values.tolist()
 
 
 def _pack_blob(meta: dict, sections: list[tuple[str, str, object]]) -> bytes:
@@ -336,12 +315,11 @@ def plan_checksum(plan_bytes: bytes) -> str:
 class WirePlan:
     """A circuit plan decoded from the wire, ready to evaluate shards.
 
-    Holds the CSR arrays as plain python lists (so a numpy-less worker can
-    interpret them) and lowers them to the level-scheduled
-    :class:`~repro.circuits.compiled._BatchPlan` on first use when numpy is
-    importable. The level schedule shipped in the payload is re-verified
-    against the CSR arrays on construction — a plan that decodes is a plan
-    that evaluates.
+    Holds the CSR arrays as plain python lists and lowers them to the
+    level-scheduled :class:`~repro.circuits.compiled._BatchPlan` on first
+    use. The level schedule shipped in the payload is re-verified against
+    the CSR arrays on construction — a plan that decodes is a plan that
+    evaluates.
     """
 
     __slots__ = ("size", "output", "n_vars", "kinds", "offsets", "indices",
@@ -378,89 +356,32 @@ class WirePlan:
     # -- evaluation ------------------------------------------------------- #
 
     def batch_plan(self):
-        """The level-scheduled numpy plan, built once; ``None`` without numpy."""
-        if numpy_module() is None:
-            return None
+        """The level-scheduled numpy plan, built once."""
         if self._plan is None:
             self._plan = _compiled._BatchPlan(self)
         return self._plan
 
-    def _interpret_row(self, slot_values, as_float: bool):
-        """One scalar bottom-up pass over the CSR arrays (numpy-less path)."""
-        kinds, offsets, indices, var_slot = (
-            self.kinds, self.offsets, self.indices, self.var_slot,
-        )
-        values: list = [0] * self.size
-        for pos in range(self.size):
-            kind = kinds[pos]
-            if kind == _compiled.K_VAR:
-                value = slot_values[var_slot[pos]]
-                value = float(value) if as_float else (1 if value else 0)
-            elif kind == _compiled.K_AND:
-                value = 1.0 if as_float else 1
-                for j in range(offsets[pos], offsets[pos + 1]):
-                    if as_float:
-                        value *= values[indices[j]]
-                    elif not values[indices[j]]:
-                        value = 0
-                        break
-            elif kind == _compiled.K_OR:
-                value = 0.0 if as_float else 0
-                for j in range(offsets[pos], offsets[pos + 1]):
-                    if as_float:
-                        value += values[indices[j]]
-                    elif values[indices[j]]:
-                        value = 1
-                        break
-            elif kind == _compiled.K_NOT:
-                child = values[indices[offsets[pos]]]
-                value = 1.0 - child if as_float else 1 - child
-            else:
-                value = float(kind) if as_float else kind  # K_TRUE==1, K_FALSE==0
-            values[pos] = value
-        return values[self.output]
-
     def run_rows(self, rows, as_float: bool) -> list:
         """Evaluate an iterable of slot-value rows, one output per row."""
         rows = [list(row) for row in rows]  # copies rows drawn from shared buffers
-        plan = self.batch_plan()
-        if plan is not None:
-            np = numpy_module()
-            dtype = np.float64 if as_float else np.bool_
-            matrix = np.asarray(rows, dtype=dtype)
-            if matrix.ndim != 2:  # empty batch, or zero-variable circuit
-                matrix = matrix.reshape(len(rows), self.n_vars)
-            out = np.empty(matrix.shape[0], dtype=dtype)
-            plan.run_into(matrix, out, as_float)
-            return out.tolist()
-        return [self._interpret_row(row, as_float) for row in rows]
+        dtype = np.float64 if as_float else np.bool_
+        matrix = np.asarray(rows, dtype=dtype)
+        if matrix.ndim != 2:  # empty batch, or zero-variable circuit
+            matrix = matrix.reshape(len(rows), self.n_vars)
+        out = np.empty(matrix.shape[0], dtype=dtype)
+        self.batch_plan().run_into(matrix, out, as_float)
+        return out.tolist()
 
     def mc_shard_hits(self, probs, seed: int, index: int, count: int) -> int:
         """Hit count of one deterministic ``(seed, index, count)`` MC shard.
 
-        With numpy this is exactly
-        :func:`repro.circuits.parallel._mc_shard_hits` on the decoded plan —
-        bit-identical to the in-process and pool paths. Without numpy a
-        scalar loop with its own deterministic stream runs instead (same
-        estimator, different draws — matching the documented no-numpy tier).
+        Exactly :func:`repro.circuits.parallel._mc_shard_hits` on the
+        decoded plan — bit-identical to the in-process and pool paths.
         """
-        np = numpy_module()
-        if np is not None:
-            probs32 = np.asarray(probs, dtype=np.float32)
-            return _parallel._mc_shard_hits(
-                np, self.batch_plan(), probs32, seed, index, count
-            )
-        import random
-
-        rng = random.Random((int(seed) << 32) ^ int(index))
-        hits = 0
-        row = [0] * self.n_vars
-        for _ in range(count):
-            for i, p in enumerate(probs):
-                row[i] = 1 if rng.random() < p else 0
-            if self._interpret_row(row, as_float=False):
-                hits += 1
-        return hits
+        probs32 = np.asarray(probs, dtype=np.float32)
+        return _parallel._mc_shard_hits(
+            self.batch_plan(), probs32, seed, index, count
+        )
 
 
 def plan_from_bytes(data: bytes) -> WirePlan:
@@ -540,47 +461,19 @@ class WireTables:
         self.cumulative = sections["cumulative"]
 
     def kl_shard_hits(self, seed: int, index: int, count: int) -> int:
-        np = numpy_module()
-        if np is not None:
-            membership = np.asarray(self.membership, dtype=np.int32).reshape(
-                self.n_witnesses, self.n_facts
-            )
-            return _parallel._kl_shard_hits(
-                np,
-                membership,
-                membership.sum(axis=1, dtype=np.int32),
-                np.asarray(self.probs, dtype=np.float64),
-                np.asarray(self.cumulative, dtype=np.float64),
-                self.total_weight,
-                seed,
-                index,
-                count,
-            )
-        import bisect
-        import random
-
-        rng = random.Random((int(seed) << 32) ^ int(index))
-        n_facts = self.n_facts
-        rows = [
-            self.membership[w * n_facts : (w + 1) * n_facts]
-            for w in range(self.n_witnesses)
-        ]
-        hits = 0
-        for _ in range(count):
-            chosen = min(
-                bisect.bisect_left(self.cumulative, rng.random() * self.total_weight),
-                self.n_witnesses - 1,
-            )
-            world = [1 if rng.random() < p else 0 for p in self.probs]
-            for i, member in enumerate(rows[chosen]):
-                if member:
-                    world[i] = 1
-            for w, row in enumerate(rows):
-                if all(world[i] for i, member in enumerate(row) if member):
-                    if w == chosen:
-                        hits += 1
-                    break
-        return hits
+        membership = np.asarray(self.membership, dtype=np.int32).reshape(
+            self.n_witnesses, self.n_facts
+        )
+        return _parallel._kl_shard_hits(
+            membership,
+            membership.sum(axis=1, dtype=np.int32),
+            np.asarray(self.probs, dtype=np.float64),
+            np.asarray(self.cumulative, dtype=np.float64),
+            self.total_weight,
+            seed,
+            index,
+            count,
+        )
 
 
 def tables_from_bytes(data: bytes) -> WireTables:
@@ -1198,7 +1091,6 @@ class WorkerServer:
             ),
             "wire": WIRE_VERSION,
             "pid": os.getpid(),
-            "numpy": numpy_module() is not None,
             "auth": self.secret is not None,
         }
         caps = sorted(PROTOCOL_CAPS) if self.hello_caps is None else self.hello_caps
@@ -1443,25 +1335,11 @@ class WorkerServer:
                 len(blob) == rows * plan.n_vars * itemsize,
                 "eval task blob does not match its row count",
             )
-            np = numpy_module()
-            if np is not None:
-                dtype = np.float64 if as_float else np.bool_
-                matrix = np.frombuffer(blob, dtype=dtype).reshape(rows, plan.n_vars)
-                out = np.empty(rows, dtype=dtype)
-                plan.batch_plan().run_into(matrix, out, as_float)
-                return {"id": task_id}, out.tobytes()
-            values = (
-                _values_from_bytes("d", blob)
-                if as_float
-                else [1 if b else 0 for b in blob]
-            )
-            n = plan.n_vars
-            out_rows = plan.run_rows(
-                [values[r * n : (r + 1) * n] for r in range(rows)], as_float
-            )
-            if as_float:
-                return {"id": task_id}, _values_to_bytes("d", out_rows)
-            return {"id": task_id}, bytes(1 if v else 0 for v in out_rows)
+            dtype = np.float64 if as_float else np.bool_
+            matrix = np.frombuffer(blob, dtype=dtype).reshape(rows, plan.n_vars)
+            out = np.empty(rows, dtype=dtype)
+            plan.batch_plan().run_into(matrix, out, as_float)
+            return {"id": task_id}, out.tobytes()
         raise ReproError(f"unknown distributed task op {op!r}")
 
 
@@ -2500,8 +2378,6 @@ def karp_luby_hits(membership, probs, weights, samples: int, seed: int = 0,
 
 
 def _distributed_matrix_pass(compiled, matrix, as_float: bool, hosts):
-    np = numpy_module()
-    check(np is not None, "distributed matrix passes require numpy")
     hosts = effective_hosts(hosts)
     compiled = _compiled.compile_circuit(compiled)
     dtype = np.float64 if as_float else np.bool_

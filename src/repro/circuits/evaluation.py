@@ -48,7 +48,6 @@ from repro.circuits.compiled import (
 from repro.circuits.compiled import (  # noqa: F401 - re-exported knobs
     batch_stats,
     compile_stats,
-    numpy_available,
     recompile,
     reset_batch_stats,
     reset_compile_stats,
@@ -102,8 +101,8 @@ Engine = Callable[..., float]
 def capabilities() -> dict:
     """Execution capabilities of this install, for CLI/test introspection.
 
-    Reports whether the numpy batch kernels and the sharded multi-process
-    backend are importable, the engine and instance-backend knobs, the
+    Reports whether the sharded multi-process backend is available, the
+    engine and instance-backend knobs, the
     ``parallel_workers`` and ``distributed_hosts`` knobs, whether worker
     authentication is armed, the full plan-cache state, the CQA engine's
     trichotomy classes and routing counters, a snapshot of the persistent
@@ -114,7 +113,6 @@ def capabilities() -> dict:
     from repro.instances.columnar import instance_backend
 
     return {
-        "numpy": numpy_available(),
         "engine": default_engine(),
         "forced_engine": forced_engine(),
         "instance_backend": instance_backend(),

@@ -40,8 +40,8 @@ Knob: ``workers=`` on every entry point, defaulting to the process-wide
 scoped :func:`parallel_workers_set`, the ``REPRO_PARALLEL_WORKERS``
 environment variable — an integer or ``auto`` — or the CLI ``--workers``
 flag). ``0``/``1`` mean in-process; the fused kernels run either way.
-Without numpy (or ``multiprocessing.shared_memory``) the subsystem reports
-itself unavailable and every consumer falls back to the serial paths.
+Without ``multiprocessing.shared_memory`` the subsystem reports itself
+unavailable and every consumer stays on the serial paths.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ import secrets
 import signal
 import weakref
 
+import numpy as np
+
 from repro.circuits import compiled as _compiled
-from repro.circuits.compiled import numpy_module
 from repro.util import ReproError, check
 
 try:  # capability check: sharded evaluation needs POSIX shared memory
@@ -96,11 +97,10 @@ _WORKERS = _workers_from_env()
 def parallel_available() -> bool:
     """Whether the sharded multi-process backend can run at all.
 
-    Requires numpy (the workers run the batch kernels) and
-    ``multiprocessing.shared_memory``. The knob below is ignored when this
-    is false — every consumer silently stays on the serial path.
+    Requires ``multiprocessing.shared_memory``. The knob below is ignored
+    when this is false — every consumer silently stays on the serial path.
     """
-    return numpy_module() is not None and _shm is not None
+    return _shm is not None
 
 
 def parallel_workers() -> int:
@@ -189,8 +189,7 @@ class SharedBuffers:
     """
 
     def __init__(self, arrays, *, prefix: str = BUFFER_PREFIX, meta=None):
-        np = numpy_module()
-        check(_shm is not None and np is not None, "shared memory requires numpy")
+        check(_shm is not None, "shared memory is unavailable on this platform")
         entries = []
         prepared = []
         offset = 0
@@ -244,7 +243,6 @@ class SharedBuffers:
         down), so the attach-side registration is a set-level no-op and the
         name is swept exactly once, when the owner unlinks.
         """
-        np = numpy_module()
         name, meta, entries = manifest
         shm = _shm.SharedMemory(name=name)
         views = {
@@ -262,7 +260,6 @@ def _plan_handle(compiled) -> SharedBuffers:
     circuit is garbage-collected (or at interpreter exit via
     :func:`shutdown`), after which a fresh call republishes.
     """
-    np = numpy_module()
     handle = compiled._shared_plan
     if handle is not None and handle.closed:
         handle = None
@@ -326,7 +323,7 @@ def _worker_plan(manifest, cache):
 _DRAW_BYTES = 1 << 25
 
 
-def _mc_limits(np, probs32):
+def _mc_limits(probs32):
     """Integer form of the float32 hit test ``draw < p``, per variable.
 
     numpy's float32 draw from a 32-bit generator output ``u`` is
@@ -344,7 +341,7 @@ def _mc_limits(np, probs32):
     return limits, np.flatnonzero(thresholds == 0)
 
 
-def _mc_shard_hits(np, plan, probs32, seed: int, index: int, count: int) -> int:
+def _mc_shard_hits(plan, probs32, seed: int, index: int, count: int) -> int:
     """Fused sample+evaluate for one Monte-Carlo shard: worlds never escape.
 
     Draws ``count`` worlds from the shard's own ``default_rng((seed,
@@ -366,7 +363,7 @@ def _mc_shard_hits(np, plan, probs32, seed: int, index: int, count: int) -> int:
     """
     bitgen = np.random.default_rng((seed, index)).bit_generator
     n_vars = probs32.size
-    limits, never = _mc_limits(np, probs32)
+    limits, never = _mc_limits(probs32)
     if np.array_equal(plan.var_slots, np.arange(n_vars)):
         columns = slice(None, n_vars)
     else:
@@ -425,7 +422,7 @@ def _mc_shard_hits(np, plan, probs32, seed: int, index: int, count: int) -> int:
 
 
 def _kl_shard_hits(
-    np, membership, sizes, probs, cumulative, total_weight, seed, index, count
+    membership, sizes, probs, cumulative, total_weight, seed, index, count
 ) -> int:
     """Fused Karp–Luby trial for one shard (witness pick + world + test).
 
@@ -450,7 +447,7 @@ def _kl_shard_hits(
     return hits
 
 
-def _execute_task(np, kind, payload, plan_cache):
+def _execute_task(kind, payload, plan_cache):
     if kind == "eval":
         plan_manifest, data_manifest, as_float, row_start, row_end = payload
         plan = _worker_plan(plan_manifest, plan_cache)
@@ -468,14 +465,13 @@ def _execute_task(np, kind, payload, plan_cache):
     if kind == "mc":
         plan_manifest, probs32, seed, index, count = payload
         plan = _worker_plan(plan_manifest, plan_cache)
-        return _mc_shard_hits(np, plan, probs32, seed, index, count)
+        return _mc_shard_hits(plan, probs32, seed, index, count)
     if kind == "kl":
         tables_manifest, seed, index, count = payload
         shm, meta, views = SharedBuffers.attach(tables_manifest)
         try:
             membership = views["membership"]
             return _kl_shard_hits(
-                np,
                 membership,
                 membership.sum(axis=1, dtype=np.int32),
                 views["probs"],
@@ -504,7 +500,6 @@ def _worker_main(tasks, results):
     the worker.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    np = numpy_module()
     plan_cache: dict[str, object] = {}
     while True:
         item = tasks.get()
@@ -512,7 +507,7 @@ def _worker_main(tasks, results):
             break
         task_id, kind, payload = item
         try:
-            value = _execute_task(np, kind, payload, plan_cache)
+            value = _execute_task(kind, payload, plan_cache)
         except BaseException as exc:  # noqa: BLE001 - reported to the parent
             results.put((task_id, False, f"{type(exc).__name__}: {exc}"))
         else:
@@ -678,8 +673,7 @@ def _row_shards(
 
 
 def _sharded_matrix_pass(compiled, matrix, as_float: bool, workers: int | None):
-    np = numpy_module()
-    check(parallel_available(), "sharded evaluation requires numpy + shared memory")
+    check(parallel_available(), "sharded evaluation requires shared memory")
     workers = _effective_workers(workers)
     dtype = np.float64 if as_float else np.bool_
     matrix = np.ascontiguousarray(matrix, dtype=dtype)
@@ -752,8 +746,6 @@ def monte_carlo_hits(
     bit-identical results either way. The full world matrix is never
     materialized; only per-shard hit counts are reduced.
     """
-    np = numpy_module()
-    check(np is not None, "fused Monte-Carlo sampling requires numpy")
     check(samples > 0, "need at least one sample")
     seed = 0 if seed is None else int(seed)
     probs32 = np.asarray(marginals, dtype=np.float32)
@@ -762,7 +754,7 @@ def monte_carlo_hits(
     if workers < 2 or len(shards) < 2 or _shm is None:
         plan = compiled.batch_plan()
         return sum(
-            _mc_shard_hits(np, plan, probs32, seed, index, count)
+            _mc_shard_hits(plan, probs32, seed, index, count)
             for index, count in shards
         )
     manifest = _plan_handle(compiled).manifest
@@ -786,8 +778,6 @@ def karp_luby_hits(
     :func:`monte_carlo_hits`; each worker draws its shard's witness picks
     and worlds and tests containment with one matrix product.
     """
-    np = numpy_module()
-    check(np is not None, "fused Karp–Luby sampling requires numpy")
     check(samples > 0, "need at least one sample")
     seed = 0 if seed is None else int(seed)
     membership = np.ascontiguousarray(membership, dtype=np.int32)
@@ -800,7 +790,7 @@ def karp_luby_hits(
         sizes = membership.sum(axis=1, dtype=np.int32)
         return sum(
             _kl_shard_hits(
-                np, membership, sizes, probs, cumulative, total_weight,
+                membership, sizes, probs, cumulative, total_weight,
                 seed, index, count,
             )
             for index, count in shards

@@ -155,8 +155,9 @@ def command_run(
 
 def command_engines() -> None:
     """Print the engine registry and the batch/parallel backends in use."""
+    import numpy as np
+
     from repro.circuits import available_engines, capabilities, default_engine
-    from repro.circuits.compiled import numpy_module
 
     print(f"{'engine':<18} role")
     roles = {
@@ -168,12 +169,7 @@ def command_engines() -> None:
     for name in available_engines():
         marker = " (default)" if name == default_engine() else ""
         print(f"{name:<18} {roles.get(name, 'custom engine')}{marker}")
-    np = numpy_module()
-    if np is not None:
-        backend = f"numpy {np.__version__} level-scheduled kernels"
-    else:
-        backend = "scalar generated kernels (numpy not installed)"
-    print(f"\nbatch evaluation backend: {backend}")
+    print(f"\nbatch evaluation backend: numpy {np.__version__} level-scheduled kernels")
     caps = capabilities()
     if caps["parallel"]:
         workers = caps["parallel_workers"]
@@ -183,7 +179,7 @@ def command_engines() -> None:
             f"{caps['cpu_count']} CPU(s); set REPRO_PARALLEL_WORKERS or --workers"
         )
     else:
-        print("sharded multi-process backend: unavailable (needs numpy + shared memory)")
+        print("sharded multi-process backend: unavailable (needs shared memory)")
     hosts = caps["distributed_hosts"]
     auth = " (auth armed)" if caps["distributed_auth"] else ""
     if hosts:
@@ -434,14 +430,11 @@ def command_dist_eval(
 
     from repro.circuits import compile_circuit
     from repro.circuits import distributed, parallel
-    from repro.circuits.compiled import numpy_module
     from repro.core import build_lineage
     from repro.queries import atom, cq, variables
     from repro.util import ReproError
     from repro.workloads import rst_chain_tid
 
-    if numpy_module() is None:
-        raise SystemExit("dist-eval needs numpy (the batch kernels) on this host")
     host_list = distributed.effective_hosts(hosts)
     x, y = variables("x", "y")
     query = cq(atom("R", x), atom("S", x, y), atom("T", y))

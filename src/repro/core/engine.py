@@ -10,20 +10,27 @@ query. By construction the circuit is
   to a fact's presence/absence — mutually exclusive events), and
 - **decomposable** (AND children range over disjoint sets of read facts),
 
-so on TID instances the query probability is a single linear pass
-(:func:`repro.circuits.probability_dd`) — Theorem 1. On pcc-instances the
-fact variables are substituted by their annotation gates and the combined
-circuit is evaluated by junction-tree message passing — Theorem 2.
+so on TID instances the query probability is a single linear pass (the
+``dd`` engine of :func:`repro.circuits.probability`) — Theorem 1. On
+pcc-instances the fact variables are substituted by their annotation gates
+and the combined circuit is evaluated by junction-tree message passing —
+Theorem 2's route, although nothing here bounds the width message passing
+sees: it decomposes the combined circuit's moral graph heuristically, and
+``max_width`` is the only guard.
 
-A second mode builds the *monotone provenance circuit* of the
-nondeterministic automaton run (no negation, one gate per reachable
-nondeterministic state), which specializes to semiring provenance for
-absorptive semirings — the paper's provenance connection.
+A second mode, :func:`build_provenance_circuit`, builds the *monotone
+provenance circuit* of a CQ/UCQ as its witness DNF — an OR over the
+homomorphisms of the AND of their witness facts' variables, appended in
+bulk with no tree decomposition. Evaluated in a commutative semiring it
+yields the query's provenance — the paper's provenance connection.
+Monotone CQ/UCQs on pcc-instances take this route too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit, probability
 from repro.circuits.circuit import K_AND, K_OR
@@ -259,9 +266,13 @@ def pcc_probability(
     and runs junction-tree message passing. Tractable when the combined
     circuit is tree-like — the bounded-treewidth pcc condition.
 
-    Message passing does not require determinism, so for monotone CQ/UCQ
-    queries we use the compact nondeterministic (monotone) lineage; the
-    deterministic profile circuit is reserved for non-monotone automata.
+    Message passing does not require determinism, so monotone CQ/UCQ
+    queries use the witness-DNF provenance circuit
+    (:func:`build_provenance_circuit`); other queries use the deterministic
+    automaton lineage (:func:`build_lineage`). Nothing in this route bounds
+    the width message passing sees: it decomposes the combined circuit's
+    moral graph with ``heuristic``, and a width above ``max_width`` raises
+    :class:`~repro.util.ReproError`.
     """
     from repro.queries.cq import ConjunctiveQuery, UnionOfConjunctiveQueries
 
@@ -314,8 +325,8 @@ def _witness_rows(query, instance):
     they are fact ids of (``None`` when they are names), the flattened
     witness matrix as indices into ``variables`` (row-major, ``width``
     entries per row), the number of atoms, and the number of
-    homomorphisms. On a columnar instance (with numpy) the variables are
-    the witness fact ids straight out of the vectorized join — no ``Fact``
+    homomorphisms. On a columnar instance the variables are the witness
+    fact ids straight out of the vectorized join — no ``Fact``
     objects, no names; the object backend enumerates the backtracking
     search's witnesses by name. Both produce the identical sequence, so
     the circuits built from them are bit-identical.
@@ -324,25 +335,21 @@ def _witness_rows(query, instance):
 
     width = len(query.atoms)
     if isinstance(instance, ColumnarInstance):
-        from repro.queries.vectorized import evaluate_cq, vectorized_available
+        from repro.queries.vectorized import evaluate_cq
 
-        if vectorized_available():
-            from repro.instances.columnar import columnar_numpy
-
-            np = columnar_numpy()
-            result = evaluate_cq(query, instance)
-            if result.n_rows == 0:
-                return [], None, [], width, 0
-            flat = result.witnesses.ravel()  # row-major
-            # Variables in first-occurrence order (the object path's slot
-            # order), found through dense per-fact-id arrays, no sort.
-            positions = np.arange(flat.size, dtype=np.int64)
-            first = np.full(len(instance), flat.size, dtype=np.int64)
-            np.minimum.at(first, flat, positions)
-            fids = flat[first[flat] == positions]
-            rank = np.empty(len(instance), dtype=np.int64)
-            rank[fids] = np.arange(fids.size, dtype=np.int64)
-            return fids, instance.id_space, rank[flat], width, result.n_rows
+        result = evaluate_cq(query, instance)
+        if result.n_rows == 0:
+            return [], None, [], width, 0
+        flat = result.witnesses.ravel()  # row-major
+        # Variables in first-occurrence order (the object path's slot
+        # order), found through dense per-fact-id arrays, no sort.
+        positions = np.arange(flat.size, dtype=np.int64)
+        first = np.full(len(instance), flat.size, dtype=np.int64)
+        np.minimum.at(first, flat, positions)
+        fids = flat[first[flat] == positions]
+        rank = np.empty(len(instance), dtype=np.int64)
+        rank[fids] = np.arange(fids.size, dtype=np.int64)
+        return fids, instance.id_space, rank[flat], width, result.n_rows
     index_of: dict[str, int] = {}
     names: list[str] = []
     flat_indices: list[int] = []
@@ -377,9 +384,6 @@ def _append_witness_dnf(circuit: Circuit, query, instance) -> tuple[int, int]:
     if isinstance(flat_indices, list):
         inputs = [var_gates[i] for i in flat_indices]
     else:
-        from repro.instances.columnar import columnar_numpy
-
-        np = columnar_numpy()
         inputs = np.frombuffer(var_gates, dtype=np.int32).astype(np.int64)[
             flat_indices
         ]

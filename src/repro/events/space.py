@@ -14,16 +14,12 @@ when a name-keyed call needs them.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
+
+import numpy as _np
 
 from repro.events.formulas import Formula, Valuation
 from repro.util import ReproError, check, stable_rng
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised by the numpy-free CI job
-    _np = None
 
 
 class FactNames(Sequence):
@@ -93,13 +89,11 @@ class FactNames(Sequence):
 
 def _probability_column(probabilities):
     """A float64 copy of ``probabilities``, checked in [0, 1] in one pass."""
-    if _np is not None:
-        column = _np.array(probabilities, dtype=_np.float64)
-        ok = bool(((column >= 0.0) & (column <= 1.0)).all())
-    else:
-        column = array("d", probabilities)
-        ok = all(0.0 <= p <= 1.0 for p in column)
-    check(ok, "fact probabilities must be in [0,1]")
+    column = _np.array(probabilities, dtype=_np.float64)
+    check(
+        bool(((column >= 0.0) & (column <= 1.0)).all()),
+        "fact probabilities must be in [0,1]",
+    )
     return column
 
 

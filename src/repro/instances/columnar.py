@@ -16,10 +16,9 @@ evaluation never touch per-fact Python objects: generators append encoded
 column batches, the join planner reads the raw columns, and the provenance
 builder turns witness fact ids straight into circuit leaves.
 
-Columns are stored as stdlib ``array("i")`` buffers so the backend works
-without numpy; when numpy is importable the vectorized paths reinterpret
-the same buffers zero-copy via ``np.frombuffer`` (the trick the compiled
-lowering uses).
+Columns are stored as stdlib ``array("i")`` buffers, which grow in place;
+the vectorized paths reinterpret the same buffers zero-copy via
+``np.frombuffer`` (the trick the compiled lowering uses).
 
 The module also owns the backend knob: ``REPRO_INSTANCE_BACKEND`` (or
 :func:`set_instance_backend`) selects which backend
@@ -34,6 +33,8 @@ import os
 from array import array
 from collections.abc import Iterable, Sequence
 
+import numpy as _np
+
 from repro.instances.base import (
     AbstractInstance,
     Constant,
@@ -42,17 +43,6 @@ from repro.instances.base import (
     name_collision,
 )
 from repro.util import ReproError, check
-
-try:  # capability check: vectorized bulk loads and joins need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via monkeypatching
-    _np = None
-
-
-def columnar_numpy():
-    """The numpy module the columnar paths use, or ``None`` without numpy."""
-    return _np
-
 
 # Codes are int32, so a pair of codes packs collision-free into an int64.
 _PACK = 1 << 31
@@ -67,9 +57,9 @@ def _pack_rows(columns: Sequence, length: int):
     (exact in int64); the fold matches :meth:`ColumnarInstance.add_fact`
     exactly so bulk and single-fact inserts share one dedup index. Arities
     above 2 overflow int64 under this fold, so they take the unbounded
-    Python-int path regardless of numpy.
+    Python-int path.
     """
-    if _np is not None and len(columns) <= 2:
+    if len(columns) <= 2:
         if not columns:
             return _np.zeros(length, dtype=_np.int64)
         key = _np.asarray(columns[0], dtype=_np.int64)
@@ -377,14 +367,12 @@ class ColumnarInstance(AbstractInstance):
         Follows :attr:`repro.instances.base.Fact.variable_name` exactly, so
         both backends agree on every leaf of every lineage circuit.
 
-        With numpy, sorts the requested ids (the id space is
-        relation-blocked for bulk loads, so sorted ids form a handful of
-        same-relation runs), gathers each run's code columns in one shot,
-        formats the names through the cached code→str table, and scatters
-        them back to the callers' order with one object-array assignment.
+        Sorts the requested ids (the id space is relation-blocked for bulk
+        loads, so sorted ids form a handful of same-relation runs), gathers
+        each run's code columns in one shot, formats the names through the
+        cached code→str table, and scatters them back to the callers' order
+        with one object-array assignment.
         """
-        if _np is None:
-            return self._names_per_fact(fids)
         if isinstance(fids, range):
             fids = _np.arange(fids.start, fids.stop, fids.step, dtype=_np.int64)
         else:
@@ -462,19 +450,19 @@ class ColumnarInstance(AbstractInstance):
         dictionary (:meth:`intern`, :meth:`intern_int_range`,
         :meth:`intern_values`). Set semantics match :meth:`add`: duplicate
         rows — within the batch or against existing rows — map to the
-        first occurrence's fact id. Returns an int array (numpy when
-        available) aligned with the input rows.
+        first occurrence's fact id. Returns an int array aligned with the
+        input rows: numpy for arity ≤ 2, ``array("i")`` above.
         """
         lengths = {len(c) for c in columns}
         check(len(lengths) <= 1, "encoded columns must have equal lengths")
         length = lengths.pop() if lengths else 0
         rel = self._rel_columns(relation, len(columns))
         if length == 0:
-            return _np.zeros(0, dtype=_np.int64) if _np is not None else array("i")
+            return _np.zeros(0, dtype=_np.int64)
         keys = _pack_rows(columns, length)
         base_fid = len(self._fid_rel)
         base_row = len(rel.fact_ids)
-        if _np is not None and len(columns) <= 2:
+        if len(columns) <= 2:
             uniq_keys, first_index = _np.unique(keys, return_index=True)
             fresh = first_index
             if base_row:
@@ -520,7 +508,7 @@ class ColumnarInstance(AbstractInstance):
                 dtype=_np.int64,
                 count=length,
             )
-        # Python fallback: same semantics, scalar loop.
+        # Arity above 2: same semantics over unbounded Python-int keys.
         fids = array("i")
         key_to_fid = rel.key_to_fid
         for i in range(length):
@@ -540,9 +528,7 @@ class ColumnarInstance(AbstractInstance):
     def intern_values(self, values: Iterable[Constant]):
         """Intern arbitrary constants; returns their codes as an int array."""
         codes = array("i", (self.intern(v) for v in values))
-        if _np is not None:
-            return _np.frombuffer(codes, dtype=_np.int32).copy()
-        return codes
+        return _np.frombuffer(codes, dtype=_np.int32).copy()
 
     # ------------------------------------------------------------------ #
     # derived structure, column-native
@@ -551,25 +537,15 @@ class ColumnarInstance(AbstractInstance):
         out = {}
         for name in self._rel_names:
             rel = self._rels[name]
-            if _np is not None:
-                merged = (
-                    _np.unique(
-                        _np.concatenate(
-                            [
-                                _np.frombuffer(col, dtype=_np.int32)
-                                for col in rel.columns
-                            ]
-                        )
-                    ).tolist()
-                    if rel.columns and len(rel.fact_ids)
-                    else []
-                )
-            else:
-                seen: set[int] = set()
-                for col in rel.columns:
-                    seen.update(col)
-                merged = sorted(seen)
-            out[name] = merged
+            out[name] = (
+                _np.unique(
+                    _np.concatenate(
+                        [_np.frombuffer(col, dtype=_np.int32) for col in rel.columns]
+                    )
+                ).tolist()
+                if rel.columns and len(rel.fact_ids)
+                else []
+            )
         return out
 
     def domain(self) -> frozenset[Constant]:
@@ -594,16 +570,13 @@ class ColumnarInstance(AbstractInstance):
             for i in range(rel.arity):
                 for j in range(i + 1, rel.arity):
                     a_col, b_col = rel.columns[i], rel.columns[j]
-                    if _np is not None:
-                        a = _np.frombuffer(a_col, dtype=_np.int32).astype(_np.int64)
-                        b = _np.frombuffer(b_col, dtype=_np.int32).astype(_np.int64)
-                        packed = _np.unique(a * _PACK + b)
-                        pairs = [
-                            (int(p) >> 31, int(p) & (_PACK - 1))
-                            for p in packed.tolist()
-                        ]
-                    else:
-                        pairs = sorted({(x, y) for x, y in zip(a_col, b_col)})
+                    a = _np.frombuffer(a_col, dtype=_np.int32).astype(_np.int64)
+                    b = _np.frombuffer(b_col, dtype=_np.int32).astype(_np.int64)
+                    packed = _np.unique(a * _PACK + b)
+                    pairs = [
+                        (int(p) >> 31, int(p) & (_PACK - 1))
+                        for p in packed.tolist()
+                    ]
                     for x, y in pairs:
                         if x != y:
                             graph.add_edge(decode(x), decode(y))

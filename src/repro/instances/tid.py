@@ -20,6 +20,8 @@ import itertools
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 from repro.events import EventSpace
 from repro.instances.base import Fact, Instance, name_collision
 from repro.instances.columnar import ColumnarInstance, make_instance
@@ -83,17 +85,10 @@ class TIDInstance:
         total = len(self.instance)
         if len(self._probs) < total:
             self._probs.extend([0.0] * (total - len(self._probs)))
-        from repro.instances.columnar import columnar_numpy
-
-        np = columnar_numpy()
-        if np is not None:
-            view = np.frombuffer(self._probs, dtype=np.float64)
-            view[np.asarray(fids, dtype=np.int64)] = np.asarray(
-                probabilities, dtype=np.float64
-            )
-        else:
-            for fid, p in zip(fids, probabilities):
-                self._probs[fid] = float(p)
+        view = np.frombuffer(self._probs, dtype=np.float64)
+        view[np.asarray(fids, dtype=np.int64)] = np.asarray(
+            probabilities, dtype=np.float64
+        )
 
     def discard(self, f: Fact) -> None:
         """Remove ``f`` and its probability, if present.

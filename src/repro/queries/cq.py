@@ -86,8 +86,8 @@ class ConjunctiveQuery:
         On the object backend: backtracking over atoms in a
         connectivity-aware order, with a per-relation value index so
         partially bound atoms probe candidate buckets instead of scanning
-        every fact of the relation. On the columnar backend (with numpy):
-        the vectorized hash-join pipeline of
+        every fact of the relation. On the columnar backend: the
+        vectorized hash-join pipeline of
         :mod:`repro.queries.vectorized`. Both enumerate the identical
         sequence of bindings — the backtracking search is the oracle the
         join pipeline is pinned to.
@@ -95,11 +95,10 @@ class ConjunctiveQuery:
         from repro.instances.columnar import ColumnarInstance
 
         if isinstance(instance, ColumnarInstance):
-            from repro.queries.vectorized import evaluate_cq, vectorized_available
+            from repro.queries.vectorized import evaluate_cq
 
-            if vectorized_available():
-                yield from evaluate_cq(self, instance).bindings()
-                return
+            yield from evaluate_cq(self, instance).bindings()
+            return
         order = _atom_order(self.atoms)
         index = _RelationIndex(instance, {a.relation for a in self.atoms})
 

@@ -13,22 +13,15 @@ order the object backend's backtracking search
 — left rows in order, right matches in fact-insertion order (a stable
 argsort groups equal keys by original row index). The provenance builder
 relies on this to produce bit-identical circuits from either backend.
-
-Everything here requires numpy; callers dispatch through
-:func:`vectorized_available` and fall back to backtracking over
-materialized facts otherwise.
 """
 
 from __future__ import annotations
 
-from repro.instances.columnar import ColumnarInstance, columnar_numpy
+import numpy as np
+
+from repro.instances.columnar import ColumnarInstance
 
 _PACK = 1 << 31
-
-
-def vectorized_available() -> bool:
-    """Whether the vectorized join pipeline can run (numpy importable)."""
-    return columnar_numpy() is not None
 
 
 class JoinResult:
@@ -57,13 +50,13 @@ class JoinResult:
             yield {v: decode(col[row]) for v, col in zip(names, cols)}
 
 
-def _empty(instance, query, np):
+def _empty(instance, query):
     return JoinResult(
         instance, 0, {}, np.zeros((0, len(query.atoms)), dtype=np.int64)
     )
 
 
-def _candidate_rows(instance: ColumnarInstance, atom_, np):
+def _candidate_rows(instance: ColumnarInstance, atom_):
     """Filter one atom against its relation's columns.
 
     Returns ``(columns, fact_ids, kept_row_indices)`` with constants and
@@ -107,7 +100,7 @@ def _candidate_rows(instance: ColumnarInstance, atom_, np):
     return cols, fids, first_position, n
 
 
-def _joint_pack(left_cols, right_cols, np):
+def _joint_pack(left_cols, right_cols):
     """Pack parallel multi-column keys on both join sides consistently.
 
     Two int32 codes fold exactly into an int64; for wider keys the partial
@@ -139,7 +132,6 @@ def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
     """
     from repro.queries.cq import Variable, _atom_order_indices
 
-    np = columnar_numpy()
     order = _atom_order_indices(query.atoms)
 
     state_cols: dict = {}  # Variable -> int64 code column
@@ -148,9 +140,9 @@ def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
 
     for atom_index in order:
         atom_ = query.atoms[atom_index]
-        candidate = _candidate_rows(instance, atom_, np)
+        candidate = _candidate_rows(instance, atom_)
         if candidate is None:
-            return _empty(instance, query, np)
+            return _empty(instance, query)
         cols, fids, first_position, n_cand = candidate
         atom_vars = [
             (term, first_position[term])
@@ -172,7 +164,6 @@ def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
             left_key, right_key = _joint_pack(
                 [state_cols[v] for v, _p in shared],
                 [cols[p] for _v, p in shared],
-                np,
             )
             sort = np.argsort(right_key, kind="stable")
             right_sorted = right_key[sort]
@@ -202,7 +193,7 @@ def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
                 state_cols[v] = cols[p][right_idx]
         n_rows = len(state_witness[-1])
         if n_rows == 0:
-            return _empty(instance, query, np)
+            return _empty(instance, query)
 
     witnesses = np.empty((n_rows, len(query.atoms)), dtype=np.int64)
     for processed, atom_index in enumerate(order):

@@ -39,7 +39,8 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.circuits import compiled as _compiled
+import numpy as np
+
 from repro.circuits import distributed as _distributed
 from repro.circuits import plancache as _plancache
 from repro.circuits.evaluation import capabilities
@@ -182,13 +183,10 @@ class _PlanEntry:
     def probability_rows(self, rows) -> list[float]:
         """One float pass over ``rows`` (slot order), one marginal per row."""
         if self.compiled is not None:
-            np = _compiled.numpy_module()
-            if np is not None:
-                matrix = np.asarray(rows, dtype=np.float64)
-                if matrix.ndim != 2:
-                    matrix = matrix.reshape(len(rows), self.n_vars)
-                return self.compiled.probability_batch(matrix)
-            return self.compiled.probability_batch(rows)
+            matrix = np.asarray(rows, dtype=np.float64)
+            if matrix.ndim != 2:
+                matrix = matrix.reshape(len(rows), self.n_vars)
+            return self.compiled.probability_batch(matrix)
         return self.wire.run_rows(rows, as_float=True)
 
     def wire_plan(self):
@@ -421,7 +419,6 @@ class QueryService:
             "batch": caps["batch"],
             "plan_cache": caps["plan_cache"],
             "plan_cache_dir": caps["plan_cache_dir"],
-            "numpy": caps["numpy"],
             "endpoints": {
                 path: histogram.stats()
                 for path, histogram in sorted(self.histograms.items())

@@ -1,7 +1,7 @@
 """A minimal asyncio HTTP/1.1 binding for :class:`QueryService`.
 
 Stdlib only, on purpose: the service must run on a bare install, the same
-constraint the rest of the repo honours (numpy optional, nothing else
+constraint the rest of the repo honours (numpy and networkx, nothing else
 assumed). It implements exactly what the service needs — JSON request and
 response bodies framed by ``Content-Length``, keep-alive connections,
 ``Transfer-Encoding: chunked`` for the streaming endpoints, and a

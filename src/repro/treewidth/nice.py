@@ -109,22 +109,27 @@ def build_nice_tree(
     """
     items_at = items_at or {}
     root_id, children = decomposition.rooted_children(root)
-
-    def build(node_id: int) -> NiceNode:
+    # Bottom-up without recursion: parents precede children in ``order``
+    # (a BFS), so walking it backwards builds every child subtree first.
+    order = [root_id]
+    for node_id in order:
+        order.extend(children[node_id])
+    built: dict[int, NiceNode] = {}
+    for node_id in reversed(order):
         bag = decomposition.bags[node_id]
         child_ids = children[node_id]
         if not child_ids:
             current = _leaf_chain(bag)
         else:
-            branches = [_chain_to_bag(build(cid), bag) for cid in child_ids]
+            branches = [_chain_to_bag(built.pop(cid), bag) for cid in child_ids]
             current = branches[0]
             for branch in branches[1:]:
                 current = NiceNode(JOIN, bag, (current, branch))
         for item in items_at.get(node_id, ()):  # read payload items at this bag
             current = NiceNode(READ, bag, (current,), item=item)
-        return current
+        built[node_id] = current
 
-    top = _chain_to_bag(build(root_id), frozenset())
+    top = _chain_to_bag(built.pop(root_id), frozenset())
     all_items = tuple(item for items in items_at.values() for item in items)
     return NiceTree(top, all_items)
 

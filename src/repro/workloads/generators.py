@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import networkx as nx
+import numpy as np
 
 from repro.instances.base import fact
-from repro.instances.columnar import ColumnarInstance, columnar_numpy
+from repro.instances.columnar import ColumnarInstance
 from repro.instances.tid import TIDInstance
 from repro.treewidth import TreeDecomposition
 from repro.util import check, stable_rng
@@ -43,12 +44,7 @@ def _columnar_of(tid: TIDInstance) -> ColumnarInstance | None:
 
 def _int_column(start: int, stop: int):
     """An encoded column holding ``start..stop-1`` (codes = values)."""
-    np = columnar_numpy()
-    if np is not None:
-        return np.arange(start, stop, dtype=np.int64)
-    from array import array
-
-    return array("i", range(start, stop))
+    return np.arange(start, stop, dtype=np.int64)
 
 
 def path_tid(
@@ -80,13 +76,7 @@ def cycle_tid(
     if columnar is not None and n > 0:
         probs = _jitter_list(probability, rng, n)
         columnar.intern_int_range(n)
-        np = columnar_numpy()
-        if np is not None:
-            successor = (np.arange(n, dtype=np.int64) + 1) % n
-        else:
-            from array import array
-
-            successor = array("i", ((i + 1) % n for i in range(n)))
+        successor = (np.arange(n, dtype=np.int64) + 1) % n
         tid.extend_encoded("E", [_int_column(0, n), successor], probs)
         return tid
     for i in range(n):

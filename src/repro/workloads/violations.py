@@ -15,11 +15,12 @@ backend facts load as encoded column batches, no ``Fact`` objects.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.instances.base import AbstractInstance, fact
-from repro.instances.columnar import ColumnarInstance, columnar_numpy, make_instance
+from repro.instances.columnar import ColumnarInstance, make_instance
 from repro.queries.cq import ConjunctiveQuery, atom, variables
 from repro.queries.keys import KeySpec, key_spec
 from repro.util import check, stable_rng
@@ -86,14 +87,10 @@ def key_violation_instance(
                 value_column.append(v)
         if isinstance(instance, ColumnarInstance):
             instance.intern_int_range(n_keys)
-            np = columnar_numpy()
-            if np is not None:
-                columns = [
-                    np.asarray(key_column, dtype=np.int64),
-                    np.asarray(value_column, dtype=np.int64),
-                ]
-            else:
-                columns = [array("i", key_column), array("i", value_column)]
+            columns = [
+                np.asarray(key_column, dtype=np.int64),
+                np.asarray(value_column, dtype=np.int64),
+            ]
             instance.extend_encoded(relation, columns)
         else:
             for k, v in zip(key_column, value_column):

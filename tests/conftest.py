@@ -10,8 +10,8 @@ Two jobs live here:
   no test can leak a listening socket or an orphan worker process.
 
 Tests that open sockets or spawn worker subprocesses carry the
-``distributed`` marker (registered below) so numpy-free or sandboxed CI
-jobs can deselect them with ``-m "not distributed"``.
+``distributed`` marker (registered below) so sandboxed runs can deselect
+them with ``-m "not distributed"``.
 """
 
 import json

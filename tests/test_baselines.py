@@ -63,6 +63,12 @@ class TestMonteCarlo:
         estimate = monte_carlo_probability(Q, tid, samples=4000, seed=0)
         assert abs(estimate - exact) < 0.05
 
+    def test_single_witness_estimate_close_to_exact(self):
+        tid = TIDInstance({fact("R", 1): 0.6, fact("S", 1, 2): 0.5, fact("T", 2): 0.8})
+        exact = tid_probability_enumerate(Q, tid)
+        estimate = monte_carlo_probability(Q, tid, samples=4000, seed=0)
+        assert abs(estimate - exact) < 0.05
+
     def test_requires_positive_samples(self):
         with pytest.raises(ReproError):
             monte_carlo_probability(Q, small_tid(), samples=0)
@@ -105,4 +111,4 @@ class TestKarpLuby:
         tid = TIDInstance({fact("R", 1): 0.3, fact("S", 1, 2): 0.5, fact("T", 2): 0.2})
         estimate = karp_luby_probability(Q, tid, samples=500, seed=2)
         # One witness: the estimator is exactly the witness weight.
-        assert math.isclose(estimate, 0.3 * 0.5 * 0.2, rel_tol=0.2)
+        assert math.isclose(estimate, 0.3 * 0.5 * 0.2, rel_tol=1e-9)

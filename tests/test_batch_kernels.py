@@ -1,22 +1,20 @@
-"""Tests for the level-scheduled numpy batch kernels and their fallbacks.
+"""Tests for the level-scheduled numpy batch kernels.
 
-Every test that exercises the numpy-free fallback masks the module's numpy
-handle (``repro.circuits.compiled._np``) with monkeypatch rather than
-uninstalling anything — the capability check reads that handle on every
-call, so this is exactly the path a numpy-less install takes.
+The batch passes are pinned to the per-world scalar paths: the generated
+kernels behind :meth:`CompiledCircuit.evaluate` and, above the codegen
+limit, the array interpreter.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import Circuit, compile_circuit, numpy_available
+from repro.circuits import Circuit, compile_circuit
 from repro.circuits import compiled as compiled_module
 from repro.events import EventSpace
 from repro.util import ReproError, stable_rng
-
-np = pytest.importorskip("numpy")
 
 
 def random_circuit(seed: int, n_vars: int = 6, steps: int = 16) -> Circuit:
@@ -40,25 +38,9 @@ def all_worlds(n_vars: int) -> list[list[int]]:
 
 
 @pytest.fixture
-def no_numpy(monkeypatch):
-    """The numpy-free install: every batch entry point must still work."""
-    monkeypatch.setattr(compiled_module, "_np", None)
-
-
-@pytest.fixture
 def no_codegen(monkeypatch):
     """Force the array interpreter by putting every circuit over the limit."""
     monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
-
-
-class TestCapability:
-    def test_numpy_active_in_this_environment(self):
-        assert numpy_available()
-        assert compiled_module.numpy_module() is np
-
-    def test_capability_check_is_dynamic(self, no_numpy):
-        assert not numpy_available()
-        assert compiled_module.numpy_module() is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -95,17 +77,18 @@ def test_probability_batch_agrees_with_scalar_passes(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_enumeration_batch_matches_scalar_oracle(seed):
-    """Property: the batched enumeration oracle == the scalar mask loop."""
+    """Property: the batched enumeration oracle == a brute-force world sum."""
     c = random_circuit(seed)
     compiled = compile_circuit(c)
-    space = EventSpace({f"v{i}": 0.1 + 0.13 * i for i in range(6)})
+    probs = [0.1 + 0.13 * i for i in range(6)]
+    space = EventSpace({f"v{i}": p for i, p in enumerate(probs)})
     batched = compiled.probability_enumerate(space)
-    saved = compiled_module._np
-    compiled_module._np = None
-    try:
-        scalar = compiled.probability_enumerate(space)
-    finally:
-        compiled_module._np = saved
+    slot_probs = compiled.slot_marginals(space)
+    scalar = sum(
+        math.prod(p if bit else 1.0 - p for p, bit in zip(slot_probs, world))
+        for world in all_worlds(len(slot_probs))
+        if compiled.evaluate(world)
+    )
     assert math.isclose(batched, scalar, abs_tol=1e-12)
 
 
@@ -114,14 +97,9 @@ class TestAboveCodegenLimit:
         compiled = compile_circuit(random_circuit(99))
         assert compiled._kernel("bool") is None  # really interpreting
         worlds = all_worlds(len(compiled.variables()))
-        with_numpy = compiled.evaluate_batch(worlds)
-        saved = compiled_module._np
-        compiled_module._np = None
-        try:
-            interpreted = compiled.evaluate_batch(worlds)
-        finally:
-            compiled_module._np = saved
-        assert with_numpy == interpreted == [compiled.evaluate(w) for w in worlds]
+        assert compiled.evaluate_batch(worlds) == [
+            compiled.evaluate(w) for w in worlds
+        ]
 
     def test_probability_paths_without_generated_kernels(self, no_codegen):
         compiled = compile_circuit(random_circuit(7))
@@ -135,11 +113,6 @@ class TestAboveCodegenLimit:
 
 class TestBatchInputs:
     def test_empty_batches(self):
-        compiled = compile_circuit(random_circuit(3))
-        assert compiled.evaluate_batch([]) == []
-        assert compiled.probability_batch([]) == []
-
-    def test_empty_batches_without_numpy(self, no_numpy):
         compiled = compile_circuit(random_circuit(3))
         assert compiled.evaluate_batch([]) == []
         assert compiled.probability_batch([]) == []
@@ -173,7 +146,7 @@ class TestBatchInputs:
             compiled.evaluate_batch(np.zeros((3, n + 1), dtype=bool))
 
     def test_generator_reusing_one_row_buffer(self):
-        # The Monte-Carlo fallback yields one mutated list per world; the
+        # A generator may yield one mutated list per world; the
         # normalization must copy rows as they are drawn.
         compiled = compile_circuit(random_circuit(29))
         n = len(compiled.variables())
@@ -199,37 +172,6 @@ class TestBatchInputs:
         assert compiled.evaluate_batch(worlds) == [
             compiled.evaluate(w) for w in worlds
         ]
-
-
-class TestScalarFallback:
-    # Per-path agreement of the scalar kernels with the oracle lives in the
-    # cross-engine conformance matrix (tests/test_conformance.py); this
-    # class keeps only the estimator-level fallbacks.
-
-    def test_monte_carlo_without_numpy(self, no_numpy):
-        from repro.baselines import monte_carlo_probability, tid_probability_enumerate
-        from repro.instances import TIDInstance, fact
-        from repro.queries import atom, cq, variables
-
-        x, y = variables("x", "y")
-        query = cq(atom("R", x), atom("S", x, y), atom("T", y))
-        tid = TIDInstance(
-            {fact("R", 1): 0.6, fact("S", 1, 2): 0.5, fact("T", 2): 0.8}
-        )
-        exact = tid_probability_enumerate(query, tid)
-        estimate = monte_carlo_probability(query, tid, samples=4000, seed=0)
-        assert abs(estimate - exact) < 0.05
-
-    def test_karp_luby_without_numpy(self, no_numpy):
-        from repro.baselines import karp_luby_probability
-        from repro.instances import TIDInstance, fact
-        from repro.queries import atom, cq, variables
-
-        x, y = variables("x", "y")
-        query = cq(atom("R", x), atom("S", x, y), atom("T", y))
-        tid = TIDInstance({fact("R", 1): 0.3, fact("S", 1, 2): 0.5, fact("T", 2): 0.2})
-        estimate = karp_luby_probability(query, tid, samples=500, seed=2)
-        assert math.isclose(estimate, 0.3 * 0.5 * 0.2, rel_tol=1e-9)
 
 
 class TestSlotMarginals:
@@ -333,7 +275,3 @@ class TestBatchPlan:
             assert reads <= produced  # inputs come from earlier levels only
             produced |= writes
         assert plan.output_row in produced
-
-    def test_plan_is_none_without_numpy(self, no_numpy):
-        compiled = compile_circuit(random_circuit(13))
-        assert compiled.batch_plan() is None

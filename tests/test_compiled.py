@@ -224,18 +224,21 @@ def test_vectorized_lowering_matches_python_lowering(seed):
     per-gate python lowering are indistinguishable."""
     from repro.circuits import compiled as compiled_module
 
-    pytest.importorskip("numpy")
     c = random_circuit(seed, n_vars=12, steps=700)
     while len(c) < compiled_module.VECTOR_MIN_GATES:
         c.set_output(c.or_gate([c.output, c.variable(f"pad{len(c)}")]))
     vectorized = CompiledCircuit(c)
     assert vectorized._np32 is not None  # the vector path actually ran
-    saved = compiled_module._np
+    # Above the circuit's size every pass takes its per-gate python loop:
+    # the lowering, and the level schedule computed from its CSR lists.
+    saved = compiled_module.VECTOR_MIN_GATES
     try:
-        compiled_module._np = None
+        compiled_module.VECTOR_MIN_GATES = len(c) + 1
         scalar = CompiledCircuit(c)
+        scalar_levels = scalar.levels_list()
     finally:
-        compiled_module._np = saved
+        compiled_module.VECTOR_MIN_GATES = saved
+    assert scalar._np32 is None  # the python lowering actually ran
     assert vectorized.kinds == scalar.kinds
     assert vectorized.offsets == scalar.offsets
     assert vectorized.indices == scalar.indices
@@ -243,7 +246,7 @@ def test_vectorized_lowering_matches_python_lowering(seed):
     assert vectorized.var_names == scalar.var_names
     assert vectorized.output == scalar.output
     assert vectorized.gate_ids == scalar.gate_ids
-    assert vectorized.levels_list() == scalar.levels_list()
+    assert vectorized.levels_list() == scalar_levels
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,7 +474,6 @@ def test_fact_id_arena_through_delta_recompile_and_named_appends():
     """An arena of fact-id variables dedups ids, keeps its variables a view
     through a delta recompile (still gathering from the event space), and
     switches to named slots, names intact, once a named variable joins."""
-    pytest.importorskip("numpy")
     from repro.circuits import compiled as compiled_module
     from repro.circuits import recompile
     from repro.events.space import FactNames

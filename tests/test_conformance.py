@@ -1,15 +1,15 @@
 """Cross-engine conformance matrix: one scenario corpus, every execution path.
 
 The pipeline promises that *where* a batch executes never changes *what* it
-computes: the scalar generated kernels, the array interpreter, the
-level-scheduled numpy kernels, the multi-process shared-memory pool, and
-the distributed TCP workers must all agree on every circuit shape we
-support — including negation, shared subcircuits, and the empty/singleton
-degenerate worlds that per-path test files historically each re-asserted in
-their own ad-hoc way. This module replaces those scattered agreement
-asserts with one parametrized matrix:
+computes: the array interpreter, the level-scheduled numpy kernels, the
+multi-process shared-memory pool, and the distributed TCP workers must all
+agree with the scalar generated kernels (the oracle) on every circuit
+shape we support — including negation, shared subcircuits, and the
+empty/singleton degenerate worlds that per-path test files historically
+each re-asserted in their own ad-hoc way. This module replaces those
+scattered agreement asserts with one parametrized matrix:
 
-    scenario corpus  ×  plan producer  ×  {scalar, interpreter, numpy-batch,
+    scenario corpus  ×  plan producer  ×  {interpreter, numpy-batch,
                                            multiprocess, distributed,
                                            persistent-pool}
 
@@ -26,10 +26,8 @@ differently from the vectorized ones, so cross-backend rows use a 1e-12
 tolerance while the vectorized tiers (numpy / pool / wire) are compared
 bit-for-bit.
 
-The multiprocess and distributed columns need numpy (and the distributed
-ones real sockets, hence the ``distributed`` marker); the scalar columns run
-everywhere, so the numpy-free CI job still covers the corpus. The
-``persistent-pool`` column repeats its passes over the warm
+The distributed columns need real sockets, hence the ``distributed``
+marker. The ``persistent-pool`` column repeats its passes over the warm
 :class:`~repro.circuits.distributed.HostPool` and additionally asserts the
 second round reused the connection and skipped the plan transfer.
 """
@@ -37,6 +35,7 @@ second round reused the connection and skipped the plan transfer.
 import math
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.circuits import Circuit, compile_circuit, recompile
@@ -260,29 +259,21 @@ def scenario_fixture_data(name, producer="fresh"):
 # --------------------------------------------------------------------------- #
 # execution paths: each returns (bool results, float results)
 
-def _path_scalar_kernel(compiled, worlds, marginal_rows, monkeypatch, _worker):
-    monkeypatch.setattr(compiled_module, "_np", None)
-    evaluated = compiled.evaluate_batch(worlds)
-    probabilities = compiled.probability_batch(marginal_rows)
-    return [bool(v) for v in evaluated], probabilities
-
 def _path_interpreter(compiled, worlds, marginal_rows, monkeypatch, _worker):
-    monkeypatch.setattr(compiled_module, "_np", None)
     monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
     fresh = compiled_module.CompiledCircuit(compiled.source)  # uncached kernels
-    evaluated = fresh.evaluate_batch(worlds)
-    probabilities = fresh.probability_batch(marginal_rows)
-    return [bool(v) for v in evaluated], probabilities
+    assert fresh._kernel("bool") is None  # really interpreting
+    evaluated = [fresh.evaluate(w) for w in worlds]
+    probabilities = [fresh.probability(row) for row in marginal_rows]
+    return evaluated, probabilities
 
 def _path_numpy_batch(compiled, worlds, marginal_rows, _monkeypatch, _worker):
-    pytest.importorskip("numpy")
     return (
         compiled.evaluate_batch(worlds),
         compiled.probability_batch(marginal_rows),
     )
 
 def _path_multiprocess(compiled, worlds, marginal_rows, _monkeypatch, _worker):
-    np = pytest.importorskip("numpy")
     if not parallel.parallel_available():
         pytest.skip("shared memory unavailable")
     n = len(compiled.variables())
@@ -297,7 +288,6 @@ def _path_multiprocess(compiled, worlds, marginal_rows, _monkeypatch, _worker):
     return evaluated.tolist(), probabilities.tolist()
 
 def _path_distributed(compiled, worlds, marginal_rows, _monkeypatch, worker):
-    np = pytest.importorskip("numpy")
     n = len(compiled.variables())
     world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
     marginal_matrix = np.asarray(marginal_rows, dtype=np.float64).reshape(
@@ -314,14 +304,13 @@ def _path_distributed(compiled, worlds, marginal_rows, _monkeypatch, worker):
 
 
 def _path_persistent_pool(compiled, worlds, marginal_rows, _monkeypatch, worker):
-    """The sixth path: repeat calls over the warm persistent HostPool.
+    """The fifth path: repeat calls over the warm persistent HostPool.
 
     Runs both passes twice against the same worker; the second round must
     reuse the pooled connection (no new connect) and skip the plan bytes
     (the digest handshake), while returning exactly the first round's —
     and every other tier's — values.
     """
-    np = pytest.importorskip("numpy")
     n = len(compiled.variables())
     world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
     marginal_matrix = np.asarray(marginal_rows, dtype=np.float64).reshape(
@@ -351,7 +340,6 @@ def _path_persistent_pool(compiled, worlds, marginal_rows, _monkeypatch, worker)
 
 #: path name -> (runner, exact-float agreement with the numpy tier?)
 PATHS = {
-    "scalar-kernel": (_path_scalar_kernel, False),
     "interpreter": (_path_interpreter, False),
     "numpy-batch": (_path_numpy_batch, True),
     "multiprocess": (_path_multiprocess, True),
@@ -372,7 +360,6 @@ def _reference(compiled, worlds, marginal_rows):
 @pytest.mark.parametrize(
     "path",
     [
-        "scalar-kernel",
         "interpreter",
         "numpy-batch",
         "multiprocess",
@@ -404,7 +391,6 @@ def test_path_agrees_with_scalar_oracle(
 @pytest.mark.parametrize("producer", sorted(PRODUCERS))
 def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
     """numpy / pool / wire run the same kernels: equality, no tolerance."""
-    np = pytest.importorskip("numpy")
     compiled, worlds, marginal_rows = scenario_fixture_data(scenario, producer)
     base_eval, base_probs = _path_numpy_batch(
         compiled, worlds, marginal_rows, None, None
@@ -577,8 +563,6 @@ def _by_name(compiled, tid):
 
 
 def _bits(marginals):
-    import numpy as np
-
     return np.asarray(marginals, dtype=np.float64).tobytes()
 
 
@@ -600,7 +584,6 @@ def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vecto
     was built over and no gather reads the new numbering; after a ``tid.add``
     overwrites a probability, an earlier event space keeps its snapshot.
     """
-    pytest.importorskip("numpy")
     tid = TIDInstance(backend="columnar")
     obj = Instance()
     for relation, rel_rows in zip("RST", rows):

@@ -5,8 +5,8 @@ Four layers, matching :mod:`repro.circuits.distributed`:
 - the **wire format** — property-tested round trips (random circuits →
   serialize → deserialize → identical batch results), and rejection of
   corrupted, truncated, wrong-magic, wrong-version and
-  inconsistent-schedule payloads. These tests need no sockets and no
-  numpy, so they run everywhere;
+  inconsistent-schedule payloads, and a stdlib-only decode that pins the
+  documented byte layout. These tests need no sockets;
 - the **routing knobs** — env parsing, scoping, per-call overrides, and
   the shared-secret knob;
 - the **coordinator/worker protocol** — real localhost worker
@@ -29,6 +29,7 @@ deselect them.
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,11 +56,6 @@ def random_circuit(seed: int, n_vars: int = 6, steps: int = 16) -> Circuit:
 
 def all_worlds(n_vars: int) -> list[list[int]]:
     return [[(mask >> i) & 1 for i in range(n_vars)] for mask in range(1 << n_vars)]
-
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    monkeypatch.setattr(compiled_module, "_np", None)
 
 
 # --------------------------------------------------------------------------- #
@@ -91,25 +87,51 @@ class TestWireFormat:
         assert compiled.wire_bytes() is compiled.wire_bytes()
         assert distributed.plan_to_bytes(compiled) is compiled.wire_bytes()
 
-    def test_round_trip_without_numpy(self, no_numpy):
-        compiled = compile_circuit(random_circuit(9))
-        blob = distributed.plan_to_bytes(compiled)
-        plan = distributed.plan_from_bytes(blob)
-        assert plan.kinds == list(compiled.kinds)
-        worlds = all_worlds(len(compiled.variables()))
-        assert plan.run_rows(worlds, as_float=False) == [
-            bool(v) for v in compiled.evaluate_batch(worlds)
-        ]
+    @pytest.mark.parametrize(
+        "min_gates",
+        (0, compiled_module.VECTOR_MIN_GATES),
+        ids=("int32-arrays", "python-lists"),
+    )
+    def test_layout_decodes_with_stdlib_only(self, monkeypatch, min_gates):
+        """A plan blob follows ARCHITECTURE.md's layout table exactly.
 
-    def test_cross_backend_payloads_are_identical(self, monkeypatch):
-        """numpy and pure-python packing produce byte-identical plans."""
-        pytest.importorskip("numpy")
-        with_numpy = distributed.plan_to_bytes(compile_circuit(random_circuit(13)))
-        monkeypatch.setattr(compiled_module, "_np", None)
-        without_numpy = distributed.plan_to_bytes(
-            compile_circuit(random_circuit(13))
+        Decoded with ``struct``, ``json`` and ``zlib`` alone: magic,
+        version, flags, CRC, lengths, the JSON section directory, and
+        little-endian int32 sections equal to the compiled arrays — for
+        lowerings held as int32 arrays and as python lists alike.
+        """
+        import json
+        import struct
+        import zlib
+
+        monkeypatch.setattr(compiled_module, "VECTOR_MIN_GATES", min_gates)
+        compiled = compiled_module.CompiledCircuit(random_circuit(13, steps=40))
+        assert (compiled._np32 is not None) == (min_gates == 0)
+        blob = distributed.plan_to_bytes(compiled)
+        magic, version, flags, crc, meta_len, payload_len = struct.unpack_from(
+            "<4sHHIIQ", blob
         )
-        assert with_numpy == without_numpy
+        assert (magic, version, flags) == (b"RCP1", 1, 0)
+        assert len(blob) == 24 + meta_len + payload_len
+        meta_bytes = blob[24 : 24 + meta_len]
+        payload = blob[24 + meta_len :]
+        assert zlib.crc32(meta_bytes + payload) == crc
+        meta = json.loads(meta_bytes)
+        assert (meta["kind"], meta["size"], meta["output"], meta["n_vars"]) == (
+            "plan", compiled.size, compiled.output, len(compiled.variables())
+        )
+        sections = {}
+        for name, typecode, offset, nbytes in meta["sections"]:
+            assert typecode == "i" and nbytes % 4 == 0
+            raw = payload[offset : offset + nbytes]
+            sections[name] = list(struct.unpack(f"<{nbytes // 4}i", raw))
+        assert sections == {
+            "kinds": list(compiled.kinds),
+            "offsets": list(compiled.offsets),
+            "indices": list(compiled.indices),
+            "var_slot": list(compiled.var_slot),
+            "levels": list(compiled.levels_list()),
+        }
 
     def test_truncated_payload_rejected(self):
         blob = compile_circuit(random_circuit(3)).wire_bytes()
@@ -233,7 +255,6 @@ class TestHostsKnob:
             assert not distributed.should_distribute(10**6)
 
     def test_no_hosts_defers_to_parallel_entry_points(self):
-        pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(21))
         marginals = [0.3] * len(compiled.variables())
         with distributed.distributed_hosts_set(None):
@@ -247,10 +268,6 @@ class TestHostsKnob:
 
 @pytest.mark.distributed
 class TestDistributedExecution:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def test_monte_carlo_bit_identical_at_0_1_2_workers(
         self, worker_factory, monkeypatch
     ):
@@ -274,7 +291,6 @@ class TestDistributedExecution:
         ) == serial
 
     def test_karp_luby_bit_identical_across_hosts(self, worker_factory, monkeypatch):
-        np = pytest.importorskip("numpy")
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         membership = np.array(
             [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]], dtype=np.int32
@@ -290,7 +306,6 @@ class TestDistributedExecution:
         ) == serial
 
     def test_matrix_passes_bit_identical(self, module_worker):
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(33))
         n = len(compiled.variables())
         worlds = np.random.default_rng(0).random((500, n)) < 0.5
@@ -306,7 +321,6 @@ class TestDistributedExecution:
         ).tolist() == compiled.probability_batch(marginal_rows)
 
     def test_empty_batch(self, module_worker):
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(34))
         matrix = np.empty((0, len(compiled.variables())), dtype=bool)
         out = distributed.evaluate_batch_distributed(
@@ -315,7 +329,6 @@ class TestDistributedExecution:
         assert out.size == 0
 
     def test_evaluate_batch_routes_through_hosts_knob(self, module_worker):
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(35))
         n = len(compiled.variables())
         matrix = np.random.default_rng(2).random(
@@ -567,10 +580,6 @@ class TestStealQueue:
 
 @pytest.mark.distributed
 class TestPersistentRuntime:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def _mc(self, compiled, marginals, hosts, samples=700, seed=9):
         return distributed.monte_carlo_hits(
             compiled, marginals, samples, seed=seed, hosts=hosts
@@ -821,7 +830,6 @@ class TestPersistentRuntime:
     def test_matrix_pass_shards_finely_for_stealing(self, module_worker):
         """Matrix passes cut more shards than hosts so stealing has slack,
         without changing the merged rows."""
-        np = pytest.importorskip("numpy")
         compiled = compile_circuit(random_circuit(59))
         n = len(compiled.variables())
         worlds = np.random.default_rng(3).random((600, n)) < 0.5

@@ -142,7 +142,6 @@ class TestNameCollisions:
         from repro.core import build_provenance_circuit
         from repro.queries import atom, cq, variables
 
-        pytest.importorskip("numpy")
         (x,) = variables("x")
         tid = TIDInstance(self.ROWS, backend="columnar")
         lineage = build_provenance_circuit(tid.instance, cq(atom("R", x)))
@@ -342,7 +341,8 @@ class TestColumnarInstance:
         from array import array
         from unittest import mock
 
-        np = pytest.importorskip("numpy")
+        import numpy as np
+
         col = ColumnarInstance()
         col.intern_int_range(50)
         col.extend_encoded("E", [list(range(49)), list(range(1, 50))])

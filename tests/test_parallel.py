@@ -13,9 +13,8 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip("numpy")
 
 from repro.circuits import Circuit, compile_circuit
 from repro.circuits import compiled as compiled_module
@@ -92,9 +91,14 @@ class TestKnob:
             assert not parallel.should_shard(parallel.PARALLEL_MIN_ROWS - 1)
         with parallel.parallel_workers_set(1):
             assert not parallel.should_shard(10**6)
+            # A per-call worker count overrides the knob, both ways.
+            assert parallel._effective_workers(4) == 4
+            assert parallel.should_shard(10**6, workers=4)
+        with parallel.parallel_workers_set(4):
+            assert not parallel.should_shard(10**6, workers=1)
 
-    def test_unavailable_without_numpy(self, monkeypatch):
-        monkeypatch.setattr(compiled_module, "_np", None)
+    def test_unavailable_without_shared_memory(self, monkeypatch):
+        monkeypatch.setattr(parallel, "_shm", None)
         assert not parallel.parallel_available()
         assert parallel._effective_workers(4) == 0
         assert not parallel.should_shard(10**6, workers=4)
@@ -221,7 +225,7 @@ class TestFusedSampling:
             # Random draws almost never land on a threshold, so probe the
             # integer test at the boundary outputs against numpy's float32
             # draw of a 32-bit output u, (u >> 8) * 2**-24.
-            limits, never = parallel._mc_limits(np, probs32)
+            limits, never = parallel._mc_limits(probs32)
             for i, p in enumerate(probs32):
                 limit = int(limits[i])
                 for u in {0, limit, min(limit + 1, 2**32 - 1), 2**32 - 1}:
@@ -244,7 +248,7 @@ class TestFusedSampling:
                                 parallel, "_DRAW_BYTES", draw_bytes
                             )
                             assert parallel._mc_shard_hits(
-                                np, plan, probs32, seed, 2, count
+                                plan, probs32, seed, 2, count
                             ) == whole
 
     @pytest.mark.parametrize("width", (5, 7))
@@ -276,7 +280,7 @@ class TestFusedSampling:
         for seed in (0, 1, 17):
             for count in (1, 3, 7, 50):
                 assert parallel._kl_shard_hits(
-                    np, membership, sizes, probs, cumulative, total,
+                    membership, sizes, probs, cumulative, total,
                     seed, 3, count,
                 ) == whole_draw(seed, count)
 

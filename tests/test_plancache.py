@@ -264,7 +264,6 @@ class TestDistributedHandshake:
         the plan on disk during ``PLAN_OFFER`` and the coordinator never
         re-publishes it — the counter that *does* tick without the cache
         (see ``test_bounced_worker_rejoins_the_pool``)."""
-        pytest.importorskip("numpy")
         cache = tmp_path / "shared-cache"
         monkeypatch.setenv("REPRO_PLAN_CACHE_DIR", str(cache))
         monkeypatch.setenv("REPRO_PLAN_CACHE_MIN_GATES", "0")

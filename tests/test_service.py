@@ -5,8 +5,8 @@ Three layers, matching the package:
 - the **components** — result cache (LRU + TTL + counters), valuation
   hashing, latency histograms, the coalescer driven in-process with a stub
   evaluation hook, query parsing, the columnar instance payload round
-  trip, and the batch-pass counters. No sockets, no numpy required, so
-  these run everywhere;
+  trip, and the batch-pass counters. No sockets, so these run
+  everywhere;
 - the **application** — :meth:`QueryService.dispatch` driven directly
   (the transport-independence the app layer promises): routing errors,
   plan registration, served marginals bit-identical to the library's
@@ -30,6 +30,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -38,7 +39,6 @@ from repro.circuits import (
     compile_circuit,
     reset_batch_stats,
 )
-from repro.circuits import compiled as compiled_module
 from repro.core import build_lineage, compile_query_plan
 from repro.instances.columnar import ColumnarInstance
 from repro.queries import atom, cq, variables
@@ -72,10 +72,7 @@ def chain_setup(n: int = 40, probability: float = 0.25, seed: int = 7):
 
 def direct_marginals(compiled, rows):
     """What the library computes for ``rows`` — the bit-identity oracle."""
-    np = compiled_module.numpy_module()
-    if np is not None:
-        return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
-    return compiled.probability_batch(rows)
+    return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
 
 
 def unique_rows(count: int, width: int, rng) -> list[list[float]]:
@@ -697,7 +694,6 @@ class TestServiceOverSocket:
     def test_streaming_monte_carlo_matches_the_parallel_estimator(
         self, client, chain
     ):
-        pytest.importorskip("numpy")
         from repro.circuits import parallel
 
         compiled, marginals = chain

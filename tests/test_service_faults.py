@@ -22,10 +22,10 @@ module carries the ``distributed`` marker.
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.circuits import compile_circuit
-from repro.circuits import compiled as compiled_module
 from repro.core import build_lineage, compile_query_plan
 from repro.instances.columnar import ColumnarInstance
 from repro.queries import atom, cq, variables
@@ -47,10 +47,7 @@ def chain_setup(n: int = 25, probability: float = 0.3, seed: int = 41):
 
 
 def direct_marginals(compiled, rows):
-    np = compiled_module.numpy_module()
-    if np is not None:
-        return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
-    return compiled.probability_batch(rows)
+    return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
 
 
 def unique_rows(count: int, width: int, rng) -> list[list[float]]:
@@ -75,7 +72,6 @@ def test_worker_killed_mid_request_degrades_to_local(worker_factory):
     """A distributed worker dying under a batch must cost latency, not
     correctness: the pool retries, the tier ladder falls back to the
     local kernels, and the marginals stay bit-identical."""
-    pytest.importorskip("numpy")
     worker = worker_factory(max_tasks=1)  # dies when asked for task #2
     handle = spawn_service(env={"REPRO_DISTRIBUTED_HOSTS": worker.address})
     try:

@@ -294,10 +294,6 @@ class TestPipelineKnob:
 
 @pytest.mark.distributed
 class TestTLSTransport:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def _oracle_and_marginals(self, seed: int):
         compiled = compile_circuit(random_circuit(seed))
         marginals = [0.2 + 0.1 * (i % 5) for i in range(len(compiled.variables()))]
@@ -435,10 +431,6 @@ class TestTLSTransport:
 
 @pytest.mark.distributed
 class TestMixedVersionFleet:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def test_v2_worker_serves_a_v3_coordinator_lockstep(
         self, inprocess_worker_factory, plaintext_provider, monkeypatch
     ):
@@ -504,10 +496,6 @@ class TestMixedVersionFleet:
 
 @pytest.mark.distributed
 class TestPipelining:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def test_depths_agree_with_each_other_and_the_oracle(
         self, worker_factory, monkeypatch
     ):
@@ -584,10 +572,6 @@ class TestPipelining:
 
 @pytest.mark.distributed
 class TestElasticMembership:
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
-
     def test_register_then_drain_matches_the_0_host_oracle(
         self, worker_factory, monkeypatch
     ):
@@ -687,10 +671,6 @@ class TestTransportModeConformance:
     the scalar oracle) — encrypting or challenging the link must never
     change a single bit of any corpus scenario.
     """
-
-    @pytest.fixture(autouse=True)
-    def _need_numpy(self):
-        pytest.importorskip("numpy")
 
     def _mode(self, name, inprocess_worker_factory):
         """Returns (worker, coordinator-context) for a transport mode."""

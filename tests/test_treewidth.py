@@ -180,6 +180,19 @@ class TestNiceTree:
         assert set(introduced) == set(graph.nodes)
         assert set(forgotten) == set(graph.nodes)
 
+    def test_deep_path_builds_without_recursion(self):
+        """Regression: one nesting level per bag used to hit the recursion
+        limit (a 5000-bag path, ``build_lineage`` on a 600-element chain)."""
+        n = 5000
+        td = TreeDecomposition(
+            {i: {i, i + 1} for i in range(n)}, [(i, i + 1) for i in range(n - 1)]
+        )
+        nice = build_nice_tree(td, {n - 1: ["last"]})
+        check_nice_tree(nice)
+        assert nice.width() == 1
+        assert nice.count("read") == 1
+        assert nice.count("introduce") == nice.count("forget") == n + 1
+
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
