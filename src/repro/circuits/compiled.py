@@ -473,9 +473,9 @@ class _BatchPlan:
         # The level schedule: reuse the lowering's cached copy when the
         # source carries one (CompiledCircuit / WirePlan), else derive it.
         depth = None
-        lister = getattr(compiled, "levels_list", None)
-        if lister is not None:
-            depth = _np.asarray(lister(), dtype=_np.int32)
+        levels_array = getattr(compiled, "levels_array", None)
+        if levels_array is not None:
+            depth = levels_array()
         else:
             shipped = getattr(compiled, "levels", None)
             if isinstance(shipped, (list, tuple)):
@@ -726,7 +726,7 @@ class CompiledCircuit:
         self._position_of = None
         self._var_index = None
         self._levels = None  # per-gate level schedule (gate_levels), cached
-        self._levels32 = None  # same schedule as an int32 array, if cheaper
+        self._levels32 = None  # same schedule as an int32 array (levels_array)
         self._np32 = None  # (kinds, offsets, indices, var_slot) as int32
         self._binarized: CompiledCircuit | None = None
         self._decompositions: dict[str, object] = {}
@@ -902,7 +902,7 @@ class CompiledCircuit:
         compiled.arena_version = circuit.version
         compiled.arena_size = len(circuit)
         compiled._gate_ids = tuple(ids.tolist())
-        compiled._levels = _np.asarray(levels).tolist()
+        compiled._levels32 = _np.asarray(levels, dtype=_np.int32)
         kinds32 = _np.asarray(kinds, dtype=_np.int32)
         compiled._np32 = (
             kinds32,
@@ -981,20 +981,27 @@ class CompiledCircuit:
     def levels_list(self) -> list[int]:
         """The :func:`gate_levels` schedule of this lowering, computed once.
 
-        Shared by the batch plan, the wire encoding and delta
-        recompilation, which patches it in O(|delta|) instead of
-        recomputing.
+        The list form, which delta recompilation patches in O(|delta|)
+        instead of recomputing; everything else reads
+        :meth:`levels_array`.
         """
         if self._levels is None:
             if self._levels32 is not None:
                 self._levels = self._levels32.tolist()
-            elif self._np32 is not None:
-                arr = _levels_np(*self._np32[:3])
-                if arr is not None:
-                    self._levels = arr.tolist()
-            if self._levels is None:
+            else:
                 self._levels = gate_levels(self.kinds, self.offsets, self.indices)
         return self._levels
+
+    def levels_array(self):
+        """The :meth:`levels_list` schedule as an int32 array, computed once.
+
+        The form the batch plan, the wire encoding and the plan cache
+        read. The vectorized lowering and a plan-cache load produce it
+        directly, so those paths never build the list.
+        """
+        if self._levels32 is None:
+            self._levels32 = _np.asarray(self.levels_list(), dtype=_np.int32)
+        return self._levels32
 
     def variables(self) -> Sequence[str]:
         """Variable names in slot order (first topological occurrence).

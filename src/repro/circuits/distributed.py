@@ -264,7 +264,7 @@ def plan_to_bytes(compiled) -> bytes:
     compiled = _compiled.compile_circuit(compiled)
     cached = compiled._wire_cache
     if cached is None:
-        levels = compiled.levels_list()
+        levels = compiled.levels_array()
         arrays = compiled._np32
         kinds, offsets, indices, var_slot = (
             arrays

@@ -387,7 +387,7 @@ def store_compiled(compiled, fingerprint: str) -> None:
             ("offsets", "i", arrays[1] if arrays is not None else compiled.offsets),
             ("indices", "i", arrays[2] if arrays is not None else compiled.indices),
             ("var_slot", "i", arrays[3] if arrays is not None else compiled.var_slot),
-            ("levels", "i", compiled.levels_list()),
+            ("levels", "i", compiled.levels_array()),
             ("gate_ids", "i", list(compiled.gate_ids)),
         ],
     )

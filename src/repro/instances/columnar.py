@@ -451,11 +451,21 @@ class ColumnarInstance(AbstractInstance):
         :meth:`intern_values`). Set semantics match :meth:`add`: duplicate
         rows — within the batch or against existing rows — map to the
         first occurrence's fact id. Returns an int array aligned with the
-        input rows: numpy for arity ≤ 2, ``array("i")`` above.
+        input rows: numpy for arity ≤ 2, ``array("i")`` above. A code
+        outside ``[0, n_codes())`` raises before anything is inserted.
         """
         lengths = {len(c) for c in columns}
         check(len(lengths) <= 1, "encoded columns must have equal lengths")
         length = lengths.pop() if lengths else 0
+        n_codes = self.n_codes()
+        for values in columns:
+            codes = _np.asarray(values, dtype=_np.int64)
+            check(
+                codes.size == 0
+                or (int(codes.min()) >= 0 and int(codes.max()) < n_codes),
+                f"relation {relation!r} has codes outside the dictionary "
+                f"of {n_codes} constants",
+            )
         rel = self._rel_columns(relation, len(columns))
         if length == 0:
             return _np.zeros(0, dtype=_np.int64)

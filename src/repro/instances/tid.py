@@ -73,22 +73,33 @@ class TIDInstance:
     ) -> None:
         """Bulk-insert encoded rows with probabilities (columnar backend).
 
-        ``columns`` and ``probabilities`` follow
+        ``columns`` follow
         :meth:`repro.instances.columnar.ColumnarInstance.extend_encoded`;
-        re-inserted rows overwrite their probability, matching :meth:`add`.
+        ``probabilities`` holds one value in [0, 1] per row. Both are
+        checked before anything is inserted, so a refused load leaves the
+        TID as it was. Re-inserted rows overwrite their probability,
+        matching :meth:`add`.
         """
         check(
             self._columnar,
             "extend_encoded requires the columnar instance backend",
         )
-        fids = self.instance.extend_encoded(relation, columns)
-        total = len(self.instance)
-        if len(self._probs) < total:
-            self._probs.extend([0.0] * (total - len(self._probs)))
-        view = np.frombuffer(self._probs, dtype=np.float64)
-        view[np.asarray(fids, dtype=np.int64)] = np.asarray(
-            probabilities, dtype=np.float64
+        probs = np.asarray(probabilities, dtype=np.float64)
+        rows = len(columns[0]) if len(columns) else 0
+        check(
+            probs.shape == (rows,),
+            f"{probs.size} probabilities for {rows} rows of {relation!r}",
         )
+        check(
+            bool(((probs >= 0.0) & (probs <= 1.0)).all()),
+            f"probabilities of {relation!r} must be in [0,1]",
+        )
+        fids = self.instance.extend_encoded(relation, columns)
+        missing = len(self.instance) - len(self._probs)
+        if missing > 0:
+            self._probs.frombytes(bytes(8 * missing))
+        view = np.frombuffer(self._probs, dtype=np.float64)
+        view[np.asarray(fids, dtype=np.int64)] = probs
 
     def discard(self, f: Fact) -> None:
         """Remove ``f`` and its probability, if present.

@@ -9,9 +9,12 @@ Every generator takes a ``backend`` knob (defaulting to the process-wide
 generators (``path``, ``cycle``, ``rst_chain``, ``rst_bipartite``) emit
 columnar instances *natively*: encoded column batches go straight into the
 U-relation arrays, so million-fact instances load without creating a
-single :class:`~repro.instances.base.Fact`. Probabilities are always drawn
-by the same scalar RNG sequence, so a generator produces the identical
-(fact, probability) set on either backend.
+single :class:`~repro.instances.base.Fact`. Either backend draws the
+probabilities from the same ``random.Random`` stream, so a generator
+produces the identical (fact, probability) set on both: the object path
+calls :func:`_jitter` per fact, and the bulk paths replay that stream in
+numpy with :func:`_jitter_list`, which relies on CPython's ``getstate()``
+layout and its 53-bit ``random()``.
 """
 
 from __future__ import annotations
@@ -284,17 +287,44 @@ def _jitter(probability: float, rng) -> float:
     return round(min(0.95, max(0.05, jittered)) * 1000) / 1000
 
 
-def _jitter_list(probability: float, rng, count: int) -> list[float]:
-    """``count`` draws of :func:`_jitter`, loop-inlined for the bulk paths.
+def _jitter_list(probability: float, rng, count: int):
+    """``count`` draws of :func:`_jitter` as one float64 array (bulk paths).
 
-    Consumes the identical RNG sequence and computes the identical floats
-    (``uniform(a, b)`` is exactly ``a + (b - a) * random()``), so columnar
-    bulk loads stay probability-for-probability equal to the object path.
+    Replays ``rng``'s Mersenne Twister in numpy instead of calling
+    ``rng.random()`` per draw. It relies on two facts of CPython's
+    ``random.Random``: ``getstate()`` holds the 624 MT19937 key words and
+    the read position, which seed ``np.random.MT19937`` exactly; and
+    ``random()`` builds its 53-bit double from two 32-bit outputs ``a, b``
+    as ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``. Every later step is
+    exact or one correctly rounded float64 operation, as in :func:`_jitter`
+    (``uniform(a, b)`` is ``a + (b - a) * random()``, and ``np.rint``
+    rounds half to even like ``round``), so the floats are bitwise the
+    loop's. The advanced state goes back into ``rng``, ``gauss_next``
+    included, so later draws continue the same stream.
     """
-    random = rng.random
-    out: list[float] = []
-    append = out.append
-    for _ in range(count):
-        j = probability + (-0.2 + 0.4 * random())
-        append(round((0.95 if j > 0.95 else 0.05 if j < 0.05 else j) * 1000) / 1000)
-    return out
+    version, internal, gauss_next = rng.getstate()
+    bits = np.random.MT19937(0)
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {
+            "key": np.asarray(internal[:-1], dtype=np.uint32),
+            "pos": internal[-1],
+        },
+    }
+    raw = bits.random_raw(2 * count)
+    high, low = raw[0::2], raw[1::2]
+    high >>= 5
+    low >>= 6
+    draws = high * 67108864.0
+    draws += low
+    draws *= 1.0 / 9007199254740992.0
+    draws *= 0.4
+    draws += -0.2
+    draws += probability
+    np.clip(draws, 0.05, 0.95, out=draws)
+    draws *= 1000.0
+    np.rint(draws, out=draws)
+    draws /= 1000.0
+    state = bits.state["state"]
+    rng.setstate((version, (*state["key"].tolist(), int(state["pos"])), gauss_next))
+    return draws

@@ -159,9 +159,10 @@ class TestLegacyShims:
         assert parallel_workers() == before
 
     def test_distributed_hosts_set(self):
+        before = distributed_hosts()
         with distributed_hosts_set("127.0.0.1:7761"):
             assert distributed_hosts() == ("127.0.0.1:7761",)
-        assert distributed_hosts() == ()
+        assert distributed_hosts() == before
 
     def test_instance_backend_set(self):
         with instance_backend_set("columnar"):

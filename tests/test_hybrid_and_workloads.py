@@ -3,6 +3,7 @@
 import math
 
 import networkx as nx
+import numpy as np
 import pytest
 from types import SimpleNamespace
 
@@ -24,6 +25,8 @@ from repro.workloads import (
     table1_cinstance,
     table1_pc_instance,
 )
+from repro.util import stable_rng
+from repro.workloads.generators import _jitter, _jitter_list
 
 
 def conn_oracle(s, t):
@@ -83,6 +86,64 @@ class TestGenerators:
     def test_table1_pc_distribution(self):
         pc = table1_pc_instance(0.7, 0.5)
         assert math.isclose(sum(pc.world_distribution().values()), 1.0)
+
+
+def _probability_bits(tid) -> dict:
+    """``{fact: probability}`` of a TID, probabilities as exact hex strings."""
+    return {f: tid.probability(f).hex() for f in tid.facts()}
+
+
+class TestBackendsAgree:
+    """The columnar bulk loads replay the object path's draws bit for bit.
+
+    The sizes put the draws on both sides of the Mersenne Twister's refill
+    every 312 doubles: a path of n vertices draws n - 1 doubles, a cycle n,
+    a chain 3n - 1.
+    """
+
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    @pytest.mark.parametrize("n", (1, 2, 3, 104, 105, 209, 313, 625, 1000))
+    @pytest.mark.parametrize(
+        "generator",
+        (path_tid, cycle_tid, rst_chain_tid),
+        ids=("path", "cycle", "rst_chain"),
+    )
+    def test_linear_generators(self, generator, n, seed):
+        columnar = generator(n, seed=seed, backend="columnar")
+        scalar = generator(n, seed=seed, backend="object")
+        assert _probability_bits(columnar) == _probability_bits(scalar)
+
+    @pytest.mark.parametrize("seed", (0, 1, 7))
+    @pytest.mark.parametrize("density", (1.0, 0.5, 0.3))
+    def test_rst_bipartite(self, density, seed):
+        # 320 R and T draws cross a refill; the S draws continue the stream.
+        columnar = rst_bipartite_tid(
+            20, 300, seed=seed, density=density, backend="columnar"
+        )
+        scalar = rst_bipartite_tid(
+            20, 300, seed=seed, density=density, backend="object"
+        )
+        assert _probability_bits(columnar) == _probability_bits(scalar)
+
+    @pytest.mark.parametrize("start", ("fresh", "after_random", "after_gauss"))
+    @pytest.mark.parametrize("count", (0, 1, 311, 312, 623, 624, 625, 100_001))
+    def test_jitter_list_matches_the_scalar_loop(self, count, start):
+        # 0.1 and 0.9 hit the lower and the upper clamp.
+        for probability in (0.1, 0.5, 0.9):
+            scalar, bulk = stable_rng(5), stable_rng(5)
+            for rng in (scalar, bulk):
+                if start == "after_random":
+                    rng.random()
+                elif start == "after_gauss":
+                    rng.gauss(0.0, 1.0)
+            want = np.array(
+                [_jitter(probability, scalar) for _ in range(count)],
+                dtype=np.float64,
+            )
+            got = _jitter_list(probability, bulk, count)
+            assert got.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert bulk.getstate() == scalar.getstate()
 
 
 class TestPeeling:

@@ -120,6 +120,28 @@ class TestTIDInstance:
         assert len(space) == 2
         assert space.probability(fact("S", 1, 2).variable_name) == 0.3
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        (
+            [0.5, 1.5, 0.2],
+            [0.5, float("nan"), 0.2],
+            [-0.1, 0.5, 0.2],
+            [0.5, 0.2],
+            [0.5, 0.2, 0.3, 0.4],
+        ),
+    )
+    def test_extend_encoded_refuses_bad_probabilities(self, probabilities):
+        tid = TIDInstance(backend="columnar")
+        tid.instance.intern_int_range(4)
+        tid.add(fact("E", 0, 1), 0.25)
+        with pytest.raises(ReproError):
+            tid.extend_encoded("E", [[1, 2, 3], [2, 3, 0]], probabilities)
+        assert len(tid) == 1
+        assert tid.facts() == [fact("E", 0, 1)]
+        assert tid.probability(fact("E", 0, 1)) == 0.25
+        tid.extend_encoded("E", [[1, 2, 3], [2, 3, 0]], [0.0, 0.5, 1.0])
+        assert [tid.probability(f) for f in tid.facts()] == [0.25, 0.0, 0.5, 1.0]
+
     def test_sampler_marginals(self):
         tid = TIDInstance({fact("R", 1): 0.7})
         draw = tid.world_sampler(seed=0)
@@ -400,6 +422,18 @@ class TestColumnarInstance:
         assert col.facts_materialized == 0
         col.fact_at(0)
         assert col.facts_materialized == 1
+
+    def test_extend_encoded_rejects_uninterned_codes(self):
+        col = self.build()
+        assert col.n_codes() == 4
+        for bad in ([7], [-1]):
+            with pytest.raises(ReproError, match="outside the dictionary"):
+                col.extend_encoded("S", [[0] + bad, [2, 3]])
+        with pytest.raises(ReproError, match="outside the dictionary"):
+            col.extend_encoded("V", [[0, 7]])
+        assert len(col) == 3
+        assert col.relations() == {"R": 1, "S": 2}
+        assert col.facts() == [fact("R", 1), fact("S", 1, "a"), fact("S", 2, "b")]
 
     def test_mixed_arity_rejected(self):
         col = self.build()
