@@ -8,8 +8,11 @@ them through the compiled lineage circuit. Compared paths:
   ``default_rng`` draws float64 world chunks in the parent, each chunk runs
   through ``CompiledCircuit.evaluate_batch``, hits are summed in Python;
 - **fused, in-process** — :func:`repro.circuits.parallel.monte_carlo_hits`
-  with ``workers=0``: the deterministic ``(seed, shard)`` scheme, float32
-  draws, hit counts reduced without leaving numpy;
+  with ``workers=0``: the deterministic ``(seed, shard)`` scheme, worlds
+  drawn lazily 64 to a random word (each compares a 24-bit uniform with
+  the fact's threshold from the top bit down, about 9.2 generator
+  outputs per 64 worlds) straight into the bit-sliced pass, hit counts
+  reduced without leaving numpy;
 - **fused, sharded** — the same shards dispatched to 1 / 2 / 4 worker
   processes that rebuild the plan from shared memory and generate their own
   worlds, so the world matrix never exists in the parent.

@@ -11,11 +11,15 @@ of :mod:`repro.circuits.parallel` — the sample range is cut into fixed
 its own worlds from ``default_rng((seed, shard_index))``, evaluates them
 through the compiled circuit's level-scheduled batch kernels (Monte Carlo)
 or one containment matrix product (Karp–Luby), and returns a single hit
-count. The full world matrix never exists in any process. The shards run
-inside worker processes when ``workers >= 2`` and in-process otherwise;
-because the shard decomposition and seeding are independent of the worker
-count, a fixed seed gives *bit-identical* estimates at 0, 1, 2 or 8
-workers.
+count. The full world matrix never exists in any process. Monte Carlo
+draws lazily, 64 worlds per random word: each world compares a 24-bit
+uniform with the fact's threshold ``ceil(p * 2**24)`` from the top bit
+down and stops at the first differing bit, so a word of 64 worlds costs
+about 9.2 generator outputs whatever ``p`` is, against 32 for 64 float32
+draws (:func:`repro.circuits.parallel._mc_shard_hits`). The shards run inside
+worker processes when ``workers >= 2`` and in-process otherwise; because
+the shard decomposition and seeding are independent of the worker count,
+a fixed seed gives *bit-identical* estimates at 0, 1, 2 or 8 workers.
 
 ``workers=None`` defers to the process-wide knob
 (:func:`repro.circuits.parallel.parallel_workers`, settable via
@@ -25,7 +29,9 @@ the pool, ``hosts=`` routes the same shards to remote workers over TCP
 process-wide :func:`repro.circuits.distributed.distributed_hosts` knob
 (``REPRO_DISTRIBUTED_HOSTS`` / CLI ``--hosts``), and because the shard
 decomposition and seeding never change, a fixed seed estimates to the
-same value in-process, on the pool, and across hosts.
+same value in-process, on the pool, and across hosts. Only workers that
+speak this build's Monte-Carlo stream
+(:data:`repro.circuits.distributed.MC_STREAM_CAP`) take sampling shards.
 """
 
 from __future__ import annotations

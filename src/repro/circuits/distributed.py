@@ -64,7 +64,8 @@ kernels, so the five execution tiers degrade gracefully top to bottom.
 Unreachable hosts are warned about once per process and skipped; a run
 whose every worker dies still completes locally with identical results.
 :func:`pool_stats` exposes the runtime's counters (connects, reconnects,
-digest hits, plans published, steals, per-host task counts);
+digest hits, plans published, steals, hosts skipped for a missing
+capability, per-host task counts);
 :func:`reset_pool` drops the persistent connections (the per-call baseline
 benchmarks measure against).
 """
@@ -117,13 +118,23 @@ PROTOCOL_VERSION = 2
 #: the version-2 protocol already required.
 V2_BASELINE_CAPS = frozenset({"mc", "kl", "eval", "ping", "plan-offer"})
 
+#: The Monte-Carlo stream this build's ``mc`` shards draw: the lazy
+#: bit-sliced comparison of :func:`repro.circuits.parallel._mc_shard_hits`.
+#: Older builds answered ``mc`` from a float32 stream, so a coordinator
+#: sends Monte-Carlo shards only to workers that negotiated this
+#: capability; summing hits from two streams would match neither.
+MC_STREAM_CAP = "mc-lazy24"
+
 #: Everything this build speaks. HELLO carries ``sorted(PROTOCOL_CAPS)``
 #: and each side restricts itself to the *intersection* with its peer's
-#: set: a worker missing ``pipeline`` is simply driven lockstep, a
+#: set: a worker missing ``pipeline`` is simply driven lockstep, one
+#: missing :data:`MC_STREAM_CAP` takes no Monte-Carlo shards, a
 #: coordinator that never registers ignores ``register``, and only an
 #: empty intersection is a hard handshake failure. ``caps`` itself is
 #: advertised so peers can tell "negotiated baseline" from "legacy hello".
-PROTOCOL_CAPS = V2_BASELINE_CAPS | frozenset({"caps", "pipeline", "register"})
+PROTOCOL_CAPS = V2_BASELINE_CAPS | frozenset(
+    {"caps", "pipeline", "register", MC_STREAM_CAP}
+)
 
 
 def negotiate_caps(meta: dict, peer: str) -> frozenset:
@@ -377,8 +388,12 @@ class WirePlan:
 
         Exactly :func:`repro.circuits.parallel._mc_shard_hits` on the
         decoded plan — bit-identical to the in-process and pool paths.
+        The probabilities, seed and count come off the wire, so they are
+        checked first: one probability per variable slot, a non-negative
+        int seed, a positive int count.
         """
-        probs32 = np.asarray(probs, dtype=np.float32)
+        probs32 = _parallel.mc_marginals(probs, self.n_vars)
+        seed = _parallel.check_sampling(count, seed)
         return _parallel._mc_shard_hits(
             self.batch_plan(), probs32, seed, index, count
         )
@@ -1550,6 +1565,7 @@ def _fresh_stats() -> dict:
         "steals": 0,
         "registrations": 0,
         "drains": 0,
+        "capability_skips": 0,
         "per_host_tasks": {},
     }
 
@@ -1936,13 +1952,16 @@ class HostPool:
         self._conns[hostport] = conn
         return conn
 
-    async def _acquire(self, hostport: str, payloads) -> _Conn | None:
+    async def _acquire(self, hostport: str, payloads, needs=None) -> _Conn | None:
         """A healthy connection with ``payloads`` published, or ``None``.
 
         Reuses the pooled connection when its heartbeat answers; otherwise
         reconnects (a bounced worker rejoining the pool). Failures warn
         once per host per process and return ``None`` — the caller's other
-        hosts, or the local fallback, absorb the work. The whole sequence
+        hosts, or the local fallback, absorb the work. So does a worker
+        that did not negotiate the capability ``needs``: it stays pooled
+        for other calls, is counted in ``capability_skips`` and warned
+        about once per host, and is sent no payload. The whole sequence
         (heartbeat included) runs inside one try so no failure path can
         leave a dead connection behind in the pool map.
         """
@@ -1954,6 +1973,15 @@ class HostPool:
                 conn = None
             if conn is None:
                 conn = await self._connect(hostport)
+            if needs is not None and needs not in conn.caps:
+                self._stats["capability_skips"] += 1
+                _warn_once(
+                    f"caps:{hostport}:{needs}",
+                    f"distributed worker {hostport} lacks the {needs!r} "
+                    "capability (an older build); it takes no shard of "
+                    "calls that need it",
+                )
+                return None
             await self._publish(conn, payloads)
         except asyncio.CancelledError:
             # Cancelled mid-exchange (a steal completed the call while
@@ -2010,26 +2038,31 @@ class HostPool:
 
     # -- coordinated calls ------------------------------------------------ #
 
-    def run(self, hosts, payloads, tasks) -> dict:
+    def run(self, hosts, payloads, tasks, needs=None) -> dict:
         """Coordinate ``tasks`` over ``hosts``; returns ``{task_id: result}``.
 
         Blocks the calling thread until the workers have done what they
         can; anything missing from the returned dict is the caller's to
-        run locally. Thread-safe: concurrent calls interleave on the pool
-        loop, serialized per host by a host lock.
+        run locally. Only hosts that negotiated the capability ``needs``
+        (when given) take tasks. Thread-safe: concurrent calls interleave
+        on the pool loop, serialized per host by a host lock.
         """
         if not hosts or not tasks:
             return {}
-        return self._submit(self._run(tuple(hosts), payloads, tasks)).result()
+        return self._submit(
+            self._run(tuple(hosts), payloads, tasks, needs)
+        ).result()
 
-    async def _run(self, hosts, payloads, tasks) -> dict:
+    async def _run(self, hosts, payloads, tasks, needs) -> dict:
         self._stats["calls"] += 1
         results: dict = {}
         complete = asyncio.Event()
         queue = _StealQueue(len(tasks), self._stats)
         pumps = [
             asyncio.ensure_future(
-                self._pump(hostport, payloads, queue, tasks, results, complete)
+                self._pump(
+                    hostport, payloads, queue, tasks, results, complete, needs
+                )
             )
             for hostport in dict.fromkeys(hosts)  # dedupe, keep order
         ]
@@ -2055,7 +2088,9 @@ class HostPool:
                 raise outcome
         return results
 
-    async def _pump(self, hostport, payloads, queue, tasks, results, complete):
+    async def _pump(
+        self, hostport, payloads, queue, tasks, results, complete, needs
+    ):
         """One host's task loop for one call: pull, pipeline, record, steal.
 
         Up to :func:`pipeline_depth` task frames ride the connection at
@@ -2093,7 +2128,7 @@ class HostPool:
         try:
             async with lock:
                 dirty = True  # _acquire exchanges heartbeat/auth/plan frames
-                conn = await self._acquire(hostport, payloads)
+                conn = await self._acquire(hostport, payloads, needs)
                 dirty = False
                 if conn is None:
                     return
@@ -2152,7 +2187,7 @@ class HostPool:
                             return
                         rejoined = True  # one rejoin attempt per host per call
                         dirty = True
-                        conn = await self._acquire(hostport, payloads)
+                        conn = await self._acquire(hostport, payloads, needs)
                         dirty = False
                         if conn is None:
                             return
@@ -2259,7 +2294,7 @@ def close_pool() -> None:
 atexit.register(close_pool)
 
 
-def _run_distributed(hosts, payloads, tasks, run_local) -> list:
+def _run_distributed(hosts, payloads, tasks, run_local, needs=None) -> list:
     """Execute wire tasks over ``hosts``, completing any remainder locally.
 
     ``tasks`` is ``[(task_id, meta, blob), ...]`` (``blob`` may be a
@@ -2267,12 +2302,13 @@ def _run_distributed(hosts, payloads, tasks, run_local) -> list:
     ``(result_meta, result_blob)`` pairs in task order — the deterministic
     merge order — regardless of which host (or the local fallback) ran each
     shard. Never loses a shard: anything the workers did not finish is
-    evaluated in-process through ``run_local(meta)``. Coordination runs on
-    the persistent :class:`HostPool` (its own loop thread), so this is
-    safe to call from plain code and from inside a running event loop
-    alike.
+    evaluated in-process through ``run_local(meta)``. With ``needs`` set,
+    only hosts that negotiated that capability take tasks. Coordination
+    runs on the persistent :class:`HostPool` (its own loop thread), so
+    this is safe to call from plain code and from inside a running event
+    loop alike.
     """
-    results = _HOST_POOL.run(hosts, payloads, tasks)
+    results = _HOST_POOL.run(hosts, payloads, tasks, needs)
     for task_id, meta, _blob in tasks:
         if task_id not in results:
             results[task_id] = run_local(meta)
@@ -2295,18 +2331,22 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     the same ``(seed, shard_index, count)`` shard decomposition is streamed
     to remote workers that rebuilt the plan from its wire form, and the
     per-shard hit counts are summed in shard order — bit-identical to the
-    in-process and pool paths for a fixed seed. With no effective hosts the
-    call simply defers to the pool entry point (honouring ``workers=``).
+    in-process and pool paths for a fixed seed. Only workers that
+    negotiated :data:`MC_STREAM_CAP` take shards, so every shard comes from
+    the same stream; the other hosts or the local fallback run the rest.
+    The arguments are checked before anything is shipped. With no
+    effective hosts the call simply defers to the pool entry point
+    (honouring ``workers=``).
     """
     hosts = effective_hosts(hosts)
     if not hosts:
         return _parallel.monte_carlo_hits(
             compiled, marginals, samples, seed=seed, workers=workers
         )
-    check(samples > 0, "need at least one sample")
     compiled = _compiled.compile_circuit(compiled)
-    seed = 0 if seed is None else int(seed)
-    probs_blob = _values_to_bytes("f", list(marginals))
+    seed = _parallel.check_sampling(samples, seed)
+    probs32 = _parallel.mc_marginals(marginals, len(compiled.variables()))
+    probs_blob = _values_to_bytes("f", probs32)
     plan_bytes, checksum = _plan_payload(compiled)
     decoded = plan_from_bytes(plan_bytes)  # local shards run the same wire plan
 
@@ -2326,7 +2366,8 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
         return {"hits": hits}, b""
 
     results = _run_distributed(
-        hosts, [(MSG_PLAN, {"checksum": checksum}, plan_bytes)], tasks, run_local
+        hosts, [(MSG_PLAN, {"checksum": checksum}, plan_bytes)], tasks, run_local,
+        needs=MC_STREAM_CAP,
     )
     return sum(int(meta["hits"]) for meta, _blob in results)
 
@@ -2334,21 +2375,22 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
 def karp_luby_hits(membership, probs, weights, samples: int, seed: int = 0,
                    hosts=None, workers: int | None = None) -> int:
     """Karp–Luby trial count over distributed workers (see
-    :func:`repro.circuits.parallel.karp_luby_hits` for the semantics)."""
+    :func:`repro.circuits.parallel.karp_luby_hits` for the semantics).
+    The arguments are checked before anything is shipped."""
     hosts = effective_hosts(hosts)
     if not hosts:
         return _parallel.karp_luby_hits(
             membership, probs, weights, samples, seed=seed, workers=workers
         )
-    check(samples > 0, "need at least one sample")
-    seed = 0 if seed is None else int(seed)
-    membership_rows = [list(row) for row in membership]
-    n_facts = len(membership_rows[0]) if membership_rows else 0
-    probs_list = [float(p) for p in probs]
+    seed = _parallel.check_sampling(samples, seed)
+    membership, probs, weights = _parallel.kl_tables(membership, probs, weights)
+    membership_rows = membership.tolist()
+    n_facts = membership.shape[1]
+    probs_list = probs.tolist()
     cumulative = []
     total = 0.0
-    for weight in weights:
-        total += float(weight)
+    for weight in weights.tolist():
+        total += weight
         cumulative.append(total)
     tables_bytes = _tables_to_bytes(
         membership_rows, n_facts, probs_list, cumulative, total

@@ -19,6 +19,8 @@ This module shards that work across a persistent pool of worker processes:
   *inside* a worker from ``numpy.random.default_rng((seed, i))``, evaluated
   through the batch kernels, and reduced to a single hit count — the full
   world matrix never exists anywhere, and the parent only sums integers.
+  Monte-Carlo worlds are drawn lazily, 64 to a random word
+  (:func:`_mc_shard_hits`).
 
 **Determinism.** The shard decomposition depends only on ``(samples,
 MC_SHARD)`` and each shard's generator only on ``(seed, shard_index)`` —
@@ -318,27 +320,102 @@ def _worker_plan(manifest, cache):
     return plan
 
 
-#: Byte cap on the raw 32-bit outputs of one ``random_raw`` call of a
-#: Monte-Carlo shard (its bool test results take a quarter of that).
-_DRAW_BYTES = 1 << 25
+#: Bits of the uniform ``U`` each Monte-Carlo draw compares with a
+#: variable's threshold ``t = ceil(p * 2**24)``: the precision of numpy's
+#: float32 draw, so the law of each bit is that of ``float32 draw < p``.
+_MC_BITS = 24
+
+#: Entries (one ``(word, variable slot)`` pair, 64 worlds) per tile of a
+#: shard's lazy draw, and the levels each tile draws for every entry in one
+#: ``random_raw`` call. Like :data:`MC_SHARD` they define the random
+#: stream; they are not tuning knobs.
+_MC_TILE = 1 << 14
+_MC_EAGER = 9
+
+_ALL_WORLDS = ~np.uint64(0)
 
 
-def _mc_limits(probs32):
-    """Integer form of the float32 hit test ``draw < p``, per variable.
+def _mc_level(draw, undecided, held, bits) -> None:
+    """One level of the lazy comparison, in place; ``draw`` is consumed.
 
-    numpy's float32 draw from a 32-bit generator output ``u`` is
-    ``(u >> 8) * 2**-24``, so ``draw < p`` holds exactly when
-    ``u >> 8 < t`` with ``t = ceil(p * 2**24)`` (clipped to ``[0, 2**24]``,
-    0 for NaN), that is when ``u <= 256 * t - 1``. Returns those ``uint32``
-    limits and the variables with ``t == 0``, whose limit would wrap: they
-    never hold.
+    A set bit of ``draw`` says that world's bit of ``U`` differs from
+    the threshold's bit at this level: an undecided world it hits is
+    decided, and holds exactly when the threshold's bit, the top bit of
+    ``bits``, is 1. ``bits`` then moves on to the next threshold bit.
     """
-    scaled = probs32.astype(np.float64) * float(1 << 24)  # exact
-    thresholds = np.ceil(
-        np.where(scaled > 0, np.minimum(scaled, float(1 << 24)), 0.0)
+    np.bitwise_and(draw, undecided, out=draw)
+    np.bitwise_xor(undecided, draw, out=undecided)
+    spread = np.right_shift(bits.view(np.int64), 63).view(np.uint64)
+    np.left_shift(bits, np.uint64(1), out=bits)
+    np.bitwise_and(draw, spread, out=draw)
+    np.bitwise_or(held, draw, out=held)
+
+
+def _mc_tile(bitgen, thresholds):
+    """The decided words of one tile of entries, given their thresholds.
+
+    Bit ``i`` of entry ``j``'s word says whether world ``i`` of that word
+    holds the entry's variable, that is whether its ``U`` is below
+    ``thresholds[j]``. Thresholds 0 and ``2**24`` decide every world up
+    front. The first :data:`_MC_EAGER` levels come from one ``random_raw``
+    call, level-major; each later level draws one output per entry that
+    still has an undecided world, in entry order. A world still undecided
+    after :data:`_MC_BITS` levels has ``U == t`` and does not hold.
+    """
+    size = thresholds.size
+    held = np.where(thresholds >= 1 << _MC_BITS, _ALL_WORLDS, np.uint64(0))
+    undecided = np.where(
+        (thresholds > 0) & (thresholds < 1 << _MC_BITS), _ALL_WORLDS, np.uint64(0)
     )
-    limits = np.maximum(thresholds * 256 - 1, 0).astype(np.uint32)
-    return limits, np.flatnonzero(thresholds == 0)
+    bits = np.left_shift(thresholds.astype(np.uint64), np.uint64(64 - _MC_BITS))
+    eager = bitgen.random_raw(_MC_EAGER * size).reshape(_MC_EAGER, size)
+    for draw in eager:
+        _mc_level(draw, undecided, held, bits)
+    live = np.flatnonzero(undecided)
+    undecided, part, bits = undecided[live], held[live], bits[live]
+    for _level in range(_MC_EAGER, _MC_BITS):
+        if not live.size:
+            break
+        _mc_level(bitgen.random_raw(live.size), undecided, part, bits)
+        held[live] = part
+        keep = np.flatnonzero(undecided)
+        if keep.size < live.size:
+            live, undecided, part, bits = (
+                live[keep], undecided[keep], part[keep], bits[keep]
+            )
+    return held
+
+
+def _entry_blocks(first: int, stop: int, n_vars: int):
+    """Cut the entries ``[first, stop)`` into word-aligned blocks.
+
+    Entries run word-major, in slot order: entry ``e`` is slot
+    ``e % n_vars`` of word ``e // n_vars``. Yields ``(offset, word, words,
+    lo, hi)``: the next ``words * (hi - lo)`` entries, from ``offset`` on,
+    are slots ``lo .. hi-1`` of words ``word .. word+words-1``. At most
+    three blocks: the rest of a word, whole words, the start of a word.
+    """
+    offset = 0
+    while first < stop:
+        word, lo = divmod(first, n_vars)
+        if lo or stop - first < n_vars:
+            words, hi = 1, min(n_vars, lo + stop - first)
+        else:
+            words, hi = (stop - first) // n_vars, n_vars
+        yield offset, word, words, lo, hi
+        span = words * (hi - lo)
+        offset += span
+        first += span
+
+
+def _tile_thresholds(thresholds, first: int, stop: int):
+    """The int64 thresholds of entries ``[first, stop)``, per entry."""
+    n_vars = thresholds.size
+    out = np.empty(stop - first, dtype=np.int64)
+    for offset, _word, words, lo, hi in _entry_blocks(first, stop, n_vars):
+        block = out[offset : offset + words * (hi - lo)].reshape(words, hi - lo)
+        block[...] = thresholds[lo:hi]
+    return out
 
 
 def _mc_shard_hits(plan, probs32, seed: int, index: int, count: int) -> int:
@@ -346,78 +423,69 @@ def _mc_shard_hits(plan, probs32, seed: int, index: int, count: int) -> int:
 
     Draws ``count`` worlds from the shard's own ``default_rng((seed,
     index))``, runs them through the plan's bit-sliced Boolean pass, and
-    returns only the hit count. Variable ``s`` holds in a world when that
-    world's float32 draw is below ``probs32[s]``; the ≤2⁻²⁴ rounding of
-    each marginal is far below Monte-Carlo noise at any feasible sample
-    count. The draws never become floats: raw 32-bit generator outputs
-    (``random_raw`` viewed as ``uint32``) meet the integer limits of
-    :func:`_mc_limits`, each 8 worlds' results pack into one byte plane,
-    and one transposing copy per staged run of whole words moves the
-    planes into the variable rows of the plan's
-    :meth:`~repro.circuits.compiled._BatchPlan.word_buffer`. One draw
-    stays under :data:`_DRAW_BYTES`: 8 worlds at 10⁶ variables, a whole
-    shard on small plans. The outputs are consumed in the order
-    ``rng.random((count, n_vars), dtype=float32)`` consumes them, so the
-    hits are bit-identical to that whole-matrix draw, which is never
-    held.
+    returns only the hit count. A world holds the variable of slot ``s``
+    when a uniform 24-bit ``U`` is below ``t = ceil(probs32[s] * 2**24)``
+    (clipped to ``[0, 2**24]``, 0 for NaN), so each bit has the law of a
+    float32 draw below the marginal.
+
+    The draw is lazy and bit-sliced: ``U`` is compared with ``t`` from the
+    top bit down, and one 64-bit generator output decides, for the 64
+    worlds of a word, whose bit of ``U`` differs from ``t``'s at that level
+    (:func:`_mc_tile`). The shard's ``(word, slot)`` entries, word-major in
+    slot order, are cut into tiles of :data:`_MC_TILE` entries. A word is
+    decided after about 7.3 levels on average, whatever the marginal; with
+    the eager levels it costs about 9.2 outputs, against 32 for 64 float32
+    draws. Decided words go straight into the variable rows of the plan's
+    :meth:`~repro.circuits.compiled._BatchPlan.word_buffer`, one kernel
+    chunk at a time. The stream depends on ``(seed, index, count,
+    probs32)`` only, never on the chunking, the row layout, or where the
+    shard runs. The padding worlds of a shard's last word are drawn like
+    the others and never counted.
     """
     bitgen = np.random.default_rng((seed, index)).bit_generator
     n_vars = probs32.size
-    limits, never = _mc_limits(probs32)
-    if np.array_equal(plan.var_slots, np.arange(n_vars)):
-        columns = slice(None, n_vars)
-    else:
-        columns = plan.var_slots
-    step = plan.chunk_rows(as_float=False)
-    # Bool result rows are padded to whole uint64 lanes, so the 8 rows of a
-    # plane pack with seven word-wide shift-ors over every plane of a
-    # draw. Worlds per draw: whole planes, so only a shard's last draw can
-    # end halfway through a 64-bit output. Per staged copy: whole words.
-    width = max(8, -(-n_vars // 8) * 8)
-    per_draw = _DRAW_BYTES // (4 * max(1, n_vars)) // 8 * 8
-    per_draw = max(8, min(step, -(-count // 8) * 8, per_draw))
-    per_stage = -(-per_draw // 64) * 64
-    # Zeroed, never empty: a byte above 1 would spill into its neighbour
-    # when shifted.
-    results = np.zeros((per_draw, width), dtype=np.bool_)
-    planes = np.zeros((per_stage // 8, width), dtype=np.uint8)
-    plane_lanes = planes.view(np.uint64)
-    shifted = np.empty((per_draw // 8, width // 8), dtype=np.uint64)
+    # The one per-variable buffer: t as float64, computed in place. Scaling
+    # is exact; fmax sends NaN and negatives to 0.
+    thresholds = probs32.astype(np.float64)
+    thresholds *= float(1 << _MC_BITS)
+    np.fmax(thresholds, 0.0, out=thresholds)
+    np.fmin(thresholds, float(1 << _MC_BITS), out=thresholds)
+    np.ceil(thresholds, out=thresholds)
+    row_of_slot = (
+        None if np.array_equal(plan.var_slots, np.arange(n_vars))
+        else np.argsort(plan.var_slots)
+    )
+    n_words = -(-count // 64)
+    chunk_words = plan.chunk_rows(as_float=False) // 64
+    tile_start = tile_stop = 0
     hits = 0
-    for start in range(0, count, step):
-        rows = min(step, count - start)
-        values = plan.word_buffer(rows)
-        var_bytes = values[: plan.var_slots.size].view(np.uint8)
-        for first in range(0, rows, per_stage):
-            staged = min(per_stage, rows - first)
-            for low in range(0, staged, per_draw):
-                filled = min(per_draw, staged - low)
-                need = filled * n_vars
-                # Little-endian words split low half first, the order
-                # numpy's own 32-bit draws take them in.
-                raw = bitgen.random_raw(-(-need // 2)).astype("<u8", copy=False)
-                np.less_equal(
-                    raw.view("<u4")[:need].reshape(filled, n_vars),
-                    limits,
-                    out=results[:filled, :n_vars],
+    for base in range(0, n_words, chunk_words):
+        words = min(chunk_words, n_words - base)
+        chunk_rows = min(64 * words, count - 64 * base)
+        values = plan.word_buffer(chunk_rows)
+        # Bit i of a decided word is world i: stored little-endian, that is
+        # bit i % 8 of byte i // 8, the word buffer's layout on any host.
+        little = values.view("<u8")
+        # This chunk's entries, tile by tile; a tile that runs past the
+        # chunk keeps its rest for the next one.
+        first, stop = base * n_vars, (base + words) * n_vars
+        while first < stop:
+            if first == tile_stop:
+                tile_start = first
+                tile_stop = min(first + _MC_TILE, n_words * n_vars)
+                tile = _mc_tile(
+                    bitgen, _tile_thresholds(thresholds, tile_start, tile_stop)
                 )
-                # Rows past ``filled`` hold stale results: padding worlds.
-                n_planes = -(-filled // 8)
-                lanes = results[: 8 * n_planes].view(np.uint64)
-                lanes = lanes.reshape(n_planes, 8, width // 8)
-                packed = plane_lanes[low // 8 : low // 8 + n_planes]
-                np.copyto(packed, lanes[:, 0])
-                for bit in range(1, 8):
-                    np.left_shift(lanes[:, bit], np.uint64(bit), out=shifted[:n_planes])
-                    packed |= shifted[:n_planes]
-            n_planes = -(-staged // 8)
-            if never.size:
-                planes[:n_planes, never] = 0
-            var_bytes[:, first // 8 : first // 8 + n_planes] = (
-                planes[:n_planes, columns].T
-            )
+            end = min(stop, tile_stop)
+            decided = tile[first - tile_start : end - tile_start]
+            for offset, word, span, lo, hi in _entry_blocks(first, end, n_vars):
+                rows = slice(lo, hi) if row_of_slot is None else row_of_slot[lo:hi]
+                little[rows, word - base : word - base + span] = decided[
+                    offset : offset + span * (hi - lo)
+                ].reshape(span, hi - lo).T
+            first = end
         plan.run_words(values)
-        hits += int(np.count_nonzero(plan.output_bits(values, rows)))
+        hits += int(np.count_nonzero(plan.output_bits(values, chunk_rows)))
     return hits
 
 
@@ -734,21 +802,83 @@ def _sample_shards(samples: int) -> list[tuple[int, int]]:
     ]
 
 
+def check_sampling(samples, seed) -> int:
+    """Reject a sample count or seed no sampler accepts; returns the seed.
+
+    ``samples`` must be a positive int and ``seed`` a non-negative int;
+    neither may be a bool.
+    """
+    check(
+        isinstance(samples, (int, np.integer))
+        and not isinstance(samples, bool)
+        and samples > 0,
+        f"samples must be a positive int, got {samples!r}",
+    )
+    check(
+        isinstance(seed, (int, np.integer))
+        and not isinstance(seed, bool)
+        and seed >= 0,
+        f"seed must be a non-negative int, got {seed!r}",
+    )
+    return int(seed)
+
+
+def mc_marginals(marginals, n_vars: int):
+    """The marginals as float32, checked to hold one per variable slot."""
+    probs32 = np.asarray(marginals, dtype=np.float32)
+    check(
+        probs32.ndim == 1 and probs32.size == n_vars,
+        f"need {n_vars} marginals, one per variable slot, "
+        f"got shape {probs32.shape}",
+    )
+    return probs32
+
+
+def kl_tables(membership, probs, weights):
+    """Karp–Luby inputs as int32, float64 and float64 arrays, checked.
+
+    ``membership`` must be a 2-D matrix with a row per witness, ``probs``
+    hold one probability per column and ``weights`` one weight per row.
+    """
+    membership = np.ascontiguousarray(membership, dtype=np.int32)
+    probs = np.ascontiguousarray(probs, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    check(
+        membership.ndim == 2 and membership.shape[0] > 0,
+        f"the membership matrix must be 2-D with a row per witness, "
+        f"got shape {membership.shape}",
+    )
+    n_witnesses, n_facts = membership.shape
+    check(
+        probs.shape == (n_facts,),
+        f"need {n_facts} probabilities, one per membership column, "
+        f"got shape {probs.shape}",
+    )
+    check(
+        weights.shape == (n_witnesses,),
+        f"need {n_witnesses} weights, one per membership row, "
+        f"got shape {weights.shape}",
+    )
+    return membership, probs, weights
+
+
 def monte_carlo_hits(
     compiled, marginals, samples: int, seed: int = 0, workers: int | None = None
 ) -> int:
     """Fused sample+evaluate Monte-Carlo hit count over the lineage circuit.
 
-    Splits ``samples`` into :data:`MC_SHARD`-sized shards, draws each
-    shard's worlds from its own ``default_rng((seed, shard_index))`` and
-    evaluates them through the level-scheduled batch kernels — inside the
-    worker processes when ``workers >= 2``, in-process otherwise, with
-    bit-identical results either way. The full world matrix is never
-    materialized; only per-shard hit counts are reduced.
+    ``marginals`` holds one probability per variable slot of
+    ``compiled``. Splits ``samples`` into :data:`MC_SHARD`-sized shards;
+    each shard draws its worlds lazily, 64 to a word, from its own
+    ``default_rng((seed, shard_index))`` (:func:`_mc_shard_hits`) and
+    evaluates them through the level-scheduled batch kernels, inside the
+    worker processes when ``workers >= 2`` and in-process otherwise. The
+    hits depend on the seed, the sample count and the marginals only, so
+    they are bit-identical at any worker count. The full world matrix is
+    never materialized; only per-shard hit counts are reduced.
     """
-    check(samples > 0, "need at least one sample")
-    seed = 0 if seed is None else int(seed)
-    probs32 = np.asarray(marginals, dtype=np.float32)
+    seed = check_sampling(samples, seed)
+    probs32 = mc_marginals(marginals, len(compiled.variables()))
     shards = _sample_shards(samples)
     workers = _effective_workers(workers)
     if workers < 2 or len(shards) < 2 or _shm is None:
@@ -778,11 +908,9 @@ def karp_luby_hits(
     :func:`monte_carlo_hits`; each worker draws its shard's witness picks
     and worlds and tests containment with one matrix product.
     """
-    check(samples > 0, "need at least one sample")
-    seed = 0 if seed is None else int(seed)
-    membership = np.ascontiguousarray(membership, dtype=np.int32)
-    probs = np.ascontiguousarray(probs, dtype=np.float64)
-    cumulative = np.cumsum(np.asarray(weights, dtype=np.float64))
+    seed = check_sampling(samples, seed)
+    membership, probs, weights = kl_tables(membership, probs, weights)
+    cumulative = np.cumsum(weights)
     total_weight = float(cumulative[-1])
     shards = _sample_shards(samples)
     workers = _effective_workers(workers)

@@ -570,7 +570,11 @@ class QueryService:
         except (TypeError, ValueError):
             raise ServiceError(400, "'row' must contain numbers") from None
         samples = payload.get("samples", MC_SHARD)
-        if not isinstance(samples, int) or not 1 <= samples <= DEFAULT_SAMPLE_CAP:
+        if (
+            not isinstance(samples, int)
+            or isinstance(samples, bool)
+            or not 1 <= samples <= DEFAULT_SAMPLE_CAP
+        ):
             raise ServiceError(
                 400, f"'samples' must be an integer in [1, {DEFAULT_SAMPLE_CAP}]"
             )
@@ -578,8 +582,8 @@ class QueryService:
         if not isinstance(chunk, int) or chunk < 1:
             raise ServiceError(400, "'chunk' must be a positive integer")
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ServiceError(400, "'seed' must be an integer")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ServiceError(400, "'seed' must be a non-negative integer")
         wire = entry.wire_plan()
         stats = self.stream_stats
         mc_pool = self._mc

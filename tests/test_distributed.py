@@ -263,6 +263,68 @@ class TestHostsKnob:
             ) == parallel.monte_carlo_hits(compiled, marginals, 500, seed=1, workers=0)
 
 
+class TestSamplingInputs:
+    """The hosts= entry points check their input before anything ships."""
+
+    HOSTS = ("127.0.0.1:9",)  # never dialled: the checks come first
+
+    @staticmethod
+    def two_pairs():
+        c = Circuit()
+        vs = [c.variable(f"v{i}") for i in range(4)]
+        c.set_output(c.or_gate([c.and_gate(vs[:2]), c.and_gate(vs[2:])]))
+        return compile_circuit(c)
+
+    @pytest.mark.parametrize(
+        "marginals, samples, seed, match",
+        (
+            ([0.5] * 3, 100, 0, "need 4 marginals"),
+            ([0.5] * 5, 100, 0, "need 4 marginals"),
+            ([0.5] * 4, 100, -1, "seed must be"),
+            ([0.5] * 4, True, 0, "samples must be"),
+        ),
+    )
+    def test_monte_carlo_checked_before_shipping(
+        self, marginals, samples, seed, match
+    ):
+        calls = distributed.pool_stats()["calls"]
+        with pytest.raises(ReproError, match=match):
+            distributed.monte_carlo_hits(
+                self.two_pairs(), marginals, samples, seed=seed, hosts=self.HOSTS
+            )
+        assert distributed.pool_stats()["calls"] == calls
+
+    @pytest.mark.parametrize(
+        "probs, weights, seed, match",
+        (
+            ([0.3, 0.5, 0.2], [0.06, 0.1, 0.06], 0, "need 4 probabilities"),
+            ([0.3, 0.5, 0.2, 0.4], [0.06, 0.1], 0, "need 3 weights"),
+            ([0.3, 0.5, 0.2, 0.4], [0.06, 0.1, 0.06], -1, "seed must be"),
+        ),
+    )
+    def test_karp_luby_checked_before_shipping(self, probs, weights, seed, match):
+        membership = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]
+        calls = distributed.pool_stats()["calls"]
+        with pytest.raises(ReproError, match=match):
+            distributed.karp_luby_hits(
+                membership, probs, weights, 100, seed=seed, hosts=self.HOSTS
+            )
+        assert distributed.pool_stats()["calls"] == calls
+
+    def test_wire_plan_checks_the_probabilities_off_the_wire(self):
+        compiled = self.two_pairs()
+        decoded = distributed.plan_from_bytes(compiled.wire_bytes())
+        with pytest.raises(ReproError, match="need 4 marginals"):
+            decoded.mc_shard_hits([0.5] * 3, 0, 0, 64)
+        with pytest.raises(ReproError, match="seed must be"):
+            decoded.mc_shard_hits([0.5] * 4, -1, 0, 64)
+        assert decoded.mc_shard_hits([0.5] * 4, 0, 0, 64) == (
+            parallel._mc_shard_hits(
+                compiled.batch_plan(), np.full(4, 0.5, np.float32), 0, 0, 64
+            )
+        )
+
+
 # --------------------------------------------------------------------------- #
 # coordinator + real localhost workers
 

@@ -9,6 +9,7 @@ parallel hardware, only wall-clock does.
 """
 
 import gc
+import math
 import os
 import signal
 import time
@@ -178,6 +179,89 @@ class TestShardedMatrixPasses:
                 assert compiled.probability_batch(float_matrix) == serial_probs
 
 
+#: Marginals at and beyond the ends of the thresholds ``ceil(p * 2**24)``:
+#: 0, 1, 1, 2**23, 2**24 - 1, 2**24, 2**24, 0, 0, 2**24 and 0.
+EDGE_MARGINALS = (
+    0.0, 2.0**-149, 2.0**-24, 0.5, 1 - 2.0**-24, 1.0,
+    1.5, -0.5, float("nan"), float("inf"), float("-inf"),
+)
+
+#: Thresholds whose law the drawn bits are checked against.
+LAW_THRESHOLDS = (
+    1, 1 << 23, 3 << 22, (1 << 24) - 1,
+    5_592_405, 12_345_678, 1_677_722, 2_000_001,
+)
+
+#: ``monte_carlo_hits`` of :meth:`test_golden_hits_pin_the_stream` at seeds
+#: 0, 1 and 2.
+GOLDEN_HITS = [455, 533, 476]
+
+
+def hoeffding(samples: int, delta: float = 1e-9) -> float:
+    """Two-sided Hoeffding deviation of a frequency over ``samples`` draws."""
+    return math.sqrt(math.log(2 / delta) / (2 * samples))
+
+
+def replay_shard_hits(
+    compiled, probs32, seed, index, count, tile, slot_of_row=None
+) -> int:
+    """The documented Monte-Carlo stream, replayed world by world.
+
+    A world holds slot ``s`` when a 24-bit uniform ``U`` is below ``t =
+    ceil(p * 2**24)`` (clipped to ``[0, 2**24]``, 0 for NaN). Entries are
+    ``(word, slot)`` pairs, word-major in slot order, cut into tiles. Per
+    tile, entries with ``t`` at 0 or ``2**24`` start decided; the first
+    ``_MC_EAGER`` levels are one ``random_raw`` call, level-major; each
+    later level draws one output per entry with an undecided world, in
+    entry order. At level ``l`` bit ``i`` of an entry's output says world
+    ``i``'s bit of ``U`` differs from bit ``23 - l`` of ``t``: the world is
+    then decided, and holds when that bit of ``t`` is 1. Variable ``i``
+    of ``compiled`` reads slot ``slot_of_row[i]`` (default: slot ``i``).
+    """
+    bitgen = np.random.default_rng((seed, index)).bit_generator
+    thresholds = []
+    for p in probs32.tolist():
+        scaled = p * 2**24
+        thresholds.append(math.ceil(min(scaled, 2**24)) if scaled > 0 else 0)
+    n_vars = len(thresholds)
+    entries = [
+        (word, slot)
+        for word in range(-(-count // 64))
+        for slot in range(n_vars)
+    ]
+    held = {}
+    for start in range(0, len(entries), tile):
+        part = entries[start : start + tile]
+        undecided = []
+        for word, slot in part:
+            t = thresholds[slot]
+            held[word, slot] = set(range(64)) if t == 2**24 else set()
+            undecided.append(set(range(64)) if 0 < t < 2**24 else set())
+        eager = bitgen.random_raw(parallel._MC_EAGER * len(part)).tolist()
+        for level in range(24):
+            if level < parallel._MC_EAGER:
+                drawn = range(len(part))
+                outputs = eager[level * len(part) : (level + 1) * len(part)]
+            else:
+                drawn = [j for j in range(len(part)) if undecided[j]]
+                outputs = bitgen.random_raw(len(drawn)).tolist()
+            for j, output in zip(drawn, outputs):
+                word, slot = part[j]
+                bit = thresholds[slot] >> (23 - level) & 1
+                for world in sorted(undecided[j]):
+                    if output >> world & 1:
+                        undecided[j].discard(world)
+                        if bit:
+                            held[word, slot].add(world)
+    slot_of_row = range(n_vars) if slot_of_row is None else slot_of_row
+    return sum(
+        compiled.evaluate(
+            [world % 64 in held[world // 64, slot] for slot in slot_of_row]
+        )
+        for world in range(count)
+    )
+
+
 class TestFusedSampling:
     def test_monte_carlo_identical_across_worker_counts(self, monkeypatch):
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
@@ -196,11 +280,13 @@ class TestFusedSampling:
         )
 
     @pytest.mark.parametrize("width", (5, 6, 7))
-    def test_chunked_draws_equal_one_whole_matrix_draw(self, monkeypatch, width):
-        """Each kernel chunk draws its rows in turn from the shard's
-        generator; the hits equal those of one ``(count, width)`` float32
-        draw compared with the marginals, including marginals at the edges
-        of the integer thresholds the shard compares raw outputs with."""
+    def test_shard_hits_equal_a_scalar_replay_of_the_stream(
+        self, monkeypatch, width
+    ):
+        """The shard's hits equal those of a per-world replay of the
+        documented lazy stream, for tiles that straddle word and chunk
+        boundaries, one word or whole shards per kernel chunk, and
+        marginals at and beyond the edges of the thresholds."""
         c = Circuit()
         vs = [c.variable(f"v{i}") for i in range(width)]
         c.set_output(c.or_gate([c.and_gate(vs[: width // 2 + 1]),
@@ -208,48 +294,95 @@ class TestFusedSampling:
         compiled = compile_circuit(c)
         assert len(compiled.variables()) == width
         plan = compiled.batch_plan()
-        edges = (0.0, 2.0**-149, 2.0**-24, 0.5, 1 - 2.0**-24, 1.0)
-        marginal_sets = (
-            [0.55 + 0.05 * (i % 7) for i in range(width)],
-            [edges[i % len(edges)] for i in range(width)],
-            [edges[-1 - i % len(edges)] for i in range(width)],
-            # Outside [0, 1] the float test still decides; so must the shard.
-            [(1.5, -0.5, float("nan"), float("inf"))[i % 4] for i in range(width)],
-        )
+        marginal_sets = [[0.55 + 0.05 * (i % 7) for i in range(width)]] + [
+            [EDGE_MARGINALS[(i + k) % len(EDGE_MARGINALS)] for i in range(width)]
+            for k in range(0, len(EDGE_MARGINALS), width)
+        ]
         # One 64-world word per kernel chunk, or whole shards per chunk.
         budgets = (8 * plan.size, compiled_module.BATCH_BYTE_BUDGET)
         monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", budgets[0])
         assert plan.chunk_rows(as_float=False) == 64
-        for marginals in marginal_sets:
-            probs32 = np.asarray(marginals, dtype=np.float32)
-            # Random draws almost never land on a threshold, so probe the
-            # integer test at the boundary outputs against numpy's float32
-            # draw of a 32-bit output u, (u >> 8) * 2**-24.
-            limits, never = parallel._mc_limits(probs32)
-            for i, p in enumerate(probs32):
-                limit = int(limits[i])
-                for u in {0, limit, min(limit + 1, 2**32 - 1), 2**32 - 1}:
-                    holds = u <= limit and i not in never
-                    assert holds == (np.float32((u >> 8) * 2.0**-24) < p)
-            for seed in (0, 1, 17):
-                for count in (1, 3, 7, 50, 63, 64, 65, 200):
-                    rng = np.random.default_rng((seed, 2))
-                    draws = rng.random((count, width), dtype=np.float32)
-                    worlds = draws < probs32
-                    whole = sum(compiled.evaluate(w) for w in worlds.tolist())
-                    # Whole-chunk draws, then 8-world draws staged a word
-                    # at a time, as at 10⁶ variables.
-                    for budget in budgets:
-                        for draw_bytes in (1 << 25, 32 * width):
+        for tile in (11, parallel._MC_TILE):
+            monkeypatch.setattr(parallel, "_MC_TILE", tile)
+            for marginals in marginal_sets:
+                probs32 = np.asarray(marginals, dtype=np.float32)
+                for seed in (0, 17):
+                    for count in (1, 63, 64, 65, 200, 700):
+                        expected = replay_shard_hits(
+                            compiled, probs32, seed, 2, count, tile
+                        )
+                        for budget in budgets:
                             monkeypatch.setattr(
                                 compiled_module, "BATCH_BYTE_BUDGET", budget
                             )
-                            monkeypatch.setattr(
-                                parallel, "_DRAW_BYTES", draw_bytes
-                            )
                             assert parallel._mc_shard_hits(
                                 plan, probs32, seed, 2, count
-                            ) == whole
+                            ) == expected
+
+    def test_permuted_variable_rows_read_their_own_slots(self, monkeypatch):
+        """A plan whose variable rows are not in slot order gets each
+        slot's drawn words in the row that reads that slot."""
+        c = Circuit()
+        vs = [c.variable(f"v{i}") for i in range(5)]
+        c.set_output(c.or_gate([c.and_gate(vs[:3]),
+                                c.and_gate([vs[3], c.negation(vs[4])])]))
+        compiled = compile_circuit(c)
+        plan = compiled.batch_plan()
+        slot_of_row = plan.var_slots[::-1].copy()
+        monkeypatch.setattr(plan, "var_slots", slot_of_row)
+        monkeypatch.setattr(parallel, "_MC_TILE", 11)
+        probs32 = np.asarray([0.9, 0.8, 0.7, 0.2, 0.1], np.float32)
+        for count in (65, 200):
+            assert parallel._mc_shard_hits(plan, probs32, 4, 1, count) == (
+                replay_shard_hits(
+                    compiled, probs32, 4, 1, count, 11, slot_of_row.tolist()
+                )
+            )
+
+    def test_each_drawn_bit_follows_its_threshold(self):
+        """Each world holds a variable with probability t / 2**24, worlds
+        of one word are independent, and so are variables in one world:
+        every frequency lies within its Hoeffding bound at delta = 1e-9."""
+        thresholds = np.array(LAW_THRESHOLDS, dtype=np.int64)
+        repeats = 4096
+        p = thresholds / 2.0**24
+        for seed in (3, 4):
+            bitgen = np.random.default_rng((seed, 0)).bit_generator
+            words = parallel._mc_tile(bitgen, np.tile(thresholds, repeats))
+            bits = np.unpackbits(
+                words.view(np.uint8), bitorder="little"
+            ).reshape(repeats, thresholds.size, 64).astype(bool)
+            # Per variable: the frequency of set bits over every world.
+            held = bits.mean(axis=(0, 2))
+            assert np.all(np.abs(held - p) <= hoeffding(repeats * 64)), held - p
+            # Two worlds of one word: bits i and 63 - i.
+            both = (bits[:, :, :32] & bits[:, :, :31:-1]).mean(axis=(0, 2))
+            assert np.all(np.abs(both - p * p) <= hoeffding(repeats * 32))
+            # Two variables in one world: neighbouring slots of one word.
+            pairs = (bits[:, :-1] & bits[:, 1:]).mean(axis=(0, 2))
+            assert np.all(
+                np.abs(pairs - p[:-1] * p[1:]) <= hoeffding(repeats * 64)
+            )
+
+    def test_threshold_ends_decide_every_world(self):
+        """A threshold of 0 never holds and one of 2**24 always does."""
+        bitgen = np.random.default_rng((5, 0)).bit_generator
+        words = parallel._mc_tile(
+            bitgen, np.array([0, 1 << 24] * 500, dtype=np.int64)
+        )
+        assert np.all(words[0::2] == 0)
+        assert np.all(words[1::2] == ~np.uint64(0))
+
+    def test_golden_hits_pin_the_stream(self):
+        """Literal hit counts of one small circuit: any change to the random
+        stream (tiles, eager levels, entry order, thresholds) fails here."""
+        compiled = compile_circuit(random_circuit(21))
+        marginals = [0.2 + 0.1 * (i % 5) for i in range(len(compiled.variables()))]
+        hits = [
+            parallel.monte_carlo_hits(compiled, marginals, 40_000, seed=seed)
+            for seed in (0, 1, 2)
+        ]
+        assert hits == GOLDEN_HITS
 
     @pytest.mark.parametrize("width", (5, 7))
     def test_karp_luby_chunked_draws_equal_one_whole_matrix_draw(
@@ -315,6 +448,71 @@ class TestFusedSampling:
             assert monte_carlo_probability(query, tid, samples=600, seed=1) == serial
         kl_serial = karp_luby_probability(query, tid, samples=600, seed=1, workers=0)
         assert karp_luby_probability(query, tid, samples=600, seed=1, workers=2) == kl_serial
+
+
+def two_pairs():
+    """The 4-variable circuit ``OR(v0 AND v1, v2 AND v3)``."""
+    c = Circuit()
+    vs = [c.variable(f"v{i}") for i in range(4)]
+    c.set_output(c.or_gate([c.and_gate(vs[:2]), c.and_gate(vs[2:])]))
+    return compile_circuit(c)
+
+
+KL_MEMBERSHIP = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]
+KL_PROBS = [0.3, 0.5, 0.2, 0.4]
+KL_WEIGHTS = [0.06, 0.1, 0.06]
+
+
+class TestSamplingInputs:
+    """Every sampling entry point rejects malformed input with ReproError."""
+
+    def test_too_few_marginals_rejected(self):
+        with pytest.raises(ReproError, match="need 4 marginals"):
+            parallel.monte_carlo_hits(two_pairs(), [0.5] * 3, 100, seed=0)
+
+    def test_too_many_marginals_rejected(self):
+        with pytest.raises(ReproError, match="need 4 marginals"):
+            parallel.monte_carlo_hits(two_pairs(), [0.5] * 5, 100, seed=0)
+
+    def test_marginals_must_be_one_dimensional(self):
+        with pytest.raises(ReproError, match="need 4 marginals"):
+            parallel.monte_carlo_hits(two_pairs(), [[0.5] * 4], 100, seed=0)
+
+    @pytest.mark.parametrize("seed", (-1, True, 1.5, None, "3"))
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ReproError, match="seed must be"):
+            parallel.monte_carlo_hits(two_pairs(), [0.5] * 4, 100, seed=seed)
+        with pytest.raises(ReproError, match="seed must be"):
+            parallel.karp_luby_hits(
+                KL_MEMBERSHIP, KL_PROBS, KL_WEIGHTS, 100, seed=seed
+            )
+
+    @pytest.mark.parametrize("samples", (True, 0, -3, 2.0))
+    def test_samples_must_be_a_positive_int(self, samples):
+        with pytest.raises(ReproError, match="samples must be"):
+            parallel.monte_carlo_hits(two_pairs(), [0.5] * 4, samples, seed=0)
+        with pytest.raises(ReproError, match="samples must be"):
+            parallel.karp_luby_hits(
+                KL_MEMBERSHIP, KL_PROBS, KL_WEIGHTS, samples, seed=0
+            )
+
+    def test_numpy_ints_are_accepted(self):
+        compiled = two_pairs()
+        assert parallel.monte_carlo_hits(
+            compiled, [0.5] * 4, np.int64(100), seed=np.uint32(3)
+        ) == parallel.monte_carlo_hits(compiled, [0.5] * 4, 100, seed=3)
+
+    def test_karp_luby_probabilities_must_match_the_columns(self):
+        with pytest.raises(ReproError, match="need 4 probabilities"):
+            parallel.karp_luby_hits(
+                KL_MEMBERSHIP, KL_PROBS[:3], KL_WEIGHTS, 100, seed=0
+            )
+
+    def test_karp_luby_weights_must_match_the_rows(self):
+        with pytest.raises(ReproError, match="need 3 weights"):
+            parallel.karp_luby_hits(
+                KL_MEMBERSHIP, KL_PROBS, KL_WEIGHTS[:2], 100, seed=0
+            )
 
 
 class TestPoolLifecycle:

@@ -557,6 +557,21 @@ class TestQueryServiceDispatch:
         assert status == 400
         assert str(len(marginals)) in payload["error"]
 
+    @pytest.mark.parametrize(
+        "field, value",
+        (("seed", -1), ("seed", True), ("samples", True), ("samples", 0)),
+    )
+    def test_sample_request_validated(self, app, field, value):
+        compiled, marginals = chain_setup(n=10, seed=24)
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        body = {"digest": registered["digest"], "row": marginals,
+                "samples": 64, "seed": 0, field: value}
+        status, payload = dispatch(app, "POST", "/sample", body)
+        assert status == 400
+        assert repr(field) in payload["error"]
+
     def test_corrupt_wire_plan_rejected(self, app):
         status, payload = dispatch(
             app, "POST", "/plans",

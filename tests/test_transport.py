@@ -35,6 +35,7 @@ import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.circuits import Circuit, compile_circuit
@@ -432,24 +433,69 @@ class TestTLSTransport:
 @pytest.mark.distributed
 class TestMixedVersionFleet:
     def test_v2_worker_serves_a_v3_coordinator_lockstep(
-        self, inprocess_worker_factory, plaintext_provider, monkeypatch
+        self, inprocess_worker_factory, plaintext_provider
     ):
         """A legacy worker (caps-less version-2 hello) still completes
-        shards for this coordinator — negotiated down to the v2 baseline,
-        driven lockstep instead of pipelined, bit-identical results."""
-        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        batch shards for this coordinator — negotiated down to the v2
+        baseline, driven lockstep instead of pipelined, bit-identical
+        results. (Its Monte-Carlo shards run elsewhere: see below.)"""
         compiled = compile_circuit(random_circuit(80))
+        worlds = np.random.default_rng(80).random(
+            (3000, len(compiled.variables()))
+        ) < 0.4
+        serial = distributed.evaluate_batch_distributed(compiled, worlds, hosts=())
+        legacy = inprocess_worker_factory(hello_caps=())
+        assert np.array_equal(
+            distributed.evaluate_batch_distributed(
+                compiled, worlds, hosts=(legacy.address,)
+            ),
+            serial,
+        )
+        stats = distributed.pool_stats()
+        assert stats["per_host_tasks"].get(legacy.address, 0) > 0
+        conn = distributed._HOST_POOL._conns[legacy.address]
+        assert conn.caps == distributed.V2_BASELINE_CAPS
+        assert "pipeline" not in conn.caps
+
+    @pytest.mark.parametrize(
+        "hello_caps",
+        (
+            sorted(distributed.PROTOCOL_CAPS - {distributed.MC_STREAM_CAP}),
+            (),
+        ),
+        ids=("float32-stream-build", "legacy-hello"),
+    )
+    def test_worker_without_the_stream_takes_no_monte_carlo_shard(
+        self, inprocess_worker_factory, plaintext_provider, monkeypatch,
+        hello_caps,
+    ):
+        """A worker that did not negotiate the Monte-Carlo stream answers
+        no ``mc`` shard: the call completes locally on the one stream, the
+        skip is counted, and a warning names the host."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        compiled = compile_circuit(random_circuit(83))
         marginals = [0.3] * len(compiled.variables())
         serial = parallel.monte_carlo_hits(
             compiled, marginals, 700, seed=9, workers=0
         )
-        legacy = inprocess_worker_factory(hello_caps=())
-        assert distributed.monte_carlo_hits(
-            compiled, marginals, 700, seed=9, hosts=(legacy.address,)
-        ) == serial
-        conn = distributed._HOST_POOL._conns[legacy.address]
-        assert conn.caps == distributed.V2_BASELINE_CAPS
-        assert "pipeline" not in conn.caps
+        older = inprocess_worker_factory(hello_caps=hello_caps)
+        before = distributed.pool_stats()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            hits = distributed.monte_carlo_hits(
+                compiled, marginals, 700, seed=9, hosts=(older.address,)
+            )
+        after = distributed.pool_stats()
+        assert hits == serial
+        assert after["per_host_tasks"].get(older.address, 0) == \
+            before["per_host_tasks"].get(older.address, 0)
+        assert after["capability_skips"] - before["capability_skips"] == 1
+        assert after["plan_offers"] == before["plan_offers"]  # nothing shipped
+        messages = [str(w.message) for w in caught]
+        assert any(
+            older.address in m and distributed.MC_STREAM_CAP in m
+            for m in messages
+        ), messages
 
     def test_future_worker_with_caps_is_accepted(
         self, inprocess_worker_factory, plaintext_provider
