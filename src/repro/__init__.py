@@ -31,208 +31,112 @@ This package root is the blessed public surface: the core verbs
 (:func:`capabilities`), and configuration (:func:`configure` /
 :func:`overrides` over the knob registry in :mod:`repro.config`).
 Submodules remain importable for specialized entry points, but everything
-``examples/quickstart.py`` needs comes from ``repro`` directly.
+``examples/quickstart.py`` needs comes from ``repro`` directly. Each name
+resolves on first use (:mod:`repro.util.lazy`), so ``import repro`` loads
+no subsystem until one is asked for.
 
 See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
 """
 
-from repro.baselines import (
-    karp_luby_probability,
-    monte_carlo_probability,
-    pc_probability_enumerate,
-    pcc_probability_enumerate,
-    tid_certain,
-    tid_possible,
-    tid_probability_enumerate,
-)
-from repro.circuits import (
-    Circuit,
-    CompiledCircuit,
-    available_engines,
-    capabilities,
-    compile_circuit,
-    distributed_hosts,
-    plan_from_bytes,
-    pool_stats,
-    probability_batch,
-    probability_dd,
-    set_default_engine,
-    wmc_enumerate,
-    wmc_message_passing,
-    wmc_shannon,
-)
-from repro.circuits import probability as circuit_probability
-from repro.conditioning import ConditionedInstance, SimulatedCrowd, run_crowd_session
-from repro.config import configure, overrides
-from repro.core import (
-    BipartiteAutomaton,
-    CQAutomaton,
-    DecompositionAutomaton,
-    Lineage,
-    ParityAutomaton,
-    STConnectivityAutomaton,
-    build_lineage,
-    build_provenance_circuit,
-    pc_probability,
-    pcc_probability,
-    tid_probability,
-)
-from repro.cqa import (
-    certain_answers,
-    certain_oracle,
-    classify,
-    cqa_stats,
-    fo_rewriting,
-    reset_cqa_stats,
-)
-from repro.events import EventSpace, Formula, var
-from repro.instances import (
-    AbstractInstance,
-    CInstance,
-    ColumnarInstance,
-    Fact,
-    Instance,
-    PCCInstance,
-    PCInstance,
-    TIDInstance,
-    fact,
-    instance_backend,
-    instance_backend_set,
-    make_instance,
-    pc_from_tid,
-    pcc_from_pc,
-    pcc_from_tid,
-    set_instance_backend,
-)
-from repro.order import LabeledPoset, antichain, chain
-from repro.prxml import PrXMLDocument, TreePattern, path_pattern, query_probability
-from repro.queries import (
-    ConjunctiveQuery,
-    KeySpec,
-    UnionOfConjunctiveQueries,
-    atom,
-    cq,
-    homomorphisms,
-    is_safe,
-    key_spec,
-    safe_plan_probability,
-    ucq,
-    variables,
-)
-from repro.rules import ProbabilisticRule, chase, probabilistic_chase, rule
-from repro.semirings import Semiring, circuit_provenance, reference_provenance
-from repro.service import ServiceClient, spawn_service
-from repro.treewidth import TreeDecomposition, decompose, exact_treewidth
-from repro.workloads import (
-    ALL_TRIPS,
-    cqa_trichotomy_queries,
-    key_violation_instance,
-    rst_chain_tid,
-    table1_cinstance,
-    table1_pc_instance,
-)
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_TRIPS",
-    "AbstractInstance",
-    "BipartiteAutomaton",
-    "CInstance",
-    "CQAutomaton",
-    "ColumnarInstance",
-    "Circuit",
-    "CompiledCircuit",
-    "ConditionedInstance",
-    "ConjunctiveQuery",
-    "DecompositionAutomaton",
-    "EventSpace",
-    "Fact",
-    "Formula",
-    "Instance",
-    "KeySpec",
-    "LabeledPoset",
-    "Lineage",
-    "PCCInstance",
-    "PCInstance",
-    "ParityAutomaton",
-    "PrXMLDocument",
-    "ProbabilisticRule",
-    "STConnectivityAutomaton",
-    "Semiring",
-    "ServiceClient",
-    "SimulatedCrowd",
-    "TIDInstance",
-    "TreeDecomposition",
-    "TreePattern",
-    "UnionOfConjunctiveQueries",
-    "antichain",
-    "atom",
-    "available_engines",
-    "build_lineage",
-    "build_provenance_circuit",
-    "capabilities",
-    "certain_answers",
-    "certain_oracle",
-    "chain",
-    "chase",
-    "circuit_probability",
-    "circuit_provenance",
-    "classify",
-    "compile_circuit",
-    "configure",
-    "cq",
-    "cqa_stats",
-    "cqa_trichotomy_queries",
-    "decompose",
-    "distributed_hosts",
-    "exact_treewidth",
-    "fact",
-    "fo_rewriting",
-    "homomorphisms",
-    "instance_backend",
-    "instance_backend_set",
-    "is_safe",
-    "karp_luby_probability",
-    "key_spec",
-    "key_violation_instance",
-    "make_instance",
-    "monte_carlo_probability",
-    "overrides",
-    "path_pattern",
-    "pc_from_tid",
-    "pc_probability",
-    "pc_probability_enumerate",
-    "pcc_from_pc",
-    "pcc_from_tid",
-    "pcc_probability",
-    "pcc_probability_enumerate",
-    "plan_from_bytes",
-    "pool_stats",
-    "probabilistic_chase",
-    "probability_batch",
-    "probability_dd",
-    "query_probability",
-    "reference_provenance",
-    "reset_cqa_stats",
-    "rst_chain_tid",
-    "rule",
-    "run_crowd_session",
-    "safe_plan_probability",
-    "set_default_engine",
-    "set_instance_backend",
-    "spawn_service",
-    "table1_cinstance",
-    "table1_pc_instance",
-    "tid_certain",
-    "tid_possible",
-    "tid_probability",
-    "tid_probability_enumerate",
-    "ucq",
-    "var",
-    "variables",
-    "wmc_enumerate",
-    "wmc_message_passing",
-    "wmc_shannon",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".baselines": (
+        "karp_luby_probability",
+        "monte_carlo_probability",
+        "pc_probability_enumerate",
+        "pcc_probability_enumerate",
+        "tid_certain",
+        "tid_possible",
+        "tid_probability_enumerate",
+    ),
+    ".circuits": (
+        "Circuit",
+        "CompiledCircuit",
+        "available_engines",
+        "capabilities",
+        "compile_circuit",
+        "distributed_hosts",
+        "plan_from_bytes",
+        "pool_stats",
+        ("probability", "circuit_probability"),
+        "probability_batch",
+        "probability_dd",
+        "set_default_engine",
+        "wmc_enumerate",
+        "wmc_message_passing",
+        "wmc_shannon",
+    ),
+    ".conditioning": ("ConditionedInstance", "SimulatedCrowd", "run_crowd_session"),
+    ".config": ("configure", "overrides"),
+    ".core": (
+        "BipartiteAutomaton",
+        "CQAutomaton",
+        "DecompositionAutomaton",
+        "Lineage",
+        "ParityAutomaton",
+        "STConnectivityAutomaton",
+        "build_lineage",
+        "build_provenance_circuit",
+        "pc_probability",
+        "pcc_probability",
+        "tid_probability",
+    ),
+    ".cqa": (
+        "certain_answers",
+        "certain_oracle",
+        "classify",
+        "cqa_stats",
+        "fo_rewriting",
+        "reset_cqa_stats",
+    ),
+    ".events": ("EventSpace", "Formula", "var"),
+    ".instances": (
+        "AbstractInstance",
+        "CInstance",
+        "ColumnarInstance",
+        "Fact",
+        "Instance",
+        "PCCInstance",
+        "PCInstance",
+        "TIDInstance",
+        "fact",
+        "instance_backend",
+        "instance_backend_set",
+        "make_instance",
+        "pc_from_tid",
+        "pcc_from_pc",
+        "pcc_from_tid",
+        "set_instance_backend",
+    ),
+    ".order": ("LabeledPoset", "antichain", "chain"),
+    ".prxml": ("PrXMLDocument", "TreePattern", "path_pattern", "query_probability"),
+    ".queries": (
+        "ConjunctiveQuery",
+        "KeySpec",
+        "UnionOfConjunctiveQueries",
+        "atom",
+        "cq",
+        "homomorphisms",
+        "is_safe",
+        "key_spec",
+        "safe_plan_probability",
+        "ucq",
+        "variables",
+    ),
+    ".rules": ("ProbabilisticRule", "chase", "probabilistic_chase", "rule"),
+    ".semirings": ("Semiring", "circuit_provenance", "reference_provenance"),
+    ".service": ("ServiceClient", "spawn_service"),
+    ".treewidth": ("TreeDecomposition", "decompose", "exact_treewidth"),
+    ".workloads": (
+        "ALL_TRIPS",
+        "cqa_trichotomy_queries",
+        "key_violation_instance",
+        "rst_chain_tid",
+        "table1_cinstance",
+        "table1_pc_instance",
+    ),
+})

@@ -1,23 +1,9 @@
 """Bottom-up tree automata and the query-to-automaton bridge (S7)."""
 
-from repro.automata.bridge import PatternAutomaton
-from repro.automata.bta import TreeAutomaton
-from repro.automata.trees import (
-    LEAF,
-    BinaryTree,
-    decode_world,
-    encode_world,
-    leaf,
-    node,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BinaryTree",
-    "LEAF",
-    "PatternAutomaton",
-    "TreeAutomaton",
-    "decode_world",
-    "encode_world",
-    "leaf",
-    "node",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".bridge": ("PatternAutomaton",),
+    ".bta": ("TreeAutomaton",),
+    ".trees": ("LEAF", "BinaryTree", "decode_world", "encode_world", "leaf", "node"),
+})

@@ -55,144 +55,72 @@ The historical entry points (``wmc_enumerate``, ``wmc_shannon``,
 the same layer.
 """
 
-from repro.circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit, Gate, from_formula
-from repro.circuits.compiled import (
-    ENUMERATION_VARIABLE_CAP,
-    CompiledCircuit,
-    batch_stats,
-    compile_circuit,
-    compile_stats,
-    recompile,
-    reset_batch_stats,
-    reset_compile_stats,
-)
-from repro.circuits.dd import (
-    check_decomposability,
-    check_determinism_sampled,
-    probability_dd,
-)
-from repro.circuits.evaluation import (
-    available_engines,
-    capabilities,
-    default_engine,
-    default_engine_set,
-    distributed_hosts,
-    distributed_hosts_set,
-    distributed_secret,
-    distributed_secret_set,
-    distributed_tls,
-    distributed_tls_set,
-    engine_forced,
-    force_engine,
-    forced_engine,
-    get_engine,
-    parallel_available,
-    parallel_workers,
-    parallel_workers_set,
-    pipeline_depth,
-    pipeline_depth_set,
-    plan_from_bytes,
-    plan_to_bytes,
-    pool_stats,
-    probability,
-    probability_batch,
-    register_engine,
-    registered_hosts,
-    reset_pool,
-    set_default_engine,
-    set_distributed_hosts,
-    set_distributed_secret,
-    set_distributed_tls,
-    set_pipeline_depth,
-    set_parallel_workers,
-    shutdown_pool,
-    start_registry,
-    stop_registry,
-)
-from repro.circuits.export import CircuitStats, circuit_stats, to_dot
-from repro.circuits.plancache import (
-    plan_cache_dir,
-    plan_cache_dir_set,
-    plan_cache_stats,
-    reset_plan_cache_stats,
-    set_plan_cache_dir,
-)
-from repro.circuits.graph import circuit_width, moral_graph
-from repro.circuits.wmc import (
-    MessagePassingReport,
-    wmc_enumerate,
-    wmc_message_passing,
-    wmc_shannon,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AND",
-    "CONST",
-    "Circuit",
-    "CircuitStats",
-    "CompiledCircuit",
-    "ENUMERATION_VARIABLE_CAP",
-    "Gate",
-    "MessagePassingReport",
-    "NOT",
-    "OR",
-    "VAR",
-    "available_engines",
-    "batch_stats",
-    "capabilities",
-    "check_decomposability",
-    "check_determinism_sampled",
-    "circuit_stats",
-    "circuit_width",
-    "compile_circuit",
-    "compile_stats",
-    "default_engine",
-    "default_engine_set",
-    "distributed_hosts",
-    "distributed_hosts_set",
-    "distributed_secret",
-    "distributed_secret_set",
-    "distributed_tls",
-    "distributed_tls_set",
-    "engine_forced",
-    "force_engine",
-    "forced_engine",
-    "from_formula",
-    "get_engine",
-    "moral_graph",
-    "parallel_available",
-    "parallel_workers",
-    "parallel_workers_set",
-    "pipeline_depth",
-    "pipeline_depth_set",
-    "plan_cache_dir",
-    "plan_cache_dir_set",
-    "plan_cache_stats",
-    "plan_from_bytes",
-    "plan_to_bytes",
-    "pool_stats",
-    "probability",
-    "probability_batch",
-    "probability_dd",
-    "recompile",
-    "register_engine",
-    "registered_hosts",
-    "reset_batch_stats",
-    "reset_compile_stats",
-    "reset_plan_cache_stats",
-    "reset_pool",
-    "set_default_engine",
-    "set_distributed_hosts",
-    "set_distributed_secret",
-    "set_distributed_tls",
-    "set_parallel_workers",
-    "set_pipeline_depth",
-    "set_plan_cache_dir",
-    "shutdown_pool",
-    "start_registry",
-    "stop_registry",
-    "to_dot",
-    "wmc_enumerate",
-    "wmc_message_passing",
-    "wmc_shannon",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".circuit": ("AND", "CONST", "NOT", "OR", "VAR", "Circuit", "Gate", "from_formula"),
+    ".compiled": (
+        "ENUMERATION_VARIABLE_CAP",
+        "CompiledCircuit",
+        "batch_stats",
+        "compile_circuit",
+        "compile_stats",
+        "recompile",
+        "reset_batch_stats",
+        "reset_compile_stats",
+    ),
+    ".dd": ("check_decomposability", "check_determinism_sampled", "probability_dd"),
+    ".distributed": (
+        "distributed_hosts",
+        "distributed_hosts_set",
+        "distributed_secret",
+        "distributed_secret_set",
+        "distributed_tls",
+        "distributed_tls_set",
+        "pipeline_depth",
+        "pipeline_depth_set",
+        "plan_from_bytes",
+        "plan_to_bytes",
+        "pool_stats",
+        "registered_hosts",
+        "reset_pool",
+        "set_distributed_hosts",
+        "set_distributed_secret",
+        "set_distributed_tls",
+        "set_pipeline_depth",
+        "start_registry",
+        "stop_registry",
+    ),
+    ".evaluation": (
+        "MessagePassingReport",
+        "available_engines",
+        "capabilities",
+        "default_engine",
+        "default_engine_set",
+        "engine_forced",
+        "force_engine",
+        "forced_engine",
+        "get_engine",
+        "probability",
+        "probability_batch",
+        "register_engine",
+        "set_default_engine",
+    ),
+    ".export": ("CircuitStats", "circuit_stats", "to_dot"),
+    ".graph": ("circuit_width", "moral_graph"),
+    ".parallel": (
+        "parallel_available",
+        "parallel_workers",
+        "parallel_workers_set",
+        "set_parallel_workers",
+        "shutdown_pool",
+    ),
+    ".plancache": (
+        "plan_cache_dir",
+        "plan_cache_dir_set",
+        "plan_cache_stats",
+        "reset_plan_cache_stats",
+        "set_plan_cache_dir",
+    ),
+    ".wmc": ("wmc_enumerate", "wmc_message_passing", "wmc_shannon"),
+})

@@ -81,7 +81,6 @@ import os
 import secrets as secrets_module
 import ssl
 import struct
-import sys
 import threading
 import warnings
 import zlib
@@ -92,6 +91,7 @@ import numpy as np
 from repro.circuits import compiled as _compiled
 from repro.circuits import parallel as _parallel
 from repro.util import ReproError, check
+from repro.util.helpers import spawn_until_ready
 
 # --------------------------------------------------------------------------- #
 # wire format: versioned, checksummed plan serialization
@@ -1241,6 +1241,15 @@ class WorkerServer:
             cache.pop(next(iter(cache)))
         cache[key] = value
 
+    @staticmethod
+    def _held(held: dict, digest, cache: dict):
+        """The payload ``digest`` names: this connection's, else the shared one."""
+        payload = held.pop(digest, None)
+        if payload is None:
+            return cache.get(digest)
+        held[digest] = payload  # most recently used
+        return payload
+
     async def _handle(self, reader, writer) -> None:
         try:
             hello = self._hello_meta()
@@ -1262,6 +1271,12 @@ class WorkerServer:
                     )
                     return
                 await _send_message(writer, MSG_AUTH_OK, {"pid": os.getpid()})
+            # The payloads this connection's coordinator holds as
+            # published, least recently used first. Tasks read them from
+            # here, so the shared caches' evictions cannot strand one; this
+            # set evicts only while it answers an offer, and the answer
+            # names what it evicted so the coordinator offers it again.
+            held: dict = {}
             while True:
                 kind, meta, blob = await _read_message(reader)
                 if kind == MSG_SHUTDOWN:
@@ -1271,19 +1286,29 @@ class WorkerServer:
                 elif kind == MSG_PLAN_OFFER:
                     key = meta["checksum"]
                     cache = self._tables if meta.get("kind") == "tables" else self._plans
-                    have = key in cache
-                    if not have and cache is self._plans:
+                    payload = self._held(held, key, cache)
+                    if payload is None and cache is self._plans:
                         # A fresh worker can answer PLAN_HAVE from the
                         # persistent disk cache: the plan then never
                         # crosses the wire at all.
-                        plan = _plan_from_disk(key)
-                        if plan is not None:
-                            self._cache_put(self._plans, key, plan)
-                            have = True
+                        payload = _plan_from_disk(key)
+                        if payload is not None:
+                            self._cache_put(self._plans, key, payload)
+                    reply = {"checksum": key}
+                    if key not in held:
+                        evicted = []
+                        while len(held) >= _WORKER_CACHE_LIMIT:
+                            oldest = next(iter(held))
+                            del held[oldest]
+                            evicted.append(oldest)
+                        if evicted:
+                            reply["evicted"] = evicted
+                        if payload is not None:
+                            held[key] = payload
                     await _send_message(
                         writer,
-                        MSG_PLAN_HAVE if have else MSG_PLAN_NEED,
-                        {"checksum": key},
+                        MSG_PLAN_HAVE if payload is not None else MSG_PLAN_NEED,
+                        reply,
                     )
                 elif kind == MSG_PLAN:
                     key = meta["checksum"]
@@ -1293,10 +1318,12 @@ class WorkerServer:
 
                         if plancache.enabled():
                             plancache.store_plan_blob(key, bytes(blob))
+                    held[key] = self._plans[key]
                 elif kind == MSG_TABLES:
                     key = meta["checksum"]
                     if key not in self._tables:
                         self._cache_put(self._tables, key, tables_from_bytes(blob))
+                    held[key] = self._tables[key]
                 elif kind == MSG_TASK:
                     if self.max_tasks is not None and self._executed >= self.max_tasks:
                         os._exit(17)  # fault injection: die instead of answering
@@ -1304,7 +1331,7 @@ class WorkerServer:
                     if self.delay > 0:  # slow-host drill hook
                         await asyncio.sleep(self.delay)
                     try:
-                        rmeta, rblob = self._execute(meta, blob)
+                        rmeta, rblob = self._execute(meta, blob, held)
                     except Exception as exc:  # noqa: BLE001 - reported to coordinator
                         await _send_message(
                             writer, MSG_ERROR,
@@ -1326,22 +1353,22 @@ class WorkerServer:
             except _CONNECTION_ERRORS:  # pragma: no cover - teardown race
                 pass
 
-    def _execute(self, meta: dict, blob: bytes) -> tuple[dict, bytes]:
+    def _execute(self, meta: dict, blob: bytes, held: dict) -> tuple[dict, bytes]:
         op = meta["op"]
         task_id = meta["id"]
         if op == "mc":
-            plan = self._plans.get(meta["plan"])
+            plan = self._held(held, meta["plan"], self._plans)
             check(plan is not None, "task references a plan this worker never got")
             probs = _values_from_bytes("f", blob)
             hits = plan.mc_shard_hits(probs, meta["seed"], meta["index"], meta["count"])
             return {"id": task_id, "hits": hits}, b""
         if op == "kl":
-            tables = self._tables.get(meta["tables"])
+            tables = self._held(held, meta["tables"], self._tables)
             check(tables is not None, "task references tables this worker never got")
             hits = tables.kl_shard_hits(meta["seed"], meta["index"], meta["count"])
             return {"id": task_id, "hits": hits}, b""
         if op == "eval":
-            plan = self._plans.get(meta["plan"])
+            plan = self._held(held, meta["plan"], self._plans)
             check(plan is not None, "task references a plan this worker never got")
             as_float = bool(meta["as_float"])
             rows = int(meta["rows"])
@@ -1417,18 +1444,7 @@ def spawn_local_worker(max_tasks: int | None = None,
     ``register``/``advertise`` (elastic membership) pass the serve flags
     through.
     """
-    import re
-    import subprocess
-    import time
-    from pathlib import Path
-
-    import repro
-
-    package_root = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ)
-    env["PYTHONPATH"] = package_root + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
     if tls_cert is not None or tls_key is not None or tls_ca is not None:
         # An explicit TLS configuration means exactly these files: serve
         # backfills each missing --tls-* flag from the environment on its
@@ -1439,7 +1455,7 @@ def spawn_local_worker(max_tasks: int | None = None,
                         "REPRO_DISTRIBUTED_TLS_KEY",
                         "REPRO_DISTRIBUTED_TLS_CA"):
             env.pop(tls_var, None)
-    command = [sys.executable, "-m", "repro", "serve", "--port", str(port)]
+    command = ["serve", "--port", str(port)]
     if max_tasks is not None:
         command += ["--max-tasks", str(max_tasks)]
     if secret is not None:
@@ -1456,22 +1472,7 @@ def spawn_local_worker(max_tasks: int | None = None,
         command += ["--register", str(register)]
     if advertise is not None:
         command += ["--advertise", str(advertise)]
-    process = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=env,
-    )
-    deadline = time.monotonic() + startup_timeout
-    line = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            break
-        match = re.search(r"listening on ([\w.\-]+):(\d+)", line)
-        if match:
-            return LocalWorker(process, match.group(1), int(match.group(2)))
-    process.kill()
-    process.wait(timeout=5.0)
-    raise ReproError(f"worker never became ready (last output: {line!r})")
+    return LocalWorker(*spawn_until_ready(command, env, startup_timeout, "worker"))
 
 
 # --------------------------------------------------------------------------- #
@@ -2010,7 +2011,10 @@ class HostPool:
         otherwise the worker is offered the digest and only answers
         ``PLAN_NEED`` when its process-wide cache lacks it — so a plan
         crosses the wire once per worker per circuit, not once per call,
-        and a reconnect to a live worker costs two tiny frames.
+        and a reconnect to a live worker costs two tiny frames. A worker
+        holds at most ``_WORKER_CACHE_LIMIT`` payloads per connection; an
+        answer's ``evicted`` field names the digests it dropped to make
+        room, and they leave ``conn.published`` to be offered again.
         """
         for msg_kind, msg_meta, msg_blob in payloads:
             digest = msg_meta["checksum"]
@@ -2034,6 +2038,7 @@ class HostPool:
                     f"worker {conn.hostport} answered a plan offer with "
                     f"message kind {kind}"
                 )
+            conn.published.difference_update(meta.get("evicted", ()))
             conn.published.add(digest)
 
     # -- coordinated calls ------------------------------------------------ #

@@ -22,8 +22,8 @@ over this layer.
 Orthogonal to the engine choice is the **execution backend** the batch
 entry points run on: scalar generated kernels (always), level-scheduled
 numpy kernels (when numpy imports), and the sharded multi-process pool of
-:mod:`repro.circuits.parallel` (when the ``parallel_workers`` knob — re-
-exported here alongside :func:`capabilities` — is set to two or more).
+:mod:`repro.circuits.parallel` (when the ``parallel_workers`` knob, which
+:func:`capabilities` reports, is set to two or more).
 Engines pick *what* to compute; the backend stack picks *how fast*; see
 ``ARCHITECTURE.md`` for the full lowering pipeline.
 """
@@ -43,55 +43,10 @@ from repro.circuits.compiled import (
     K_TRUE,
     K_VAR,
     CompiledCircuit,
-    compile_circuit,
-)
-from repro.circuits.compiled import (  # noqa: F401 - re-exported knobs
     batch_stats,
+    compile_circuit,
     compile_stats,
-    recompile,
-    reset_batch_stats,
-    reset_compile_stats,
 )
-from repro.circuits.distributed import (  # noqa: F401 - re-exported knobs
-    auth_provider,
-    auth_provider_set,
-    distributed_hosts,
-    distributed_hosts_set,
-    distributed_secret,
-    distributed_secret_set,
-    distributed_tls,
-    distributed_tls_set,
-    pipeline_depth,
-    pipeline_depth_set,
-    plan_from_bytes,
-    plan_to_bytes,
-    pool_stats,
-    registered_hosts,
-    reset_pool,
-    set_auth_provider,
-    set_distributed_hosts,
-    set_distributed_secret,
-    set_distributed_tls,
-    set_pipeline_depth,
-    start_registry,
-    stop_registry,
-)
-from repro.circuits.parallel import (  # noqa: F401 - re-exported knobs
-    parallel_available,
-    parallel_workers,
-    parallel_workers_set,
-    set_parallel_workers,
-    shutdown_pool,
-)
-from repro.circuits.plancache import (  # noqa: F401 - re-exported knobs
-    plan_cache_dir,
-    plan_cache_dir_set,
-    plan_cache_stats,
-    set_plan_cache_dir,
-)
-from repro.circuits.plancache import enabled as plan_cache_enabled
-from repro.circuits.plancache import min_gates as plan_cache_min_gates
-from repro.circuits.plancache import plan_cache_limit_bytes
 from repro.events import EventSpace
 from repro.util import ReproError, check
 
@@ -109,6 +64,7 @@ def capabilities() -> dict:
     host pool's counters, and the visible CPU count — one call reports the
     whole configuration (engines are listed by :func:`available_engines`).
     """
+    from repro.circuits import distributed, parallel, plancache
     from repro.cqa import CONP, FO, PTIME, cqa_stats
     from repro.instances.columnar import instance_backend
 
@@ -116,19 +72,19 @@ def capabilities() -> dict:
         "engine": default_engine(),
         "forced_engine": forced_engine(),
         "instance_backend": instance_backend(),
-        "parallel": parallel_available(),
-        "parallel_workers": parallel_workers(),
-        "distributed_hosts": list(distributed_hosts()),
-        "distributed_auth": distributed_secret() is not None,
-        "distributed_transport": auth_provider().name,
-        "distributed_pipeline": pipeline_depth(),
-        "distributed_registered": list(registered_hosts()),
-        "distributed_pool": pool_stats(),
-        "plan_cache_dir": plan_cache_dir(),
-        "plan_cache_enabled": plan_cache_enabled(),
-        "plan_cache_limit_bytes": plan_cache_limit_bytes(),
-        "plan_cache_min_gates": plan_cache_min_gates(),
-        "plan_cache": plan_cache_stats(),
+        "parallel": parallel.parallel_available(),
+        "parallel_workers": parallel.parallel_workers(),
+        "distributed_hosts": list(distributed.distributed_hosts()),
+        "distributed_auth": distributed.distributed_secret() is not None,
+        "distributed_transport": distributed.auth_provider().name,
+        "distributed_pipeline": distributed.pipeline_depth(),
+        "distributed_registered": list(distributed.registered_hosts()),
+        "distributed_pool": distributed.pool_stats(),
+        "plan_cache_dir": plancache.plan_cache_dir(),
+        "plan_cache_enabled": plancache.enabled(),
+        "plan_cache_limit_bytes": plancache.plan_cache_limit_bytes(),
+        "plan_cache_min_gates": plancache.min_gates(),
+        "plan_cache": plancache.plan_cache_stats(),
         "cqa_classes": [FO, PTIME, CONP],
         "cqa": cqa_stats(),
         "compile": compile_stats(),

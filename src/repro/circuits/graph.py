@@ -9,9 +9,12 @@ any tree decomposition of the moral graph.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.circuits.circuit import Circuit
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def moral_graph(circuit: Circuit, restrict_to_output: bool = True) -> nx.Graph:
@@ -20,6 +23,8 @@ def moral_graph(circuit: Circuit, restrict_to_output: bool = True) -> nx.Graph:
     Vertices are gate ids; each gate is connected to all of its inputs, and
     the inputs of a gate are connected pairwise (moralization).
     """
+    import networkx as nx
+
     graph = nx.Graph()
     if restrict_to_output and circuit.output is not None:
         gate_ids = circuit.reachable_from_output()

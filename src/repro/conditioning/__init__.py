@@ -1,27 +1,16 @@
 """Conditioning on observations and crowd question selection (S11)."""
 
-from repro.conditioning.condition import (
-    ConditionedInstance,
-    condition_pc_on_literal,
-)
-from repro.conditioning.crowd import (
-    CrowdSession,
-    CrowdSessionStep,
-    SimulatedCrowd,
-    binary_entropy,
-    choose_question_greedy,
-    expected_entropy_after_asking,
-    run_crowd_session,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ConditionedInstance",
-    "CrowdSession",
-    "CrowdSessionStep",
-    "SimulatedCrowd",
-    "binary_entropy",
-    "choose_question_greedy",
-    "condition_pc_on_literal",
-    "expected_entropy_after_asking",
-    "run_crowd_session",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".condition": ("ConditionedInstance", "condition_pc_on_literal"),
+    ".crowd": (
+        "CrowdSession",
+        "CrowdSessionStep",
+        "SimulatedCrowd",
+        "binary_entropy",
+        "choose_question_greedy",
+        "expected_entropy_after_asking",
+        "run_crowd_session",
+    ),
+})

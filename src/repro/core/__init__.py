@@ -1,83 +1,49 @@
 """The core lineage engine: Theorems 1 and 2 executable (S6)."""
 
-from repro.core.answers import (
-    RankedAnswer,
-    answer_lineages,
-    answer_probabilities,
-    candidate_answers,
-    substitute_answer,
-)
-from repro.core.automaton import (
-    DecompositionAutomaton,
-    NegationAutomaton,
-    ProductAutomaton,
-    conjunction,
-    disjunction,
-    negation,
-)
-from repro.core.cq_automaton import CQAutomaton, automaton_for
-from repro.core.engine import (
-    Lineage,
-    assign_facts_to_bags,
-    build_lineage,
-    build_provenance_circuit,
-    combine_with_annotations,
-    compile_query_plan,
-    instance_decomposition,
-    pc_probability,
-    pcc_probability,
-    tid_probability,
-)
-from repro.core.graph_automata import (
-    AllDegreesEvenAutomaton,
-    BipartiteAutomaton,
-    EdgeConnectedAutomaton,
-    ParityAutomaton,
-    STConnectivityAutomaton,
-)
-from repro.core.hybrid import (
-    HybridReduction,
-    hybrid_stconn,
-    monte_carlo_stconn,
-    reduce_for_stconn,
-    series_factor_terminals,
-)
-from repro.core.possibility import certain, possible
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AllDegreesEvenAutomaton",
-    "BipartiteAutomaton",
-    "EdgeConnectedAutomaton",
-    "CQAutomaton",
-    "DecompositionAutomaton",
-    "HybridReduction",
-    "Lineage",
-    "NegationAutomaton",
-    "ParityAutomaton",
-    "ProductAutomaton",
-    "RankedAnswer",
-    "STConnectivityAutomaton",
-    "answer_lineages",
-    "answer_probabilities",
-    "assign_facts_to_bags",
-    "automaton_for",
-    "build_lineage",
-    "build_provenance_circuit",
-    "candidate_answers",
-    "certain",
-    "combine_with_annotations",
-    "compile_query_plan",
-    "conjunction",
-    "disjunction",
-    "hybrid_stconn",
-    "instance_decomposition",
-    "monte_carlo_stconn",
-    "negation",
-    "pc_probability",
-    "pcc_probability",
-    "possible",
-    "reduce_for_stconn",
-    "series_factor_terminals",
-    "substitute_answer",
-    "tid_probability",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".answers": (
+        "RankedAnswer",
+        "answer_lineages",
+        "answer_probabilities",
+        "candidate_answers",
+        "substitute_answer",
+    ),
+    ".automaton": (
+        "DecompositionAutomaton",
+        "NegationAutomaton",
+        "ProductAutomaton",
+        "conjunction",
+        "disjunction",
+        "negation",
+    ),
+    ".cq_automaton": ("CQAutomaton", "automaton_for"),
+    ".engine": (
+        "Lineage",
+        "assign_facts_to_bags",
+        "build_lineage",
+        "build_provenance_circuit",
+        "combine_with_annotations",
+        "compile_query_plan",
+        "instance_decomposition",
+        "pc_probability",
+        "pcc_probability",
+        "tid_probability",
+    ),
+    ".graph_automata": (
+        "AllDegreesEvenAutomaton",
+        "BipartiteAutomaton",
+        "EdgeConnectedAutomaton",
+        "ParityAutomaton",
+        "STConnectivityAutomaton",
+    ),
+    ".hybrid": (
+        "HybridReduction",
+        "hybrid_stconn",
+        "monte_carlo_stconn",
+        "reduce_for_stconn",
+        "series_factor_terminals",
+    ),
+    ".possibility": ("certain", "possible"),
+})

@@ -26,14 +26,16 @@ randomness is integrated exactly, lowering the variance per sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.engine import tid_probability
 from repro.core.graph_automata import STConnectivityAutomaton
 from repro.instances.base import Fact, fact
 from repro.instances.tid import TIDInstance
 from repro.util import check, stable_rng
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 @dataclass
@@ -48,6 +50,8 @@ class HybridReduction:
 
 
 def _edge_graph(tid: TIDInstance) -> nx.Graph:
+    import networkx as nx
+
     graph = nx.Graph()
     for f in tid.facts():
         if f.relation == "E" and f.arity == 2:
@@ -60,6 +64,8 @@ def peel(graph: nx.Graph, keep: frozenset, max_degree: int = 2) -> frozenset:
 
     Returns the set of *removed* (periphery) vertices.
     """
+    import networkx as nx
+
     work = nx.Graph(graph)
     removed: set = set()
     changed = True
@@ -79,6 +85,8 @@ def reduce_for_stconn(
     tid: TIDInstance, source, target, peel_degree: int = 2
 ) -> HybridReduction:
     """Summarize ≤2-boundary periphery fragments into equivalent edges."""
+    import networkx as nx
+
     graph = _edge_graph(tid)
     check(graph.number_of_nodes() > 0, "no E-edges in the instance")
     keep = frozenset({source, target})

@@ -24,39 +24,20 @@ See ARCHITECTURE.md § "Certain answers" for the design and
 ``repro cqa`` / E20 for the executable tour.
 """
 
-from repro.cqa.attacks import (
-    CONP,
-    FO,
-    PTIME,
-    Attack,
-    Classification,
-    attack_graph,
-    classify,
-)
-from repro.cqa.circuit import certain_by_circuit, repair_lineage
-from repro.cqa.engine import METHODS, certain_answers, cqa_stats, reset_cqa_stats
-from repro.cqa.repairs import blocks, certain_oracle, iter_repairs, repair_count
-from repro.cqa.rewrite import FORewriting, elimination_order, fo_rewriting
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CONP",
-    "FO",
-    "METHODS",
-    "PTIME",
-    "Attack",
-    "Classification",
-    "FORewriting",
-    "attack_graph",
-    "blocks",
-    "certain_answers",
-    "certain_by_circuit",
-    "certain_oracle",
-    "classify",
-    "cqa_stats",
-    "elimination_order",
-    "fo_rewriting",
-    "iter_repairs",
-    "repair_count",
-    "repair_lineage",
-    "reset_cqa_stats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".attacks": (
+        "CONP",
+        "FO",
+        "PTIME",
+        "Attack",
+        "Classification",
+        "attack_graph",
+        "classify",
+    ),
+    ".circuit": ("certain_by_circuit", "repair_lineage"),
+    ".engine": ("METHODS", "certain_answers", "cqa_stats", "reset_cqa_stats"),
+    ".repairs": ("blocks", "certain_oracle", "iter_repairs", "repair_count"),
+    ".rewrite": ("FORewriting", "elimination_order", "fo_rewriting"),
+})

@@ -5,36 +5,23 @@ pc-instances, and the event vocabulary shared by PrXML documents, conditioning
 and the probabilistic chase.
 """
 
-from repro.events.formulas import (
-    FALSE,
-    TRUE,
-    And,
-    Const,
-    Formula,
-    Not,
-    Or,
-    Valuation,
-    Var,
-    conj,
-    disj,
-    literal,
-    var,
-)
-from repro.events.space import EventSpace
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "And",
-    "Const",
-    "EventSpace",
-    "FALSE",
-    "Formula",
-    "Not",
-    "Or",
-    "TRUE",
-    "Valuation",
-    "Var",
-    "conj",
-    "disj",
-    "literal",
-    "var",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".formulas": (
+        "FALSE",
+        "TRUE",
+        "And",
+        "Const",
+        "Formula",
+        "Not",
+        "Or",
+        "Valuation",
+        "Var",
+        "conj",
+        "disj",
+        "literal",
+        "var",
+    ),
+    ".space": ("EventSpace",),
+})

@@ -1,44 +1,28 @@
 """Relational substrate: instances, TIDs, c-/pc-/pcc-instances (S4)."""
 
-from repro.instances.base import (
-    AbstractInstance,
-    Constant,
-    Fact,
-    Instance,
-    fact,
-    variable_name_of,
-)
-from repro.instances.cinstance import CInstance, PCInstance
-from repro.instances.cinstance import from_tid as pc_from_tid
-from repro.instances.columnar import (
-    ColumnarInstance,
-    instance_backend,
-    instance_backend_set,
-    make_instance,
-    set_instance_backend,
-)
-from repro.instances.pcc import PCCInstance
-from repro.instances.pcc import from_pc_instance as pcc_from_pc
-from repro.instances.pcc import from_tid as pcc_from_tid
-from repro.instances.tid import TIDInstance
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AbstractInstance",
-    "CInstance",
-    "ColumnarInstance",
-    "Constant",
-    "Fact",
-    "Instance",
-    "PCCInstance",
-    "PCInstance",
-    "TIDInstance",
-    "fact",
-    "instance_backend",
-    "instance_backend_set",
-    "make_instance",
-    "pc_from_tid",
-    "pcc_from_pc",
-    "pcc_from_tid",
-    "set_instance_backend",
-    "variable_name_of",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "AbstractInstance",
+        "Constant",
+        "Fact",
+        "Instance",
+        "fact",
+        "variable_name_of",
+    ),
+    ".cinstance": ("CInstance", "PCInstance", ("from_tid", "pc_from_tid")),
+    ".columnar": (
+        "ColumnarInstance",
+        "instance_backend",
+        "instance_backend_set",
+        "make_instance",
+        "set_instance_backend",
+    ),
+    ".pcc": (
+        "PCCInstance",
+        ("from_pc_instance", "pcc_from_pc"),
+        ("from_tid", "pcc_from_tid"),
+    ),
+    ".tid": ("TIDInstance",),
+})

@@ -25,10 +25,12 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from collections.abc import Hashable, Iterable, Iterator
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.util import ReproError, check
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Constant = Hashable
 
@@ -167,6 +169,8 @@ class AbstractInstance(ABC):
 
     def gaifman_graph(self) -> nx.Graph:
         """Return the Gaifman graph: constants adjacent iff they share a fact."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(self.domain())
         for f in self.facts():

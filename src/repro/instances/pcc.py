@@ -11,8 +11,7 @@ heuristic width can be measured and exploited.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.circuits import Circuit, from_formula
 from repro.circuits.graph import moral_graph
@@ -20,6 +19,9 @@ from repro.events import EventSpace, Formula
 from repro.instances.base import Fact, Instance
 from repro.instances.columnar import make_instance
 from repro.util import check
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class PCCInstance:
@@ -103,6 +105,8 @@ class PCCInstance:
         treewidth of this graph is (our computable rendering of) the paper's
         bounded-treewidth pcc-instance condition.
         """
+        import networkx as nx
+
         graph = nx.Graph()
         for constant in self.instance.domain():
             graph.add_node(("d", constant))

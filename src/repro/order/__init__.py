@@ -1,75 +1,42 @@
 """Order uncertainty: po-relations, algebra, linear extensions (S10)."""
 
-from repro.order.algebra import (
-    concat,
-    interleavings,
-    product_direct,
-    product_lex,
-    projection,
-    selection,
-    union,
-)
-from repro.order.linear_extensions import (
-    count_linear_extensions,
-    extension_labels,
-    is_linear_extension,
-    iter_linear_extensions,
-    possible_worlds,
-    sample_linear_extension,
-)
-from repro.order.membership import (
-    certain_pairs,
-    is_possible_world,
-    membership_backtracking,
-)
-from repro.order.numeric import (
-    is_realizable_order,
-    order_probability,
-    poset_from_intervals,
-    sample_order,
-)
-from repro.order.posets import LabeledPoset, antichain, chain
-from repro.order.probability import (
-    count_realizations,
-    most_probable_worlds,
-    pair_order_probability,
-    world_probability,
-)
-from repro.order.series_parallel import (
-    NotSeriesParallel,
-    count_linear_extensions_sp,
-    is_series_parallel,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "LabeledPoset",
-    "NotSeriesParallel",
-    "antichain",
-    "certain_pairs",
-    "chain",
-    "concat",
-    "count_linear_extensions",
-    "count_linear_extensions_sp",
-    "count_realizations",
-    "most_probable_worlds",
-    "pair_order_probability",
-    "world_probability",
-    "extension_labels",
-    "interleavings",
-    "is_linear_extension",
-    "is_possible_world",
-    "is_realizable_order",
-    "is_series_parallel",
-    "iter_linear_extensions",
-    "membership_backtracking",
-    "order_probability",
-    "poset_from_intervals",
-    "possible_worlds",
-    "product_direct",
-    "product_lex",
-    "projection",
-    "sample_linear_extension",
-    "sample_order",
-    "selection",
-    "union",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".algebra": (
+        "concat",
+        "interleavings",
+        "product_direct",
+        "product_lex",
+        "projection",
+        "selection",
+        "union",
+    ),
+    ".linear_extensions": (
+        "count_linear_extensions",
+        "extension_labels",
+        "is_linear_extension",
+        "iter_linear_extensions",
+        "possible_worlds",
+        "sample_linear_extension",
+    ),
+    ".membership": ("certain_pairs", "is_possible_world", "membership_backtracking"),
+    ".numeric": (
+        "is_realizable_order",
+        "order_probability",
+        "poset_from_intervals",
+        "sample_order",
+    ),
+    ".posets": ("LabeledPoset", "antichain", "chain"),
+    ".probability": (
+        "count_realizations",
+        "most_probable_worlds",
+        "pair_order_probability",
+        "world_probability",
+    ),
+    ".series_parallel": (
+        "NotSeriesParallel",
+        "count_linear_extensions_sp",
+        "is_series_parallel",
+    ),
+})

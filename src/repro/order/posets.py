@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Hashable, Iterable, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.util import ReproError, check
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Element = Hashable
 Label = Hashable
@@ -33,6 +35,8 @@ class LabeledPoset:
         labels: Mapping[Element, Label],
         order: Iterable[tuple[Element, Element]] = (),
     ):
+        import networkx as nx
+
         self._labels: dict[Element, Label] = dict(labels)
         self._dag = nx.DiGraph()
         self._dag.add_nodes_from(self._labels)
@@ -51,6 +55,8 @@ class LabeledPoset:
 
     def add_order(self, smaller: Element, larger: Element) -> None:
         """Assert ``smaller < larger``; rejects cycles."""
+        import networkx as nx
+
         check(smaller in self._labels and larger in self._labels, "unknown elements")
         check(smaller != larger, "strict order is irreflexive")
         if self._dag.has_edge(larger, smaller) or nx.has_path(self._dag, larger, smaller):
@@ -78,6 +84,8 @@ class LabeledPoset:
 
     def less_than(self, a: Element, b: Element) -> bool:
         """Whether ``a < b`` in the transitive closure."""
+        import networkx as nx
+
         return a != b and nx.has_path(self._dag, a, b)
 
     def comparable(self, a: Element, b: Element) -> bool:
@@ -86,6 +94,8 @@ class LabeledPoset:
 
     def closure_pairs(self) -> set[tuple[Element, Element]]:
         """All pairs ``(a, b)`` with ``a < b`` (transitive closure)."""
+        import networkx as nx
+
         closure = set()
         for a in self._dag.nodes:
             for b in nx.descendants(self._dag, a):
@@ -94,6 +104,8 @@ class LabeledPoset:
 
     def hasse_edges(self) -> list[tuple[Element, Element]]:
         """The covering relation (transitive reduction)."""
+        import networkx as nx
+
         reduction = nx.transitive_reduction(self._dag)
         return list(reduction.edges)
 
@@ -144,6 +156,8 @@ class LabeledPoset:
 
     def dag_copy(self) -> nx.DiGraph:
         """A copy of the internal DAG (edges may be non-reduced)."""
+        import networkx as nx
+
         return nx.DiGraph(self._dag)
 
     def __repr__(self) -> str:

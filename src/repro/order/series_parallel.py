@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
-
 from repro.order.posets import LabeledPoset
 from repro.util import ReproError
 
@@ -28,6 +26,8 @@ class NotSeriesParallel(ReproError):
 
 
 def _comparability_components(poset: LabeledPoset) -> list[set]:
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(poset.elements())
     for a, b in poset.closure_pairs():

@@ -1,84 +1,48 @@
 """Probabilistic XML: documents, patterns, scopes, tractable evaluation (S8)."""
 
-from repro.prxml.evaluation import (
-    AUTO,
-    DIRECT,
-    MESSAGE_PASSING,
-    SHANNON,
-    PrXMLLineage,
-    build_pattern_lineage,
-    query_probability,
-)
-from repro.prxml.model import (
-    CIE,
-    DET,
-    IND,
-    MUX,
-    REGULAR,
-    PNode,
-    PrXMLDocument,
-    World,
-    cie,
-    det,
-    ind,
-    make_world,
-    mux,
-    regular,
-    world_children,
-    world_label,
-)
-from repro.prxml.patterns import (
-    CHILD,
-    DESCENDANT,
-    WILDCARD,
-    PatternNode,
-    TreePattern,
-    path_pattern,
-    pattern,
-)
-from repro.prxml.scopes import event_scopes, events_used, node_scopes, scope_width
-from repro.prxml.semantics import (
-    query_probability_enumerate,
-    sample_world,
-    world_distribution,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AUTO",
-    "CHILD",
-    "CIE",
-    "DESCENDANT",
-    "DET",
-    "DIRECT",
-    "IND",
-    "MESSAGE_PASSING",
-    "MUX",
-    "PNode",
-    "PatternNode",
-    "PrXMLDocument",
-    "PrXMLLineage",
-    "REGULAR",
-    "SHANNON",
-    "TreePattern",
-    "WILDCARD",
-    "World",
-    "build_pattern_lineage",
-    "cie",
-    "det",
-    "event_scopes",
-    "events_used",
-    "ind",
-    "make_world",
-    "mux",
-    "node_scopes",
-    "path_pattern",
-    "pattern",
-    "query_probability",
-    "query_probability_enumerate",
-    "regular",
-    "sample_world",
-    "scope_width",
-    "world_children",
-    "world_distribution",
-    "world_label",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".evaluation": (
+        "AUTO",
+        "DIRECT",
+        "MESSAGE_PASSING",
+        "SHANNON",
+        "PrXMLLineage",
+        "build_pattern_lineage",
+        "query_probability",
+    ),
+    ".model": (
+        "CIE",
+        "DET",
+        "IND",
+        "MUX",
+        "REGULAR",
+        "PNode",
+        "PrXMLDocument",
+        "World",
+        "cie",
+        "det",
+        "ind",
+        "make_world",
+        "mux",
+        "regular",
+        "world_children",
+        "world_label",
+    ),
+    ".patterns": (
+        "CHILD",
+        "DESCENDANT",
+        "WILDCARD",
+        "PatternNode",
+        "TreePattern",
+        "path_pattern",
+        "pattern",
+    ),
+    ".scopes": ("event_scopes", "events_used", "node_scopes", "scope_width"),
+    ".semantics": (
+        "query_probability_enumerate",
+        "sample_world",
+        "world_distribution",
+    ),
+})

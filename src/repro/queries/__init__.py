@@ -1,41 +1,28 @@
 """Query languages: CQs, UCQs, safe plans, Datalog (S5)."""
 
-from repro.queries.cq import (
-    Atom,
-    ConjunctiveQuery,
-    UnionOfConjunctiveQueries,
-    Variable,
-    atom,
-    cq,
-    ucq,
-    variables,
-)
-from repro.queries.cq import homomorphisms
-from repro.queries.datalog import DatalogProgram, DatalogRule
-from repro.queries.keys import KeySpec, key_spec
-from repro.queries.safe import (
-    UnsafeQueryError,
-    is_hierarchical,
-    is_safe,
-    safe_plan_probability,
-)
+# ``cq`` also names a submodule, so it is bound eagerly: importing the
+# submodule later then cannot rebind ``repro.queries.cq`` to the module.
+from repro.queries.cq import cq  # noqa: F401
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Atom",
-    "ConjunctiveQuery",
-    "DatalogProgram",
-    "DatalogRule",
-    "KeySpec",
-    "UnionOfConjunctiveQueries",
-    "UnsafeQueryError",
-    "Variable",
-    "atom",
-    "cq",
-    "homomorphisms",
-    "is_hierarchical",
-    "key_spec",
-    "is_safe",
-    "safe_plan_probability",
-    "ucq",
-    "variables",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cq": (
+        "Atom",
+        "ConjunctiveQuery",
+        "UnionOfConjunctiveQueries",
+        "Variable",
+        "atom",
+        "cq",
+        "homomorphisms",
+        "ucq",
+        "variables",
+    ),
+    ".datalog": ("DatalogProgram", "DatalogRule"),
+    ".keys": ("KeySpec", "key_spec"),
+    ".safe": (
+        "UnsafeQueryError",
+        "is_hierarchical",
+        "is_safe",
+        "safe_plan_probability",
+    ),
+})

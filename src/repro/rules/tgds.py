@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-import networkx as nx
-
 from repro.queries.cq import Atom, Variable
 from repro.util import check
 
@@ -80,6 +78,8 @@ def is_weakly_acyclic(rules: Iterable[ExistentialRule]) -> bool:
     position q of an existential variable. Weakly acyclic iff no cycle goes
     through a special edge — which bounds the chase.
     """
+    import networkx as nx
+
     rules = list(rules)
     graph = nx.DiGraph()
     special: set[tuple] = set()

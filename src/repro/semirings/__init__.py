@@ -1,63 +1,34 @@
 """Semiring provenance (S9)."""
 
-from repro.semirings.base import (
-    ABSORPTIVE_SEMIRINGS,
-    CLEARANCES,
-    CONFIDENTIAL,
-    NEVER,
-    NON_ABSORPTIVE_SEMIRINGS,
-    PUBLIC,
-    SECRET,
-    TOP_SECRET,
-    BooleanSemiring,
-    Clearance,
-    CountingSemiring,
-    FuzzySemiring,
-    PolynomialSemiring,
-    PosBoolSemiring,
-    SecuritySemiring,
-    Semiring,
-    TropicalSemiring,
-    ViterbiSemiring,
-    WhySemiring,
-)
-from repro.semirings.krelations import (
-    KRelation,
-    evaluate_cq_algebraically,
-    from_instance,
-)
-from repro.semirings.provenance import (
-    circuit_provenance,
-    default_tokens,
-    evaluate_circuit,
-    reference_provenance,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ABSORPTIVE_SEMIRINGS",
-    "BooleanSemiring",
-    "CLEARANCES",
-    "CONFIDENTIAL",
-    "Clearance",
-    "CountingSemiring",
-    "FuzzySemiring",
-    "NEVER",
-    "NON_ABSORPTIVE_SEMIRINGS",
-    "PUBLIC",
-    "PolynomialSemiring",
-    "PosBoolSemiring",
-    "SECRET",
-    "SecuritySemiring",
-    "Semiring",
-    "TOP_SECRET",
-    "TropicalSemiring",
-    "ViterbiSemiring",
-    "WhySemiring",
-    "KRelation",
-    "circuit_provenance",
-    "default_tokens",
-    "evaluate_circuit",
-    "evaluate_cq_algebraically",
-    "from_instance",
-    "reference_provenance",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": (
+        "ABSORPTIVE_SEMIRINGS",
+        "CLEARANCES",
+        "CONFIDENTIAL",
+        "NEVER",
+        "NON_ABSORPTIVE_SEMIRINGS",
+        "PUBLIC",
+        "SECRET",
+        "TOP_SECRET",
+        "BooleanSemiring",
+        "Clearance",
+        "CountingSemiring",
+        "FuzzySemiring",
+        "PolynomialSemiring",
+        "PosBoolSemiring",
+        "SecuritySemiring",
+        "Semiring",
+        "TropicalSemiring",
+        "ViterbiSemiring",
+        "WhySemiring",
+    ),
+    ".krelations": ("KRelation", "evaluate_cq_algebraically", "from_instance"),
+    ".provenance": (
+        "circuit_provenance",
+        "default_tokens",
+        "evaluate_circuit",
+        "reference_provenance",
+    ),
+})

@@ -25,31 +25,12 @@ service is that process:
 subprocess lifecycle helper shared by the tests and the E19 bench.
 """
 
-from repro.service.app import QueryService, ServiceError, StreamResponse, parse_query
-from repro.service.cache import LatencyHistogram, ResultCache, valuation_hash
-from repro.service.client import (
-    LocalService,
-    ServiceClient,
-    ServiceClientError,
-    spawn_service,
-)
-from repro.service.coalesce import Coalescer
-from repro.service.http import fastapi_available, run_service, serve_http
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Coalescer",
-    "LatencyHistogram",
-    "LocalService",
-    "QueryService",
-    "ResultCache",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceError",
-    "StreamResponse",
-    "fastapi_available",
-    "parse_query",
-    "run_service",
-    "serve_http",
-    "spawn_service",
-    "valuation_hash",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".app": ("QueryService", "ServiceError", "StreamResponse", "parse_query"),
+    ".cache": ("LatencyHistogram", "ResultCache", "valuation_hash"),
+    ".client": ("LocalService", "ServiceClient", "ServiceClientError", "spawn_service"),
+    ".coalesce": ("Coalescer",),
+    ".http": ("fastapi_available", "run_service", "serve_http"),
+})

@@ -19,9 +19,9 @@ import base64
 import http.client
 import json
 import os
-import sys
 
 from repro.util import ReproError
+from repro.util.helpers import spawn_until_ready
 
 #: The readiness line a spawned service prints, parsed by spawn_service.
 READY_PREFIX = "repro-service listening on"
@@ -248,23 +248,10 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     ``REPRO_DISTRIBUTED_HOSTS`` or ``REPRO_PLAN_CACHE_DIR`` for the fault
     drills). The caller owns teardown (:meth:`LocalService.stop`).
     """
-    import re
-    import subprocess
-    import time
-    from pathlib import Path
-
-    import repro
-
-    package_root = str(Path(repro.__file__).resolve().parents[1])
     child_env = dict(os.environ)
-    child_env["PYTHONPATH"] = package_root + (
-        os.pathsep + child_env["PYTHONPATH"]
-        if child_env.get("PYTHONPATH") else ""
-    )
     if env:
         child_env.update({key: str(value) for key, value in env.items()})
-    command = [sys.executable, "-m", "repro", "serve-http",
-               "--port", str(port)]
+    command = ["serve-http", "--port", str(port)]
     if not coalesce:
         command.append("--no-coalesce")
     if coalesce_ms is not None:
@@ -274,19 +261,6 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     if cache_ttl is not None:
         command += ["--cache-ttl", str(cache_ttl)]
     command += list(extra_args)
-    process = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-        text=True, env=child_env,
+    return LocalService(
+        *spawn_until_ready(command, child_env, startup_timeout, "service")
     )
-    deadline = time.monotonic() + startup_timeout
-    line = ""
-    while time.monotonic() < deadline:
-        line = process.stdout.readline()
-        if not line:
-            break
-        match = re.search(r"listening on ([\w.\-]+):(\d+)", line)
-        if match:
-            return LocalService(process, match.group(1), int(match.group(2)))
-    process.kill()
-    process.wait(timeout=5.0)
-    raise ReproError(f"service never became ready (last output: {line!r})")

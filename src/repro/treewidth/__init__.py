@@ -1,51 +1,30 @@
 """Tree decompositions, width heuristics, exact treewidth, nice trees (S3)."""
 
-from repro.treewidth.decomposition import TreeDecomposition, from_elimination_order
-from repro.treewidth.exact import exact_decomposition, exact_treewidth
-from repro.treewidth.heuristics import (
-    HEURISTICS,
-    MIN_DEGREE,
-    MIN_FILL,
-    NETWORKX_MIN_DEGREE,
-    NETWORKX_MIN_FILL,
-    decompose,
-    greedy_width,
-    min_degree_order,
-    min_fill_order,
-)
-from repro.treewidth.nice import (
-    FORGET,
-    INTRODUCE,
-    JOIN,
-    LEAF,
-    READ,
-    NiceNode,
-    NiceTree,
-    build_nice_tree,
-    check_nice_tree,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FORGET",
-    "HEURISTICS",
-    "INTRODUCE",
-    "JOIN",
-    "LEAF",
-    "MIN_DEGREE",
-    "MIN_FILL",
-    "NETWORKX_MIN_DEGREE",
-    "NETWORKX_MIN_FILL",
-    "NiceNode",
-    "NiceTree",
-    "READ",
-    "TreeDecomposition",
-    "build_nice_tree",
-    "check_nice_tree",
-    "decompose",
-    "exact_decomposition",
-    "exact_treewidth",
-    "from_elimination_order",
-    "greedy_width",
-    "min_degree_order",
-    "min_fill_order",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".decomposition": ("TreeDecomposition", "from_elimination_order"),
+    ".exact": ("exact_decomposition", "exact_treewidth"),
+    ".heuristics": (
+        "HEURISTICS",
+        "MIN_DEGREE",
+        "MIN_FILL",
+        "NETWORKX_MIN_DEGREE",
+        "NETWORKX_MIN_FILL",
+        "decompose",
+        "greedy_width",
+        "min_degree_order",
+        "min_fill_order",
+    ),
+    ".nice": (
+        "FORGET",
+        "INTRODUCE",
+        "JOIN",
+        "LEAF",
+        "READ",
+        "NiceNode",
+        "NiceTree",
+        "build_nice_tree",
+        "check_nice_tree",
+    ),
+})

@@ -10,10 +10,12 @@ of G is the minimum width over its decompositions (Robertson–Seymour).
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.util import ReproError, check
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Vertex = Hashable
 
@@ -27,6 +29,8 @@ class TreeDecomposition:
     """
 
     def __init__(self, bags: Mapping[int, Iterable[Vertex]], edges: Iterable[tuple[int, int]]):
+        import networkx as nx
+
         self.bags: dict[int, frozenset[Vertex]] = {
             node: frozenset(bag) for node, bag in bags.items()
         }
@@ -53,6 +57,8 @@ class TreeDecomposition:
 
         Raises :class:`ReproError` with a description of the first violation.
         """
+        import networkx as nx
+
         covered = self.vertices()
         missing = set(graph.nodes) - set(covered)
         if missing:
@@ -77,6 +83,8 @@ class TreeDecomposition:
 
     def rooted_children(self, root: int | None = None) -> tuple[int, dict[int, list[int]]]:
         """Return ``(root, children)`` for a rooted view of the tree."""
+        import networkx as nx
+
         root = root if root is not None else min(self.bags)
         check(root in self.bags, f"unknown bag id {root}")
         children: dict[int, list[int]] = {node: [] for node in self.bags}
@@ -99,6 +107,8 @@ class TreeDecomposition:
 
     def relabeled(self) -> "TreeDecomposition":
         """Return a copy with bag ids renumbered 0..n-1 (BFS order)."""
+        import networkx as nx
+
         order = list(nx.bfs_tree(self.tree, min(self.bags)))
         mapping = {old: new for new, old in enumerate(order)}
         return TreeDecomposition(
@@ -118,6 +128,8 @@ def from_elimination_order(graph: nx.Graph, order: list[Vertex]) -> TreeDecompos
     to the bag of the next-eliminated neighbour. The width equals the largest
     elimination neighbourhood.
     """
+    import networkx as nx
+
     check(set(order) == set(graph.nodes), "order must enumerate exactly the graph vertices")
     if not order:
         return TreeDecomposition({0: []}, [])

@@ -7,10 +7,13 @@ is capped at 18 vertices.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.treewidth.decomposition import TreeDecomposition, from_elimination_order
 from repro.util import check
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _eliminated_degree(graph: nx.Graph, eliminated: frozenset, vertex) -> int:
@@ -73,6 +76,8 @@ def exact_treewidth(graph: nx.Graph) -> int:
 
 def exact_elimination_order(graph: nx.Graph) -> list:
     """Return an elimination order achieving the exact treewidth."""
+    import networkx as nx
+
     target = exact_treewidth(graph)
     order = []
     eliminated: frozenset = frozenset()
@@ -99,6 +104,8 @@ def exact_elimination_order(graph: nx.Graph) -> list:
 
 def _remaining_width(graph: nx.Graph, eliminated: frozenset) -> int:
     """Exact width needed to finish eliminating ``graph`` after ``eliminated``."""
+    import networkx as nx
+
     remaining = [v for v in graph.nodes if v not in eliminated]
     if not remaining:
         return 0

@@ -7,10 +7,13 @@ practice min-degree and min-fill are the workhorse heuristics (and what
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.treewidth.decomposition import TreeDecomposition, Vertex, from_elimination_order
 from repro.util import ReproError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 MIN_DEGREE = "min_degree"
 MIN_FILL = "min_fill"
@@ -29,6 +32,8 @@ def min_degree_order(graph: nx.Graph) -> list[Vertex]:
 
     Ties are broken deterministically by string representation.
     """
+    import networkx as nx
+
     work = nx.Graph(graph)
     order: list[Vertex] = []
     while work.number_of_nodes() > 0:
@@ -49,6 +54,8 @@ def min_fill_order(graph: nx.Graph) -> list[Vertex]:
     its neighbourhood a clique; min-fill usually yields slightly smaller
     widths than min-degree at higher cost.
     """
+    import networkx as nx
+
     work = nx.Graph(graph)
     order: list[Vertex] = []
 
@@ -79,6 +86,8 @@ def decompose(graph: nx.Graph, heuristic: str = MIN_FILL) -> TreeDecomposition:
     variants delegate to :mod:`networkx.algorithms.approximation` and serve
     as an external cross-check in tests and the E11 ablation.
     """
+    import networkx as nx
+
     if graph.number_of_nodes() == 0:
         return TreeDecomposition({0: []}, [])
     if heuristic == MIN_DEGREE:

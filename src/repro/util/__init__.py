@@ -1,19 +1,14 @@
 """Shared utilities: deterministic RNG helpers, iteration helpers, validation."""
 
-from repro.util.helpers import (
-    ReproError,
-    check,
-    fresh_name_factory,
-    pairs,
-    powerset,
-    stable_rng,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ReproError",
-    "check",
-    "fresh_name_factory",
-    "pairs",
-    "powerset",
-    "stable_rng",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".helpers": (
+        "ReproError",
+        "check",
+        "fresh_name_factory",
+        "pairs",
+        "powerset",
+        "stable_rng",
+    ),
+})

@@ -62,3 +62,57 @@ def fresh_name_factory(prefix: str):
         return f"{prefix}{next(counter)}"
 
     return fresh
+
+
+def spawn_until_ready(args: list[str], env: dict, startup_timeout: float,
+                      what: str):
+    """Run ``python -m repro *args`` and wait for its readiness line.
+
+    The child finds this process's ``repro`` package first on its
+    ``PYTHONPATH`` (``env`` supplies the rest of its environment) and
+    prints ``... listening on host:port`` once it serves. The wait reads
+    the child's output against one deadline and returns ``(process, host,
+    port)`` as soon as that line arrives. A child that exits first, or is
+    not ready after ``startup_timeout`` seconds, printing or silent, is
+    killed, and :class:`ReproError` names ``what`` and its last output.
+    """
+    import os
+    import re
+    import select
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    package_root = str(Path(__file__).resolve().parents[2])
+    env = dict(env)
+    env["PYTHONPATH"] = package_root + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env,
+    )
+    deadline = time.monotonic() + startup_timeout
+    fd = process.stdout.fileno()
+    output = b""
+    while True:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0 or not select.select([fd], [], [], remaining)[0]:
+            break
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            break  # the child closed its output: it exited
+        output += chunk
+        lines = output[:output.rfind(b"\n") + 1]  # complete lines only
+        match = re.search(rb"listening on ([\w.\-]+):(\d+)", lines)
+        if match:
+            return process, match.group(1).decode(), int(match.group(2))
+    process.kill()
+    process.wait(timeout=5.0)
+    process.stdout.close()
+    last = output.decode(errors="replace").strip().splitlines()[-1:]
+    raise ReproError(
+        f"{what} never became ready within {startup_timeout:g} s "
+        f"(last output: {' '.join(last)!r})"
+    )

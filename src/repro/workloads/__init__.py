@@ -1,87 +1,42 @@
 """Workload generators: certified graphs, Figure 1 / Table 1, logs, KBs (S14)."""
 
-from repro.workloads.generators import (
-    GeneratedGraph,
-    core_and_tentacles_tid,
-    cycle_tid,
-    grid_tid,
-    partial_ktree_tid,
-    path_tid,
-    rst_bipartite_tid,
-    rst_chain_tid,
-)
-from repro.workloads.kb import (
-    ADVISOR_RULES,
-    CITIZEN_RULES,
-    KBWorkload,
-    advisor_kb,
-    citizenship_kb,
-)
-from repro.workloads.logs import (
-    LogWorkload,
-    StreamingLogMonitor,
-    generate_logs,
-    true_interleaving,
-)
-from repro.workloads.trips import (
-    ALL_TRIPS,
-    PODS,
-    STOC,
-    TRIP_CDG_MEL,
-    TRIP_CDG_PDX,
-    TRIP_MEL_CDG,
-    TRIP_MEL_PDX,
-    TRIP_PDX_CDG,
-    table1_cinstance,
-    table1_pc_instance,
-)
-from repro.workloads.violations import (
-    CQAWorkload,
-    cqa_trichotomy_queries,
-    cqa_workload,
-    key_violation_instance,
-)
-from repro.workloads.wikidata import (
-    FIGURE1_EVENT_JANE,
-    adversarial_scope_document,
-    figure1_document,
-    wikidata_like_document,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ADVISOR_RULES",
-    "ALL_TRIPS",
-    "CITIZEN_RULES",
-    "CQAWorkload",
-    "FIGURE1_EVENT_JANE",
-    "GeneratedGraph",
-    "KBWorkload",
-    "LogWorkload",
-    "PODS",
-    "STOC",
-    "StreamingLogMonitor",
-    "TRIP_CDG_MEL",
-    "TRIP_CDG_PDX",
-    "TRIP_MEL_CDG",
-    "TRIP_MEL_PDX",
-    "TRIP_PDX_CDG",
-    "adversarial_scope_document",
-    "advisor_kb",
-    "citizenship_kb",
-    "core_and_tentacles_tid",
-    "cqa_trichotomy_queries",
-    "cqa_workload",
-    "cycle_tid",
-    "figure1_document",
-    "generate_logs",
-    "grid_tid",
-    "key_violation_instance",
-    "partial_ktree_tid",
-    "path_tid",
-    "rst_bipartite_tid",
-    "rst_chain_tid",
-    "table1_cinstance",
-    "table1_pc_instance",
-    "true_interleaving",
-    "wikidata_like_document",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".generators": (
+        "GeneratedGraph",
+        "core_and_tentacles_tid",
+        "cycle_tid",
+        "grid_tid",
+        "partial_ktree_tid",
+        "path_tid",
+        "rst_bipartite_tid",
+        "rst_chain_tid",
+    ),
+    ".kb": ("ADVISOR_RULES", "CITIZEN_RULES", "KBWorkload", "advisor_kb", "citizenship_kb"),
+    ".logs": ("LogWorkload", "StreamingLogMonitor", "generate_logs", "true_interleaving"),
+    ".trips": (
+        "ALL_TRIPS",
+        "PODS",
+        "STOC",
+        "TRIP_CDG_MEL",
+        "TRIP_CDG_PDX",
+        "TRIP_MEL_CDG",
+        "TRIP_MEL_PDX",
+        "TRIP_PDX_CDG",
+        "table1_cinstance",
+        "table1_pc_instance",
+    ),
+    ".violations": (
+        "CQAWorkload",
+        "cqa_trichotomy_queries",
+        "cqa_workload",
+        "key_violation_instance",
+    ),
+    ".wikidata": (
+        "FIGURE1_EVENT_JANE",
+        "adversarial_scope_document",
+        "figure1_document",
+        "wikidata_like_document",
+    ),
+})

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.instances.base import fact
@@ -121,6 +120,8 @@ def partial_ktree_tid(
     each edge with probability ``edge_keep`` (edge-subgraphs of k-trees are
     exactly the partial k-trees). The recorded decomposition stays valid.
     """
+    import networkx as nx
+
     check(n >= k + 1, "need at least k+1 vertices")
     rng = stable_rng(seed)
     graph = nx.complete_graph(k + 1)

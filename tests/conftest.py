@@ -173,3 +173,21 @@ def module_worker():
     handle = distributed.spawn_local_worker()
     yield handle
     handle.stop()
+
+
+@pytest.fixture
+def hung_startup(tmp_path):
+    """A ``PYTHONPATH`` entry that hangs a python child before it prints.
+
+    Its ``sitecustomize.py`` records the child's pid and sleeps 30 s, so a
+    spawn helper given it sees a live child that never prints a line.
+    Returns ``(directory, child_pid)``; ``child_pid()`` reads the pid.
+    """
+    pid_file = tmp_path / "child.pid"
+    (tmp_path / "sitecustomize.py").write_text(
+        "import os, time\n"
+        f"with open({str(pid_file)!r}, 'w') as out:\n"
+        "    out.write(str(os.getpid()))\n"
+        "time.sleep(30)\n"
+    )
+    return str(tmp_path), lambda: int(pid_file.read_text())

@@ -713,6 +713,60 @@ class TestPersistentRuntime:
         assert after["plan_cache_hits"] - before["plan_cache_hits"] == 1
         assert after["plans_published"] - before["plans_published"] == 0
 
+    def test_plan_evicted_on_a_connection_is_offered_again(
+        self, worker_factory, no_plan_cache, monkeypatch
+    ):
+        """More plans than a worker holds per connection: the offer that
+        evicts the first plan names it, so running that plan again offers
+        it again on the same connection, and the worker serves its shards
+        instead of refusing them."""
+        monkeypatch.setattr(distributed, "_WARNED", set())  # re-arm warnings
+        worker = worker_factory()
+        hosts = (worker.address,)
+        plans = []
+        for width in range(2, distributed._WORKER_CACHE_LIMIT + 5):
+            circuit = Circuit()
+            circuit.set_output(circuit.or_gate(
+                [circuit.variable(f"v{i}") for i in range(width)]))
+            plans.append(compile_circuit(circuit))
+        assert len({compiled.plan_digest() for compiled in plans}) == len(plans)
+
+        def run(compiled):
+            rows = np.random.default_rng(5).random((64, len(compiled.variables())))
+            assert distributed.probability_batch_distributed(
+                compiled, rows, hosts=hosts
+            ).tolist() == compiled.probability_batch(rows)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for compiled in plans:
+                run(compiled)
+            before = distributed.pool_stats()
+            run(plans[0])
+            after = distributed.pool_stats()
+        assert not caught, [str(w.message) for w in caught]
+        assert after["plan_offers"] - before["plan_offers"] == 1
+        assert after["publishes_skipped"] == before["publishes_skipped"]
+        assert (after["per_host_tasks"][worker.address]
+                > before["per_host_tasks"][worker.address])
+        assert after["connects"] == before["connects"]
+
+    def test_worker_hung_before_printing_is_killed_at_the_deadline(
+        self, hung_startup, monkeypatch
+    ):
+        """``startup_timeout`` holds even when the child never prints."""
+        import os
+        import time
+
+        directory, child_pid = hung_startup
+        monkeypatch.setenv("PYTHONPATH", directory)
+        started = time.monotonic()
+        with pytest.raises(ReproError, match="worker never became ready"):
+            distributed.spawn_local_worker(startup_timeout=1.5)
+        assert time.monotonic() - started < 1.5 + 1.0
+        with pytest.raises(ProcessLookupError):
+            os.kill(child_pid(), 0)
+
     def test_wrong_secret_rejected_and_falls_back_locally(self, worker_factory):
         """HMAC rejection: the worker refuses, the call completes locally."""
         worker = worker_factory(secret="right-secret")

@@ -13,12 +13,15 @@ injects one failure:
 - a cache stampede — N concurrent cold requests for one valuation — is
   deduplicated to a single evaluated row;
 - a client disconnecting mid-stream — the Monte-Carlo run is cancelled
-  promptly and the service keeps serving.
+  promptly and the service keeps serving;
+- a service that hangs before it prints — ``spawn_service`` kills it at
+  its ``startup_timeout``.
 
 Everything here opens sockets and spawns subprocesses, so the whole
 module carries the ``distributed`` marker.
 """
 
+import os
 import threading
 import time
 
@@ -30,7 +33,7 @@ from repro.core import build_lineage, compile_query_plan
 from repro.instances.columnar import ColumnarInstance
 from repro.queries import atom, cq, variables
 from repro.service import ServiceClient, ServiceClientError, spawn_service
-from repro.util import stable_rng
+from repro.util import ReproError, stable_rng
 from repro.workloads import rst_chain_tid
 
 pytestmark = pytest.mark.distributed
@@ -254,3 +257,14 @@ def test_client_disconnect_mid_stream_cancels_the_run():
         checker.close()
     finally:
         shutdown_service(handle)
+
+
+def test_service_hung_before_printing_is_killed_at_the_deadline(hung_startup):
+    """``startup_timeout`` holds even when the child never prints."""
+    directory, child_pid = hung_startup
+    started = time.monotonic()
+    with pytest.raises(ReproError, match="service never became ready"):
+        spawn_service(startup_timeout=1.5, env={"PYTHONPATH": directory})
+    assert time.monotonic() - started < 1.5 + 1.0
+    with pytest.raises(ProcessLookupError):
+        os.kill(child_pid(), 0)
