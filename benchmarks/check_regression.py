@@ -104,8 +104,12 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     # pins every served marginal to probability_batch *bitwise* — the
     # batch plan routes single-row passes through the wide-batch
     # reduction order, so even the one-row-per-pass uncoalesced baseline
-    # produces identical doubles (see bench_service.py).
+    # produces identical doubles (see bench_service.py). The ratio's
+    # denominator is the uncoalesced QPS, which a cheaper lone pass raises,
+    # so the absolute QPS of both modes at 64 clients is reported beside it.
     ("BENCH_service.json", "coalescing_speedup_at_64", "min", 1.5),
+    ("BENCH_service.json", "modes.coalesced.cells.64.qps", "report", None),
+    ("BENCH_service.json", "modes.uncoalesced.cells.64.qps", "report", None),
     ("BENCH_service.json", "passes_per_request_at_64", "max", 0.5),
     ("BENCH_service.json", "served_matches_direct", "true", None),
     ("BENCH_service.json", "p99_ms_coalesced_at_64", "report", None),

@@ -30,13 +30,14 @@ inputs live in strictly earlier levels — and the CSR arrays are
 materialized as ``int32`` numpy buffers. A batch of worlds is a
 ``(n_worlds, n_vars)`` matrix; the
 value buffer is gate-major (one row per gate) and each level evaluates in
-a handful of vectorized operations. The Boolean pass is bit-sliced: a
-gate's row holds one ``uint64`` word per 64 worlds, NOT is ``~``, and the
-AND/OR gates of one fan-in are gathered as a ``(fan_in, count, n_words)``
-stack and collapsed with one ``np.bitwise_and.reduce`` /
-``np.bitwise_or.reduce``. The float pass of
-:meth:`~CompiledCircuit.probability_batch` keeps one float64 column per
-marginal row and reduces with ``np.multiply`` / ``np.add``. Thousands of
+a handful of vectorized operations, one per gate kind for most levels:
+the AND (or OR) gates of a level are gathered with one ``take`` as a
+``(fan_in, count, width)`` stack, the narrower ones padded from an
+identity row, and collapsed with one ufunc. The Boolean pass is
+bit-sliced: a gate's row holds one ``uint64`` word per 64 worlds, NOT is
+``~``, AND/OR are ``np.bitwise_and`` / ``np.bitwise_or``. The float pass
+of :meth:`~CompiledCircuit.probability_batch` keeps one float64 column
+per marginal row and reduces with ``np.multiply`` / ``np.add``. Thousands of
 sampled worlds are evaluated per pass instead of one kernel call per
 world; batches are chunked so the value buffer stays within
 :data:`BATCH_BYTE_BUDGET` bytes.
@@ -391,24 +392,108 @@ _INFIX_FAN_IN = 32
 
 
 class _GroupOp:
-    """One vectorized step: all of a level's gates of one kind and fan-in.
+    """One vectorized step: a level's gates of one kind, read as one block.
 
     ``rows`` is the contiguous ``(start, end)`` output-row block the
-    renumbering gave the group; ``gather`` holds the input rows — shape
-    ``(count,)`` for NOT, ``(fan_in, count)`` for AND/OR, so indexing the
-    value matrix with it stacks every gate's ``j``-th input in plane ``j``
-    and one ``ufunc.reduce`` over axis 0 evaluates the whole group.
-    (``reduceat`` over CSR segments would express the same reduction, but
-    its axis-0 inner loop measures ~80x slower than the grouped
-    ``reduce``, so the plan pre-groups by fan-in instead.)
+    renumbering gave the group's gates. ``gather`` holds their input rows
+    plane-major: shape ``(count,)`` for NOT, ``(fan_in, count)`` for
+    AND/OR, plane ``j`` listing every gate's ``j``-th input. A group may
+    merge gates of several fan-ins: a gate with fewer than ``fan_in``
+    inputs reads its kind's identity row (:attr:`_BatchPlan.identity_rows`)
+    in the planes it lacks, which leaves its value unchanged. So one
+    ``values.take(gather, 0)`` stacks the group, and one binary ufunc (at
+    ``fan_in == 2``) or one left-to-right ``reduce`` over axis 0 evaluates
+    it. (``reduceat`` over CSR segments would express the same reduction,
+    but its axis-0 inner loop measures ~80x slower than the grouped
+    ``reduce``, so the plan pre-groups instead.)
     """
 
-    __slots__ = ("kind", "rows", "gather")
+    __slots__ = ("kind", "fan_in", "rows", "gather")
 
-    def __init__(self, kind: int, rows: tuple[int, int], gather):
+    def __init__(self, kind: int, fan_in: int, rows: tuple[int, int], gather):
         self.kind = kind
+        self.fan_in = fan_in
         self.rows = rows
         self.gather = gather
+
+
+def _group_starts(op_depth, op_kind, op_fan):
+    """Where the level plan's groups start among the sorted operators.
+
+    The operators arrive sorted by (level, kind, fan-in); one run of a
+    (level, kind, fan-in) triple is a *block*. A (level, kind) run becomes
+    one group when padding each of its gates to the run's widest fan-in at
+    most doubles the elements its gather reads; a run that fails the bound
+    keeps one group per block.
+    """
+    n_ops = op_fan.size
+    key_cut = (op_depth[1:] != op_depth[:-1]) | (op_kind[1:] != op_kind[:-1])
+    block_cut = key_cut | (op_fan[1:] != op_fan[:-1])
+    block_start = _np.concatenate(([0], _np.flatnonzero(block_cut) + 1))
+    heads = _np.concatenate(([True], key_cut[block_start[1:] - 1]))
+    block_count = _np.diff(block_start, append=n_ops)
+    block_fan = op_fan[block_start]
+    key_first = _np.flatnonzero(heads)
+    key_blocks = _np.diff(key_first, append=block_start.size)
+    padded = block_fan[key_first + key_blocks - 1] * _np.add.reduceat(
+        block_count, key_first
+    )
+    elements = _np.add.reduceat(block_count * block_fan, key_first)
+    heads |= _np.repeat(padded > 2 * elements, key_blocks)
+    return block_start[heads]
+
+
+#: Above this many index slots, a group whose gates share one fan-in
+#: builds its gather on its own with one broadcast add; smaller or padded
+#: groups share one scatter. The scatter spends about a dozen array passes
+#: per input, so on the 10⁶-fact bulk plan (two groups, 1.3·10⁶ slots)
+#: it alone builds in over twice the time; the deep lineage plans
+#: build equally fast at any threshold from 64 up, and slower at 0, where
+#: every small group pays its own numpy calls.
+_OWN_GATHER_SLOTS = 256
+
+
+def _group_gathers(row_of, indices, csr, op_fan, starts, ends, fans, pad_rows):
+    """The plane-major gather index of every group, built in array passes.
+
+    Group ``g`` covers the sorted operators ``starts[g]:ends[g]`` (``csr``
+    and ``op_fan`` give each one's CSR offset and fan-in) and gets a
+    ``(fans[g], ends[g] - starts[g])`` row index: plane ``j`` lists each
+    gate's ``j``-th input row, or ``pad_rows[g]`` where the gate has fewer
+    inputs. Large groups of one fan-in build their block on their own;
+    all other groups share one flat index, filled by one scatter over
+    their inputs, so a deep plan of many small groups costs no numpy call
+    per group.
+    """
+    counts = ends - starts
+    own = (op_fan[starts] == fans) & (fans * counts > _OWN_GATHER_SLOTS)
+    spans = _np.where(own, 0, fans * counts)
+    bases = _np.cumsum(spans) - spans
+    flat = _np.repeat(pad_rows, spans)
+    shared = _np.repeat(~own, counts)
+    if shared.any():
+        fan = op_fan[shared]
+        group = _np.repeat(_np.arange(starts.size), counts)[shared]
+        first_slot = (bases - starts)[group] + _np.flatnonzero(shared)
+        input_op = _np.repeat(_np.arange(fan.size), fan)
+        plane = _np.arange(input_op.size) - (_np.cumsum(fan) - fan)[input_op]
+        flat[first_slot[input_op] + plane * counts[group][input_op]] = row_of[
+            indices[csr[shared][input_op] + plane]
+        ]
+    gathers = []
+    for is_own, start, end, fan_in, base in zip(
+        own.tolist(), starts.tolist(), ends.tolist(), fans.tolist(),
+        bases.tolist(),
+    ):
+        if is_own:
+            block = _np.arange(fan_in)[:, None] + csr[start:end]
+            gathers.append(row_of[indices[block]])
+        else:
+            gathers.append(
+                flat[base : base + fan_in * (end - start)]
+                .reshape(fan_in, end - start)
+            )
+    return gathers
 
 
 class _BatchPlan:
@@ -417,19 +502,32 @@ class _BatchPlan:
     Gates are grouped into *levels* — every gate's inputs live in strictly
     earlier levels — and renumbered into a gate-major layout: one value row
     per gate, variables first, then constants, then one contiguous row
-    block per (level, kind, fan-in) group. Gathering a gate's inputs reads
-    whole contiguous rows, every scatter is a slice assignment, and each
-    group is one gather plus one reduction regardless of the batch width.
+    block per (level, kind, fan-in), ascending in fan-in. Two more rows
+    follow the gates, the *identity rows*: TRUE (the AND identity) and
+    FALSE (the OR identity). Each :class:`_GroupOp` covers adjacent blocks
+    of one (level, kind), padded to their widest fan-in from the identity
+    rows wherever that at most doubles the group's gathered elements
+    (:func:`_group_starts`), so most levels cost one step per gate kind.
+    A step gathers its inputs with one ``take`` from a plane-major index
+    and writes its rows with one slice assignment, whatever the batch
+    width.
 
-    Two passes share the schedule. The float pass gives each marginal row
-    one float64 column. The Boolean pass is bit-sliced: a row holds one
-    ``uint64`` word per 64 worlds, world ``i`` in bit ``i % 8`` of byte
-    ``i // 8`` of the row, so AND/OR are ``bitwise_and``/``bitwise_or``
-    reductions, NOT is ``~``, and constants are all-ones or all-zero
-    words. The bits past the last world of a pass are padding: no
-    operation mixes bits, so whatever they hold stays in its own lane,
-    and only the output row's first ``rows`` bits are ever read
-    (:meth:`output_bits`) — a NOT cannot leak its set padding bits.
+    Two passes share the steps. The float pass gives each marginal row
+    one float64 column; AND multiplies, OR adds, NOT is ``1.0 - x``, and
+    the identity rows hold 1.0 and -0.0. Every reduction runs left to
+    right from its first input, so a pass is bitwise equal to the scalar
+    kernels for every input, -0.0 and infinities included: ``x * 1.0`` and
+    ``x + -0.0`` are ``x`` exactly (``x + 0.0`` is not, at -0.0). A NaN
+    input gives a NaN, whose sign bit (which IEEE 754 leaves
+    uninterpreted) may differ from the scalar kernels' when two NaNs meet. The
+    Boolean pass is bit-sliced: a row holds one ``uint64`` word per 64
+    worlds, world ``i`` in bit ``i % 8`` of byte ``i // 8`` of the row, so
+    AND/OR are ``bitwise_and``/``bitwise_or``, NOT is ``~``, and
+    constants and identity rows are all-ones or all-zero words. The bits
+    past the last world of a pass are padding: no operation mixes bits,
+    so whatever they hold stays in its own lane, and only the output
+    row's first ``rows`` bits are ever read (:meth:`output_bits`) — a NOT
+    cannot leak its set padding bits.
 
     The plan also materializes the compiled CSR arrays (``kinds``,
     ``offsets``, ``indices``, ``var_slot``) as int32 numpy buffers — the
@@ -450,6 +548,7 @@ class _BatchPlan:
         "var_slots",
         "const_rows",
         "const_values",
+        "identity_rows",
         "levels",
         "output_row",
     )
@@ -491,8 +590,8 @@ class _BatchPlan:
                     dtype=_np.int32,
                 )
 
-        # Renumber: variables, constants, then level by level, group by
-        # group — one stable lexsort; ties keep topological order, exactly
+        # Renumber: variables, constants, then level by level, block by
+        # block — one stable lexsort; ties keep topological order, exactly
         # like the historical per-gate bucketing.
         lengths = offsets[1:] - offsets[:-1]
         var_positions = _np.flatnonzero(kinds == K_VAR)
@@ -515,42 +614,59 @@ class _BatchPlan:
         self.var_slots = var_slot[var_positions].astype(_np.intp)
         self.const_rows = (int(n_vars), int(leaf_rows))
         self.const_values = kinds[const_positions] == K_TRUE
+        self.identity_rows = (size, size + 1)
+        self.output_row = int(row_of[compiled.output])
+        n_ops = sorted_ops.size
+        if not n_ops:
+            self.levels = ()
+            return
 
-        # Group boundaries over the sorted (level, kind, fan-in) keys; each
-        # group's gather is one fancy-index over a broadcast offset block.
         op_depth = depth[sorted_ops]
         op_kind = kinds[sorted_ops]
         op_fan = lengths[sorted_ops]
-        if sorted_ops.size:
-            cuts = (
-                _np.flatnonzero(
-                    (op_depth[1:] != op_depth[:-1])
-                    | (op_kind[1:] != op_kind[:-1])
-                    | (op_fan[1:] != op_fan[:-1])
-                )
-                + 1
-            )
-            starts = _np.concatenate(([0], cuts))
-            ends = _np.concatenate((cuts, [sorted_ops.size]))
-            n_levels = int(op_depth[-1])
-        else:
-            starts = ends = _np.empty(0, dtype=_np.intp)
-            n_levels = 0
-        buckets: list[list[_GroupOp]] = [[] for _ in range(n_levels)]
-        for start, end in zip(starts.tolist(), ends.tolist()):
-            positions = sorted_ops[start:end]
-            kind = int(op_kind[start])
-            rows = (int(leaf_rows + start), int(leaf_rows + end))
-            if kind == K_NOT:
-                gather = row_of[indices[offsets[positions]]]
-            else:
-                # gather[j, i] = row of the j-th input of the i-th gate
-                fan_in = int(op_fan[start])
-                block = offsets[positions][:, None] + _np.arange(fan_in)
-                gather = row_of[indices[block]].T
-            buckets[int(op_depth[start]) - 1].append(_GroupOp(kind, rows, gather))
+        starts = _group_starts(op_depth, op_kind, op_fan)
+        ends = _np.append(starts[1:], n_ops)
+        fans = op_fan[ends - 1]  # the widest: blocks ascend in fan-in
+        group_kind = op_kind[starts]
+        gathers = _group_gathers(
+            row_of, indices, offsets[sorted_ops], op_fan, starts, ends, fans,
+            _np.where(group_kind == K_OR, size + 1, size),
+        )
+        buckets: list[list[_GroupOp]] = [[] for _ in range(int(op_depth[-1]))]
+        for level, kind, fan_in, start, end, gather in zip(
+            op_depth[starts].tolist(), group_kind.tolist(), fans.tolist(),
+            starts.tolist(), ends.tolist(), gathers,
+        ):
+            buckets[level - 1].append(_GroupOp(
+                kind, fan_in, (leaf_rows + start, leaf_rows + end),
+                gather[0] if kind == K_NOT else gather,
+            ))
         self.levels = tuple(tuple(ops) for ops in buckets)
-        self.output_row = int(row_of[compiled.output])
+
+    def _evaluate(self, values, negate, one, binary, reduce, identity) -> None:
+        """Run every step over a value buffer whose leaf rows are filled.
+
+        ``negate(one, block, out)`` evaluates NOT; ``binary[kind]`` a
+        fan-in-2 group; ``reduce[kind]`` any other fan-in, starting from
+        ``identity[kind]`` — one op list for the float and Boolean passes.
+        """
+        take = values.take
+        for level in self.levels:
+            for op in level:
+                block = take(op.gather, 0)
+                start, end = op.rows
+                kind = op.kind
+                if kind == K_NOT:
+                    negate(one, block, values[start:end])
+                elif op.fan_in == 2:
+                    binary[kind](block[0], block[1], values[start:end])
+                else:
+                    reduce[kind](
+                        block, 0, None, values[start:end], False, identity[kind]
+                    )
+                # Free the stack before the next take allocates one, so the
+                # pass never holds two (on a big plan each is megabytes).
+                del block
 
     def run(self, matrix, as_float: bool):
         """One level-scheduled pass over a ``(n_rows, n_vars)`` matrix.
@@ -559,11 +675,11 @@ class _BatchPlan:
         (float64), columns indexed by variable slot. Returns the output
         values as a 1-D array, one entry per input row: bool for worlds,
         float64 for marginals. Worlds are packed into the bit-sliced word
-        buffer (:meth:`run_words`); marginals fill a ``(size, n_rows)``
-        float64 buffer. Either way each (level, kind, fan-in) group costs
-        one gather plus one reduction over the stacked inputs. This is the
-        kernel the sharded workers of :mod:`repro.circuits.parallel`
-        execute after rebuilding the plan from the shared CSR arrays.
+        buffer (:meth:`run_words`); marginals fill a ``(size + 2, n_rows)``
+        float64 buffer. Either way each group costs one ``take`` plus one
+        ufunc call. This is the kernel the sharded workers of
+        :mod:`repro.circuits.parallel` execute after rebuilding the plan
+        from the shared CSR arrays.
         """
         n_rows = matrix.shape[0]
         n_vars = self.var_slots.size
@@ -578,38 +694,33 @@ class _BatchPlan:
             return self.output_bits(values, n_rows)
         if n_rows == 1:
             # A single-column value buffer makes numpy's reduce kernels
-            # pick a different inner loop than wider batches do (a few
-            # ulps of drift on deep plans), while batches of two or more
-            # rows are bitwise identical to each other. Evaluate the row
-            # as a width-2 pass (a zero-copy broadcast view) so every
-            # batch shape shares one reduction order, and keep element 0.
+            # pick a different inner loop than wider batches do (pairwise
+            # summation, a few ulps of drift on wide ORs), while batches of
+            # two or more rows are bitwise identical to each other.
+            # Evaluate the row as a width-2 pass (a zero-copy broadcast
+            # view) so every batch shape shares one reduction order, and
+            # keep element 0.
             widened = _np.broadcast_to(matrix, (2, matrix.shape[1]))
             return self.run(widened, as_float)[:1].copy()
-        values = _np.empty((self.size, n_rows), dtype=_np.float64)
+        values = _np.empty((self.size + 2, n_rows), dtype=_np.float64)
         if n_vars:
             values[:n_vars] = matrix.T[self.var_slots]
         const_start, const_end = self.const_rows
         if const_end > const_start:
             values[const_start:const_end] = self.const_values[:, None]
-        and_reduce, or_reduce = _np.multiply.reduce, _np.add.reduce
-        for level in self.levels:
-            for op in level:
-                start, end = op.rows
-                if op.kind == K_NOT:
-                    values[start:end] = 1.0 - values[op.gather]
-                else:
-                    reduce = and_reduce if op.kind == K_AND else or_reduce
-                    reduce(values[op.gather], axis=0, out=values[start:end])
+        values[self.size] = 1.0
+        values[self.size + 1] = -0.0
+        self._evaluate(values, *_FLOAT_PASS)
         return values[self.output_row].copy()
 
     def chunk_rows(self, as_float: bool) -> int:
         """Rows per pass so the value buffer stays under the byte budget.
 
-        Both passes spend 8 bytes per gate per unit of width — a float64
-        per marginal row, a ``uint64`` word per 64 worlds — so Boolean
-        chunks are whole words.
+        Both passes spend 8 bytes per row of the buffer per unit of width —
+        a float64 per marginal row, a ``uint64`` word per 64 worlds — so
+        Boolean chunks are whole words.
         """
-        units = max(1, BATCH_BYTE_BUDGET // max(1, 8 * self.size))
+        units = max(1, BATCH_BYTE_BUDGET // (8 * (self.size + 2)))
         return units if as_float else 64 * units
 
     def run_into(self, matrix, out, as_float: bool) -> None:
@@ -624,32 +735,27 @@ class _BatchPlan:
             out[start : start + step] = self.run(matrix[start : start + step], as_float)
 
     def word_buffer(self, rows: int):
-        """A ``(size, ceil(rows / 64))`` uint64 value buffer, constants set.
+        """A ``(size + 2, ceil(rows / 64))`` uint64 value buffer, leaves set.
 
-        The first ``var_slots.size`` rows belong to the variables, row
-        ``i`` to slot ``var_slots[i]``; the caller fills them — byte ``k``
-        of a row (through a ``uint8`` view) holds worlds ``8k .. 8k+7``,
-        world ``8k + j`` in bit ``j`` — and then calls :meth:`run_words`.
+        Constants and the two identity rows are filled. The first
+        ``var_slots.size`` rows belong to the variables, row ``i`` to slot
+        ``var_slots[i]``; the caller fills them — byte ``k`` of a row
+        (through a ``uint8`` view) holds worlds ``8k .. 8k+7``, world
+        ``8k + j`` in bit ``j`` — and then calls :meth:`run_words`.
         """
-        values = _np.empty((self.size, -(-rows // 64)), dtype=_np.uint64)
+        values = _np.empty((self.size + 2, -(-rows // 64)), dtype=_np.uint64)
         const_start, const_end = self.const_rows
         if const_end > const_start:
             values[const_start:const_end] = _np.where(
-                self.const_values, ~_np.uint64(0), _np.uint64(0)
+                self.const_values, _ALL_ONES, _np.uint64(0)
             )[:, None]
+        values[self.size] = _ALL_ONES
+        values[self.size + 1] = 0
         return values
 
     def run_words(self, values) -> None:
         """Evaluate every operator row of a filled :meth:`word_buffer`."""
-        and_reduce, or_reduce = _np.bitwise_and.reduce, _np.bitwise_or.reduce
-        for level in self.levels:
-            for op in level:
-                start, end = op.rows
-                if op.kind == K_NOT:
-                    _np.invert(values[op.gather], out=values[start:end])
-                else:
-                    reduce = and_reduce if op.kind == K_AND else or_reduce
-                    reduce(values[op.gather], axis=0, out=values[start:end])
+        self._evaluate(values, *_WORD_PASS)
 
     def output_bits(self, values, rows: int):
         """The output row's first ``rows`` bits, as a bool array.
@@ -658,6 +764,26 @@ class _BatchPlan:
         """
         row = values[self.output_row].view(_np.uint8)
         return _np.unpackbits(row, count=rows, bitorder="little").view(_np.bool_)
+
+
+_ALL_ONES = ~_np.uint64(0)
+
+#: The ufuncs of the two passes, as :meth:`_BatchPlan._evaluate` takes
+#: them: NOT as ``negate(one, x)``, then per gate kind the fan-in-2 ufunc,
+#: the reduction, and the identity it starts from (which makes a float OR
+#: keep -0.0, where ``np.add.reduce`` alone would start from +0.0).
+_FLOAT_PASS = (
+    _np.subtract, 1.0,
+    {K_AND: _np.multiply, K_OR: _np.add},
+    {K_AND: _np.multiply.reduce, K_OR: _np.add.reduce},
+    {K_AND: 1.0, K_OR: -0.0},
+)
+_WORD_PASS = (
+    _np.bitwise_xor, _ALL_ONES,
+    {K_AND: _np.bitwise_and, K_OR: _np.bitwise_or},
+    {K_AND: _np.bitwise_and.reduce, K_OR: _np.bitwise_or.reduce},
+    {K_AND: _ALL_ONES, K_OR: _np.uint64(0)},
+)
 
 
 class CompiledCircuit:
@@ -1140,8 +1266,8 @@ class CompiledCircuit:
         import operator
 
         # Both reductions run strictly left to right, like the infix chains
-        # above and the level plan's ``np.add.reduce``/``np.multiply.reduce``,
-        # so every float pass is bitwise equal. (Builtin ``sum`` is
+        # above and the level plan's ufuncs and reductions, so every float
+        # pass is bitwise equal. (Builtin ``sum`` is
         # compensated since Python 3.12 and would round differently.)
         namespace: dict[str, object] = {
             "_prod": math.prod,
@@ -1346,7 +1472,7 @@ class CompiledCircuit:
                 for j in range(offsets[pos], offsets[pos + 1]):
                     value *= values[indices[j]]
             elif kind == K_OR:
-                value = 0.0
+                value = -0.0  # adds nothing: 0.0 would turn a -0.0 sum into +0.0
                 for j in range(offsets[pos], offsets[pos + 1]):
                     value += values[indices[j]]
             elif kind == K_NOT:
@@ -1363,7 +1489,7 @@ class CompiledCircuit:
         accepted by :meth:`probability` (event spaces, mappings, slot
         sequences), or a ``(n_rows, n_vars)`` float matrix in slot order.
         All rows share one level-scheduled float pass (grouped
-        ``np.multiply.reduce`` at AND, ``np.add.reduce`` at OR),
+        ``np.multiply`` at AND, ``np.add`` at OR, left to right),
         row-sharded across worker processes for big batches when the
         ``parallel_workers`` knob is set. Like :meth:`probability`, correct
         only on deterministic decomposable circuits over independent

@@ -122,7 +122,11 @@ V2_BASELINE_CAPS = frozenset({"mc", "kl", "eval", "ping", "plan-offer"})
 #: bit-sliced comparison of :func:`repro.circuits.parallel._mc_shard_hits`.
 #: Older builds answered ``mc`` from a float32 stream, so a coordinator
 #: sends Monte-Carlo shards only to workers that negotiated this
-#: capability; summing hits from two streams would match neither.
+#: capability; summing hits from two streams would match neither. The
+#: other direction is guarded too: each ``mc`` task names this stream in
+#: its ``stream`` field, and a worker refuses a task that names none (an
+#: older coordinator) or another one, so that coordinator falls back to
+#: its own local stream.
 MC_STREAM_CAP = "mc-lazy24"
 
 #: Everything this build speaks. HELLO carries ``sorted(PROTOCOL_CAPS)``
@@ -1357,6 +1361,14 @@ class WorkerServer:
         op = meta["op"]
         task_id = meta["id"]
         if op == "mc":
+            # A coordinator names the stream it sums; one that names none
+            # (an older build) or another one falls back locally instead.
+            stream = meta.get("stream")
+            check(
+                stream == MC_STREAM_CAP,
+                f"mc task asks for stream {stream!r}; this worker draws "
+                f"{MC_STREAM_CAP!r}",
+            )
             plan = self._held(held, meta["plan"], self._plans)
             check(plan is not None, "task references a plan this worker never got")
             probs = _values_from_bytes("f", blob)
@@ -2358,7 +2370,7 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     tasks = [
         (
             slot,
-            {"id": slot, "op": "mc", "plan": checksum,
+            {"id": slot, "op": "mc", "plan": checksum, "stream": MC_STREAM_CAP,
              "seed": seed, "index": index, "count": count},
             probs_blob,
         )

@@ -378,11 +378,21 @@ class QueryService:
                     f"each row must list {entry.n_vars} marginals in slot "
                     "order",
                 )
-            try:
-                values = [float(v) for v in row]
-            except (TypeError, ValueError):
-                raise ServiceError(400, "rows must contain numbers") from None
-            validated.append(values)
+            # JSON numbers only (no bools, no numeric strings), each tested
+            # once against the interval: that refuses NaN and ±inf too,
+            # which min()/max() would let a NaN slip past, and compares a
+            # huge integer exactly instead of overflowing a float.
+            for value in row:
+                if (
+                    not isinstance(value, (int, float))
+                    or isinstance(value, bool)
+                    or not 0.0 <= value <= 1.0
+                ):
+                    raise ServiceError(
+                        400,
+                        f"marginals must be numbers in [0, 1], got {value!r}",
+                    )
+            validated.append([float(v) for v in row])
         return validated
 
     # ------------------------------------------------------------------ #

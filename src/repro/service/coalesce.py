@@ -80,7 +80,10 @@ class Coalescer:
         self.window = window
         self.enabled = enabled
         self._buckets: dict[str, _Bucket] = {}
-        self._locks: dict[str, asyncio.Lock] = {}
+        # Per digest, the lock that serializes its passes and how many
+        # flushes hold or wait for it; the entry goes when that count
+        # drops to zero, so evicted or idle digests leave nothing behind.
+        self._locks: dict[str, list] = {}
         self.counters = {
             "requests": 0,
             "rows_in": 0,
@@ -153,14 +156,20 @@ class Coalescer:
                             )
                         except asyncio.TimeoutError:
                             pass
-            lock = self._locks.setdefault(digest, asyncio.Lock())
-            async with lock:
-                # Close the bucket to new arrivals only now: requests that
-                # queued up while a previous pass held the compute thread
-                # have been merging into it all along.
-                if self._buckets.get(digest) is bucket:
-                    del self._buckets[digest]
-                values = await self._run_pass(digest, bucket.rows)
+            entry = self._locks.setdefault(digest, [asyncio.Lock(), 0])
+            entry[1] += 1
+            try:
+                async with entry[0]:
+                    # Close the bucket to new arrivals only now: requests
+                    # that queued up while a previous pass held the compute
+                    # thread have been merging into it all along.
+                    if self._buckets.get(digest) is bucket:
+                        del self._buckets[digest]
+                    values = await self._run_pass(digest, bucket.rows)
+            finally:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._locks[digest]
         except BaseException as exc:
             if self._buckets.get(digest) is bucket:
                 del self._buckets[digest]

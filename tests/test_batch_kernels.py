@@ -6,6 +6,7 @@ limit, the array interpreter.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit, compile_circuit
 from repro.circuits import compiled as compiled_module
+from repro.circuits.circuit import K_AND, K_NOT, K_OR
 from repro.events import EventSpace
 from repro.util import ReproError, stable_rng
 
@@ -263,9 +265,16 @@ class TestBatchPlan:
             assert mirror.tolist() == list(getattr(compiled, name))
 
     def test_levels_topologically_consistent(self):
-        compiled = compile_circuit(random_circuit(19))
+        """Every step reads rows written by earlier levels, or leaves.
+
+        The two identity rows count as leaves: they sit past the gates'
+        rows, and a mixed fan-in circuit's padded groups do read them.
+        """
+        compiled = compile_circuit(mixed_fan_circuit(19))
         plan = compiled.batch_plan()
-        produced = set(range(plan.const_rows[1]))  # variables and constants
+        assert plan.identity_rows == (compiled.size, compiled.size + 1)
+        produced = set(range(plan.const_rows[1])) | set(plan.identity_rows)
+        read_anywhere = set()
         for level in plan.levels:
             reads = set()
             writes = set()
@@ -273,5 +282,216 @@ class TestBatchPlan:
                 reads.update(int(r) for r in op.gather.ravel())
                 writes.update(range(*op.rows))
             assert reads <= produced  # inputs come from earlier levels only
+            assert not writes & produced  # no row is written twice
             produced |= writes
+            read_anywhere |= reads
         assert plan.output_row in produced
+        assert set(plan.identity_rows) <= read_anywhere
+
+
+# --------------------------------------------------------------------------- #
+# grouped level plan: mixed fan-ins padded from the identity rows
+
+#: Float inputs the passes must carry exactly like the scalar kernels.
+SPECIAL_VALUES = (-0.0, math.nan, math.inf, -math.inf, 2.0 ** -1074, 1.0)
+
+
+def mixed_fan_circuit(seed: int, n_vars: int = 8, steps: int = 40,
+                      max_fan: int = 12) -> Circuit:
+    """A random circuit whose levels mix AND/OR fan-ins of 2 to ``max_fan``."""
+    rng = stable_rng(seed)
+    c = Circuit()
+    gates = [c.variable(f"v{i}") for i in range(n_vars)]
+    for _ in range(steps):
+        op = rng.choice(["and", "or", "not"])
+        if op == "not":
+            gates.append(c.negation(rng.choice(gates)))
+        else:
+            picked = rng.sample(gates, rng.randint(2, min(max_fan, len(gates))))
+            gates.append(c.and_gate(picked) if op == "and" else c.or_gate(picked))
+    c.set_output(c.or_gate(gates[-6:]))
+    return c
+
+
+def padded_or_circuit() -> Circuit:
+    """OR(OR(x0, x1), OR(x2, x3, x4)): the level-1 ORs share one group, so
+    ``OR(x0, x1)`` reads one identity row, and -0.0 inputs reach the output
+    as -0.0 only if that row adds nothing."""
+    c = Circuit()
+    xs = [c.variable(f"x{i}") for i in range(5)]
+    c.set_output(c.or_gate([c.or_gate(xs[:2]), c.or_gate(xs[2:])]))
+    return c
+
+
+def single_input_circuit() -> Circuit:
+    """Bulk-appended single-input AND/OR gates next to fan-in-2 ones: a
+    fan-in-2 group pads them, so the binary ufunc reads an identity row."""
+    c = Circuit()
+    xs = [c.variable(f"x{i}") for i in range(4)]
+    rows = [[xs[0]], [xs[1], xs[2]], [xs[3]], [xs[0], xs[3]]]
+    ors = c.append_gates(K_OR, [g for row in rows for g in row], [0, 1, 3, 4, 6])
+    ands = c.append_gates(K_AND, [ors[0], ors[2], ors[1]], [0, 1, 3])
+    c.set_output(c.or_gate(list(ands) + [ors[3]]))
+    return c
+
+
+def wide_or_circuit(width: int = 16) -> Circuit:
+    c = Circuit()
+    c.set_output(c.or_gate([c.variable(f"x{i}") for i in range(width)]))
+    return c
+
+
+def grouping_reference(compiled) -> dict:
+    """``(level, kind) -> sorted (fan_in, count)`` of the plan's groups,
+    recomputed gate by gate from the rule: a (level, kind) is one group
+    padded to its widest fan-in when that at most doubles the gathered
+    elements, else one group per fan-in."""
+    levels = compiled.levels_list()
+    blocks: dict = {}
+    for pos, kind in enumerate(compiled.kinds):
+        if kind >= K_NOT:
+            key = (levels[pos], kind)
+            blocks.setdefault(key, Counter())[len(compiled.inputs_of(pos))] += 1
+    expected = {}
+    for key, fans in blocks.items():
+        gates = sum(fans.values())
+        elements = sum(fan * count for fan, count in fans.items())
+        if max(fans) * gates <= 2 * elements:
+            expected[key] = [(max(fans), gates)]
+        else:
+            expected[key] = sorted(fans.items())
+    return expected
+
+
+def plan_grouping(plan) -> dict:
+    grouping: dict = {}
+    for depth, level in enumerate(plan.levels, start=1):
+        for op in level:
+            start, end = op.rows
+            grouping.setdefault((depth, op.kind), []).append((op.fan_in, end - start))
+    return {key: sorted(groups) for key, groups in grouping.items()}
+
+
+def block_count(compiled) -> int:
+    """The (level, kind, fan-in) blocks: one step each before merging."""
+    levels = compiled.levels_list()
+    return len({
+        (levels[pos], kind, len(compiled.inputs_of(pos)))
+        for pos, kind in enumerate(compiled.kinds) if kind >= K_NOT
+    })
+
+
+def same_floats(got, want) -> bool:
+    """Bitwise equality, except that any NaN matches any NaN: IEEE 754
+    does not interpret a NaN's sign, and numpy's vector loops and Python's
+    scalar arithmetic pick between two NaN operands differently."""
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    bits = got.view(np.uint64) == want.view(np.uint64)
+    return bool((bits | (np.isnan(got) & np.isnan(want))).all())
+
+
+class TestGroupedPlan:
+    def test_served_chain_lineage_counts(self):
+        """E19's served plan: 717 (level, kind, fan-in) blocks merge into
+        579 steps, one per (level, kind) of its 478 levels."""
+        from repro.core import build_lineage, instance_decomposition
+        from repro.queries import atom, cq, variables
+        from repro.workloads import rst_chain_tid
+
+        x, y = variables("x", "y")
+        query = cq(atom("R", x), atom("S", x, y), atom("T", y))
+        tid = rst_chain_tid(120, probability=0.15, seed=1)
+        decomposition = instance_decomposition(tid.instance, "min_fill")
+        compiled = compile_circuit(
+            build_lineage(tid.instance, query, decomposition).circuit
+        )
+        plan = compiled.batch_plan()
+        assert compiled.size == 5187
+        assert len(plan.levels) == 478
+        assert block_count(compiled) == 717
+        assert sum(len(level) for level in plan.levels) == 579
+        assert plan_grouping(plan) == grouping_reference(compiled)
+
+    @pytest.mark.parametrize("seed", (3, 19, 41, 77))
+    def test_mixed_fan_in_levels_follow_the_rule(self, seed):
+        compiled = compile_circuit(mixed_fan_circuit(seed))
+        plan = compiled.batch_plan()
+        assert plan_grouping(plan) == grouping_reference(compiled)
+        assert sum(len(level) for level in plan.levels) < block_count(compiled)
+
+    def test_wide_gate_among_narrow_ones_stays_split(self):
+        """Padding 30 fan-in-2 ORs to one fan-in-40 OR's width would read
+        1240 slots for 100 inputs, so the level keeps two steps; with a
+        fan-in-3 block beside the fan-in-2 one, it keeps one per fan-in."""
+        c = Circuit()
+        xs = [c.variable(f"x{i}") for i in range(40)]
+        pairs = [c.or_gate([xs[i], xs[i + 1]]) for i in range(30)]
+        c.set_output(c.and_gate(pairs + [c.or_gate(xs)]))
+        plan = compile_circuit(c).batch_plan()
+        assert plan_grouping(plan)[(1, K_OR)] == [(2, 30), (40, 1)]
+
+        c = Circuit()
+        xs = [c.variable(f"x{i}") for i in range(40)]
+        narrow = [c.or_gate([xs[i], xs[i + 1]]) for i in range(10)]
+        narrow += [c.or_gate([xs[i], xs[i + 1], xs[i + 2]]) for i in range(20, 25)]
+        c.set_output(c.and_gate(narrow + [c.or_gate(xs)]))
+        compiled = compile_circuit(c)
+        assert plan_grouping(compiled.batch_plan())[(1, K_OR)] == [
+            (2, 10), (3, 5), (40, 1)
+        ]
+        rows = np.random.default_rng(4).random((3, 40))
+        assert same_floats(
+            compiled.probability_batch(rows),
+            [compiled.probability(row.tolist()) for row in rows],
+        )
+
+    @pytest.mark.parametrize("width", (1, 2, 3, 63, 64, 65))
+    def test_passes_match_scalar_oracle_on_special_values(self, width):
+        """Float rows of -0.0, NaN, ±inf, the smallest subnormal and 1.0,
+        and Boolean worlds across word boundaries: both passes agree with
+        the scalar kernels, padded groups included."""
+        circuits = [padded_or_circuit(), single_input_circuit(),
+                    wide_or_circuit()]
+        circuits += [mixed_fan_circuit(seed) for seed in (3, 19, 41)]
+        for index, circuit in enumerate(circuits):
+            compiled = compile_circuit(circuit)
+            n = len(compiled.variables())
+            rng = np.random.default_rng([width, index])
+            rows = rng.choice(SPECIAL_VALUES, size=(width, n))
+            rows[0] = -0.0
+            with np.errstate(invalid="ignore"):
+                got = compiled.probability_batch(rows)
+            want = [compiled.probability(row.tolist()) for row in rows]
+            assert same_floats(got, want), (index, got, want)
+            worlds = rng.random((width, n)) < 0.5
+            assert compiled.evaluate_batch(worlds) == [
+                compiled.evaluate(world.tolist()) for world in worlds
+            ]
+
+    @pytest.mark.parametrize("codegen", (True, False),
+                             ids=("kernel", "interpreter"))
+    def test_or_padding_keeps_negative_zero(self, codegen, monkeypatch):
+        """OR(x0, x1) reads the OR identity row, and an all -0.0 row still
+        answers -0.0, in the level plan and in :meth:`probability`, whose
+        array interpreter runs above ``CODEGEN_GATE_LIMIT``."""
+        if not codegen:
+            monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
+        compiled = compile_circuit(padded_or_circuit())
+        assert (compiled._kernel("float") is not None) == codegen
+        grouping = plan_grouping(compiled.batch_plan())
+        assert grouping[(1, K_OR)] == [(3, 2)]  # OR(x0, x1) padded
+        rows = np.full((2, 5), -0.0)
+        scalar = [compiled.probability(row.tolist()) for row in rows]
+        assert same_floats(compiled.probability_batch(rows), scalar)
+        assert math.copysign(1.0, scalar[0]) == -1.0
+
+    def test_single_row_wide_or_sums_left_to_right(self):
+        """A one-row float pass over a fan-in-16 OR matches the scalar
+        kernel bit for bit: the plan runs it as a width-2 pass, because
+        numpy sums a lone column pairwise."""
+        compiled = compile_circuit(wide_or_circuit())
+        rows = np.random.default_rng(16).random((8, 16)) / 7
+        for row in rows:
+            single = compiled.probability_batch(row[None, :])[0]
+            assert single == compiled.probability(row.tolist())  # bitwise

@@ -475,6 +475,7 @@ class TestDistributedExecution:
         decoded = distributed.plan_from_bytes(plan_bytes)
         tasks = [
             (slot, {"id": slot, "op": "mc", "plan": checksum,
+                    "stream": distributed.MC_STREAM_CAP,
                     "seed": 2, "index": index, "count": count}, probs_blob)
             for slot, (index, count) in enumerate(shards)
         ]
@@ -487,8 +488,11 @@ class TestDistributedExecution:
                 probs, meta["seed"], meta["index"], meta["count"]
             )}, b""
 
+        # The healthy worker is slowed so the dying one is dealt the task
+        # it crashes on before the healthy one has drained the queue.
         dying = worker_factory(max_tasks=3)
-        healthy = worker_factory()
+        healthy = worker_factory(delay=0.05)
+        before = distributed.pool_stats()["tasks_completed"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             results = distributed._run_distributed(
@@ -497,6 +501,12 @@ class TestDistributedExecution:
                 tasks,
                 run_local,
             )
+        served = distributed.pool_stats()["tasks_completed"] - before
+        # The fault path really ran: the workers answered shards, one of
+        # them crashed mid-run, and only the rest completed locally.
+        assert dying.wait_dead() == 17
+        assert served > 0
+        assert served + len(local_calls) == len(shards)
         assert len(results) == len(shards)  # exactly one result per shard
         expected = [
             run_local({"seed": 2, "index": index, "count": count})[0]["hits"]

@@ -26,6 +26,7 @@ deselect them.
 import asyncio
 import base64
 import json
+import math
 import os
 import threading
 import time
@@ -235,6 +236,27 @@ class TestCoalescer:
         assert all(r[valuation_hash(row)] == 1.0 for r in results)
         assert coalescer.counters["rows_evaluated"] == 1
         assert coalescer.counters["rows_in"] == 3
+
+    def test_no_lock_held_at_rest_after_many_digests(self):
+        """Each flushed digest's lock goes once no bucket is pending or
+        running for it, including digests whose passes overlapped."""
+        stub = _StubPass()
+        coalescer = Coalescer(stub, window=0.0)
+        digests = [f"digest-{k}" for k in range(12)]
+
+        async def drive():
+            for digest in digests:
+                await coalescer.submit(digest, [valuation_hash([1.0])], [[1.0]])
+            await asyncio.gather(*[
+                coalescer.submit(digest, [valuation_hash([float(i)])],
+                                 [[float(i)]])
+                for i in range(3) for digest in digests[:4]
+            ])
+            return dict(coalescer._locks), dict(coalescer._buckets)
+
+        locks, buckets = asyncio.run(drive())
+        assert locks == {} and buckets == {}
+        assert coalescer.stats()["passes"] >= len(digests)
 
     def test_disabled_coalescer_runs_one_pass_per_request(self):
         stub = _StubPass()
@@ -556,6 +578,69 @@ class TestQueryServiceDispatch:
         )
         assert status == 400
         assert str(len(marginals)) in payload["error"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        (True, False, -0.25, 1.5, 2.0, math.nan, math.inf, -math.inf,
+         10 ** 400, "0.5", None, [0.5]),
+        ids=("true", "false", "negative", "above-one", "two", "nan", "inf",
+             "minus-inf", "huge-int", "numeric-string", "null", "list"),
+    )
+    def test_marginals_outside_the_unit_interval_refused(self, app, bad):
+        """A bool, a non-number (a numeric string included) or a value
+        outside [0, 1] (NaN, ±inf and an integer too large for a float
+        included) is refused with 400 before the result cache or the
+        coalescer sees the request's rows."""
+        compiled, marginals = chain_setup(n=10, seed=25)
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        row = list(marginals)
+        row[3] = bad
+        cache_before = app.cache.stats()
+        coalescer_before = dict(app.coalescer.counters)
+        status, payload = dispatch(
+            app, "POST", "/probability",
+            {"digest": registered["digest"], "rows": [marginals, row]},
+        )
+        assert status == 400
+        assert "[0, 1]" in payload["error"]
+        assert app.cache.stats() == cache_before
+        assert app.coalescer.counters == coalescer_before
+
+    def test_served_digests_leave_no_coalescer_lock(self, app):
+        """A service that has served K distinct digests holds no
+        per-digest lock once their passes are done."""
+        for n in (6, 7, 8, 9):
+            compiled, marginals = chain_setup(n=n, seed=27)
+            encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+            _status, registered = dispatch(app, "POST", "/plans",
+                                           {"plan_b64": encoded})
+            status, _served = dispatch(
+                app, "POST", "/probability",
+                {"digest": registered["digest"], "rows": [marginals]},
+            )
+            assert status == 200
+        assert app.coalescer.stats()["passes"] == 4
+        assert app.coalescer._locks == {}
+
+    def test_unit_interval_bounds_and_negative_zero_accepted(self, app):
+        compiled, marginals = chain_setup(n=10, seed=26)
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        rows = [[0.0] * len(marginals), [1.0] * len(marginals),
+                [-0.0] * len(marginals), marginals]
+        status, served = dispatch(
+            app, "POST", "/probability",
+            {"digest": registered["digest"], "rows": rows},
+        )
+        assert status == 200
+        expected = direct_marginals(compiled, rows)
+        assert np.array_equal(
+            np.asarray(served["marginals"]).view(np.uint64),
+            np.asarray(expected).view(np.uint64),
+        )
 
     @pytest.mark.parametrize(
         "field, value",

@@ -497,6 +497,55 @@ class TestMixedVersionFleet:
             for m in messages
         ), messages
 
+    def test_mc_task_naming_no_stream_is_refused(
+        self, inprocess_worker_factory, plaintext_provider, monkeypatch
+    ):
+        """An older coordinator sends ``mc`` tasks without the ``stream``
+        field: the worker answers each with an error reply, not hits, the
+        coordinator warns and requeues, and every shard runs locally on
+        the coordinator's own stream."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        monkeypatch.setattr(distributed, "_WARNED", set())  # re-arm warnings
+        compiled = compile_circuit(random_circuit(84))
+        n_vars = len(compiled.variables())
+        marginals = [0.3] * n_vars
+        serial = parallel.monte_carlo_hits(
+            compiled, marginals, 700, seed=9, workers=0
+        )
+        plan_bytes = compiled.wire_bytes()
+        checksum = compiled.plan_digest()
+        probs_blob = distributed._values_to_bytes(
+            "f", parallel.mc_marginals(marginals, n_vars)
+        )
+        tasks = [
+            (slot, {"id": slot, "op": "mc", "plan": checksum, "seed": 9,
+                    "index": index, "count": count}, probs_blob)
+            for slot, (index, count) in enumerate(parallel._sample_shards(700))
+        ]
+        decoded = distributed.plan_from_bytes(plan_bytes)
+        ran_locally = []
+
+        def run_local(meta):
+            ran_locally.append(meta["id"])
+            hits = decoded.mc_shard_hits(
+                marginals, meta["seed"], meta["index"], meta["count"]
+            )
+            return {"hits": hits}, b""
+
+        worker = inprocess_worker_factory()
+        before = distributed.pool_stats()
+        with pytest.warns(RuntimeWarning, match="refused a shard") as caught:
+            results = distributed._run_distributed(
+                (worker.address,),
+                [(distributed.MSG_PLAN, {"checksum": checksum}, plan_bytes)],
+                tasks, run_local,
+            )
+        after = distributed.pool_stats()
+        assert any(distributed.MC_STREAM_CAP in str(w.message) for w in caught)
+        assert sorted(ran_locally) == [slot for slot, _meta, _blob in tasks]
+        assert after["tasks_completed"] == before["tasks_completed"]
+        assert sum(meta["hits"] for meta, _blob in results) == serial
+
     def test_future_worker_with_caps_is_accepted(
         self, inprocess_worker_factory, plaintext_provider
     ):
