@@ -15,7 +15,7 @@ import time
 import networkx as nx
 import pytest
 
-from repro.circuits import moral_graph, wmc_message_passing
+from repro.circuits import moral_graph, probability
 from repro.queries import atom, cq, variables
 from repro.treewidth import HEURISTICS, decompose, exact_treewidth
 from repro.workloads import cycle_tid, partial_ktree_tid, rst_chain_tid
@@ -65,7 +65,8 @@ def test_downstream_wmc_time(benchmark, heuristic):
     circuit = lineage.circuit.binarized()
     decomposition = decompose(moral_graph(circuit), heuristic)
     p = benchmark(
-        wmc_message_passing, circuit, tid.event_space(), decomposition
+        probability, circuit, tid.event_space(), engine="message_passing",
+        decomposition=decomposition,
     )
     assert 0.0 <= p <= 1.0
 
@@ -104,8 +105,9 @@ def main() -> None:
         decomposition = decompose(graph, heuristic)
         start = time.perf_counter()
         try:
-            wmc_message_passing(
-                circuit, tid.event_space(), decomposition, max_width=18
+            probability(
+                circuit, tid.event_space(), engine="message_passing",
+                decomposition=decomposition, max_width=18,
             )
             elapsed = f"{time.perf_counter() - start:>13.3f}"
         except ReproError:

@@ -24,7 +24,7 @@ import pytest
 
 from repro.baselines import karp_luby_probability, tid_probability_enumerate
 from repro.core import build_lineage, tid_probability
-from repro.circuits import wmc_shannon
+from repro.circuits import probability
 from repro.queries import (
     UnsafeQueryError,
     atom,
@@ -102,7 +102,7 @@ def main() -> None:
         engine_time = time.perf_counter() - start
         lineage = build_lineage(tid.instance, Q_RST)
         start = time.perf_counter()
-        wmc_shannon(lineage.circuit, tid.event_space())
+        probability(lineage.circuit, tid.event_space(), engine="shannon")
         shannon_time = time.perf_counter() - start
         start = time.perf_counter()
         p_kl = karp_luby_probability(Q_RST, tid, samples=2000, seed=0)

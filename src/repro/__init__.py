@@ -64,11 +64,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "pool_stats",
         ("probability", "circuit_probability"),
         "probability_batch",
-        "probability_dd",
         "set_default_engine",
-        "wmc_enumerate",
-        "wmc_message_passing",
-        "wmc_shannon",
     ),
     ".conditioning": ("ConditionedInstance", "SimulatedCrowd", "run_crowd_session"),
     ".config": ("configure", "overrides"),

@@ -49,10 +49,6 @@ Typical use::
     compiled.evaluate_batch(sampled_worlds)         # level-scheduled numpy pass
     compiled.probability_batch(marginal_rows)       # batched Theorem 1 pass
     probability(lineage.circuit, space, engine="dd")  # Theorem 1 fast path
-
-The historical entry points (``wmc_enumerate``, ``wmc_shannon``,
-``wmc_message_passing``, ``probability_dd``) remain as thin wrappers over
-the same layer.
 """
 
 from repro.util.lazy import lazy_exports
@@ -69,7 +65,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "reset_batch_stats",
         "reset_compile_stats",
     ),
-    ".dd": ("check_decomposability", "check_determinism_sampled", "probability_dd"),
+    ".dd": ("check_decomposability", "check_determinism_sampled"),
     ".distributed": (
         "distributed_hosts",
         "distributed_hosts_set",
@@ -122,5 +118,4 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "reset_plan_cache_stats",
         "set_plan_cache_dir",
     ),
-    ".wmc": ("wmc_enumerate", "wmc_message_passing", "wmc_shannon"),
 })

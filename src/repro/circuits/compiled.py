@@ -22,7 +22,11 @@ these arrays: :meth:`CompiledCircuit.evaluate` for one world,
 deterministic-decomposable fast path (Theorem 1),
 :meth:`CompiledCircuit.probability_batch` for many marginal vectors at
 once, and :meth:`CompiledCircuit.probability_enumerate` for the
-brute-force oracle.
+brute-force oracle. The one-row entry points (``evaluate``,
+``probability``) are the second stage: a scalar pass that interprets the
+CSR arrays gate by gate, reducing each AND/OR left to right. Its callers
+are one-shot (the ``dd`` engine, possibility/certainty, the enumeration
+baseline), so it builds nothing per circuit.
 
 **Batch evaluation** adds a third lowering stage on top of the flat IR.
 The topologically sorted gates are grouped into *levels* — every gate's
@@ -38,7 +42,7 @@ bit-sliced: a gate's row holds one ``uint64`` word per 64 worlds, NOT is
 ``~``, AND/OR are ``np.bitwise_and`` / ``np.bitwise_or``. The float pass
 of :meth:`~CompiledCircuit.probability_batch` keeps one float64 column
 per marginal row and reduces with ``np.multiply`` / ``np.add``. Thousands of
-sampled worlds are evaluated per pass instead of one kernel call per
+sampled worlds are evaluated per pass instead of one scalar pass per
 world; batches are chunked so the value buffer stays within
 :data:`BATCH_BYTE_BUDGET` bytes.
 
@@ -85,15 +89,8 @@ from repro.util import ReproError, check
 # which maintains them incrementally; re-exported here for compatibility).
 # CONST gates split into two codes so the payload never needs a side table.
 
-KIND_NAMES = ("false", "true", "var", "not", "and", "or")
-
 #: Largest variable count accepted by :meth:`CompiledCircuit.probability_enumerate`.
 ENUMERATION_VARIABLE_CAP = 26
-
-#: Above this gate count the specialized Python kernels are not generated
-#: (source-compile time would dominate) and the generic array interpreter
-#: runs instead.
-CODEGEN_GATE_LIMIT = 200_000
 
 #: Per-chunk cap on the gate-major value buffer of the numpy batch kernels,
 #: in bytes; larger batches are processed in slices. Each gate costs 8
@@ -386,11 +383,6 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
             )
 
 
-#: Fan-in up to which AND/OR are emitted as infix chains; larger gates use
-#: list-based reductions to keep the generated AST shallow.
-_INFIX_FAN_IN = 32
-
-
 class _GroupOp:
     """One vectorized step: a level's gates of one kind, read as one block.
 
@@ -516,10 +508,10 @@ class _BatchPlan:
     one float64 column; AND multiplies, OR adds, NOT is ``1.0 - x``, and
     the identity rows hold 1.0 and -0.0. Every reduction runs left to
     right from its first input, so a pass is bitwise equal to the scalar
-    kernels for every input, -0.0 and infinities included: ``x * 1.0`` and
+    pass for every input, -0.0 and infinities included: ``x * 1.0`` and
     ``x + -0.0`` are ``x`` exactly (``x + 0.0`` is not, at -0.0). A NaN
     input gives a NaN, whose sign bit (which IEEE 754 leaves
-    uninterpreted) may differ from the scalar kernels' when two NaNs meet. The
+    uninterpreted) may differ from the scalar pass's when two NaNs meet. The
     Boolean pass is bit-sliced: a row holds one ``uint64`` word per 64
     worlds, world ``i`` in bit ``i % 8`` of byte ``i // 8`` of the row, so
     AND/OR are ``bitwise_and``/``bitwise_or``, NOT is ``~``, and
@@ -804,19 +796,15 @@ class CompiledCircuit:
         "_var_slot",
         "var_names",
         "output",
-        "has_negation",
         "arena_version",
         "arena_size",
         "_gate_ids",
         "_position_of",
-        "_var_index",
         "_levels",
         "_levels32",
         "_np32",
         "_binarized",
         "_decompositions",
-        "_bool_kernel",
-        "_float_kernel",
         "_batch_plan",
         "_shared_plan",
         "_wire_cache",
@@ -850,14 +838,11 @@ class CompiledCircuit:
         self._var_slot = None
         self._gate_ids = None  # tuple, or an int64 array from _lower_vector
         self._position_of = None
-        self._var_index = None
         self._levels = None  # per-gate level schedule (gate_levels), cached
         self._levels32 = None  # same schedule as an int32 array (levels_array)
         self._np32 = None  # (kinds, offsets, indices, var_slot) as int32
         self._binarized: CompiledCircuit | None = None
         self._decompositions: dict[str, object] = {}
-        self._bool_kernel = _UNBUILT
-        self._float_kernel = _UNBUILT
         self._batch_plan = _UNBUILT
         self._shared_plan = None  # lazily published by repro.circuits.parallel
         self._wire_cache = None  # lazily packed by repro.circuits.distributed
@@ -900,9 +885,6 @@ class CompiledCircuit:
         self._var_slot = var_slot
         self.var_names = _names_of_slots(circuit._slot_names, list(rank))
         self.output = position_of[circuit.output]  # type: ignore[index]
-        #: Whether any NOT gate is reachable — precomputed once here rather
-        #: than rescanning ``kinds`` on every property access.
-        self.has_negation: bool = K_NOT in kinds
 
     def _lower_vector(self, circuit: Circuit) -> bool:
         """Array-pass lowering over the arena's flat mirrors (numpy).
@@ -977,7 +959,6 @@ class CompiledCircuit:
         # single gather from the arena's incrementally maintained levels.
         self.var_names = _names_of_slots(circuit._slot_names, arena_slots)
         self.output = int(pos_of[circuit.output])
-        self.has_negation = bool((kinds32 == K_NOT).any())
         self._gate_ids = gate_ids
         self._np32 = (kinds32, offsets32, indices32, var_slot32)
         self._levels32 = _np.frombuffer(
@@ -1029,14 +1010,12 @@ class CompiledCircuit:
         compiled.arena_size = len(circuit)
         compiled._gate_ids = tuple(ids.tolist())
         compiled._levels32 = _np.asarray(levels, dtype=_np.int32)
-        kinds32 = _np.asarray(kinds, dtype=_np.int32)
         compiled._np32 = (
-            kinds32,
+            _np.asarray(kinds, dtype=_np.int32),
             _np.asarray(offsets, dtype=_np.int32),
             _np.asarray(indices, dtype=_np.int32),
             _np.asarray(var_slot, dtype=_np.int32),
         )
-        compiled.has_negation = bool((kinds32 == K_NOT).any())
         return compiled
 
     # ------------------------------------------------------------------ #
@@ -1090,18 +1069,6 @@ class CompiledCircuit:
             mapping = self._position_of = {
                 gid: pos for pos, gid in enumerate(self.gate_ids)
             }
-        return mapping
-
-    @property
-    def var_index(self) -> dict[str, int]:
-        """Variable name → slot, built lazily (inverse of ``var_names``)."""
-        mapping = self._var_index
-        if mapping is None:
-            names = self.var_names
-            mapping = self._var_index = (
-                names.positions() if isinstance(names, FactNames)
-                else {name: slot for slot, name in enumerate(names)}
-            )
         return mapping
 
     def levels_list(self) -> list[int]:
@@ -1214,78 +1181,6 @@ class CompiledCircuit:
         )
 
     # ------------------------------------------------------------------ #
-    # kernel generation
-
-    def _build_kernel(self, mode: str):
-        """Specialize the circuit into one straight-line Python function.
-
-        The second lowering stage: each gate becomes a single assignment
-        over local variables (``v7 = v3 * v5``), so repeated evaluation
-        costs plain bytecode instead of an interpreted dispatch loop per
-        gate. ``mode`` is ``"bool"`` (0/1 ints, ``&``/``|``/``^``) or
-        ``"float"`` (the d-D probability pass: ``*`` at AND, ``+`` at OR).
-        Returns ``None`` above :data:`CODEGEN_GATE_LIMIT`; callers then use
-        the generic array interpreter.
-        """
-        if self.size > CODEGEN_GATE_LIMIT:
-            return None
-        as_float = mode == "float"
-        lines = ["def _kernel(s):"]
-        for pos in range(self.size):
-            kind = self.kinds[pos]
-            if kind == K_VAR:
-                slot = self.var_slot[pos]
-                expr = f"s[{slot}]" if as_float else f"1 if s[{slot}] else 0"
-            elif kind == K_TRUE:
-                expr = "1.0" if as_float else "1"
-            elif kind == K_FALSE:
-                expr = "0.0" if as_float else "0"
-            elif kind == K_NOT:
-                child = self.indices[self.offsets[pos]]
-                expr = f"1.0 - v{child}" if as_float else f"v{child} ^ 1"
-            else:
-                terms = [f"v{i}" for i in self.inputs_of(pos)]
-                if len(terms) <= _INFIX_FAN_IN:
-                    if as_float:
-                        op = " * " if kind == K_AND else " + "
-                    else:
-                        op = " & " if kind == K_AND else " | "
-                    expr = op.join(terms)
-                else:
-                    listing = ", ".join(terms)
-                    if as_float:
-                        fn = "_prod" if kind == K_AND else "_sum"
-                        expr = f"{fn}([{listing}])"
-                    else:
-                        fn = "all" if kind == K_AND else "any"
-                        expr = f"1 if {fn}([{listing}]) else 0"
-            lines.append(f"    v{pos} = {expr}")
-        lines.append(f"    return v{self.output}")
-        import functools
-        import math
-        import operator
-
-        # Both reductions run strictly left to right, like the infix chains
-        # above and the level plan's ufuncs and reductions, so every float
-        # pass is bitwise equal. (Builtin ``sum`` is
-        # compensated since Python 3.12 and would round differently.)
-        namespace: dict[str, object] = {
-            "_prod": math.prod,
-            "_sum": functools.partial(functools.reduce, operator.add),
-        }
-        exec(compile("\n".join(lines), "<compiled-circuit>", "exec"), namespace)
-        return namespace["_kernel"]
-
-    def _kernel(self, mode: str):
-        if mode == "float":
-            if self._float_kernel is _UNBUILT:
-                self._float_kernel = self._build_kernel("float")
-            return self._float_kernel
-        if self._bool_kernel is _UNBUILT:
-            self._bool_kernel = self._build_kernel("bool")
-        return self._bool_kernel
-
-    # ------------------------------------------------------------------ #
     # level-scheduled numpy batch kernels (third lowering stage)
 
     def batch_plan(self) -> _BatchPlan:
@@ -1383,12 +1278,18 @@ class CompiledCircuit:
     # ------------------------------------------------------------------ #
     # Boolean evaluation
 
-    def _evaluate_into(self, buffer: bytearray, slot_values: Sequence) -> int:
-        """One bottom-up pass over the flat arrays; returns the output bit."""
+    def evaluate(self, valuation) -> bool:
+        """Evaluate the output gate under one valuation.
+
+        One bottom-up pass over the flat arrays; an AND or OR stops at its
+        first deciding input.
+        """
+        slot_values = self.slot_values(valuation)
         kinds = self.kinds
         offsets = self.offsets
         indices = self.indices
         var_slot = self.var_slot
+        values = bytearray(self.size)
         for pos in range(self.size):
             kind = kinds[pos]
             if kind == K_VAR:
@@ -1396,29 +1297,21 @@ class CompiledCircuit:
             elif kind == K_AND:
                 value = 1
                 for j in range(offsets[pos], offsets[pos + 1]):
-                    if not buffer[indices[j]]:
+                    if not values[indices[j]]:
                         value = 0
                         break
             elif kind == K_OR:
                 value = 0
                 for j in range(offsets[pos], offsets[pos + 1]):
-                    if buffer[indices[j]]:
+                    if values[indices[j]]:
                         value = 1
                         break
             elif kind == K_NOT:
-                value = 1 - buffer[indices[offsets[pos]]]
+                value = 1 - values[indices[offsets[pos]]]
             else:
                 value = kind  # K_TRUE == 1, K_FALSE == 0
-            buffer[pos] = value
-        return buffer[self.output]
-
-    def evaluate(self, valuation) -> bool:
-        """Evaluate the output gate under one valuation."""
-        kernel = self._kernel("bool")
-        if kernel is not None:
-            return bool(kernel(self.slot_values(valuation)))
-        buffer = bytearray(self.size)
-        return bool(self._evaluate_into(buffer, self.slot_values(valuation)))
+            values[pos] = value
+        return bool(values[self.output])
 
     def evaluate_batch(self, valuations: Iterable) -> list[bool]:
         """Evaluate many valuations at once; returns one boolean per world.
@@ -1451,13 +1344,12 @@ class CompiledCircuit:
         """Linear-time probability for deterministic decomposable circuits.
 
         One bottom-up float pass: ``P(OR) = Σ``, ``P(AND) = Π``,
-        ``P(NOT) = 1 − P``. Correct only on d-D circuits over independent
-        variables (Theorem 1); use the ``message_passing`` engine otherwise.
+        ``P(NOT) = 1 − P``, each sum and product taken left to right like
+        :meth:`probability_batch`'s, so both give the same bits. Correct
+        only on d-D circuits over independent variables (Theorem 1); use
+        the ``message_passing`` engine otherwise.
         """
         probs = self.slot_marginals(marginals)
-        kernel = self._kernel("float")
-        if kernel is not None:
-            return float(kernel(probs))
         kinds = self.kinds
         offsets = self.offsets
         indices = self.indices
@@ -1480,7 +1372,8 @@ class CompiledCircuit:
             else:
                 value = float(kind)  # K_TRUE == 1, K_FALSE == 0
             values[pos] = value
-        return values[self.output]
+        # A lone VAR output is the marginal as given (an int, a numpy float).
+        return float(values[self.output])
 
     def probability_batch(self, marginals_batch) -> list[float]:
         """The d-D probability pass of :meth:`probability`, over many rows.
@@ -1736,7 +1629,6 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
     running = (
         int(prev_np[1][-1]) if prev_np is not None else prev.offsets[-1]
     )
-    has_negation = prev.has_negation
     n_old_vars = len(prev.var_names)
 
     for i, gid in enumerate(dirty):
@@ -1750,8 +1642,6 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
             # one gate per slot, and old variables' gates are all old gates.
             slot = n_old_vars + len(new_slots)
             new_slots.append(var_slots[gid])
-        elif kind == K_NOT:
-            has_negation = True
         add_var_slot.append(slot)
         inputs = flat[arena_offsets[gid] : arena_offsets[gid + 1]]
         for child in inputs:
@@ -1788,7 +1678,6 @@ def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | N
         prev.var_names, _names_of_slots(circuit._slot_names, new_slots)
     )
     compiled.output = position[out] if out in position else bisect_left(old_ids, out)
-    compiled.has_negation = has_negation
     compiled.arena_version = circuit.version
     compiled.arena_size = len(circuit)
     compiled._gate_ids = old_ids + tuple(dirty)
@@ -1867,7 +1756,7 @@ def recompile(old: CompiledCircuit, circuit: Circuit | CompiledCircuit) -> Compi
     ``old`` must be a previous lowering of the *same arena*; appended
     gates and a moved output are patched in O(|delta|) — the surviving
     prefix of the kind/CSR/level/variable arrays is shared, and the
-    derived caches (``wire_bytes``/``plan_digest``/``batch_plan``/kernels)
+    derived caches (``wire_bytes``/``plan_digest``/``batch_plan``)
     start fresh on the returned object so nothing stale leaks. When the
     edit is not an append (or ``old`` lowers a different arena) this falls
     back to a full — still vectorized — compile; either way the result is

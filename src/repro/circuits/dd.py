@@ -1,4 +1,4 @@
-"""Direct probability evaluation for deterministic, decomposable circuits.
+"""Deterministic, decomposable circuits: the property checks and the seed pass.
 
 The lineage circuits produced by running a *deterministic* bottom-up
 automaton over a tree encoding (the paper's Theorem 1 pipeline) are
@@ -10,10 +10,12 @@ automaton over a tree encoding (the paper's Theorem 1 pipeline) are
 
 On such circuits, with *independent* variables (the TID case), probability is
 a single bottom-up pass: ``P(OR) = Σ P(child)``, ``P(AND) = Π P(child)``,
-``P(NOT g) = 1 − P(g)``. This is the linear-time claim of Theorem 1.
+``P(NOT g) = 1 − P(g)``. This is the linear-time claim of Theorem 1; the
+``dd`` engine of :mod:`repro.circuits.evaluation` runs it on the compiled IR.
 
-The functions here trust the flags the lineage engine sets; tests verify
-determinism/decomposability empirically and against the enumeration oracle.
+The engine trusts the flags the lineage engine sets; the checks here let
+tests verify determinism and decomposability empirically, and the seed
+object-graph pass stays as the baseline E13 times the compiled IR against.
 """
 
 from __future__ import annotations
@@ -21,23 +23,6 @@ from __future__ import annotations
 from repro.circuits.circuit import AND, CONST, NOT, OR, VAR, Circuit
 from repro.events import EventSpace
 from repro.util import ReproError, check, stable_rng
-
-
-def probability_dd(circuit: Circuit, space: EventSpace) -> float:
-    """Evaluate the probability of a det-decomposable circuit bottom-up.
-
-    Linear in the circuit size (unit-cost arithmetic). Correct only when the
-    circuit is deterministic and decomposable and the variables are
-    independent; use the ``message_passing`` engine otherwise.
-
-    .. deprecated::
-        Thin wrapper over the ``dd`` engine of
-        :mod:`repro.circuits.evaluation`; the circuit is compiled to the
-        flat IR once (cached) and evaluated in a single array pass.
-    """
-    from repro.circuits.evaluation import probability
-
-    return probability(circuit, space, engine="dd")
 
 
 def _probability_dd_object_graph(circuit: Circuit, space: EventSpace) -> float:

@@ -15,15 +15,13 @@ then handed to one of the registered *engines*:
 Engines are plain callables ``engine(compiled, space, **kwargs)`` registered
 with :func:`register_engine`, so new strategies (knowledge compilation,
 sampling back-ends, vectorized kernels) plug in without touching consumers.
-:func:`probability` is the front door; ``repro.circuits.wmc`` and
-``repro.circuits.dd`` re-export the historical entry points as thin wrappers
-over this layer.
+:func:`probability` is the front door.
 
 Orthogonal to the engine choice is the **execution backend** the batch
-entry points run on: scalar generated kernels (always), level-scheduled
-numpy kernels (when numpy imports), and the sharded multi-process pool of
-:mod:`repro.circuits.parallel` (when the ``parallel_workers`` knob, which
-:func:`capabilities` reports, is set to two or more).
+entry points run on: the level-scheduled numpy kernels (always), and the
+sharded multi-process pool of :mod:`repro.circuits.parallel` (when the
+``parallel_workers`` knob, which :func:`capabilities` reports, is set to
+two or more).
 Engines pick *what* to compute; the backend stack picks *how fast*; see
 ``ARCHITECTURE.md`` for the full lowering pipeline.
 """

@@ -7,7 +7,7 @@ ind/mux) and by the document's global event variables (for cie).
 
 For **local** models ({ind, mux, det}) the resulting circuit is deterministic
 and decomposable over independent variables, so the probability is a single
-linear pass (:func:`repro.circuits.probability_dd`) — the
+linear pass (the ``dd`` engine of :func:`repro.circuits.probability`) — the
 Cohen–Kimelfeld–Sagiv tractability result the paper builds on. With **cie**
 nodes, shared event variables break decomposability; the circuit is evaluated
 by junction-tree message passing instead, which stays tractable exactly when

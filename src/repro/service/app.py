@@ -98,6 +98,26 @@ def _env_int(name: str, default):
         raise ReproError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _unit_marginals(row) -> list[float]:
+    """One request row's marginals as floats; 400 unless each is in [0, 1].
+
+    JSON numbers only (no bools, no numeric strings), each tested once
+    against the interval: that refuses NaN and ±inf too, which min()/max()
+    would let a NaN slip past, and compares a huge integer exactly instead
+    of overflowing a float. -0.0 is accepted.
+    """
+    for value in row:
+        if (
+            not isinstance(value, (int, float))
+            or isinstance(value, bool)
+            or not 0.0 <= value <= 1.0
+        ):
+            raise ServiceError(
+                400, f"marginals must be numbers in [0, 1], got {value!r}"
+            )
+    return [float(v) for v in row]
+
+
 def _parse_terms(raw_terms):
     from repro.queries.cq import Variable
 
@@ -378,21 +398,7 @@ class QueryService:
                     f"each row must list {entry.n_vars} marginals in slot "
                     "order",
                 )
-            # JSON numbers only (no bools, no numeric strings), each tested
-            # once against the interval: that refuses NaN and ±inf too,
-            # which min()/max() would let a NaN slip past, and compares a
-            # huge integer exactly instead of overflowing a float.
-            for value in row:
-                if (
-                    not isinstance(value, (int, float))
-                    or isinstance(value, bool)
-                    or not 0.0 <= value <= 1.0
-                ):
-                    raise ServiceError(
-                        400,
-                        f"marginals must be numbers in [0, 1], got {value!r}",
-                    )
-            validated.append([float(v) for v in row])
+            validated.append(_unit_marginals(row))
         return validated
 
     # ------------------------------------------------------------------ #
@@ -575,10 +581,7 @@ class QueryService:
             raise ServiceError(
                 400, f"'row' must list {entry.n_vars} marginals in slot order"
             )
-        try:
-            probs = [float(v) for v in row]
-        except (TypeError, ValueError):
-            raise ServiceError(400, "'row' must contain numbers") from None
+        probs = _unit_marginals(row)
         samples = payload.get("samples", MC_SHARD)
         if (
             not isinstance(samples, int)

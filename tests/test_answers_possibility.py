@@ -96,11 +96,11 @@ class TestAnswers:
         lineages = answer_lineages(Q_RS, (X, Y), tid.instance)
         space = tid.event_space()
         for values, lineage in lineages.items():
-            from repro.circuits import probability_dd
+            from repro.circuits import probability
 
             boolean_query = substitute_answer(Q_RS, (X, Y), values)
             assert math.isclose(
-                probability_dd(lineage.circuit, space),
+                probability(lineage.circuit, space, engine="dd"),
                 tid_probability(boolean_query, tid),
                 abs_tol=1e-12,
             )

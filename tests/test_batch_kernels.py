@@ -1,8 +1,9 @@
 """Tests for the level-scheduled numpy batch kernels.
 
-The batch passes are pinned to the per-world scalar paths: the generated
-kernels behind :meth:`CompiledCircuit.evaluate` and, above the codegen
-limit, the array interpreter.
+The batch passes are pinned to the one-row scalar pass behind
+:meth:`CompiledCircuit.evaluate` and :meth:`CompiledCircuit.probability`
+(which interprets the flat arrays gate by gate), and the Boolean pass also
+to the arena's own :meth:`Circuit.evaluate`.
 """
 
 import math
@@ -39,32 +40,24 @@ def all_worlds(n_vars: int) -> list[list[int]]:
     return [[(mask >> i) & 1 for i in range(n_vars)] for mask in range(1 << n_vars)]
 
 
-@pytest.fixture
-def no_codegen(monkeypatch):
-    """Force the array interpreter by putting every circuit over the limit."""
-    monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_batch_agrees_with_scalar_kernel_and_interpreter(seed):
-    """Property: numpy batch == generated kernel == array interpreter."""
+    """Property: numpy batch == the scalar pass over the flat arrays == the
+    arena's own interpreter (``Circuit.evaluate``, which never compiles)."""
     c = random_circuit(seed)
     compiled = compile_circuit(c)
-    worlds = all_worlds(len(compiled.variables()))
+    names = compiled.variables()
+    worlds = all_worlds(len(names))
     batch = compiled.evaluate_batch(worlds)
-    kernel = [compiled.evaluate(w) for w in worlds]
-    assert batch == kernel
-    # The generic interpreter (the above-CODEGEN_GATE_LIMIT path).
-    buffer = bytearray(compiled.size)
-    interpreted = [bool(compiled._evaluate_into(buffer, w)) for w in worlds]
-    assert batch == interpreted
+    assert batch == [compiled.evaluate(w) for w in worlds]
+    assert batch == [c.evaluate(dict(zip(names, w))) for w in worlds]
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_probability_batch_agrees_with_scalar_passes(seed):
-    """Property: probability_batch == scalar float kernel to 1e-12 per row."""
+    """Property: probability_batch == the scalar float pass to 1e-12 per row."""
     c = random_circuit(seed)
     compiled = compile_circuit(c)
     spaces = [
@@ -94,16 +87,17 @@ def test_enumeration_batch_matches_scalar_oracle(seed):
     assert math.isclose(batched, scalar, abs_tol=1e-12)
 
 
-class TestAboveCodegenLimit:
-    def test_batch_and_fallback_agree_without_generated_kernels(self, no_codegen):
+class TestScalarPass:
+    """The one-row pass behind ``evaluate`` and ``probability``."""
+
+    def test_evaluate_batch_agrees_with_scalar_pass(self):
         compiled = compile_circuit(random_circuit(99))
-        assert compiled._kernel("bool") is None  # really interpreting
         worlds = all_worlds(len(compiled.variables()))
         assert compiled.evaluate_batch(worlds) == [
             compiled.evaluate(w) for w in worlds
         ]
 
-    def test_probability_paths_without_generated_kernels(self, no_codegen):
+    def test_probability_batch_agrees_with_scalar_pass(self):
         compiled = compile_circuit(random_circuit(7))
         space = EventSpace({f"v{i}": 0.3 for i in range(6)})
         assert math.isclose(
@@ -111,6 +105,24 @@ class TestAboveCodegenLimit:
             compiled.probability(space),
             abs_tol=1e-12,
         )
+
+    @pytest.mark.parametrize("width", (1, 3))
+    def test_probability_returns_a_python_float(self, width):
+        """Whatever type the marginals come in. A lone-variable circuit's
+        pass would otherwise return its marginal as given: an int from a
+        list of ints, a numpy float from an array."""
+        c = Circuit()
+        xs = [c.variable(f"x{i}") for i in range(width)]
+        c.set_output(xs[0] if width == 1 else c.or_gate(xs))
+        compiled = compile_circuit(c)
+        names = compiled.variables()
+        for marginals in (
+            [1] * width,
+            np.full(width, 0.25),
+            {name: 1 for name in names},
+            EventSpace({name: 0.25 for name in names}),
+        ):
+            assert type(compiled.probability(marginals)) is float
 
 
 class TestBatchInputs:
@@ -197,18 +209,6 @@ class TestSlotMarginals:
             compiled.slot_marginals(NotASpace())
 
 
-class TestHasNegation:
-    def test_precomputed_value_matches_kinds(self):
-        c = Circuit()
-        c.set_output(c.and_gate([c.variable("a"), c.negation(c.variable("b"))]))
-        assert compile_circuit(c).has_negation
-        monotone = Circuit()
-        monotone.set_output(
-            monotone.or_gate([monotone.variable("a"), monotone.variable("b")])
-        )
-        assert not compile_circuit(monotone).has_negation
-
-
 class TestSingleRowReductionOrder:
     def test_single_row_bit_identical_to_wider_batches(self):
         """Regression: a 1-row float pass shares the wide-batch reduction
@@ -226,9 +226,9 @@ class TestSingleRowReductionOrder:
                 assert single[0] == wide[i]  # bitwise, not isclose
 
     def test_wide_or_kernel_sums_left_to_right(self):
-        """Regression: the generated float kernel reduces an OR wider than
-        the infix limit left to right, like the level plan. Builtin ``sum``
-        is compensated since Python 3.12 and rounds forty 0.025s to 1.0."""
+        """Regression: the scalar pass reduces a wide OR left to right, like
+        the level plan. Builtin ``sum`` is compensated since Python 3.12
+        and rounds forty 0.025s to 1.0."""
         c = Circuit()
         c.set_output(c.or_gate([c.variable(f"x{i}") for i in range(40)]))
         compiled = compile_circuit(c)
@@ -247,7 +247,7 @@ class TestSingleRowReductionOrder:
 
     def test_single_row_bool_pass_unchanged(self):
         """The widening applies to float passes only; bool single rows stay
-        on the direct path and agree with the scalar kernel."""
+        on the direct path and agree with the scalar pass."""
         compiled = compile_circuit(random_circuit(12))
         n = len(compiled.variables())
         world = np.array([[True, False] * ((n + 1) // 2)][0][:n]).reshape(1, n)
@@ -292,7 +292,7 @@ class TestBatchPlan:
 # --------------------------------------------------------------------------- #
 # grouped level plan: mixed fan-ins padded from the identity rows
 
-#: Float inputs the passes must carry exactly like the scalar kernels.
+#: Float inputs the passes must carry exactly like the scalar pass.
 SPECIAL_VALUES = (-0.0, math.nan, math.inf, -math.inf, 2.0 ** -1074, 1.0)
 
 
@@ -450,7 +450,7 @@ class TestGroupedPlan:
     def test_passes_match_scalar_oracle_on_special_values(self, width):
         """Float rows of -0.0, NaN, ±inf, the smallest subnormal and 1.0,
         and Boolean worlds across word boundaries: both passes agree with
-        the scalar kernels, padded groups included."""
+        the scalar pass, padded groups included."""
         circuits = [padded_or_circuit(), single_input_circuit(),
                     wide_or_circuit()]
         circuits += [mixed_fan_circuit(seed) for seed in (3, 19, 41)]
@@ -469,16 +469,11 @@ class TestGroupedPlan:
                 compiled.evaluate(world.tolist()) for world in worlds
             ]
 
-    @pytest.mark.parametrize("codegen", (True, False),
-                             ids=("kernel", "interpreter"))
-    def test_or_padding_keeps_negative_zero(self, codegen, monkeypatch):
+    def test_or_padding_keeps_negative_zero(self):
         """OR(x0, x1) reads the OR identity row, and an all -0.0 row still
-        answers -0.0, in the level plan and in :meth:`probability`, whose
-        array interpreter runs above ``CODEGEN_GATE_LIMIT``."""
-        if not codegen:
-            monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
+        answers -0.0, in the level plan and in :meth:`probability`'s scalar
+        pass, whose ORs start from -0.0."""
         compiled = compile_circuit(padded_or_circuit())
-        assert (compiled._kernel("float") is not None) == codegen
         grouping = plan_grouping(compiled.batch_plan())
         assert grouping[(1, K_OR)] == [(3, 2)]  # OR(x0, x1) padded
         rows = np.full((2, 5), -0.0)
@@ -488,7 +483,7 @@ class TestGroupedPlan:
 
     def test_single_row_wide_or_sums_left_to_right(self):
         """A one-row float pass over a fan-in-16 OR matches the scalar
-        kernel bit for bit: the plan runs it as a width-2 pass, because
+        pass bit for bit: the plan runs it as a width-2 pass, because
         numpy sums a lone column pairwise."""
         compiled = compile_circuit(wide_or_circuit())
         rows = np.random.default_rng(16).random((8, 16)) / 7

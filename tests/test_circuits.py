@@ -12,10 +12,7 @@ from repro.circuits import (
     circuit_width,
     from_formula,
     moral_graph,
-    probability_dd,
-    wmc_enumerate,
-    wmc_message_passing,
-    wmc_shannon,
+    probability,
 )
 from repro.events import EventSpace, var
 from repro.util import ReproError
@@ -188,24 +185,31 @@ class TestWmcEngines:
     def test_xor_probability(self):
         c = xor_circuit()
         expected = 0.3 * 0.3 + 0.7 * 0.7  # a(1-b) + (1-a)b with pa=.3, pb=.7
-        assert math.isclose(wmc_enumerate(c, SPACE), expected)
-        assert math.isclose(wmc_shannon(c, SPACE), expected)
-        assert math.isclose(wmc_message_passing(c, SPACE), expected)
+        assert math.isclose(probability(c, SPACE, engine="enumerate"), expected)
+        assert math.isclose(probability(c, SPACE, engine="shannon"), expected)
+        assert math.isclose(
+            probability(c, SPACE, engine="message_passing"), expected
+        )
 
     def test_constant_output(self):
         c = Circuit()
         c.set_output(c.true())
-        assert wmc_message_passing(c, SPACE) == 1.0
+        assert probability(c, SPACE, engine="message_passing") == 1.0
         c2 = Circuit()
         c2.set_output(c2.false())
-        assert wmc_message_passing(c2, SPACE) == 0.0
+        assert probability(c2, SPACE, engine="message_passing") == 0.0
 
     @pytest.mark.parametrize("seed", range(25))
     def test_engines_agree_on_random_circuits(self, seed):
         c = random_small_circuit(seed)
-        reference = wmc_enumerate(c, SPACE)
-        assert math.isclose(wmc_shannon(c, SPACE), reference, abs_tol=1e-9)
-        assert math.isclose(wmc_message_passing(c, SPACE), reference, abs_tol=1e-9)
+        reference = probability(c, SPACE, engine="enumerate")
+        assert math.isclose(
+            probability(c, SPACE, engine="shannon"), reference, abs_tol=1e-9
+        )
+        assert math.isclose(
+            probability(c, SPACE, engine="message_passing"), reference,
+            abs_tol=1e-9,
+        )
 
     def test_message_passing_width_guard(self):
         c = Circuit()
@@ -218,11 +222,13 @@ class TestWmcEngines:
         c.set_output(big)
         space = EventSpace({f"v{i}": 0.5 for i in range(8)})
         with pytest.raises(ReproError, match="exceeds max_width"):
-            wmc_message_passing(c, space, max_width=1)
+            probability(c, space, engine="message_passing", max_width=1)
 
     def test_report_contains_width(self):
         c = xor_circuit()
-        _p, report = wmc_message_passing(c, SPACE, return_report=True)
+        _p, report = probability(
+            c, SPACE, engine="message_passing", return_report=True
+        )
         assert report.width >= 1
         assert report.bag_count >= 1
 
@@ -234,7 +240,7 @@ class TestDetDecomposable:
         a, b = c.variable("a"), c.variable("b")
         g = c.or_gate([c.and_gate([a, b])])
         c.set_output(g)
-        assert math.isclose(probability_dd(c, SPACE), 0.3 * 0.7)
+        assert math.isclose(probability(c, SPACE, engine="dd"), 0.3 * 0.7)
 
     def test_check_decomposability_flags_shared_vars(self):
         c = Circuit()
@@ -265,7 +271,9 @@ class TestDetDecomposable:
 def test_shannon_equals_enumeration_property(seed):
     c = random_small_circuit(seed)
     assert math.isclose(
-        wmc_shannon(c, SPACE), wmc_enumerate(c, SPACE), abs_tol=1e-9
+        probability(c, SPACE, engine="shannon"),
+        probability(c, SPACE, engine="enumerate"),
+        abs_tol=1e-9,
     )
 
 
@@ -274,7 +282,9 @@ def test_shannon_equals_enumeration_property(seed):
 def test_message_passing_equals_enumeration_property(seed):
     c = random_small_circuit(seed)
     assert math.isclose(
-        wmc_message_passing(c, SPACE), wmc_enumerate(c, SPACE), abs_tol=1e-9
+        probability(c, SPACE, engine="message_passing"),
+        probability(c, SPACE, engine="enumerate"),
+        abs_tol=1e-9,
     )
 
 

@@ -327,13 +327,17 @@ class TestProbabilityFastPaths:
             compiled.probability_enumerate(space)
 
     def test_large_fan_in_uses_reduction_path(self):
-        # Fan-in beyond the infix threshold takes the list-reduction codegen.
+        # A 40-input AND is one left-to-right product in the scalar pass,
+        # the same reduction the level plan runs.
         c = Circuit()
         inputs = [c.variable(f"x{i}") for i in range(40)]
         c.set_output(c.and_gate(inputs))
         compiled = compile_circuit(c)
         space = EventSpace({f"x{i}": 0.9 for i in range(40)})
         assert math.isclose(compiled.probability(space), 0.9**40)
+        assert compiled.probability(space) == compiled.probability_batch(
+            [space, space]
+        )[0]
         assert compiled.evaluate({f"x{i}": True for i in range(40)})
         assert not compiled.evaluate(
             {f"x{i}": i != 7 for i in range(40)}
@@ -432,7 +436,7 @@ class TestStructuralCaches:
         # Callers build decompositions over circuit.binarized() gate ids
         # (densely renumbered); an unreachable gate in the source arena must
         # not shift the translation to compiled positions.
-        from repro.circuits import moral_graph, wmc_message_passing
+        from repro.circuits import moral_graph
         from repro.treewidth import decompose
 
         c = Circuit()
@@ -442,7 +446,9 @@ class TestStructuralCaches:
         c.set_output(c.and_gate([x, y]))
         decomposition = decompose(moral_graph(c.binarized()), "min_fill")
         space = EventSpace({"x": 0.5, "dead": 0.5, "y": 0.5})
-        result = wmc_message_passing(c, space, decomposition=decomposition)
+        result = probability(
+            c, space, engine="message_passing", decomposition=decomposition
+        )
         assert math.isclose(result, 0.25)
 
 

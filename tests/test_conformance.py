@@ -1,13 +1,16 @@
 """Cross-engine conformance matrix: one scenario corpus, every execution path.
 
 The pipeline promises that *where* a batch executes never changes *what* it
-computes: the array interpreter, the level-scheduled numpy kernels, the
+computes: the one-row scalar pass behind ``evaluate``/``probability`` (the
+``interpreter`` path), the level-scheduled numpy kernels, the
 multi-process shared-memory pool, and the distributed TCP workers must all
-agree with the scalar generated kernels (the oracle) on every circuit
-shape we support — including negation, shared subcircuits, and the
-empty/singleton degenerate worlds that per-path test files historically
-each re-asserted in their own ad-hoc way. This module replaces those
-scattered agreement asserts with one parametrized matrix:
+agree with an oracle that never reads the compiled lowering — the arena's
+own ``Circuit.evaluate`` for worlds and a d-D pass over the arena's gates,
+written here, for marginals — on every circuit shape we support,
+including negation, shared subcircuits, and the empty/singleton degenerate
+worlds that per-path test files historically each re-asserted in their own
+ad-hoc way. This module replaces those scattered agreement asserts with one
+parametrized matrix:
 
     scenario corpus  ×  plan producer  ×  {interpreter, numpy-batch,
                                            multiprocess, distributed,
@@ -21,10 +24,11 @@ compile before the execution paths ever run, so a recompiled or
 cache-loaded plan can never drift from the oracle unnoticed.
 
 For Boolean evaluation the paths must agree **exactly**; for the
-probability pass the scalar kernels may associate float operations
-differently from the vectorized ones, so cross-backend rows use a 1e-12
-tolerance while the vectorized tiers (numpy / pool / wire) are compared
-bit-for-bit.
+probability pass the oracle is a separate float implementation, so
+cross-backend rows use a 1e-12 tolerance while the vectorized tiers
+(numpy / pool / wire) are compared bit-for-bit. A tolerance cannot see the
+sign of zero, so rows of signed zeros hold the scalar pass and the numpy
+tier to the oracle bit for bit.
 
 The distributed columns need real sockets, hence the ``distributed``
 marker. The ``persistent-pool`` column repeats its passes over the warm
@@ -32,7 +36,9 @@ marker. The ``persistent-pool`` column repeats its passes over the warm
 second round reused the connection and skipped the plan transfer.
 """
 
+import functools
 import math
+import operator
 import tempfile
 
 import numpy as np
@@ -41,6 +47,7 @@ import pytest
 from repro.circuits import Circuit, compile_circuit, recompile
 from repro.circuits import compiled as compiled_module
 from repro.circuits import distributed, parallel, plancache
+from repro.circuits.circuit import AND, CONST, NOT, VAR
 from repro.events import EventSpace
 
 
@@ -259,21 +266,19 @@ def scenario_fixture_data(name, producer="fresh"):
 # --------------------------------------------------------------------------- #
 # execution paths: each returns (bool results, float results)
 
-def _path_interpreter(compiled, worlds, marginal_rows, monkeypatch, _worker):
-    monkeypatch.setattr(compiled_module, "CODEGEN_GATE_LIMIT", 0)
-    fresh = compiled_module.CompiledCircuit(compiled.source)  # uncached kernels
-    assert fresh._kernel("bool") is None  # really interpreting
-    evaluated = [fresh.evaluate(w) for w in worlds]
-    probabilities = [fresh.probability(row) for row in marginal_rows]
+def _path_interpreter(compiled, worlds, marginal_rows, _worker):
+    """The one-row scalar pass, interpreting the flat arrays gate by gate."""
+    evaluated = [compiled.evaluate(w) for w in worlds]
+    probabilities = [compiled.probability(row) for row in marginal_rows]
     return evaluated, probabilities
 
-def _path_numpy_batch(compiled, worlds, marginal_rows, _monkeypatch, _worker):
+def _path_numpy_batch(compiled, worlds, marginal_rows, _worker):
     return (
         compiled.evaluate_batch(worlds),
         compiled.probability_batch(marginal_rows),
     )
 
-def _path_multiprocess(compiled, worlds, marginal_rows, _monkeypatch, _worker):
+def _path_multiprocess(compiled, worlds, marginal_rows, _worker):
     if not parallel.parallel_available():
         pytest.skip("shared memory unavailable")
     n = len(compiled.variables())
@@ -287,7 +292,7 @@ def _path_multiprocess(compiled, worlds, marginal_rows, _monkeypatch, _worker):
     )
     return evaluated.tolist(), probabilities.tolist()
 
-def _path_distributed(compiled, worlds, marginal_rows, _monkeypatch, worker):
+def _path_distributed(compiled, worlds, marginal_rows, worker):
     n = len(compiled.variables())
     world_matrix = np.asarray(worlds, dtype=np.bool_).reshape(len(worlds), n)
     marginal_matrix = np.asarray(marginal_rows, dtype=np.float64).reshape(
@@ -303,7 +308,7 @@ def _path_distributed(compiled, worlds, marginal_rows, _monkeypatch, worker):
     return evaluated.tolist(), probabilities.tolist()
 
 
-def _path_persistent_pool(compiled, worlds, marginal_rows, _monkeypatch, worker):
+def _path_persistent_pool(compiled, worlds, marginal_rows, worker):
     """The fifth path: repeat calls over the warm persistent HostPool.
 
     Runs both passes twice against the same worker; the second round must
@@ -348,10 +353,52 @@ PATHS = {
 }
 
 
+def _arena_probability(circuit, marginals):
+    """The d-D pass over the arena's own gates, in creation order.
+
+    ``P(AND) = Π``, ``P(OR) = Σ``, ``P(NOT) = 1 − P``, each reduced left
+    to right from its kind's identity: 1.0, and -0.0 for OR, so that an OR
+    of -0.0s stays -0.0. ``marginals`` maps variable names to floats.
+    """
+    values = {}
+    for gid in circuit.reachable_from_output():
+        gate = circuit.gate(gid)
+        inputs = [values[i] for i in gate.inputs]
+        if gate.kind == VAR:
+            value = marginals[gate.payload]
+        elif gate.kind == CONST:
+            value = 1.0 if gate.payload else 0.0
+        elif gate.kind == NOT:
+            value = 1.0 - inputs[0]
+        elif gate.kind == AND:
+            value = functools.reduce(operator.mul, inputs, 1.0)
+        else:
+            value = functools.reduce(operator.add, inputs, -0.0)
+        values[gid] = value
+    return values[circuit.output]
+
+
 def _reference(compiled, worlds, marginal_rows):
-    """The per-world scalar oracle every path is held to."""
-    evaluated = [compiled.evaluate(w) for w in worlds]
-    probabilities = [compiled.probability(row) for row in marginal_rows]
+    """The per-world scalar oracle every path is held to.
+
+    It reads only the arena the plan was lowered from: ``Circuit.evaluate``
+    for worlds, :func:`_arena_probability` for marginal rows, and the
+    variables in slot order as the arena orders them (reachable VAR gates
+    by gate id). A fault in the lowering, which every compiled path shares,
+    therefore shows up against it.
+    """
+    circuit = compiled.source
+    names = [
+        circuit.gate(gid).payload
+        for gid in circuit.reachable_from_output()
+        if circuit.gate(gid).kind == VAR
+    ]
+    assert list(compiled.variables()) == names
+    evaluated = [circuit.evaluate(dict(zip(names, w))) for w in worlds]
+    probabilities = [
+        _arena_probability(circuit, dict(zip(names, row)))
+        for row in marginal_rows
+    ]
     return evaluated, probabilities
 
 
@@ -367,9 +414,7 @@ def _reference(compiled, worlds, marginal_rows):
         pytest.param("persistent-pool", marks=pytest.mark.distributed),
     ],
 )
-def test_path_agrees_with_scalar_oracle(
-    scenario, producer, path, monkeypatch, request
-):
+def test_path_agrees_with_scalar_oracle(scenario, producer, path, request):
     compiled, worlds, marginal_rows = scenario_fixture_data(scenario, producer)
     worker = (
         request.getfixturevalue("module_worker")
@@ -377,9 +422,7 @@ def test_path_agrees_with_scalar_oracle(
         else None
     )
     runner, exact = PATHS[path]
-    evaluated, probabilities = runner(
-        compiled, worlds, marginal_rows, monkeypatch, worker
-    )
+    evaluated, probabilities = runner(compiled, worlds, marginal_rows, worker)
     expected_eval, expected_probs = _reference(compiled, worlds, marginal_rows)
     assert evaluated == expected_eval
     assert len(probabilities) == len(expected_probs)
@@ -393,7 +436,7 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
     """numpy / pool / wire run the same kernels: equality, no tolerance."""
     compiled, worlds, marginal_rows = scenario_fixture_data(scenario, producer)
     base_eval, base_probs = _path_numpy_batch(
-        compiled, worlds, marginal_rows, None, None
+        compiled, worlds, marginal_rows, None
     )
     n = len(compiled.variables())
     if parallel.parallel_available():
@@ -405,7 +448,7 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
             assert sharded.dtype == np.bool_
             assert sharded.tolist() == base_eval
         pool_eval, pool_probs = _path_multiprocess(
-            compiled, worlds, marginal_rows, None, None
+            compiled, worlds, marginal_rows, None
         )
         assert pool_eval == base_eval
         assert pool_probs == base_probs
@@ -418,7 +461,7 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
     # a bit (row shards of the pool split words too).
     for rows in (1, 63, 64, 65, 129):
         picked = [worlds[(37 * i + 5) % len(worlds)] for i in range(rows)]
-        expected = [compiled.evaluate(w) for w in picked]
+        expected, _probs = _reference(compiled, picked, [])
         assert compiled.evaluate_batch(picked) == expected
         if parallel.parallel_available():
             matrix = np.asarray(picked, dtype=np.bool_).reshape(rows, n)
@@ -427,6 +470,23 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
                     compiled, matrix, workers=workers
                 ).tolist() == expected
         assert plan.run_rows(picked, as_float=False) == expected
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("producer", sorted(PRODUCERS))
+def test_signed_zeros_agree_bitwise(scenario, producer):
+    """Rows of -0.0 and +0.0: the scalar pass and the numpy tier carry the
+    sign of zero through every gate like the oracle. (An OR started from
+    +0.0 turns an all -0.0 sum into +0.0, which 1e-12 cannot see.)"""
+    compiled, _worlds, _rows = scenario_fixture_data(scenario, producer)
+    n = len(compiled.variables())
+    rows = [[-0.0] * n, [0.0] * n, [(-0.0, 1.0)[i % 2] for i in range(n)]]
+    _eval, expected = _reference(compiled, [], rows)
+    bits = np.asarray(expected).view(np.uint64).tolist()
+    scalar = [compiled.probability(row) for row in rows]
+    assert np.asarray(scalar).view(np.uint64).tolist() == bits
+    batch = compiled.probability_batch(rows)
+    assert np.asarray(batch).view(np.uint64).tolist() == bits
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

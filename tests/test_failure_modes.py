@@ -7,7 +7,7 @@ message content.
 
 import pytest
 
-from repro.circuits import Circuit, wmc_enumerate, wmc_message_passing
+from repro.circuits import Circuit, probability
 from repro.conditioning import ConditionedInstance, SimulatedCrowd
 from repro.core import build_lineage, build_provenance_circuit
 from repro.core.engine import assign_facts_to_bags
@@ -41,13 +41,13 @@ class TestCircuitGuards:
         c.set_output(c.or_gate([c.variable(f"v{i}") for i in range(30)]))
         space = EventSpace({f"v{i}": 0.5 for i in range(30)})
         with pytest.raises(ReproError, match="26 variables"):
-            wmc_enumerate(c, space)
+            probability(c, space, engine="enumerate")
 
     def test_message_passing_unknown_event(self):
         c = Circuit()
         c.set_output(c.variable("mystery"))
         with pytest.raises(ReproError, match="unknown event"):
-            wmc_message_passing(c, EventSpace())
+            probability(c, EventSpace(), engine="message_passing")
 
 
 class TestDecompositionGuards:

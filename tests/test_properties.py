@@ -15,7 +15,7 @@ from repro.circuits import (
     Circuit,
     check_decomposability,
     check_determinism_sampled,
-    wmc_enumerate,
+    probability,
 )
 from repro.core import (
     ParityAutomaton,
@@ -131,7 +131,9 @@ def test_lineage_probability_equals_circuit_wmc(seed):
     lineage = build_lineage(tid.instance, Q_RST)
     space = tid.event_space()
     assert math.isclose(
-        lineage.probability_tid(tid), wmc_enumerate(lineage.circuit, space), abs_tol=1e-9
+        lineage.probability_tid(tid),
+        probability(lineage.circuit, space, engine="enumerate"),
+        abs_tol=1e-9,
     )
 
 
@@ -219,9 +221,9 @@ def test_restriction_preserves_probability_decomposition(probabilities):
     )
     pivot = names[0]
     p = space.probability(pivot)
-    total = wmc_enumerate(c, space)
-    high = wmc_enumerate(c.restricted({pivot: True}), space)
-    low = wmc_enumerate(c.restricted({pivot: False}), space)
+    total = probability(c, space, engine="enumerate")
+    high = probability(c.restricted({pivot: True}), space, engine="enumerate")
+    low = probability(c.restricted({pivot: False}), space, engine="enumerate")
     assert math.isclose(total, p * high + (1 - p) * low, abs_tol=1e-9)
 
 

@@ -500,6 +500,15 @@ class TestBatchStats:
 # the application layer, driven without a socket
 
 
+#: Row values both marginal endpoints refuse, by test id.
+BAD_MARGINALS = {
+    "true": True, "false": False, "negative": -0.25, "above-one": 1.5,
+    "two": 2.0, "nan": math.nan, "inf": math.inf, "minus-inf": -math.inf,
+    "huge-int": 10 ** 400, "numeric-string": "0.5", "null": None,
+    "list": [0.5],
+}
+
+
 def dispatch(service, method, path, payload=None):
     body = b"" if payload is None else json.dumps(payload).encode()
     return asyncio.run(service.dispatch(method, path, body))
@@ -580,33 +589,40 @@ class TestQueryServiceDispatch:
         assert str(len(marginals)) in payload["error"]
 
     @pytest.mark.parametrize(
-        "bad",
-        (True, False, -0.25, 1.5, 2.0, math.nan, math.inf, -math.inf,
-         10 ** 400, "0.5", None, [0.5]),
-        ids=("true", "false", "negative", "above-one", "two", "nan", "inf",
-             "minus-inf", "huge-int", "numeric-string", "null", "list"),
+        "endpoint, bad",
+        [pytest.param(endpoint, value, id=prefix + name)
+         for endpoint, prefix in (("/probability", ""), ("/sample", "sample-"))
+         for name, value in BAD_MARGINALS.items()],
     )
-    def test_marginals_outside_the_unit_interval_refused(self, app, bad):
+    def test_marginals_outside_the_unit_interval_refused(
+        self, app, endpoint, bad
+    ):
         """A bool, a non-number (a numeric string included) or a value
         outside [0, 1] (NaN, ±inf and an integer too large for a float
-        included) is refused with 400 before the result cache or the
-        coalescer sees the request's rows."""
+        included) is refused with 400 before the result cache, the
+        coalescer or a Monte-Carlo stream sees the request's rows."""
         compiled, marginals = chain_setup(n=10, seed=25)
         encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
         _status, registered = dispatch(app, "POST", "/plans",
                                        {"plan_b64": encoded})
         row = list(marginals)
         row[3] = bad
+        if endpoint == "/probability":
+            body = {"digest": registered["digest"], "rows": [marginals, row]}
+        else:
+            body = {"digest": registered["digest"], "row": row,
+                    "samples": 64, "seed": 0}
         cache_before = app.cache.stats()
         coalescer_before = dict(app.coalescer.counters)
-        status, payload = dispatch(
-            app, "POST", "/probability",
-            {"digest": registered["digest"], "rows": [marginals, row]},
-        )
+        streams_before = dict(app.stream_stats)
+        response = dispatch(app, "POST", endpoint, body)
+        assert isinstance(response, tuple), "a stream was started"
+        status, payload = response
         assert status == 400
         assert "[0, 1]" in payload["error"]
         assert app.cache.stats() == cache_before
         assert app.coalescer.counters == coalescer_before
+        assert app.stream_stats == streams_before
 
     def test_served_digests_leave_no_coalescer_lock(self, app):
         """A service that has served K distinct digests holds no
