@@ -34,7 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.circuits import Circuit, compile_circuit, plancache, recompile
+from repro import config
+from repro.circuits import Circuit, compile_circuit, recompile
 from repro.circuits import compiled as compiled_module
 from repro.circuits.compiled import CompiledCircuit
 from repro.core import build_lineage
@@ -143,8 +144,7 @@ def measure_delta(monitor: StreamingLogMonitor):
 def measure_cache(build):
     """Store one lowering on disk, then time loading it into fresh arenas."""
     with tempfile.TemporaryDirectory() as directory:
-        with plancache.plan_cache_dir_set(directory):
-            plancache.set_min_gates(0)
+        with config.overrides(plan_cache_dir=directory, plan_cache_min_gates=0):
             stored = compile_circuit(build())  # cold: lowers and stores
             reference = CompiledCircuit(stored.source)
             best = float("inf")

@@ -42,6 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import config
 from repro.circuits import compile_circuit
 from repro.circuits import distributed, parallel
 from repro.core import build_lineage
@@ -317,10 +318,10 @@ def main() -> None:
                         hosts=[relay.address],
                     )
 
-                with distributed.pipeline_depth_set(1):
+                with config.overrides(pipeline_depth=1):
                     pipe_call()  # warm the relayed link on this shard grid
                     lockstep_seconds, lockstep_hits = _timed(pipe_call)
-                pipe_depth = distributed.pipeline_depth()
+                pipe_depth = config.get("pipeline_depth")
                 pipelined_seconds, pipelined_hits = _timed(pipe_call)
                 assert pipe_local == lockstep_hits == pipelined_hits, (
                     "pipelined dispatch must stay bit-identical to lockstep "

@@ -148,7 +148,7 @@ def compiled_circuit_example() -> None:
     unchanged arena are memoized; after appending to the arena,
     :func:`repro.circuits.recompile` patches the previous lowering in
     time proportional to the edit; and setting ``REPRO_PLAN_CACHE_DIR``
-    (or ``repro.circuits.plancache.set_plan_cache_dir``) persists
+    (or ``repro.configure(plan_cache_dir=...)``) persists
     lowerings on disk so a *new process* compiling the same circuit —
     a restarted service, a CI re-run, a bounced ``repro-worker`` —
     rebuilds the plan from the cache with zero lowering passes.
@@ -204,7 +204,7 @@ def columnar_example() -> None:
     column batches natively — ``backend="columnar"`` below — so the whole
     generate → query → provenance → compile pipeline runs array-at-a-time.
     The backend is a knob, not a fork: ``REPRO_INSTANCE_BACKEND=columnar``
-    (or ``repro.instances.set_instance_backend``) flips every entry point,
+    (or ``repro.configure(instance_backend="columnar")``) flips every entry point,
     and circuits/probabilities come out bit-identical to the object path
     (the E18 benchmark asserts this at every size).
     """
@@ -245,7 +245,7 @@ def parallel_example() -> None:
     shards are generated *inside* the workers from per-shard seeds, so the
     estimate is bit-identical no matter how many workers run — which this
     example asserts. The knob is ``workers=`` per call, process-wide
-    ``repro.circuits.set_parallel_workers`` / ``REPRO_PARALLEL_WORKERS``,
+    ``repro.configure(parallel_workers=...)`` / ``REPRO_PARALLEL_WORKERS``,
     or ``python -m repro run E14 --workers 4``. On a single-core machine
     the pool demo is skipped gracefully (results would be identical, just
     slower); the deterministic shard scheme itself runs everywhere.
@@ -320,7 +320,7 @@ def distributed_example() -> None:
     the HMAC secret compose — see "Transport security" in
     ``ARCHITECTURE.md``.
     """
-    from repro import distributed_hosts, plan_from_bytes
+    from repro import config, plan_from_bytes
 
     print()
     print("=" * 70)
@@ -345,7 +345,7 @@ def distributed_example() -> None:
     print(f"wire plan: {len(blob)} bytes for {compiled.size} gates — "
           "decoded copy agrees with the local circuit")
 
-    hosts = distributed_hosts()
+    hosts = config.get("distributed_hosts")
     if not hosts:
         print("no REPRO_DISTRIBUTED_HOSTS set — start workers with")
         print("  repro-worker serve --port 7761   (and 7762, ...)")

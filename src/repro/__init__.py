@@ -59,12 +59,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "available_engines",
         "capabilities",
         "compile_circuit",
-        "distributed_hosts",
         "plan_from_bytes",
         "pool_stats",
         ("probability", "circuit_probability"),
         "probability_batch",
-        "set_default_engine",
     ),
     ".conditioning": ("ConditionedInstance", "SimulatedCrowd", "run_crowd_session"),
     ".config": ("configure", "overrides"),
@@ -100,13 +98,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "PCInstance",
         "TIDInstance",
         "fact",
-        "instance_backend",
-        "instance_backend_set",
         "make_instance",
         "pc_from_tid",
         "pcc_from_pc",
         "pcc_from_tid",
-        "set_instance_backend",
     ),
     ".order": ("LabeledPoset", "antichain", "chain"),
     ".prxml": ("PrXMLDocument", "TreePattern", "path_pattern", "query_probability"),

@@ -21,12 +21,12 @@ worker processes when ``workers >= 2`` and in-process otherwise; because
 the shard decomposition and seeding are independent of the worker count,
 a fixed seed gives *bit-identical* estimates at 0, 1, 2 or 8 workers.
 
-``workers=None`` defers to the process-wide knob
-(:func:`repro.circuits.parallel.parallel_workers`, settable via
-``REPRO_PARALLEL_WORKERS`` or the CLI ``--workers`` flag). Layered above
+``workers=None`` defers to the process-wide ``parallel_workers`` knob of
+:mod:`repro.config` (settable via ``REPRO_PARALLEL_WORKERS`` or the CLI
+``--workers`` flag). Layered above
 the pool, ``hosts=`` routes the same shards to remote workers over TCP
 (:mod:`repro.circuits.distributed`); ``hosts=None`` defers to the
-process-wide :func:`repro.circuits.distributed.distributed_hosts` knob
+process-wide ``distributed_hosts`` knob
 (``REPRO_DISTRIBUTED_HOSTS`` / CLI ``--hosts``), and because the shard
 decomposition and seeding never change, a fixed seed estimates to the
 same value in-process, on the pool, and across hosts. Only workers that

@@ -17,8 +17,8 @@ The module is organized around a **compile-once / evaluate-many** split:
   and ``dd`` (the linear-time deterministic-decomposable pass, Theorem 1);
 - :mod:`repro.circuits.parallel` (``parallel.py``) shards big batch
   evaluations across a pool of worker processes that map the compiled CSR
-  arrays from shared memory — turn it on with
-  :func:`set_parallel_workers` (or ``REPRO_PARALLEL_WORKERS``) and every
+  arrays from shared memory — turn it on with the ``parallel_workers``
+  knob (or ``REPRO_PARALLEL_WORKERS``) and every
   large ``evaluate_batch``/``probability_batch`` call and both sampling
   baselines use it automatically, with deterministic results;
 - :mod:`repro.circuits.distributed` (``distributed.py``) fans the same
@@ -26,18 +26,21 @@ The module is organized around a **compile-once / evaluate-many** split:
   once per connection in a versioned, checksummed wire format
   (:func:`plan_to_bytes` / :func:`plan_from_bytes`), shards are retried on
   worker loss, and a fixed seed gives bit-identical estimates at any host
-  count — turn it on with :func:`set_distributed_hosts` (or
+  count — turn it on with the ``distributed_hosts`` knob (or
   ``REPRO_DISTRIBUTED_HOSTS``) and start workers with
   ``python -m repro serve``;
 - :mod:`repro.circuits.plancache` (``plancache.py``) persists lowered plans
   on disk so identical circuits skip lowering across processes — point
-  :func:`set_plan_cache_dir` (or ``REPRO_PLAN_CACHE_DIR``) at a directory
+  the ``plan_cache_dir`` knob (or ``REPRO_PLAN_CACHE_DIR``) at a directory
   and both cold compiles and the distributed plan handshake reuse cached
   entries; :func:`recompile` additionally patches a previously compiled
   circuit in O(|edit|) after incremental arena growth.
 
-The full five-stage lowering pipeline (gate DAG → flat CSR IR → leveled
-numpy batch plan → sharded workers → distributed hosts) is documented in
+Every knob named here is set through :mod:`repro.config`
+(``config.configure(parallel_workers=2)`` or ``config.overrides(...)``);
+no module of this package keeps knob state of its own. The full
+five-stage lowering pipeline (gate DAG → flat CSR IR → leveled numpy
+batch plan → sharded workers → distributed hosts) is documented in
 ``ARCHITECTURE.md``.
 
 Typical use::
@@ -67,23 +70,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".dd": ("check_decomposability", "check_determinism_sampled"),
     ".distributed": (
-        "distributed_hosts",
-        "distributed_hosts_set",
-        "distributed_secret",
-        "distributed_secret_set",
-        "distributed_tls",
-        "distributed_tls_set",
-        "pipeline_depth",
-        "pipeline_depth_set",
         "plan_from_bytes",
         "plan_to_bytes",
         "pool_stats",
         "registered_hosts",
         "reset_pool",
-        "set_distributed_hosts",
-        "set_distributed_secret",
-        "set_distributed_tls",
-        "set_pipeline_depth",
         "start_registry",
         "stop_registry",
     ),
@@ -91,31 +82,19 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "MessagePassingReport",
         "available_engines",
         "capabilities",
-        "default_engine",
-        "default_engine_set",
-        "engine_forced",
-        "force_engine",
-        "forced_engine",
         "get_engine",
         "probability",
         "probability_batch",
         "register_engine",
-        "set_default_engine",
     ),
     ".export": ("CircuitStats", "circuit_stats", "to_dot"),
     ".graph": ("circuit_width", "moral_graph"),
     ".parallel": (
         "parallel_available",
-        "parallel_workers",
-        "parallel_workers_set",
-        "set_parallel_workers",
         "shutdown_pool",
     ),
     ".plancache": (
-        "plan_cache_dir",
-        "plan_cache_dir_set",
         "plan_cache_stats",
         "reset_plan_cache_stats",
-        "set_plan_cache_dir",
     ),
 })

@@ -73,6 +73,7 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as _np
 
+from repro import config
 from repro.circuits.circuit import (
     K_AND,
     K_FALSE,
@@ -1716,7 +1717,8 @@ def _compile_cached(circuit: Circuit, prev: CompiledCircuit | None) -> CompiledC
             _STATS["delta_fallbacks"] += 1
     if compiled is None:
         fingerprint = None
-        if plancache.enabled() and len(circuit) >= plancache.min_gates():
+        if (plancache.enabled()
+                and len(circuit) >= config.get("plan_cache_min_gates")):
             fingerprint = plancache.arena_fingerprint(circuit)
         if fingerprint is not None:
             compiled = plancache.load_compiled(circuit, fingerprint)

@@ -39,14 +39,14 @@ over TCP so any number of hosts can chew on one batch or Monte-Carlo run:
   in its ``HELLO`` and requires an HMAC-SHA256 response) remains one
   provider; :class:`TLSAuth` wraps every socket in TLS — mutual TLS when
   a CA bundle demands client certificates — configured by ``repro serve
-  --tls-cert/--tls-key/--tls-ca`` and the ``REPRO_DISTRIBUTED_TLS_*``
-  knobs, with a plaintext retry only when explicitly allowed
-  (``REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT``).
+  --tls-cert/--tls-key/--tls-ca`` and the ``distributed_tls`` knob
+  (``REPRO_DISTRIBUTED_TLS_*``), with a plaintext retry only when
+  explicitly allowed (``REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT``).
 - **Capability handshake + pipelining + elastic membership** — ``HELLO``
   carries a capability set (:data:`PROTOCOL_CAPS`) and peers restrict
   themselves to the intersection, so mixed worker versions keep serving
   each other (only an empty intersection rejects). Connections whose
-  worker negotiated ``pipeline`` keep :func:`pipeline_depth` task frames
+  worker negotiated ``pipeline`` keep ``pipeline_depth`` task frames
   in flight with out-of-order RESULT correlation by shard id — shard N+1
   crosses the wire while shard N computes. Workers may also dial *in*:
   ``repro serve --register host:port`` REGISTERs with the coordinator's
@@ -54,11 +54,14 @@ over TCP so any number of hosts can chew on one batch or Monte-Carlo run:
   and joins the default host list until its registration link drops —
   an autoscaler adds and drains hosts mid-run with no static config.
 
-Knob: ``hosts=`` on the entry points (and on the sampling baselines),
-defaulting to the process-wide :func:`distributed_hosts` (set with
-:func:`set_distributed_hosts`, the scoped :func:`distributed_hosts_set`,
-the ``REPRO_DISTRIBUTED_HOSTS`` environment variable — a comma-separated
-``host:port`` list — or the CLI ``--hosts`` flag). An empty host list means
+Knobs: ``hosts=`` on the entry points (and on the sampling baselines),
+defaulting to the process-wide ``distributed_hosts`` knob (set with
+``config.configure``/``config.overrides`` of :mod:`repro.config`, the
+``REPRO_DISTRIBUTED_HOSTS`` environment variable — a comma-separated
+``host:port`` list — or the CLI ``--hosts`` flag). The transport knobs
+(``distributed_secret``, ``distributed_tls``, ``auth_provider``,
+``pipeline_depth``) live in the same registry; this module keeps none of
+them, and reads them when it connects. An empty host list means
 "stay local": every entry point then defers to the worker pool / in-process
 kernels, so the five execution tiers degrade gracefully top to bottom.
 Unreachable hosts are warned about once per process and skipped; a run
@@ -88,9 +91,10 @@ from collections import deque
 
 import numpy as np
 
+from repro import config
 from repro.circuits import compiled as _compiled
 from repro.circuits import parallel as _parallel
-from repro.util import ReproError, check
+from repro.util import ReproError, check, parse_hostport
 from repro.util.helpers import spawn_until_ready
 
 # --------------------------------------------------------------------------- #
@@ -311,7 +315,8 @@ def plan_to_bytes(compiled) -> bytes:
             compiled._wire_digest = plan_checksum(cached)
         from repro.circuits import plancache
 
-        if plancache.enabled() and compiled.size >= plancache.min_gates():
+        if (plancache.enabled()
+                and compiled.size >= config.get("plan_cache_min_gates")):
             plancache.store_plan_blob(compiled._wire_digest, cached)
     return cached
 
@@ -502,86 +507,23 @@ def tables_from_bytes(data: bytes) -> WireTables:
 
 
 # --------------------------------------------------------------------------- #
-# routing knob
-
-def _hosts_from_env() -> tuple[str, ...]:
-    raw = os.environ.get("REPRO_DISTRIBUTED_HOSTS", "")
-    hosts = []
-    for part in raw.replace(";", ",").split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            _parse_hostport(part)
-        except ReproError:
-            return ()  # one malformed entry disables the knob rather than half-working
-        hosts.append(part)
-    return tuple(hosts)
-
-
-def _parse_hostport(spec: str) -> tuple[str, int]:
-    host, sep, port = str(spec).strip().rpartition(":")
-    check(bool(sep) and bool(host), f"host spec {spec!r} is not host:port")
-    try:
-        port_number = int(port)
-    except ValueError:
-        raise ReproError(f"host spec {spec!r} has a non-integer port") from None
-    check(0 < port_number < 65536, f"host spec {spec!r} port out of range")
-    return host, port_number
-
-
-_HOSTS: tuple[str, ...] = _hosts_from_env()
-
-
-def distributed_hosts() -> tuple[str, ...]:
-    """The process-wide worker host list (empty = stay local, the default)."""
-    return _HOSTS
-
-
-def set_distributed_hosts(hosts) -> None:
-    """Set the process-wide host list.
-
-    Accepts ``None`` (clear), a comma-separated ``"host:port,host:port"``
-    string, or an iterable of ``host:port`` strings; every entry is
-    validated up front.
-    """
-    global _HOSTS
-    if hosts is None:
-        _HOSTS = ()
-        return
-    if isinstance(hosts, str):
-        hosts = [part for part in hosts.replace(";", ",").split(",") if part.strip()]
-    normalized = []
-    for spec in hosts:
-        _parse_hostport(spec)
-        normalized.append(str(spec).strip())
-    _HOSTS = tuple(normalized)
-
-
-def distributed_hosts_set(hosts):
-    """Scope a :func:`set_distributed_hosts` change, restoring the previous.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(distributed_hosts=hosts)
-
+# routing
 
 def effective_hosts(hosts) -> tuple[str, ...]:
     """Resolve a per-call ``hosts`` argument against the process-wide knob.
 
-    ``None`` defers to :func:`distributed_hosts` *plus* any workers that
+    ``None`` defers to the ``distributed_hosts`` knob *plus* any workers that
     REGISTERed with this coordinator's registry (static list first,
     deduplicated); an explicit empty list (or ``()``) forces local
     execution regardless of the knob, and an explicit list is taken
     verbatim — elastic members only ever extend the default.
     """
     if hosts is None:
+        static = config.get("distributed_hosts")
         elastic = registered_hosts()
         if elastic:
-            return tuple(dict.fromkeys(_HOSTS + elastic))
-        return _HOSTS
+            return tuple(dict.fromkeys(static + elastic))
+        return static
     if isinstance(hosts, str):
         hosts = [part for part in hosts.replace(";", ",").split(",") if part.strip()]
     return tuple(str(spec).strip() for spec in hosts)
@@ -590,36 +532,6 @@ def effective_hosts(hosts) -> tuple[str, ...]:
 def should_distribute(n_rows: int, hosts=None) -> bool:
     """Whether a matrix batch of ``n_rows`` should go over the wire."""
     return bool(effective_hosts(hosts)) and n_rows >= _parallel.PARALLEL_MIN_ROWS
-
-
-_SECRET: str | None = os.environ.get("REPRO_DISTRIBUTED_SECRET") or None
-
-
-def distributed_secret() -> str | None:
-    """The shared worker-auth secret (``None`` = unauthenticated, the default)."""
-    return _SECRET
-
-
-def set_distributed_secret(secret: str | None) -> None:
-    """Set the process-wide shared secret used to answer worker challenges.
-
-    Both sides read ``REPRO_DISTRIBUTED_SECRET`` at import; this overrides
-    it for the coordinator side. ``None`` or ``""`` clear the secret. A
-    worker without a secret accepts any coordinator; a worker *with* one
-    rejects every connection that cannot answer its HMAC challenge.
-    """
-    global _SECRET
-    _SECRET = str(secret) if secret else None
-
-
-def distributed_secret_set(secret: str | None):
-    """Scope a :func:`set_distributed_secret` change, restoring the previous.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(distributed_secret=secret)
 
 
 def auth_response(secret: str, challenge_hex: str) -> str:
@@ -643,7 +555,7 @@ class AuthProvider:
 
     The base class is the plaintext provider: no transport encryption, and
     worker challenges answered with the process-wide
-    :func:`distributed_secret`. Subclasses override any of the three
+    ``distributed_secret`` knob. Subclasses override any of the three
     seams — :meth:`client_ssl` / :meth:`server_ssl` for transport
     contexts, :meth:`secret` for the challenge-response credential — so
     HMAC, TLS, mTLS, or a custom backend all plug into the same
@@ -662,7 +574,7 @@ class AuthProvider:
 
     def secret(self) -> str | None:
         """The shared secret used to answer HMAC challenges, if any."""
-        return distributed_secret()
+        return config.get("distributed_secret")
 
     def plaintext_fallback(self) -> bool:
         """Whether a failed TLS handshake may retry in plaintext (opt-in)."""
@@ -678,7 +590,7 @@ class HMACAuth(AuthProvider):
         self._secret = str(secret) if secret else None
 
     def secret(self) -> str | None:
-        return self._secret if self._secret is not None else distributed_secret()
+        return self._secret if self._secret is not None else super().secret()
 
 
 class TLSAuth(AuthProvider):
@@ -741,126 +653,38 @@ class TLSAuth(AuthProvider):
         return self._server_ctx
 
     def secret(self) -> str | None:
-        return self._secret if self._secret is not None else distributed_secret()
+        return self._secret if self._secret is not None else super().secret()
 
     def plaintext_fallback(self) -> bool:
         return self._allow_plaintext
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in ("", "0", "false", "no")
-
-
-def _tls_from_env() -> dict | None:
-    cert = os.environ.get("REPRO_DISTRIBUTED_TLS_CERT") or None
-    key = os.environ.get("REPRO_DISTRIBUTED_TLS_KEY") or None
-    ca = os.environ.get("REPRO_DISTRIBUTED_TLS_CA") or None
-    if not (cert or ca):
-        return None
-    return {
-        "certfile": cert,
-        "keyfile": key,
-        "cafile": ca,
-        "allow_plaintext": _env_flag("REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT"),
-    }
-
-
-_TLS: dict | None = _tls_from_env()
-_AUTH_PROVIDER: AuthProvider | None = None
 _TLS_PROVIDER_CACHE: tuple[tuple, TLSAuth] | None = None
 _PLAINTEXT_PROVIDER = AuthProvider()
 
 
-def distributed_tls() -> dict | None:
-    """The process-wide TLS knob values (``None`` = TLS not configured)."""
-    return dict(_TLS) if _TLS is not None else None
-
-
-def set_distributed_tls(certfile=None, keyfile=None, cafile=None,
-                        allow_plaintext: bool = False) -> None:
-    """Set the process-wide TLS knobs (``REPRO_DISTRIBUTED_TLS_*`` override).
-
-    With neither a certificate nor a CA bundle the knob clears and the
-    provider falls back to HMAC/plaintext. Coordinators need ``cafile``
-    (to verify workers) and present ``certfile``/``keyfile`` when workers
-    demand client certificates (mTLS); workers read the same knobs for
-    their server side.
-    """
-    global _TLS
-    if not (certfile or cafile):
-        _TLS = None
-        return
-    _TLS = {
-        "certfile": str(certfile) if certfile else None,
-        "keyfile": str(keyfile) if keyfile else None,
-        "cafile": str(cafile) if cafile else None,
-        "allow_plaintext": bool(allow_plaintext),
-    }
-
-
-def distributed_tls_set(certfile=None, keyfile=None, cafile=None,
-                        allow_plaintext: bool = False):
-    """Scope a :func:`set_distributed_tls` change, restoring the previous.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    value = None
-    if certfile or cafile:
-        value = {
-            "certfile": str(certfile) if certfile else None,
-            "keyfile": str(keyfile) if keyfile else None,
-            "cafile": str(cafile) if cafile else None,
-            "allow_plaintext": bool(allow_plaintext),
-        }
-    return config.overrides(distributed_tls=value)
-
-
-def set_auth_provider(provider: AuthProvider | None) -> None:
-    """Install an explicit :class:`AuthProvider`, overriding the knobs."""
-    global _AUTH_PROVIDER
-    check(
-        provider is None or isinstance(provider, AuthProvider),
-        "auth provider must be an AuthProvider (or None to clear)",
-    )
-    _AUTH_PROVIDER = provider
-
-
-def auth_provider_set(provider: AuthProvider | None):
-    """Scope a :func:`set_auth_provider` change, restoring the previous.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(auth_provider=provider)
-
-
 def auth_provider() -> AuthProvider:
-    """The active provider: explicit install > TLS knobs > HMAC > plaintext."""
+    """The active provider: the ``auth_provider`` knob's effective value."""
+    return config.get("auth_provider")
+
+
+def provider_from_knobs() -> AuthProvider:
+    """The provider no explicit install overrides: TLS > HMAC > plaintext."""
     global _TLS_PROVIDER_CACHE
-    if _AUTH_PROVIDER is not None:
-        return _AUTH_PROVIDER
-    if _TLS is not None:
-        key = tuple(sorted(_TLS.items()))
+    tls = config.get("distributed_tls")
+    if tls is not None:
+        key = tuple(sorted(tls.items()))
         if _TLS_PROVIDER_CACHE is None or _TLS_PROVIDER_CACHE[0] != key:
             # Cache per config so SSL contexts build once, not per connect.
-            _TLS_PROVIDER_CACHE = (key, TLSAuth(**_TLS))
+            _TLS_PROVIDER_CACHE = (key, TLSAuth(**tls))
         return _TLS_PROVIDER_CACHE[1]
-    if _SECRET is not None:
+    if config.get("distributed_secret") is not None:
         return HMACAuth()
     return _PLAINTEXT_PROVIDER
 
 
 # --------------------------------------------------------------------------- #
-# pipelining and registration knobs
-
-#: Default task frames kept in flight per pooled connection. Depth 1 is
-#: the old lockstep send→wait protocol; anything higher lets shard N+1
-#: cross the wire while shard N computes, hiding per-shard round-trip
-#: latency behind worker compute.
-PIPELINE_DEPTH = 4
+# pipelining and registration
 
 #: Task payload bytes allowed in flight beyond the first frame. Both peers
 #: write without reading while a pipeline drains, so unread bytes in each
@@ -870,41 +694,6 @@ PIPELINE_DEPTH = 4
 #: bytes bounds both directions. Frames bigger than the window simply ride
 #: an empty pipe — lockstep, exactly as before.
 PIPELINE_WINDOW_BYTES = 1 << 17
-
-
-def _pipeline_depth_from_env() -> int:
-    raw = os.environ.get("REPRO_DISTRIBUTED_PIPELINE", "").strip()
-    if not raw:
-        return PIPELINE_DEPTH
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return PIPELINE_DEPTH
-
-
-_PIPELINE_DEPTH: int = _pipeline_depth_from_env()
-
-
-def pipeline_depth() -> int:
-    """Task frames kept in flight per connection (1 = lockstep)."""
-    return _PIPELINE_DEPTH
-
-
-def set_pipeline_depth(depth: int | None) -> None:
-    """Set the pipeline depth (``None`` restores the default; floor 1)."""
-    global _PIPELINE_DEPTH
-    _PIPELINE_DEPTH = PIPELINE_DEPTH if depth is None else max(1, int(depth))
-
-
-def pipeline_depth_set(depth: int | None):
-    """Scope a :func:`set_pipeline_depth` change, restoring the previous.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(pipeline_depth=depth)
-
 
 #: ``host:port`` to bind the coordinator's registration endpoint on, from
 #: ``REPRO_DISTRIBUTED_REGISTRY_BIND``. When set, the endpoint starts
@@ -1156,7 +945,7 @@ class WorkerServer:
         register still serves its static listeners. On cancellation
         (worker stop) a polite DEREGISTER is attempted first.
         """
-        reg_host, reg_port = _parse_hostport(self.register)
+        reg_host, reg_port = parse_hostport(self.register)
         advertise = self.advertise or f"{self.host}:{self.port}"
         context = None
         if self.tls is not None and self.tls.cafile is not None:
@@ -1750,7 +1539,7 @@ class HostPool:
         """Start the env-armed registry once; returns its bound address."""
         if _REGISTRY_BIND is None:
             return self._registry_addr
-        host, port = _parse_hostport(_REGISTRY_BIND)
+        host, port = parse_hostport(_REGISTRY_BIND)
         try:
             return self.start_registry(host, port)
         except (ReproError, OSError) as exc:
@@ -1787,7 +1576,7 @@ class HostPool:
 
     def admit(self, hostport: str) -> None:
         """Add a worker to the elastic membership (thread-safe test/API hook)."""
-        _parse_hostport(hostport)
+        parse_hostport(hostport)
         self._submit(self._admit(hostport)).result(timeout=CONNECT_TIMEOUT)
 
     def drain(self, hostport: str) -> None:
@@ -1870,7 +1659,7 @@ class HostPool:
                 )
                 return
             advertise = str(meta.get("advertise", ""))
-            _parse_hostport(advertise)  # garbage advertisements are refused
+            parse_hostport(advertise)  # garbage advertisements are refused
             await self._admit(advertise, int(meta.get("pid") or 0))
             await _send_message(
                 writer, MSG_REGISTER, {"advertise": advertise, "accepted": True}
@@ -1925,7 +1714,7 @@ class HostPool:
             return False
 
     async def _connect(self, hostport: str) -> _Conn:
-        host, port = _parse_hostport(hostport)
+        host, port = parse_hostport(hostport)
         provider = auth_provider()
         reader, writer = await _open_transport(host, port, provider)
         try:
@@ -2110,7 +1899,7 @@ class HostPool:
     ):
         """One host's task loop for one call: pull, pipeline, record, steal.
 
-        Up to :func:`pipeline_depth` task frames ride the connection at
+        Up to ``pipeline_depth`` (the knob) task frames ride the connection at
         once (when the worker negotiated the ``pipeline`` capability), so
         shard N+1 crosses the wire while shard N computes; RESULT frames
         are correlated back to their shard by task id, out of order.
@@ -2149,7 +1938,8 @@ class HostPool:
                 dirty = False
                 if conn is None:
                     return
-                depth = pipeline_depth() if "pipeline" in conn.caps else 1
+                pipelined = config.get("pipeline_depth")
+                depth = pipelined if "pipeline" in conn.caps else 1
                 rejoined = False
                 latency_total = 0.0
                 latency_count = 0
@@ -2208,7 +1998,7 @@ class HostPool:
                         dirty = False
                         if conn is None:
                             return
-                        depth = pipeline_depth() if "pipeline" in conn.caps else 1
+                        depth = pipelined if "pipeline" in conn.caps else 1
                         continue
                     entry = (
                         inflight.pop(rmeta.get("id"), None)

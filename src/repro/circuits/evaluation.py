@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 
+from repro import config
 from repro.circuits.circuit import Circuit
 from repro.circuits.compiled import (
     ENUMERATION_VARIABLE_CAP,
@@ -64,24 +65,23 @@ def capabilities() -> dict:
     """
     from repro.circuits import distributed, parallel, plancache
     from repro.cqa import CONP, FO, PTIME, cqa_stats
-    from repro.instances.columnar import instance_backend
 
     return {
-        "engine": default_engine(),
-        "forced_engine": forced_engine(),
-        "instance_backend": instance_backend(),
+        "engine": config.get("engine"),
+        "forced_engine": config.get("forced_engine"),
+        "instance_backend": config.get("instance_backend"),
         "parallel": parallel.parallel_available(),
-        "parallel_workers": parallel.parallel_workers(),
-        "distributed_hosts": list(distributed.distributed_hosts()),
-        "distributed_auth": distributed.distributed_secret() is not None,
-        "distributed_transport": distributed.auth_provider().name,
-        "distributed_pipeline": distributed.pipeline_depth(),
+        "parallel_workers": config.get("parallel_workers"),
+        "distributed_hosts": list(config.get("distributed_hosts")),
+        "distributed_auth": config.get("distributed_secret") is not None,
+        "distributed_transport": config.get("auth_provider").name,
+        "distributed_pipeline": config.get("pipeline_depth"),
         "distributed_registered": list(distributed.registered_hosts()),
         "distributed_pool": distributed.pool_stats(),
-        "plan_cache_dir": plancache.plan_cache_dir(),
+        "plan_cache_dir": config.get("plan_cache_dir"),
         "plan_cache_enabled": plancache.enabled(),
-        "plan_cache_limit_bytes": plancache.plan_cache_limit_bytes(),
-        "plan_cache_min_gates": plancache.min_gates(),
+        "plan_cache_limit_bytes": config.get("plan_cache_limit_bytes"),
+        "plan_cache_min_gates": config.get("plan_cache_min_gates"),
         "plan_cache": plancache.plan_cache_stats(),
         "cqa_classes": [FO, PTIME, CONP],
         "cqa": cqa_stats(),
@@ -91,8 +91,6 @@ def capabilities() -> dict:
     }
 
 _ENGINES: dict[str, Engine] = {}
-_DEFAULT_ENGINE = "message_passing"
-_FORCED_ENGINE: str | None = None
 
 
 def register_engine(name: str, engine: Engine) -> None:
@@ -117,62 +115,6 @@ def get_engine(name: str) -> Engine:
     return engine
 
 
-def default_engine() -> str:
-    """The engine used when :func:`probability` is called without one."""
-    return _DEFAULT_ENGINE
-
-
-def set_default_engine(name: str) -> None:
-    """Set the process-wide default engine (validated against the registry)."""
-    global _DEFAULT_ENGINE
-    get_engine(name)
-    _DEFAULT_ENGINE = name
-
-
-def forced_engine() -> str | None:
-    """The engine override applied to every dispatch, or ``None``."""
-    return _FORCED_ENGINE
-
-
-def force_engine(name: str | None) -> None:
-    """Force *every* :func:`probability` call onto one engine.
-
-    Overrides even explicit per-call ``engine=`` choices — this is the
-    expert knob behind the CLI's ``--engine`` flag, for comparing engines
-    on whole workloads. ``None`` clears the override. Note ``dd`` is only
-    correct on deterministic decomposable circuits and ``enumerate`` is
-    capped at :data:`~repro.circuits.compiled.ENUMERATION_VARIABLE_CAP`
-    variables; forcing them where they do not apply is on the caller.
-    """
-    global _FORCED_ENGINE
-    if name is not None:
-        get_engine(name)
-    _FORCED_ENGINE = name
-
-
-def engine_forced(name: str | None):
-    """Scope a :func:`force_engine` override, restoring the previous one.
-
-    ``force_engine``/``set_default_engine`` are process-wide; tests and
-    experiment drivers that flip them should do so through scoped context
-    managers so an exception (or an early return) cannot leak the override
-    into unrelated code.  Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(forced_engine=name)
-
-
-def default_engine_set(name: str):
-    """Scope a :func:`set_default_engine` change, restoring the previous one.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(engine=name)
-
-
 def probability(
     circuit: Circuit | CompiledCircuit,
     space: EventSpace,
@@ -183,12 +125,12 @@ def probability(
 
     ``circuit`` may be a gate arena (compiled on first use, cached) or an
     already-compiled circuit. ``engine`` picks a registered strategy; when
-    omitted, the process default (:func:`default_engine`) applies, and a
-    :func:`force_engine` override beats both. Extra keyword arguments are
+    omitted, the ``engine`` knob applies, and the ``forced_engine`` knob
+    beats both (:mod:`repro.config`). Extra keyword arguments are
     forwarded to the engine.
     """
     compiled = compile_circuit(circuit)
-    selected = _FORCED_ENGINE or engine or _DEFAULT_ENGINE
+    selected = config.get("forced_engine") or engine or config.get("engine")
     result = get_engine(selected)(compiled, space, **kwargs)
     if kwargs.get("return_report") and not isinstance(result, tuple):
         # A forced engine without report support still honours the caller's

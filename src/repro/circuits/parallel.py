@@ -38,8 +38,8 @@ registry so tests can assert nothing leaked. A worker that dies (crash,
 released.
 
 Knob: ``workers=`` on every entry point, defaulting to the process-wide
-:func:`parallel_workers` (settable via :func:`set_parallel_workers`, the
-scoped :func:`parallel_workers_set`, the ``REPRO_PARALLEL_WORKERS``
+``parallel_workers`` knob of :mod:`repro.config` (set with
+``config.configure``/``config.overrides``, the ``REPRO_PARALLEL_WORKERS``
 environment variable — an integer or ``auto`` — or the CLI ``--workers``
 flag). ``0``/``1`` mean in-process; the fused kernels run either way.
 Without ``multiprocessing.shared_memory`` the subsystem reports itself
@@ -56,6 +56,7 @@ import weakref
 
 import numpy as np
 
+from repro import config
 from repro.circuits import compiled as _compiled
 from repro.util import ReproError, check
 
@@ -81,57 +82,21 @@ BUFFER_PREFIX = "repro-buf-"
 _PLAN_CACHE_LIMIT = 8  # plans cached per worker before eviction
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("REPRO_PARALLEL_WORKERS", "").strip().lower()
-    if not raw:
-        return 0
-    if raw == "auto":
-        return os.cpu_count() or 1
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-_WORKERS = _workers_from_env()
-
-
 def parallel_available() -> bool:
     """Whether the sharded multi-process backend can run at all.
 
-    Requires ``multiprocessing.shared_memory``. The knob below is ignored
-    when this is false — every consumer silently stays on the serial path.
+    Requires ``multiprocessing.shared_memory``. The ``parallel_workers``
+    knob is ignored when this is false — every consumer silently stays on the serial path.
     """
     return _shm is not None
-
-
-def parallel_workers() -> int:
-    """The process-wide worker count (0 = serial, the default)."""
-    return _WORKERS
-
-
-def set_parallel_workers(workers: int | None) -> None:
-    """Set the process-wide worker count; ``None`` or ``0`` mean serial."""
-    global _WORKERS
-    workers = 0 if workers is None else int(workers)
-    check(workers >= 0, f"worker count must be >= 0, got {workers}")
-    _WORKERS = workers
-
-
-def parallel_workers_set(workers: int | None):
-    """Scope a :func:`set_parallel_workers` change, restoring the previous one.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(parallel_workers=workers)
 
 
 def _effective_workers(workers: int | None) -> int:
     if not parallel_available():
         return 0
-    return _WORKERS if workers is None else max(0, int(workers))
+    if workers is None:
+        return config.get("parallel_workers")
+    return max(0, int(workers))
 
 
 def should_shard(n_rows: int, workers: int | None = None) -> bool:

@@ -4,8 +4,9 @@
 12.9k-gate circuit costs tens of milliseconds while a warm batched
 evaluation costs a fraction of one — yet every process restart, CI job and
 fresh ``repro-worker`` host used to pay lowering again. This module keeps
-two kinds of entries in one size-bounded directory (knob:
-``REPRO_PLAN_CACHE_DIR``; unset disables everything):
+two kinds of entries in one size-bounded directory (the ``plan_cache_dir``
+knob of :mod:`repro.config`, or ``REPRO_PLAN_CACHE_DIR``; unset disables
+everything):
 
 - ``<fingerprint>.circ`` — a full lowering keyed by a content fingerprint
   of the *arena* (the flat gate mirrors of
@@ -23,7 +24,7 @@ two kinds of entries in one size-bounded directory (knob:
 Entries are written atomically (temp file + ``os.replace``, so concurrent
 writers — a pytest worker and a ``repro serve`` subprocess sharing one
 directory — can never expose a torn file), evicted least-recently-used by
-mtime once the directory exceeds ``REPRO_PLAN_CACHE_LIMIT_BYTES``, and
+mtime once the directory exceeds the ``plan_cache_limit_bytes`` knob, and
 *validated* on every load: a corrupt entry (checksum mismatch, truncation,
 arrays that fail :func:`repro.circuits.compiled.check_plan_arrays`) is
 deleted and treated as a miss, never trusted. The cache is strictly
@@ -39,43 +40,13 @@ import struct
 import sys
 import tempfile
 
+from repro import config
 from repro.util import ReproError, check
 
 #: Entry suffixes: full lowerings by arena fingerprint, wire payloads by
 #: plan digest.
 CIRC_SUFFIX = ".circ"
 PLAN_SUFFIX = ".plan"
-
-#: Default directory size bound; oldest-mtime entries are evicted beyond it.
-DEFAULT_LIMIT_BYTES = 256 << 20
-
-#: Circuits below this gate count skip the cache by default — the disk
-#: round-trip costs more than relowering them.
-DEFAULT_MIN_GATES = 64
-
-
-def _dir_from_env() -> str | None:
-    value = os.environ.get("REPRO_PLAN_CACHE_DIR", "").strip()
-    return value or None
-
-
-def _int_from_env(name: str, default: int) -> int:
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        parsed = int(value)
-    except ValueError:
-        raise ReproError(f"{name} must be an integer, got {value!r}") from None
-    check(parsed >= 0, f"{name} must be non-negative")
-    return parsed
-
-
-_DIR: str | None = _dir_from_env()
-_LIMIT_BYTES: int = _int_from_env(
-    "REPRO_PLAN_CACHE_LIMIT_BYTES", DEFAULT_LIMIT_BYTES
-)
-_MIN_GATES: int = _int_from_env("REPRO_PLAN_CACHE_MIN_GATES", DEFAULT_MIN_GATES)
 
 _STATS = {
     "hits": 0,
@@ -91,57 +62,9 @@ _STATS = {
 _LIFETIME = dict.fromkeys(_STATS, 0)
 
 
-# --------------------------------------------------------------------------- #
-# knobs
-
-def plan_cache_dir() -> str | None:
-    """The active cache directory, or ``None`` when the cache is off."""
-    return _DIR
-
-
-def set_plan_cache_dir(path: str | None) -> None:
-    """Point the cache at ``path`` (created on first store); ``None`` disables."""
-    global _DIR
-    _DIR = str(path) if path else None
-
-
-def plan_cache_dir_set(path: str | None):
-    """Context manager: temporarily set (or disable) the cache directory.
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(plan_cache_dir=path)
-
-
-def plan_cache_limit_bytes() -> int:
-    """The directory size bound that triggers LRU eviction."""
-    return _LIMIT_BYTES
-
-
-def set_plan_cache_limit_bytes(limit: int) -> None:
-    """Set the directory size bound (bytes; eviction runs on next store)."""
-    global _LIMIT_BYTES
-    check(int(limit) >= 0, "plan cache limit must be non-negative")
-    _LIMIT_BYTES = int(limit)
-
-
-def min_gates() -> int:
-    """Gate count below which circuits bypass the cache."""
-    return _MIN_GATES
-
-
-def set_min_gates(count: int) -> None:
-    """Set the gate-count threshold for caching (0 caches everything)."""
-    global _MIN_GATES
-    check(int(count) >= 0, "plan cache gate threshold must be non-negative")
-    _MIN_GATES = int(count)
-
-
 def enabled() -> bool:
-    """Whether a cache directory is configured."""
-    return _DIR is not None
+    """Whether a cache directory is configured (the ``plan_cache_dir`` knob)."""
+    return config.get("plan_cache_dir") is not None
 
 
 def stats(lifetime: bool = False) -> dict:
@@ -205,7 +128,7 @@ def arena_fingerprint(circuit) -> str | None:
 
 
 def _entry_path(name: str, suffix: str) -> str | None:
-    directory = _DIR
+    directory = config.get("plan_cache_dir")
     if directory is None:
         return None
     return os.path.join(directory, name + suffix)
@@ -262,7 +185,7 @@ def _drop_corrupt(path: str) -> None:
 
 def entries() -> list[tuple[str, int, float]]:
     """``(filename, size, mtime)`` of every cache entry, oldest first."""
-    directory = _DIR
+    directory = config.get("plan_cache_dir")
     if directory is None:
         return []
     found = []
@@ -285,7 +208,7 @@ def entries() -> list[tuple[str, int, float]]:
 def clear() -> int:
     """Delete every cache entry; returns how many were removed."""
     removed = 0
-    directory = _DIR
+    directory = config.get("plan_cache_dir")
     for name, _size, _mtime in entries():
         try:
             os.unlink(os.path.join(directory, name))
@@ -297,7 +220,7 @@ def clear() -> int:
 
 def _evict(directory: str) -> None:
     """Drop oldest-mtime entries until the directory fits the size bound."""
-    limit = _LIMIT_BYTES
+    limit = config.get("plan_cache_limit_bytes")
     listing = entries()
     total = sum(size for _name, size, _mtime in listing)
     for name, size, _mtime in listing:

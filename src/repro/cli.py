@@ -19,9 +19,9 @@ Usage::
     python -m repro serve-http --port 8080   # always-on query service
     python -m repro serve-http --port 8080 --hosts 127.0.0.1:7761   # + shards
 
-``--workers`` scopes the process-wide ``parallel_workers`` knob (see
-:mod:`repro.circuits.parallel`) to the run, exactly like ``--engine``
-scopes the forced engine; ``--workers 0`` forces the single-process
+``--workers`` scopes the process-wide ``parallel_workers`` knob of
+:mod:`repro.config` to the run, exactly like ``--engine`` scopes the
+``forced_engine`` knob; ``--workers 0`` forces the single-process
 kernels even when ``REPRO_PARALLEL_WORKERS`` is set. ``--hosts`` scopes
 the ``distributed_hosts`` knob the same way, routing big batches and both
 sampling baselines over TCP to ``repro serve`` workers
@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import sys
-from contextlib import nullcontext
+from contextlib import ExitStack
 from pathlib import Path
 
 EXPERIMENTS = {
@@ -106,58 +106,45 @@ def command_run(
 ) -> None:
     """Run one experiment (or 'all'), optionally forcing an engine or backend.
 
-    The forced engine is scoped to the run with
-    :func:`repro.circuits.engine_forced`, the worker count with
-    :func:`repro.circuits.parallel_workers_set`, and the distributed host
-    list with :func:`repro.circuits.distributed_hosts_set`, so embedding
-    callers (tests, the REPL) cannot leak any override into later
-    evaluations.
+    ``--engine``, ``--workers`` and ``--hosts`` scope the ``forced_engine``,
+    ``parallel_workers`` and ``distributed_hosts`` knobs to the run with
+    :func:`repro.config.overrides`, so embedding callers (tests, the REPL)
+    cannot leak any override into later evaluations. A value the knob
+    refuses exits naming its flag.
     """
-    from repro.circuits import (
-        available_engines,
-        distributed_hosts_set,
-        engine_forced,
-        parallel_workers_set,
-    )
+    from repro import config
     from repro.util import ReproError
 
-    if engine is not None and engine not in available_engines():
-        raise SystemExit(
-            f"unknown engine {engine!r}; available: "
-            f"{', '.join(available_engines())}"
-        )
-    if workers is not None and workers < 0:
-        raise SystemExit(f"--workers must be >= 0, got {workers}")
-    if hosts is not None:
-        from repro.circuits.distributed import _parse_hostport
-
-        try:
-            for spec in hosts.replace(";", ",").split(","):
-                if spec.strip():
-                    _parse_hostport(spec)
-        except ReproError as exc:
-            raise SystemExit(f"--hosts: {exc}") from None
     targets = list(EXPERIMENTS) if target.lower() == "all" else [target.upper()]
     for exp_id in targets:
         if exp_id not in EXPERIMENTS:
             raise SystemExit(
                 f"unknown experiment {exp_id!r}; use 'list' to see E1..E18"
             )
-    with engine_forced(engine) if engine is not None else nullcontext():
-        with parallel_workers_set(workers) if workers is not None else nullcontext():
-            with distributed_hosts_set(hosts) if hosts is not None else nullcontext():
-                for exp_id in targets:
-                    module_name, _description = EXPERIMENTS[exp_id]
-                    print()
-                    _load_main(module_name)()
-                    print()
+    flags = (
+        ("--engine", "forced_engine", engine),
+        ("--workers", "parallel_workers", workers),
+        ("--hosts", "distributed_hosts", hosts),
+    )
+    with ExitStack() as scope:
+        for flag, knob, value in flags:
+            if value is not None:
+                try:
+                    scope.enter_context(config.overrides(**{knob: value}))
+                except ReproError as exc:
+                    raise SystemExit(f"{flag}: {exc}") from None
+        for exp_id in targets:
+            module_name, _description = EXPERIMENTS[exp_id]
+            print()
+            _load_main(module_name)()
+            print()
 
 
 def command_engines() -> None:
     """Print the engine registry and the batch/parallel backends in use."""
     import numpy as np
 
-    from repro.circuits import available_engines, capabilities, default_engine
+    from repro.circuits import available_engines, capabilities
 
     print(f"{'engine':<18} role")
     roles = {
@@ -166,11 +153,11 @@ def command_engines() -> None:
         "message_passing": "junction-tree sum-product (Theorems 1-2)",
         "dd": "linear-time deterministic-decomposable pass",
     }
+    caps = capabilities()
     for name in available_engines():
-        marker = " (default)" if name == default_engine() else ""
+        marker = " (default)" if name == caps["engine"] else ""
         print(f"{name:<18} {roles.get(name, 'custom engine')}{marker}")
     print(f"\nbatch evaluation backend: numpy {np.__version__} level-scheduled kernels")
-    caps = capabilities()
     if caps["parallel"]:
         workers = caps["parallel_workers"]
         state = f"{workers} workers" if workers >= 2 else "off (workers=0/1)"
@@ -276,9 +263,10 @@ def command_cqa(
 
 def command_cache(clear: bool = False) -> None:
     """Print the persistent plan cache's contents, or empty it."""
+    from repro import config
     from repro.circuits import plancache
 
-    directory = plancache.plan_cache_dir()
+    directory = config.get("plan_cache_dir")
     if directory is None:
         print("plan cache: off (set REPRO_PLAN_CACHE_DIR to enable)")
         return
@@ -288,7 +276,7 @@ def command_cache(clear: bool = False) -> None:
         return
     entries = plancache.entries()
     total = sum(size for _, size, _ in entries)
-    limit = plancache.plan_cache_limit_bytes()
+    limit = config.get("plan_cache_limit_bytes")
     print(f"plan cache: {directory}")
     print(f"{len(entries)} entries, {total} bytes "
           f"(limit {limit}; REPRO_PLAN_CACHE_LIMIT_BYTES)")
@@ -318,12 +306,13 @@ def command_serve(
     single ``repro-worker listening on host:port`` readiness line, and then
     serves shard tasks from any coordinator that connects (see
     :mod:`repro.circuits.distributed`). ``--secret`` (default: the
-    ``REPRO_DISTRIBUTED_SECRET`` environment variable) arms shared-secret
-    authentication: every connection must answer the worker's HMAC
-    challenge or is refused. ``--tls-cert``/``--tls-key`` (defaults:
+    ``distributed_secret`` knob, i.e. ``REPRO_DISTRIBUTED_SECRET``) arms
+    shared-secret authentication: every connection must answer the
+    worker's HMAC challenge or is refused. ``--tls-cert``/``--tls-key``
+    (defaults: the ``distributed_tls`` knob's certificate and key,
     ``REPRO_DISTRIBUTED_TLS_CERT``/``_KEY``) wrap the listener in TLS, and
-    ``--tls-ca`` (``REPRO_DISTRIBUTED_TLS_CA``) additionally demands a
-    verified client certificate — mutual TLS. ``--register host:port``
+    ``--tls-ca`` (its CA bundle, ``REPRO_DISTRIBUTED_TLS_CA``) additionally
+    demands a verified client certificate — mutual TLS. ``--register host:port``
     dials a coordinator's registry so this worker joins its host list
     elastically, advertising ``--advertise`` (default: its own bound
     address). ``--max-tasks`` is the fault-injection hook used by the test
@@ -332,18 +321,19 @@ def command_serve(
     work-stealing drill hook).
     """
     import asyncio
-    import os
 
+    from repro import config
     from repro.circuits.distributed import WorkerServer
 
     if secret is None:
-        secret = os.environ.get("REPRO_DISTRIBUTED_SECRET") or None
+        secret = config.get("distributed_secret")
+    tls = config.get("distributed_tls") or {}
     if tls_cert is None:
-        tls_cert = os.environ.get("REPRO_DISTRIBUTED_TLS_CERT") or None
+        tls_cert = tls.get("certfile")
     if tls_key is None:
-        tls_key = os.environ.get("REPRO_DISTRIBUTED_TLS_KEY") or None
+        tls_key = tls.get("keyfile")
     if tls_ca is None:
-        tls_ca = os.environ.get("REPRO_DISTRIBUTED_TLS_CA") or None
+        tls_ca = tls.get("cafile")
 
     async def _serve() -> None:
         server = WorkerServer(
@@ -388,17 +378,23 @@ def command_serve_http(
     ``--cache-size`` and ``--cache-ttl`` override the corresponding
     ``REPRO_SERVICE_*`` environment knobs.
     """
+    from repro import config
     from repro.circuits import distributed
     from repro.service import serve_http
+    from repro.util import parse_hostport
 
+    knobs: dict = {}
     if hosts is not None:
-        distributed.set_distributed_hosts(hosts)
+        knobs["distributed_hosts"] = hosts
     if secret is not None:
-        distributed.set_distributed_secret(secret)
+        knobs["distributed_secret"] = secret
     if tls_cert or tls_ca:
-        distributed.set_distributed_tls(tls_cert, tls_key, tls_ca)
+        knobs["distributed_tls"] = {
+            "certfile": tls_cert, "keyfile": tls_key, "cafile": tls_ca,
+        }
+    config.configure(**knobs)
     if registry_bind is not None:
-        reg_host, reg_port = distributed._parse_hostport(registry_bind)
+        reg_host, reg_port = parse_hostport(registry_bind)
         bound = distributed.start_registry(reg_host, reg_port)
         print(f"repro-service worker registry on {bound}", flush=True)
     kwargs: dict = {"coalesce": not no_coalesce}
@@ -428,6 +424,7 @@ def command_dist_eval(
     """
     import time
 
+    from repro import config
     from repro.circuits import compile_circuit
     from repro.circuits import distributed, parallel
     from repro.core import build_lineage
@@ -452,9 +449,8 @@ def command_dist_eval(
         print("no --hosts given (and REPRO_DISTRIBUTED_HOSTS unset) — "
               "start workers with 'repro serve' to distribute this run")
         return
-    with distributed.distributed_secret_set(
-        secret
-    ) if secret is not None else nullcontext():
+    knobs = {} if secret is None else {"distributed_secret": secret}
+    with config.overrides(**knobs):
         timings = []
         for attempt in ("first (connect + publish)", "repeat (pool reuse)"):
             start = time.perf_counter()

@@ -82,9 +82,9 @@ class Lineage:
     def probability_tid(self, tid: TIDInstance) -> float:
         """Theorem 1 evaluation: linear-time pass over the d-D circuit.
 
-        Dispatches through the engine registry (engine ``dd``) so a
-        process-wide :func:`repro.circuits.evaluation.force_engine`
-        override applies here too.
+        Dispatches through the engine registry (engine ``dd``) so the
+        process-wide ``forced_engine`` knob of :mod:`repro.config`
+        applies here too.
         """
         return probability(self.compiled(), tid.event_space(), engine="dd")
 

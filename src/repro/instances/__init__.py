@@ -12,13 +12,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "variable_name_of",
     ),
     ".cinstance": ("CInstance", "PCInstance", ("from_tid", "pc_from_tid")),
-    ".columnar": (
-        "ColumnarInstance",
-        "instance_backend",
-        "instance_backend_set",
-        "make_instance",
-        "set_instance_backend",
-    ),
+    ".columnar": ("ColumnarInstance", "make_instance"),
     ".pcc": (
         "PCCInstance",
         ("from_pc_instance", "pcc_from_pc"),

@@ -20,21 +20,21 @@ Columns are stored as stdlib ``array("i")`` buffers, which grow in place;
 the vectorized paths reinterpret the same buffers zero-copy via
 ``np.frombuffer`` (the trick the compiled lowering uses).
 
-The module also owns the backend knob: ``REPRO_INSTANCE_BACKEND`` (or
-:func:`set_instance_backend`) selects which backend
-:func:`make_instance` — and therefore the TID/c/pcc wrappers and the
-workload generators — construct by default.
+The ``instance_backend`` knob of :mod:`repro.config` (or
+``REPRO_INSTANCE_BACKEND``) selects which backend :func:`make_instance` —
+and therefore the TID/c/pcc wrappers and the workload generators —
+construct by default.
 """
 
 from __future__ import annotations
 
 import copy
-import os
 from array import array
 from collections.abc import Iterable, Sequence
 
 import numpy as _np
 
+from repro import config
 from repro.instances.base import (
     AbstractInstance,
     Constant,
@@ -698,53 +698,18 @@ class ColumnarInstance(AbstractInstance):
         return instance, fids_by_relation
 
 
-# --------------------------------------------------------------------------- #
-# the backend knob
-
-_BACKENDS = ("object", "columnar")
-_BACKEND: str | None = None  # None → fall back to the environment
-
-
-def instance_backend() -> str:
-    """The process-wide default instance backend (``object``/``columnar``)."""
-    if _BACKEND is not None:
-        return _BACKEND
-    name = os.environ.get("REPRO_INSTANCE_BACKEND", "object").strip() or "object"
-    if name not in _BACKENDS:
-        raise ReproError(
-            f"REPRO_INSTANCE_BACKEND={name!r}; expected one of {_BACKENDS}"
-        )
-    return name
-
-
-def set_instance_backend(name: str | None) -> None:
-    """Override the default backend (``None`` → back to the environment)."""
-    global _BACKEND
-    check(
-        name is None or name in _BACKENDS,
-        f"unknown instance backend {name!r}; expected one of {_BACKENDS}",
-    )
-    _BACKEND = name
-
-
-def instance_backend_set(name: str | None):
-    """Scoped :func:`set_instance_backend` (restores the prior override).
-
-    Thin shim over :func:`repro.config.overrides`.
-    """
-    from repro import config
-
-    return config.overrides(instance_backend=name)
-
-
 def make_instance(
     backend: str | None = None, facts: Iterable[Fact] = ()
 ) -> AbstractInstance:
-    """Construct an instance of the requested (or default) backend."""
-    name = backend if backend is not None else instance_backend()
+    """Construct an instance of the requested (or default) backend.
+
+    The default is the ``instance_backend`` knob of :mod:`repro.config`.
+    """
+    name = backend if backend is not None else config.get("instance_backend")
     check(
-        name in _BACKENDS,
-        f"unknown instance backend {name!r}; expected one of {_BACKENDS}",
+        name in config.INSTANCE_BACKENDS,
+        f"unknown instance backend {name!r}; "
+        f"expected one of {config.INSTANCE_BACKENDS}",
     )
     if name == "columnar":
         return ColumnarInstance(facts)

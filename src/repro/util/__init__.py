@@ -8,6 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "check",
         "fresh_name_factory",
         "pairs",
+        "parse_hostport",
         "powerset",
         "stable_rng",
     ),

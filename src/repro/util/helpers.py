@@ -64,6 +64,18 @@ def fresh_name_factory(prefix: str):
     return fresh
 
 
+def parse_hostport(spec: str) -> tuple[str, int]:
+    """Split a ``host:port`` spec, refusing a missing host or a bad port."""
+    host, sep, port = str(spec).strip().rpartition(":")
+    check(bool(sep) and bool(host), f"host spec {spec!r} is not host:port")
+    try:
+        port_number = int(port)
+    except ValueError:
+        raise ReproError(f"host spec {spec!r} has a non-integer port") from None
+    check(0 < port_number < 65536, f"host spec {spec!r} port out of range")
+    return host, port_number
+
+
 def spawn_until_ready(args: list[str], env: dict, startup_timeout: float,
                       what: str):
     """Run ``python -m repro *args`` and wait for its readiness line.

@@ -5,7 +5,7 @@ the decomposition built during generation, so benchmarks can run with a
 *certified* width instead of trusting heuristics.
 
 Every generator takes a ``backend`` knob (defaulting to the process-wide
-:func:`repro.instances.columnar.instance_backend`). The linear-size
+``instance_backend`` knob of :mod:`repro.config`). The linear-size
 generators (``path``, ``cycle``, ``rst_chain``, ``rst_bipartite``) emit
 columnar instances *natively*: encoded column batches go straight into the
 U-relation arrays, so million-fact instances load without creating a

@@ -9,7 +9,7 @@ joins — R's value column references S's keys and vice versa.
 
 Seeded and deterministic like every generator in this package, with the
 same ``backend`` knob (defaulting to the process-wide
-:func:`repro.instances.columnar.instance_backend`); on the columnar
+``instance_backend`` knob of :mod:`repro.config`); on the columnar
 backend facts load as encoded column batches, no ``Fact`` objects.
 """
 

@@ -2,9 +2,10 @@
 
 Two jobs live here:
 
-- keep the process-wide evaluation state (engine registry, forced engine,
-  worker/host knobs, warn-once latches) test-isolated, so a test that flips
-  a knob — or fails mid-flip — cannot leak it into the rest of the suite;
+- keep the process-wide state (the knob overrides of :mod:`repro.config`,
+  the engine registry, warn-once latches) test-isolated, so a test that
+  flips a knob — or fails mid-flip — cannot leak it into the rest of the
+  suite;
 - manage localhost distributed workers for the socket tests: ephemeral TCP
   ports, subprocess spawn with a readiness wait, and guaranteed teardown so
   no test can leak a listening socket or an orphan worker process.
@@ -20,8 +21,8 @@ import socket
 
 import pytest
 
+from repro import config
 from repro.circuits import compiled, distributed, evaluation, parallel, plancache
-from repro.instances import columnar
 
 
 def pytest_configure(config):
@@ -33,42 +34,24 @@ def pytest_configure(config):
 
 
 @pytest.fixture(autouse=True)
-def restore_engine_globals():
-    """Restore the engine registry, engine overrides and backend knobs.
+def restore_process_state():
+    """Restore the knob overrides, the engine registry and warn-once latches.
 
-    ``force_engine``/``set_default_engine``/``register_engine``/
-    ``set_parallel_workers``/``set_distributed_hosts`` mutate process-wide
-    state; so do the warn-once latches of the degraded-path warnings. Tests
-    should still prefer the ``engine_forced``/``default_engine_set``/
-    ``parallel_workers_set``/``distributed_hosts_set`` context managers —
-    this fixture is the backstop.
+    Knobs are process-wide (:mod:`repro.config`), and so are the engine
+    registry and the latches of the degraded-path warnings. Tests should
+    scope knobs with ``config.overrides`` — this fixture is the backstop:
+    it saves the one override table and puts it back, "no override"
+    entries included.
     """
+    overrides = dict(config._OVERRIDES)
     engines = dict(evaluation._ENGINES)
-    default = evaluation._DEFAULT_ENGINE
-    forced = evaluation._FORCED_ENGINE
-    workers = parallel._WORKERS
-    hosts = distributed._HOSTS
-    secret = distributed._SECRET
-    tls = None if distributed._TLS is None else dict(distributed._TLS)
-    provider = distributed._AUTH_PROVIDER
-    pipeline = distributed._PIPELINE_DEPTH
     warned = set(distributed._WARNED)
     serial_warned = parallel._SERIAL_FALLBACK_WARNED
-    cache_dir = plancache._DIR
-    cache_limit = plancache._LIMIT_BYTES
-    cache_min = plancache._MIN_GATES
-    instance_backend = columnar._BACKEND
     yield
+    config._OVERRIDES.clear()
+    config._OVERRIDES.update(overrides)
     evaluation._ENGINES.clear()
     evaluation._ENGINES.update(engines)
-    evaluation._DEFAULT_ENGINE = default
-    evaluation._FORCED_ENGINE = forced
-    parallel._WORKERS = workers
-    distributed._HOSTS = hosts
-    distributed._SECRET = secret
-    distributed._TLS = tls
-    distributed._AUTH_PROVIDER = provider
-    distributed._PIPELINE_DEPTH = pipeline
     if distributed._REGISTRY_BIND is None:
         # Tests that bind an explicit registry must not leak it (or the
         # membership it admitted) into the next test. The env-armed
@@ -79,10 +62,6 @@ def restore_engine_globals():
     distributed._WARNED.clear()
     distributed._WARNED.update(warned)
     parallel._SERIAL_FALLBACK_WARNED = serial_warned
-    plancache._DIR = cache_dir
-    plancache._LIMIT_BYTES = cache_limit
-    plancache._MIN_GATES = cache_min
-    columnar._BACKEND = instance_backend
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import config
 from repro.cli import EXPERIMENTS, command_list, command_run, main
 
 
@@ -41,19 +42,15 @@ class TestCli:
         assert "distributed backend" in output
 
     def test_forced_engine_does_not_leak_out_of_run(self, capsys):
-        from repro.circuits import forced_engine
-
         assert main(["run", "E2", "--engine", "enumerate"]) == 0
         capsys.readouterr()
-        assert forced_engine() is None
+        assert config.get("forced_engine") is None
 
     def test_workers_flag_is_scoped_to_the_run(self, capsys):
-        from repro.circuits import parallel_workers
-
-        before = parallel_workers()
+        before = config.get("parallel_workers")
         assert main(["run", "E1", "--workers", "2"]) == 0
         capsys.readouterr()
-        assert parallel_workers() == before
+        assert config.get("parallel_workers") == before
 
     def test_workers_flag_rejects_negative(self):
         with pytest.raises(SystemExit, match="workers"):
@@ -87,9 +84,7 @@ class TestDistributedCli:
             command_run("E1", hosts="not-a-hostport")
 
     def test_hosts_flag_is_scoped_to_the_run(self, capsys):
-        from repro.circuits import distributed_hosts
-
-        before = distributed_hosts()
+        before = config.get("distributed_hosts")
         # Port 1 is never listened on; the run must fall back to local
         # execution (warning once) and leave the knob untouched afterwards.
         import warnings
@@ -98,7 +93,7 @@ class TestDistributedCli:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert main(["run", "E1", "--hosts", "127.0.0.1:1"]) == 0
         capsys.readouterr()
-        assert distributed_hosts() == before
+        assert config.get("distributed_hosts") == before
 
     def test_dist_eval_without_hosts_stays_local(self, capsys, monkeypatch):
         from repro.circuits import distributed
@@ -108,7 +103,7 @@ class TestDistributedCli:
         # suite), so neutralize them too: this test is about the truly
         # unconfigured path and its "start workers" hint.
         monkeypatch.setattr(distributed, "registered_hosts", lambda: ())
-        with distributed.distributed_hosts_set(()):
+        with config.overrides(distributed_hosts=()):
             assert main(["dist-eval", "--samples", "2000"]) == 0
         output = capsys.readouterr().out
         assert "in-process estimate" in output

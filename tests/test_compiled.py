@@ -5,19 +5,16 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import config
 from repro.circuits import (
     ENUMERATION_VARIABLE_CAP,
     Circuit,
     CompiledCircuit,
     available_engines,
     compile_circuit,
-    default_engine,
-    default_engine_set,
-    engine_forced,
     get_engine,
     probability,
     register_engine,
-    set_default_engine,
 )
 from repro.circuits.compiled import K_AND, K_NOT, K_OR, K_TRUE, K_VAR
 from repro.core import build_lineage
@@ -376,7 +373,6 @@ class TestEngineRegistry:
         # The CLI --engine knob: forcing must reach even consumers that pin
         # an engine explicitly (tid_probability pins "dd").
         from repro.baselines import tid_probability_enumerate
-        from repro.circuits import forced_engine
         from repro.core import tid_probability
         from repro.instances import TIDInstance, fact
         from repro.queries import atom, cq, variables
@@ -388,33 +384,32 @@ class TestEngineRegistry:
         )
         expected = tid_probability_enumerate(query, tid)
         register_engine("sentinel", lambda compiled, space, **kw: -1.0)
-        with engine_forced("sentinel"):
-            assert forced_engine() == "sentinel"
+        with config.overrides(forced_engine="sentinel"):
+            assert config.get("forced_engine") == "sentinel"
             assert tid_probability(query, tid) == -1.0
-            with engine_forced("shannon"):
+            with config.overrides(forced_engine="shannon"):
                 assert math.isclose(
                     tid_probability(query, tid), expected, abs_tol=1e-9
                 )
-            assert forced_engine() == "sentinel"  # nesting restores
-        assert forced_engine() is None
+            assert config.get("forced_engine") == "sentinel"  # nesting restores
+        assert config.get("forced_engine") is None
         assert math.isclose(tid_probability(query, tid), expected, abs_tol=1e-9)
 
     def test_engine_forced_restores_on_error(self):
-        from repro.circuits import forced_engine
-
         with pytest.raises(RuntimeError, match="boom"):
-            with engine_forced("shannon"):
-                assert forced_engine() == "shannon"
+            with config.overrides(forced_engine="shannon"):
+                assert config.get("forced_engine") == "shannon"
                 raise RuntimeError("boom")
-        assert forced_engine() is None
+        assert config.get("forced_engine") is None
 
     def test_default_engine_setting(self):
-        before = default_engine()
-        with default_engine_set("shannon"):
-            assert default_engine() == "shannon"
-            with pytest.raises(ReproError, match="unknown evaluation engine"):
-                set_default_engine("nope")
-        assert default_engine() == before
+        before = config.get("engine")
+        with config.overrides(engine="shannon"):
+            assert config.get("engine") == "shannon"
+            with pytest.raises(ReproError, match="unknown engine 'nope'"):
+                config.configure(engine="nope")
+            assert config.get("engine") == "shannon"
+        assert config.get("engine") == before
 
 
 class TestStructuralCaches:

@@ -1,22 +1,10 @@
-"""The unified knob registry: configure / overrides / the legacy shims."""
+"""The knob registry: one declaration, one read rule, scoped overrides."""
 
 import pytest
 
+import repro
 from repro import config
-from repro.circuits import (
-    default_engine,
-    default_engine_set,
-    distributed_hosts,
-    distributed_hosts_set,
-    engine_forced,
-    forced_engine,
-    parallel_workers,
-    parallel_workers_set,
-    pipeline_depth,
-    plan_cache_dir,
-    plan_cache_dir_set,
-)
-from repro.instances import instance_backend, instance_backend_set
+from repro.circuits.distributed import TLSAuth
 from repro.util import ReproError
 
 EXPECTED_KNOBS = (
@@ -34,18 +22,53 @@ EXPECTED_KNOBS = (
     "plan_cache_min_gates",
 )
 
+EXPECTED_ENV = {
+    "auth_provider": None,
+    "distributed_hosts": "REPRO_DISTRIBUTED_HOSTS",
+    "distributed_secret": "REPRO_DISTRIBUTED_SECRET",
+    "distributed_tls": "REPRO_DISTRIBUTED_TLS_*",
+    "engine": None,
+    "forced_engine": None,
+    "instance_backend": "REPRO_INSTANCE_BACKEND",
+    "parallel_workers": "REPRO_PARALLEL_WORKERS",
+    "pipeline_depth": "REPRO_DISTRIBUTED_PIPELINE",
+    "plan_cache_dir": "REPRO_PLAN_CACHE_DIR",
+    "plan_cache_limit_bytes": "REPRO_PLAN_CACHE_LIMIT_BYTES",
+    "plan_cache_min_gates": "REPRO_PLAN_CACHE_MIN_GATES",
+}
+
+#: Every variable a knob reads, cleared so each test sees the defaults.
+KNOB_VARIABLES = [
+    variable for variable in EXPECTED_ENV.values()
+    if variable and not variable.endswith("*")
+] + [
+    "REPRO_DISTRIBUTED_TLS_CERT",
+    "REPRO_DISTRIBUTED_TLS_KEY",
+    "REPRO_DISTRIBUTED_TLS_CA",
+    "REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT",
+]
+
+
+@pytest.fixture
+def clean_environment(monkeypatch):
+    for variable in KNOB_VARIABLES:
+        monkeypatch.delenv(variable, raising=False)
+    return monkeypatch
+
+
+def tls(certfile=None, keyfile=None, cafile=None, allow_plaintext=False):
+    return {"certfile": certfile, "keyfile": keyfile, "cafile": cafile,
+            "allow_plaintext": allow_plaintext}
+
+
+def seen(value):
+    """What a test compares: providers by transport name, the rest as is."""
+    return getattr(value, "name", value)
+
 
 class TestRegistry:
     def test_knob_names(self):
         assert config.knobs() == EXPECTED_KNOBS
-
-    def test_get_matches_owning_module(self):
-        assert config.get("engine") == default_engine()
-        assert config.get("forced_engine") == forced_engine()
-        assert config.get("parallel_workers") == parallel_workers()
-        assert config.get("distributed_hosts") == distributed_hosts()
-        assert config.get("pipeline_depth") == pipeline_depth()
-        assert config.get("plan_cache_dir") == plan_cache_dir()
 
     def test_unknown_knob_rejected(self):
         with pytest.raises(ReproError, match="unknown knob 'turbo'"):
@@ -62,118 +85,152 @@ class TestRegistry:
         for name, entry in described.items():
             assert set(entry) == {"value", "doc", "env"}
             assert entry["doc"]
-        assert described["parallel_workers"]["env"] == "REPRO_PARALLEL_WORKERS"
-        assert described["engine"]["env"] is None
+            assert entry["env"] == EXPECTED_ENV[name]
+            assert seen(entry["value"]) == seen(config.get(name))
+
+    def test_facade_exports(self):
+        assert repro.configure is config.configure
+        assert repro.overrides is config.overrides
+
+
+#: ``(knob, override, its read, (variable, text, the text's read))``: the
+#: variable is set only after the override is gone, to show it is read.
+ROUND_TRIPS = [
+    ("engine", "shannon", "shannon", None),
+    ("forced_engine", "dd", "dd", None),
+    ("instance_backend", "columnar", "columnar",
+     ("REPRO_INSTANCE_BACKEND", " columnar ", "columnar")),
+    ("parallel_workers", 3, 3, ("REPRO_PARALLEL_WORKERS", "2", 2)),
+    ("distributed_hosts", "a:1; b:2", ("a:1", "b:2"),
+     ("REPRO_DISTRIBUTED_HOSTS", "h:7001", ("h:7001",))),
+    ("distributed_secret", "hunter2", "hunter2",
+     ("REPRO_DISTRIBUTED_SECRET", "s3cret", "s3cret")),
+    ("distributed_tls", {"cafile": "ca.pem"}, tls(cafile="ca.pem"),
+     ("REPRO_DISTRIBUTED_TLS_CERT", "c.pem", tls(certfile="c.pem"))),
+    ("auth_provider", TLSAuth(cafile="ca.pem"), "tls",
+     ("REPRO_DISTRIBUTED_SECRET", "s3cret", "hmac")),
+    ("pipeline_depth", 7, 7, ("REPRO_DISTRIBUTED_PIPELINE", "9", 9)),
+    ("plan_cache_dir", "plans", "plans",
+     ("REPRO_PLAN_CACHE_DIR", " shared-plans ", "shared-plans")),
+    ("plan_cache_limit_bytes", 1024, 1024,
+     ("REPRO_PLAN_CACHE_LIMIT_BYTES", "2048", 2048)),
+    ("plan_cache_min_gates", 0, 0, ("REPRO_PLAN_CACHE_MIN_GATES", "5", 5)),
+]
+
+
+def test_round_trips_cover_every_knob():
+    assert tuple(sorted(case[0] for case in ROUND_TRIPS)) == EXPECTED_KNOBS
+
+
+@pytest.mark.parametrize(
+    "name, value, expected, variable", ROUND_TRIPS,
+    ids=[case[0] for case in ROUND_TRIPS],
+)
+def test_override_round_trip_restores_no_override(
+    clean_environment, name, value, expected, variable
+):
+    """``get`` reads an override; on exit "no override" returns, so the
+    knob's variable is read again rather than pinned at entry."""
+    unset = seen(config.get(name))
+    with config.overrides(**{name: value}):
+        assert seen(config.get(name)) == expected
+    assert seen(config.get(name)) == unset
+    if variable is not None:
+        env, text, parsed = variable
+        clean_environment.setenv(env, text)
+        assert seen(config.get(name)) == parsed
+
+
+#: Malformed configured values: each is refused naming its knob.
+MALFORMED = [
+    ("parallel_workers", 2.7),
+    ("parallel_workers", True),
+    ("parallel_workers", "x"),
+    ("pipeline_depth", 2.5),
+    ("pipeline_depth", "x"),
+    ("plan_cache_min_gates", 1.9),
+    ("plan_cache_limit_bytes", "abc"),
+    ("distributed_hosts", 7761),
+    ("distributed_hosts", ["127.0.0.1:7761", 7762]),
+    ("distributed_tls", {"cafile": "c", "bogus": 1}),
+]
+
+
+@pytest.mark.parametrize("name, value", MALFORMED)
+def test_configure_refuses_malformed_values(name, value):
+    before = {knob: seen(config.get(knob)) for knob in ("engine", name)}
+    overrides_before = dict(config._OVERRIDES)
+    with pytest.raises(ReproError, match=f"^{name}="):
+        # A valid change in the same call must not be applied either.
+        config.configure(engine="shannon", **{name: value})
+    assert config._OVERRIDES == overrides_before
+    assert {knob: seen(config.get(knob)) for knob in before} == before
 
 
 class TestConfigure:
     def test_round_trip(self):
         previous = config.get("engine")
         config.configure(engine="shannon")
-        assert default_engine() == "shannon"
+        assert config.get("engine") == "shannon"
         config.configure(engine=previous)
-        assert default_engine() == previous
+        assert config.get("engine") == previous
 
     def test_multiple_knobs_one_call(self):
         config.configure(engine="dd", parallel_workers=3)
-        assert default_engine() == "dd" and parallel_workers() == 3
+        assert config.get("engine") == "dd"
+        assert config.get("parallel_workers") == 3
 
-    def test_setter_failure_rolls_back(self):
+    def test_refusal_rolls_back(self):
         engine_before = config.get("engine")
         workers_before = config.get("parallel_workers")
-        with pytest.raises(ReproError):
-            # Sorted application order sets 'engine' first; the invalid
-            # worker count must roll it back.
+        with pytest.raises(ReproError, match="parallel_workers"):
             config.configure(engine="shannon", parallel_workers=-2)
         assert config.get("engine") == engine_before
         assert config.get("parallel_workers") == workers_before
 
     def test_invalid_engine_rejected_upfront(self):
-        with pytest.raises(ReproError):
+        with pytest.raises(ReproError, match="unknown engine 'warp-drive'"):
             config.configure(engine="warp-drive")
+        with pytest.raises(ReproError, match="forced_engine"):
+            config.configure(forced_engine="warp-drive")
 
 
 class TestOverrides:
     def test_scoped_and_restored(self):
-        engine_before = default_engine()
-        workers_before = parallel_workers()
+        engine_before = config.get("engine")
+        workers_before = config.get("parallel_workers")
         with config.overrides(engine="shannon", parallel_workers=2):
-            assert default_engine() == "shannon" and parallel_workers() == 2
-        assert default_engine() == engine_before
-        assert parallel_workers() == workers_before
+            assert config.get("engine") == "shannon"
+            assert config.get("parallel_workers") == 2
+        assert config.get("engine") == engine_before
+        assert config.get("parallel_workers") == workers_before
 
     def test_nesting(self):
         with config.overrides(engine="dd"):
             with config.overrides(engine="shannon"):
-                assert default_engine() == "shannon"
-            assert default_engine() == "dd"
+                assert config.get("engine") == "shannon"
+            assert config.get("engine") == "dd"
 
     def test_restores_on_exception(self):
-        before = default_engine()
+        before = config.get("engine")
         with pytest.raises(ValueError):
             with config.overrides(engine="shannon"):
                 raise ValueError("boom")
-        assert default_engine() == before
+        assert config.get("engine") == before
 
-    def test_instance_backend_env_fallback_not_pinned(self, monkeypatch):
-        # The override snapshot must capture "no override" (None), so the
-        # env fallback stays live after restore rather than being frozen
-        # to its value at entry.
-        from repro.instances import columnar
-
-        monkeypatch.setattr(columnar, "_BACKEND", None)
-        monkeypatch.setenv("REPRO_INSTANCE_BACKEND", "object")
-        with config.overrides(instance_backend="columnar"):
-            assert instance_backend() == "columnar"
-        assert columnar._BACKEND is None
-        monkeypatch.setenv("REPRO_INSTANCE_BACKEND", "columnar")
-        assert instance_backend() == "columnar"  # env still consulted
+    def test_instance_backend_none_follows_the_environment(self, clean_environment):
+        clean_environment.setenv("REPRO_INSTANCE_BACKEND", "columnar")
+        with config.overrides(instance_backend="object"):
+            assert config.get("instance_backend") == "object"
+            with config.overrides(instance_backend=None):
+                assert config.get("instance_backend") == "columnar"
+            assert config.get("instance_backend") == "object"
 
     def test_works_as_decorator(self):
         @config.overrides(engine="shannon")
         def inner():
-            return default_engine()
+            return config.get("engine")
 
-        before = default_engine()
+        before = config.get("engine")
         assert inner() == "shannon"
-        assert default_engine() == before
-
-
-class TestLegacyShims:
-    def test_default_engine_set(self):
-        before = default_engine()
-        with default_engine_set("shannon"):
-            assert default_engine() == "shannon"
-        assert default_engine() == before
-
-    def test_engine_forced(self):
-        assert forced_engine() is None
-        with engine_forced("dd"):
-            assert forced_engine() == "dd"
-        assert forced_engine() is None
-
-    def test_parallel_workers_set(self):
-        before = parallel_workers()
-        with parallel_workers_set(2):
-            assert parallel_workers() == 2
-        assert parallel_workers() == before
-
-    def test_distributed_hosts_set(self):
-        before = distributed_hosts()
-        with distributed_hosts_set("127.0.0.1:7761"):
-            assert distributed_hosts() == ("127.0.0.1:7761",)
-        assert distributed_hosts() == before
-
-    def test_instance_backend_set(self):
-        with instance_backend_set("columnar"):
-            assert instance_backend() == "columnar"
-
-    def test_plan_cache_dir_set(self, tmp_path):
-        with plan_cache_dir_set(str(tmp_path)):
-            assert str(plan_cache_dir()) == str(tmp_path)
-
-    def test_facade_exports(self):
-        import repro
-
-        assert repro.configure is config.configure
-        assert repro.overrides is config.overrides
+        assert config.get("engine") == before

@@ -23,12 +23,13 @@ Each producer asserts its arrays are bit-identical to a from-scratch
 compile before the execution paths ever run, so a recompiled or
 cache-loaded plan can never drift from the oracle unnoticed.
 
-For Boolean evaluation the paths must agree **exactly**; for the
-probability pass the oracle is a separate float implementation, so
-cross-backend rows use a 1e-12 tolerance while the vectorized tiers
-(numpy / pool / wire) are compared bit-for-bit. A tolerance cannot see the
-sign of zero, so rows of signed zeros hold the scalar pass and the numpy
-tier to the oracle bit for bit.
+Every path must agree with the oracle **exactly**: Boolean results by
+equality, probabilities bit for bit (sign of zero included). The oracle
+is a separate float implementation that reduces each gate's inputs left
+to right from its kind's identity, as the scalar pass and the level plan
+do, so a path that reorders a reduction shows up here even where the
+result moves by less than any tolerance would see. Rows of signed zeros
+additionally hold the scalar pass and the numpy tier to the oracle.
 
 The distributed columns need real sockets, hence the ``distributed``
 marker. The ``persistent-pool`` column repeats its passes over the warm
@@ -44,9 +45,10 @@ import tempfile
 import numpy as np
 import pytest
 
+from repro import config
 from repro.circuits import Circuit, compile_circuit, recompile
 from repro.circuits import compiled as compiled_module
-from repro.circuits import distributed, parallel, plancache
+from repro.circuits import distributed, parallel
 from repro.circuits.circuit import AND, CONST, NOT, VAR
 from repro.events import EventSpace
 
@@ -161,19 +163,14 @@ def _produce_cache_loaded(name):
     """Store a lowering in the on-disk plan cache, then rebuild the same
     arena and load the plan back instead of lowering it."""
     with tempfile.TemporaryDirectory() as directory:
-        with plancache.plan_cache_dir_set(directory):
-            previous_min = plancache.min_gates()
-            plancache.set_min_gates(0)
-            try:
-                compile_circuit(SCENARIOS[name]())
-                before = compiled_module.compile_stats()["disk_cache_hits"]
-                produced = compile_circuit(SCENARIOS[name]())
-                assert (
-                    compiled_module.compile_stats()["disk_cache_hits"]
-                    == before + 1
-                )
-            finally:
-                plancache.set_min_gates(previous_min)
+        with config.overrides(plan_cache_dir=directory, plan_cache_min_gates=0):
+            compile_circuit(SCENARIOS[name]())
+            before = compiled_module.compile_stats()["disk_cache_hits"]
+            produced = compile_circuit(SCENARIOS[name]())
+            assert (
+                compiled_module.compile_stats()["disk_cache_hits"]
+                == before + 1
+            )
     _assert_identical_lowering(
         produced, compiled_module.CompiledCircuit(produced.source)
     )
@@ -343,14 +340,19 @@ def _path_persistent_pool(compiled, worlds, marginal_rows, worker):
     return evaluated.tolist(), probabilities.tolist()
 
 
-#: path name -> (runner, exact-float agreement with the numpy tier?)
+#: path name -> runner
 PATHS = {
-    "interpreter": (_path_interpreter, False),
-    "numpy-batch": (_path_numpy_batch, True),
-    "multiprocess": (_path_multiprocess, True),
-    "distributed": (_path_distributed, True),
-    "persistent-pool": (_path_persistent_pool, True),
+    "interpreter": _path_interpreter,
+    "numpy-batch": _path_numpy_batch,
+    "multiprocess": _path_multiprocess,
+    "distributed": _path_distributed,
+    "persistent-pool": _path_persistent_pool,
 }
+
+
+def _bits(values):
+    """Floats as their IEEE-754 bit patterns, so -0.0 differs from +0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
 
 
 def _arena_probability(circuit, marginals):
@@ -421,13 +423,10 @@ def test_path_agrees_with_scalar_oracle(scenario, producer, path, request):
         if path in ("distributed", "persistent-pool")
         else None
     )
-    runner, exact = PATHS[path]
-    evaluated, probabilities = runner(compiled, worlds, marginal_rows, worker)
+    evaluated, probabilities = PATHS[path](compiled, worlds, marginal_rows, worker)
     expected_eval, expected_probs = _reference(compiled, worlds, marginal_rows)
     assert evaluated == expected_eval
-    assert len(probabilities) == len(expected_probs)
-    for got, want in zip(probabilities, expected_probs):
-        assert math.isclose(got, want, abs_tol=1e-12)
+    assert _bits(probabilities) == _bits(expected_probs)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -482,11 +481,9 @@ def test_signed_zeros_agree_bitwise(scenario, producer):
     n = len(compiled.variables())
     rows = [[-0.0] * n, [0.0] * n, [(-0.0, 1.0)[i % 2] for i in range(n)]]
     _eval, expected = _reference(compiled, [], rows)
-    bits = np.asarray(expected).view(np.uint64).tolist()
     scalar = [compiled.probability(row) for row in rows]
-    assert np.asarray(scalar).view(np.uint64).tolist() == bits
-    batch = compiled.probability_batch(rows)
-    assert np.asarray(batch).view(np.uint64).tolist() == bits
+    assert _bits(scalar) == _bits(expected)
+    assert _bits(compiled.probability_batch(rows)) == _bits(expected)
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -657,7 +654,7 @@ def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vecto
     min_gates = 0 if vector else compiled_module.VECTOR_MIN_GATES
     lowering = mock.patch.object(compiled_module, "VECTOR_MIN_GATES", min_gates)
     # The on-disk plan cache keys plans by variable name, so it names them.
-    with namer, lowering, plancache.plan_cache_dir_set(None):
+    with namer, lowering, config.overrides(plan_cache_dir=None):
         lineage = build_provenance_circuit(tid.instance, query)
         compiled = compile_circuit(lineage.circuit)
         space = tid.event_space()

@@ -33,7 +33,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import Circuit, compile_circuit, plancache
+from repro import config
+from repro.circuits import Circuit, compile_circuit
 from repro.circuits import compiled as compiled_module
 from repro.circuits import distributed, parallel
 from repro.util import ReproError, stable_rng
@@ -209,33 +210,33 @@ class TestWireFormat:
 class TestHostsKnob:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISTRIBUTED_HOSTS", "h1:7001, h2:7002")
-        assert distributed._hosts_from_env() == ("h1:7001", "h2:7002")
+        assert config.get("distributed_hosts") == ("h1:7001", "h2:7002")
         monkeypatch.setenv("REPRO_DISTRIBUTED_HOSTS", "")
-        assert distributed._hosts_from_env() == ()
+        assert config.get("distributed_hosts") == ()
         monkeypatch.setenv("REPRO_DISTRIBUTED_HOSTS", "not-a-hostport")
-        assert distributed._hosts_from_env() == ()
+        assert config.get("distributed_hosts") == ()
 
     def test_set_and_scope(self):
-        with distributed.distributed_hosts_set("a:1,b:2"):
-            assert distributed.distributed_hosts() == ("a:1", "b:2")
-            with distributed.distributed_hosts_set(None):
-                assert distributed.distributed_hosts() == ()
-            assert distributed.distributed_hosts() == ("a:1", "b:2")
+        with config.overrides(distributed_hosts="a:1,b:2"):
+            assert config.get("distributed_hosts") == ("a:1", "b:2")
+            with config.overrides(distributed_hosts=None):
+                assert config.get("distributed_hosts") == ()
+            assert config.get("distributed_hosts") == ("a:1", "b:2")
 
     def test_rejects_malformed_hosts(self):
         with pytest.raises(ReproError, match="host:port"):
-            distributed.set_distributed_hosts(["nohost"])
+            config.configure(distributed_hosts=["nohost"])
         with pytest.raises(ReproError, match="port"):
-            distributed.set_distributed_hosts(["h:notaport"])
+            config.configure(distributed_hosts=["h:notaport"])
         with pytest.raises(ReproError, match="port"):
-            distributed.set_distributed_hosts(["h:99999"])
+            config.configure(distributed_hosts=["h:99999"])
 
     def test_effective_hosts_override_semantics(self):
         # Under an env-armed registry (the CI distributed job) ambient
         # REGISTERed workers legitimately extend the default host list,
         # so assert the knob's contribution, not an exact tuple.
         elastic = distributed.registered_hosts()
-        with distributed.distributed_hosts_set("a:1"):
+        with config.overrides(distributed_hosts="a:1"):
             assert distributed.effective_hosts(None) == tuple(
                 dict.fromkeys(("a:1",) + elastic)
             )
@@ -248,16 +249,16 @@ class TestHostsKnob:
         # a REGISTERed worker around): this test is about the row
         # threshold and the truly-unconfigured default.
         monkeypatch.setattr(distributed, "registered_hosts", lambda: ())
-        with distributed.distributed_hosts_set("a:1"):
+        with config.overrides(distributed_hosts="a:1"):
             assert distributed.should_distribute(parallel.PARALLEL_MIN_ROWS)
             assert not distributed.should_distribute(parallel.PARALLEL_MIN_ROWS - 1)
-        with distributed.distributed_hosts_set(None):
+        with config.overrides(distributed_hosts=None):
             assert not distributed.should_distribute(10**6)
 
     def test_no_hosts_defers_to_parallel_entry_points(self):
         compiled = compile_circuit(random_circuit(21))
         marginals = [0.3] * len(compiled.variables())
-        with distributed.distributed_hosts_set(None):
+        with config.overrides(distributed_hosts=None):
             assert distributed.monte_carlo_hits(
                 compiled, marginals, 500, seed=1
             ) == parallel.monte_carlo_hits(compiled, marginals, 500, seed=1, workers=0)
@@ -396,9 +397,9 @@ class TestDistributedExecution:
         matrix = np.random.default_rng(2).random(
             (parallel.PARALLEL_MIN_ROWS + 17, n)
         ) < 0.5
-        with distributed.distributed_hosts_set(()):
+        with config.overrides(distributed_hosts=()):
             serial = compiled.evaluate_batch(matrix)
-        with distributed.distributed_hosts_set((module_worker.address,)):
+        with config.overrides(distributed_hosts=(module_worker.address,)):
             assert compiled.evaluate_batch(matrix) == serial
 
     def test_sampling_baselines_take_hosts(self, module_worker, monkeypatch):
@@ -419,7 +420,7 @@ class TestDistributedExecution:
         assert monte_carlo_probability(
             query, tid, samples=600, seed=1, hosts=(module_worker.address,)
         ) == serial
-        with distributed.distributed_hosts_set((module_worker.address,)):
+        with config.overrides(distributed_hosts=(module_worker.address,)):
             assert monte_carlo_probability(query, tid, samples=600, seed=1) == serial
         kl_serial = karp_luby_probability(
             query, tid, samples=600, seed=1, workers=0, hosts=()
@@ -583,15 +584,15 @@ class TestAuthKnob:
     """Socket-free coverage of the shared-secret knob and the HMAC."""
 
     def test_secret_set_and_scope(self):
-        with distributed.distributed_secret_set("hunter2"):
-            assert distributed.distributed_secret() == "hunter2"
-            with distributed.distributed_secret_set(None):
-                assert distributed.distributed_secret() is None
-            assert distributed.distributed_secret() == "hunter2"
+        with config.overrides(distributed_secret="hunter2"):
+            assert config.get("distributed_secret") == "hunter2"
+            with config.overrides(distributed_secret=None):
+                assert config.get("distributed_secret") is None
+            assert config.get("distributed_secret") == "hunter2"
 
     def test_empty_secret_clears(self):
-        with distributed.distributed_secret_set(""):
-            assert distributed.distributed_secret() is None
+        with config.overrides(distributed_secret=""):
+            assert config.get("distributed_secret") is None
 
     def test_auth_response_is_keyed_hmac(self):
         import hashlib
@@ -665,7 +666,7 @@ class TestPersistentRuntime:
         from the shared directory and the counters stay at zero. Cleared
         from the environment too, so spawned workers do not inherit it."""
         monkeypatch.delenv("REPRO_PLAN_CACHE_DIR", raising=False)
-        plancache.set_plan_cache_dir(None)
+        config.configure(plan_cache_dir=None)
 
     def test_connection_and_plan_reused_across_calls(
         self, worker_factory, no_plan_cache
@@ -788,7 +789,7 @@ class TestPersistentRuntime:
         before = distributed.pool_stats()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with distributed.distributed_secret_set("wrong-secret"):
+            with config.overrides(distributed_secret="wrong-secret"):
                 hits = self._mc(compiled, marginals, (worker.address,))
         after = distributed.pool_stats()
         assert hits == serial
@@ -807,7 +808,7 @@ class TestPersistentRuntime:
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with distributed.distributed_secret_set(None):
+            with config.overrides(distributed_secret=None):
                 assert self._mc(
                     compiled, marginals, (worker.address,)
                 ) == serial
@@ -821,7 +822,7 @@ class TestPersistentRuntime:
             compiled, marginals, 700, seed=9, workers=0
         )
         before = distributed.pool_stats()
-        with distributed.distributed_secret_set("right-secret"):
+        with config.overrides(distributed_secret="right-secret"):
             assert self._mc(compiled, marginals, (worker.address,)) == serial
         after = distributed.pool_stats()
         assert after["tasks_completed"] > before["tasks_completed"]

@@ -6,9 +6,9 @@ the functions that need them. Two groups of tests pin that:
 
 - **cold start** — fresh interpreters (``PYTHONPATH=src``, no ``REPRO_*``
   variables) report which heavy modules an entry point loaded: ``import
-  repro``, the columnar bulk Monte-Carlo path at toy size, and ``python
-  -m repro list``; one also checks that ``dir()`` lists exports not yet
-  resolved;
+  repro``, ``import repro.config`` and setting knobs through it, the
+  columnar bulk Monte-Carlo path at toy size, and ``python -m repro
+  list``; one also checks that ``dir()`` lists exports not yet resolved;
 - **the export surface** — in-process, every ``__all__`` name of every
   package resolves and is bound by ``import *``; unknown names raise
   ``AttributeError``; every name the code base imports from a package is
@@ -65,6 +65,26 @@ def test_import_repro_loads_no_subsystem():
     assert loaded_after(
         "import repro", HEAVY + ("repro.service", "numpy")
     ) == []
+
+
+def test_import_config_loads_no_subsystem():
+    code = """
+import sys
+import repro.config
+print(sorted(m for m in sys.modules if m.startswith("repro.circuits")))
+"""
+    assert fresh_python("-c", code).stdout.split() == ["[]"]
+    assert loaded_after("import repro.config", HEAVY + ("numpy",)) == []
+
+
+def test_configuring_knobs_skips_the_network_stack():
+    code = """
+from repro import config
+config.configure(parallel_workers=2, distributed_hosts="127.0.0.1:7761",
+                 pipeline_depth=2, instance_backend="columnar")
+assert config.get("distributed_hosts") == ("127.0.0.1:7761",)
+"""
+    assert loaded_after(code, HEAVY) == []
 
 
 def test_bulk_monte_carlo_path_skips_networkx_and_the_network_stack():

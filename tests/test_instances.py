@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import config
 from repro.events import TRUE, var
 from repro.instances import (
     CInstance,
@@ -15,8 +16,6 @@ from repro.instances import (
     PCInstance,
     TIDInstance,
     fact,
-    instance_backend,
-    instance_backend_set,
     make_instance,
     pc_from_tid,
     pcc_from_pc,
@@ -451,22 +450,24 @@ class TestInstanceBackendKnob:
     def test_set_instance_backend_scopes(self):
         # The suite may itself run under REPRO_INSTANCE_BACKEND=columnar
         # (the CI columnar job does) — scope back to the ambient default.
-        ambient = instance_backend()
-        with instance_backend_set("columnar"):
-            assert instance_backend() == "columnar"
+        ambient = config.get("instance_backend")
+        with config.overrides(instance_backend="columnar"):
+            assert config.get("instance_backend") == "columnar"
             assert isinstance(make_instance(), ColumnarInstance)
-        with instance_backend_set("object"):
+        with config.overrides(instance_backend="object"):
             assert isinstance(make_instance(), Instance)
-        assert instance_backend() == ambient
+        assert config.get("instance_backend") == ambient
+        with pytest.raises(ReproError, match="instance_backend='arrow'"):
+            config.configure(instance_backend="arrow")
 
     def test_environment_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_INSTANCE_BACKEND", "columnar")
-        with instance_backend_set(None):
-            assert instance_backend() == "columnar"
+        with config.overrides(instance_backend=None):
+            assert config.get("instance_backend") == "columnar"
         monkeypatch.setenv("REPRO_INSTANCE_BACKEND", "parquet")
-        with instance_backend_set(None):
+        with config.overrides(instance_backend=None):
             with pytest.raises(ReproError, match="REPRO_INSTANCE_BACKEND"):
-                instance_backend()
+                config.get("instance_backend")
 
     def test_tid_takes_backend(self):
         tid = TIDInstance(backend="columnar")

@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import config
 from repro.circuits import Circuit, compile_circuit
 from repro.circuits import compiled as compiled_module
 from repro.circuits import parallel
@@ -66,36 +67,36 @@ def world_matrix(compiled, rows: int, seed: int = 0):
 class TestKnob:
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "3")
-        assert parallel._workers_from_env() == 3
+        assert config.get("parallel_workers") == 3
         monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "auto")
-        assert parallel._workers_from_env() == (os.cpu_count() or 1)
+        assert config.get("parallel_workers") == (os.cpu_count() or 1)
         monkeypatch.setenv("REPRO_PARALLEL_WORKERS", "junk")
-        assert parallel._workers_from_env() == 0
+        assert config.get("parallel_workers") == 0
         monkeypatch.delenv("REPRO_PARALLEL_WORKERS")
-        assert parallel._workers_from_env() == 0
+        assert config.get("parallel_workers") == 0
 
     def test_set_and_scope(self):
-        before = parallel.parallel_workers()
-        with parallel.parallel_workers_set(5):
-            assert parallel.parallel_workers() == 5
-            with parallel.parallel_workers_set(None):
-                assert parallel.parallel_workers() == 0
-        assert parallel.parallel_workers() == before
+        before = config.get("parallel_workers")
+        with config.overrides(parallel_workers=5):
+            assert config.get("parallel_workers") == 5
+            with config.overrides(parallel_workers=None):
+                assert config.get("parallel_workers") == 0
+        assert config.get("parallel_workers") == before
 
     def test_rejects_negative(self):
-        with pytest.raises(ReproError):
-            parallel.set_parallel_workers(-1)
+        with pytest.raises(ReproError, match="parallel_workers"):
+            config.configure(parallel_workers=-1)
 
     def test_should_shard_thresholds(self):
-        with parallel.parallel_workers_set(2):
+        with config.overrides(parallel_workers=2):
             assert parallel.should_shard(parallel.PARALLEL_MIN_ROWS)
             assert not parallel.should_shard(parallel.PARALLEL_MIN_ROWS - 1)
-        with parallel.parallel_workers_set(1):
+        with config.overrides(parallel_workers=1):
             assert not parallel.should_shard(10**6)
             # A per-call worker count overrides the knob, both ways.
             assert parallel._effective_workers(4) == 4
             assert parallel.should_shard(10**6, workers=4)
-        with parallel.parallel_workers_set(4):
+        with config.overrides(parallel_workers=4):
             assert not parallel.should_shard(10**6, workers=1)
 
     def test_unavailable_without_shared_memory(self, monkeypatch):
@@ -168,14 +169,14 @@ class TestShardedMatrixPasses:
         # Elastic members extend the empty default (the CI distributed job
         # keeps one REGISTERed worker around), so neutralize those too.
         monkeypatch.setattr(distributed, "registered_hosts", lambda: ())
-        with distributed.distributed_hosts_set(()):
+        with config.overrides(distributed_hosts=()):
             serial = compiled.evaluate_batch(matrix)
-            with parallel.parallel_workers_set(2):
+            with config.overrides(parallel_workers=2):
                 assert compiled.evaluate_batch(matrix) == serial
                 assert parallel.pool_processes() != ()  # really went through the pool
             float_matrix = np.random.default_rng(2).random(matrix.shape)
             serial_probs = compiled.probability_batch(float_matrix)
-            with parallel.parallel_workers_set(2):
+            with config.overrides(parallel_workers=2):
                 assert compiled.probability_batch(float_matrix) == serial_probs
 
 
@@ -444,7 +445,7 @@ class TestFusedSampling:
         )
         serial = monte_carlo_probability(query, tid, samples=600, seed=1, workers=0)
         assert monte_carlo_probability(query, tid, samples=600, seed=1, workers=2) == serial
-        with parallel.parallel_workers_set(2):
+        with config.overrides(parallel_workers=2):
             assert monte_carlo_probability(query, tid, samples=600, seed=1) == serial
         kl_serial = karp_luby_probability(query, tid, samples=600, seed=1, workers=0)
         assert karp_luby_probability(query, tid, samples=600, seed=1, workers=2) == kl_serial
@@ -622,7 +623,7 @@ class TestSerialFallbackWarning:
         # Pin the pool tier on: empty static knob plus no elastic members
         # (the CI distributed job keeps one REGISTERed worker around).
         monkeypatch.setattr(distributed, "registered_hosts", lambda: ())
-        with distributed.distributed_hosts_set(()):
+        with config.overrides(distributed_hosts=()):
             serial = compiled.evaluate_batch(matrix)
 
             def broken_pass(*_args, **_kwargs):
@@ -630,7 +631,7 @@ class TestSerialFallbackWarning:
 
             monkeypatch.setattr(parallel, "_sharded_matrix_pass", broken_pass)
             parallel.reset_serial_fallback_warning()
-            with parallel.parallel_workers_set(2):
+            with config.overrides(parallel_workers=2):
                 with warnings_module.catch_warnings(record=True) as caught:
                     warnings_module.simplefilter("always")
                     assert compiled.evaluate_batch(matrix) == serial

@@ -19,14 +19,20 @@ Four layers:
 """
 
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+from repro import config
 from repro.circuits import Circuit, compile_circuit, plancache
 from repro.circuits import compiled as compiled_module
 from repro.circuits import distributed, parallel
 from repro.util import stable_rng
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def build_circuit(seed: int = 0, n_vars: int = 12, steps: int = 300) -> Circuit:
@@ -49,8 +55,7 @@ def build_circuit(seed: int = 0, n_vars: int = 12, steps: int = 300) -> Circuit:
 def cache_dir(tmp_path):
     """An enabled cache directory with no gate-count threshold."""
     directory = tmp_path / "plan-cache"
-    with plancache.plan_cache_dir_set(str(directory)):
-        plancache.set_min_gates(0)
+    with config.overrides(plan_cache_dir=directory, plan_cache_min_gates=0):
         plancache.reset_stats()
         compiled_module.reset_compile_stats()
         yield directory
@@ -109,7 +114,7 @@ class TestCompileIntegration:
     def test_disabled_without_a_directory_no_files_no_lookups(self, tmp_path):
         # Clear any ambient REPRO_PLAN_CACHE_DIR (the CI plan-cache job
         # runs the whole suite with one set): no directory means no IO.
-        plancache.set_plan_cache_dir(None)
+        config.configure(plan_cache_dir=None)
         assert not plancache.enabled()
         plancache.reset_stats()
         compile_circuit(build_circuit(11))
@@ -140,7 +145,7 @@ class TestCompileIntegration:
         assert second.plan_digest() == first.plan_digest()
 
     def test_min_gates_threshold_bypasses_tiny_circuits(self, cache_dir):
-        plancache.set_min_gates(10_000)
+        config.configure(plan_cache_min_gates=10_000)
         compile_circuit(build_circuit(9))
         assert plancache.stats()["stores"] == 0
         assert plancache.entries() == []
@@ -161,6 +166,47 @@ class TestCompileIntegration:
         lowered = compile_circuit(edited)
         assert compiled_module.compile_stats()["disk_cache_hits"] == 0
         assert "fresh" in lowered.var_names
+
+    @pytest.mark.parametrize("cache_on", [False, True], ids=["off", "on"])
+    def test_malformed_limit_variable_breaks_only_an_enabled_cache(
+        self, tmp_path, cache_on
+    ):
+        """The variable is parsed when its knob is read: with the cache off
+        a junk limit is never read, so compiling works; with it on, the
+        compile that stores (and so evicts) refuses naming the variable."""
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(SRC)
+        env["REPRO_PLAN_CACHE_LIMIT_BYTES"] = "junk"
+        if cache_on:
+            env["REPRO_PLAN_CACHE_DIR"] = str(tmp_path / "plans")
+            env["REPRO_PLAN_CACHE_MIN_GATES"] = "0"
+        code = """
+from repro.circuits import compile_circuit
+from repro.core import build_lineage
+from repro.queries import atom, cq, variables
+from repro.util import ReproError
+from repro.workloads import rst_chain_tid
+
+x, y = variables("x", "y")
+query = cq(atom("R", x), atom("S", x, y), atom("T", y))
+try:
+    compile_circuit(build_lineage(rst_chain_tid(5).instance, query).circuit)
+except ReproError as exc:
+    print("refused:", exc)
+else:
+    print("compiled")
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        if cache_on:
+            assert result.stdout.startswith(
+                "refused: REPRO_PLAN_CACHE_LIMIT_BYTES='junk'"
+            )
+        else:
+            assert result.stdout == "compiled\n"
 
 
 # --------------------------------------------------------------------------- #
@@ -204,8 +250,9 @@ class TestRobustness:
     def test_unwritable_directory_degrades_to_disabled(self, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the cache dir should be")
-        with plancache.plan_cache_dir_set(str(blocker / "cache")):
-            plancache.set_min_gates(0)
+        with config.overrides(
+            plan_cache_dir=blocker / "cache", plan_cache_min_gates=0
+        ):
             plancache.reset_stats()
             compiled = compile_circuit(build_circuit(24))
         assert compiled.size > 0
@@ -217,7 +264,7 @@ class TestRobustness:
         for seed in range(40, 46):
             compile_circuit(build_circuit(seed))
             sizes.append(sum(size for _, size, _ in plancache.entries()))
-        plancache.set_plan_cache_limit_bytes(sizes[2])
+        config.configure(plan_cache_limit_bytes=sizes[2])
         compile_circuit(build_circuit(46))
         total = sum(size for _, size, _ in plancache.entries())
         assert total <= sizes[2]
@@ -267,8 +314,7 @@ class TestDistributedHandshake:
         cache = tmp_path / "shared-cache"
         monkeypatch.setenv("REPRO_PLAN_CACHE_DIR", str(cache))
         monkeypatch.setenv("REPRO_PLAN_CACHE_MIN_GATES", "0")
-        with plancache.plan_cache_dir_set(str(cache)):
-            plancache.set_min_gates(0)
+        with config.overrides(plan_cache_dir=cache, plan_cache_min_gates=0):
             compiled = compile_circuit(build_circuit(60))
             marginals = [0.3] * len(compiled.variables())
             serial = parallel.monte_carlo_hits(

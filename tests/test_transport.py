@@ -30,6 +30,7 @@ deselect them.
 """
 
 import asyncio
+import os
 import threading
 import time
 import warnings
@@ -38,9 +39,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import config
 from repro.circuits import Circuit, compile_circuit
 from repro.circuits import distributed, parallel
 from repro.util import ReproError, stable_rng
+from repro.util.helpers import spawn_until_ready
 
 CERTS = Path(__file__).parent / "certs"
 
@@ -127,7 +130,7 @@ def plaintext_provider():
     in-process drill workers are deliberately plaintext, so the
     coordinator must not try TLS against them.
     """
-    with distributed.auth_provider_set(distributed.AuthProvider()):
+    with config.overrides(auth_provider=distributed.AuthProvider()):
         yield
 
 
@@ -197,45 +200,45 @@ class TestNegotiateCaps:
 
 class TestTLSKnob:
     def test_set_and_scope(self):
-        with distributed.distributed_tls_set(cafile="ca.pem"):
-            assert distributed.distributed_tls()["cafile"] == "ca.pem"
-            with distributed.distributed_tls_set():
-                assert distributed.distributed_tls() is None
-            assert distributed.distributed_tls()["cafile"] == "ca.pem"
+        with config.overrides(distributed_tls={"cafile": "ca.pem"}):
+            assert config.get("distributed_tls")["cafile"] == "ca.pem"
+            with config.overrides(distributed_tls=None):
+                assert config.get("distributed_tls") is None
+            assert config.get("distributed_tls")["cafile"] == "ca.pem"
 
     def test_env_parsing(self, monkeypatch):
         for name in ("CERT", "KEY", "CA", "ALLOW_PLAINTEXT"):
             monkeypatch.delenv(f"REPRO_DISTRIBUTED_TLS_{name}", raising=False)
-        assert distributed._tls_from_env() is None
+        assert config.get("distributed_tls") is None
         monkeypatch.setenv("REPRO_DISTRIBUTED_TLS_CA", "/tmp/ca.pem")
-        parsed = distributed._tls_from_env()
+        parsed = config.get("distributed_tls")
         assert parsed["cafile"] == "/tmp/ca.pem"
         assert parsed["certfile"] is None
         assert parsed["allow_plaintext"] is False
         monkeypatch.setenv("REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT", "1")
-        assert distributed._tls_from_env()["allow_plaintext"] is True
+        assert config.get("distributed_tls")["allow_plaintext"] is True
         monkeypatch.setenv("REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT", "false")
-        assert distributed._tls_from_env()["allow_plaintext"] is False
+        assert config.get("distributed_tls")["allow_plaintext"] is False
 
     def test_provider_resolution_order(self):
-        with distributed.auth_provider_set(None), \
-                distributed.distributed_tls_set(), \
-                distributed.distributed_secret_set(None):
+        with config.overrides(auth_provider=None), \
+                config.overrides(distributed_tls=None), \
+                config.overrides(distributed_secret=None):
             assert distributed.auth_provider().name == "plaintext"
-            with distributed.distributed_secret_set("s3cret"):
+            with config.overrides(distributed_secret="s3cret"):
                 assert distributed.auth_provider().name == "hmac"
-                with distributed.distributed_tls_set(cafile="ca.pem"):
+                with config.overrides(distributed_tls={"cafile": "ca.pem"}):
                     assert distributed.auth_provider().name == "tls"
                     custom = distributed.HMACAuth("other")
-                    with distributed.auth_provider_set(custom):
+                    with config.overrides(auth_provider=custom):
                         assert distributed.auth_provider() is custom
 
     def test_tls_provider_cached_per_config(self):
-        with distributed.auth_provider_set(None):
-            with distributed.distributed_tls_set(cafile="a.pem"):
+        with config.overrides(auth_provider=None):
+            with config.overrides(distributed_tls={"cafile": "a.pem"}):
                 first = distributed.auth_provider()
                 assert first is distributed.auth_provider()
-            with distributed.distributed_tls_set(cafile="b.pem"):
+            with config.overrides(distributed_tls={"cafile": "b.pem"}):
                 assert distributed.auth_provider() is not first
 
     def test_provider_names(self):
@@ -256,38 +259,39 @@ class TestTLSKnob:
 
     def test_rejects_non_provider_objects(self):
         with pytest.raises(ReproError, match="AuthProvider"):
-            distributed.set_auth_provider(object())
+            config.configure(auth_provider=object())
 
     def test_hmac_secret_precedence(self):
-        with distributed.distributed_secret_set("process-wide"):
+        with config.overrides(distributed_secret="process-wide"):
             assert distributed.HMACAuth("explicit").secret() == "explicit"
             assert distributed.HMACAuth().secret() == "process-wide"
 
 
 class TestPipelineKnob:
-    def test_default_set_and_scope(self):
-        assert distributed.PIPELINE_DEPTH >= 2  # pipelining on by default
-        with distributed.pipeline_depth_set(7):
-            assert distributed.pipeline_depth() == 7
-            with distributed.pipeline_depth_set(None):
-                assert distributed.pipeline_depth() == distributed.PIPELINE_DEPTH
-            assert distributed.pipeline_depth() == 7
+    def test_default_set_and_scope(self, monkeypatch):
+        monkeypatch.delenv("REPRO_DISTRIBUTED_PIPELINE", raising=False)
+        assert config.get("pipeline_depth") == 4  # pipelining on by default
+        with config.overrides(pipeline_depth=7):
+            assert config.get("pipeline_depth") == 7
+            with config.overrides(pipeline_depth=None):
+                assert config.get("pipeline_depth") == 4
+            assert config.get("pipeline_depth") == 7
 
     def test_floor_is_lockstep(self):
-        with distributed.pipeline_depth_set(0):
-            assert distributed.pipeline_depth() == 1
-        with distributed.pipeline_depth_set(-3):
-            assert distributed.pipeline_depth() == 1
+        with config.overrides(pipeline_depth=0):
+            assert config.get("pipeline_depth") == 1
+        with config.overrides(pipeline_depth=-3):
+            assert config.get("pipeline_depth") == 1
 
     def test_env_parsing(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISTRIBUTED_PIPELINE", "9")
-        assert distributed._pipeline_depth_from_env() == 9
+        assert config.get("pipeline_depth") == 9
         monkeypatch.setenv("REPRO_DISTRIBUTED_PIPELINE", "0")
-        assert distributed._pipeline_depth_from_env() == 1
+        assert config.get("pipeline_depth") == 1
         monkeypatch.setenv("REPRO_DISTRIBUTED_PIPELINE", "nonsense")
-        assert distributed._pipeline_depth_from_env() == distributed.PIPELINE_DEPTH
+        assert config.get("pipeline_depth") == 4
         monkeypatch.delenv("REPRO_DISTRIBUTED_PIPELINE")
-        assert distributed._pipeline_depth_from_env() == distributed.PIPELINE_DEPTH
+        assert config.get("pipeline_depth") == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -314,7 +318,7 @@ class TestTLSTransport:
             tls_cert=str(CERTS / "server.pem"), tls_key=str(CERTS / "server.key")
         )
         before = distributed.pool_stats()
-        with distributed.distributed_tls_set(cafile=str(CERTS / "ca.pem")):
+        with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}):
             assert distributed.auth_provider().name == "tls"
             assert self._mc(compiled, marginals, (worker.address,)) == serial
         after = distributed.pool_stats()
@@ -327,11 +331,11 @@ class TestTLSTransport:
             tls_key=str(CERTS / "server.key"),
             tls_ca=str(CERTS / "ca.pem"),  # demand client certificates
         )
-        with distributed.distributed_tls_set(
-            certfile=str(CERTS / "client.pem"),
-            keyfile=str(CERTS / "client.key"),
-            cafile=str(CERTS / "ca.pem"),
-        ):
+        with config.overrides(distributed_tls={
+            "certfile": str(CERTS / "client.pem"),
+            "keyfile": str(CERTS / "client.key"),
+            "cafile": str(CERTS / "ca.pem"),
+        }):
             assert distributed.auth_provider().name == "mtls"
             assert self._mc(compiled, marginals, (worker.address,)) == serial
 
@@ -344,9 +348,49 @@ class TestTLSTransport:
             secret="belt-and-braces",
             tls_cert=str(CERTS / "server.pem"), tls_key=str(CERTS / "server.key"),
         )
-        with distributed.distributed_tls_set(cafile=str(CERTS / "ca.pem")), \
-                distributed.distributed_secret_set("belt-and-braces"):
+        with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}), \
+                config.overrides(distributed_secret="belt-and-braces"):
             assert self._mc(compiled, marginals, (worker.address,)) == serial
+
+    def test_serve_takes_tls_and_secret_from_the_knob_variables(self):
+        """``repro serve`` with no flags arms TLS and the HMAC secret from
+        the ``distributed_tls`` and ``distributed_secret`` knobs' variables,
+        as the CI fleet runs it: a matching coordinator is served, a wrong
+        secret over the same TLS link is refused."""
+        compiled, marginals, serial = self._oracle_and_marginals(77)
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env.update({
+            "REPRO_DISTRIBUTED_TLS_CERT": str(CERTS / "server.pem"),
+            "REPRO_DISTRIBUTED_TLS_KEY": str(CERTS / "server.key"),
+            "REPRO_DISTRIBUTED_SECRET": "from-the-variable",
+        })
+        worker = distributed.LocalWorker(
+            *spawn_until_ready(["serve", "--port", "0"], env, 30.0, "worker")
+        )
+        tls = {"cafile": str(CERTS / "ca.pem")}
+        try:
+            before = distributed.pool_stats()
+            with config.overrides(
+                distributed_tls=tls, distributed_secret="from-the-variable"
+            ):
+                assert self._mc(compiled, marginals, (worker.address,)) == serial
+            served = distributed.pool_stats()["per_host_tasks"]
+            assert served.get(worker.address, 0) > (
+                before["per_host_tasks"].get(worker.address, 0)
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with config.overrides(distributed_tls=tls, distributed_secret="wrong"):
+                    distributed.reset_pool()
+                    assert self._mc(
+                        compiled, marginals, (worker.address,)
+                    ) == serial
+            assert any("authentication" in str(w.message) for w in caught), (
+                [str(w.message) for w in caught]
+            )
+        finally:
+            worker.stop()
 
     def test_untrusted_certificate_is_never_served(self, worker_factory):
         """Bad-cert drill: a worker presenting a certificate our CA did
@@ -360,9 +404,9 @@ class TestTLSTransport:
         before = distributed.pool_stats()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with distributed.distributed_tls_set(
-                cafile=str(CERTS / "ca.pem"), allow_plaintext=True
-            ):
+            with config.overrides(distributed_tls={
+                "cafile": str(CERTS / "ca.pem"), "allow_plaintext": True,
+            }):
                 hits = self._mc(compiled, marginals, (worker.address,))
         after = distributed.pool_stats()
         assert hits == serial  # the local fallback absorbed the work
@@ -382,7 +426,7 @@ class TestTLSTransport:
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with distributed.distributed_tls_set(cafile=str(CERTS / "ca.pem")):
+            with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}):
                 hits = self._mc(compiled, marginals, (worker.address,))
         assert hits == serial
         messages = [str(w.message) for w in caught]
@@ -399,7 +443,7 @@ class TestTLSTransport:
         worker = inprocess_worker_factory()  # plaintext, no TLS arguments
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with distributed.distributed_tls_set(cafile=str(CERTS / "ca.pem")):
+            with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}):
                 hits = self._mc(compiled, marginals, (worker.address,))
         assert hits == serial
         assert any(
@@ -414,9 +458,9 @@ class TestTLSTransport:
         before = distributed.pool_stats()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with distributed.distributed_tls_set(
-                cafile=str(CERTS / "ca.pem"), allow_plaintext=True
-            ):
+            with config.overrides(distributed_tls={
+                "cafile": str(CERTS / "ca.pem"), "allow_plaintext": True,
+            }):
                 hits = self._mc(compiled, marginals, (worker.address,))
         after = distributed.pool_stats()
         assert hits == serial
@@ -607,7 +651,7 @@ class TestPipelining:
         worker = worker_factory()
         results = {}
         for depth in (1, 2, 8):
-            with distributed.pipeline_depth_set(depth):
+            with config.overrides(pipeline_depth=depth):
                 results[depth] = distributed.monte_carlo_hits(
                     compiled, marginals, samples, seed=5, hosts=(worker.address,)
                 )
@@ -630,7 +674,7 @@ class TestPipelining:
         healthy = worker_factory()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            with distributed.pipeline_depth_set(8):
+            with config.overrides(pipeline_depth=8):
                 hits = distributed.monte_carlo_hits(
                     compiled, marginals, samples, seed=6,
                     hosts=(dying.address, healthy.address),
@@ -691,7 +735,7 @@ class TestElasticMembership:
             lambda: set(distributed.registered_hosts()) - baseline
         ), "worker never registered"
         joined = (set(distributed.registered_hosts()) - baseline).pop()
-        with distributed.distributed_hosts_set(None):
+        with config.overrides(distributed_hosts=None):
             assert distributed.effective_hosts(None) == tuple(
                 distributed.registered_hosts()
             )
@@ -704,7 +748,7 @@ class TestElasticMembership:
         # mid-handshake (an ambient fleet member with a pooled connection
         # can drain the queue first), so let warm repeats prove routing.
         def joined_served() -> bool:
-            with distributed.distributed_hosts_set(None):
+            with config.overrides(distributed_hosts=None):
                 assert distributed.monte_carlo_hits(
                     compiled, marginals, 700, seed=9
                 ) == serial
@@ -719,7 +763,7 @@ class TestElasticMembership:
         assert wait_until(
             lambda: joined not in distributed.registered_hosts()
         ), "worker never drained"
-        with distributed.distributed_hosts_set(None):
+        with config.overrides(distributed_hosts=None):
             assert distributed.monte_carlo_hits(
                 compiled, marginals, 700, seed=9
             ) == serial  # local-only again, same bits
@@ -729,7 +773,7 @@ class TestElasticMembership:
         distributed._HOST_POOL.admit("127.0.0.1:19999")
         try:
             assert "127.0.0.1:19999" in distributed.registered_hosts()
-            with distributed.distributed_hosts_set(None):
+            with config.overrides(distributed_hosts=None):
                 assert "127.0.0.1:19999" in distributed.effective_hosts(None)
         finally:
             distributed._HOST_POOL.drain("127.0.0.1:19999")
@@ -742,7 +786,7 @@ class TestElasticMembership:
     def test_static_hosts_and_registered_hosts_merge(self):
         distributed._HOST_POOL.admit("127.0.0.1:19998")
         try:
-            with distributed.distributed_hosts_set("127.0.0.1:19998,a:1"):
+            with config.overrides(distributed_hosts="127.0.0.1:19998,a:1"):
                 merged = distributed.effective_hosts(None)
                 # Static list first, elastic members appended (the CI
                 # distributed job contributes an ambient REGISTERed
@@ -776,26 +820,26 @@ class TestTransportModeConformance:
         if name == "plaintext":
             return (
                 inprocess_worker_factory(),
-                distributed.auth_provider_set(distributed.AuthProvider()),
+                config.overrides(auth_provider=distributed.AuthProvider()),
             )
         if name == "hmac":
             return (
                 inprocess_worker_factory(secret="corpus-secret"),
-                distributed.auth_provider_set(
+                config.overrides(auth_provider=
                     distributed.HMACAuth("corpus-secret")
                 ),
             )
         if name == "tls":
             return (
                 inprocess_worker_factory(**server),
-                distributed.auth_provider_set(
+                config.overrides(auth_provider=
                     distributed.TLSAuth(cafile=str(CERTS / "ca.pem"))
                 ),
             )
         assert name == "mtls"
         return (
             inprocess_worker_factory(**server, tls_ca=str(CERTS / "ca.pem")),
-            distributed.auth_provider_set(
+            config.overrides(auth_provider=
                 distributed.TLSAuth(
                     certfile=str(CERTS / "client.pem"),
                     keyfile=str(CERTS / "client.key"),
