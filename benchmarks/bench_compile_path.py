@@ -1,26 +1,23 @@
-"""E17 — the compile path: vectorized lowering, delta recompile, plan cache.
+"""E17 — the compile path: array lowering against per-gate lowering.
 
 E13 made lowering the bottleneck visible: a ~13k-gate lineage circuit costs
 tens of milliseconds of per-gate python before the first world is ever
-evaluated — dwarfing the warm per-batch cost it feeds. This experiment measures the three attacks on that cost, on the
-same Theorem-1 lineage circuit:
+evaluated — dwarfing the warm per-batch cost it feeds. The array lowering
+(reachability by peeling, topological order, variable interning, CSR
+packing, the level schedule) replaces that python. This experiment times
+both, and checks them bit-identical, on three circuits:
 
-- **vectorized lowering** — the array passes (reachability, topo order,
-  variable interning, CSR packing, level schedule) against the per-gate
-  python lowering they replace, both producing bit-identical arrays;
-- **delta recompilation** — a :class:`repro.workloads.logs.StreamingLogMonitor`
-  grows a standing alarm query to E13 size, then appends ~1% more facts;
-  :func:`repro.circuits.recompile` patches the dirty cone instead of
-  re-lowering the world, and is timed against the full (still vectorized)
-  compile of the same edited arena;
-- **plan cache hit** — the lowering is stored once under
-  ``REPRO_PLAN_CACHE_DIR``, then an identical arena built by a second
-  "process" (a fresh :class:`Circuit` object) loads it back with zero
-  lowering passes.
+- **E13's lineage** — the Theorem-1 lineage of a 200-link chain;
+- **the streaming monitor** — a :class:`repro.workloads.logs.StreamingLogMonitor`
+  grown to E13 size, then re-queried after ~1% more facts: each requery
+  lowers the grown arena afresh;
+- **a deep lineage** — the chain lineage of ``rst_chain_tid(3000)`` under a
+  left-to-right elimination order, 11,998 levels deep. Lowering's cost
+  follows the gates, not the depth, so it runs the array path like the
+  shallow circuits.
 
-Every fast path is asserted gate-for-gate identical to a from-scratch
-compile before its time is reported. Writes ``BENCH_compile_path.json``;
-``check_regression.py`` gates the speedups and the equality booleans.
+Writes ``BENCH_compile_path.json``; ``check_regression.py`` gates the
+E13 speedup and the two equality booleans.
 
 Run the table:  python benchmarks/bench_compile_path.py
 """
@@ -28,34 +25,42 @@ Run the table:  python benchmarks/bench_compile_path.py
 from __future__ import annotations
 
 import json
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from repro import config
-from repro.circuits import Circuit, compile_circuit, recompile
+from repro.circuits import Circuit
 from repro.circuits import compiled as compiled_module
 from repro.circuits.compiled import CompiledCircuit
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
+from repro.treewidth.decomposition import from_elimination_order
 from repro.workloads import rst_chain_tid
 from repro.workloads.logs import StreamingLogMonitor
 
 CHAIN_LENGTH = 200  # the E13 circuit: ~13k reachable gates
+DEEP_CHAIN_LENGTH = 3000  # 11,998 levels under a left-to-right order
 MONITOR_TARGET_GATES = 13_000
 MONITOR_BATCH = 48
-DELTA_EDIT_FRACTION = 0.01
-DELTA_SAMPLES = 5
-CACHE_ARENAS = 3
+REQUERY_EDIT_FRACTION = 0.01
+REQUERY_SAMPLES = 5
+
+X, Y = variables("x", "y")
+Q_RST = cq(atom("R", X), atom("S", X, Y), atom("T", Y))
 
 
 def build_lineage_circuit() -> Circuit:
-    x, y = variables("x", "y")
-    query = cq(atom("R", x), atom("S", x, y), atom("T", y))
     tid = rst_chain_tid(CHAIN_LENGTH, seed=0)
-    return build_lineage(tid.instance, query).circuit
+    return build_lineage(tid.instance, Q_RST).circuit
+
+
+def build_deep_circuit() -> Circuit:
+    """The chain lineage eliminated left to right: four levels per link."""
+    tid = rst_chain_tid(DEEP_CHAIN_LENGTH, seed=0, backend="object")
+    graph = tid.instance.gaifman_graph()
+    decomposition = from_elimination_order(graph, sorted(graph.nodes))
+    return build_lineage(tid.instance, Q_RST, decomposition).circuit
 
 
 def _best_of(run, repeats: int):
@@ -83,19 +88,15 @@ def _same_lowering(left: CompiledCircuit, right: CompiledCircuit) -> bool:
 
 
 def python_lowering(circuit: Circuit) -> CompiledCircuit:
-    """The seed-era cold compile: per-gate python passes only.
+    """The per-gate python lowering, forced on a circuit of any size.
 
     Raising ``VECTOR_MIN_GATES`` above the arena size keeps the lowering
-    and the level pass (``levels_list``) on their python loops, so both
-    sides of the comparison produce the same artifact — a lowering plus
-    its level schedule, ready for batch planning and the wire format.
+    on its python loop; both lowerings gather the same level schedule.
     """
     saved = compiled_module.VECTOR_MIN_GATES
     compiled_module.VECTOR_MIN_GATES = len(circuit) + 1
     try:
-        compiled = CompiledCircuit(circuit)
-        compiled.levels_list()
-        return compiled
+        return CompiledCircuit(circuit)
     finally:
         compiled_module.VECTOR_MIN_GATES = saved
 
@@ -110,60 +111,29 @@ def grow_monitor() -> StreamingLogMonitor:
     return monitor
 
 
-def measure_delta(monitor: StreamingLogMonitor):
-    """Time ``recompile`` after ~1% appends against the two compiles it
-    replaces: a full vectorized relower of the same edited arena, and the
-    seed-era per-gate python passes (which is what every recompile cost
-    before the delta path existed). Every sample is checked identical."""
-    best_delta = float("inf")
-    best_full = float("inf")
+def measure_requery(monitor: StreamingLogMonitor):
+    """Time ``requery`` after ~1% appends, each checked against the python
+    lowering of the same grown arena."""
+    best = float("inf")
     edited_gates = 0
     identical = True
-    for _ in range(DELTA_SAMPLES):
-        target = int(len(monitor.circuit) * (1 + DELTA_EDIT_FRACTION))
+    for _ in range(REQUERY_SAMPLES):
+        target = int(len(monitor.circuit) * (1 + REQUERY_EDIT_FRACTION))
         before = len(monitor.circuit)
         while len(monitor.circuit) < target:
             monitor.append(MONITOR_BATCH)
         edited_gates = len(monitor.circuit) - before
-        old = monitor.compiled
         start = time.perf_counter()
-        delta = recompile(old, monitor.circuit)
-        best_delta = min(best_delta, time.perf_counter() - start)
-        monitor._compiled = delta
-        start = time.perf_counter()
-        full = CompiledCircuit(monitor.circuit)
-        best_full = min(best_full, time.perf_counter() - start)
-        identical = identical and _same_lowering(delta, full)
-    best_cold, cold = _best_of(
-        lambda: python_lowering(monitor.circuit), repeats=2
-    )
-    identical = identical and _same_lowering(monitor.compiled, cold)
-    return best_delta, best_full, best_cold, edited_gates, identical
-
-
-def measure_cache(build):
-    """Store one lowering on disk, then time loading it into fresh arenas."""
-    with tempfile.TemporaryDirectory() as directory:
-        with config.overrides(plan_cache_dir=directory, plan_cache_min_gates=0):
-            stored = compile_circuit(build())  # cold: lowers and stores
-            reference = CompiledCircuit(stored.source)
-            best = float("inf")
-            identical = True
-            for _ in range(CACHE_ARENAS):
-                arena = build()  # a fresh identical "process"
-                lowerings = compiled_module.compile_stats()["lowerings"]
-                start = time.perf_counter()
-                loaded = compile_circuit(arena)
-                best = min(best, time.perf_counter() - start)
-                assert compiled_module.compile_stats()["lowerings"] == lowerings, (
-                    "cache hit must not run a lowering pass"
-                )
-                identical = identical and _same_lowering(loaded, reference)
-    return best, identical
+        compiled = monitor.requery()
+        best = min(best, time.perf_counter() - start)
+        identical = identical and _same_lowering(
+            compiled, python_lowering(monitor.circuit)
+        )
+    return best, edited_gates, identical
 
 
 def main() -> None:
-    print("E17 — compile path: vectorized lowering, delta recompile, plan cache")
+    print("E17 — compile path: array lowering vs per-gate python lowering")
     circuit = build_lineage_circuit()
     gates = len(circuit.reachable_from_output())
     print(f"lineage circuit: {gates} reachable gates,"
@@ -179,29 +149,37 @@ def main() -> None:
 
     monitor = grow_monitor()
     monitor_gates = len(monitor.circuit)
-    delta_seconds, full_seconds, monitor_cold_seconds, edited_gates, \
-        delta_identical = measure_delta(monitor)
-    delta_speedup = full_seconds / delta_seconds
-    delta_vs_cold = monitor_cold_seconds / delta_seconds
+    requery_seconds, edited_gates, requery_identical = measure_requery(monitor)
 
-    cache_hit_seconds, cache_identical = measure_cache(build_lineage_circuit)
-    cache_hit_speedup = cold_seconds / cache_hit_seconds
+    deep = build_deep_circuit()
+    deep_python_seconds, deep_cold = _best_of(
+        lambda: python_lowering(deep), repeats=2
+    )
+    deep_vector_seconds, deep_vectorized = _best_of(
+        lambda: CompiledCircuit(deep), repeats=3
+    )
+    deep_identical = (
+        deep_vectorized._np32 is not None
+        and _same_lowering(deep_vectorized, deep_cold)
+    )
+    deep_levels = int(deep_vectorized.levels_array().max())
 
-    print(f"\n{'path':<42} {'time':>11} {'speedup':>9}")
+    print(f"\n{'path':<46} {'time':>11} {'speedup':>9}")
     rows = [
-        ("cold compile, per-gate python", cold_seconds, 1.0),
-        ("cold compile, vectorized passes", vector_seconds, vectorized_speedup),
-        (f"delta recompile after {edited_gates}-gate edit",
-         delta_seconds, delta_vs_cold),
-        ("plan-cache hit (fresh identical arena)",
-         cache_hit_seconds, cache_hit_speedup),
+        ("E13 lineage, per-gate python", cold_seconds, 1.0),
+        ("E13 lineage, array passes", vector_seconds, vectorized_speedup),
+        (f"monitor requery after {edited_gates}-gate edit",
+         requery_seconds, None),
+        (f"deep lineage ({deep_levels} levels), per-gate python",
+         deep_python_seconds, 1.0),
+        ("deep lineage, array passes", deep_vector_seconds,
+         deep_python_seconds / deep_vector_seconds),
     ]
     for label, seconds, speedup in rows:
-        print(f"{label:<42} {seconds * 1e3:>8.3f} ms {speedup:>8.1f}x")
-    print(f"(delta baselines, same {monitor_gates}-gate monitor arena: "
-          f"{monitor_cold_seconds * 1e3:.3f} ms per-gate python, "
-          f"{full_seconds * 1e3:.3f} ms vectorized full compile = "
-          f"{delta_speedup:.1f}x)")
+        shown = f"{speedup:>8.1f}x" if speedup is not None else f"{'':>9}"
+        print(f"{label:<46} {seconds * 1e3:>8.3f} ms {shown}")
+    print(f"(monitor: {monitor_gates}-gate arena; deep lineage: "
+          f"{deep_vectorized.size} gates)")
 
     result = {
         "gates": gates,
@@ -211,37 +189,27 @@ def main() -> None:
         "vectorized_speedup": vectorized_speedup,
         "vectorized_equals_python": lowerings_identical,
         "monitor_gates": monitor_gates,
-        "delta_edit_gates": edited_gates,
-        "delta_recompile_seconds": delta_seconds,
-        "full_relower_seconds": full_seconds,
-        "monitor_cold_lower_seconds": monitor_cold_seconds,
-        "delta_recompile_speedup": delta_speedup,
-        "delta_speedup_vs_cold_python": delta_vs_cold,
-        "delta_equals_fresh": delta_identical,
-        "cache_hit_lower_seconds": cache_hit_seconds,
-        "cache_hit_speedup": cache_hit_speedup,
-        "cache_loaded_equals_fresh": cache_identical,
+        "requery_edit_gates": edited_gates,
+        "monitor_requery_seconds": requery_seconds,
+        "requery_equals_python": requery_identical,
+        "deep_gates": deep_vectorized.size,
+        "deep_levels": deep_levels,
+        "deep_python_lower_seconds": deep_python_seconds,
+        "deep_vector_lower_seconds": deep_vector_seconds,
+        "deep_vectorized_equals_python": deep_identical,
     }
     out_path = Path(__file__).resolve().parents[1] / "BENCH_compile_path.json"
     out_path.write_text(json.dumps(result, indent=2) + "\n")
     print(f"\nwrote {out_path}")
 
-    targets = [
-        ("vectorized cold compile >= 5x python", vectorized_speedup, 5.0),
-        ("delta recompile >= 20x the cold compile it replaces (~1% edit)",
-         delta_vs_cold, 20.0),
-        ("delta recompile >= 5x even a vectorized full relower",
-         delta_speedup, 5.0),
-        ("plan-cache hit >= 8x cold python compile",
-         cache_hit_speedup, 8.0),
-    ]
-    for label, value, floor in targets:
-        verdict = "PASS" if value >= floor else "FAIL"
-        print(f"target: {label} — {verdict} ({value:.1f}x)")
+    verdict = "PASS" if vectorized_speedup >= 5.0 else "FAIL"
+    print(f"target: array lowering >= 5x python on E13's lineage — {verdict}"
+          f" ({vectorized_speedup:.1f}x)")
     for label, flag in [
-        ("vectorized lowering bit-identical to python", lowerings_identical),
-        ("delta recompile bit-identical to fresh", delta_identical),
-        ("cache-loaded plan bit-identical to fresh", cache_identical),
+        ("array lowering bit-identical to python", lowerings_identical),
+        ("monitor requery bit-identical to python", requery_identical),
+        ("deep lineage lowers on the array path, bit-identical to python",
+         deep_identical),
     ]:
         print(f"check: {label} — {'PASS' if flag else 'FAIL'}")
 

@@ -72,18 +72,14 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
      "min", 1.0),
     ("BENCH_distributed_eval.json", "pipelining.estimates_identical",
      "true", None),
-    # E17 compile path. The speedup floors sit under the measured numbers
-    # (6.3x / 29.5x / 11.2x / 9.4x locally) with CI-noise headroom; the
-    # booleans pin every fast path bit-identical to the per-gate python
-    # lowering.
+    # E17 compile path. The speedup floor sits under the measured number
+    # with CI-noise headroom; the booleans pin the array lowering
+    # bit-identical to the per-gate python lowering, on E13's lineage and
+    # on a lineage 11,998 levels deep, which must lower on the array path.
     ("BENCH_compile_path.json", "vectorized_speedup", "min", 4.0),
-    ("BENCH_compile_path.json", "delta_speedup_vs_cold_python", "min", 15.0),
-    ("BENCH_compile_path.json", "delta_recompile_speedup", "min", 4.0),
-    ("BENCH_compile_path.json", "cache_hit_speedup", "min", 5.0),
-    ("BENCH_compile_path.json", "cache_hit_lower_seconds", "max", 0.015),
     ("BENCH_compile_path.json", "vectorized_equals_python", "true", None),
-    ("BENCH_compile_path.json", "delta_equals_fresh", "true", None),
-    ("BENCH_compile_path.json", "cache_loaded_equals_fresh", "true", None),
+    ("BENCH_compile_path.json", "deep_vectorized_equals_python", "true", None),
+    ("BENCH_compile_path.json", "monitor_requery_seconds", "report", None),
     # E18 columnar pipeline. The speedup floor sits under the measured
     # ~12x with CI-noise headroom; the booleans pin the columnar pipeline
     # bit-identical (circuits, lowerings, Monte-Carlo marginals) to the

@@ -143,15 +143,10 @@ def compiled_circuit_example() -> None:
     ``probability_batch`` is the matching bulk form of the Theorem 1
     linear-time probability pass, one result per marginal assignment.
 
-    The compile itself has fast paths too (see "The compile path" in
-    ``ARCHITECTURE.md``): repeated ``compile_circuit`` calls on an
-    unchanged arena are memoized; after appending to the arena,
-    :func:`repro.circuits.recompile` patches the previous lowering in
-    time proportional to the edit; and setting ``REPRO_PLAN_CACHE_DIR``
-    (or ``repro.configure(plan_cache_dir=...)``) persists
-    lowerings on disk so a *new process* compiling the same circuit —
-    a restarted service, a CI re-run, a bounced ``repro-worker`` —
-    rebuilds the plan from the cache with zero lowering passes.
+    Repeated ``compile_circuit`` calls on an unchanged arena are
+    memoized; after appending to the arena, the next call lowers it
+    afresh, in array passes whose cost follows the gates, not the
+    circuit's depth (see "The compile path" in ``ARCHITECTURE.md``).
     """
     print()
     print("=" * 70)
@@ -372,8 +367,8 @@ def service_example() -> None:
     """Start the always-on query service and serve marginals over HTTP.
 
     The serving layer (see "The serving layer" in ``ARCHITECTURE.md``):
-    ``repro serve-http`` keeps the compile caches, the plan cache and the
-    distributed host pool resident in one long-lived process, coalesces
+    ``repro serve-http`` keeps the compile caches, the registered plans and
+    the distributed host pool resident in one long-lived process, coalesces
     concurrent requests for the same plan into shared matrix passes, and
     memoizes served marginals. Here the service is spawned as a local
     subprocess via the same :func:`repro.service.spawn_service` helper

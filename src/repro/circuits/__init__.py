@@ -9,7 +9,8 @@ The module is organized around a **compile-once / evaluate-many** split:
   kinds, CSR inputs, interned variable slots) with cached variable order,
   moral graph, tree decompositions and binarized form. Compilation is
   cached on the arena and invalidated by mutation, so callers just pass the
-  ``Circuit`` around and pay the lowering once;
+  ``Circuit`` around and pay the lowering once; a mutated arena is lowered
+  afresh;
 - :func:`probability` (``evaluation.py``) is the single dispatch point for
   probability computation, with a registry of engines over the compiled
   IR: ``enumerate`` (oracle), ``shannon`` (expansion baseline),
@@ -28,13 +29,7 @@ The module is organized around a **compile-once / evaluate-many** split:
   worker loss, and a fixed seed gives bit-identical estimates at any host
   count — turn it on with the ``distributed_hosts`` knob (or
   ``REPRO_DISTRIBUTED_HOSTS``) and start workers with
-  ``python -m repro serve``;
-- :mod:`repro.circuits.plancache` (``plancache.py``) persists lowered plans
-  on disk so identical circuits skip lowering across processes — point
-  the ``plan_cache_dir`` knob (or ``REPRO_PLAN_CACHE_DIR``) at a directory
-  and both cold compiles and the distributed plan handshake reuse cached
-  entries; :func:`recompile` additionally patches a previously compiled
-  circuit in O(|edit|) after incremental arena growth.
+  ``python -m repro serve``.
 
 Every knob named here is set through :mod:`repro.config`
 (``config.configure(parallel_workers=2)`` or ``config.overrides(...)``);
@@ -64,7 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "batch_stats",
         "compile_circuit",
         "compile_stats",
-        "recompile",
         "reset_batch_stats",
         "reset_compile_stats",
     ),
@@ -92,9 +86,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".parallel": (
         "parallel_available",
         "shutdown_pool",
-    ),
-    ".plancache": (
-        "plan_cache_stats",
-        "reset_plan_cache_stats",
     ),
 })

@@ -97,8 +97,8 @@ class Circuit:
         self._compiled_cache: dict = {}
         # Flat mirrors of the gate list, appended in lockstep by ``_add``:
         # one kind code and variable slot per gate, plus the inputs in CSR
-        # form. The vectorized lowering and the plan-cache fingerprint read
-        # these directly — no per-gate Python objects on the hot path.
+        # form. The array lowering reads these directly — no per-gate
+        # Python objects on the hot path.
         self._kind_codes = array("b")
         self._var_slots = array("i")
         self._inputs_flat = array("i")

@@ -48,9 +48,9 @@ world; batches are chunked so the value buffer stays within
 
 **Sharded multi-process evaluation** is the fourth lowering stage, in
 :mod:`repro.circuits.parallel`: the plan's int32 CSR buffers are published
-once into ``multiprocessing.shared_memory``, a persistent worker pool
-rebuilds the level schedule from them, and big world/marginal matrices are
-split into row shards evaluated on every core.
+once into ``multiprocessing.shared_memory`` with the level schedule, a
+persistent worker pool builds the level plan from them, and big
+world/marginal matrices are split into row shards evaluated on every core.
 :meth:`~CompiledCircuit.evaluate_batch` and
 :meth:`~CompiledCircuit.probability_batch` route there automatically when
 the ``parallel_workers`` knob is set and the batch is large enough
@@ -73,7 +73,6 @@ from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as _np
 
-from repro import config
 from repro.circuits.circuit import (
     K_AND,
     K_FALSE,
@@ -104,30 +103,18 @@ BATCH_BYTE_BUDGET = 1 << 25
 #: path is the reference the vectorized one is pinned against.
 VECTOR_MIN_GATES = 512
 
-#: Iteration bound of the level-synchronous wavefront passes (one
-#: iteration per circuit level). Deeper-than-this circuits are
-#: pathologically chain-shaped for the frontier approach, so they fall
-#: back to the per-gate Python pass instead of paying per-level overhead.
-_WAVEFRONT_CAP = 8192
-
 _UNBUILT = object()
 
-#: Process-wide lowering counters: how often a full lowering ran, how many
-#: compiles were answered from the arena memo / the delta-recompile fast
-#: path / the on-disk plan cache. Read by :func:`compile_stats` (the CI
-#: plan-cache job asserts on them) and reset by tests via
-#: :func:`reset_compile_stats`.
+#: Process-wide lowering counters: how often a full lowering ran and how
+#: many compiles were answered from the arena memo. Read by
+#: :func:`compile_stats` and reset by tests via :func:`reset_compile_stats`.
 _STATS = {
     "lowerings": 0,
     "arena_cache_hits": 0,
-    "delta_recompiles": 0,
-    "delta_fallbacks": 0,
-    "disk_cache_hits": 0,
 }
 
 #: Folded-in totals from before each :func:`reset_compile_stats` call, so
-#: ``compile_stats(lifetime=True)`` survives test-isolation resets — the
-#: CI plan-cache job compares whole-suite totals across two runs.
+#: ``compile_stats(lifetime=True)`` survives test-isolation resets.
 _LIFETIME = dict.fromkeys(_STATS, 0)
 
 
@@ -185,82 +172,17 @@ def reset_batch_stats() -> None:
         _BATCH_STATS[key] = 0
 
 
-def _csr_gather(starts, counts):
-    """Flat element indices of many CSR ranges: ``concat(arange(s, s+c))``.
-
-    The workhorse of the wavefront passes: given per-range start offsets
-    and lengths it returns the indices of every element of every range,
-    in range order, without a Python loop.
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return _np.empty(0, dtype=_np.int64)
-    cum = _np.cumsum(counts)
-    shift = _np.repeat(
-        starts.astype(_np.int64) - _np.concatenate(([0], cum[:-1])), counts
-    )
-    return shift + _np.arange(total, dtype=_np.int64)
-
-
-def _levels_np(kinds, offsets, indices):
-    """Vectorized :func:`gate_levels` over int32 arrays; ``None`` on cap.
-
-    Level-synchronous Kahn wavefront: leaves seed level 0, and a gate is
-    scheduled the round after its last input — which is exactly
-    ``1 + max(input levels)``. Each round retires one whole level with a
-    handful of array ops; circuits deeper than :data:`_WAVEFRONT_CAP`
-    return ``None`` and the caller uses the per-gate Python pass.
-    """
-    size = kinds.shape[0]
-    lengths = offsets[1:] - offsets[:-1]
-    # Parent CSR (who consumes each gate), built by one stable argsort.
-    owners = _np.repeat(_np.arange(size, dtype=_np.int32), lengths)
-    parents_sorted = owners[_np.argsort(indices, kind="stable")]
-    parent_counts = _np.bincount(indices, minlength=size)
-    parent_offsets = _np.concatenate(([0], _np.cumsum(parent_counts)))
-    depth = _np.zeros(size, dtype=_np.int32)
-    remaining = lengths.copy()
-    frontier = _np.flatnonzero(lengths == 0)
-    level = 0
-    while frontier.size:
-        level += 1
-        if level > _WAVEFRONT_CAP:
-            return None
-        touched = parents_sorted[
-            _csr_gather(parent_offsets[frontier], parent_counts[frontier])
-        ]
-        if touched.size == 0:
-            break
-        hits = _np.bincount(touched, minlength=size)
-        remaining -= hits
-        frontier = _np.flatnonzero((hits > 0) & (remaining == 0))
-        depth[frontier] = level
-    # Degenerate zero-input op gates (impossible from a Circuit, legal in a
-    # hand-built CSR) sit at level 1, matching the Python pass.
-    nonleaf_empty = (kinds >= K_NOT) & (lengths == 0)
-    if nonleaf_empty.any():
-        depth[nonleaf_empty] = 1
-    return depth
-
-
 def gate_levels(kinds, offsets, indices) -> list[int]:
     """Per-gate level of the schedule: inputs live in strictly lower levels.
 
     Variables and constants sit at level 0; every other gate one past its
     deepest input. This is the schedule :class:`_BatchPlan` groups by and
     the one :mod:`repro.circuits.distributed` ships (and re-verifies) in
-    the wire format, so both derive it from this single definition. Large
-    inputs take a vectorized wavefront pass; the Python loop below is the
-    definition both must match.
+    the wire format, so both derive it from this single definition. The
+    lowerings gather it from the arena's incrementally maintained levels
+    (``Circuit._gate_levels``), and :func:`levels_consistent` verifies a
+    shipped one, so this loop is the definition, not a hot path.
     """
-    if len(kinds) >= VECTOR_MIN_GATES:
-        arr = _levels_np(
-            _np.asarray(kinds, dtype=_np.int32),
-            _np.asarray(offsets, dtype=_np.int32),
-            _np.asarray(indices, dtype=_np.int32),
-        )
-        if arr is not None:
-            return arr.tolist()
     depth = [0] * len(kinds)
     for pos in range(len(kinds)):
         kind = kinds[pos]
@@ -282,8 +204,7 @@ def levels_consistent(kinds, offsets, indices, levels) -> bool:
     the local equation at every gate against the *candidate* levels proves
     the whole schedule. That makes validation one O(edges) pass
     (``maximum.reduceat`` over the non-empty CSR segments, which are
-    contiguous in ``indices``) instead of re-running the wavefront — the
-    cost that used to dominate loading a cached or wire-shipped plan.
+    contiguous in ``indices``) instead of a pass per level.
     """
     size = len(kinds)
     if len(levels) != size:
@@ -311,8 +232,8 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
                       output) -> None:
     """Structural validation of one flat CSR lowering; raises on damage.
 
-    The shared gatekeeper for plans that arrive from outside this process —
-    the wire format and the on-disk plan cache: consistent lengths, an
+    The gatekeeper for plans that arrive from outside this process over
+    the wire format (and the service's ``/plans``): consistent lengths, an
     in-range output, monotone offsets, known gate kinds, leaf gates without
     inputs, in-range variable slots, and strictly topological input
     references (every input position below its gate's). Vectorized from
@@ -382,32 +303,6 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
                 0 <= indices[j] < pos,
                 "plan gate input does not precede its gate",
             )
-
-
-class _GroupOp:
-    """One vectorized step: a level's gates of one kind, read as one block.
-
-    ``rows`` is the contiguous ``(start, end)`` output-row block the
-    renumbering gave the group's gates. ``gather`` holds their input rows
-    plane-major: shape ``(count,)`` for NOT, ``(fan_in, count)`` for
-    AND/OR, plane ``j`` listing every gate's ``j``-th input. A group may
-    merge gates of several fan-ins: a gate with fewer than ``fan_in``
-    inputs reads its kind's identity row (:attr:`_BatchPlan.identity_rows`)
-    in the planes it lacks, which leaves its value unchanged. So one
-    ``values.take(gather, 0)`` stacks the group, and one binary ufunc (at
-    ``fan_in == 2``) or one left-to-right ``reduce`` over axis 0 evaluates
-    it. (``reduceat`` over CSR segments would express the same reduction,
-    but its axis-0 inner loop measures ~80x slower than the grouped
-    ``reduce``, so the plan pre-groups instead.)
-    """
-
-    __slots__ = ("kind", "fan_in", "rows", "gather")
-
-    def __init__(self, kind: int, fan_in: int, rows: tuple[int, int], gather):
-        self.kind = kind
-        self.fan_in = fan_in
-        self.rows = rows
-        self.gather = gather
 
 
 def _group_starts(op_depth, op_kind, op_fan):
@@ -497,13 +392,29 @@ class _BatchPlan:
     per gate, variables first, then constants, then one contiguous row
     block per (level, kind, fan-in), ascending in fan-in. Two more rows
     follow the gates, the *identity rows*: TRUE (the AND identity) and
-    FALSE (the OR identity). Each :class:`_GroupOp` covers adjacent blocks
-    of one (level, kind), padded to their widest fan-in from the identity
-    rows wherever that at most doubles the group's gathered elements
+    FALSE (the OR identity). Each step covers adjacent blocks of one
+    (level, kind), padded to their widest fan-in from the identity rows
+    wherever that at most doubles the group's gathered elements
     (:func:`_group_starts`), so most levels cost one step per gate kind.
     A step gathers its inputs with one ``take`` from a plane-major index
     and writes its rows with one slice assignment, whatever the batch
     width.
+
+    ``levels`` holds one tuple of steps per level, and a step is the
+    plain tuple ``(kind, fan_in, rows, gather)``. ``rows`` is the
+    contiguous ``(start, end)`` output-row block of the step's gates.
+    ``gather`` holds their input rows plane-major: shape ``(count,)`` for
+    NOT, ``(fan_in, count)`` for AND/OR, plane ``j`` listing every gate's
+    ``j``-th input, or the kind's identity row where a gate has fewer
+    than ``fan_in`` inputs, which leaves its value unchanged. So one
+    ``values.take(gather, 0)`` stacks the step, and one binary ufunc (at
+    ``fan_in == 2``) or one left-to-right ``reduce`` over axis 0
+    evaluates it. (``reduceat`` over CSR segments would express the same
+    reduction, but its axis-0 inner loop measures ~80x slower than the
+    grouped ``reduce``, so the plan pre-groups instead.) Plain tuples of
+    ints and arrays fall out of the garbage collector's tracking, so the
+    tens of thousands of steps of a deep plan never trigger or lengthen
+    a full collection.
 
     Two passes share the steps. The float pass gives each marginal row
     one float64 column; AND multiplies, OR adds, NOT is ``1.0 - x``, and
@@ -522,21 +433,18 @@ class _BatchPlan:
     row's first ``rows`` bits are ever read (:meth:`output_bits`) — a NOT
     cannot leak its set padding bits.
 
-    The plan also materializes the compiled CSR arrays (``kinds``,
-    ``offsets``, ``indices``, ``var_slot``) as int32 numpy buffers — the
-    exact form :mod:`repro.circuits.parallel` publishes into shared memory
-    so worker processes can rebuild this plan without repickling the
-    circuit. :meth:`run` executes one pass; :meth:`run_into` chunks it.
-    Callers that draw worlds themselves fill a :meth:`word_buffer`'s
-    variable rows directly and call :meth:`run_words`.
+    The plan is built from the int32 CSR arrays (``kinds``, ``offsets``,
+    ``indices``, ``var_slot``), the level schedule and the output position,
+    which every source carries: a lowering (:meth:`CompiledCircuit.batch_plan`),
+    a wire plan, or the shared-memory segment of
+    :mod:`repro.circuits.parallel`. :meth:`run` executes one pass;
+    :meth:`run_into` chunks it. Callers that draw worlds themselves fill a
+    :meth:`word_buffer`'s variable rows directly and call
+    :meth:`run_words`.
     """
 
     __slots__ = (
         "size",
-        "kinds",
-        "offsets",
-        "indices",
-        "var_slot",
         "row_of",
         "var_slots",
         "const_rows",
@@ -546,42 +454,13 @@ class _BatchPlan:
         "output_row",
     )
 
-    def __init__(self, compiled: "CompiledCircuit"):
-        size = compiled.size
+    def __init__(self, kinds, offsets, indices, var_slot, levels, output: int):
+        kinds, offsets, indices, var_slot, depth = (
+            _np.asarray(array, dtype=_np.int32)
+            for array in (kinds, offsets, indices, var_slot, levels)
+        )
+        size = kinds.size
         self.size = size
-        arrays = getattr(compiled, "_np32", None)
-        if arrays is not None:
-            kinds, offsets, indices, var_slot = arrays
-        else:
-            kinds = _np.asarray(compiled.kinds, dtype=_np.int32)
-            offsets = _np.asarray(compiled.offsets, dtype=_np.int32)
-            indices = _np.asarray(compiled.indices, dtype=_np.int32)
-            var_slot = _np.asarray(compiled.var_slot, dtype=_np.int32)
-        self.kinds = kinds
-        self.offsets = offsets
-        self.indices = indices
-        self.var_slot = var_slot
-
-        # The level schedule: reuse the lowering's cached copy when the
-        # source carries one (CompiledCircuit / WirePlan), else derive it.
-        depth = None
-        levels_array = getattr(compiled, "levels_array", None)
-        if levels_array is not None:
-            depth = levels_array()
-        else:
-            shipped = getattr(compiled, "levels", None)
-            if isinstance(shipped, (list, tuple)):
-                depth = _np.asarray(shipped, dtype=_np.int32)
-        if depth is None:
-            if size >= VECTOR_MIN_GATES:
-                depth = _levels_np(kinds, offsets, indices)
-            if depth is None:
-                depth = _np.asarray(
-                    gate_levels(
-                        kinds.tolist(), offsets.tolist(), indices.tolist()
-                    ),
-                    dtype=_np.int32,
-                )
 
         # Renumber: variables, constants, then level by level, block by
         # block — one stable lexsort; ties keep topological order, exactly
@@ -608,7 +487,7 @@ class _BatchPlan:
         self.const_rows = (int(n_vars), int(leaf_rows))
         self.const_values = kinds[const_positions] == K_TRUE
         self.identity_rows = (size, size + 1)
-        self.output_row = int(row_of[compiled.output])
+        self.output_row = int(row_of[output])
         n_ops = sorted_ops.size
         if not n_ops:
             self.levels = ()
@@ -625,12 +504,12 @@ class _BatchPlan:
             row_of, indices, offsets[sorted_ops], op_fan, starts, ends, fans,
             _np.where(group_kind == K_OR, size + 1, size),
         )
-        buckets: list[list[_GroupOp]] = [[] for _ in range(int(op_depth[-1]))]
+        buckets: list[list[tuple]] = [[] for _ in range(int(op_depth[-1]))]
         for level, kind, fan_in, start, end, gather in zip(
             op_depth[starts].tolist(), group_kind.tolist(), fans.tolist(),
             starts.tolist(), ends.tolist(), gathers,
         ):
-            buckets[level - 1].append(_GroupOp(
+            buckets[level - 1].append((
                 kind, fan_in, (leaf_rows + start, leaf_rows + end),
                 gather[0] if kind == K_NOT else gather,
             ))
@@ -645,13 +524,11 @@ class _BatchPlan:
         """
         take = values.take
         for level in self.levels:
-            for op in level:
-                block = take(op.gather, 0)
-                start, end = op.rows
-                kind = op.kind
+            for kind, fan_in, (start, end), gather in level:
+                block = take(gather, 0)
                 if kind == K_NOT:
                     negate(one, block, values[start:end])
-                elif op.fan_in == 2:
+                elif fan_in == 2:
                     binary[kind](block[0], block[1], values[start:end])
                 else:
                     reduce[kind](
@@ -671,8 +548,8 @@ class _BatchPlan:
         buffer (:meth:`run_words`); marginals fill a ``(size + 2, n_rows)``
         float64 buffer. Either way each group costs one ``take`` plus one
         ufunc call. This is the kernel the sharded workers of
-        :mod:`repro.circuits.parallel` execute after rebuilding the plan
-        from the shared CSR arrays.
+        :mod:`repro.circuits.parallel` execute after building the plan
+        from the shared arrays.
         """
         n_rows = matrix.shape[0]
         n_vars = self.var_slots.size
@@ -797,11 +674,8 @@ class CompiledCircuit:
         "_var_slot",
         "var_names",
         "output",
-        "arena_version",
-        "arena_size",
         "_gate_ids",
         "_position_of",
-        "_levels",
         "_levels32",
         "_np32",
         "_binarized",
@@ -815,32 +689,14 @@ class CompiledCircuit:
 
     def __init__(self, circuit: Circuit):
         check(circuit.output is not None, "circuit has no output gate")
-        self._init_lazy()
-        self.source = circuit
-        lowered = (
-            len(circuit) >= VECTOR_MIN_GATES
-            and getattr(circuit, "_kind_codes", None) is not None
-            and self._lower_vector(circuit)
-        )
-        if not lowered:
-            self._lower_python(circuit)
-        self.arena_version = circuit.version
-        self.arena_size = len(circuit)
-        _STATS["lowerings"] += 1
-
-    def _init_lazy(self) -> None:
-        """Fresh derived-state caches (shared by every construction path)."""
         # The CSR lists; ``None`` means "materialize from _np32 on demand"
-        # (the vectorized paths never pay ``tolist`` unless a scalar
+        # (the array lowering never pays ``tolist`` unless a scalar
         # consumer actually asks for the lists).
         self._kinds = None
         self._offsets = None
         self._indices = None
         self._var_slot = None
-        self._gate_ids = None  # tuple, or an int64 array from _lower_vector
         self._position_of = None
-        self._levels = None  # per-gate level schedule (gate_levels), cached
-        self._levels32 = None  # same schedule as an int32 array (levels_array)
         self._np32 = None  # (kinds, offsets, indices, var_slot) as int32
         self._binarized: CompiledCircuit | None = None
         self._decompositions: dict[str, object] = {}
@@ -848,11 +704,20 @@ class CompiledCircuit:
         self._shared_plan = None  # lazily published by repro.circuits.parallel
         self._wire_cache = None  # lazily packed by repro.circuits.distributed
         self._wire_digest = None  # content digest of _wire_cache, cached with it
+        self.source = circuit
+        # Either lowering sets ``_gate_ids`` (a tuple, or an int64 array
+        # from the array path) and ``_levels32``, the gate_levels schedule.
+        if len(circuit) >= VECTOR_MIN_GATES:
+            self._lower_vector(circuit)
+        else:
+            self._lower_python(circuit)
+        _STATS["lowerings"] += 1
 
     def _lower_python(self, circuit: Circuit) -> None:
-        """The reference per-gate lowering (small and chain-deep circuits).
+        """The reference per-gate lowering, for arenas of few gates.
 
-        Reads the arena's flat mirrors, so fact-id variables stay unnamed.
+        Reads the arena's flat mirrors, so fact-id variables stay unnamed,
+        and gathers the level schedule from the arena's levels.
         """
         gate_ids = circuit.reachable_from_output()
         self._gate_ids = tuple(gate_ids)
@@ -886,138 +751,83 @@ class CompiledCircuit:
         self._var_slot = var_slot
         self.var_names = _names_of_slots(circuit._slot_names, list(rank))
         self.output = position_of[circuit.output]  # type: ignore[index]
+        levels = circuit._gate_levels
+        self._levels32 = _np.array([levels[gid] for gid in gate_ids], _np.int32)
 
-    def _lower_vector(self, circuit: Circuit) -> bool:
+    def _lower_vector(self, circuit: Circuit) -> None:
         """Array-pass lowering over the arena's flat mirrors (numpy).
 
-        Reachability is a frontier BFS from the output, topological order
-        is gate-id order (creation order), CSR remapping is one boolean
-        edge mask plus an inverse-permutation gather, and variable
-        interning is a rank map over the arena's (already first-occurrence
-        ordered) slot numbers. Produces exactly the arrays of
-        :meth:`_lower_python`; returns ``False`` (caller falls back) for
-        wavefront-hostile shapes, i.e. depth beyond :data:`_WAVEFRONT_CAP`.
+        Reachability by *peeling*: inputs precede their gates, so gates
+        above the output are unreachable, and a gate at or below it is
+        unreachable exactly when no reachable gate consumes it. Each gate's
+        consumers are counted once; then the consumer-less gates are
+        removed round by round, each round decrementing the counts of the
+        removed gates' inputs, until no count reaches zero. The rounds
+        number the depth of the deepest *unreachable* cone, not of the
+        circuit, and each costs array work in proportion to the gates it
+        removes. Topological order is gate-id order (creation order), CSR
+        remapping is one boolean edge mask plus an inverse-permutation
+        gather, variable interning is a rank map over the arena's (already
+        first-occurrence ordered) slot numbers, and the level schedule is
+        one gather from the arena's levels. Produces exactly the arrays of
+        :meth:`_lower_python`.
         """
-        n = len(circuit)
-        akinds = _np.frombuffer(circuit._kind_codes, dtype=_np.int8)
-        avar_slots = _np.frombuffer(circuit._var_slots, dtype=_np.int32)
+        out = circuit.output
+        aoffsets = _np.frombuffer(circuit._input_offsets, dtype=_np.int32)[
+            : out + 2
+        ]
+        edges = int(aoffsets[-1])
         ainputs = (
-            _np.frombuffer(circuit._inputs_flat, dtype=_np.int32)
-            if len(circuit._inputs_flat)
+            _np.frombuffer(circuit._inputs_flat, dtype=_np.int32)[:edges]
+            if edges
             else _np.empty(0, dtype=_np.int32)
         )
-        aoffsets = _np.frombuffer(circuit._input_offsets, dtype=_np.int32)
         lengths = aoffsets[1:] - aoffsets[:-1]
-        reach = _np.zeros(n, dtype=_np.bool_)
-        fresh = _np.zeros(n, dtype=_np.bool_)
-        reach[circuit.output] = True
-        frontier = _np.asarray([circuit.output], dtype=_np.int64)
-        rounds = 0
-        cumsum = _np.cumsum
-        repeat = _np.repeat
-        arange = _np.arange
-        flatnonzero = _np.flatnonzero
-        while frontier.size:
-            rounds += 1
-            if rounds > _WAVEFRONT_CAP:
-                return False
-            # Inlined _csr_gather (keeps the per-round call count down —
-            # the loop runs once per cone level).
-            counts = lengths[frontier]
-            cum = cumsum(counts)
+        consumers = _np.bincount(ainputs, minlength=out + 1)
+        consumers[out] = 1  # the caller's read keeps the output
+        reach = _np.ones(out + 1, dtype=_np.bool_)
+        dead = _np.flatnonzero(consumers == 0)
+        while dead.size:
+            reach[dead] = False
+            counts = lengths[dead]
+            cum = _np.cumsum(counts)
             total = int(cum[-1])
             if total == 0:
                 break
-            shift = repeat(aoffsets[frontier] - cum + counts, counts)
-            children = ainputs[shift + arange(total, dtype=_np.int64)]
-            children = children[~reach[children]]
-            if children.size == 0:
-                break
-            reach[children] = True
-            # Dedup without sorting: scatter into a scratch mask, read the
-            # set bits back out, clear them for the next round.
-            fresh[children] = True
-            frontier = flatnonzero(fresh)
-            fresh[frontier] = False
+            starts = _np.repeat(aoffsets[dead] - cum + counts, counts)
+            inputs = ainputs[starts + _np.arange(total)]
+            inputs, hits = _np.unique(inputs, return_counts=True)
+            consumers[inputs] -= hits
+            dead = inputs[consumers[inputs] == 0]
         gate_ids = _np.flatnonzero(reach)
         size = int(gate_ids.size)
-        pos_of = _np.zeros(n, dtype=_np.int32)
+        pos_of = _np.zeros(out + 1, dtype=_np.int32)
         pos_of[gate_ids] = _np.arange(size, dtype=_np.int32)
-        kinds32 = akinds[gate_ids].astype(_np.int32)
-        counts = lengths[gate_ids]
+        kinds32 = _np.frombuffer(circuit._kind_codes, dtype=_np.int8)[
+            gate_ids
+        ].astype(_np.int32)
         offsets32 = _np.zeros(size + 1, dtype=_np.int32)
-        _np.cumsum(counts, out=offsets32[1:])
+        _np.cumsum(lengths[gate_ids], out=offsets32[1:])
         indices32 = pos_of[ainputs[_np.repeat(reach, lengths)]]
         var_mask = kinds32 == K_VAR
-        arena_slots = avar_slots[gate_ids[var_mask]]  # increasing: see _add
+        # Increasing: a slot is allocated when its VAR gate is created.
+        arena_slots = _np.frombuffer(circuit._var_slots, dtype=_np.int32)[
+            gate_ids[var_mask]
+        ]
         slot_rank = _np.full(len(circuit._slot_names), -1, dtype=_np.int32)
         slot_rank[arena_slots] = _np.arange(arena_slots.size, dtype=_np.int32)
         var_slot32 = _np.full(size, -1, dtype=_np.int32)
         var_slot32[var_mask] = slot_rank[arena_slots]
         self.size = size
         # The lists stay unmaterialized (the properties build them from
-        # ``_np32`` if a scalar consumer asks); the level schedule is a
-        # single gather from the arena's incrementally maintained levels.
+        # ``_np32`` if a scalar consumer asks).
         self.var_names = _names_of_slots(circuit._slot_names, arena_slots)
-        self.output = int(pos_of[circuit.output])
+        self.output = int(pos_of[out])
         self._gate_ids = gate_ids
         self._np32 = (kinds32, offsets32, indices32, var_slot32)
         self._levels32 = _np.frombuffer(
             circuit._gate_levels, dtype=_np.int32
         )[gate_ids]
-        return True
-
-    @classmethod
-    def _from_arrays(
-        cls, circuit: Circuit, *, size, kinds, offsets, indices, var_slot,
-        var_names, levels, gate_ids, output,
-    ) -> "CompiledCircuit":
-        """Rebuild a lowering from stored arrays (the on-disk plan cache).
-
-        Everything is structurally validated (:func:`check_plan_arrays`
-        plus a level-schedule match and arena-range checks on
-        ``gate_ids``), so a corrupt cache entry raises
-        :class:`~repro.util.ReproError` instead of producing a plan that
-        silently disagrees with a fresh compile.
-        """
-        check(circuit.output is not None, "circuit has no output gate")
-        check_plan_arrays(
-            size=size, kinds=kinds, offsets=offsets, indices=indices,
-            var_slot=var_slot, n_vars=len(var_names), output=output,
-        )
-        check(
-            levels_consistent(kinds, offsets, indices, levels),
-            "cached plan level schedule does not match its CSR arrays",
-        )
-        ids = _np.asarray(gate_ids, dtype=_np.int64)
-        check(
-            ids.size == size
-            and bool((ids[1:] > ids[:-1]).all())
-            and 0 <= int(ids[0])
-            and int(ids[-1]) < len(circuit),
-            "cached plan gate ids do not fit the arena",
-        )
-        check(
-            gate_ids[output] == circuit.output,
-            "cached plan output does not match the arena output",
-        )
-        compiled = cls.__new__(cls)
-        compiled._init_lazy()
-        compiled.source = circuit
-        compiled.size = size
-        compiled.var_names = tuple(var_names)
-        compiled.output = int(output)
-        compiled.arena_version = circuit.version
-        compiled.arena_size = len(circuit)
-        compiled._gate_ids = tuple(ids.tolist())
-        compiled._levels32 = _np.asarray(levels, dtype=_np.int32)
-        compiled._np32 = (
-            _np.asarray(kinds, dtype=_np.int32),
-            _np.asarray(offsets, dtype=_np.int32),
-            _np.asarray(indices, dtype=_np.int32),
-            _np.asarray(var_slot, dtype=_np.int32),
-        )
-        return compiled
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -1072,30 +882,32 @@ class CompiledCircuit:
             }
         return mapping
 
-    def levels_list(self) -> list[int]:
-        """The :func:`gate_levels` schedule of this lowering, computed once.
-
-        The list form, which delta recompilation patches in O(|delta|)
-        instead of recomputing; everything else reads
-        :meth:`levels_array`.
-        """
-        if self._levels is None:
-            if self._levels32 is not None:
-                self._levels = self._levels32.tolist()
-            else:
-                self._levels = gate_levels(self.kinds, self.offsets, self.indices)
-        return self._levels
-
     def levels_array(self):
-        """The :meth:`levels_list` schedule as an int32 array, computed once.
+        """The :func:`gate_levels` schedule of this lowering, an int32 array.
 
-        The form the batch plan, the wire encoding and the plan cache
-        read. The vectorized lowering and a plan-cache load produce it
-        directly, so those paths never build the list.
+        Both lowerings gather it from the arena's levels; the batch plan,
+        the wire encoding and the shared-memory segment read it.
         """
-        if self._levels32 is None:
-            self._levels32 = _np.asarray(self.levels_list(), dtype=_np.int32)
         return self._levels32
+
+    def levels_list(self) -> list[int]:
+        """:meth:`levels_array` as a list."""
+        return self._levels32.tolist()
+
+    def _int32_arrays(self):
+        """``(kinds, offsets, indices, var_slot)`` as int32 arrays, built once.
+
+        The array lowering produces them directly; the per-gate one builds
+        them from its lists on first use.
+        """
+        if self._np32 is None:
+            self._np32 = tuple(
+                _np.asarray(values, dtype=_np.int32)
+                for values in (
+                    self._kinds, self._offsets, self._indices, self._var_slot
+                )
+            )
+        return self._np32
 
     def variables(self) -> Sequence[str]:
         """Variable names in slot order (first topological occurrence).
@@ -1187,7 +999,9 @@ class CompiledCircuit:
     def batch_plan(self) -> _BatchPlan:
         """The level-scheduled numpy plan, built once."""
         if self._batch_plan is _UNBUILT:
-            self._batch_plan = _BatchPlan(self)
+            self._batch_plan = _BatchPlan(
+                *self._int32_arrays(), self._levels32, self.output
+            )
         return self._batch_plan
 
     def wire_bytes(self) -> bytes:
@@ -1528,25 +1342,9 @@ def _names_of_slots(slot_names, arena_slots):
     return tuple(slot_names[s] for s in arena_slots)
 
 
-def _joined(head, tail):
-    """``head + tail`` of two ``var_names``, staying a view when both are."""
-    if (
-        isinstance(head, FactNames)
-        and isinstance(tail, FactNames)
-        and head.id_space is tail.id_space
-    ):
-        return FactNames(head.id_space, _np.concatenate([head.fids, tail.fids]))
-    return tuple(head) + tuple(tail)
-
-
 #: Entries kept in the per-arena ``(version, output)`` compile memo; small,
 #: because each entry pins a full lowering alive for the arena's lifetime.
 ARENA_CACHE_LIMIT = 8
-
-#: Dirty cones larger than this fraction of the predecessor abandon the
-#: delta path — a full vectorized lowering is cheaper than patching most
-#: of the arrays row by row in Python.
-_DELTA_MAX_FRACTION = 0.5
 
 
 def _arena_memo(circuit: Circuit) -> dict | None:
@@ -1561,140 +1359,16 @@ def _arena_memo(circuit: Circuit) -> dict | None:
     return memo
 
 
-def _delta_lower(prev: CompiledCircuit, circuit: Circuit) -> CompiledCircuit | None:
-    """Patch ``prev``'s arrays into a lowering of the edited ``circuit``.
+def compile_circuit(circuit: Circuit | CompiledCircuit) -> CompiledCircuit:
+    """Lower ``circuit`` to its flat IR, caching the result on the arena.
 
-    The hash-consed arena is append-only, so an edit can only add gates
-    and move the output. The fast path applies when the old lowering is a
-    *prefix* of the new one: every old gate stays reachable (the old
-    output is in the new output's cone) and every dirty gate — the new
-    output's cone minus the old reachable set — has a gate id above every
-    old one. Then the new topological order is exactly ``old positions ++
-    sorted(dirty)``: the CSR/level/var arrays survive verbatim and only
-    the appended rows are computed, in O(|delta|) gate visits. Returns
-    ``None`` when the conditions fail (output moved into the past, an old
-    gate became newly reachable, or the cone is a large fraction of the
-    circuit) — the caller does a fresh full lowering instead.
+    Passing an already-compiled circuit returns it unchanged. Compiles are
+    memoized per ``(arena version, output)`` — flipping ``set_output``
+    between gates returns each output's own lowering, never a stale one,
+    and a grown arena is lowered afresh.
     """
-    from bisect import bisect_left
-
-    out = circuit.output
-    old_ids = prev.gate_ids
-    old_n = prev.size
-    max_old = old_ids[-1]
-    old_out_id = old_ids[prev.output]
-    limit = max(64, int(old_n * _DELTA_MAX_FRACTION))
-    flat = circuit._inputs_flat
-    arena_offsets = circuit._input_offsets
-    seen: set[int] = set()
-    dirty: list[int] = []
-    stack = [out]
-    old_out_seen = False
-    while stack:
-        gid = stack.pop()
-        if gid in seen:
-            continue
-        seen.add(gid)
-        if gid <= max_old:
-            at = bisect_left(old_ids, gid)
-            if at < old_n and old_ids[at] == gid:
-                # Boundary: this cone is already lowered; stop descending.
-                if gid == old_out_id:
-                    old_out_seen = True
-                continue
-        dirty.append(gid)
-        if len(dirty) > limit:
-            return None
-        stack.extend(flat[arena_offsets[gid] : arena_offsets[gid + 1]])
-    if not old_out_seen:
-        return None
-    if not dirty:
-        # The output is an old gate whose cone contains the old output —
-        # by acyclicity that makes it *the* old output: same lowering.
-        return prev
-    dirty.sort()
-    if dirty[0] <= max_old:
-        return None
-
-    kind_codes = circuit._kind_codes
-    var_slots = circuit._var_slots
-    arena_levels = circuit._gate_levels
-    old_levels = prev.levels_list()
-    position: dict[int, int] = {}
-    add_kinds: list[int] = []
-    add_indices: list[int] = []
-    add_offsets: list[int] = []
-    add_var_slot: list[int] = []
-    new_slots: list[int] = []  # arena slots of the new variables
-    prev_np = prev._np32
-    running = (
-        int(prev_np[1][-1]) if prev_np is not None else prev.offsets[-1]
-    )
-    n_old_vars = len(prev.var_names)
-
-    for i, gid in enumerate(dirty):
-        position[gid] = old_n + i
-    for gid in dirty:
-        kind = kind_codes[gid]
-        add_kinds.append(kind)
-        slot = -1
-        if kind == K_VAR:
-            # A dirty VAR gate is a genuinely new variable: the arena keeps
-            # one gate per slot, and old variables' gates are all old gates.
-            slot = n_old_vars + len(new_slots)
-            new_slots.append(var_slots[gid])
-        add_var_slot.append(slot)
-        inputs = flat[arena_offsets[gid] : arena_offsets[gid + 1]]
-        for child in inputs:
-            at = position.get(child)
-            add_indices.append(
-                at if at is not None else bisect_left(old_ids, child)
-            )
-        running += len(inputs)
-        add_offsets.append(running)
-    # The level of a gate depends only on its input cone, so the arena's
-    # incrementally maintained levels are already the compiled levels.
-    add_levels = [arena_levels[gid] for gid in dirty]
-
-    compiled = CompiledCircuit.__new__(CompiledCircuit)
-    compiled._init_lazy()
-    compiled.source = circuit
-    compiled.size = old_n + len(dirty)
-    if prev_np is not None:
-        old_kinds32, old_offsets32, old_indices32, old_var32 = prev_np
-        compiled._np32 = (
-            _np.concatenate([old_kinds32, _np.asarray(add_kinds, _np.int32)]),
-            _np.concatenate([old_offsets32, _np.asarray(add_offsets, _np.int32)]),
-            _np.concatenate([old_indices32, _np.asarray(add_indices, _np.int32)]),
-            _np.concatenate([old_var32, _np.asarray(add_var_slot, _np.int32)]),
-        )
-        # Lists stay lazy: the surviving prefix is only re-materialized if
-        # a scalar consumer asks, keeping the patch O(|delta|).
-    else:
-        compiled._kinds = prev.kinds + add_kinds
-        compiled._offsets = prev.offsets + add_offsets
-        compiled._indices = prev.indices + add_indices
-        compiled._var_slot = prev.var_slot + add_var_slot
-    compiled.var_names = _joined(
-        prev.var_names, _names_of_slots(circuit._slot_names, new_slots)
-    )
-    compiled.output = position[out] if out in position else bisect_left(old_ids, out)
-    compiled.arena_version = circuit.version
-    compiled.arena_size = len(circuit)
-    compiled._gate_ids = old_ids + tuple(dirty)
-    compiled._levels = old_levels + add_levels
-    _STATS["delta_recompiles"] += 1
-    return compiled
-
-
-def _compile_cached(circuit: Circuit, prev: CompiledCircuit | None) -> CompiledCircuit:
-    """The shared compile path: memo, delta, disk cache, full lowering.
-
-    The delta patch comes before the disk cache on purpose: patching the
-    predecessor's arrays is O(|edit|) and beats even a cache hit (which
-    still reads, checksums and re-validates the whole lowering) — and a
-    grown arena's fingerprint would usually miss anyway.
-    """
+    if isinstance(circuit, CompiledCircuit):
+        return circuit
     check(circuit.output is not None, "circuit has no output gate")
     key = (circuit.version, circuit.output)
     memo = _arena_memo(circuit)
@@ -1706,70 +1380,9 @@ def _compile_cached(circuit: Circuit, prev: CompiledCircuit | None) -> CompiledC
             del memo[key]
             memo[key] = hit
             return hit
-    compiled = None
-    from repro.circuits import plancache
-
-    if prev is None and memo:
-        prev = max(memo.values(), key=lambda c: c.arena_version)
-    if prev is not None and prev.source is circuit:
-        compiled = _delta_lower(prev, circuit)
-        if compiled is None:
-            _STATS["delta_fallbacks"] += 1
-    if compiled is None:
-        fingerprint = None
-        if (plancache.enabled()
-                and len(circuit) >= config.get("plan_cache_min_gates")):
-            fingerprint = plancache.arena_fingerprint(circuit)
-        if fingerprint is not None:
-            compiled = plancache.load_compiled(circuit, fingerprint)
-            if compiled is not None:
-                _STATS["disk_cache_hits"] += 1
-        if compiled is None:
-            compiled = CompiledCircuit(circuit)
-            if fingerprint is not None:
-                plancache.store_compiled(compiled, fingerprint)
+    compiled = CompiledCircuit(circuit)
     if memo is not None:
         memo[key] = compiled
         while len(memo) > ARENA_CACHE_LIMIT:
             memo.pop(next(iter(memo)))
     return compiled
-
-
-def compile_circuit(circuit: Circuit | CompiledCircuit) -> CompiledCircuit:
-    """Lower ``circuit`` to its flat IR, caching the result on the arena.
-
-    Passing an already-compiled circuit returns it unchanged. Compiles are
-    memoized per ``(arena version, output)`` — flipping ``set_output``
-    between gates returns each output's own lowering, never a stale one —
-    and a recompile of a grown arena takes the O(|delta|) patch path of
-    :func:`recompile` against the newest memoized predecessor. With
-    ``REPRO_PLAN_CACHE_DIR`` set, lowerings round-trip through the
-    persistent on-disk cache (:mod:`repro.circuits.plancache`), so fresh
-    processes skip lowering entirely.
-    """
-    if isinstance(circuit, CompiledCircuit):
-        return circuit
-    return _compile_cached(circuit, None)
-
-
-def recompile(old: CompiledCircuit, circuit: Circuit | CompiledCircuit) -> CompiledCircuit:
-    """Relower ``circuit`` reusing ``old``, patching only the dirty cone.
-
-    ``old`` must be a previous lowering of the *same arena*; appended
-    gates and a moved output are patched in O(|delta|) — the surviving
-    prefix of the kind/CSR/level/variable arrays is shared, and the
-    derived caches (``wire_bytes``/``plan_digest``/``batch_plan``)
-    start fresh on the returned object so nothing stale leaks. When the
-    edit is not an append (or ``old`` lowers a different arena) this falls
-    back to a full — still vectorized — compile; either way the result is
-    gate-for-gate identical to ``compile_circuit(circuit)`` on a cold
-    arena, and is entered into the same arena memo.
-    """
-    check(
-        isinstance(old, CompiledCircuit),
-        "recompile needs the previous CompiledCircuit",
-    )
-    if isinstance(circuit, CompiledCircuit):
-        return circuit
-    prev = old if old.source is circuit else None
-    return _compile_cached(circuit, prev)

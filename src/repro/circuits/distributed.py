@@ -188,18 +188,11 @@ def _values_to_bytes(typecode: str, values) -> bytes:
     return np.ascontiguousarray(values, dtype=dtype).reshape(-1).tobytes()
 
 
-def _values_from_bytes(typecode: str, raw: bytes, arrays: bool = False):
-    """Inverse of :func:`_values_to_bytes`.
-
-    Returns a python list by default. With ``arrays=True`` the caller gets
-    a numpy array instead, skipping the ``tolist`` round-trip; the plan
-    cache loads through this so a disk hit never materializes python lists.
-    """
+def _values_from_bytes(typecode: str, raw: bytes) -> list:
+    """Inverse of :func:`_values_to_bytes`, as a python list."""
     dtype, itemsize = _DTYPES[typecode]
     check(len(raw) % itemsize == 0, "wire section length is not a whole item count")
-    values = np.frombuffer(raw, dtype=dtype)
-    # ``copy`` detaches from (and drops the reference pinning) the blob.
-    return values.copy() if arrays else values.tolist()
+    return np.frombuffer(raw, dtype=dtype).tolist()
 
 
 def _pack_blob(meta: dict, sections: list[tuple[str, str, object]]) -> bytes:
@@ -227,12 +220,8 @@ def _pack_blob(meta: dict, sections: list[tuple[str, str, object]]) -> bytes:
     return header + meta_bytes + payload
 
 
-def _unpack_blob(data: bytes, arrays: bool = False) -> tuple[dict, dict]:
-    """Validate and unpack a :func:`_pack_blob` blob; raises on any damage.
-
-    ``arrays=True`` is forwarded to :func:`_values_from_bytes` — sections
-    come back as flat arrays instead of python lists.
-    """
+def _unpack_blob(data: bytes) -> tuple[dict, dict]:
+    """Validate and unpack a :func:`_pack_blob` blob; raises on any damage."""
     check(isinstance(data, (bytes, bytearray, memoryview)), "wire payload must be bytes")
     data = bytes(data)
     check(
@@ -265,9 +254,7 @@ def _unpack_blob(data: bytes, arrays: bool = False) -> tuple[dict, dict]:
             0 <= offset and offset + nbytes <= len(payload),
             f"wire section {name!r} overruns the payload",
         )
-        out[name] = _values_from_bytes(
-            typecode, payload[offset : offset + nbytes], arrays
-        )
+        out[name] = _values_from_bytes(typecode, payload[offset : offset + nbytes])
     return meta, out
 
 
@@ -275,26 +262,16 @@ def plan_to_bytes(compiled) -> bytes:
     """Serialize a compiled circuit's batch plan to the versioned wire format.
 
     Packs the four int32 CSR buffers, the per-gate level schedule
-    (:func:`repro.circuits.compiled.gate_levels` — redundant with the CSR
-    arrays, carried as an integrity check a receiver re-verifies), and the
-    ``size``/``output``/``n_vars`` metadata. The result is cached on the
-    compiled circuit, so repeated connections reuse one encoding.
+    (:func:`repro.circuits.compiled.gate_levels`, which the receiver
+    re-verifies against the CSR arrays and then groups its batch plan
+    by), and the ``size``/``output``/``n_vars`` metadata. The result is
+    cached on the compiled circuit, so repeated connections reuse one
+    encoding.
     """
     compiled = _compiled.compile_circuit(compiled)
     cached = compiled._wire_cache
     if cached is None:
-        levels = compiled.levels_array()
-        arrays = compiled._np32
-        kinds, offsets, indices, var_slot = (
-            arrays
-            if arrays is not None
-            else (
-                compiled.kinds,
-                compiled.offsets,
-                compiled.indices,
-                compiled.var_slot,
-            )
-        )
+        kinds, offsets, indices, var_slot = compiled._int32_arrays()
         cached = _pack_blob(
             {
                 "kind": "plan",
@@ -307,17 +284,12 @@ def plan_to_bytes(compiled) -> bytes:
                 ("offsets", "i", offsets),
                 ("indices", "i", indices),
                 ("var_slot", "i", var_slot),
-                ("levels", "i", levels),
+                ("levels", "i", compiled.levels_array()),
             ],
         )
         compiled._wire_cache = cached
         if compiled._wire_digest is None:
             compiled._wire_digest = plan_checksum(cached)
-        from repro.circuits import plancache
-
-        if (plancache.enabled()
-                and compiled.size >= config.get("plan_cache_min_gates")):
-            plancache.store_plan_blob(compiled._wire_digest, cached)
     return cached
 
 
@@ -335,11 +307,12 @@ def plan_checksum(plan_bytes: bytes) -> str:
 class WirePlan:
     """A circuit plan decoded from the wire, ready to evaluate shards.
 
-    Holds the CSR arrays as plain python lists and lowers them to the
-    level-scheduled :class:`~repro.circuits.compiled._BatchPlan` on first
-    use. The level schedule shipped in the payload is re-verified against
-    the CSR arrays on construction — a plan that decodes is a plan that
-    evaluates.
+    Holds the CSR arrays and the level schedule as plain python lists and
+    lowers them to the level-scheduled
+    :class:`~repro.circuits.compiled._BatchPlan` on first use. The level
+    schedule shipped in the payload is re-verified against the CSR arrays
+    on construction, and the batch plan groups by it — a plan that decodes
+    is a plan that evaluates.
     """
 
     __slots__ = ("size", "output", "n_vars", "kinds", "offsets", "indices",
@@ -378,7 +351,10 @@ class WirePlan:
     def batch_plan(self):
         """The level-scheduled numpy plan, built once."""
         if self._plan is None:
-            self._plan = _compiled._BatchPlan(self)
+            self._plan = _compiled._BatchPlan(
+                self.kinds, self.offsets, self.indices, self.var_slot,
+                self.levels, self.output,
+            )
         return self._plan
 
     def run_rows(self, rows, as_float: bool) -> list:
@@ -419,29 +395,6 @@ def plan_from_bytes(data: bytes) -> WirePlan:
     meta, sections = _unpack_blob(data)
     check(meta.get("kind") == "plan", "wire payload is not a circuit plan")
     return WirePlan(meta, sections)
-
-
-def _plan_from_disk(digest: str) -> WirePlan | None:
-    """Decode a plan from the persistent cache, or ``None`` (best-effort).
-
-    The digest pins the exact payload bytes, so a blob that loads but does
-    not decode is a damaged entry: it is dropped from the cache and
-    reported as a miss rather than trusted.
-    """
-    from repro.circuits import plancache
-
-    if not plancache.enabled():
-        return None
-    blob = plancache.load_plan_blob(digest)
-    if blob is None:
-        return None
-    try:
-        return plan_from_bytes(blob)
-    except ReproError:
-        plancache._drop_corrupt(
-            plancache._entry_path(digest, plancache.PLAN_SUFFIX)
-        )
-        return None
 
 
 def _tables_to_bytes(membership_rows, n_facts, probs, cumulative, total_weight):
@@ -1080,13 +1033,6 @@ class WorkerServer:
                     key = meta["checksum"]
                     cache = self._tables if meta.get("kind") == "tables" else self._plans
                     payload = self._held(held, key, cache)
-                    if payload is None and cache is self._plans:
-                        # A fresh worker can answer PLAN_HAVE from the
-                        # persistent disk cache: the plan then never
-                        # crosses the wire at all.
-                        payload = _plan_from_disk(key)
-                        if payload is not None:
-                            self._cache_put(self._plans, key, payload)
                     reply = {"checksum": key}
                     if key not in held:
                         evicted = []
@@ -1107,10 +1053,6 @@ class WorkerServer:
                     key = meta["checksum"]
                     if key not in self._plans:
                         self._cache_put(self._plans, key, plan_from_bytes(blob))
-                        from repro.circuits import plancache
-
-                        if plancache.enabled():
-                            plancache.store_plan_blob(key, bytes(blob))
                     held[key] = self._plans[key]
                 elif kind == MSG_TABLES:
                     key = meta["checksum"]

@@ -58,12 +58,12 @@ def capabilities() -> dict:
     Reports whether the sharded multi-process backend is available, the
     engine and instance-backend knobs, the
     ``parallel_workers`` and ``distributed_hosts`` knobs, whether worker
-    authentication is armed, the full plan-cache state, the CQA engine's
-    trichotomy classes and routing counters, a snapshot of the persistent
-    host pool's counters, and the visible CPU count — one call reports the
-    whole configuration (engines are listed by :func:`available_engines`).
+    authentication is armed, the CQA engine's trichotomy classes and
+    routing counters, a snapshot of the persistent host pool's counters,
+    and the visible CPU count — one call reports the whole configuration
+    (engines are listed by :func:`available_engines`).
     """
-    from repro.circuits import distributed, parallel, plancache
+    from repro.circuits import distributed, parallel
     from repro.cqa import CONP, FO, PTIME, cqa_stats
 
     return {
@@ -78,11 +78,6 @@ def capabilities() -> dict:
         "distributed_pipeline": config.get("pipeline_depth"),
         "distributed_registered": list(distributed.registered_hosts()),
         "distributed_pool": distributed.pool_stats(),
-        "plan_cache_dir": config.get("plan_cache_dir"),
-        "plan_cache_enabled": plancache.enabled(),
-        "plan_cache_limit_bytes": config.get("plan_cache_limit_bytes"),
-        "plan_cache_min_gates": config.get("plan_cache_min_gates"),
-        "plan_cache": plancache.plan_cache_stats(),
         "cqa_classes": [FO, PTIME, CONP],
         "cqa": cqa_stats(),
         "compile": compile_stats(),

@@ -5,10 +5,10 @@ whole world matrix through one level-scheduled pass — but on a single core.
 This module shards that work across a persistent pool of worker processes:
 
 - the compiled circuit's CSR arrays (``kinds``/``offsets``/``indices``/
-  ``var_slot``) are published **once** per circuit into a
-  :mod:`multiprocessing.shared_memory` segment (:func:`plan_manifest`);
-  workers attach, rebuild the level schedule locally, and cache it, so a
-  task costs one small pickled descriptor, never a copy of the plan;
+  ``var_slot``) and its level schedule are published **once** per circuit
+  into a :mod:`multiprocessing.shared_memory` segment (:func:`_plan_handle`);
+  workers attach, build the level plan from them, and cache it, so a task
+  costs one small pickled descriptor, never a copy of the plan;
 - world/marginal matrices are placed in a per-call shared segment and split
   into contiguous **row shards**; each worker writes its slice of the output
   into the same segment, so no matrix crosses a pipe
@@ -92,11 +92,22 @@ def parallel_available() -> bool:
 
 
 def _effective_workers(workers: int | None) -> int:
+    """The worker count of a call: ``workers``, or the knob when ``None``.
+
+    A per-call count must be what the ``parallel_workers`` knob accepts,
+    an ``int`` >= 0 that is not a ``bool``.
+    """
+    check(
+        workers is None
+        or (isinstance(workers, int) and not isinstance(workers, bool)
+            and workers >= 0),
+        f"workers must be None or a non-negative int, got {workers!r}",
+    )
     if not parallel_available():
         return 0
     if workers is None:
         return config.get("parallel_workers")
-    return max(0, int(workers))
+    return workers
 
 
 def should_shard(n_rows: int, workers: int | None = None) -> bool:
@@ -219,31 +230,28 @@ class SharedBuffers:
         return shm, meta, views
 
 
-def _plan_handle(compiled) -> SharedBuffers:
-    """The circuit's CSR arrays in shared memory, published once and cached.
+#: The int32 arrays of a published plan, in :class:`_BatchPlan` order.
+_PLAN_ARRAYS = ("kinds", "offsets", "indices", "var_slot", "levels")
 
-    The segment holds exactly the four int32 batch-plan arrays; workers
-    rebuild the level schedule from them. It is unlinked when the compiled
-    circuit is garbage-collected (or at interpreter exit via
-    :func:`shutdown`), after which a fresh call republishes.
+
+def _plan_handle(compiled) -> SharedBuffers:
+    """The circuit's plan arrays in shared memory, published once and cached.
+
+    The segment holds the four int32 CSR arrays and the level schedule,
+    everything a worker's :class:`~repro.circuits.compiled._BatchPlan`
+    is built from. It is unlinked when the compiled circuit is
+    garbage-collected (or at interpreter exit via :func:`shutdown`), after
+    which a fresh call republishes.
     """
     handle = compiled._shared_plan
     if handle is not None and handle.closed:
         handle = None
     if handle is None:
+        arrays = (*compiled._int32_arrays(), compiled.levels_array())
         handle = SharedBuffers(
-            {
-                "kinds": np.asarray(compiled.kinds, dtype=np.int32),
-                "offsets": np.asarray(compiled.offsets, dtype=np.int32),
-                "indices": np.asarray(compiled.indices, dtype=np.int32),
-                "var_slot": np.asarray(compiled.var_slot, dtype=np.int32),
-            },
+            dict(zip(_PLAN_ARRAYS, arrays)),
             prefix=PLAN_PREFIX,
-            meta={
-                "size": compiled.size,
-                "output": compiled.output,
-                "n_vars": len(compiled.var_names),
-            },
+            meta={"output": compiled.output},
         )
         compiled._shared_plan = handle
         weakref.finalize(compiled, handle.close)
@@ -253,20 +261,6 @@ def _plan_handle(compiled) -> SharedBuffers:
 # --------------------------------------------------------------------------- #
 # worker side
 
-class _PlanShell:
-    """Duck-type of ``CompiledCircuit`` that ``_BatchPlan`` lowers from."""
-
-    __slots__ = ("kinds", "offsets", "indices", "var_slot", "size", "output")
-
-    def __init__(self, meta, views):
-        self.kinds = views["kinds"].tolist()
-        self.offsets = views["offsets"].tolist()
-        self.indices = views["indices"].tolist()
-        self.var_slot = views["var_slot"].tolist()
-        self.size = int(meta["size"])
-        self.output = int(meta["output"])
-
-
 def _worker_plan(manifest, cache):
     """A worker's level-scheduled plan for one shared circuit, cached by name."""
     name = manifest[0]
@@ -274,11 +268,12 @@ def _worker_plan(manifest, cache):
     if plan is None:
         shm, meta, views = SharedBuffers.attach(manifest)
         try:
-            shell = _PlanShell(meta, views)
+            # Copies, so nothing the plan keeps can pin the closed segment.
+            arrays = [views[key].copy() for key in _PLAN_ARRAYS]
         finally:
             views = None
             shm.close()
-        plan = _compiled._BatchPlan(shell)
+        plan = _compiled._BatchPlan(*arrays, meta["output"])
         while len(cache) >= _PLAN_CACHE_LIMIT:
             cache.pop(next(iter(cache)))
         cache[name] = plan

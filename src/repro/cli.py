@@ -10,8 +10,6 @@ Usage::
     python -m repro engines             # engines + batch/parallel backends
     python -m repro cqa                 # certain answers on key-violating data
     python -m repro cqa --rate 0.5 --query conp --method circuit
-    python -m repro cache               # inspect the persistent plan cache
-    python -m repro cache --clear       # empty the persistent plan cache
     python -m repro paper               # one-line paper identification
     python -m repro serve --port 7761   # become a distributed shard worker
     python -m repro serve --port 7761 --secret swordfish   # require auth
@@ -61,11 +59,14 @@ EXPERIMENTS = {
     "E13": ("bench_compiled_eval", "Compiled circuit IR vs object-graph evaluation"),
     "E14": ("bench_parallel_eval", "Sharded multi-process vs single-process batch eval"),
     "E15": ("bench_distributed_eval", "Distributed shard execution over localhost workers"),
-    "E17": ("bench_compile_path", "Compile path: vectorized lowering, delta recompile, plan cache"),
+    "E17": ("bench_compile_path", "Compile path: array lowering vs per-gate, shallow and deep"),
     "E18": ("bench_columnar_pipeline", "Columnar pipeline: generate/query/provenance/compile at scale"),
     "E19": ("bench_service", "Query service: coalesced vs uncoalesced QPS and tail latency"),
     "E20": ("bench_cqa", "Certain answers: trichotomy routing vs repairs oracle vs circuits"),
 }
+
+#: The experiment ids as a range, for help and error messages.
+EXPERIMENT_RANGE = f"{next(iter(EXPERIMENTS))}..{next(reversed(EXPERIMENTS))}"
 
 
 def _benchmarks_dir() -> Path:
@@ -119,7 +120,8 @@ def command_run(
     for exp_id in targets:
         if exp_id not in EXPERIMENTS:
             raise SystemExit(
-                f"unknown experiment {exp_id!r}; use 'list' to see E1..E18"
+                f"unknown experiment {exp_id!r}; use 'list' to see "
+                f"{EXPERIMENT_RANGE}"
             )
     flags = (
         ("--engine", "forced_engine", engine),
@@ -182,15 +184,6 @@ def command_engines() -> None:
           f"{pool['plans_published']} plan(s) published, "
           f"{pool['plan_cache_hits'] + pool['publishes_skipped']} digest hit(s), "
           f"{pool['steals']} steal(s)")
-    cache_dir = caps["plan_cache_dir"]
-    if cache_dir:
-        print(f"plan cache: on at {cache_dir}, "
-              f"limit {caps['plan_cache_limit_bytes']} bytes, "
-              f"min {caps['plan_cache_min_gates']} gates "
-              "('repro cache' for contents, 'repro cache --clear' to empty)")
-    else:
-        print("plan cache: off (set REPRO_PLAN_CACHE_DIR to persist "
-              "compiled plans across runs)")
     print(f"instance backend: {caps['instance_backend']} "
           "(REPRO_INSTANCE_BACKEND=object|columnar)")
     cqa = caps["cqa"]
@@ -259,30 +252,6 @@ def command_cqa(
             print(f"  all-repairs oracle: {oracle} ({agree})")
     stats = cqa_stats()
     print("\nrouting: " + ", ".join(f"{k}={v}" for k, v in stats.items() if v))
-
-
-def command_cache(clear: bool = False) -> None:
-    """Print the persistent plan cache's contents, or empty it."""
-    from repro import config
-    from repro.circuits import plancache
-
-    directory = config.get("plan_cache_dir")
-    if directory is None:
-        print("plan cache: off (set REPRO_PLAN_CACHE_DIR to enable)")
-        return
-    if clear:
-        removed = plancache.clear()
-        print(f"plan cache: removed {removed} entries from {directory}")
-        return
-    entries = plancache.entries()
-    total = sum(size for _, size, _ in entries)
-    limit = config.get("plan_cache_limit_bytes")
-    print(f"plan cache: {directory}")
-    print(f"{len(entries)} entries, {total} bytes "
-          f"(limit {limit}; REPRO_PLAN_CACHE_LIMIT_BYTES)")
-    for name, size, _ in entries:
-        kind = "lowering" if name.endswith(plancache.CIRC_SUFFIX) else "wire plan"
-        print(f"  {name:<42} {size:>10} bytes  {kind}")
 
 
 def command_paper() -> None:
@@ -367,8 +336,8 @@ def command_serve_http(
 ) -> None:
     """Run the always-on HTTP query service until interrupted.
 
-    The process keeps the compile cache, the persistent plan cache and the
-    distributed :class:`~repro.circuits.distributed.HostPool` resident, so
+    The process keeps the compile cache and the distributed
+    :class:`~repro.circuits.distributed.HostPool` resident, so
     every request after the first skips lowering, connection setup and the
     plan handshake (see :mod:`repro.service`). Prints a single
     ``repro-service listening on host:port`` readiness line. ``--hosts``
@@ -488,7 +457,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list experiments")
     run = sub.add_parser("run", help="run an experiment table")
-    run.add_argument("experiment", help="experiment id (E1..E18) or 'all'")
+    run.add_argument(
+        "experiment", help=f"experiment id ({EXPERIMENT_RANGE}) or 'all'"
+    )
     run.add_argument(
         "--engine",
         default=None,
@@ -533,10 +504,6 @@ def main(argv: list[str] | None = None) -> int:
         "--backend", default=None, choices=["object", "columnar"],
         help="instance backend (default: REPRO_INSTANCE_BACKEND)",
     )
-    cache = sub.add_parser("cache", help="inspect or clear the persistent plan cache")
-    cache.add_argument(
-        "--clear", action="store_true", help="delete every cached plan entry"
-    )
     sub.add_parser("paper", help="identify the reproduced paper")
     _add_worker_parsers(sub)
     args = parser.parse_args(argv)
@@ -554,8 +521,6 @@ def main(argv: list[str] | None = None) -> int:
             n_keys=args.n_keys, rate=args.rate, seed=args.seed,
             query=args.query, method=args.method, backend=args.backend,
         )
-    elif args.command == "cache":
-        command_cache(clear=args.clear)
     elif args.command == "paper":
         command_paper()
     elif args.command == "serve":

@@ -98,14 +98,6 @@ def _count(value: Any) -> int:
     return value
 
 
-def _parse_count(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ReproError("expected an integer") from None
-    return _count(value)
-
-
 def _engine(value: Any) -> str:
     from repro.circuits.evaluation import available_engines
 
@@ -214,14 +206,6 @@ def _parse_depth(text: str) -> int:
         return _PIPELINE_DEPTH
 
 
-def _directory(value: Any) -> str | None:
-    check(
-        value is None or isinstance(value, (str, os.PathLike)),
-        "expected a path",
-    )
-    return os.fspath(value) if value else None
-
-
 # --------------------------------------------------------------------------- #
 # the registry
 
@@ -295,30 +279,6 @@ _KNOBS: dict[str, Knob] = {
             _depth,
             "REPRO_DISTRIBUTED_PIPELINE",
             _parse_depth,
-        ),
-        Knob(
-            "plan_cache_dir",
-            "On-disk compiled-plan cache directory (None = cache off).",
-            None,
-            _directory,
-            "REPRO_PLAN_CACHE_DIR",
-            lambda text: text.strip(),
-        ),
-        Knob(
-            "plan_cache_limit_bytes",
-            "Plan-cache directory size bound triggering LRU eviction.",
-            256 << 20,
-            _count,
-            "REPRO_PLAN_CACHE_LIMIT_BYTES",
-            _parse_count,
-        ),
-        Knob(
-            "plan_cache_min_gates",
-            "Gate count below which circuits bypass the plan cache.",
-            64,
-            _count,
-            "REPRO_PLAN_CACHE_MIN_GATES",
-            _parse_count,
         ),
     )
 }

@@ -1,8 +1,8 @@
 """Always-on query service: the front door of the circuit pipeline.
 
 Everything below this package already exists in the library — compiled
-plans, batch kernels, the worker pool, the distributed host pool, the
-on-disk plan cache. What was missing is a process that keeps them *hot*:
+plans, batch kernels, the worker pool, the distributed host pool. What
+was missing is a process that keeps them *hot*:
 every embedding caller pays python import + compile, which is exactly the
 cost the compile-once/evaluate-many design was built to amortize. The
 service is that process:

@@ -3,8 +3,8 @@
 Transport-independent: :class:`QueryService` maps parsed JSON requests to
 JSON responses (or a chunked stream factory) and owns all the resident
 state the "always-on" argument is about — registered plans, the compile
-and plan caches, the distributed :class:`~repro.circuits.distributed`
-host pool, the result cache, the coalescer, and per-endpoint latency
+cache, the distributed :class:`~repro.circuits.distributed` host pool,
+the result cache, the coalescer, and per-endpoint latency
 histograms. :mod:`repro.service.http` binds it to a socket; tests can
 also drive :meth:`QueryService.dispatch` directly.
 
@@ -19,12 +19,11 @@ Endpoints::
     POST /shutdown      clean teardown (CI asserts no leaked state after)
 
 Plans are identified everywhere by their wire digest
-(:func:`repro.circuits.distributed.plan_checksum`). Registered plans are
-written through to the on-disk plan cache, and a request for an unknown
-digest falls back to that cache before erroring — so a service restart
-keeps serving plans its previous life registered. Evaluation degrades
-down the usual tier ladder (distributed hosts → process pool → in-process
-kernels); a failure never produces a wrong marginal, only a slower one.
+(:func:`repro.circuits.distributed.plan_checksum`); a request for a
+digest that is not registered (or was evicted) answers 404, and the
+client registers it again. Evaluation degrades down the usual tier ladder
+(distributed hosts → process pool → in-process kernels); a failure never
+produces a wrong marginal, only a slower one.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.circuits import distributed as _distributed
-from repro.circuits import plancache as _plancache
 from repro.circuits.evaluation import capabilities
 from repro.service.cache import LatencyHistogram, ResultCache, valuation_hash
 from repro.service.coalesce import DEFAULT_WINDOW, Coalescer
@@ -353,19 +351,12 @@ class QueryService:
             raise ServiceError(400, "request needs a 'digest' string")
         entry = self._plans.get(digest)
         if entry is None:
-            # A fresh service answers digests its previous life registered:
-            # the on-disk plan cache is the write-through backing store.
-            wire = _distributed._plan_from_disk(digest)
-            if wire is None:
-                raise ServiceError(
-                    404,
-                    f"unknown plan digest {digest}; register it via /plans "
-                    "or /compile",
-                )
-            entry = _PlanEntry(digest, wire=wire)
-            self._register(entry)
-        else:
-            self._plans.move_to_end(digest)
+            raise ServiceError(
+                404,
+                f"unknown plan digest {digest}; register it via /plans "
+                "or /compile",
+            )
+        self._plans.move_to_end(digest)
         entry.hits += 1
         return entry
 
@@ -375,7 +366,7 @@ class QueryService:
     async def _run_pass(self, digest: str, rows) -> list[float]:
         """One matrix pass on the compute thread (the coalescer's hook)."""
         entry = self._plans.get(digest)
-        if entry is None:  # evicted between lookup and flush; reload
+        if entry is None:  # evicted between lookup and flush: a 404
             entry = self._plan_entry(digest)
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
@@ -433,8 +424,6 @@ class QueryService:
             },
             "compile": caps["compile"],
             "batch": caps["batch"],
-            "plan_cache": caps["plan_cache"],
-            "plan_cache_dir": caps["plan_cache_dir"],
             "endpoints": {
                 path: histogram.stats()
                 for path, histogram in sorted(self.histograms.items())
@@ -459,7 +448,6 @@ class QueryService:
                 wire = _distributed.plan_from_bytes(blob)
             except ReproError as exc:
                 raise ServiceError(400, f"rejected wire plan: {exc}") from None
-            _plancache.store_plan_blob(digest, blob)
             entry = _PlanEntry(digest, wire=wire)
             self._register(entry)
         return 200, {
@@ -467,7 +455,6 @@ class QueryService:
             "size": entry.size,
             "n_vars": entry.n_vars,
             "already_registered": already,
-            "disk_cached": _plancache.has_plan(digest),
         }
 
     async def _handle_compile(self, payload) -> tuple[int, dict]:
@@ -501,8 +488,6 @@ class QueryService:
         # Compilation can be heavy; keep the event loop serving.
         instance, fids, plan = await loop.run_in_executor(self._compute, build)
         digest = plan.plan_digest()
-        blob = plan.wire_bytes()
-        _plancache.store_plan_blob(digest, blob)
         self._register(_PlanEntry(digest, compiled=plan))
         variables = list(plan.variables())
         default_probability = payload.get("default_probability", 0.5)
@@ -537,7 +522,6 @@ class QueryService:
             "default_row": default_row,
             "facts": {relation: len(row_fids)
                       for relation, row_fids in fids.items()},
-            "disk_cached": _plancache.has_plan(digest),
         }
 
     async def _handle_probability(self, payload) -> tuple[int, dict]:

@@ -245,8 +245,7 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     Runs ``python -m repro serve-http`` with this process's ``repro``
     package on the child's path and blocks for the readiness line. ``env``
     overlays extra environment variables on the child (e.g.
-    ``REPRO_DISTRIBUTED_HOSTS`` or ``REPRO_PLAN_CACHE_DIR`` for the fault
-    drills). The caller owns teardown (:meth:`LocalService.stop`).
+    ``REPRO_DISTRIBUTED_HOSTS`` for the fault drills). The caller owns teardown (:meth:`LocalService.stop`).
     """
     child_env = dict(os.environ)
     if env:

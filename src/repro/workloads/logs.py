@@ -9,16 +9,16 @@ po-relation whose possible worlds are the admissible global interleavings.
 :class:`StreamingLogMonitor` is the *incremental* face of the same story:
 log facts arrive in batches on one shared circuit arena and the standing
 alarm query is re-compiled after every batch with
-:func:`repro.circuits.recompile`, exercising the delta-recompilation fast
-path end to end (the E17 compile-path benchmark grows its workload through
-this class).
+:func:`repro.circuits.compile_circuit`, which lowers the grown arena
+afresh (the E17 compile-path benchmark grows its workload through this
+class).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.circuits import Circuit, CompiledCircuit, compile_circuit, recompile
+from repro.circuits import Circuit, CompiledCircuit, compile_circuit
 from repro.order.algebra import union
 from repro.order.posets import LabeledPoset, chain
 from repro.util import check, stable_rng
@@ -78,10 +78,9 @@ class StreamingLogMonitor:
 
         output_t = OR(output_{t-1}, batch_alert_t)
 
-    Because every batch only appends gates and keeps the previous output
-    inside the new output's cone, :meth:`requery` recompiles in time
-    proportional to the batch, not the whole history, via
-    :func:`repro.circuits.recompile`.
+    :meth:`requery` lowers the grown arena afresh with
+    :func:`repro.circuits.compile_circuit`. The chain of ORs makes the
+    circuit deep, but the lowering's passes do not follow circuit depth.
     """
 
     def __init__(self, machines: int = 8, seed: int = 0) -> None:
@@ -143,17 +142,9 @@ class StreamingLogMonitor:
         return count
 
     def requery(self) -> CompiledCircuit:
-        """Re-lower the standing query, reusing the previous compile's work.
-
-        The first call is a cold :func:`compile_circuit`; every later call
-        goes through :func:`recompile` against the previous result so only
-        the most recent batch's cone is lowered.
-        """
+        """Lower the standing query over every batch appended so far."""
         check(self.circuit.output is not None, "append at least one batch first")
-        if self._compiled is None:
-            self._compiled = compile_circuit(self.circuit)
-        else:
-            self._compiled = recompile(self._compiled, self.circuit)
+        self._compiled = compile_circuit(self.circuit)
         return self._compiled
 
     @property

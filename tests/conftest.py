@@ -15,14 +15,12 @@ Tests that open sockets or spawn worker subprocesses carry the
 them with ``-m "not distributed"``.
 """
 
-import json
-import os
 import socket
 
 import pytest
 
 from repro import config
-from repro.circuits import compiled, distributed, evaluation, parallel, plancache
+from repro.circuits import distributed, evaluation, parallel
 
 
 def pytest_configure(config):
@@ -62,26 +60,6 @@ def restore_process_state():
     distributed._WARNED.clear()
     distributed._WARNED.update(warned)
     parallel._SERIAL_FALLBACK_WARNED = serial_warned
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Dump compile/plan-cache counters for the CI plan-cache job.
-
-    When ``REPRO_COMPILE_STATS`` names a file, write this process's compile
-    and disk-cache counters there as JSON at the end of the run — the CI
-    job runs the suite twice against one shared ``REPRO_PLAN_CACHE_DIR``
-    and asserts the second run lowered fewer circuits. Lifetime totals,
-    so per-test ``reset_*_stats`` calls cannot shrink the counts.
-    """
-    path = os.environ.get("REPRO_COMPILE_STATS")
-    if not path:
-        return
-    payload = {
-        "compile": compiled.compile_stats(lifetime=True),
-        "plan_cache": plancache.stats(lifetime=True),
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -1,5 +1,10 @@
 """Tests for the experiment CLI."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import config
@@ -59,6 +64,26 @@ class TestCli:
     def test_run_unknown_experiment(self):
         with pytest.raises(SystemExit):
             command_run("E99")
+
+    def test_unknown_experiment_names_the_table_range(self, capsys):
+        """``python -m repro run E99`` and ``run --help`` name the range of
+        the experiment table, first id to last."""
+        span = f"{next(iter(EXPERIMENTS))}..{list(EXPERIMENTS)[-1]}"
+        root = Path(__file__).resolve().parents[1]
+        env = {key: value for key, value in os.environ.items()
+               if not key.startswith("REPRO_")}
+        env["PYTHONPATH"] = str(root / "src")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "E99"], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode != 0
+        assert f"unknown experiment 'E99'; use 'list' to see {span}" in (
+            result.stderr
+        )
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert f"({span})" in capsys.readouterr().out
 
     def test_run_small_experiment(self, capsys):
         # E1 is fast enough to run inside the test suite.

@@ -89,6 +89,20 @@ class TestLowering:
         assert second is not first
         assert "fresh" in second.variables()
 
+    def test_compile_stats_count_lowerings_and_memo_hits(self):
+        """A compile either lowers or answers from the arena memo; the
+        counters say which, and there is nothing else to count."""
+        from repro.circuits import compile_stats
+
+        c = random_circuit(4)
+        before = compile_stats()
+        assert set(before) == {"lowerings", "arena_cache_hits"}
+        first = compile_circuit(c)
+        assert compile_circuit(c) is first
+        after = compile_stats()
+        assert after["lowerings"] == before["lowerings"] + 1
+        assert after["arena_cache_hits"] == before["arena_cache_hits"] + 1
+
     def test_compiled_passthrough(self):
         compiled = compile_circuit(random_circuit(11))
         assert compile_circuit(compiled) is compiled
@@ -127,7 +141,7 @@ def _apply_edits(c: Circuit, seed: int, n_edits: int) -> None:
         elif op == "not":
             gate = c.negation(rng.choice(gates))
         elif op == "extend" and last is not None:
-            # keep the previous output inside the new cone (delta-friendly)
+            # keep the previous output inside the new cone
             gate = c.or_gate([last, rng.choice(gates)])
         else:
             picked = rng.sample(gates, rng.randint(2, min(4, len(gates))))
@@ -137,50 +151,63 @@ def _apply_edits(c: Circuit, seed: int, n_edits: int) -> None:
     c.set_output(last)
 
 
-class TestRecompile:
-    def test_append_only_edit_takes_the_delta_path(self):
-        from repro.circuits import compile_stats, recompile
+def both_lowerings(c: Circuit) -> tuple[CompiledCircuit, CompiledCircuit]:
+    """The array lowering and the per-gate python lowering of one arena."""
+    from repro.circuits import compiled as compiled_module
+
+    saved = compiled_module.VECTOR_MIN_GATES
+    try:
+        compiled_module.VECTOR_MIN_GATES = 0
+        vectorized = CompiledCircuit(c)
+        compiled_module.VECTOR_MIN_GATES = len(c) + 1
+        scalar = CompiledCircuit(c)
+    finally:
+        compiled_module.VECTOR_MIN_GATES = saved
+    assert vectorized._np32 is not None  # the array path actually ran
+    assert scalar._np32 is None  # the python lowering actually ran
+    return vectorized, scalar
+
+
+def assert_same_lowering(left: CompiledCircuit, right: CompiledCircuit) -> None:
+    assert left.kinds == right.kinds
+    assert left.offsets == right.offsets
+    assert left.indices == right.indices
+    assert left.var_slot == right.var_slot
+    assert left.var_names == right.var_names
+    assert left.output == right.output
+    assert left.gate_ids == right.gate_ids
+    assert left.levels_list() == right.levels_list()
+
+
+class TestGrownArena:
+    def test_grown_arena_lowers_afresh(self):
+        """A grown arena is one new lowering, equal to a cold one."""
+        from repro.circuits import compile_stats
 
         c = random_circuit(17, n_vars=8, steps=40)
-        old = compile_circuit(c)
+        compile_circuit(c)
         before = compile_stats()
         c.set_output(c.or_gate([c.output, c.variable("appended")]))
-        updated = recompile(old, c)
+        updated = compile_circuit(c)
         after = compile_stats()
-        assert after["delta_recompiles"] - before["delta_recompiles"] == 1
-        assert after["lowerings"] == before["lowerings"]
+        assert after["lowerings"] == before["lowerings"] + 1
         assert "appended" in updated.var_names
-        fresh = CompiledCircuit(c)
-        assert updated.kinds == fresh.kinds
-        assert updated.indices == fresh.indices
-        assert updated.gate_ids == fresh.gate_ids
+        assert_same_lowering(updated, CompiledCircuit(c))
 
-    def test_noop_edit_returns_the_same_object(self):
-        from repro.circuits import recompile
-
+    def test_growth_outside_the_cone_keeps_the_arrays(self):
         c = random_circuit(18)
         old = compile_circuit(c)
         c.variable("never_referenced")  # grows the arena, not the cone
-        assert recompile(old, c) is old
+        assert_same_lowering(compile_circuit(c), old)
 
-    def test_cone_divergence_falls_back_to_full_compile(self):
-        from repro.circuits import recompile
-
+    def test_output_moved_to_a_disjoint_cone(self):
         c = random_circuit(19, n_vars=6, steps=30)
-        old = compile_circuit(c)
+        compile_circuit(c)
         # New output that does NOT contain the old output gate's cone.
         c.set_output(c.and_gate([c.variable("solo"), c.variable("duo")]))
-        updated = recompile(old, c)
-        fresh = CompiledCircuit(c)
-        assert updated.kinds == fresh.kinds
-        assert updated.var_names == fresh.var_names
-        assert updated.output == fresh.output
-
-    def test_recompile_requires_a_compiled_old_plan(self):
-        from repro.circuits import recompile
-
-        with pytest.raises(ReproError, match="CompiledCircuit"):
-            recompile(object(), random_circuit(1))
+        vectorized, scalar = both_lowerings(c)
+        assert_same_lowering(vectorized, scalar)
+        assert vectorized.var_names == ("solo", "duo")
 
 
 @settings(max_examples=50, deadline=None)
@@ -188,30 +215,21 @@ class TestRecompile:
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=1, max_value=25),
 )
-def test_recompile_is_gate_for_gate_identical_to_fresh_compile(seed, n_edits):
-    """Property: after any append-only edit sequence, ``recompile`` against
-    the previous lowering produces exactly the arrays a from-scratch
-    compile would — same CSR, same interning, same levels, same gate map —
-    whether it took the delta fast path or fell back."""
-    from repro.circuits import recompile
-
+def test_grown_arena_array_lowering_matches_python_lowering(seed, n_edits):
+    """Property: after any append-only edit sequence, which leaves cones
+    of gates no longer reachable from the moved output, the array
+    lowering peels exactly those and produces the python lowering's
+    arrays — same CSR, same interning, same levels, same gate map."""
     c = random_circuit(seed, n_vars=6, steps=20)
-    old = compile_circuit(c)
+    compile_circuit(c)
     _apply_edits(c, seed + 1, n_edits)
-    updated = recompile(old, c)
-    fresh = CompiledCircuit(c)
-    assert updated.kinds == fresh.kinds
-    assert updated.offsets == fresh.offsets
-    assert updated.indices == fresh.indices
-    assert updated.var_slot == fresh.var_slot
-    assert updated.var_names == fresh.var_names
-    assert updated.output == fresh.output
-    assert updated.gate_ids == fresh.gate_ids
-    assert updated.levels_list() == fresh.levels_list()
+    vectorized, scalar = both_lowerings(c)
+    assert_same_lowering(vectorized, scalar)
+    assert_same_lowering(compile_circuit(c), scalar)
     rng = stable_rng(seed + 2)
     for _ in range(4):
-        world = {name: rng.random() < 0.5 for name in fresh.var_names}
-        assert updated.evaluate(world) == fresh.evaluate(world)
+        world = {name: rng.random() < 0.5 for name in scalar.var_names}
+        assert vectorized.evaluate(world) == scalar.evaluate(world)
 
 
 @settings(max_examples=10, deadline=None)
@@ -224,26 +242,228 @@ def test_vectorized_lowering_matches_python_lowering(seed):
     c = random_circuit(seed, n_vars=12, steps=700)
     while len(c) < compiled_module.VECTOR_MIN_GATES:
         c.set_output(c.or_gate([c.output, c.variable(f"pad{len(c)}")]))
-    vectorized = CompiledCircuit(c)
-    assert vectorized._np32 is not None  # the vector path actually ran
-    # Above the circuit's size every pass takes its per-gate python loop:
-    # the lowering, and the level schedule computed from its CSR lists.
-    saved = compiled_module.VECTOR_MIN_GATES
-    try:
-        compiled_module.VECTOR_MIN_GATES = len(c) + 1
-        scalar = CompiledCircuit(c)
-        scalar_levels = scalar.levels_list()
-    finally:
-        compiled_module.VECTOR_MIN_GATES = saved
-    assert scalar._np32 is None  # the python lowering actually ran
-    assert vectorized.kinds == scalar.kinds
-    assert vectorized.offsets == scalar.offsets
-    assert vectorized.indices == scalar.indices
-    assert vectorized.var_slot == scalar.var_slot
-    assert vectorized.var_names == scalar.var_names
-    assert vectorized.output == scalar.output
-    assert vectorized.gate_ids == scalar.gate_ids
-    assert vectorized.levels_list() == scalar_levels
+    assert CompiledCircuit(c)._np32 is not None  # the default picks arrays
+    vectorized, scalar = both_lowerings(c)
+    assert_same_lowering(vectorized, scalar)
+
+
+def alternating_chain(links: int, dead_tail: int = 0) -> Circuit:
+    """An AND/OR chain over fresh variables, one level per link.
+
+    With ``dead_tail``, that many more chain gates are appended and the
+    output moves to a 3-gate cone created after them, so the whole chain
+    lies below the output, unreachable.
+    """
+    c = Circuit()
+    gate = c.variable("x0")
+    for i in range(1, links + 1):
+        pair = [gate, c.variable(f"x{i}")]
+        gate = c.and_gate(pair) if i % 2 else c.or_gate(pair)
+    for i in range(dead_tail):
+        gate = c.or_gate([gate, c.variable(f"d{i}")])
+    if dead_tail:
+        c.set_output(c.and_gate([c.variable("y0"), c.variable("y1")]))
+    else:
+        c.set_output(gate)
+    return c
+
+
+def test_deep_chain_lowers_on_the_array_path():
+    """Depth is no limit: a chain of more than 8192 levels (where a
+    level-by-level walk used to give up) lowers on the array path, with
+    the python lowering's arrays and level schedule."""
+    c = alternating_chain(9000)
+    compiled = CompiledCircuit(c)
+    assert compiled._np32 is not None
+    assert max(compiled.levels_list()) == 9000
+    vectorized, scalar = both_lowerings(c)
+    assert_same_lowering(compiled, scalar)
+    assert_same_lowering(vectorized, scalar)
+    marginals = [0.5] * len(compiled.var_names)
+    assert compiled.probability_batch([marginals])[0] == scalar.probability(marginals)
+
+
+def test_dead_chain_under_a_small_output_lowers_exactly():
+    """The peeling's worst shape: a long chain of gates no longer
+    reachable, one peeled per round, under a 3-gate output."""
+    c = alternating_chain(4, dead_tail=3000)
+    assert c.output == len(c) - 1
+    vectorized, scalar = both_lowerings(c)
+    assert vectorized.size == 3
+    assert_same_lowering(vectorized, scalar)
+
+
+# Edge cases of the peeling, each returning (arena, gates the output
+# reaches, counted by hand).
+
+def _shape_nothing_to_peel():
+    c = Circuit()
+    a, b = c.variable("a"), c.variable("b")
+    c.set_output(c.or_gate([c.and_gate([a, b]), c.negation(a)]))
+    return c, 5
+
+
+def _shape_output_is_a_variable():
+    c = Circuit()
+    c.variable("before")
+    c.set_output(c.variable("x"))
+    return c, 1
+
+
+def _shape_output_is_a_constant():
+    c = Circuit()
+    c.variable("a")
+    c.set_output(c.true())
+    return c, 1
+
+
+def _shape_gates_above_the_output():
+    # Unreachable by construction: everything created after the output.
+    c = Circuit()
+    out = c.and_gate([c.variable("a"), c.variable("b")])
+    c.or_gate([out, c.variable("late")])
+    c.negation(out)
+    c.set_output(out)
+    return c, 3
+
+
+def _shape_dead_leaves_below_the_output():
+    # One round that removes only leaves: no inputs to gather.
+    c = Circuit()
+    c.variable("u0")
+    c.true()
+    a = c.variable("a")
+    c.false()
+    c.variable("u1")
+    c.set_output(c.or_gate([a, c.variable("b")]))
+    return c, 3
+
+
+def _shape_dead_gate_over_live_inputs():
+    # Peeling the dead OR leaves its live input; its other input dies.
+    c = Circuit()
+    a, b, d = c.variable("a"), c.variable("b"), c.variable("d")
+    live = c.and_gate([a, b])
+    c.or_gate([live, d])
+    c.set_output(c.or_gate([live, c.negation(b)]))
+    return c, 5
+
+
+def _shape_dead_diamond():
+    # Two dead gates share a dead input: its count drops by two in one
+    # round; the input they share with the output stays.
+    c = Circuit()
+    a, b, x = c.variable("a"), c.variable("b"), c.variable("x")
+    base = c.and_gate([a, b])
+    c.or_gate([base, x])
+    c.negation(base)
+    c.set_output(c.or_gate([x, a]))
+    return c, 3
+
+
+def _shape_repeated_inputs():
+    # append_gates keeps a repeated input: the dead AND holds two of the
+    # shared OR's three counts, and the live output reads it twice.
+    c = Circuit()
+    a, b = c.variable("a"), c.variable("b")
+    shared = len(c)
+    gates = c.append_gates(
+        ["or", "and", "or"],
+        [a, b, shared, shared, shared, a, shared],
+        [0, 2, 4, 7],
+    )
+    c.set_output(gates[-1])
+    return c, 4
+
+
+def _shape_dead_chain():
+    return alternating_chain(4, dead_tail=10), 3
+
+
+def _shape_interleaved():
+    # Live and dead gates alternate in creation order.
+    c = Circuit()
+    acc = c.variable("v0")
+    for i in range(1, 9):
+        v = c.variable(f"v{i}")
+        c.and_gate([acc, c.negation(v)])
+        acc = c.or_gate([acc, v])
+    c.set_output(acc)
+    return c, 17
+
+
+def _shape_wide_dead_fan_in():
+    # A dead OR over twelve variables; the six the output skips die too.
+    c = Circuit()
+    vs = [c.variable(f"w{i}") for i in range(12)]
+    c.or_gate(vs)
+    c.set_output(c.and_gate(vs[::2]))
+    return c, 7
+
+
+def _shape_dead_negation_ladder():
+    # Five dead NOT gates in a row (append_gates does not cancel them),
+    # one peeled per round, over a variable the output also reads.
+    c = Circuit()
+    a, b = c.variable("a"), c.variable("b")
+    base = len(c)
+    c.append_gates("not", [a, base, base + 1, base + 2, base + 3], range(6))
+    c.set_output(c.and_gate([a, b]))
+    return c, 3
+
+
+PEEL_SHAPES = {
+    "nothing-to-peel": _shape_nothing_to_peel,
+    "output-is-a-variable": _shape_output_is_a_variable,
+    "output-is-a-constant": _shape_output_is_a_constant,
+    "gates-above-the-output": _shape_gates_above_the_output,
+    "dead-leaves-below-the-output": _shape_dead_leaves_below_the_output,
+    "dead-gate-over-live-inputs": _shape_dead_gate_over_live_inputs,
+    "dead-diamond": _shape_dead_diamond,
+    "repeated-inputs": _shape_repeated_inputs,
+    "dead-chain": _shape_dead_chain,
+    "interleaved": _shape_interleaved,
+    "wide-dead-fan-in": _shape_wide_dead_fan_in,
+    "dead-negation-ladder": _shape_dead_negation_ladder,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
+def test_peeling_keeps_exactly_the_gates_the_output_reaches(shape):
+    """The array lowering keeps the hand-counted gates of each shape,
+    equals the python lowering, and evaluates like the arena."""
+    c, reached = PEEL_SHAPES[shape]()
+    vectorized, scalar = both_lowerings(c)
+    assert vectorized.size == reached
+    assert_same_lowering(vectorized, scalar)
+    names = vectorized.var_names
+    for mask in range(1 << len(names)):
+        world = {name: bool(mask >> i & 1) for i, name in enumerate(names)}
+        assert vectorized.evaluate(world) == c.evaluate(world)
+
+
+@pytest.mark.parametrize("array_path", (True, False), ids=("array", "python"))
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10_000),
+    st.integers(min_value=0, max_value=12),
+)
+def test_gathered_levels_are_the_level_definition(array_path, seed, n_edits):
+    """Both lowerings gather their level schedule from the arena; it is
+    :func:`gate_levels` of their own CSR arrays, which is what the batch
+    plan, the wire format and the shared segment rely on."""
+    from repro.circuits import compiled as compiled_module
+
+    c = random_circuit(seed, n_vars=6, steps=20)
+    _apply_edits(c, seed + 1, n_edits)
+    lowered = both_lowerings(c)[0 if array_path else 1]
+    levels = lowered.levels_list()
+    assert levels == compiled_module.gate_levels(
+        lowered.kinds, lowered.offsets, lowered.indices
+    )
+    assert compiled_module.levels_consistent(
+        lowered.kinds, lowered.offsets, lowered.indices, levels
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -471,12 +691,11 @@ class TestCompiledConsumers:
         assert abs(legacy - exact) < 0.05
 
 
-def test_fact_id_arena_through_delta_recompile_and_named_appends():
+def test_fact_id_arena_through_a_grown_compile_and_named_appends():
     """An arena of fact-id variables dedups ids, keeps its variables a view
-    through a delta recompile (still gathering from the event space), and
-    switches to named slots, names intact, once a named variable joins."""
-    from repro.circuits import compiled as compiled_module
-    from repro.circuits import recompile
+    through the compile of the grown arena (still gathering from the event
+    space), and switches to named slots, names intact, once a named
+    variable joins."""
     from repro.events.space import FactNames
 
     probs = [0.1, 0.2, 0.3, 0.4]
@@ -489,13 +708,11 @@ def test_fact_id_arena_through_delta_recompile_and_named_appends():
     c = Circuit()
     first = list(c.append_variables([0, 2, 4], ids))
     c.set_output(c.append_gates(K_OR, first, (0, 3))[0])
-    old = compile_circuit(c)
+    compile_circuit(c)
     more = list(c.append_variables([3, 2, 3], ids))
     assert more[1] == first[1] and more[0] == more[2]
     c.set_output(c.append_gates(K_OR, [c.output, more[0]], (0, 2))[0])
-    before = compiled_module.compile_stats()["delta_recompiles"]
-    updated = recompile(old, c)
-    assert compiled_module.compile_stats()["delta_recompiles"] == before + 1
+    updated = compile_circuit(c)
     assert isinstance(updated.var_names, FactNames)
     names = ("f:R(0)", "f:R(2)", "f:R(4)", "f:R(3)")
     assert updated.var_names == CompiledCircuit(c).var_names == names

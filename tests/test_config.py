@@ -17,9 +17,6 @@ EXPECTED_KNOBS = (
     "instance_backend",
     "parallel_workers",
     "pipeline_depth",
-    "plan_cache_dir",
-    "plan_cache_limit_bytes",
-    "plan_cache_min_gates",
 )
 
 EXPECTED_ENV = {
@@ -32,9 +29,6 @@ EXPECTED_ENV = {
     "instance_backend": "REPRO_INSTANCE_BACKEND",
     "parallel_workers": "REPRO_PARALLEL_WORKERS",
     "pipeline_depth": "REPRO_DISTRIBUTED_PIPELINE",
-    "plan_cache_dir": "REPRO_PLAN_CACHE_DIR",
-    "plan_cache_limit_bytes": "REPRO_PLAN_CACHE_LIMIT_BYTES",
-    "plan_cache_min_gates": "REPRO_PLAN_CACHE_MIN_GATES",
 }
 
 #: Every variable a knob reads, cleared so each test sees the defaults.
@@ -110,11 +104,6 @@ ROUND_TRIPS = [
     ("auth_provider", TLSAuth(cafile="ca.pem"), "tls",
      ("REPRO_DISTRIBUTED_SECRET", "s3cret", "hmac")),
     ("pipeline_depth", 7, 7, ("REPRO_DISTRIBUTED_PIPELINE", "9", 9)),
-    ("plan_cache_dir", "plans", "plans",
-     ("REPRO_PLAN_CACHE_DIR", " shared-plans ", "shared-plans")),
-    ("plan_cache_limit_bytes", 1024, 1024,
-     ("REPRO_PLAN_CACHE_LIMIT_BYTES", "2048", 2048)),
-    ("plan_cache_min_gates", 0, 0, ("REPRO_PLAN_CACHE_MIN_GATES", "5", 5)),
 ]
 
 
@@ -148,8 +137,6 @@ MALFORMED = [
     ("parallel_workers", "x"),
     ("pipeline_depth", 2.5),
     ("pipeline_depth", "x"),
-    ("plan_cache_min_gates", 1.9),
-    ("plan_cache_limit_bytes", "abc"),
     ("distributed_hosts", 7761),
     ("distributed_hosts", ["127.0.0.1:7761", 7762]),
     ("distributed_tls", {"cafile": "c", "bogus": 1}),

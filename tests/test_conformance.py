@@ -17,11 +17,12 @@ parametrized matrix:
                                            persistent-pool}
 
 The *producer* axis pins how the compiled plan came to be: a fresh
-:func:`compile_circuit`, a delta :func:`repro.circuits.recompile` after an
-append edit, or a lowering rebuilt from the persistent on-disk plan cache.
-Each producer asserts its arrays are bit-identical to a from-scratch
-compile before the execution paths ever run, so a recompiled or
-cache-loaded plan can never drift from the oracle unnoticed.
+:func:`compile_circuit`, a :func:`compile_circuit` of the arena grown by
+an append edit after a first compile (the edit leaves gates no longer
+reachable, which the lowering peels), the same grown arena lowered on
+the array path, or an arena rebuilt through the bulk construction APIs. Each producer asserts its arrays are
+bit-identical to a from-scratch compile before the execution paths ever
+run, so a produced plan can never drift from the oracle unnoticed.
 
 Every path must agree with the oracle **exactly**: Boolean results by
 equality, probabilities bit for bit (sign of zero included). The oracle
@@ -40,13 +41,12 @@ second round reused the connection and skipped the plan transfer.
 import functools
 import math
 import operator
-import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro import config
-from repro.circuits import Circuit, compile_circuit, recompile
+from repro.circuits import Circuit, compile_circuit
 from repro.circuits import compiled as compiled_module
 from repro.circuits import distributed, parallel
 from repro.circuits.circuit import AND, CONST, NOT, VAR
@@ -147,33 +147,46 @@ def _produce_fresh(name):
     return compile_circuit(SCENARIOS[name]())
 
 
-def _produce_recompiled(name):
-    """Compile, append an edit (a contradiction OR-ed into the output, so
-    every gate kind joins the dirty cone), then delta-recompile."""
+def _grown(name):
+    """The scenario arena, compiled once, then grown: a contradiction
+    OR-ed into the output, so every gate kind joins the new cone, and,
+    unless the output is a constant, an unused gate over the old output
+    that the lowering must peel."""
     c = SCENARIOS[name]()
-    old = compile_circuit(c)
+    compile_circuit(c)
     aux = c.variable("aux")
+    c.and_gate([c.output, aux])
     c.set_output(c.or_gate([c.output, c.and_gate([aux, c.negation(aux)])]))
-    produced = recompile(old, c)
-    _assert_identical_lowering(produced, compiled_module.CompiledCircuit(c))
+    return c
+
+
+def _lowered(c, array_path):
+    """``c`` lowered on the array path, or on the per-gate python one."""
+    min_gates = 0 if array_path else len(c) + 1
+    with mock.patch.object(compiled_module, "VECTOR_MIN_GATES", min_gates):
+        lowered = compiled_module.CompiledCircuit(c)
+    assert (lowered._np32 is not None) == array_path
+    return lowered
+
+
+def _produce_grown(name):
+    """Compile the grown arena."""
+    c = _grown(name)
+    produced = compile_circuit(c)
+    for array_path in (True, False):
+        _assert_identical_lowering(produced, _lowered(c, array_path))
     return produced
 
 
-def _produce_cache_loaded(name):
-    """Store a lowering in the on-disk plan cache, then rebuild the same
-    arena and load the plan back instead of lowering it."""
-    with tempfile.TemporaryDirectory() as directory:
-        with config.overrides(plan_cache_dir=directory, plan_cache_min_gates=0):
-            compile_circuit(SCENARIOS[name]())
-            before = compiled_module.compile_stats()["disk_cache_hits"]
-            produced = compile_circuit(SCENARIOS[name]())
-            assert (
-                compiled_module.compile_stats()["disk_cache_hits"]
-                == before + 1
-            )
-    _assert_identical_lowering(
-        produced, compiled_module.CompiledCircuit(produced.source)
-    )
+def _produce_array_lowered(name):
+    """Lower the grown arena on the array path, whatever its size, so
+    every execution path runs a plan that peeling produced (the scenarios
+    are far below ``VECTOR_MIN_GATES``, where :func:`compile_circuit`
+    takes the python lowering): its CSR lists are materialized from the
+    int32 arrays, not built gate by gate."""
+    c = _grown(name)
+    produced = _lowered(c, array_path=True)
+    _assert_identical_lowering(produced, _lowered(c, array_path=False))
     return produced
 
 
@@ -242,8 +255,8 @@ def _produce_bulk_rebuilt(name):
 
 PRODUCERS = {
     "fresh": _produce_fresh,
-    "recompiled": _produce_recompiled,
-    "cache-loaded": _produce_cache_loaded,
+    "grown": _produce_grown,
+    "array-lowered": _produce_array_lowered,
     "bulk-rebuilt": _produce_bulk_rebuilt,
 }
 
@@ -594,8 +607,6 @@ def test_columnar_backend_matches_object_oracle(rows, query_index):
 # --------------------------------------------------------------------------- #
 # fact-id identity: on the columnar backend the fact id is the variable
 
-from unittest import mock
-
 from repro.instances import TIDInstance
 from repro.util import ReproError
 
@@ -653,8 +664,7 @@ def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vecto
     )
     min_gates = 0 if vector else compiled_module.VECTOR_MIN_GATES
     lowering = mock.patch.object(compiled_module, "VECTOR_MIN_GATES", min_gates)
-    # The on-disk plan cache keys plans by variable name, so it names them.
-    with namer, lowering, config.overrides(plan_cache_dir=None):
+    with namer, lowering:
         lineage = build_provenance_circuit(tid.instance, query)
         compiled = compile_circuit(lineage.circuit)
         space = tid.event_space()

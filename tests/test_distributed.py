@@ -192,6 +192,43 @@ class TestWireFormat:
         with pytest.raises(ReproError, match="level schedule"):
             distributed.plan_from_bytes(forged)
 
+    def test_deep_plan_ships_and_verifies_its_levels(self):
+        """A chain of 9,000 levels, lowered on the array path, ships its
+        level schedule; the receiver verifies it in one pass whatever the
+        depth, runs it like the sender, and rejects one level that lies."""
+        c = Circuit()
+        gate = c.variable("x0")
+        for i in range(1, 9001):
+            pair = [gate, c.variable(f"x{i}")]
+            gate = c.and_gate(pair) if i % 2 else c.or_gate(pair)
+        c.set_output(gate)
+        compiled = compile_circuit(c)
+        assert compiled._np32 is not None
+        plan = distributed.plan_from_bytes(compiled.wire_bytes())
+        assert list(plan.levels) == compiled.levels_list()
+        assert max(plan.levels) == 9000
+        rows = [[0.5] * len(compiled.variables()), [0.9] * len(compiled.variables())]
+        assert plan.run_rows(rows, as_float=True) == compiled.probability_batch(rows)
+        levels = compiled.levels_list()
+        levels[compiled.size // 2] += 1
+        forged = distributed._pack_blob(
+            {
+                "kind": "plan",
+                "size": compiled.size,
+                "output": compiled.output,
+                "n_vars": len(compiled.variables()),
+            },
+            [
+                ("kinds", "i", compiled.kinds),
+                ("offsets", "i", compiled.offsets),
+                ("indices", "i", compiled.indices),
+                ("var_slot", "i", compiled.var_slot),
+                ("levels", "i", levels),
+            ],
+        )
+        with pytest.raises(ReproError, match="level schedule"):
+            distributed.plan_from_bytes(forged)
+
     def test_non_plan_payload_rejected(self):
         tables = distributed._tables_to_bytes([[1, 0]], 2, [0.5, 0.5], [0.5], 0.5)
         with pytest.raises(ReproError, match="not a circuit plan"):
@@ -658,18 +695,8 @@ class TestPersistentRuntime:
             compiled, marginals, samples, seed=seed, hosts=hosts
         )
 
-    @pytest.fixture
-    def no_plan_cache(self, monkeypatch):
-        """Tests that count plan publishes must pin the on-disk plan cache
-        off: with an ambient ``REPRO_PLAN_CACHE_DIR`` (the CI plan-cache
-        job sets one suite-wide) localhost workers answer ``PLAN_OFFER``
-        from the shared directory and the counters stay at zero. Cleared
-        from the environment too, so spawned workers do not inherit it."""
-        monkeypatch.delenv("REPRO_PLAN_CACHE_DIR", raising=False)
-        config.configure(plan_cache_dir=None)
-
     def test_connection_and_plan_reused_across_calls(
-        self, worker_factory, no_plan_cache
+        self, worker_factory
     ):
         """Digest cache hit: call 2..N pay neither connect nor plan bytes."""
         worker = worker_factory()
@@ -688,7 +715,7 @@ class TestPersistentRuntime:
         assert after["publishes_skipped"] - before["publishes_skipped"] >= 2
 
     def test_digest_cache_miss_publishes_each_new_circuit(
-        self, worker_factory, no_plan_cache
+        self, worker_factory
     ):
         """Different circuits have different digests: each ships once."""
         worker = worker_factory()
@@ -725,7 +752,7 @@ class TestPersistentRuntime:
         assert after["plans_published"] - before["plans_published"] == 0
 
     def test_plan_evicted_on_a_connection_is_offered_again(
-        self, worker_factory, no_plan_cache, monkeypatch
+        self, worker_factory, monkeypatch
     ):
         """More plans than a worker holds per connection: the offer that
         evicts the first plan names it, so running that plan again offers
@@ -828,7 +855,7 @@ class TestPersistentRuntime:
         assert after["tasks_completed"] > before["tasks_completed"]
 
     def test_bounced_worker_rejoins_the_pool(
-        self, worker_factory, unused_tcp_port, no_plan_cache
+        self, worker_factory, unused_tcp_port
     ):
         """Kill + relaunch on the same port: heartbeat detects the bounce,
         the pool reconnects, and the digest handshake re-publishes the plan
@@ -857,7 +884,7 @@ class TestPersistentRuntime:
         assert after["plans_published"] - before["plans_published"] == 1
 
     def test_double_bounce_counts_one_heartbeat_failure_each(
-        self, worker_factory, unused_tcp_port, no_plan_cache
+        self, worker_factory, unused_tcp_port
     ):
         """Regression: every bounce costs exactly one ``heartbeat_failures``
         and leaves exactly one live connection in the pool. The failed-PING

@@ -226,7 +226,7 @@ class TestHybridReduction:
 
 class TestStreamingLogMonitor:
     """The streaming update scenario: append batches, requery through
-    ``recompile``, and stay bit-identical to a from-scratch compile."""
+    ``compile_circuit``, and stay bit-identical to a from-scratch compile."""
 
     @staticmethod
     def same_lowering(left, right):
@@ -252,7 +252,7 @@ class TestStreamingLogMonitor:
         assert len(monitor.circuit) > size_after_first
         assert first_output in monitor.circuit.reachable_from_output()
 
-    def test_requery_uses_the_delta_path_and_matches_fresh(self):
+    def test_requery_lowers_the_grown_arena_once_and_matches_fresh(self):
         from repro.circuits import CompiledCircuit
         from repro.circuits import compiled as compiled_module
         from repro.workloads import StreamingLogMonitor
@@ -260,12 +260,13 @@ class TestStreamingLogMonitor:
         monitor = StreamingLogMonitor(machines=4, seed=2)
         monitor.append(60)
         monitor.requery()  # cold compile
-        deltas = compiled_module.compile_stats()["delta_recompiles"]
         for _ in range(3):
             monitor.append(25)
+            lowerings = compiled_module.compile_stats()["lowerings"]
             compiled = monitor.requery()
+            assert compiled_module.compile_stats()["lowerings"] == lowerings + 1
+            assert monitor.requery() is compiled  # the arena memo
             assert self.same_lowering(compiled, CompiledCircuit(monitor.circuit))
-        assert compiled_module.compile_stats()["delta_recompiles"] == deltas + 3
 
     def test_recompiled_monitor_evaluates_like_a_fresh_compile(self):
         from repro.circuits import CompiledCircuit

@@ -99,6 +99,28 @@ class TestKnob:
         with config.overrides(parallel_workers=4):
             assert not parallel.should_shard(10**6, workers=1)
 
+    @pytest.mark.parametrize("workers", (2.7, True, "2", -1))
+    def test_per_call_workers_checked_like_the_knob(self, workers):
+        """A per-call count the ``parallel_workers`` knob would refuse is
+        refused, naming ``workers``, not rounded or coerced."""
+        with pytest.raises(ReproError, match="parallel_workers"):
+            config.configure(parallel_workers=workers)
+        with pytest.raises(ReproError, match="workers"):
+            parallel.should_shard(10**6, workers=workers)
+        compiled = compile_circuit(random_circuit(7))
+        marginals = [0.5] * len(compiled.variables())
+        with pytest.raises(ReproError, match="workers"):
+            parallel.monte_carlo_hits(compiled, marginals, 64, workers=workers)
+
+    @pytest.mark.parametrize("workers", (0, 1, 3))
+    def test_per_call_workers_taken_as_the_knob_takes_them(self, workers):
+        """A count the knob accepts is accepted per call and used as
+        given, the same count the knob yields when the call passes
+        ``None``."""
+        assert parallel._effective_workers(workers) == workers
+        with config.overrides(parallel_workers=workers):
+            assert parallel._effective_workers(None) == workers
+
     def test_unavailable_without_shared_memory(self, monkeypatch):
         monkeypatch.setattr(parallel, "_shm", None)
         assert not parallel.parallel_available()
@@ -138,6 +160,35 @@ class TestSharedBuffers:
         gc.collect()
         assert name not in parallel.active_segments()
         assert name not in shm_segments()
+
+    def test_plan_segment_carries_the_level_schedule(self, monkeypatch):
+        """The segment holds the lowering's level schedule next to the CSR
+        arrays, so a worker builds its plan without a level pass, and the
+        plan computes what the parent's own plan computes."""
+        compiled = compile_circuit(random_circuit(5))
+        handle = parallel._plan_handle(compiled)
+        assert handle.arrays["levels"].tolist() == compiled.levels_list()
+
+        def no_level_pass(*_args):
+            raise AssertionError("the worker recomputed the level schedule")
+
+        monkeypatch.setattr(compiled_module, "gate_levels", no_level_pass)
+        monkeypatch.setattr(compiled_module, "levels_consistent", no_level_pass)
+        plan = parallel._worker_plan(handle.manifest, {})
+        local = compiled.batch_plan()
+        assert plan.row_of.tolist() == local.row_of.tolist()
+        n = len(compiled.variables())
+        rng = np.random.default_rng(5)
+        marginals = rng.random((9, n))
+        assert (
+            plan.run(marginals, as_float=True).view(np.uint64).tolist()
+            == local.run(marginals, as_float=True).view(np.uint64).tolist()
+        )
+        worlds = rng.random((70, n)) < 0.5
+        assert (
+            plan.run(worlds, as_float=False).tolist()
+            == local.run(worlds, as_float=False).tolist()
+        )
 
 
 class TestShardedMatrixPasses:

@@ -883,7 +883,7 @@ class TestServiceOverSocket:
     def test_stats_covers_every_layer_over_the_wire(self, client):
         stats = client.stats()
         for key in ("plans", "result_cache", "coalescer", "streams", "pool",
-                    "compile", "batch", "plan_cache", "endpoints"):
+                    "compile", "batch", "endpoints"):
             assert key in stats
         assert stats["endpoints"], "latency histograms must be populated"
         sample = next(iter(stats["endpoints"].values()))

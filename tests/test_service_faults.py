@@ -1,15 +1,11 @@
 """Fault drills for the query service: degrade, never serve a wrong marginal.
 
 Each test spawns its own ``repro serve-http`` subprocess (plus, where the
-drill needs one, a distributed worker or an on-disk plan cache) and
-injects one failure:
+drill needs one, a distributed worker) and injects one failure:
 
 - a distributed worker killed mid-request — the host pool retries, the
   tier ladder degrades to the local kernels, and every served marginal
   still equals the library's answer;
-- a corrupt plan-cache entry discovered by a fresh service — the corrupt
-  blob is rejected and deleted, the request fails with a clean 404 (not a
-  wrong number), and re-registering the plan heals the digest;
 - a cache stampede — N concurrent cold requests for one valuation — is
   deduplicated to a single evaluated row;
 - a client disconnecting mid-stream — the Monte-Carlo run is cancelled
@@ -32,7 +28,7 @@ from repro.circuits import compile_circuit
 from repro.core import build_lineage, compile_query_plan
 from repro.instances.columnar import ColumnarInstance
 from repro.queries import atom, cq, variables
-from repro.service import ServiceClient, ServiceClientError, spawn_service
+from repro.service import ServiceClient, spawn_service
 from repro.util import ReproError, stable_rng
 from repro.workloads import rst_chain_tid
 
@@ -109,61 +105,6 @@ def test_worker_killed_mid_request_degrades_to_local(worker_factory):
         )
         health = client.health()
         assert health["status"] == "ok"
-        client.close()
-    finally:
-        shutdown_service(handle)
-
-
-# --------------------------------------------------------------------------- #
-# corrupt plan-cache entry on a fresh service
-
-
-def test_corrupt_plan_cache_entry_yields_clean_404_and_reheals(tmp_path):
-    cache_dir = tmp_path / "plans"
-    env = {"REPRO_PLAN_CACHE_DIR": str(cache_dir)}
-    compiled, marginals = chain_setup(n=12, seed=42)
-    rows = [marginals]
-    expected = [float(v) for v in direct_marginals(compiled, rows)]
-
-    # Life 1: register the plan; the service writes it through to disk.
-    handle = spawn_service(env=env)
-    try:
-        client = handle.client()
-        registered = client.register_plan(compiled.wire_bytes())
-        digest = registered["digest"]
-        assert registered["disk_cached"] is True
-        assert client.probability(digest, rows)["marginals"] == expected
-        client.close()
-    finally:
-        shutdown_service(handle)
-
-    # Life 2: a fresh service serves the digest straight from disk.
-    handle = spawn_service(env=env)
-    try:
-        client = handle.client()
-        assert client.health()["plans"] == 0
-        assert client.probability(digest, rows)["marginals"] == expected
-        client.close()
-    finally:
-        shutdown_service(handle)
-
-    # Corrupt the cached blob on disk.
-    entries = [path for path in cache_dir.iterdir()
-               if path.name.endswith(".plan") and digest in path.name]
-    assert entries, f"no plan entry for {digest} in {cache_dir}"
-    entries[0].write_bytes(b"\x00corrupted\x00" * 16)
-
-    # Life 3: the corrupt entry is rejected — a clean 404, never a wrong
-    # marginal — and re-registering the plan heals the digest.
-    handle = spawn_service(env=env)
-    try:
-        client = handle.client()
-        with pytest.raises(ServiceClientError) as excinfo:
-            client.probability(digest, rows)
-        assert excinfo.value.status == 404
-        healed = client.register_plan(compiled.wire_bytes())
-        assert healed["digest"] == digest
-        assert client.probability(digest, rows)["marginals"] == expected
         client.close()
     finally:
         shutdown_service(handle)
