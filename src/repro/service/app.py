@@ -43,7 +43,7 @@ import numpy as np
 from repro.circuits import distributed as _distributed
 from repro.circuits.evaluation import capabilities
 from repro.service.cache import LatencyHistogram, ResultCache, valuation_hash
-from repro.service.coalesce import DEFAULT_WINDOW, Coalescer
+from repro.service.coalesce import Coalescer
 from repro.util import ReproError, check
 
 #: Default cap on resident registered plans (LRU-evicted beyond it).
@@ -218,15 +218,10 @@ class QueryService:
     """The resident application behind ``repro serve-http``."""
 
     def __init__(self, *, coalesce: bool = True,
-                 coalesce_window: float | None = None,
                  cache_size: int | None = None,
                  cache_ttl: float | None = None,
                  max_plans: int | None = None,
                  max_rows: int | None = None):
-        if coalesce_window is None:
-            coalesce_window = _env_float(
-                "REPRO_SERVICE_COALESCE_MS", DEFAULT_WINDOW * 1e3
-            ) / 1e3
         if cache_size is None:
             cache_size = _env_int("REPRO_SERVICE_CACHE_SIZE", None)
         if cache_ttl is None:
@@ -234,9 +229,7 @@ class QueryService:
         self.cache = (ResultCache(cache_size, ttl=cache_ttl)
                       if cache_size is not None
                       else ResultCache(ttl=cache_ttl))
-        self.coalescer = Coalescer(
-            self._run_pass, window=coalesce_window, enabled=coalesce
-        )
+        self.coalescer = Coalescer(self._run_pass, enabled=coalesce)
         self.max_plans = (max_plans if max_plans is not None
                           else _env_int("REPRO_SERVICE_MAX_PLANS",
                                         DEFAULT_MAX_PLANS))
@@ -244,10 +237,10 @@ class QueryService:
                          else _env_int("REPRO_SERVICE_MAX_ROWS",
                                        DEFAULT_MAX_ROWS))
         self._plans: OrderedDict[str, _PlanEntry] = OrderedDict()
-        # One compute thread on purpose: serializing passes is what lets
-        # later arrivals pile into the next bucket while one pass runs,
-        # and the batch kernels already use the cores (numpy / the pool /
-        # distributed hosts) inside a single pass.
+        # One compute thread on purpose: the batch kernels already use the
+        # cores (numpy / the pool / distributed hosts) inside a single
+        # pass, so passes of different digests queue here instead of
+        # contending.
         self._compute = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-pass"
         )

@@ -234,7 +234,6 @@ class LocalService:
 
 
 def spawn_service(port: int = 0, coalesce: bool = True,
-                  coalesce_ms: float | None = None,
                   cache_size: int | None = None,
                   cache_ttl: float | None = None,
                   startup_timeout: float = 30.0,
@@ -243,9 +242,12 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     """Start a localhost query service subprocess and wait until ready.
 
     Runs ``python -m repro serve-http`` with this process's ``repro``
-    package on the child's path and blocks for the readiness line. ``env``
+    package on the child's path and blocks for the readiness line.
+    ``coalesce=False`` passes ``--no-coalesce`` (every request its own
+    pass); ``cache_size`` and ``cache_ttl`` pass the matching flags. ``env``
     overlays extra environment variables on the child (e.g.
-    ``REPRO_DISTRIBUTED_HOSTS`` for the fault drills). The caller owns teardown (:meth:`LocalService.stop`).
+    ``REPRO_DISTRIBUTED_HOSTS`` for the fault drills). The caller owns
+    teardown (:meth:`LocalService.stop`).
     """
     child_env = dict(os.environ)
     if env:
@@ -253,8 +255,6 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     command = ["serve-http", "--port", str(port)]
     if not coalesce:
         command.append("--no-coalesce")
-    if coalesce_ms is not None:
-        command += ["--coalesce-ms", str(coalesce_ms)]
     if cache_size is not None:
         command += ["--cache-size", str(cache_size)]
     if cache_ttl is not None:

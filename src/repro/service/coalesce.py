@@ -4,38 +4,39 @@ The batch kernels are throughput-optimal — one level-scheduled pass over a
 ``(rows, vars)`` float matrix costs barely more for 64 rows than for one —
 so a server that gives every request its own pass throws away exactly the
 speedup the vectorized kernels bought. The coalescer merges concurrent
-``/probability`` requests for the same plan digest into shared passes:
+``/probability`` requests for the same plan digest into shared passes. It
+batches by occupancy, not by timer:
 
-- requests arriving inside a short window (or while an earlier pass for
-  the same digest still occupies the compute thread) land in the same
-  *bucket*;
+- each digest has at most one open *bucket* and at most one *drain* task;
+- a request joins the digest's open bucket, opening one if there is none,
+  and starts the drain if none is running, so a lone request starts its
+  pass on the next event-loop iteration;
+- the drain closes the bucket, awaits its pass and fans the result out,
+  then repeats while a new bucket has opened: every request that arrives
+  while a pass runs joins the next pass;
 - rows are deduplicated by valuation hash as they join the bucket, so a
   cache stampede — N cold requests for the same row — evaluates the row
-  once;
-- the bucket runs as one matrix pass and every waiter is fanned back its
-  own rows' marginals from the shared ``hash → marginal`` result.
+  once, and every waiter gets its own rows' marginals back from the
+  shared ``hash → marginal`` result.
 
 Merging changes nothing numerically: the level kernels evaluate each
 matrix row independently, so a row's marginal in a coalesced pass is
 bit-identical to the same row in a dedicated pass (asserted by
 ``tests/test_service.py``).
 
-A request may carry an expected-arrivals barrier (``peers=N``): the bucket
-then flushes as soon as N requests have joined instead of waiting out the
-window — the deterministic handle the tests and benchmarks use to prove
-"N concurrent requests, one pass" over real sockets, bounded by
-:data:`BARRIER_TIMEOUT` so a missing peer cannot wedge the bucket.
+A request may carry an expected-arrivals barrier (``peers=N``): the drain
+then holds the bucket open until N requests have joined — the
+deterministic handle the tests and benchmarks use to prove "N concurrent
+requests, one pass" over real sockets, bounded by :data:`BARRIER_TIMEOUT`
+so a missing peer cannot wedge the bucket.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 from repro.util import check
-
-#: How long a freshly opened bucket waits for co-travellers, in seconds
-#: (``REPRO_SERVICE_COALESCE_MS`` / ``--coalesce-ms`` override it).
-DEFAULT_WINDOW = 0.002
 
 #: Hard cap on how long a ``peers=N`` barrier may hold a bucket open.
 BARRIER_TIMEOUT = 2.0
@@ -68,22 +69,19 @@ class Coalescer:
     """Merge concurrent per-digest row batches into shared matrix passes.
 
     ``run_pass(digest, rows)`` is the evaluation hook — awaited once per
-    flushed bucket, returning one marginal per row. With ``enabled=False``
-    every request runs as its own pass (the uncoalesced baseline the E19
-    bench compares against); rows are still deduplicated within a request.
+    bucket, returning one marginal per row; a digest's passes never
+    overlap. With ``enabled=False`` every request runs as its own pass (the
+    uncoalesced baseline the E19 bench compares against); rows are still
+    deduplicated within a request.
     """
 
-    def __init__(self, run_pass, window: float = DEFAULT_WINDOW,
-                 enabled: bool = True):
-        check(window >= 0, "coalescing window must be non-negative")
+    def __init__(self, run_pass, enabled: bool = True):
         self._run_pass = run_pass
-        self.window = window
         self.enabled = enabled
-        self._buckets: dict[str, _Bucket] = {}
-        # Per digest, the lock that serializes its passes and how many
-        # flushes hold or wait for it; the entry goes when that count
-        # drops to zero, so evicted or idle digests leave nothing behind.
-        self._locks: dict[str, list] = {}
+        # Both hold an entry only while the digest is busy, so evicted or
+        # idle digests leave nothing behind.
+        self._buckets: dict[str, _Bucket] = {}        # the open bucket
+        self._drains: dict[str, asyncio.Task] = {}    # the running drain
         self.counters = {
             "requests": 0,
             "rows_in": 0,
@@ -114,13 +112,14 @@ class Coalescer:
         if bucket is None:
             bucket = _Bucket(asyncio.get_running_loop())
             self._buckets[digest] = bucket
-            asyncio.ensure_future(self._flush(digest, bucket))
         bucket.add(hashes, rows)
         bucket.arrivals += 1
         if peers is not None:
             bucket.expected = max(bucket.expected or 0, peers)
         if bucket.expected is not None and bucket.arrivals >= bucket.expected:
             bucket.barrier.set()
+        if digest not in self._drains:
+            self._drains[digest] = asyncio.create_task(self._drain(digest))
         # shield: a cancelled waiter (client disconnect) must not cancel
         # the shared pass out from under the other waiters.
         shared = await asyncio.shield(bucket.future)
@@ -138,45 +137,28 @@ class Coalescer:
         self._account(1, deduped)
         return dict(zip(order, values))
 
-    async def _flush(self, digest: str, bucket: _Bucket) -> None:
-        """Wait out the window/barrier, then run the bucket as one pass."""
+    async def _drain(self, digest: str) -> None:
+        """Run the digest's buckets one pass at a time until none is open."""
         try:
-            timeout = (BARRIER_TIMEOUT if bucket.expected is not None
-                       else self.window)
-            if timeout > 0:
-                try:
-                    await asyncio.wait_for(bucket.barrier.wait(), timeout)
-                except asyncio.TimeoutError:
-                    # A barrier request may have joined after the window
-                    # wait started; honour it before giving up.
-                    if bucket.expected is not None and not bucket.barrier.is_set():
-                        try:
-                            await asyncio.wait_for(
-                                bucket.barrier.wait(), BARRIER_TIMEOUT
-                            )
-                        except asyncio.TimeoutError:
-                            pass
-            entry = self._locks.setdefault(digest, [asyncio.Lock(), 0])
-            entry[1] += 1
-            try:
-                async with entry[0]:
-                    # Close the bucket to new arrivals only now: requests
-                    # that queued up while a previous pass held the compute
-                    # thread have been merging into it all along.
-                    if self._buckets.get(digest) is bucket:
-                        del self._buckets[digest]
-                    values = await self._run_pass(digest, bucket.rows)
-            finally:
-                entry[1] -= 1
-                if not entry[1]:
-                    del self._locks[digest]
+            while (bucket := self._buckets.get(digest)) is not None:
+                await self._flush(digest, bucket)
+        finally:
+            del self._drains[digest]
+
+    async def _flush(self, digest: str, bucket: _Bucket) -> None:
+        """Wait out the bucket's barrier, close it, and run it as one pass."""
+        try:
+            if bucket.expected is not None:
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(bucket.barrier.wait(), BARRIER_TIMEOUT)
+            del self._buckets[digest]  # later arrivals open the next bucket
+            values = await self._run_pass(digest, bucket.rows)
         except BaseException as exc:
             if self._buckets.get(digest) is bucket:
                 del self._buckets[digest]
-            if not bucket.future.done():
-                bucket.future.set_exception(exc)
-                bucket.future.exception()  # mark retrieved for lone waiters
-            if isinstance(exc, asyncio.CancelledError):
+            bucket.future.set_exception(exc)
+            bucket.future.exception()  # mark retrieved for lone waiters
+            if not isinstance(exc, Exception):  # cancellation, exit
                 raise
             return
         self._account(bucket.arrivals, bucket.rows)
@@ -195,5 +177,4 @@ class Coalescer:
 
     def stats(self) -> dict:
         """Counters + configuration, for the ``/stats`` endpoint."""
-        return {"enabled": self.enabled, "window_s": self.window,
-                **self.counters}
+        return {"enabled": self.enabled, **self.counters}

@@ -8,11 +8,9 @@ response bodies framed by ``Content-Length``, keep-alive connections,
 reader-side EOF watch so a client hanging up mid-stream cancels its
 Monte-Carlo run promptly instead of computing into a dead socket.
 
-A richer ASGI binding (FastAPI/uvicorn) can front the same
-:class:`~repro.service.app.QueryService` later, gated behind a capability
-check like :func:`fastapi_available` — the app layer is transport-
-independent either way, which is also what makes it unit-testable without
-a socket.
+The app layer is transport-independent, which is what makes it
+unit-testable without a socket: the tests drive
+:meth:`~repro.service.app.QueryService.dispatch` directly.
 """
 
 from __future__ import annotations
@@ -32,15 +30,6 @@ _REASONS = {
     405: "Method Not Allowed", 413: "Payload Too Large",
     500: "Internal Server Error",
 }
-
-
-def fastapi_available() -> bool:
-    """Whether the optional FastAPI transport could be imported here."""
-    try:
-        import fastapi  # noqa: F401
-    except ImportError:
-        return False
-    return True
 
 
 class _BadRequest(Exception):

@@ -70,10 +70,10 @@ def test_wire_round_trip_preserves_batch_results(seed):
     plan = distributed.plan_from_bytes(compiled.wire_bytes())
     assert plan.size == compiled.size
     assert plan.output == compiled.output
-    assert plan.kinds == list(compiled.kinds)
-    assert plan.offsets == list(compiled.offsets)
-    assert plan.indices == list(compiled.indices)
-    assert plan.var_slot == list(compiled.var_slot)
+    assert plan.kinds.tolist() == list(compiled.kinds)
+    assert plan.offsets.tolist() == list(compiled.offsets)
+    assert plan.indices.tolist() == list(compiled.indices)
+    assert plan.var_slot.tolist() == list(compiled.var_slot)
     worlds = all_worlds(len(compiled.variables()))
     assert plan.run_rows(worlds, as_float=False) == compiled.evaluate_batch(worlds)
     n = len(compiled.variables())
@@ -133,6 +133,18 @@ class TestWireFormat:
             "var_slot": list(compiled.var_slot),
             "levels": list(compiled.levels_list()),
         }
+
+    def test_decoded_sections_are_int32_arrays_over_the_payload(self):
+        """A decoded plan keeps its five sections as read-only int32 arrays
+        over the blob, which the level plan takes without a list round
+        trip."""
+        compiled = compile_circuit(random_circuit(7))
+        plan = distributed.plan_from_bytes(compiled.wire_bytes())
+        for name in ("kinds", "offsets", "indices", "var_slot", "levels"):
+            section = getattr(plan, name)
+            assert isinstance(section, np.ndarray), name
+            assert section.dtype == np.int32, name
+            assert not section.flags.writeable, name
 
     def test_truncated_payload_rejected(self):
         blob = compile_circuit(random_circuit(3)).wire_bytes()

@@ -179,23 +179,45 @@ class TestLatencyHistogram:
 
 
 class _StubPass:
-    """Evaluation hook standing in for the batch kernels: sum of the row."""
+    """Evaluation hook standing in for the batch kernels: sum of the row.
 
-    def __init__(self, delay: float = 0.0):
+    ``held=True`` keeps the first pass running until ``release`` is set,
+    so a test can submit requests while a pass runs; ``fail_first`` makes
+    that first pass raise instead of answering.
+    """
+
+    def __init__(self, held: bool = False, fail_first: bool = False):
         self.calls: list[list[list[float]]] = []
-        self.delay = delay
+        self.release = asyncio.Event()
+        if not held:
+            self.release.set()
+        self.fail_first = fail_first
 
     async def __call__(self, digest, rows):
         self.calls.append([list(row) for row in rows])
-        if self.delay:
-            await asyncio.sleep(self.delay)
+        if len(self.calls) == 1:
+            await self.release.wait()
+            if self.fail_first:
+                raise ReproError("kernel exploded")
         return [sum(row) for row in rows]
+
+
+def _submit_one(coalescer, value: float, peers=None):
+    """One single-row request as a task on the running loop."""
+    return asyncio.create_task(coalescer.submit(
+        "digest", [valuation_hash([value])], [[value]], peers=peers
+    ))
+
+
+async def _yield_to_loop(times: int = 3) -> None:
+    for _ in range(times):
+        await asyncio.sleep(0)
 
 
 class TestCoalescer:
     def test_barrier_merges_concurrent_requests_into_one_pass(self):
         stub = _StubPass()
-        coalescer = Coalescer(stub, window=0.5)
+        coalescer = Coalescer(stub)
 
         async def drive():
             rows = [[[float(i)], [float(i) + 10.0]] for i in range(4)]
@@ -221,7 +243,7 @@ class TestCoalescer:
 
     def test_identical_rows_deduplicated_across_requests(self):
         stub = _StubPass()
-        coalescer = Coalescer(stub, window=0.5)
+        coalescer = Coalescer(stub)
         row = [0.25, 0.75]
 
         async def drive():
@@ -237,11 +259,11 @@ class TestCoalescer:
         assert coalescer.counters["rows_evaluated"] == 1
         assert coalescer.counters["rows_in"] == 3
 
-    def test_no_lock_held_at_rest_after_many_digests(self):
-        """Each flushed digest's lock goes once no bucket is pending or
-        running for it, including digests whose passes overlapped."""
+    def test_nothing_held_at_rest_after_many_digests(self):
+        """Once no pass is running, no bucket is open and no drain task
+        runs for any digest, including digests whose passes overlapped."""
         stub = _StubPass()
-        coalescer = Coalescer(stub, window=0.0)
+        coalescer = Coalescer(stub)
         digests = [f"digest-{k}" for k in range(12)]
 
         async def drive():
@@ -252,15 +274,15 @@ class TestCoalescer:
                                  [[float(i)]])
                 for i in range(3) for digest in digests[:4]
             ])
-            return dict(coalescer._locks), dict(coalescer._buckets)
+            return dict(coalescer._drains), dict(coalescer._buckets)
 
-        locks, buckets = asyncio.run(drive())
-        assert locks == {} and buckets == {}
+        drains, buckets = asyncio.run(drive())
+        assert drains == {} and buckets == {}
         assert coalescer.stats()["passes"] >= len(digests)
 
     def test_disabled_coalescer_runs_one_pass_per_request(self):
         stub = _StubPass()
-        coalescer = Coalescer(stub, window=0.5, enabled=False)
+        coalescer = Coalescer(stub, enabled=False)
 
         async def drive():
             return await asyncio.gather(*[
@@ -275,41 +297,93 @@ class TestCoalescer:
         assert coalescer.stats()["passes"] == 3
         assert coalescer.stats()["coalesced_requests"] == 0
 
-    def test_window_flush_without_barrier(self):
+    def test_lone_request_starts_its_pass_without_a_timer(self):
+        """A lone request's pass starts within a few loop iterations and no
+        timer is scheduled: nothing waits out a window."""
         stub = _StubPass()
-        coalescer = Coalescer(stub, window=0.001)
+        coalescer = Coalescer(stub)
+        timers: list = []
 
         async def drive():
-            return await coalescer.submit(
-                "digest", [valuation_hash([2.0])], [[2.0]]
-            )
+            loop = asyncio.get_running_loop()
+            call_at = loop.call_at
 
-        result = asyncio.run(drive())
+            def counting_call_at(when, callback, *args, **kwargs):
+                timers.append(callback)
+                return call_at(when, callback, *args, **kwargs)
+
+            loop.call_at = counting_call_at  # call_later goes through it
+            try:
+                request = _submit_one(coalescer, 2.0)
+                await _yield_to_loop()
+                started = list(stub.calls)
+                return started, await request
+            finally:
+                del loop.call_at
+
+        started, result = asyncio.run(drive())
+        assert started == [[[2.0]]]
+        assert timers == []
         assert result[valuation_hash([2.0])] == 2.0
-        assert len(stub.calls) == 1
 
-    def test_failed_pass_fans_the_error_to_every_waiter(self):
-        async def failing(digest, rows):
-            raise ReproError("kernel exploded")
-
-        coalescer = Coalescer(failing, window=0.5)
+    def test_requests_arriving_during_a_pass_share_the_next_one(self):
+        """A first request runs its pass alone; the three that arrive while
+        it runs make exactly one second pass, their rows in arrival order."""
+        stub = _StubPass(held=True)
+        coalescer = Coalescer(stub)
+        values = (1.0, 2.0, 3.0, 4.0)
 
         async def drive():
-            return await asyncio.gather(*[
-                coalescer.submit(
-                    "digest", [valuation_hash([float(i)])], [[float(i)]],
-                    peers=2,
-                )
-                for i in range(2)
-            ], return_exceptions=True)
+            first = _submit_one(coalescer, values[0])
+            await _yield_to_loop()
+            started = list(stub.calls)
+            later = [_submit_one(coalescer, value) for value in values[1:]]
+            await _yield_to_loop()
+            during = list(stub.calls)
+            stub.release.set()
+            return started, during, await asyncio.gather(first, *later)
 
-        results = asyncio.run(drive())
-        assert len(results) == 2
-        assert all(isinstance(r, ReproError) for r in results)
+        started, during, results = asyncio.run(drive())
+        assert started == [[[1.0]]], "the first request starts pass 1 alone"
+        assert during == started, "no second pass while the first runs"
+        assert stub.calls == [[[1.0]], [[2.0], [3.0], [4.0]]]
+        for value, result in zip(values, results):
+            assert result == {valuation_hash([value]): value}
+        stats = coalescer.stats()
+        assert stats["passes"] == 2
+        assert stats["max_requests_per_pass"] == 3
+        assert stats["coalesced_requests"] == 2
+        assert coalescer._buckets == {} and coalescer._drains == {}
+
+    def test_failed_pass_fans_out_its_error_and_the_digest_recovers(self):
+        """Every waiter of a failed pass gets its error; the request that
+        arrived during that pass, and a request after it, are served."""
+        stub = _StubPass(held=True, fail_first=True)
+        coalescer = Coalescer(stub)
+
+        async def drive():
+            failing = [_submit_one(coalescer, value, peers=2)
+                       for value in (1.0, 2.0)]
+            await _yield_to_loop(10)  # the barrier wait takes a few more
+            assert len(stub.calls) == 1, "the failing pass has started"
+            arrived_during = _submit_one(coalescer, 3.0)
+            stub.release.set()
+            failed = await asyncio.gather(*failing, return_exceptions=True)
+            served = await arrived_during
+            after = await _submit_one(coalescer, 4.0)
+            return failed, served, after
+
+        failed, served, after = asyncio.run(drive())
+        assert len(failed) == 2
+        assert all(isinstance(r, ReproError) for r in failed)
+        assert served == {valuation_hash([3.0]): 3.0}
+        assert after == {valuation_hash([4.0]): 4.0}
+        assert len(stub.calls) == 3
+        assert coalescer._buckets == {} and coalescer._drains == {}
 
     def test_next_request_after_flush_opens_a_fresh_bucket(self):
         stub = _StubPass()
-        coalescer = Coalescer(stub, window=0.0)
+        coalescer = Coalescer(stub)
 
         async def drive():
             first = await coalescer.submit(
@@ -516,7 +590,7 @@ def dispatch(service, method, path, payload=None):
 
 @pytest.fixture
 def app():
-    service = QueryService(coalesce_window=0.0)
+    service = QueryService()
     yield service
     service.close()
 
@@ -624,9 +698,9 @@ class TestQueryServiceDispatch:
         assert app.coalescer.counters == coalescer_before
         assert app.stream_stats == streams_before
 
-    def test_served_digests_leave_no_coalescer_lock(self, app):
-        """A service that has served K distinct digests holds no
-        per-digest lock once their passes are done."""
+    def test_served_digests_leave_nothing_in_the_coalescer(self, app):
+        """A service that has served K distinct digests holds no open
+        bucket and no drain task once their passes are done."""
         for n in (6, 7, 8, 9):
             compiled, marginals = chain_setup(n=n, seed=27)
             encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
@@ -638,7 +712,7 @@ class TestQueryServiceDispatch:
             )
             assert status == 200
         assert app.coalescer.stats()["passes"] == 4
-        assert app.coalescer._locks == {}
+        assert app.coalescer._buckets == {} and app.coalescer._drains == {}
 
     def test_unit_interval_bounds_and_negative_zero_accepted(self, app):
         compiled, marginals = chain_setup(n=10, seed=26)
