@@ -17,9 +17,9 @@ The module is organized around a **compile-once / evaluate-many** split:
   ``message_passing`` (the paper's junction-tree algorithm, Theorems 1–2)
   and ``dd`` (the linear-time deterministic-decomposable pass, Theorem 1);
 - :mod:`repro.circuits.parallel` (``parallel.py``) shards big batch
-  evaluations across a pool of worker processes that map the compiled CSR
-  arrays from shared memory — turn it on with the ``parallel_workers``
-  knob (or ``REPRO_PARALLEL_WORKERS``) and every
+  evaluations across a standard-library process pool whose workers map
+  the compiled CSR arrays from shared memory — turn it on with the
+  ``parallel_workers`` knob (or ``REPRO_PARALLEL_WORKERS``) and every
   large ``evaluate_batch``/``probability_batch`` call and both sampling
   baselines use it automatically, with deterministic results;
 - :mod:`repro.circuits.distributed` (``distributed.py``) fans the same

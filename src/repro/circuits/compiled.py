@@ -48,9 +48,10 @@ world; batches are chunked so the value buffer stays within
 
 **Sharded multi-process evaluation** is the fourth lowering stage, in
 :mod:`repro.circuits.parallel`: the plan's int32 CSR buffers are published
-once into ``multiprocessing.shared_memory`` with the level schedule, a
-persistent worker pool builds the level plan from them, and big
-world/marginal matrices are split into row shards evaluated on every core.
+once into ``multiprocessing.shared_memory`` with the level schedule, the
+workers of a persistent :class:`concurrent.futures.ProcessPoolExecutor`
+build the level plan from them, and big world/marginal matrices are split
+into row shards evaluated on every core.
 :meth:`~CompiledCircuit.evaluate_batch` and
 :meth:`~CompiledCircuit.probability_batch` route there automatically when
 the ``parallel_workers`` knob is set and the batch is large enough

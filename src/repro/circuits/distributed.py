@@ -201,18 +201,24 @@ def _pack_blob(meta: dict, sections: list[tuple[str, str, object]]) -> bytes:
     ``sections`` is ``[(name, typecode, values), ...]``; the JSON header
     gains a ``sections`` entry of ``[name, typecode, offset, nbytes]`` rows
     so the blob is self-describing — a reader needs nothing but this module.
+    The JSON header is padded with spaces so the payload starts at a
+    multiple of 8 bytes, and zero bytes put every section at a multiple of
+    8 in the payload: a decoded section is an aligned array over the blob.
+    Readers locate sections by offset, so unpadded blobs decode too.
     """
     payload_parts: list[bytes] = []
     directory = []
     offset = 0
     for name, typecode, values in sections:
         raw = _values_to_bytes(typecode, values)
-        directory.append([name, typecode, offset, len(raw)])
-        payload_parts.append(raw)
-        offset += len(raw)
+        pad = -offset % 8
+        directory.append([name, typecode, offset + pad, len(raw)])
+        payload_parts += [bytes(pad), raw]
+        offset += pad + len(raw)
     payload = b"".join(payload_parts)
     meta = dict(meta, sections=directory)
     meta_bytes = json.dumps(meta, separators=(",", ":"), sort_keys=True).encode()
+    meta_bytes += b" " * (-(_HEADER.size + len(meta_bytes)) % 8)
     crc = zlib.crc32(payload, zlib.crc32(meta_bytes)) & 0xFFFFFFFF
     header = _HEADER.pack(
         WIRE_MAGIC, WIRE_VERSION, 0, crc, len(meta_bytes), len(payload)
@@ -398,20 +404,18 @@ def plan_from_bytes(data: bytes) -> WirePlan:
     return WirePlan(meta, sections)
 
 
-def _tables_to_bytes(membership_rows, n_facts, probs, cumulative, total_weight):
+def _tables_to_bytes(membership, probs, cumulative, total_weight):
     """Pack Karp–Luby witness tables with the same framing as plans."""
-    flat = []
-    for row in membership_rows:
-        flat.extend(int(v) for v in row)
+    n_witnesses, n_facts = membership.shape
     return _pack_blob(
         {
             "kind": "tables",
-            "n_witnesses": len(membership_rows),
+            "n_witnesses": n_witnesses,
             "n_facts": n_facts,
             "total_weight": float(total_weight),
         },
         [
-            ("membership", "i", flat),
+            ("membership", "i", membership),
             ("probs", "d", probs),
             ("cumulative", "d", cumulative),
         ],
@@ -443,7 +447,6 @@ class WireTables:
     def kl_shard_hits(self, seed: int, index: int, count: int) -> int:
         return _parallel._kl_shard_hits(
             self.membership,
-            self.membership.sum(axis=1, dtype=np.int32),
             self.probs,
             self.cumulative,
             self.total_weight,
@@ -2087,17 +2090,16 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     effective hosts the call simply defers to the pool entry point
     (honouring ``workers=``).
     """
+    compiled = _compiled.compile_circuit(compiled)
     hosts = effective_hosts(hosts)
     if not hosts:
         return _parallel.monte_carlo_hits(
             compiled, marginals, samples, seed=seed, workers=workers
         )
-    compiled = _compiled.compile_circuit(compiled)
     seed = _parallel.check_sampling(samples, seed)
     probs32 = _parallel.mc_marginals(marginals, len(compiled.variables()))
     probs_blob = _values_to_bytes("f", probs32)
     plan_bytes, checksum = _plan_payload(compiled)
-    decoded = plan_from_bytes(plan_bytes)  # local shards run the same wire plan
 
     tasks = [
         (
@@ -2110,8 +2112,9 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     ]
 
     def run_local(meta):
-        probs = _values_from_bytes("f", probs_blob)
-        hits = decoded.mc_shard_hits(probs, meta["seed"], meta["index"], meta["count"])
+        hits = _parallel._mc_shard_hits(
+            compiled.batch_plan(), probs32, meta["seed"], meta["index"], meta["count"]
+        )
         return {"hits": hits}, b""
 
     results = _run_distributed(
@@ -2132,20 +2135,10 @@ def karp_luby_hits(membership, probs, weights, samples: int, seed: int = 0,
             membership, probs, weights, samples, seed=seed, workers=workers
         )
     seed = _parallel.check_sampling(samples, seed)
-    membership, probs, weights = _parallel.kl_tables(membership, probs, weights)
-    membership_rows = membership.tolist()
-    n_facts = membership.shape[1]
-    probs_list = probs.tolist()
-    cumulative = []
-    total = 0.0
-    for weight in weights.tolist():
-        total += weight
-        cumulative.append(total)
-    tables_bytes = _tables_to_bytes(
-        membership_rows, n_facts, probs_list, cumulative, total
-    )
+    membership, probs, cumulative = _parallel.kl_tables(membership, probs, weights)
+    total_weight = float(cumulative[-1])
+    tables_bytes = _tables_to_bytes(membership, probs, cumulative, total_weight)
     checksum = plan_checksum(tables_bytes)
-    decoded = tables_from_bytes(tables_bytes)
 
     tasks = [
         (
@@ -2158,8 +2151,9 @@ def karp_luby_hits(membership, probs, weights, samples: int, seed: int = 0,
     ]
 
     def run_local(meta):
-        return {"hits": decoded.kl_shard_hits(
-            meta["seed"], meta["index"], meta["count"]
+        return {"hits": _parallel._kl_shard_hits(
+            membership, probs, cumulative, total_weight,
+            meta["seed"], meta["index"], meta["count"],
         )}, b""
 
     results = _run_distributed(

@@ -2,13 +2,14 @@
 
 The numpy batch kernels (:mod:`repro.circuits.compiled`, third stage) run a
 whole world matrix through one level-scheduled pass — but on a single core.
-This module shards that work across a persistent pool of worker processes:
+This module shards that work across a persistent
+:class:`concurrent.futures.ProcessPoolExecutor`:
 
 - the compiled circuit's CSR arrays (``kinds``/``offsets``/``indices``/
   ``var_slot``) and its level schedule are published **once** per circuit
   into a :mod:`multiprocessing.shared_memory` segment (:func:`_plan_handle`);
   workers attach, build the level plan from them, and cache it, so a task
-  costs one small pickled descriptor, never a copy of the plan;
+  pickles a small descriptor, never a copy of the plan;
 - world/marginal matrices are placed in a per-call shared segment and split
   into contiguous **row shards**; each worker writes its slice of the output
   into the same segment, so no matrix crosses a pipe
@@ -32,10 +33,10 @@ or on 1, 2 or 8 workers.
 unlinked when the circuit is garbage-collected) and ``repro-buf-*`` (per
 call, unlinked in a ``finally``). Everything still live is torn down by an
 ``atexit`` hook (:func:`shutdown`), and :func:`active_segments` exposes the
-registry so tests can assert nothing leaked. A worker that dies (crash,
-``kill -9``) is detected: the pool is rebuilt on the next call, and a death
-*mid-run* raises :class:`~repro.util.ReproError` after per-call segments are
-released.
+registry so tests can assert nothing leaked. A worker that dies between
+calls leaves the executor broken; the next call rebuilds it. A death
+*mid-run* drops the pool and raises :class:`~repro.util.ReproError` after
+per-call segments are released (:func:`_run_tasks`).
 
 Knob: ``workers=`` on every entry point, defaulting to the process-wide
 ``parallel_workers`` knob of :mod:`repro.config` (set with
@@ -49,7 +50,6 @@ unavailable and every consumer stays on the serial paths.
 from __future__ import annotations
 
 import atexit
-import os
 import secrets
 import signal
 import weakref
@@ -244,9 +244,7 @@ def _plan_handle(compiled) -> SharedBuffers:
     which a fresh call republishes.
     """
     handle = compiled._shared_plan
-    if handle is not None and handle.closed:
-        handle = None
-    if handle is None:
+    if handle is None or handle.closed:
         arrays = (*compiled._int32_arrays(), compiled.levels_array())
         handle = SharedBuffers(
             dict(zip(_PLAN_ARRAYS, arrays)),
@@ -260,6 +258,10 @@ def _plan_handle(compiled) -> SharedBuffers:
 
 # --------------------------------------------------------------------------- #
 # worker side
+
+#: A worker process's level plans, by plan segment name.
+_WORKER_PLANS: dict[str, object] = {}
+
 
 def _worker_plan(manifest, cache):
     """A worker's level-scheduled plan for one shared circuit, cached by name."""
@@ -450,7 +452,7 @@ def _mc_shard_hits(plan, probs32, seed: int, index: int, count: int) -> int:
 
 
 def _kl_shard_hits(
-    membership, sizes, probs, cumulative, total_weight, seed, index, count
+    membership, probs, cumulative, total_weight, seed, index, count
 ) -> int:
     """Fused Karp–Luby trial for one shard (witness pick + world + test).
 
@@ -458,6 +460,7 @@ def _kl_shard_hits(
     same generator — the stream of one ``(count, n_facts)`` draw, with no
     chunk's float64 draw above :data:`~repro.circuits.compiled.BATCH_BYTE_BUDGET`.
     """
+    sizes = membership.sum(axis=1, dtype=np.int32)
     rng = np.random.default_rng((seed, index))
     chosen = np.searchsorted(cumulative, rng.random(count) * total_weight)
     chosen = np.minimum(chosen, len(cumulative) - 1)
@@ -475,193 +478,81 @@ def _kl_shard_hits(
     return hits
 
 
-def _execute_task(kind, payload, plan_cache):
-    if kind == "eval":
-        plan_manifest, data_manifest, as_float, row_start, row_end = payload
-        plan = _worker_plan(plan_manifest, plan_cache)
-        shm, _meta, views = SharedBuffers.attach(data_manifest)
-        try:
-            plan.run_into(
-                views["matrix"][row_start:row_end],
-                views["out"][row_start:row_end],
-                as_float,
-            )
-        finally:
-            views = None
-            shm.close()
-        return None
-    if kind == "mc":
-        plan_manifest, probs32, seed, index, count = payload
-        plan = _worker_plan(plan_manifest, plan_cache)
-        return _mc_shard_hits(plan, probs32, seed, index, count)
-    if kind == "kl":
-        tables_manifest, seed, index, count = payload
-        shm, meta, views = SharedBuffers.attach(tables_manifest)
-        try:
-            membership = views["membership"]
-            return _kl_shard_hits(
-                membership,
-                membership.sum(axis=1, dtype=np.int32),
-                views["probs"],
-                views["cumulative"],
-                meta["total_weight"],
-                seed,
-                index,
-                count,
-            )
-        finally:
-            views = None
-            membership = None
-            shm.close()
-    if kind == "exit":  # test hook: simulate a worker dying mid-run
-        os._exit(17)
-    raise ReproError(f"unknown parallel task kind {kind!r}")
+def _eval_shard(plan_manifest, data_manifest, as_float, row_start, row_end) -> None:
+    """One row shard of a sharded matrix pass, written into the call's segment."""
+    plan = _worker_plan(plan_manifest, _WORKER_PLANS)
+    shm, _meta, views = SharedBuffers.attach(data_manifest)
+    try:
+        plan.run_into(
+            views["matrix"][row_start:row_end],
+            views["out"][row_start:row_end],
+            as_float,
+        )
+    finally:
+        views = None
+        shm.close()
 
 
-def _worker_main(tasks, results):
-    """Worker loop: pull a task, run it, push ``(id, ok, value)``.
+def _mc_shard(plan_manifest, probs32, seed, index, count) -> int:
+    """One Monte-Carlo shard's hit count, on the published plan."""
+    plan = _worker_plan(plan_manifest, _WORKER_PLANS)
+    return _mc_shard_hits(plan, probs32, seed, index, count)
 
-    SIGINT is ignored so a Ctrl-C lands in the parent, which tears the pool
-    down through its ``finally``/atexit path; the loop itself exits on the
-    ``None`` sentinel. Caught exceptions are reported per task (the pool
-    re-raises them as :class:`ReproError`), so one bad shard does not kill
-    the worker.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    plan_cache: dict[str, object] = {}
-    while True:
-        item = tasks.get()
-        if item is None:
-            break
-        task_id, kind, payload = item
-        try:
-            value = _execute_task(kind, payload, plan_cache)
-        except BaseException as exc:  # noqa: BLE001 - reported to the parent
-            results.put((task_id, False, f"{type(exc).__name__}: {exc}"))
-        else:
-            results.put((task_id, True, value))
+
+def _kl_shard(tables_manifest, seed, index, count) -> int:
+    """One Karp–Luby shard's hit count, on the published witness tables."""
+    shm, meta, views = SharedBuffers.attach(tables_manifest)
+    try:
+        return _kl_shard_hits(
+            views["membership"],
+            views["probs"],
+            views["cumulative"],
+            meta["total_weight"],
+            seed,
+            index,
+            count,
+        )
+    finally:
+        views = None
+        shm.close()
 
 
 # --------------------------------------------------------------------------- #
 # the pool
 
-class WorkerCrashed(ReproError):
-    """A worker process died mid-run (crash, OOM kill, ``kill -9``).
+_POOL = None  # (size, concurrent.futures.ProcessPoolExecutor) while one runs
 
-    Distinct from an ordinary task failure — a crashed worker leaves the
-    pool degraded, so :func:`_run_tasks` tears it down for rebuilding,
-    while a task-level error keeps the healthy pool running.
+
+def _get_pool(workers: int):
+    """The shared executor, rebuilt when the size changes.
+
+    Workers are forked where the platform can: spawned ones start about
+    ten times slower and need every calling script to guard its main
+    module. They ignore SIGINT, so a Ctrl-C lands in the parent, which
+    tears the pool down through its ``finally``/atexit path.
     """
-
-
-class WorkerPool:
-    """A persistent pool of batch-kernel workers fed through one task queue.
-
-    Workers pull ``(id, kind, payload)`` tuples from a shared queue — big
-    operands travel through shared memory, only descriptors are pickled —
-    and push results to a shared result queue. :meth:`run` submits a task
-    list and blocks until every result arrived, polling worker liveness so
-    a crashed worker surfaces as :class:`WorkerCrashed` instead of a hang.
-    """
-
-    def __init__(self, size: int):
-        check(size >= 1, "worker pool needs at least one worker")
-        method = "fork" if "fork" in get_all_start_methods() else "spawn"
-        ctx = get_context(method)
-        self.size = size
-        self.tasks = ctx.SimpleQueue()
-        self.results = ctx.Queue()
-        self.processes = [
-            ctx.Process(target=_worker_main, args=(self.tasks, self.results), daemon=True)
-            for _ in range(size)
-        ]
-        for process in self.processes:
-            process.start()
-        self._next_id = 0
-
-    def alive(self) -> bool:
-        return all(process.is_alive() for process in self.processes)
-
-    def pids(self) -> tuple[int, ...]:
-        return tuple(process.pid for process in self.processes)
-
-    def run(self, task_list) -> list:
-        """Run ``[(kind, payload), ...]``; results in submission order."""
-        import queue as _queue
-
-        ids = []
-        for kind, payload in task_list:
-            task_id = self._next_id
-            self._next_id += 1
-            ids.append(task_id)
-            self.tasks.put((task_id, kind, payload))
-        collected: dict[int, object] = {}
-        pending = set(ids)
-        while pending:
-            try:
-                task_id, ok, value = self.results.get(timeout=0.2)
-            except _queue.Empty:
-                if not self.alive():
-                    raise WorkerCrashed(
-                        "a parallel worker died mid-run; the pool will be "
-                        "rebuilt on the next call"
-                    ) from None
-                continue
-            if task_id not in pending:
-                # Stale result from an earlier aborted run (a failure made
-                # run() raise while later shards were still in flight);
-                # task ids are never reused, so just drop it.
-                continue
-            if not ok:
-                raise ReproError(f"parallel worker failed: {value}")
-            collected[task_id] = value
-            pending.discard(task_id)
-        return [collected[task_id] for task_id in ids]
-
-    def shutdown(self) -> None:
-        """Stop every worker (sentinel, then join, then terminate stragglers)."""
-        for process in self.processes:
-            if process.is_alive():
-                try:
-                    self.tasks.put(None)
-                except (OSError, ValueError):  # pragma: no cover - queue gone
-                    break
-        for process in self.processes:
-            process.join(timeout=2.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=2.0)
-        for q in (self.tasks, self.results):
-            try:
-                q.close()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-
-
-_POOL: WorkerPool | None = None
-
-
-def _get_pool(workers: int) -> WorkerPool:
-    """The shared pool, rebuilt when the size changes or a worker died."""
     global _POOL
-    if _POOL is not None and (_POOL.size != workers or not _POOL.alive()):
-        _POOL.shutdown()
-        _POOL = None
+    if _POOL is not None and _POOL[0] != workers:
+        shutdown_pool()
     if _POOL is None:
-        _POOL = WorkerPool(workers)
-    return _POOL
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def pool_processes() -> tuple[int, ...]:
-    """PIDs of the current pool's workers (empty when no pool is running)."""
-    return _POOL.pids() if _POOL is not None else ()
+        method = "fork" if "fork" in get_all_start_methods() else "spawn"
+        executor = ProcessPoolExecutor(
+            workers,
+            mp_context=get_context(method),
+            initializer=signal.signal,
+            initargs=(signal.SIGINT, signal.SIG_IGN),
+        )
+        _POOL = (workers, executor)
+    return _POOL[1]
 
 
 def shutdown_pool() -> None:
-    """Terminate the worker pool; the next parallel call spawns a fresh one."""
+    """Stop the worker pool; the next parallel call starts a fresh one."""
     global _POOL
     if _POOL is not None:
-        _POOL.shutdown()
+        _POOL[1].shutdown(cancel_futures=True)
         _POOL = None
 
 
@@ -674,13 +565,42 @@ def shutdown() -> None:
 
 atexit.register(shutdown)
 
+_DIED = "a parallel worker died mid-run; the pool will be rebuilt on the next call"
 
-def _run_tasks(task_list, workers: int) -> list:
+
+def _run_tasks(shard, calls, workers: int) -> list:
+    """``[shard(*args) for args in calls]``, run on the pool, in call order.
+
+    A pool found broken when the tasks are submitted (a worker died since
+    the last call) is rebuilt once. A worker that dies mid-run drops the
+    pool and raises :class:`~repro.util.ReproError`; the caller's
+    ``finally`` releases its per-call segments. A failing task cancels
+    the tasks not yet started and raises :class:`~repro.util.ReproError`,
+    leaving the pool running: every task has its own future, so nothing
+    of an aborted run reaches the next one.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
+    for _attempt in range(2):
+        pool = _get_pool(workers)
+        try:
+            futures = [pool.submit(shard, *args) for args in calls]
+            break
+        except BrokenProcessPool:
+            shutdown_pool()
+    else:
+        raise ReproError(_DIED)
     try:
-        return _get_pool(workers).run(task_list)
-    except WorkerCrashed:
+        return [future.result() for future in futures]
+    except BrokenProcessPool:
         shutdown_pool()
-        raise
+        raise ReproError(_DIED) from None
+    except Exception as exc:  # a task raised: report it, keep the pool
+        for future in futures:
+            future.cancel()
+        raise ReproError(
+            f"parallel worker failed: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -702,6 +622,7 @@ def _row_shards(
 
 def _sharded_matrix_pass(compiled, matrix, as_float: bool, workers: int | None):
     check(parallel_available(), "sharded evaluation requires shared memory")
+    compiled = _compiled.compile_circuit(compiled)
     workers = _effective_workers(workers)
     dtype = np.float64 if as_float else np.bool_
     matrix = np.ascontiguousarray(matrix, dtype=dtype)
@@ -710,21 +631,20 @@ def _sharded_matrix_pass(compiled, matrix, as_float: bool, workers: int | None):
         f"world matrix must be (n, {len(compiled.var_names)}), got {matrix.shape}",
     )
     n_rows = matrix.shape[0]
-    out_dtype = np.float64 if as_float else np.bool_
     if n_rows == 0:
-        return np.empty(0, dtype=out_dtype)
+        return np.empty(0, dtype=dtype)
     if workers < 2:
-        out = np.empty(n_rows, dtype=out_dtype)
+        out = np.empty(n_rows, dtype=dtype)
         compiled.batch_plan().run_into(matrix, out, as_float)
         return out
     plan = _plan_handle(compiled)
-    data = SharedBuffers({"matrix": matrix, "out": ((n_rows,), out_dtype)})
+    data = SharedBuffers({"matrix": matrix, "out": ((n_rows,), dtype)})
     try:
-        tasks = [
-            ("eval", (plan.manifest, data.manifest, as_float, start, end))
+        calls = [
+            (plan.manifest, data.manifest, as_float, start, end)
             for start, end in _row_shards(n_rows, workers)
         ]
-        _run_tasks(tasks, workers)
+        _run_tasks(_eval_shard, calls, workers)
         return data.arrays["out"].copy()
     finally:
         data.close()
@@ -795,7 +715,8 @@ def mc_marginals(marginals, n_vars: int):
 
 
 def kl_tables(membership, probs, weights):
-    """Karp–Luby inputs as int32, float64 and float64 arrays, checked.
+    """Karp–Luby tables, checked: int32 membership, float64 probabilities
+    and float64 cumulative weights, whose last entry is the total weight.
 
     ``membership`` must be a 2-D matrix with a row per witness, ``probs``
     hold one probability per column and ``weights`` one weight per row.
@@ -819,7 +740,7 @@ def kl_tables(membership, probs, weights):
         f"need {n_witnesses} weights, one per membership row, "
         f"got shape {weights.shape}",
     )
-    return membership, probs, weights
+    return membership, probs, np.cumsum(weights)
 
 
 def monte_carlo_hits(
@@ -837,19 +758,20 @@ def monte_carlo_hits(
     they are bit-identical at any worker count. The full world matrix is
     never materialized; only per-shard hit counts are reduced.
     """
+    compiled = _compiled.compile_circuit(compiled)
     seed = check_sampling(samples, seed)
     probs32 = mc_marginals(marginals, len(compiled.variables()))
     shards = _sample_shards(samples)
     workers = _effective_workers(workers)
-    if workers < 2 or len(shards) < 2 or _shm is None:
+    if workers < 2 or len(shards) < 2:
         plan = compiled.batch_plan()
         return sum(
             _mc_shard_hits(plan, probs32, seed, index, count)
             for index, count in shards
         )
     manifest = _plan_handle(compiled).manifest
-    tasks = [("mc", (manifest, probs32, seed, index, count)) for index, count in shards]
-    return sum(_run_tasks(tasks, workers))
+    calls = [(manifest, probs32, seed, index, count) for index, count in shards]
+    return sum(_run_tasks(_mc_shard, calls, workers))
 
 
 def karp_luby_hits(
@@ -869,17 +791,14 @@ def karp_luby_hits(
     and worlds and tests containment with one matrix product.
     """
     seed = check_sampling(samples, seed)
-    membership, probs, weights = kl_tables(membership, probs, weights)
-    cumulative = np.cumsum(weights)
+    membership, probs, cumulative = kl_tables(membership, probs, weights)
     total_weight = float(cumulative[-1])
     shards = _sample_shards(samples)
     workers = _effective_workers(workers)
-    if workers < 2 or len(shards) < 2 or _shm is None:
-        sizes = membership.sum(axis=1, dtype=np.int32)
+    if workers < 2 or len(shards) < 2:
         return sum(
             _kl_shard_hits(
-                membership, sizes, probs, cumulative, total_weight,
-                seed, index, count,
+                membership, probs, cumulative, total_weight, seed, index, count
             )
             for index, count in shards
         )
@@ -888,9 +807,7 @@ def karp_luby_hits(
         meta={"total_weight": total_weight},
     )
     try:
-        tasks = [
-            ("kl", (tables.manifest, seed, index, count)) for index, count in shards
-        ]
-        return sum(_run_tasks(tasks, workers))
+        calls = [(tables.manifest, seed, index, count) for index, count in shards]
+        return sum(_run_tasks(_kl_shard, calls, workers))
     finally:
         tables.close()

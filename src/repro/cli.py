@@ -328,7 +328,7 @@ def command_serve(
 
 def command_serve_http(
     host: str = "127.0.0.1", port: int = 0, no_coalesce: bool = False,
-    cache_size: int | None = None, cache_ttl: float | None = None,
+    cache_size: int | None = None,
     hosts: str | None = None, secret: str | None = None,
     tls_cert: str | None = None, tls_key: str | None = None,
     tls_ca: str | None = None, registry_bind: str | None = None,
@@ -344,8 +344,8 @@ def command_serve_http(
     out exactly as with ``dist-eval``); ``--no-coalesce`` gives every
     request its own pass (the benchmark baseline), where by default the
     requests that arrive while a plan's pass runs share its next pass;
-    ``--cache-size`` and ``--cache-ttl`` override the corresponding
-    ``REPRO_SERVICE_*`` environment knobs.
+    ``--cache-size`` overrides the ``REPRO_SERVICE_CACHE_SIZE``
+    environment knob.
     """
     from repro import config
     from repro.circuits import distributed
@@ -369,8 +369,6 @@ def command_serve_http(
     kwargs: dict = {"coalesce": not no_coalesce}
     if cache_size is not None:
         kwargs["cache_size"] = cache_size
-    if cache_ttl is not None:
-        kwargs["cache_ttl"] = cache_ttl
     serve_http(host=host, port=port, **kwargs)
 
 
@@ -536,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "serve-http":
         command_serve_http(
             host=args.host, port=args.port, no_coalesce=args.no_coalesce,
-            cache_size=args.cache_size, cache_ttl=args.cache_ttl,
+            cache_size=args.cache_size,
             hosts=args.hosts, secret=args.secret,
             tls_cert=args.tls_cert, tls_key=args.tls_key, tls_ca=args.tls_ca,
             registry_bind=args.registry_bind,
@@ -622,11 +620,6 @@ def _add_worker_parsers(sub) -> None:
         "(default: REPRO_SERVICE_CACHE_SIZE or 4096)",
     )
     http.add_argument(
-        "--cache-ttl", type=float, default=None,
-        help="result-cache TTL in seconds "
-        "(default: REPRO_SERVICE_CACHE_TTL; unset = no expiry)",
-    )
-    http.add_argument(
         "--hosts", default=None,
         help="route big passes to these 'host:port,host:port' distributed "
         "workers (default: REPRO_DISTRIBUTED_HOSTS)",
@@ -683,7 +676,7 @@ def worker_main(argv: list[str] | None = None) -> int:
     elif args.command == "serve-http":
         command_serve_http(
             host=args.host, port=args.port, no_coalesce=args.no_coalesce,
-            cache_size=args.cache_size, cache_ttl=args.cache_ttl,
+            cache_size=args.cache_size,
             hosts=args.hosts, secret=args.secret,
             tls_cert=args.tls_cert, tls_key=args.tls_key, tls_ca=args.tls_ca,
             registry_bind=args.registry_bind,

@@ -14,7 +14,7 @@ service is that process:
   **coalesced** into one matrix pass (:mod:`repro.service.coalesce`) —
   batching across users is free throughput, bit-identical per row;
 - served marginals are **cached** by ``(plan_digest, valuation_hash)``
-  with LRU + TTL (:mod:`repro.service.cache`);
+  in an LRU (:mod:`repro.service.cache`);
 - long Monte-Carlo runs **stream** converging estimates over a chunked
   response and are cancelled promptly when the client disconnects;
 - ``/stats`` exposes pool/compile/cache counters and per-endpoint

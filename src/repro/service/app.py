@@ -41,6 +41,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from repro.circuits import distributed as _distributed
+from repro.circuits import parallel as _parallel
 from repro.circuits.evaluation import capabilities
 from repro.service.cache import LatencyHistogram, ResultCache, valuation_hash
 from repro.service.coalesce import Coalescer
@@ -74,16 +75,6 @@ class StreamResponse:
 
     def __init__(self, factory):
         self.factory = factory
-
-
-def _env_float(name: str, default):
-    value = os.environ.get(name, "").strip()
-    if not value:
-        return default
-    try:
-        return float(value)
-    except ValueError:
-        raise ReproError(f"{name} must be a number, got {value!r}") from None
 
 
 def _env_int(name: str, default):
@@ -207,11 +198,12 @@ class _PlanEntry:
             return self.compiled.probability_batch(matrix)
         return self.wire.run_rows(rows, as_float=True)
 
-    def wire_plan(self):
-        """The decoded wire plan (built once) — the /sample evaluation path."""
-        if self.wire is None:
-            self.wire = _distributed.plan_from_bytes(self.compiled.wire_bytes())
-        return self.wire
+    def mc_shard_hits(self, probs32, seed: int, index: int, count: int) -> int:
+        """One ``/sample`` shard's hit count, on this plan's level plan."""
+        source = self.compiled if self.compiled is not None else self.wire
+        return _parallel._mc_shard_hits(
+            source.batch_plan(), probs32, seed, index, count
+        )
 
 
 class QueryService:
@@ -219,16 +211,12 @@ class QueryService:
 
     def __init__(self, *, coalesce: bool = True,
                  cache_size: int | None = None,
-                 cache_ttl: float | None = None,
                  max_plans: int | None = None,
                  max_rows: int | None = None):
         if cache_size is None:
             cache_size = _env_int("REPRO_SERVICE_CACHE_SIZE", None)
-        if cache_ttl is None:
-            cache_ttl = _env_float("REPRO_SERVICE_CACHE_TTL", None)
-        self.cache = (ResultCache(cache_size, ttl=cache_ttl)
-                      if cache_size is not None
-                      else ResultCache(ttl=cache_ttl))
+        self.cache = (ResultCache(cache_size) if cache_size is not None
+                      else ResultCache())
         self.coalescer = Coalescer(self._run_pass, enabled=coalesce)
         self.max_plans = (max_plans if max_plans is not None
                           else _env_int("REPRO_SERVICE_MAX_PLANS",
@@ -324,9 +312,7 @@ class QueryService:
         self._closed = True
         self._compute.shutdown(wait=True)
         self._mc.shutdown(wait=True)
-        from repro.circuits import parallel
-
-        parallel.shutdown()
+        _parallel.shutdown()
         _distributed.close_pool()
 
     # ------------------------------------------------------------------ #
@@ -550,16 +536,14 @@ class QueryService:
         }
 
     def _handle_sample(self, payload) -> StreamResponse:
-        from repro.circuits.parallel import MC_SHARD
-
         entry = self._plan_entry(payload.get("digest"))
         row = payload.get("row")
         if not isinstance(row, list) or len(row) != entry.n_vars:
             raise ServiceError(
                 400, f"'row' must list {entry.n_vars} marginals in slot order"
             )
-        probs = _unit_marginals(row)
-        samples = payload.get("samples", MC_SHARD)
+        probs32 = np.asarray(_unit_marginals(row), dtype=np.float32)
+        samples = payload.get("samples", _parallel.MC_SHARD)
         if (
             not isinstance(samples, int)
             or isinstance(samples, bool)
@@ -568,13 +552,12 @@ class QueryService:
             raise ServiceError(
                 400, f"'samples' must be an integer in [1, {DEFAULT_SAMPLE_CAP}]"
             )
-        chunk = payload.get("chunk", MC_SHARD)
+        chunk = payload.get("chunk", _parallel.MC_SHARD)
         if not isinstance(chunk, int) or chunk < 1:
             raise ServiceError(400, "'chunk' must be a positive integer")
         seed = payload.get("seed", 0)
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ServiceError(400, "'seed' must be a non-negative integer")
-        wire = entry.wire_plan()
         stats = self.stream_stats
         mc_pool = self._mc
 
@@ -589,7 +572,7 @@ class QueryService:
                         break
                     count = min(chunk, samples - drawn)
                     shard = await loop.run_in_executor(
-                        mc_pool, wire.mc_shard_hits, probs, seed, index, count
+                        mc_pool, entry.mc_shard_hits, probs32, seed, index, count
                     )
                     hits += shard
                     drawn += count

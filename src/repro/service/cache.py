@@ -3,10 +3,8 @@
 A served marginal is a pure function of ``(plan_digest, valuation_hash)``:
 the digest pins the exact wire bytes of the compiled plan and the
 valuation hash pins the float64 row it was evaluated under, so a cached
-result can never go stale semantically. The cache is therefore bounded
-only operationally — an LRU entry cap for memory and an optional TTL for
-operators who want eventual re-evaluation (e.g. to re-warm a redeployed
-worker fleet). Hit/miss/eviction/expiry counters feed ``/stats``.
+result can never go stale. The cache is therefore bounded only by an LRU
+entry cap for memory. Hit/miss/eviction counters feed ``/stats``.
 
 :class:`LatencyHistogram` is the per-endpoint latency record behind the
 ``/stats`` endpoint: fixed power-of-two millisecond buckets, so observing
@@ -20,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-import time
 from bisect import bisect_left
 from collections import OrderedDict
 
@@ -51,33 +48,23 @@ def valuation_hash(row) -> str:
 
 
 class ResultCache:
-    """LRU + TTL map from ``(plan_digest, valuation_hash)`` to a marginal."""
+    """LRU map from ``(plan_digest, valuation_hash)`` to a marginal."""
 
-    def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE,
-                 ttl: float | None = None):
+    def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE):
         check(int(max_entries) >= 0, "cache size must be non-negative")
-        check(ttl is None or ttl > 0, "cache TTL must be positive (or None)")
         self.max_entries = int(max_entries)
-        self.ttl = ttl
-        self._entries: OrderedDict = OrderedDict()  # key -> (value, stored_at)
+        self._entries: OrderedDict = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def get(self, key):
         """The cached value for ``key``, or ``None`` (counted as a miss)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        value, stored_at = entry
-        if self.ttl is not None and time.monotonic() - stored_at > self.ttl:
-            del self._entries[key]
-            self.expirations += 1
+        value = self._entries.get(key)
+        if value is None:
             self.misses += 1
             return None
         self._entries.move_to_end(key)
@@ -91,7 +78,7 @@ class ResultCache:
         entries = self._entries
         if key in entries:
             entries.move_to_end(key)
-        entries[key] = (value, time.monotonic())
+        entries[key] = value
         while len(entries) > self.max_entries:
             entries.popitem(last=False)
             self.evictions += 1
@@ -106,11 +93,9 @@ class ResultCache:
         return {
             "entries": len(self._entries),
             "max_entries": self.max_entries,
-            "ttl_seconds": self.ttl,
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "expirations": self.expirations,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
         }
 

@@ -235,7 +235,6 @@ class LocalService:
 
 def spawn_service(port: int = 0, coalesce: bool = True,
                   cache_size: int | None = None,
-                  cache_ttl: float | None = None,
                   startup_timeout: float = 30.0,
                   env: dict | None = None,
                   extra_args: tuple = ()) -> LocalService:
@@ -244,7 +243,7 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     Runs ``python -m repro serve-http`` with this process's ``repro``
     package on the child's path and blocks for the readiness line.
     ``coalesce=False`` passes ``--no-coalesce`` (every request its own
-    pass); ``cache_size`` and ``cache_ttl`` pass the matching flags. ``env``
+    pass); ``cache_size`` passes ``--cache-size``. ``env``
     overlays extra environment variables on the child (e.g.
     ``REPRO_DISTRIBUTED_HOSTS`` for the fault drills). The caller owns
     teardown (:meth:`LocalService.stop`).
@@ -257,8 +256,6 @@ def spawn_service(port: int = 0, coalesce: bool = True,
         command.append("--no-coalesce")
     if cache_size is not None:
         command += ["--cache-size", str(cache_size)]
-    if cache_ttl is not None:
-        command += ["--cache-ttl", str(cache_ttl)]
     command += list(extra_args)
     return LocalService(
         *spawn_until_ready(command, child_env, startup_timeout, "service")

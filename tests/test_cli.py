@@ -100,6 +100,13 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_serve_http_refuses_a_cache_ttl(self, capsys):
+        """The result cache has no TTL, so ``--cache-ttl`` is a usage error."""
+        with pytest.raises(SystemExit) as exited:
+            main(["serve-http", "--cache-ttl", "5"])
+        assert exited.value.code == 2
+        assert "--cache-ttl" in capsys.readouterr().err
+
 
 class TestDistributedCli:
     def test_hosts_flag_rejects_malformed_spec(self):

@@ -146,6 +146,70 @@ class TestWireFormat:
             assert section.dtype == np.int32, name
             assert not section.flags.writeable, name
 
+    def test_sections_start_aligned(self):
+        """The JSON header is padded with spaces and the sections with zero
+        bytes, so each section of a plan and of witness tables starts at a
+        multiple of 8 in the blob and decodes to an aligned array."""
+        import json
+        import struct
+
+        plan_blob = compile_circuit(random_circuit(7)).wire_bytes()
+        tables_blob = distributed._tables_to_bytes(
+            np.array([[1, 0, 1], [0, 1, 1], [1, 1, 0]], dtype=np.int32),
+            [0.5, 0.25, 0.75], [0.125, 0.375, 0.5], 0.5,
+        )
+        for blob, decode in (
+            (plan_blob, distributed.plan_from_bytes),
+            (tables_blob, distributed.tables_from_bytes),
+        ):
+            meta_len = struct.unpack_from("<4sHHIIQ", blob)[4]
+            assert (24 + meta_len) % 8 == 0
+            sections = json.loads(blob[24 : 24 + meta_len])["sections"]
+            assert [offset % 8 for _name, _code, offset, _n in sections] == [
+                0
+            ] * len(sections)
+            decoded = decode(blob)
+            for name, *_rest in sections:
+                assert getattr(decoded, name).flags.aligned, name
+
+    def test_unpadded_blob_still_decodes(self):
+        """Sections are read by offset, so a blob packed without the
+        alignment padding, by ``struct``, ``json`` and ``zlib`` alone,
+        decodes to the same plan."""
+        import json
+        import struct
+        import zlib
+
+        compiled = compile_circuit(random_circuit(9))
+        arrays = {
+            "kinds": compiled.kinds,
+            "offsets": compiled.offsets,
+            "indices": compiled.indices,
+            "var_slot": compiled.var_slot,
+            "levels": compiled.levels_list(),
+        }
+        payload = b""
+        directory = []
+        for name, values in arrays.items():
+            raw = struct.pack(f"<{len(values)}i", *(int(v) for v in values))
+            directory.append([name, "i", len(payload), len(raw)])
+            payload += raw
+        n_vars = len(compiled.variables())
+        meta = json.dumps(
+            {"kind": "plan", "size": compiled.size, "output": compiled.output,
+             "n_vars": n_vars, "sections": directory},
+            separators=(",", ":"), sort_keys=True,
+        ).encode()
+        header = struct.pack(
+            "<4sHHIIQ", b"RCP1", 1, 0, zlib.crc32(meta + payload),
+            len(meta), len(payload),
+        )
+        plan = distributed.plan_from_bytes(header + meta + payload)
+        for name, values in arrays.items():
+            assert getattr(plan, name).tolist() == [int(v) for v in values]
+        rows = [[0.5] * n_vars, [0.9] * n_vars]
+        assert plan.run_rows(rows, as_float=True) == compiled.probability_batch(rows)
+
     def test_truncated_payload_rejected(self):
         blob = compile_circuit(random_circuit(3)).wire_bytes()
         for cut in (0, 3, len(blob) // 2, len(blob) - 1):
@@ -242,7 +306,9 @@ class TestWireFormat:
             distributed.plan_from_bytes(forged)
 
     def test_non_plan_payload_rejected(self):
-        tables = distributed._tables_to_bytes([[1, 0]], 2, [0.5, 0.5], [0.5], 0.5)
+        tables = distributed._tables_to_bytes(
+            np.array([[1, 0]], dtype=np.int32), [0.5, 0.5], [0.5], 0.5
+        )
         with pytest.raises(ReproError, match="not a circuit plan"):
             distributed.plan_from_bytes(tables)
 
@@ -311,6 +377,46 @@ class TestHostsKnob:
             assert distributed.monte_carlo_hits(
                 compiled, marginals, 500, seed=1
             ) == parallel.monte_carlo_hits(compiled, marginals, 500, seed=1, workers=0)
+
+    def test_entry_points_take_a_circuit_or_its_compiled_form(self, monkeypatch):
+        """With no hosts, every sampling and matrix entry point of both
+        stages answers the same for a raw ``Circuit`` as for its
+        ``compile_circuit``, through the pool and in-process alike."""
+        monkeypatch.setattr(distributed, "registered_hosts", lambda: ())
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        circuit = Circuit()
+        circuit.set_output(
+            circuit.and_gate([circuit.variable("x"), circuit.variable("y")])
+        )
+        worlds = np.array([[1, 1], [1, 0], [0, 1]], dtype=bool)
+        rows = np.array([[0.5, 0.5], [0.25, 1.0], [0.0, 0.5]])
+        entry_points = [
+            lambda c, w: parallel.monte_carlo_hits(
+                c, [0.5, 0.5], 300, seed=1, workers=w
+            ),
+            lambda c, w: parallel.evaluate_batch_sharded(
+                c, worlds, workers=w
+            ).tolist(),
+            lambda c, w: parallel.probability_batch_sharded(
+                c, rows, workers=w
+            ).tolist(),
+            lambda c, w: distributed.monte_carlo_hits(
+                c, [0.5, 0.5], 300, seed=1, hosts=(), workers=w
+            ),
+            lambda c, w: distributed.evaluate_batch_distributed(
+                c, worlds, hosts=()
+            ).tolist(),
+            lambda c, w: distributed.probability_batch_distributed(
+                c, rows, hosts=()
+            ).tolist(),
+        ]
+        with config.overrides(distributed_hosts=None):
+            for workers in (0, 2):
+                for call in entry_points:
+                    assert call(circuit, workers) == call(
+                        compile_circuit(circuit), workers
+                    )
+        parallel.shutdown_pool()
 
 
 class TestSamplingInputs:
@@ -583,6 +689,38 @@ class TestDistributedExecution:
         assert hits == serial
         unreachable = [w for w in caught if "unreachable" in str(w.message)]
         assert len(unreachable) == 1
+
+    def test_local_fallback_decodes_nothing(self, monkeypatch, unused_tcp_port):
+        """With every host unreachable, the local shards run the compiled
+        circuit's own level plan and the caller's witness tables: no wire
+        bytes are decoded back, and the estimates equal the ``workers=0``
+        ones bit for bit."""
+
+        def no_decode(_data):
+            raise AssertionError("the local fallback decoded its own wire bytes")
+
+        monkeypatch.setattr(distributed, "plan_from_bytes", no_decode)
+        monkeypatch.setattr(distributed, "tables_from_bytes", no_decode)
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        compiled = compile_circuit(random_circuit(39))
+        marginals = [0.35] * len(compiled.variables())
+        membership = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]
+        probs, weights = [0.3, 0.5, 0.2, 0.4], [0.06, 0.1, 0.06]
+        dead = (f"127.0.0.1:{unused_tcp_port}",)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            mc_hits = distributed.monte_carlo_hits(
+                compiled, marginals, 500, seed=3, hosts=dead
+            )
+            kl_hits = distributed.karp_luby_hits(
+                membership, probs, weights, 400, seed=4, hosts=dead
+            )
+        assert mc_hits == parallel.monte_carlo_hits(
+            compiled, marginals, 500, seed=3, workers=0
+        )
+        assert kl_hits == parallel.karp_luby_hits(
+            membership, probs, weights, 400, seed=4, workers=0
+        )
 
     def test_usable_from_inside_a_running_event_loop(self, module_worker):
         """An async caller (web handler, notebook) can still distribute.

@@ -104,7 +104,11 @@ marginals = compiled.slot_marginals(tid.event_space())
 hits = parallel.monte_carlo_hits(compiled, marginals, 256, seed=1, workers=1)
 assert 0 < hits <= 256
 """
-    assert loaded_after(code, HEAVY) == []
+    # The process pool (and the logging it imports) loads only when a
+    # pool is built.
+    assert loaded_after(
+        code, HEAVY + ("concurrent.futures.process", "logging")
+    ) == []
 
 
 def test_dir_lists_exports_before_they_resolve():

@@ -10,6 +10,8 @@ parallel hardware, only wall-clock does.
 
 import gc
 import math
+import multiprocessing
+import operator
 import os
 import signal
 import time
@@ -33,6 +35,16 @@ def shm_segments() -> list[str]:
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-POSIX-shm host
         return []
     return sorted(n for n in os.listdir("/dev/shm") if n.startswith("repro-"))
+
+
+def pool_pids() -> set[int]:
+    """PIDs of this process's live worker processes."""
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+def exit_shard(*_args):
+    """A shard whose worker dies mid-call."""
+    os._exit(17)
 
 
 @pytest.fixture(autouse=True)
@@ -224,7 +236,7 @@ class TestShardedMatrixPasses:
             serial = compiled.evaluate_batch(matrix)
             with config.overrides(parallel_workers=2):
                 assert compiled.evaluate_batch(matrix) == serial
-                assert parallel.pool_processes() != ()  # really went through the pool
+                assert pool_pids()  # really went through the pool
             float_matrix = np.random.default_rng(2).random(matrix.shape)
             serial_probs = compiled.probability_batch(float_matrix)
             with config.overrides(parallel_workers=2):
@@ -465,8 +477,7 @@ class TestFusedSampling:
         for seed in (0, 1, 17):
             for count in (1, 3, 7, 50):
                 assert parallel._kl_shard_hits(
-                    membership, sizes, probs, cumulative, total,
-                    seed, 3, count,
+                    membership, probs, cumulative, total, seed, 3, count
                 ) == whole_draw(seed, count)
 
     def test_karp_luby_identical_across_worker_counts(self, monkeypatch):
@@ -573,66 +584,69 @@ class TestPoolLifecycle:
         compiled = compile_circuit(random_circuit(31))
         marginals = [0.5] * len(compiled.variables())
         parallel.monte_carlo_hits(compiled, marginals, 300, seed=0, workers=2)
-        pids = parallel.pool_processes()
+        pids = pool_pids()
         assert len(pids) == 2
         parallel.monte_carlo_hits(compiled, marginals, 300, seed=1, workers=2)
-        assert parallel.pool_processes() == pids
+        assert pool_pids() == pids
 
     def test_pool_rebuilt_after_worker_killed(self, monkeypatch):
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         compiled = compile_circuit(random_circuit(32))
         marginals = [0.4] * len(compiled.variables())
         before = parallel.monte_carlo_hits(compiled, marginals, 400, seed=2, workers=2)
-        pids = parallel.pool_processes()
-        os.kill(pids[0], signal.SIGKILL)
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and parallel._POOL.alive():
+        pids = pool_pids()
+        os.kill(min(pids), signal.SIGKILL)
+        # The executor notices the death and stops the other worker too.
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline and pool_pids() & pids:
             time.sleep(0.05)
-        assert not parallel._POOL.alive()
-        # Next call notices the dead worker, rebuilds, and still agrees.
+        assert not pool_pids() & pids
+        # Next call finds the pool broken, rebuilds it, and still agrees.
         after = parallel.monte_carlo_hits(compiled, marginals, 400, seed=2, workers=2)
         assert after == before
-        assert parallel.pool_processes() != pids
+        assert len(pool_pids()) == 2
 
-    def test_worker_death_mid_run_raises_and_cleans(self):
-        with pytest.raises(ReproError, match="died mid-run"):
-            parallel._run_tasks([("exit", ())], workers=2)
-        assert parallel.pool_processes() == ()  # pool was shut down
-        # Per-call buffers are scoped in ``finally``: a crash while a shared
-        # matrix is in flight must not leak its segment.
+    def test_worker_death_mid_run_raises_and_cleans(self, monkeypatch):
         compiled = compile_circuit(random_circuit(33))
         matrix = world_matrix(compiled, 300)
-        original_run = parallel.WorkerPool.run
-
-        def run_then_die(pool, tasks):
-            original_run(pool, tasks)
-            raise ReproError("simulated mid-collection failure")
-
-        parallel.WorkerPool.run = run_then_die
-        try:
-            with pytest.raises(ReproError, match="simulated"):
-                parallel.evaluate_batch_sharded(compiled, matrix, workers=2)
-        finally:
-            parallel.WorkerPool.run = original_run
+        monkeypatch.setattr(parallel, "_eval_shard", exit_shard)
+        with pytest.raises(ReproError, match="died mid-run"):
+            parallel.evaluate_batch_sharded(compiled, matrix, workers=2)
+        assert pool_pids() == set()  # the pool was dropped
+        # Per-call buffers are scoped in ``finally``: a crash while a shared
+        # matrix is in flight must not leak its segment.
         assert [n for n in parallel.active_segments()
+                if n.startswith(parallel.BUFFER_PREFIX)] == []
+        assert [n for n in shm_segments()
                 if n.startswith(parallel.BUFFER_PREFIX)] == []
 
     def test_worker_error_propagates_without_killing_pool(self):
-        with pytest.raises(ReproError, match="worker failed"):
-            parallel._run_tasks([("no-such-kind", ())], workers=2)
+        with pytest.raises(ReproError, match="worker failed: ZeroDivisionError"):
+            parallel._run_tasks(operator.truediv, [(1, 0)], workers=2)
+        pids = pool_pids()
+        assert len(pids) == 2
+        assert parallel._run_tasks(
+            operator.truediv, [(1, 2), (3, 4)], workers=2
+        ) == [0.5, 0.75]
+        assert pool_pids() == pids
 
     def test_failed_run_does_not_poison_the_next_one(self, monkeypatch):
-        # A failing shard makes run() raise while sibling shards are still
+        # A failing shard makes the run raise while sibling shards are still
         # in flight; their late results must not surface in the next call.
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         compiled = compile_circuit(random_circuit(34))
         marginals = [0.5] * len(compiled.variables())
         manifest = parallel._plan_handle(compiled).manifest
         probs32 = np.asarray(marginals, dtype=np.float32)
-        good = ("mc", (manifest, probs32, 0, 0, 64))
+        missing = (parallel.PLAN_PREFIX + "missing", {}, ())
+        good = (manifest, probs32, 0, 0, 64)
         with pytest.raises(ReproError, match="worker failed"):
-            parallel._run_tasks([("no-such-kind", ()), good, good, good], workers=2)
-        time.sleep(0.3)  # let the leftover shards finish and enqueue results
+            parallel._run_tasks(
+                parallel._mc_shard,
+                [(missing, probs32, 0, 0, 64), good, good, good],
+                workers=2,
+            )
+        time.sleep(0.3)  # let the leftover shards finish
         expected = parallel.monte_carlo_hits(compiled, marginals, 300, seed=5, workers=0)
         assert parallel.monte_carlo_hits(
             compiled, marginals, 300, seed=5, workers=2
@@ -641,7 +655,7 @@ class TestPoolLifecycle:
     def test_shutdown_is_idempotent(self):
         parallel.shutdown()
         parallel.shutdown()
-        assert parallel.pool_processes() == ()
+        assert pool_pids() == set()
 
 
 class TestSerialFallbackWarning:

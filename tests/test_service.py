@@ -29,7 +29,6 @@ import json
 import math
 import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -123,14 +122,6 @@ class TestResultCache:
         assert cache.get("c") == 3.0
         assert cache.stats()["evictions"] == 1
 
-    def test_ttl_expires_entries(self):
-        cache = ResultCache(4, ttl=0.01)
-        cache.put("k", 1.0)
-        assert cache.get("k") == 1.0
-        time.sleep(0.03)
-        assert cache.get("k") is None
-        assert cache.stats()["expirations"] == 1
-
     def test_zero_capacity_stores_nothing(self):
         cache = ResultCache(0)
         cache.put("k", 1.0)
@@ -140,8 +131,6 @@ class TestResultCache:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ReproError):
             ResultCache(-1)
-        with pytest.raises(ReproError):
-            ResultCache(4, ttl=0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -697,6 +686,33 @@ class TestQueryServiceDispatch:
         assert app.cache.stats() == cache_before
         assert app.coalescer.counters == coalescer_before
         assert app.stream_stats == streams_before
+
+    def test_sample_runs_a_compiled_plans_own_level_plan(self, app, monkeypatch):
+        """``/sample`` on a compiled plan draws through that circuit's level
+        plan, decoding no wire bytes, and counts the pool's hits."""
+        from repro.circuits import distributed, parallel
+        from repro.service.app import _PlanEntry
+
+        def no_decode(_data):
+            raise AssertionError("/sample decoded the plan's wire bytes")
+
+        compiled, marginals = chain_setup(n=10, seed=29)
+        app._register(_PlanEntry(compiled.plan_digest(), compiled=compiled))
+        monkeypatch.setattr(distributed, "plan_from_bytes", no_decode)
+        samples = parallel.MC_SHARD + 100
+        stream = dispatch(app, "POST", "/sample", {
+            "digest": compiled.plan_digest(), "row": marginals,
+            "samples": samples, "seed": 2,
+        })
+
+        async def drain():
+            return [update async for update in stream.factory(asyncio.Event())]
+
+        updates = asyncio.run(drain())
+        assert updates[-1]["done"] and updates[-1]["samples"] == samples
+        assert updates[-1]["hits"] == parallel.monte_carlo_hits(
+            compiled, marginals, samples, seed=2, workers=0
+        )
 
     def test_served_digests_leave_nothing_in_the_coalescer(self, app):
         """A service that has served K distinct digests holds no open
