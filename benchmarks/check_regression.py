@@ -91,6 +91,15 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     ("BENCH_columnar_pipeline.json", "columnar_1e6_completed", "true", None),
     ("BENCH_columnar_pipeline.json", "columnar_1e6_facts_materialized",
      "max", 0),
+    # The 10^6-fact query and provenance layers and the whole pipeline,
+    # printed beside the committed times so a change to the join or the
+    # witness-DNF append shows in the job log. Wall-clock: report-only.
+    ("BENCH_columnar_pipeline.json", "sizes.1e6.columnar_seconds.query",
+     "report", None),
+    ("BENCH_columnar_pipeline.json", "sizes.1e6.columnar_seconds.provenance",
+     "report", None),
+    ("BENCH_columnar_pipeline.json", "sizes.1e6.columnar_seconds.total",
+     "report", None),
     # E19 query service. The speedup floor sits well under the measured
     # ~3x (coalescing eliminates per-request kernel launches, so like the
     # E15 amortization headline it holds on 1 CPU); the passes ceiling

@@ -328,15 +328,17 @@ class Circuit:
         if isinstance(kinds, str):
             kinds = _KIND_CODE[kinds]
         if isinstance(kinds, int):
-            kind_list = [kinds] * (len(offsets) - 1)
+            count = len(offsets) - 1
+            codes = {kinds}
         else:
             kind_list = [
                 k if isinstance(k, int) else _KIND_CODE[k] for k in kinds
             ]
-        count = len(kind_list)
-        if count == 0:
+            count = len(kind_list)
+            codes = set(kind_list)
+        if count <= 0:
             return range(base, base)
-        for code in set(kind_list):
+        for code in codes:
             check(
                 code in (K_NOT, K_AND, K_OR),
                 "append_gates takes operator gates only "
@@ -346,38 +348,65 @@ class Circuit:
         flat_base = len(self._inputs_flat)
         inputs64 = _int64_array(inputs)
         offsets64 = _int64_array(offsets)
-        row_ids = base + np.arange(count, dtype=np.int64)
         counts = np.diff(offsets64)
         check(bool((counts >= 1).all()), "append_gates rows need >= 1 input")
         check(
             int(offsets64[0]) == 0 and int(offsets64[-1]) == len(inputs64),
             "offsets must span the inputs array",
         )
-        bound = np.repeat(row_ids, counts)
-        check(
-            bool((inputs64 >= 0).all() and (inputs64 < bound).all()),
-            "append_gates inputs must reference earlier gates",
+        in_batch = inputs64 >= base
+        starts = offsets64[:-1]
+        if not in_batch.any():
+            # Every input is an earlier gate (what every bulk producer
+            # appends): one gather and one max per row give the levels.
+            # The gather copies, and the temporary view is gone before the
+            # frombytes extend below, which a live view would refuse.
+            check(
+                bool((inputs64 >= 0).all()),
+                "append_gates inputs must reference earlier gates",
+            )
+            input_levels = np.frombuffer(self._gate_levels, dtype=np.int32)[
+                inputs64
+            ]
+            batch_levels = 1 + np.maximum.reduceat(input_levels, starts)
+        else:
+            batch_levels = self._batch_levels(inputs64, in_batch, starts, counts)
+        self._kind_codes.frombytes(
+            bytes((kinds,)) * count if isinstance(kinds, int) else bytes(kind_list)
         )
-        self._kind_codes.frombytes(bytes(kind_list))
         self._var_slots.frombytes(np.full(count, -1, dtype=np.int32).tobytes())
         self._inputs_flat.frombytes(inputs64.astype(np.int32).tobytes())
         self._input_offsets.frombytes(
             (flat_base + offsets64[1:]).astype(np.int32).tobytes()
         )
-        # Levels: existing inputs resolve in one gather; in-batch
-        # references resolve in waves (bulk producers layer their
-        # batches, so this converges in one or two rounds).
+        self._gate_levels.frombytes(batch_levels.astype(np.int32).tobytes())
+        self.version += 1
+        return range(base, base + count)
+
+    def _batch_levels(self, inputs64, in_batch, starts, counts):
+        """Levels of an :meth:`append_gates` batch whose rows read each other.
+
+        Checks that every input is an earlier gate. Existing inputs
+        resolve in one gather; in-batch references resolve in waves (bulk
+        producers layer their batches, so this converges in one or two
+        rounds).
+        """
+        base = len(self._kind_codes)
+        count = starts.size
         # Copy: a frombuffer view would pin the array against the
-        # frombytes extend below.
+        # frombytes extend in append_gates.
         existing = np.frombuffer(self._gate_levels, dtype=np.int32)[:base].copy()
+        bound = np.repeat(base + np.arange(count, dtype=np.int64), counts)
+        check(
+            bool((inputs64 >= 0).all() and (inputs64 < bound).all()),
+            "append_gates inputs must reference earlier gates",
+        )
         batch_levels = np.full(count, -1, dtype=np.int64)
-        in_batch = inputs64 >= base
         input_levels = np.where(
             in_batch, -1, existing[np.minimum(inputs64, base - 1)]
             if base
             else -1,
         )
-        starts = offsets64[:-1]
         pending = np.arange(count, dtype=np.int64)
         while pending.size:
             input_levels[in_batch] = batch_levels[inputs64[in_batch] - base]
@@ -387,9 +416,7 @@ class Circuit:
             check(bool(ready.any()), "append_gates batch has a dependency cycle")
             batch_levels[pending[ready]] = 1 + row_max[ready]
             pending = pending[~ready]
-        self._gate_levels.frombytes(batch_levels.astype(np.int32).tobytes())
-        self.version += 1
-        return range(base, base + count)
+        return batch_levels
 
     def variable(self, name: str) -> int:
         """Return the gate for input variable ``name`` (created on demand)."""

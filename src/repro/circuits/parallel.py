@@ -33,10 +33,12 @@ or on 1, 2 or 8 workers.
 unlinked when the circuit is garbage-collected) and ``repro-buf-*`` (per
 call, unlinked in a ``finally``). Everything still live is torn down by an
 ``atexit`` hook (:func:`shutdown`), and :func:`active_segments` exposes the
-registry so tests can assert nothing leaked. A worker that dies between
-calls leaves the executor broken; the next call rebuilds it. A death
-*mid-run* drops the pool and raises :class:`~repro.util.ReproError` after
-per-call segments are released (:func:`_run_tasks`).
+registry so tests can assert nothing leaked. A worker death, between
+calls or during one, costs one re-run: the call drops the broken pool and
+runs again on a fresh one, which every shard allows because it is
+idempotent. Only a second death in the same call raises
+:class:`~repro.util.ReproError`, after per-call segments are released
+(:func:`_run_tasks`).
 
 Knob: ``workers=`` on every entry point, defaulting to the process-wide
 ``parallel_workers`` knob of :mod:`repro.config` (set with
@@ -318,33 +320,47 @@ def _mc_tile(bitgen, thresholds):
 
     Bit ``i`` of entry ``j``'s word says whether world ``i`` of that word
     holds the entry's variable, that is whether its ``U`` is below
-    ``thresholds[j]``. Thresholds 0 and ``2**24`` decide every world up
-    front. The first :data:`_MC_EAGER` levels come from one ``random_raw``
-    call, level-major; each later level draws one output per entry that
-    still has an undecided world, in entry order. A world still undecided
-    after :data:`_MC_BITS` levels has ``U == t`` and does not hold.
+    ``thresholds[j]`` (int64, in ``[0, 2**24]``). Thresholds 0 and
+    ``2**24`` decide every world up front. The first :data:`_MC_EAGER`
+    levels come from one ``random_raw`` call, level-major; each later level
+    draws one output per entry that still has an undecided world, in entry
+    order. A world still undecided after :data:`_MC_BITS` levels has
+    ``U == t`` and does not hold.
+
+    A level above the top set bit of every undecided threshold in the tile
+    can only decide "not held": its threshold bits are all 0. Those eager
+    levels fold into one OR of their draws that clears ``undecided``, which
+    leaves the words and the stream exactly as level by level; small
+    marginals fold most of the eager levels, marginals above 1/2 none.
     """
     size = thresholds.size
-    held = np.where(thresholds >= 1 << _MC_BITS, _ALL_WORLDS, np.uint64(0))
-    undecided = np.where(
-        (thresholds > 0) & (thresholds < 1 << _MC_BITS), _ALL_WORLDS, np.uint64(0)
-    )
-    bits = np.left_shift(thresholds.astype(np.uint64), np.uint64(64 - _MC_BITS))
+    held = np.where(thresholds >> _MC_BITS != 0, _ALL_WORLDS, np.uint64(0))
+    # The bits below 2**24: none for the thresholds decided up front.
+    low = thresholds & ((1 << _MC_BITS) - 1)
+    undecided = np.where(low != 0, _ALL_WORLDS, np.uint64(0))
+    fold = min(_MC_EAGER, _MC_BITS - int(low.max(initial=0)).bit_length())
+    # The thresholds' bits from the first unfolded level down, top-aligned
+    # (a shift of int64 keeps the bit pattern of the uint64 shift).
+    bits = np.left_shift(thresholds, 64 - _MC_BITS + fold).view(np.uint64)
     eager = bitgen.random_raw(_MC_EAGER * size).reshape(_MC_EAGER, size)
-    for draw in eager:
+    if fold:
+        cleared = np.bitwise_or.reduce(eager[:fold], axis=0)
+        np.bitwise_and(undecided, np.invert(cleared, out=cleared), out=undecided)
+    for draw in eager[fold:]:
         _mc_level(draw, undecided, held, bits)
-    live = np.flatnonzero(undecided)
+    live = undecided.nonzero()[0]
     undecided, part, bits = undecided[live], held[live], bits[live]
     for _level in range(_MC_EAGER, _MC_BITS):
         if not live.size:
             break
         _mc_level(bitgen.random_raw(live.size), undecided, part, bits)
-        held[live] = part
-        keep = np.flatnonzero(undecided)
+        keep = undecided.nonzero()[0]
         if keep.size < live.size:
+            held[live] = part
             live, undecided, part, bits = (
                 live[keep], undecided[keep], part[keep], bits[keep]
             )
+    held[live] = part
     return held
 
 
@@ -371,7 +387,8 @@ def _entry_blocks(first: int, stop: int, n_vars: int):
 
 
 def _tile_thresholds(thresholds, first: int, stop: int):
-    """The int64 thresholds of entries ``[first, stop)``, per entry."""
+    """The int64 thresholds of entries ``[first, stop)``, per entry;
+    ``thresholds`` holds one int64 threshold per variable slot."""
     n_vars = thresholds.size
     out = np.empty(stop - first, dtype=np.int64)
     for offset, _word, words, lo, hi in _entry_blocks(first, stop, n_vars):
@@ -406,13 +423,15 @@ def _mc_shard_hits(plan, probs32, seed: int, index: int, count: int) -> int:
     """
     bitgen = np.random.default_rng((seed, index)).bit_generator
     n_vars = probs32.size
-    # The one per-variable buffer: t as float64, computed in place. Scaling
-    # is exact; fmax sends NaN and negatives to 0.
+    # t per variable, made once per shard: computed in float64 in place,
+    # then cast to int64. Scaling is exact; fmax sends NaN and negatives
+    # to 0.
     thresholds = probs32.astype(np.float64)
     thresholds *= float(1 << _MC_BITS)
     np.fmax(thresholds, 0.0, out=thresholds)
     np.fmin(thresholds, float(1 << _MC_BITS), out=thresholds)
     np.ceil(thresholds, out=thresholds)
+    thresholds = thresholds.astype(np.int64)
     row_of_slot = (
         None if np.array_equal(plan.var_slots, np.arange(n_vars))
         else np.argsort(plan.var_slots)
@@ -565,42 +584,41 @@ def shutdown() -> None:
 
 atexit.register(shutdown)
 
-_DIED = "a parallel worker died mid-run; the pool will be rebuilt on the next call"
-
-
 def _run_tasks(shard, calls, workers: int) -> list:
     """``[shard(*args) for args in calls]``, run on the pool, in call order.
 
-    A pool found broken when the tasks are submitted (a worker died since
-    the last call) is rebuilt once. A worker that dies mid-run drops the
-    pool and raises :class:`~repro.util.ReproError`; the caller's
-    ``finally`` releases its per-call segments. A failing task cancels
-    the tasks not yet started and raises :class:`~repro.util.ReproError`,
-    leaving the pool running: every task has its own future, so nothing
-    of an aborted run reaches the next one.
+    A worker death costs one re-run: a broken pool, met when the tasks are
+    submitted (a worker died since the last call) or while they run, is
+    dropped and the whole call runs again on a fresh one. That is safe
+    because every shard is idempotent: a sampling shard depends only on
+    ``(seed, shard)``, and an eval shard rewrites its own slice of the
+    call's segment. If the re-run breaks too, the pool is dropped and
+    :class:`~repro.util.ReproError` is raised; the caller's ``finally``
+    releases its per-call segments. A failing task cancels the tasks not
+    yet started and raises :class:`~repro.util.ReproError`, leaving the
+    pool running: every task has its own future, so nothing of an aborted
+    run reaches the next one.
     """
     from concurrent.futures.process import BrokenProcessPool
 
     for _attempt in range(2):
         pool = _get_pool(workers)
+        futures = []
         try:
-            futures = [pool.submit(shard, *args) for args in calls]
-            break
+            futures.extend(pool.submit(shard, *args) for args in calls)
+            return [future.result() for future in futures]
         except BrokenProcessPool:
             shutdown_pool()
-    else:
-        raise ReproError(_DIED)
-    try:
-        return [future.result() for future in futures]
-    except BrokenProcessPool:
-        shutdown_pool()
-        raise ReproError(_DIED) from None
-    except Exception as exc:  # a task raised: report it, keep the pool
-        for future in futures:
-            future.cancel()
-        raise ReproError(
-            f"parallel worker failed: {type(exc).__name__}: {exc}"
-        ) from exc
+        except Exception as exc:  # a task raised: report it, keep the pool
+            for future in futures:
+                future.cancel()
+            raise ReproError(
+                f"parallel worker failed: {type(exc).__name__}: {exc}"
+            ) from exc
+    raise ReproError(
+        "a parallel worker died mid-run, twice; the pool will be rebuilt "
+        "on the next call"
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,17 +1,24 @@
 """Vectorized CQ/UCQ evaluation on columnar instances.
 
 The columnar half of the query layer: conjunctive queries evaluate as a
-pipeline of hash joins over the dictionary-encoded columns of a
+pipeline of joins over the dictionary-encoded columns of a
 :class:`repro.instances.columnar.ColumnarInstance` — one column
 select/filter per atom, one order-preserving join per conjunction step —
 with every intermediate row carrying its *witness fact ids* (one per atom
 joined so far) as extra lineage columns, U-relation style.
 
+A join step counts instead of searching. Its keys are small non-negative
+integers: dictionary codes, or packed multi-column keys re-encoded into
+``0 .. distinct-1`` when they run far past the rows (:func:`_dense_keys`).
+A stable argsort groups the right rows by key, one ``bincount`` and its
+``cumsum`` say where each key's group starts and how long it is, and each
+left row reads both at its own key.
+
 Order is load-bearing: the join enumerates result rows in exactly the
 order the object backend's backtracking search
 (:meth:`repro.queries.cq.ConjunctiveQuery.homomorphisms`) yields bindings
-— left rows in order, right matches in fact-insertion order (a stable
-argsort groups equal keys by original row index). The provenance builder
+— left rows in order, right matches in fact-insertion order (the stable
+argsort keeps equal keys in original row order). The provenance builder
 relies on this to produce bit-identical circuits from either backend.
 """
 
@@ -124,6 +131,24 @@ def _joint_pack(left_cols, right_cols):
     return left, right
 
 
+def _dense_keys(left, right):
+    """Join keys as codes a count array can index: ``(left, right, size)``.
+
+    Every key lies in ``[0, size)``. Keys up to about twice the rows of
+    both sides are kept (dictionary codes are dense by construction);
+    larger ones, such as packed multi-column keys, are re-encoded jointly
+    by one ``np.unique``, so the count array stays O(rows). Equal keys stay
+    equal and distinct keys distinct, which is all the join reads.
+    """
+    high = max(int(left.max(initial=0)), int(right.max(initial=0)))
+    if high < 2 * (left.size + right.size) + 64:
+        return left, right, high + 1
+    keys, inverse = np.unique(
+        np.concatenate([left, right]), return_inverse=True
+    )
+    return inverse[: left.size], inverse[left.size :], keys.size
+
+
 def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
     """All homomorphisms of ``query`` into ``instance``, vectorized.
 
@@ -161,25 +186,26 @@ def evaluate_cq(query, instance: ColumnarInstance) -> JoinResult:
             left_idx = np.repeat(np.arange(n_rows, dtype=np.int64), n_cand)
             right_idx = np.tile(np.arange(n_cand, dtype=np.int64), n_rows)
         else:
-            left_key, right_key = _joint_pack(
-                [state_cols[v] for v, _p in shared],
-                [cols[p] for _v, p in shared],
-            )
-            sort = np.argsort(right_key, kind="stable")
-            right_sorted = right_key[sort]
-            starts = np.searchsorted(right_sorted, left_key, side="left")
-            ends = np.searchsorted(right_sorted, left_key, side="right")
-            counts = ends - starts
-            total = int(counts.sum())
-            left_idx = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-            if total:
-                offsets = np.cumsum(counts) - counts
-                within = np.arange(total, dtype=np.int64) - np.repeat(
-                    offsets, counts
+            left_key, right_key, size = _dense_keys(
+                *_joint_pack(
+                    [state_cols[v] for v, _p in shared],
+                    [cols[p] for _v, p in shared],
                 )
-                right_idx = sort[np.repeat(starts, counts) + within]
-            else:
-                right_idx = np.zeros(0, dtype=np.int64)
+            )
+            # The right rows of key k are sort[group[k] : group[k] +
+            # per_key[k]], in their original order.
+            sort = np.argsort(right_key, kind="stable")
+            per_key = np.bincount(right_key, minlength=size)
+            group = np.cumsum(per_key) - per_key
+            counts = per_key[left_key]
+            left_idx = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+            # Output row j of left row i takes sorted position
+            # group[key_i] + j - (first output row of i).
+            shift = group[left_key] - (np.cumsum(counts) - counts)
+            right_idx = sort[
+                np.arange(left_idx.size, dtype=np.int64)
+                + np.repeat(shift, counts)
+            ]
         if left_idx is None:
             state_witness = [fids[right_idx]]
             state_cols = {v: cols[p][right_idx] for v, p in atom_vars}

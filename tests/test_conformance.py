@@ -537,11 +537,13 @@ from repro.queries import atom, cq, ucq, variables
 _qx, _qy, _qz = variables("x", "y", "z")
 
 #: CQ/UCQ shapes chosen to hit the joins' edge cases: self-joins, repeated
-#: variables, constants, duplicate atoms, and relations with no facts.
+#: variables, constants, duplicate atoms, relations with no facts, and a
+#: join on two shared variables (packed, jointly re-encoded keys).
 BACKEND_QUERIES = (
     cq(atom("R", _qx)),
     cq(atom("R", _qx), atom("S", _qx, _qy), atom("T", _qy)),
     cq(atom("S", _qx, _qy), atom("S", _qy, _qz)),
+    cq(atom("S", _qx, _qy), atom("S", _qy, _qx)),
     cq(atom("S", _qx, _qx)),
     cq(atom("R", 1), atom("S", 1, _qy)),
     cq(atom("U", _qx)),

@@ -8,6 +8,7 @@ machine's core count are still exercised — determinism must not depend on
 parallel hardware, only wall-clock does.
 """
 
+import functools
 import gc
 import math
 import multiprocessing
@@ -44,6 +45,19 @@ def pool_pids() -> set[int]:
 
 def exit_shard(*_args):
     """A shard whose worker dies mid-call."""
+    os._exit(17)
+
+
+_MC_SHARD = parallel._mc_shard
+
+
+def exit_once_shard(flag, *args):
+    """A Monte-Carlo shard whose worker dies the first time any shard runs:
+    the first to create the file ``flag`` exits, every later run counts."""
+    try:
+        os.close(os.open(flag, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return _MC_SHARD(*args)
     os._exit(17)
 
 
@@ -266,6 +280,38 @@ def hoeffding(samples: int, delta: float = 1e-9) -> float:
     return math.sqrt(math.log(2 / delta) / (2 * samples))
 
 
+def replay_tile(bitgen, thresholds) -> list[set]:
+    """One tile of the documented lazy stream, replayed world by world:
+    per entry of ``thresholds``, the set of its word's worlds that hold.
+
+    Entries with ``t`` at 0 or ``2**24`` start decided; the first
+    ``_MC_EAGER`` levels are one ``random_raw`` call, level-major; each
+    later level draws one output per entry with an undecided world, in
+    entry order. At level ``l`` bit ``i`` of an entry's output says world
+    ``i``'s bit of ``U`` differs from bit ``23 - l`` of ``t``: the world is
+    then decided, and holds when that bit of ``t`` is 1.
+    """
+    size = len(thresholds)
+    held = [set(range(64)) if t == 2**24 else set() for t in thresholds]
+    undecided = [set(range(64)) if 0 < t < 2**24 else set() for t in thresholds]
+    eager = bitgen.random_raw(parallel._MC_EAGER * size).tolist()
+    for level in range(24):
+        if level < parallel._MC_EAGER:
+            drawn = range(size)
+            outputs = eager[level * size : (level + 1) * size]
+        else:
+            drawn = [j for j in range(size) if undecided[j]]
+            outputs = bitgen.random_raw(len(drawn)).tolist()
+        for j, output in zip(drawn, outputs):
+            bit = thresholds[j] >> (23 - level) & 1
+            for world in sorted(undecided[j]):
+                if output >> world & 1:
+                    undecided[j].discard(world)
+                    if bit:
+                        held[j].add(world)
+    return held
+
+
 def replay_shard_hits(
     compiled, probs32, seed, index, count, tile, slot_of_row=None
 ) -> int:
@@ -273,14 +319,9 @@ def replay_shard_hits(
 
     A world holds slot ``s`` when a 24-bit uniform ``U`` is below ``t =
     ceil(p * 2**24)`` (clipped to ``[0, 2**24]``, 0 for NaN). Entries are
-    ``(word, slot)`` pairs, word-major in slot order, cut into tiles. Per
-    tile, entries with ``t`` at 0 or ``2**24`` start decided; the first
-    ``_MC_EAGER`` levels are one ``random_raw`` call, level-major; each
-    later level draws one output per entry with an undecided world, in
-    entry order. At level ``l`` bit ``i`` of an entry's output says world
-    ``i``'s bit of ``U`` differs from bit ``23 - l`` of ``t``: the world is
-    then decided, and holds when that bit of ``t`` is 1. Variable ``i``
-    of ``compiled`` reads slot ``slot_of_row[i]`` (default: slot ``i``).
+    ``(word, slot)`` pairs, word-major in slot order, cut into tiles, each
+    drawn as :func:`replay_tile` says. Variable ``i`` of ``compiled``
+    reads slot ``slot_of_row[i]`` (default: slot ``i``).
     """
     bitgen = np.random.default_rng((seed, index)).bit_generator
     thresholds = []
@@ -296,27 +337,8 @@ def replay_shard_hits(
     held = {}
     for start in range(0, len(entries), tile):
         part = entries[start : start + tile]
-        undecided = []
-        for word, slot in part:
-            t = thresholds[slot]
-            held[word, slot] = set(range(64)) if t == 2**24 else set()
-            undecided.append(set(range(64)) if 0 < t < 2**24 else set())
-        eager = bitgen.random_raw(parallel._MC_EAGER * len(part)).tolist()
-        for level in range(24):
-            if level < parallel._MC_EAGER:
-                drawn = range(len(part))
-                outputs = eager[level * len(part) : (level + 1) * len(part)]
-            else:
-                drawn = [j for j in range(len(part)) if undecided[j]]
-                outputs = bitgen.random_raw(len(drawn)).tolist()
-            for j, output in zip(drawn, outputs):
-                word, slot = part[j]
-                bit = thresholds[slot] >> (23 - level) & 1
-                for world in sorted(undecided[j]):
-                    if output >> world & 1:
-                        undecided[j].discard(world)
-                        if bit:
-                            held[word, slot].add(world)
+        worlds = replay_tile(bitgen, [thresholds[slot] for _word, slot in part])
+        held.update(zip(part, worlds))
     slot_of_row = range(n_vars) if slot_of_row is None else slot_of_row
     return sum(
         compiled.evaluate(
@@ -362,6 +384,14 @@ class TestFusedSampling:
             [EDGE_MARGINALS[(i + k) % len(EDGE_MARGINALS)] for i in range(width)]
             for k in range(0, len(EDGE_MARGINALS), width)
         ]
+        # Tiles that fold 1, 5, 8 and all 9 eager levels: the slot both
+        # ANDs read just under 2**-k, the others at 1.0, decided up front.
+        # So that slot alone sets the fold, and the output is its bit.
+        shared = width // 2
+        marginal_sets += [
+            [0.99 * 2.0**-k if i == shared else 1.0 for i in range(width)]
+            for k in (1, 5, 8, 12)
+        ]
         # One 64-world word per kernel chunk, or whole shards per chunk.
         budgets = (8 * plan.size, compiled_module.BATCH_BYTE_BUDGET)
         monkeypatch.setattr(compiled_module, "BATCH_BYTE_BUDGET", budgets[0])
@@ -382,6 +412,54 @@ class TestFusedSampling:
                             assert parallel._mc_shard_hits(
                                 plan, probs32, seed, 2, count
                             ) == expected
+
+    def test_tile_words_equal_a_scalar_replay_at_every_fold(self):
+        """The eager levels above the top bit of every open threshold fold
+        into one OR; the tile's words and the stream position after it
+        equal the level-by-level replay's, from no fold to all
+        ``_MC_EAGER`` levels, beside thresholds decided up front."""
+        rng = np.random.default_rng(8)
+        for top_bits in (24, 23, 19, 16, 15, 12, 1):
+            thresholds = rng.integers(1, 1 << top_bits, 40)
+            thresholds[1] = (1 << top_bits) - 1
+            thresholds[2::9] = 0
+            thresholds[3::9] = 1 << 24
+            for seed in (0, 1):
+                ours = np.random.default_rng((seed, 3)).bit_generator
+                replayed = np.random.default_rng((seed, 3)).bit_generator
+                words = parallel._mc_tile(ours, thresholds)
+                assert [
+                    {world for world in range(64) if word >> world & 1}
+                    for word in words.tolist()
+                ] == replay_tile(replayed, thresholds.tolist())
+                assert ours.state == replayed.state
+
+    def test_a_word_undecided_at_every_level_keeps_its_decided_worlds(self):
+        """A world with ``U == t`` stays undecided through every level, so
+        its word never leaves the lazy loop; the worlds of that word that
+        later levels decide still land in the tile's words. A scripted
+        generator makes it happen: nothing differs at the eager levels,
+        then every world but world 0 differs at level 9."""
+
+        class Scripted:
+            def __init__(self):
+                self.draws = 0
+
+            def random_raw(self, size):
+                self.draws += 1
+                fill = 0 if self.draws == 1 else ~np.uint64(1)
+                return np.full(size, fill, dtype=np.uint64)
+
+        thresholds = np.array(
+            [1 << 14, (1 << 14) - 1, 3 << 13, 0, 1 << 24, (1 << 23) | 5],
+            dtype=np.int64,
+        )
+        words = parallel._mc_tile(Scripted(), thresholds)
+        assert [
+            {world for world in range(64) if word >> world & 1}
+            for word in words.tolist()
+        ] == replay_tile(Scripted(), thresholds.tolist())
+        assert words[0] == ~np.uint64(1)  # bit 14 of t set: held but world 0
 
     def test_permuted_variable_rows_read_their_own_slots(self, monkeypatch):
         """A plan whose variable rows are not in slot order gets each
@@ -619,6 +697,42 @@ class TestPoolLifecycle:
                 if n.startswith(parallel.BUFFER_PREFIX)] == []
         assert [n for n in shm_segments()
                 if n.startswith(parallel.BUFFER_PREFIX)] == []
+
+    def test_worker_death_mid_run_costs_one_rerun(self, monkeypatch, tmp_path):
+        """A worker that dies during a call costs a re-run on a fresh pool,
+        not the call: every shard is idempotent, so the hits are those of
+        the in-process run."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        compiled = compile_circuit(random_circuit(35))
+        marginals = [0.3] * len(compiled.variables())
+        expected = parallel.monte_carlo_hits(
+            compiled, marginals, 500, seed=3, workers=0
+        )
+        flag = tmp_path / "died"
+        monkeypatch.setattr(
+            parallel, "_mc_shard", functools.partial(exit_once_shard, str(flag))
+        )
+        assert parallel.monte_carlo_hits(
+            compiled, marginals, 500, seed=3, workers=2
+        ) == expected
+        assert flag.exists()  # a worker did die
+
+    def test_worker_killed_just_before_a_call_costs_one_rerun(self, monkeypatch):
+        """A worker killed too recently for the executor to have noticed
+        breaks the call's first run; the re-run answers bit for bit."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        compiled = compile_circuit(random_circuit(36))
+        marginals = [0.4] * len(compiled.variables())
+        expected = parallel.monte_carlo_hits(
+            compiled, marginals, 400, seed=4, workers=0
+        )
+        parallel.monte_carlo_hits(compiled, marginals, 400, seed=4, workers=2)
+        pids = pool_pids()
+        os.kill(min(pids), signal.SIGKILL)
+        assert parallel.monte_carlo_hits(
+            compiled, marginals, 400, seed=4, workers=2
+        ) == expected
+        assert len(pool_pids() - pids) == 2  # a fresh pool answered
 
     def test_worker_error_propagates_without_killing_pool(self):
         with pytest.raises(ReproError, match="worker failed: ZeroDivisionError"):
