@@ -487,7 +487,7 @@ def effective_hosts(hosts) -> tuple[str, ...]:
 
 def should_distribute(n_rows: int, hosts=None) -> bool:
     """Whether a matrix batch of ``n_rows`` should go over the wire."""
-    return bool(effective_hosts(hosts)) and n_rows >= _parallel.PARALLEL_MIN_ROWS
+    return bool(effective_hosts(hosts)) and _parallel.may_leave_process(n_rows)
 
 
 def auth_response(secret: str, challenge_hex: str) -> str:

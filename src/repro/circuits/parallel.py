@@ -74,7 +74,8 @@ except ImportError:  # pragma: no cover - exotic platforms only
 MC_SHARD = 1 << 14
 
 #: Below this many rows the sharded matrix paths are not worth the
-#: shared-memory round trip; ``should_shard`` says no.
+#: shared-memory round trip: :func:`may_leave_process` says no, and with
+#: it ``should_shard`` and the distributed tier's ``should_distribute``.
 PARALLEL_MIN_ROWS = 2048
 
 #: Shared-memory name prefixes: per-circuit plans vs per-call buffers.
@@ -112,9 +113,18 @@ def _effective_workers(workers: int | None) -> int:
     return workers
 
 
+def may_leave_process(n_rows: int) -> bool:
+    """Whether a batch of ``n_rows`` is big enough for the pool or the hosts.
+
+    The one row test of both out-of-process tiers: a smaller batch runs
+    in this process whatever the knobs say.
+    """
+    return n_rows >= PARALLEL_MIN_ROWS
+
+
 def should_shard(n_rows: int, workers: int | None = None) -> bool:
     """Whether a batch of ``n_rows`` should go through the worker pool."""
-    return n_rows >= PARALLEL_MIN_ROWS and _effective_workers(workers) >= 2
+    return may_leave_process(n_rows) and _effective_workers(workers) >= 2
 
 
 _SERIAL_FALLBACK_WARNED = False

@@ -11,7 +11,7 @@ also drive :meth:`QueryService.dispatch` directly.
 Endpoints::
 
     GET  /health        liveness + uptime
-    GET  /stats         pool/compile/cache/coalescer/latency counters
+    GET  /stats         pool/compile/cache/coalescer/pass/latency counters
     POST /plans         register a wire plan {"plan_b64": ...}
     POST /compile       ingest an encoded instance + CQ/UCQ, compile, register
     POST /probability   {"digest", "rows": [[...]], "peers"?} -> marginals
@@ -59,6 +59,20 @@ DEFAULT_MAX_ROWS = 65536
 #: :func:`repro.circuits.parallel.monte_carlo_hits` at the same seed.
 DEFAULT_SAMPLE_CAP = 100_000_000
 
+#: What one group of a level plan costs to dispatch (its ``take`` and its
+#: ufunc call), in gate-rows of pass arithmetic: a pass over ``rows`` rows
+#: of a plan with ``size`` gates in ``groups`` groups does about
+#: ``rows * size + GROUP_WORK * groups`` gate-rows of work. Timed on
+#: chain plans of 471 to 52,347 gates, a group cost 1.5-2.5 us and a
+#: gate-row 2-5 ns (2-vCPU container).
+GROUP_WORK = 512
+
+#: The most work a pass may do on the event loop, in gate-rows: about
+#: 2-4 ms of pass at the rates above, which admits E19's biggest pass
+#: (64 rows of the 5,187-gate chain-120 plan). A bigger pass runs in the
+#: compute thread. See :meth:`_PlanEntry.fits_loop`.
+LOOP_PASS_WORK = 1 << 20
+
 
 class ServiceError(ReproError):
     """A request-level error carrying the HTTP status to report."""
@@ -85,6 +99,11 @@ def _env_int(name: str, default):
         return int(value)
     except ValueError:
         raise ReproError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _json_int(value) -> bool:
+    """Whether a JSON value is an integer; ``true`` and ``false`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _unit_marginals(row) -> list[float]:
@@ -175,9 +194,11 @@ class _PlanEntry:
     library callers' do.
     """
 
-    __slots__ = ("digest", "compiled", "wire", "n_vars", "size", "hits")
+    __slots__ = ("digest", "compiled", "wire", "n_vars", "size", "groups",
+                 "hits")
 
     def __init__(self, digest: str, compiled=None, wire=None):
+        """Builds the source's level plan, so run it off the event loop."""
         check(compiled is not None or wire is not None,
               "a plan entry needs a compiled circuit or a wire plan")
         self.digest = digest
@@ -187,7 +208,19 @@ class _PlanEntry:
         self.n_vars = (len(compiled.var_names) if compiled is not None
                        else wire.n_vars)
         self.size = source.size
+        self.groups = sum(map(len, source.batch_plan().levels))
         self.hits = 0
+
+    def fits_loop(self, n_rows: int) -> bool:
+        """Whether a pass over ``n_rows`` rows may run on the event loop.
+
+        It must stay in this process (no pool worker or remote host to
+        wait on) and do at most :data:`LOOP_PASS_WORK` gate-rows of work.
+        """
+        return (
+            not _parallel.may_leave_process(n_rows)
+            and n_rows * self.size + GROUP_WORK * self.groups <= LOOP_PASS_WORK
+        )
 
     def probability_rows(self, rows) -> list[float]:
         """One float pass over ``rows`` (slot order), one marginal per row."""
@@ -225,10 +258,11 @@ class QueryService:
                          else _env_int("REPRO_SERVICE_MAX_ROWS",
                                        DEFAULT_MAX_ROWS))
         self._plans: OrderedDict[str, _PlanEntry] = OrderedDict()
-        # One compute thread on purpose: the batch kernels already use the
-        # cores (numpy / the pool / distributed hosts) inside a single
-        # pass, so passes of different digests queue here instead of
-        # contending.
+        # The compute thread runs the work that may block the loop for
+        # long: plan registration (decode, compile, level plan) and every
+        # pass that does not fit the loop (_PlanEntry.fits_loop). One
+        # thread on purpose: a big pass already uses the cores, so passes
+        # of different digests queue here instead of contending.
         self._compute = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-pass"
         )
@@ -239,6 +273,7 @@ class QueryService:
         self.stream_stats = {
             "started": 0, "completed": 0, "cancelled": 0, "active": 0,
         }
+        self.pass_stats = {"on_loop": 0, "in_thread": 0}
         self.started_at = time.monotonic()
         self.shutdown_event = asyncio.Event()
         self._closed = False
@@ -343,10 +378,23 @@ class QueryService:
     # evaluation plumbing
 
     async def _run_pass(self, digest: str, rows) -> list[float]:
-        """One matrix pass on the compute thread (the coalescer's hook)."""
+        """One matrix pass (the coalescer's hook), on the loop or the thread.
+
+        A short in-process pass (:meth:`_PlanEntry.fits_loop`) runs right
+        here on the event loop: in the compute thread a pass also waits
+        for the thread to wake and for the GIL whenever the loop thread
+        holds it (a one-row ``serve-2conn`` pass spent a quarter of its
+        wall time so). Any other pass runs in the compute thread, so the
+        loop keeps serving while it runs or waits on pool workers or
+        remote hosts.
+        """
         entry = self._plans.get(digest)
         if entry is None:  # evicted between lookup and flush: a 404
             entry = self._plan_entry(digest)
+        if entry.fits_loop(len(rows)):
+            self.pass_stats["on_loop"] += 1
+            return entry.probability_rows(rows)
+        self.pass_stats["in_thread"] += 1
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
             self._compute, entry.probability_rows, rows
@@ -392,6 +440,7 @@ class QueryService:
             },
             "result_cache": self.cache.stats(),
             "coalescer": self.coalescer.stats(),
+            "passes": dict(self.pass_stats),
             "streams": dict(self.stream_stats),
             "pool": caps["distributed_pool"],
             "distributed_hosts": caps["distributed_hosts"],
@@ -423,11 +472,16 @@ class QueryService:
             entry = self._plans[digest]
             self._plans.move_to_end(digest)
         else:
+            def build():
+                return _PlanEntry(digest, wire=_distributed.plan_from_bytes(blob))
+
+            loop = asyncio.get_running_loop()
             try:
-                wire = _distributed.plan_from_bytes(blob)
+                entry = await loop.run_in_executor(self._compute, build)
             except ReproError as exc:
                 raise ServiceError(400, f"rejected wire plan: {exc}") from None
-            entry = _PlanEntry(digest, wire=wire)
+            # Another /plans may have registered the digest meanwhile.
+            entry = self._plans.get(digest, entry)
             self._register(entry)
         return 200, {
             "digest": digest,
@@ -462,12 +516,12 @@ class QueryService:
             instance, fids = ColumnarInstance.ingest_payload(instance_payload)
             query = parse_query(query_spec)
             _lineage, plan = compile_query_plan(instance, query, method=method)
-            return instance, fids, plan
+            return instance, fids, _PlanEntry(plan.plan_digest(), compiled=plan)
 
         # Compilation can be heavy; keep the event loop serving.
-        instance, fids, plan = await loop.run_in_executor(self._compute, build)
-        digest = plan.plan_digest()
-        self._register(_PlanEntry(digest, compiled=plan))
+        instance, fids, entry = await loop.run_in_executor(self._compute, build)
+        self._register(entry)
+        digest, plan = entry.digest, entry.compiled
         variables = list(plan.variables())
         default_probability = payload.get("default_probability", 0.5)
         probability_by_name: dict[str, float] = {}
@@ -507,7 +561,7 @@ class QueryService:
         entry = self._plan_entry(payload.get("digest"))
         rows = self._validated_rows(payload, entry)
         peers = payload.get("peers")
-        if peers is not None and (not isinstance(peers, int) or peers < 1):
+        if peers is not None and (not _json_int(peers) or peers < 1):
             raise ServiceError(400, "'peers' must be a positive integer")
         hashes = [valuation_hash(row) for row in rows]
         results: dict[str, float] = {}
@@ -544,19 +598,15 @@ class QueryService:
             )
         probs32 = np.asarray(_unit_marginals(row), dtype=np.float32)
         samples = payload.get("samples", _parallel.MC_SHARD)
-        if (
-            not isinstance(samples, int)
-            or isinstance(samples, bool)
-            or not 1 <= samples <= DEFAULT_SAMPLE_CAP
-        ):
+        if not _json_int(samples) or not 1 <= samples <= DEFAULT_SAMPLE_CAP:
             raise ServiceError(
                 400, f"'samples' must be an integer in [1, {DEFAULT_SAMPLE_CAP}]"
             )
         chunk = payload.get("chunk", _parallel.MC_SHARD)
-        if not isinstance(chunk, int) or chunk < 1:
+        if not _json_int(chunk) or chunk < 1:
             raise ServiceError(400, "'chunk' must be a positive integer")
         seed = payload.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if not _json_int(seed) or seed < 0:
             raise ServiceError(400, "'seed' must be a non-negative integer")
         stats = self.stream_stats
         mc_pool = self._mc

@@ -13,7 +13,10 @@ batches by occupancy, not by timer:
   pass on the next event-loop iteration;
 - the drain closes the bucket, awaits its pass and fans the result out,
   then repeats while a new bucket has opened: every request that arrives
-  while a pass runs joins the next pass;
+  while a pass runs joins the next pass. The service runs a short
+  in-process pass on the event loop itself (``QueryService._run_pass``),
+  so requests that arrive during such a pass are read after it returns
+  and share the next pass;
 - rows are deduplicated by valuation hash as they join the bucket, so a
   cache stampede — N cold requests for the same row — evaluates the row
   once, and every waiter gets its own rows' marginals back from the

@@ -36,9 +36,21 @@ class _BadRequest(Exception):
     """Malformed framing; the connection is answered with 400 and closed."""
 
 
+async def _read_line(reader, what: str) -> bytes:
+    """One line of the request head; a line past the stream's limit is a 400.
+
+    ``StreamReader.readline`` raises ``ValueError`` on a line longer than
+    the reader's limit (64 KiB by default).
+    """
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise _BadRequest(f"{what} too long") from None
+
+
 async def _read_request(reader):
     """Parse one request; ``None`` on a clean EOF between requests."""
-    request_line = await reader.readline()
+    request_line = await _read_line(reader, "request line")
     if not request_line:
         return None
     parts = request_line.decode("latin-1").strip().split()
@@ -48,7 +60,7 @@ async def _read_request(reader):
     headers = {}
     header_bytes = 0
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader, "header line")
         if not line:
             return None  # truncated mid-headers: treat as disconnect
         header_bytes += len(line)

@@ -367,6 +367,14 @@ class TestHostsKnob:
         with config.overrides(distributed_hosts="a:1"):
             assert distributed.should_distribute(parallel.PARALLEL_MIN_ROWS)
             assert not distributed.should_distribute(parallel.PARALLEL_MIN_ROWS - 1)
+        # Per-call hosts do not lower the row threshold, which the pool
+        # shares (``parallel.may_leave_process``).
+        assert not distributed.should_distribute(
+            parallel.PARALLEL_MIN_ROWS - 1, hosts=["a:1"]
+        )
+        assert distributed.should_distribute(
+            parallel.PARALLEL_MIN_ROWS, hosts=["a:1"]
+        )
         with config.overrides(distributed_hosts=None):
             assert not distributed.should_distribute(10**6)
 

@@ -114,6 +114,9 @@ class TestKnob:
             config.configure(parallel_workers=-1)
 
     def test_should_shard_thresholds(self):
+        assert parallel.may_leave_process(parallel.PARALLEL_MIN_ROWS)
+        assert not parallel.may_leave_process(parallel.PARALLEL_MIN_ROWS - 1)
+        assert not parallel.should_shard(parallel.PARALLEL_MIN_ROWS - 1, workers=4)
         with config.overrides(parallel_workers=2):
             assert parallel.should_shard(parallel.PARALLEL_MIN_ROWS)
             assert not parallel.should_shard(parallel.PARALLEL_MIN_ROWS - 1)

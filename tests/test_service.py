@@ -1,6 +1,6 @@
 """Tests for the always-on query service (:mod:`repro.service`).
 
-Three layers, matching the package:
+Four layers, matching the package:
 
 - the **components** — result cache (LRU + TTL + counters), valuation
   hashing, latency histograms, the coalescer driven in-process with a stub
@@ -10,7 +10,10 @@ Three layers, matching the package:
 - the **application** — :meth:`QueryService.dispatch` driven directly
   (the transport-independence the app layer promises): routing errors,
   plan registration, served marginals bit-identical to the library's
-  ``probability_batch``, and result-cache behaviour across requests;
+  ``probability_batch``, result-cache behaviour across requests, and
+  which passes run on the event loop and which in the compute thread;
+- the **HTTP binding** — the connection handler fed an in-memory
+  stream: a framing error is answered with 400;
 - the **service over a real socket** — a ``repro serve-http`` subprocess
   (or the live server named by ``REPRO_SERVICE_URL``, the CI job's mode):
   N concurrent clients coalesced into one matrix pass with bit-identical
@@ -35,6 +38,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.circuits import (
+    Circuit,
     batch_stats,
     compile_circuit,
     reset_batch_stats,
@@ -73,6 +77,16 @@ def chain_setup(n: int = 40, probability: float = 0.25, seed: int = 7):
 def direct_marginals(compiled, rows):
     """What the library computes for ``rows`` — the bit-identity oracle."""
     return compiled.probability_batch(np.asarray(rows, dtype=np.float64))
+
+
+def deep_chain(depth: int):
+    """``x0 AND (x1 AND (... AND x_depth))``: one level-plan group a level."""
+    circuit = Circuit()
+    gate = circuit.variable("x0")
+    for index in range(1, depth + 1):
+        gate = circuit.and_gate([circuit.variable(f"x{index}"), gate])
+    circuit.set_output(gate)
+    return compile_circuit(circuit)
 
 
 def unique_rows(count: int, width: int, rng) -> list[list[float]]:
@@ -750,7 +764,8 @@ class TestQueryServiceDispatch:
 
     @pytest.mark.parametrize(
         "field, value",
-        (("seed", -1), ("seed", True), ("samples", True), ("samples", 0)),
+        (("seed", -1), ("seed", True), ("samples", True), ("samples", 0),
+         ("chunk", True), ("chunk", 0)),
     )
     def test_sample_request_validated(self, app, field, value):
         compiled, marginals = chain_setup(n=10, seed=24)
@@ -762,6 +777,22 @@ class TestQueryServiceDispatch:
         status, payload = dispatch(app, "POST", "/sample", body)
         assert status == 400
         assert repr(field) in payload["error"]
+
+    @pytest.mark.parametrize("peers", (True, 0, 1.5, "2"))
+    def test_probability_peers_validated(self, app, peers):
+        """``peers`` must be a positive JSON integer; ``true`` is not 1."""
+        compiled, marginals = chain_setup(n=10, seed=28)
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        coalescer_before = dict(app.coalescer.counters)
+        status, payload = dispatch(app, "POST", "/probability", {
+            "digest": registered["digest"], "rows": [marginals],
+            "peers": peers,
+        })
+        assert status == 400
+        assert "'peers'" in payload["error"]
+        assert app.coalescer.counters == coalescer_before
 
     def test_corrupt_wire_plan_rejected(self, app):
         status, payload = dispatch(
@@ -781,6 +812,234 @@ class TestQueryServiceDispatch:
         assert status == 200
         status, stats = dispatch(app, "GET", "/stats")
         assert stats["endpoints"]["/health"]["count"] >= 1
+        assert stats["passes"] == {"on_loop": 0, "in_thread": 0}
+
+    def test_small_pass_runs_on_the_event_loop(self, app, monkeypatch):
+        """A one-row pass runs on the loop's own thread, not in the compute
+        thread, and ``/stats`` counts it under ``on_loop``."""
+        from repro.service.app import _PlanEntry
+
+        compiled, marginals = chain_setup(n=10, seed=30)
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        threads = []
+        run_rows = _PlanEntry.probability_rows
+
+        def recorded(entry, rows):
+            threads.append(threading.get_ident())
+            return run_rows(entry, rows)
+
+        monkeypatch.setattr(_PlanEntry, "probability_rows", recorded)
+        status, served = dispatch(app, "POST", "/probability", {
+            "digest": registered["digest"], "rows": [marginals],
+        })
+        assert status == 200
+        assert served["marginals"] == [
+            float(v) for v in direct_marginals(compiled, [marginals])
+        ]
+        # dispatch() runs the loop in this thread.
+        assert threads == [threading.get_ident()]
+        _status, stats = dispatch(app, "GET", "/stats")
+        assert stats["passes"] == {"on_loop": 1, "in_thread": 0}
+
+    @pytest.mark.parametrize("plan", ("wide-batch", "deep-plan"))
+    def test_long_pass_runs_in_the_compute_thread(self, app, monkeypatch, plan):
+        """A pass that does not fit the loop runs in the compute thread, so
+        the loop keeps serving while it runs: a ``/health`` request
+        completes while the pass is held. Two such passes:
+        ``PARALLEL_MIN_ROWS`` rows of a small plan (a batch the pool or the
+        hosts may take) and one row of a plan so deep that its groups alone
+        exceed the loop's budget."""
+        from repro.circuits import parallel
+        from repro.service.app import GROUP_WORK, LOOP_PASS_WORK, _PlanEntry
+
+        if plan == "wide-batch":
+            compiled, marginals = chain_setup(n=3, seed=31)
+            rows = unique_rows(parallel.PARALLEL_MIN_ROWS, len(marginals),
+                               stable_rng(131))
+        else:
+            compiled = deep_chain(LOOP_PASS_WORK // GROUP_WORK + 64)
+            rows = unique_rows(1, len(compiled.var_names), stable_rng(132))
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        assert not app._plans[registered["digest"]].fits_loop(len(rows))
+        entered, release = threading.Event(), threading.Event()
+        threads = []
+        run_rows = _PlanEntry.probability_rows
+
+        def held(entry, pass_rows):
+            threads.append(threading.get_ident())
+            entered.set()
+            assert release.wait(timeout=5.0), "the pass was never released"
+            return run_rows(entry, pass_rows)
+
+        monkeypatch.setattr(_PlanEntry, "probability_rows", held)
+        body = json.dumps({"digest": registered["digest"], "rows": rows})
+
+        async def drive():
+            pending = asyncio.ensure_future(
+                app.dispatch("POST", "/probability", body.encode())
+            )
+            for _ in range(500):
+                if entered.is_set():
+                    break
+                await asyncio.sleep(0.01)
+            health = await app.dispatch("GET", "/health", b"")
+            held_during_health = not pending.done()
+            release.set()
+            return health, held_during_health, await pending
+
+        (health_status, _), held_during_health, (status, served) = (
+            asyncio.run(drive())
+        )
+        assert health_status == 200
+        assert held_during_health, "/health waited for the pass"
+        assert threads and threads[0] != threading.get_ident()
+        assert status == 200
+        assert served["marginals"] == [
+            float(v) for v in direct_marginals(compiled, rows)
+        ]
+        _status, stats = dispatch(app, "GET", "/stats")
+        assert stats["passes"] == {"on_loop": 0, "in_thread": 1}
+
+    def test_a_loop_pass_never_reaches_the_pool_or_the_hosts(
+        self, app, monkeypatch
+    ):
+        """The loop takes a pass only below ``PARALLEL_MIN_ROWS`` rows, the
+        size neither out-of-process tier takes, whatever the knobs say;
+        a pass on the loop that waited on a socket would stall every
+        connection."""
+        from repro import config
+        from repro.circuits import distributed, parallel
+        from repro.service.app import _PlanEntry
+
+        def no_tier(*_args):
+            raise AssertionError("a loop pass left the process")
+
+        compiled, marginals = chain_setup(n=3, seed=34)
+        rows = unique_rows(parallel.PARALLEL_MIN_ROWS - 1, len(marginals),
+                           stable_rng(134))
+        expected = [float(v) for v in direct_marginals(compiled, rows)]
+        entry = _PlanEntry(compiled.plan_digest(), compiled=compiled)
+        app._register(entry)
+        assert entry.fits_loop(len(rows))
+        monkeypatch.setattr(distributed, "_distributed_matrix_pass", no_tier)
+        monkeypatch.setattr(parallel, "_sharded_matrix_pass", no_tier)
+        with config.overrides(distributed_hosts="127.0.0.1:9",
+                              parallel_workers=2):
+            assert not distributed.should_distribute(len(rows))
+            assert not parallel.should_shard(len(rows))
+            status, served = dispatch(app, "POST", "/probability", {
+                "digest": entry.digest, "rows": rows,
+            })
+        assert status == 200
+        assert served["marginals"] == expected
+        _status, stats = dispatch(app, "GET", "/stats")
+        assert stats["passes"] == {"on_loop": 1, "in_thread": 0}
+
+    def test_registration_builds_the_level_plan_off_the_loop(
+        self, app, monkeypatch
+    ):
+        """``/plans`` and ``/compile`` build the level plan in the compute
+        thread, so the first pass on a fresh plan finds it built instead of
+        building it on the loop."""
+        from repro.circuits import compiled as compiled_module
+
+        builders = []
+        build = compiled_module._BatchPlan.__init__
+
+        def recorded(plan, *args):
+            builders.append(threading.get_ident())
+            build(plan, *args)
+
+        monkeypatch.setattr(compiled_module._BatchPlan, "__init__", recorded)
+        compiled, marginals = chain_setup(n=5, seed=35)
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        status, registered = dispatch(app, "POST", "/plans",
+                                      {"plan_b64": encoded})
+        assert status == 200
+        tid = rst_chain_tid(6, probability=0.4, seed=36)
+        status, compiled_plan = dispatch(app, "POST", "/compile", {
+            "instance": ColumnarInstance.from_instance(tid.instance).to_payload(),
+            "query": {"atoms": [["R", ["?x"]], ["S", ["?x", "?y"]],
+                                ["T", ["?y"]]]},
+        })
+        assert status == 200
+        assert len(builders) == 2
+        for digest, row in ((registered["digest"], marginals),
+                            (compiled_plan["digest"],
+                             compiled_plan["default_row"])):
+            status, _served = dispatch(app, "POST", "/probability", {
+                "digest": digest, "rows": [row],
+            })
+            assert status == 200
+        # dispatch() runs the loop in this thread; no build ran on it.
+        assert len(builders) == 2
+        assert threading.get_ident() not in builders
+
+
+# --------------------------------------------------------------------------- #
+# the HTTP binding, driven with an in-memory stream
+
+
+class _MemoryWriter:
+    """The part of ``asyncio.StreamWriter`` the connection handler uses."""
+
+    def __init__(self):
+        self.data = bytearray()
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def serve_bytes(service, request: bytes) -> bytes:
+    """Everything the connection handler answers to ``request``, then EOF."""
+    from repro.service.http import _handle_connection
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(request)
+        reader.feed_eof()
+        writer = _MemoryWriter()
+        await _handle_connection(service, reader, writer)
+        assert writer.closed
+        return bytes(writer.data)
+
+    return asyncio.run(run())
+
+
+class TestHttpFraming:
+    @pytest.mark.parametrize("request_bytes, error", (
+        pytest.param(
+            b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+            b"request line too long", id="request-line",
+        ),
+        pytest.param(
+            b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 70_000
+            + b"\r\n\r\n",
+            b"header line too long", id="header-line",
+        ),
+    ))
+    def test_line_past_the_stream_limit_answers_400(
+        self, app, request_bytes, error
+    ):
+        """A line longer than the reader's 64 KiB limit is answered with
+        400 and the connection closed, like any other framing error."""
+        reply = serve_bytes(app, request_bytes)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request\r\n")
+        assert error in reply
 
 
 # --------------------------------------------------------------------------- #
