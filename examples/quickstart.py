@@ -374,8 +374,10 @@ def service_example() -> None:
     subprocess via the same :func:`repro.service.spawn_service` helper
     the tests and the E19 benchmark use; in production you would run
     ``python -m repro serve-http --port 8080`` and point
-    :class:`repro.service.ServiceClient` (or any HTTP client — the
-    protocol is plain JSON) at it.
+    :class:`repro.service.ServiceClient` (or any HTTP client) at it. The
+    protocol is JSON; ``ServiceClient`` sends ``/probability`` rows inside
+    it as base64 float64 bytes (``rows_b64``), and a client that sends
+    JSON ``rows`` lists instead is served the same bits.
     """
     from repro import spawn_service
 

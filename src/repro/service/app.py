@@ -14,9 +14,18 @@ Endpoints::
     GET  /stats         pool/compile/cache/coalescer/pass/latency counters
     POST /plans         register a wire plan {"plan_b64": ...}
     POST /compile       ingest an encoded instance + CQ/UCQ, compile, register
-    POST /probability   {"digest", "rows": [[...]], "peers"?} -> marginals
+    POST /probability   {"digest", "rows_b64", "n_rows", "peers"?} -> marginals
+                        (or {"digest", "rows": [[...]], "peers"?})
     POST /sample        streaming Monte-Carlo {"digest", "row", "samples", ...}
     POST /shutdown      clean teardown (CI asserts no leaked state after)
+
+A ``/probability`` request carries its rows in one of two encodings:
+``rows_b64``, the base64 of the rows' little-endian float64 bytes,
+row-major, with their count in ``n_rows`` (what :class:`ServiceClient`
+sends), or ``rows``, JSON lists of numbers. Both are read at one boundary
+(:meth:`QueryService._request_rows`) into one ``(n_rows, n_vars)`` float64
+matrix, checked against [0, 1] and hashed row by row there; the result
+cache, the coalescer and the pass see only that matrix.
 
 Plans are identified everywhere by their wire digest
 (:func:`repro.circuits.distributed.plan_checksum`); a request for a
@@ -106,24 +115,51 @@ def _json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _unit_marginals(row) -> list[float]:
-    """One request row's marginals as floats; 400 unless each is in [0, 1].
+#: The value types a JSON marginal may have: ``type`` is exact, so a bool
+#: (an ``int`` subclass) and a numeric string are not among them.
+_JSON_NUMBERS = frozenset((int, float))
 
-    JSON numbers only (no bools, no numeric strings), each tested once
-    against the interval: that refuses NaN and ±inf too, which min()/max()
-    would let a NaN slip past, and compares a huge integer exactly instead
-    of overflowing a float. -0.0 is accepted.
+
+def _bad_marginal(value) -> ServiceError:
+    return ServiceError(400, f"marginals must be numbers in [0, 1], got {value!r}")
+
+
+def _unit_matrix(matrix, rows=None):
+    """``matrix`` if every value lies in [0, 1]; else a 400 naming one.
+
+    One vectorized test, whichever encoding the values came in: NaN and
+    ±inf fail it, -0.0 passes. ``rows``, the JSON lists the matrix was
+    read from, names the offending value as the client sent it.
     """
-    for value in row:
-        if (
-            not isinstance(value, (int, float))
-            or isinstance(value, bool)
-            or not 0.0 <= value <= 1.0
-        ):
-            raise ServiceError(
-                400, f"marginals must be numbers in [0, 1], got {value!r}"
-            )
-    return [float(v) for v in row]
+    inside = (matrix >= 0.0) & (matrix <= 1.0)
+    if not inside.all():
+        i, j = np.argwhere(~inside)[0]
+        raise _bad_marginal(rows[i][j] if rows is not None else float(matrix[i, j]))
+    return matrix
+
+
+def _json_marginals(rows):
+    """JSON rows of equal width as one checked ``(len(rows), width)`` matrix.
+
+    JSON numbers only, no bools and no numeric strings, each in [0, 1]:
+    the check of every marginal a request carries as JSON (``/probability``
+    rows, ``/sample``'s row, ``/compile``'s values). An integer too large
+    for a float lies outside [0, 1] and is refused like one.
+    """
+    kinds = set()
+    for row in rows:
+        kinds.update(map(type, row))
+    if not kinds <= _JSON_NUMBERS:
+        raise _bad_marginal(next(
+            v for row in rows for v in row if type(v) not in _JSON_NUMBERS
+        ))
+    try:
+        matrix = np.array(rows, dtype="<f8")
+    except OverflowError:
+        raise _bad_marginal(next(
+            v for row in rows for v in row if not 0 <= v <= 1
+        )) from None
+    return _unit_matrix(matrix, rows)
 
 
 def _parse_terms(raw_terms):
@@ -222,14 +258,17 @@ class _PlanEntry:
             and n_rows * self.size + GROUP_WORK * self.groups <= LOOP_PASS_WORK
         )
 
-    def probability_rows(self, rows) -> list[float]:
-        """One float pass over ``rows`` (slot order), one marginal per row."""
+    def probability_rows(self, matrix) -> list[float]:
+        """One float pass over a ``(n_rows, n_vars)`` float64 matrix.
+
+        Columns in slot order; one marginal per row. A wire plan runs its
+        level plan on the matrix as the worker's ``eval`` task does.
+        """
         if self.compiled is not None:
-            matrix = np.asarray(rows, dtype=np.float64)
-            if matrix.ndim != 2:
-                matrix = matrix.reshape(len(rows), self.n_vars)
             return self.compiled.probability_batch(matrix)
-        return self.wire.run_rows(rows, as_float=True)
+        out = np.empty(len(matrix), dtype=np.float64)
+        self.wire.batch_plan().run_into(matrix, out, as_float=True)
+        return out.tolist()
 
     def mc_shard_hits(self, probs32, seed: int, index: int, count: int) -> int:
         """One ``/sample`` shard's hit count, on this plan's level plan."""
@@ -296,7 +335,7 @@ class QueryService:
         the setup time; stream progress shows up in :attr:`stream_stats`).
         """
         started = time.perf_counter()
-        error = False
+        status = 200
         try:
             if method == "POST" and path == "/sample":
                 return self._handle_sample(self._parse_body(body))
@@ -308,17 +347,18 @@ class QueryService:
                 raise ServiceError(404, f"unknown path {path}")
             return await handler(self._parse_body(body))
         except ServiceError as exc:
-            error = True
-            return exc.status, {"error": str(exc)}
+            status = exc.status
+            return status, {"error": str(exc)}
         except ReproError as exc:
-            error = True
-            return 400, {"error": str(exc)}
+            status = 400
+            return status, {"error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - the service must not die
-            error = True
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
+            status = 500
+            return status, {"error": f"{type(exc).__name__}: {exc}"}
         finally:
             histogram = self.histograms.setdefault(path, LatencyHistogram())
-            histogram.observe(time.perf_counter() - started, error=error)
+            histogram.observe(time.perf_counter() - started,
+                              error=status >= 400, server_error=status >= 500)
 
     @staticmethod
     def _parse_body(body: bytes) -> dict:
@@ -377,7 +417,7 @@ class QueryService:
     # ------------------------------------------------------------------ #
     # evaluation plumbing
 
-    async def _run_pass(self, digest: str, rows) -> list[float]:
+    async def _run_pass(self, digest: str, matrix) -> list[float]:
         """One matrix pass (the coalescer's hook), on the loop or the thread.
 
         A short in-process pass (:meth:`_PlanEntry.fits_loop`) runs right
@@ -391,24 +431,37 @@ class QueryService:
         entry = self._plans.get(digest)
         if entry is None:  # evicted between lookup and flush: a 404
             entry = self._plan_entry(digest)
-        if entry.fits_loop(len(rows)):
+        if entry.fits_loop(len(matrix)):
             self.pass_stats["on_loop"] += 1
-            return entry.probability_rows(rows)
+            return entry.probability_rows(matrix)
         self.pass_stats["in_thread"] += 1
         loop = asyncio.get_running_loop()
         return await loop.run_in_executor(
-            self._compute, entry.probability_rows, rows
+            self._compute, entry.probability_rows, matrix
         )
 
-    def _validated_rows(self, payload, entry: _PlanEntry) -> list[list[float]]:
+    def _request_rows(self, payload, entry: _PlanEntry):
+        """A ``/probability`` request's rows as one checked float64 matrix.
+
+        The one boundary both encodings cross, before the result cache or
+        the coalescer sees a row: ``rows_b64`` (base64 of little-endian
+        float64 bytes, row-major, ``n_rows`` rows) or ``rows`` (JSON lists
+        of numbers), never both. For bytes, ``n_rows`` and the encoded
+        length are checked before anything is decoded. Every value must
+        lie in [0, 1] (:func:`_unit_matrix`).
+        """
+        if "rows_b64" in payload:
+            if "rows" in payload:
+                raise ServiceError(
+                    400, "request carries both 'rows' and 'rows_b64'; send one"
+                )
+            return self._binary_rows(payload, entry.n_vars)
         rows = payload.get("rows")
         if not isinstance(rows, list) or not rows:
-            raise ServiceError(400, "request needs a non-empty 'rows' list")
-        if len(rows) > self.max_rows:
             raise ServiceError(
-                400, f"request has {len(rows)} rows; the cap is {self.max_rows}"
+                400, "request needs a non-empty 'rows' list or 'rows_b64'"
             )
-        validated = []
+        self._check_row_count(len(rows))
         for row in rows:
             if not isinstance(row, list) or len(row) != entry.n_vars:
                 raise ServiceError(
@@ -416,8 +469,36 @@ class QueryService:
                     f"each row must list {entry.n_vars} marginals in slot "
                     "order",
                 )
-            validated.append(_unit_marginals(row))
-        return validated
+        return _json_marginals(rows)
+
+    def _check_row_count(self, n_rows: int) -> None:
+        if n_rows > self.max_rows:
+            raise ServiceError(
+                400, f"request has {n_rows} rows; the cap is {self.max_rows}"
+            )
+
+    def _binary_rows(self, payload, n_vars: int):
+        n_rows = payload.get("n_rows")
+        if not _json_int(n_rows) or n_rows < 1:
+            raise ServiceError(400, "'n_rows' must be a positive integer")
+        self._check_row_count(n_rows)
+        encoded = payload["rows_b64"]
+        n_bytes = n_rows * n_vars * 8
+        if not isinstance(encoded, str) or len(encoded) != 4 * -(-n_bytes // 3):
+            raise ServiceError(
+                400,
+                f"'rows_b64' must encode {n_rows} rows of {n_vars} float64 "
+                f"marginals in slot order ({n_bytes} bytes)",
+            )
+        try:
+            raw = base64.b64decode(encoded, validate=True)
+        except (binascii.Error, ValueError):
+            raise ServiceError(400, "'rows_b64' is not valid base64") from None
+        if len(raw) != n_bytes:  # padding may hide a byte or two
+            raise ServiceError(
+                400, f"'rows_b64' decodes to {len(raw)} bytes, not {n_bytes}"
+            )
+        return _unit_matrix(np.frombuffer(raw, "<f8").reshape(n_rows, n_vars))
 
     # ------------------------------------------------------------------ #
     # handlers
@@ -510,6 +591,24 @@ class QueryService:
                 f"compile method {method!r} is not probability-valid; "
                 "this service only serves 'lineage' plans",
             )
+        # Every value is checked before compiling, and the plan registers
+        # only once the whole default row stands, so a refused request
+        # registers nothing.
+        default_probability = float(_json_marginals(
+            [[payload.get("default_probability", 0.5)]]
+        )[0, 0])
+        raw_probabilities = payload.get("probabilities", {})
+        if not isinstance(raw_probabilities, dict):
+            raise ServiceError(400, "'probabilities' must map relations to lists")
+        checked: dict[str, list[float]] = {}
+        for relation, per_row in raw_probabilities.items():
+            if not isinstance(per_row, list):
+                raise ServiceError(
+                    400,
+                    f"probabilities for {relation!r} must list one value per "
+                    "payload row",
+                )
+            checked[relation] = _json_marginals([per_row])[0].tolist()
         loop = asyncio.get_running_loop()
 
         def build():
@@ -520,35 +619,30 @@ class QueryService:
 
         # Compilation can be heavy; keep the event loop serving.
         instance, fids, entry = await loop.run_in_executor(self._compute, build)
-        self._register(entry)
-        digest, plan = entry.digest, entry.compiled
+        plan = entry.compiled
         variables = list(plan.variables())
-        default_probability = payload.get("default_probability", 0.5)
         probability_by_name: dict[str, float] = {}
-        raw_probabilities = payload.get("probabilities", {})
-        if not isinstance(raw_probabilities, dict):
-            raise ServiceError(400, "'probabilities' must map relations to lists")
-        for relation, per_row in raw_probabilities.items():
+        for relation, per_row in checked.items():
             row_fids = fids.get(relation)
             if row_fids is None:
                 raise ServiceError(
                     400, f"probabilities name unknown relation {relation!r}"
                 )
-            if not isinstance(per_row, list) or len(per_row) != len(row_fids):
+            if len(per_row) != len(row_fids):
                 raise ServiceError(
                     400,
                     f"probabilities for {relation!r} must list one value per "
                     "payload row",
                 )
             names = instance.variable_names_for(row_fids)
-            for name, value in zip(names, per_row):
-                probability_by_name[name] = float(value)
+            probability_by_name.update(zip(names, per_row))
         default_row = [
-            probability_by_name.get(name, float(default_probability))
+            probability_by_name.get(name, default_probability)
             for name in variables
         ]
+        self._register(entry)
         return 200, {
-            "digest": digest,
+            "digest": entry.digest,
             "size": plan.size,
             "n_vars": len(variables),
             "variables": variables,
@@ -559,25 +653,25 @@ class QueryService:
 
     async def _handle_probability(self, payload) -> tuple[int, dict]:
         entry = self._plan_entry(payload.get("digest"))
-        rows = self._validated_rows(payload, entry)
+        matrix = self._request_rows(payload, entry)
         peers = payload.get("peers")
         if peers is not None and (not _json_int(peers) or peers < 1):
             raise ServiceError(400, "'peers' must be a positive integer")
-        hashes = [valuation_hash(row) for row in rows]
+        hashes = [valuation_hash(row) for row in matrix]
         results: dict[str, float] = {}
-        missing_hashes, missing_rows, queued = [], [], set()
-        for h, row in zip(hashes, rows):
+        missing: dict[str, int] = {}  # hash -> its first row, in order
+        for index, h in enumerate(hashes):
             cached = self.cache.get((entry.digest, h))
             if cached is not None:
                 results[h] = cached
-            elif h not in queued:
-                queued.add(h)
-                missing_hashes.append(h)
-                missing_rows.append(row)
+            elif h not in missing:
+                missing[h] = index
         cache_hits = len(results)
-        if missing_rows:
+        if missing:
+            rows = (matrix if len(missing) == len(hashes)
+                    else matrix[list(missing.values())])
             values = await self.coalescer.submit(
-                entry.digest, missing_hashes, missing_rows, peers=peers
+                entry.digest, list(missing), rows, peers=peers
             )
             for h, value in values.items():
                 self.cache.put((entry.digest, h), value)
@@ -586,7 +680,7 @@ class QueryService:
             "digest": entry.digest,
             "marginals": [results[h] for h in hashes],
             "cache_hits": cache_hits,
-            "cache_misses": len(rows) - cache_hits,
+            "cache_misses": len(hashes) - cache_hits,
         }
 
     def _handle_sample(self, payload) -> StreamResponse:
@@ -596,7 +690,7 @@ class QueryService:
             raise ServiceError(
                 400, f"'row' must list {entry.n_vars} marginals in slot order"
             )
-        probs32 = np.asarray(_unit_marginals(row), dtype=np.float32)
+        probs32 = _json_marginals([row])[0].astype(np.float32)
         samples = payload.get("samples", _parallel.MC_SHARD)
         if not _json_int(samples) or not 1 <= samples <= DEFAULT_SAMPLE_CAP:
             raise ServiceError(

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import struct
 from bisect import bisect_left
 from collections import OrderedDict
+
+import numpy as np
 
 from repro.util import check
 
@@ -35,16 +36,16 @@ BUCKET_BOUNDS_MS = (
 
 
 def valuation_hash(row) -> str:
-    """Content hash of one marginal row: float64-packed, order-sensitive.
+    """Content hash of one marginal row: its float64 bytes, order-sensitive.
 
-    The row is packed exactly as the batch kernels will consume it
-    (little-endian float64 in slot order), so two rows hash equal iff they
-    produce bit-identical matrix rows — the identity the result cache and
-    the coalescer's row dedup both key on.
+    The hash reads the row's bytes exactly as the batch kernels consume
+    them (little-endian float64 in slot order), so two rows hash equal iff
+    they produce bit-identical matrix rows — the identity the result cache
+    and the coalescer's row dedup both key on. A row of a float64 matrix
+    is hashed in place; a list is converted first, to the same bytes and
+    so the same digest.
     """
-    values = [float(v) for v in row]
-    packed = struct.pack(f"<{len(values)}d", *values)
-    return hashlib.sha256(packed).hexdigest()[:32]
+    return hashlib.sha256(np.ascontiguousarray(row, dtype="<f8")).hexdigest()[:32]
 
 
 class ResultCache:
@@ -103,24 +104,34 @@ class ResultCache:
 class LatencyHistogram:
     """Fixed-bucket latency histogram with bucket-bound percentiles."""
 
-    __slots__ = ("counts", "count", "errors", "total_ms", "max_ms")
+    __slots__ = ("counts", "count", "errors", "server_errors", "total_ms",
+                 "max_ms")
 
     def __init__(self):
         self.counts = [0] * (len(BUCKET_BOUNDS_MS) + 1)
         self.count = 0
         self.errors = 0
+        self.server_errors = 0
         self.total_ms = 0.0
         self.max_ms = 0.0
 
-    def observe(self, seconds: float, error: bool = False) -> None:
-        """Record one request's wall time (and whether it errored)."""
+    def observe(self, seconds: float, error: bool = False,
+                server_error: bool = False) -> None:
+        """Record one request's wall time and whether it errored.
+
+        ``error`` is any error answer (4xx or 5xx); ``server_error`` marks
+        a 5xx, a fault of the service rather than a refused request, and is
+        counted in ``errors`` too.
+        """
         ms = seconds * 1e3
         self.count += 1
         self.total_ms += ms
         if ms > self.max_ms:
             self.max_ms = ms
-        if error:
+        if error or server_error:
             self.errors += 1
+        if server_error:
+            self.server_errors += 1
         self.counts[bisect_left(BUCKET_BOUNDS_MS, ms)] += 1
 
     def percentile(self, q: float) -> float:
@@ -146,6 +157,7 @@ class LatencyHistogram:
         return {
             "count": self.count,
             "errors": self.errors,
+            "server_errors": self.server_errors,
             "mean_ms": (self.total_ms / self.count) if self.count else 0.0,
             "p50_ms": self.percentile(0.50),
             "p99_ms": self.percentile(0.99),

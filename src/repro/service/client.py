@@ -2,9 +2,12 @@
 
 :class:`ServiceClient` speaks the service's JSON protocol over one
 keep-alive ``http.client`` connection — stdlib only, usable from tests,
-benchmarks, and plain scripts. Streaming responses (``/sample``) come
-back as a generator of decoded updates; ``http.client`` undoes the
-chunked framing transparently.
+benchmarks, and plain scripts. Bodies are JSON; ``/probability`` rows
+travel inside it as ``rows_b64``, the base64 of their little-endian
+float64 bytes (the layout the service hashes and evaluates), not as
+decimal numbers. Streaming responses (``/sample``) come back as a
+generator of decoded updates; ``http.client`` undoes the chunked framing
+transparently.
 
 :func:`spawn_service` mirrors
 :func:`repro.circuits.distributed.spawn_local_worker`: subprocess spawn,
@@ -19,6 +22,7 @@ import base64
 import http.client
 import json
 import os
+import struct
 
 from repro.util import ReproError
 from repro.util.helpers import spawn_until_ready
@@ -141,8 +145,29 @@ class ServiceClient:
         return self.request("POST", "/compile", body)
 
     def probability(self, digest: str, rows, peers: int | None = None) -> dict:
-        """Marginals for ``rows`` (slot order) under plan ``digest``."""
-        body = {"digest": digest, "rows": [list(map(float, row)) for row in rows]}
+        """Marginals for ``rows`` (slot order) under plan ``digest``.
+
+        The rows go out as ``rows_b64`` with their count in ``n_rows``:
+        each value converted with ``float()`` and packed little-endian,
+        row after row. The byte count cannot tell a ragged batch from an
+        even one, so rows of unequal width are refused here.
+        """
+        packed, width = [], None
+        for row in rows:
+            values = list(map(float, row))
+            if width is None:
+                width = len(values)
+            elif len(values) != width:
+                raise ReproError(
+                    f"rows must all have one width: a row of {len(values)} "
+                    f"marginals follows rows of {width}"
+                )
+            packed.append(struct.pack(f"<{width}d", *values))
+        body = {
+            "digest": digest,
+            "rows_b64": base64.b64encode(b"".join(packed)).decode("ascii"),
+            "n_rows": len(packed),
+        }
         if peers is not None:
             body["peers"] = peers
         return self.request("POST", "/probability", body)

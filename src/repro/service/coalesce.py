@@ -39,6 +39,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 
+import numpy as np
+
 from repro.util import check
 
 #: Hard cap on how long a ``peers=N`` barrier may hold a bucket open.
@@ -52,7 +54,7 @@ class _Bucket:
                  "barrier")
 
     def __init__(self, loop):
-        self.rows: list = []    # deduped rows, in arrival order
+        self.rows: list = []    # deduped matrix rows, in arrival order
         self.order: list = []   # valuation hash of rows[i], aligned
         self.index: dict = {}   # valuation hash -> position in rows
         self.future = loop.create_future()
@@ -71,8 +73,9 @@ class _Bucket:
 class Coalescer:
     """Merge concurrent per-digest row batches into shared matrix passes.
 
-    ``run_pass(digest, rows)`` is the evaluation hook — awaited once per
-    bucket, returning one marginal per row; a digest's passes never
+    ``run_pass(digest, matrix)`` is the evaluation hook — awaited once per
+    bucket with the bucket's rows stacked into one ``(n_rows, n_vars)``
+    matrix, returning one marginal per row; a digest's passes never
     overlap. With ``enabled=False`` every request runs as its own pass (the
     uncoalesced baseline the E19 bench compares against); rows are still
     deduplicated within a request.
@@ -99,9 +102,12 @@ class Coalescer:
                      peers: int | None = None) -> dict:
         """Marginals for ``rows`` as a ``valuation_hash → float`` mapping.
 
-        ``hashes`` must align with ``rows`` (the caller computed them for
-        its cache lookup already). ``peers`` arms the arrival barrier.
+        ``rows`` is a ``(n_rows, n_vars)`` float64 matrix (or rows numpy
+        stacks into one); ``hashes`` must align with its rows (the caller
+        computed them for its cache lookup already). ``peers`` arms the
+        arrival barrier.
         """
+        rows = np.asarray(rows)
         check(len(hashes) == len(rows), "hashes and rows must align")
         counters = self.counters
         counters["requests"] += 1
@@ -130,15 +136,14 @@ class Coalescer:
 
     async def _solo_pass(self, digest: str, hashes, rows) -> dict:
         """One dedicated pass for one request (coalescing disabled)."""
-        order, deduped, seen = [], [], set()
-        for h, row in zip(hashes, rows):
-            if h not in seen:
-                seen.add(h)
-                order.append(h)
-                deduped.append(row)
-        values = await self._run_pass(digest, deduped)
-        self._account(1, deduped)
-        return dict(zip(order, values))
+        first: dict = {}  # valuation hash -> its first row, in order
+        for index, h in enumerate(hashes):
+            first.setdefault(h, index)
+        if len(first) < len(rows):
+            rows = rows[list(first.values())]
+        values = await self._run_pass(digest, rows)
+        self._account(1, rows)
+        return dict(zip(first, values))
 
     async def _drain(self, digest: str) -> None:
         """Run the digest's buckets one pass at a time until none is open."""
@@ -155,7 +160,7 @@ class Coalescer:
                 with contextlib.suppress(asyncio.TimeoutError):
                     await asyncio.wait_for(bucket.barrier.wait(), BARRIER_TIMEOUT)
             del self._buckets[digest]  # later arrivals open the next bucket
-            values = await self._run_pass(digest, bucket.rows)
+            values = await self._run_pass(digest, np.stack(bucket.rows))
         except BaseException as exc:
             if self._buckets.get(digest) is bucket:
                 del self._buckets[digest]

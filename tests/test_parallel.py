@@ -8,6 +8,7 @@ machine's core count are still exercised — determinism must not depend on
 parallel hardware, only wall-clock does.
 """
 
+import contextlib
 import functools
 import gc
 import math
@@ -15,6 +16,7 @@ import multiprocessing
 import operator
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -722,7 +724,12 @@ class TestPoolLifecycle:
 
     def test_worker_killed_just_before_a_call_costs_one_rerun(self, monkeypatch):
         """A worker killed too recently for the executor to have noticed
-        breaks the call's first run; the re-run answers bit for bit."""
+        breaks the call's first run; the re-run answers bit for bit.
+
+        The other worker is stopped until the executor has marked itself
+        broken, so the call cannot finish on that worker alone before the
+        death is seen.
+        """
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         compiled = compile_circuit(random_circuit(36))
         marginals = [0.4] * len(compiled.variables())
@@ -730,11 +737,30 @@ class TestPoolLifecycle:
             compiled, marginals, 400, seed=4, workers=0
         )
         parallel.monte_carlo_hits(compiled, marginals, 400, seed=4, workers=2)
+        executor = parallel._POOL[1]
         pids = pool_pids()
-        os.kill(min(pids), signal.SIGKILL)
-        assert parallel.monte_carlo_hits(
-            compiled, marginals, 400, seed=4, workers=2
-        ) == expected
+        victim, survivor = min(pids), max(pids)
+
+        def resume_once_broken() -> None:
+            deadline = time.monotonic() + 10.0
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.001)
+            # The executor's SIGTERM may already have ended the stopped
+            # worker (a fatal signal needs no SIGCONT).
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(survivor, signal.SIGCONT)
+
+        os.kill(survivor, signal.SIGSTOP)
+        helper = threading.Thread(target=resume_once_broken)
+        helper.start()
+        try:
+            os.kill(victim, signal.SIGKILL)
+            assert parallel.monte_carlo_hits(
+                compiled, marginals, 400, seed=4, workers=2
+            ) == expected
+        finally:
+            helper.join(timeout=15.0)
+        assert not helper.is_alive()
         assert len(pool_pids() - pids) == 2  # a fresh pool answered
 
     def test_worker_error_propagates_without_killing_pool(self):

@@ -10,8 +10,10 @@ Four layers, matching the package:
 - the **application** — :meth:`QueryService.dispatch` driven directly
   (the transport-independence the app layer promises): routing errors,
   plan registration, served marginals bit-identical to the library's
-  ``probability_batch``, result-cache behaviour across requests, and
-  which passes run on the event loop and which in the compute thread;
+  ``probability_batch``, result-cache behaviour across requests, which
+  passes run on the event loop and which in the compute thread, and the
+  two row encodings (``rows_b64`` float64 bytes and JSON ``rows``) read
+  at one boundary into the same cache entries and passes;
 - the **HTTP binding** — the connection handler fed an in-memory
   stream: a framing error is answered with 400;
 - the **service over a real socket** — a ``repro serve-http`` subprocess
@@ -28,9 +30,11 @@ deselect them.
 
 import asyncio
 import base64
+import http.client
 import json
 import math
 import os
+import struct
 import threading
 
 import numpy as np
@@ -109,6 +113,22 @@ class TestValuationHash:
     def test_width_matters(self):
         assert valuation_hash([0.5]) != valuation_hash([0.5, 0.5])
 
+    @pytest.mark.parametrize("row, digest", (
+        ([0.25, 0.5], "f4350073466748fca26a458040465bcb"),
+        ([-0.0, 0.0], "a44f869b720be79dafbfd94382036b7b"),
+        ([0.0, 0.0], "374708fff7719dd5979ec875d56cd228"),
+        ([1, 0], "3239b05c38b825ebb79f103172438292"),
+        ([0.1, 0.2, 0.7], "6c518c0429a223aa136e063fe1012b72"),
+        ([5e-324, 1.0 - 2 ** -53], "d3c2f1df902ec2819d8833ca0c742efe"),
+        ([], "e3b0c44298fc1c149afbf4c8996fb924"),
+    ))
+    def test_digests_are_pinned(self, row, digest):
+        """The digests the result cache and the coalescer key on, as
+        literals: a list and the same row of a float64 matrix agree."""
+        assert valuation_hash(row) == digest
+        matrix = np.asarray([row], dtype=np.float64).reshape(1, len(row))
+        assert valuation_hash(matrix[0]) == digest
+
 
 # --------------------------------------------------------------------------- #
 # result cache
@@ -175,6 +195,13 @@ class TestLatencyHistogram:
         histogram.observe(0.001, error=True)
         assert histogram.stats()["errors"] == 1
         assert histogram.stats()["count"] == 2
+
+    def test_server_errors_counted_among_errors(self):
+        histogram = LatencyHistogram()
+        histogram.observe(0.001, error=True)
+        histogram.observe(0.001, error=True, server_error=True)
+        stats = histogram.stats()
+        assert (stats["errors"], stats["server_errors"]) == (2, 1)
 
 
 # --------------------------------------------------------------------------- #
@@ -591,6 +618,31 @@ def dispatch(service, method, path, payload=None):
     return asyncio.run(service.dispatch(method, path, body))
 
 
+def b64_rows(rows) -> str:
+    """``rows`` as ``rows_b64``: base64 of row-major little-endian float64."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode()
+
+
+def binary_body(digest, rows, **extra) -> dict:
+    """A ``/probability`` body carrying ``rows`` as float64 bytes."""
+    return {"digest": digest, "rows_b64": b64_rows(rows), "n_rows": len(rows),
+            **extra}
+
+
+def register_wire(service, compiled) -> str:
+    """Register ``compiled``'s wire plan through ``/plans``; its digest."""
+    encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+    status, registered = dispatch(service, "POST", "/plans",
+                                  {"plan_b64": encoded})
+    assert status == 200
+    return registered["digest"]
+
+
+def bits(values):
+    """The float64 bit patterns of ``values``, for bitwise comparisons."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 @pytest.fixture
 def app():
     service = QueryService()
@@ -980,6 +1032,226 @@ class TestQueryServiceDispatch:
         assert threading.get_ident() not in builders
 
 
+    @pytest.mark.parametrize("field, value", [
+        pytest.param("default_probability", "abc", id="default-string"),
+        pytest.param("default_probability", 7.5, id="default-above-one"),
+        pytest.param("default_probability", -1, id="default-negative"),
+        pytest.param("default_probability", math.nan, id="default-nan"),
+        pytest.param("default_probability", True, id="default-true"),
+        pytest.param("probabilities", "0.5", id="relation-strings"),
+        pytest.param("probabilities", 2.0, id="relation-two"),
+    ])
+    def test_compile_refuses_bad_marginals_and_registers_nothing(
+        self, app, field, value
+    ):
+        """``/compile`` checks ``default_probability`` and every
+        per-relation value as ``/probability`` checks a row (JSON numbers
+        in [0, 1]) and answers 400 with no plan registered."""
+        tid = rst_chain_tid(4, probability=0.5, seed=37)
+        instance = ColumnarInstance.from_instance(tid.instance).to_payload()
+        if field == "probabilities":
+            value = {"R": [value] * len(instance["relations"]["R"][0])}
+        status, payload = dispatch(app, "POST", "/compile", {
+            "instance": instance,
+            "query": {"atoms": [["R", ["?x"]], ["S", ["?x", "?y"]],
+                                ["T", ["?y"]]]},
+            field: value,
+        })
+        assert status == 400
+        assert "[0, 1]" in payload["error"]
+        assert list(app._plans) == []
+
+    def test_server_faults_counted_apart_from_refusals(self, app, monkeypatch):
+        """A handler that raises answers 500 and moves its endpoint's
+        ``server_errors``; a refused request (400) moves only ``errors``."""
+
+        async def broken(_payload):
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setitem(app._routes, ("GET", "/health"), broken)
+        status, payload = dispatch(app, "GET", "/health")
+        assert status == 500
+        assert "RuntimeError: handler bug" in payload["error"]
+        status, _payload = asyncio.run(
+            app.dispatch("POST", "/probability", b"{not json")
+        )
+        assert status == 400
+        _status, stats = dispatch(app, "GET", "/stats")
+        health = stats["endpoints"]["/health"]
+        served = stats["endpoints"]["/probability"]
+        assert (health["errors"], health["server_errors"]) == (1, 1)
+        assert (served["errors"], served["server_errors"]) == (1, 0)
+
+
+#: ``/probability`` bodies with float64-byte rows the service refuses, by
+#: test id: ``(build, error)``, where ``build(digest, row)`` makes the body
+#: from a valid row and ``error`` is part of the 400's message. The test
+#: sets ``max_rows`` to 2.
+def _with_value(value):
+    def build(digest, row):
+        bad = list(row)
+        bad[3] = value
+        return binary_body(digest, [row, bad])
+    return build
+
+
+BAD_BINARY_ROWS = {
+    "bad-base64": (
+        lambda d, row: {**binary_body(d, [row]),
+                        "rows_b64": "!" + b64_rows([row])[1:]},
+        "not valid base64"),
+    "one-value-short": (
+        lambda d, row: {"digest": d, "rows_b64": b64_rows([row[:-1]]),
+                        "n_rows": 1},
+        "'rows_b64' must encode 1 rows"),
+    "padding-hides-a-byte": (
+        lambda d, row: {"digest": d, "n_rows": 1, "rows_b64": base64.b64encode(
+            np.asarray(row, dtype="<f8").tobytes() + b"\0").decode()},
+        "decodes to"),
+    "n-rows-zero": (lambda d, row: {**binary_body(d, [row]), "n_rows": 0},
+                    "'n_rows'"),
+    "n-rows-true": (lambda d, row: {**binary_body(d, [row]), "n_rows": True},
+                    "'n_rows'"),
+    "n-rows-over-cap": (lambda d, row: binary_body(d, [row] * 3),
+                        "the cap is 2"),
+    "n-rows-disagrees": (lambda d, row: {**binary_body(d, [row]), "n_rows": 2},
+                         "'rows_b64' must encode 2 rows"),
+    "nan": (_with_value(math.nan), "[0, 1], got nan"),
+    "inf": (_with_value(math.inf), "[0, 1], got inf"),
+    "minus-inf": (_with_value(-math.inf), "[0, 1], got -inf"),
+    "above-one": (_with_value(1.5), "[0, 1], got 1.5"),
+    "negative": (_with_value(-0.5), "[0, 1], got -0.5"),
+    "both-encodings": (lambda d, row: {**binary_body(d, [row]), "rows": [row]},
+                       "both 'rows' and 'rows_b64'"),
+}
+
+
+class TestRowEncodings:
+    """``/probability`` rows as float64 bytes (``rows_b64``) or JSON lists:
+    one boundary, one matrix, the same marginals, cache entries and passes."""
+
+    @pytest.mark.parametrize("source", ("wire-plan", "compiled-plan"))
+    def test_binary_rows_served_bit_identically(self, source):
+        """Binary rows, -0.0 included, are served the bits of
+        ``probability_batch`` and of the same rows sent as JSON, on a
+        ``/plans`` wire plan and on a compiled (``/compile``) plan."""
+        from repro.service.app import _PlanEntry
+
+        compiled, marginals = chain_setup(n=12, seed=41)
+        width = len(marginals)
+        rows = ([marginals, [-0.0] * width, [0.0] * width, [1.0] * width]
+                + unique_rows(3, width, stable_rng(141)))
+        service = QueryService(cache_size=0)  # every request runs a pass
+        try:
+            if source == "wire-plan":
+                digest = register_wire(service, compiled)
+            else:
+                digest = compiled.plan_digest()
+                service._register(_PlanEntry(digest, compiled=compiled))
+            status, binary = dispatch(service, "POST", "/probability",
+                                      binary_body(digest, rows))
+            assert status == 200
+            status, as_json = dispatch(service, "POST", "/probability",
+                                       {"digest": digest, "rows": rows})
+            assert status == 200
+            assert service.coalescer.counters["rows_evaluated"] == 2 * len(rows)
+        finally:
+            service.close()
+        expected = bits(direct_marginals(compiled, rows))
+        assert np.array_equal(bits(binary["marginals"]), expected)
+        assert np.array_equal(bits(as_json["marginals"]), expected)
+
+    def test_a_row_cached_from_json_hits_from_bytes(self, app):
+        compiled, marginals = chain_setup(n=10, seed=42)
+        digest = register_wire(app, compiled)
+        rows = unique_rows(1, len(marginals), stable_rng(142))
+        _status, first = dispatch(app, "POST", "/probability",
+                                  {"digest": digest, "rows": rows})
+        assert first["cache_misses"] == 1
+        _status, second = dispatch(app, "POST", "/probability",
+                                   binary_body(digest, rows))
+        assert (second["cache_hits"], second["cache_misses"]) == (1, 0)
+        assert second["marginals"] == first["marginals"]
+
+    def test_json_and_binary_requests_share_one_pass(self, app):
+        """Held together by a ``peers=2`` barrier, a JSON request and a
+        binary one for the same row make one pass of one row."""
+        compiled, marginals = chain_setup(n=10, seed=43)
+        digest = register_wire(app, compiled)
+        rows = unique_rows(1, len(marginals), stable_rng(143))
+        bodies = ({"digest": digest, "rows": rows, "peers": 2},
+                  binary_body(digest, rows, peers=2))
+        before = dict(app.coalescer.counters)
+
+        async def drive():
+            return await asyncio.gather(*[
+                app.dispatch("POST", "/probability", json.dumps(body).encode())
+                for body in bodies
+            ])
+
+        (json_status, as_json), (binary_status, binary) = asyncio.run(drive())
+        assert json_status == binary_status == 200
+        expected = [float(v) for v in direct_marginals(compiled, rows)]
+        assert as_json["marginals"] == binary["marginals"] == expected
+        after = app.coalescer.counters
+        assert after["requests"] - before["requests"] == 2
+        assert after["passes"] - before["passes"] == 1
+        assert after["rows_evaluated"] - before["rows_evaluated"] == 1
+
+    @pytest.mark.parametrize("case", list(BAD_BINARY_ROWS))
+    def test_refused_binary_rows_touch_nothing(self, app, case):
+        """Each malformed or out-of-range binary request answers 400
+        before the result cache, the coalescer or a stream sees a row."""
+        build, error = BAD_BINARY_ROWS[case]
+        compiled, marginals = chain_setup(n=10, seed=25)
+        digest = register_wire(app, compiled)
+        app.max_rows = 2
+        body = build(digest, marginals)
+        cache_before = app.cache.stats()
+        coalescer_before = dict(app.coalescer.counters)
+        streams_before = dict(app.stream_stats)
+        status, payload = dispatch(app, "POST", "/probability", body)
+        assert status == 400
+        assert error in payload["error"]
+        assert app.cache.stats() == cache_before
+        assert app.coalescer.counters == coalescer_before
+        assert app.stream_stats == streams_before
+
+
+class TestServiceClientRows:
+    """What :meth:`ServiceClient.probability` puts on the wire."""
+
+    @staticmethod
+    def capturing_client(monkeypatch):
+        client = ServiceClient("127.0.0.1:9")  # never connects
+        sent = []
+
+        def request(method, path, payload=None):
+            sent.append((method, path, payload))
+            return {"marginals": []}
+
+        monkeypatch.setattr(client, "request", request)
+        return client, sent
+
+    def test_probability_posts_float64_bytes(self, monkeypatch):
+        client, sent = self.capturing_client(monkeypatch)
+        rows = [[0.25, -0.0, 1], [np.float64(0.5), 0.75, 0]]
+        client.probability("d" * 32, rows, peers=2)
+        [(method, path, payload)] = sent
+        assert (method, path) == ("POST", "/probability")
+        assert sorted(payload) == ["digest", "n_rows", "peers", "rows_b64"]
+        assert payload["n_rows"] == 2
+        raw = base64.b64decode(payload["rows_b64"], validate=True)
+        assert raw == struct.pack("<6d", 0.25, -0.0, 1.0, 0.5, 0.75, 0.0)
+
+    def test_ragged_rows_refused_before_sending(self, monkeypatch):
+        """358 values then 360 are as many bytes as two rows of 359."""
+        client, sent = self.capturing_client(monkeypatch)
+        with pytest.raises(ReproError, match="one width"):
+            client.probability("d" * 32, [[0.5] * 358, [0.5] * 360])
+        assert sent == []
+
+
 # --------------------------------------------------------------------------- #
 # the HTTP binding, driven with an in-memory stream
 
@@ -1219,6 +1491,36 @@ class TestServiceOverSocket:
         assert served["marginals"][0] == pytest.approx(
             tid_probability(query, tid), abs=1e-12
         )
+
+    def test_json_rows_over_plain_http_served_bit_identically(
+        self, live_service, chain
+    ):
+        """JSON rows sent with plain ``http.client``, as a client other
+        than :class:`ServiceClient` sends them, are served the bits of
+        ``probability_batch``."""
+        compiled, marginals = chain
+        registrar = ServiceClient(live_service)
+        try:
+            digest = registrar.register_compiled(compiled)
+        finally:
+            registrar.close()
+        rows = ([marginals, [-0.0] * len(marginals)]
+                + unique_rows(2, len(marginals), stable_rng(404)))
+        host, port = live_service.removeprefix("http://").rsplit(":", 1)
+        link = http.client.HTTPConnection(host, int(port), timeout=30.0)
+        try:
+            link.request(
+                "POST", "/probability",
+                body=json.dumps({"digest": digest, "rows": rows}).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            response = link.getresponse()
+            status, served = response.status, json.loads(response.read())
+        finally:
+            link.close()
+        assert status == 200
+        assert np.array_equal(bits(served["marginals"]),
+                              bits(direct_marginals(compiled, rows)))
 
     def test_compile_rejects_non_probability_methods(self, client):
         tid = rst_chain_tid(4, probability=0.5, seed=32)
