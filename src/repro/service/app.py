@@ -441,7 +441,8 @@ class QueryService:
         )
 
     def _request_rows(self, payload, entry: _PlanEntry):
-        """A ``/probability`` request's rows as one checked float64 matrix.
+        """A ``/probability`` request's rows: one checked float64 matrix
+        and the :func:`valuation_hash` of each of its rows.
 
         The one boundary both encodings cross, before the result cache or
         the coalescer sees a row: ``rows_b64`` (base64 of little-endian
@@ -455,21 +456,23 @@ class QueryService:
                 raise ServiceError(
                     400, "request carries both 'rows' and 'rows_b64'; send one"
                 )
-            return self._binary_rows(payload, entry.n_vars)
-        rows = payload.get("rows")
-        if not isinstance(rows, list) or not rows:
-            raise ServiceError(
-                400, "request needs a non-empty 'rows' list or 'rows_b64'"
-            )
-        self._check_row_count(len(rows))
-        for row in rows:
-            if not isinstance(row, list) or len(row) != entry.n_vars:
+            matrix = self._binary_rows(payload, entry.n_vars)
+        else:
+            rows = payload.get("rows")
+            if not isinstance(rows, list) or not rows:
                 raise ServiceError(
-                    400,
-                    f"each row must list {entry.n_vars} marginals in slot "
-                    "order",
+                    400, "request needs a non-empty 'rows' list or 'rows_b64'"
                 )
-        return _json_marginals(rows)
+            self._check_row_count(len(rows))
+            for row in rows:
+                if not isinstance(row, list) or len(row) != entry.n_vars:
+                    raise ServiceError(
+                        400,
+                        f"each row must list {entry.n_vars} marginals in slot "
+                        "order",
+                    )
+            matrix = _json_marginals(rows)
+        return matrix, [valuation_hash(row) for row in matrix]
 
     def _check_row_count(self, n_rows: int) -> None:
         if n_rows > self.max_rows:
@@ -653,11 +656,10 @@ class QueryService:
 
     async def _handle_probability(self, payload) -> tuple[int, dict]:
         entry = self._plan_entry(payload.get("digest"))
-        matrix = self._request_rows(payload, entry)
+        matrix, hashes = self._request_rows(payload, entry)
         peers = payload.get("peers")
         if peers is not None and (not _json_int(peers) or peers < 1):
             raise ServiceError(400, "'peers' must be a positive integer")
-        hashes = [valuation_hash(row) for row in matrix]
         results: dict[str, float] = {}
         missing: dict[str, int] = {}  # hash -> its first row, in order
         for index, h in enumerate(hashes):
