@@ -131,9 +131,9 @@ def run() -> dict:
 
     # --- FO answers without touching the circuit pipeline ---------------
     instance, keys = key_violation_instance(GRID_KEYS, 0.5, seed=9)
-    before = dict(compile_stats(lifetime=True))
+    before = compile_stats()
     fo_answer = certain_answers(queries["fo"], instance, keys)
-    after = dict(compile_stats(lifetime=True))
+    after = compile_stats()
     result["fo_no_circuit_compiles"] = before == after
     print(f"fo route: answer={fo_answer}, compile_stats "
           + ("unchanged (no circuits built)"

@@ -308,12 +308,12 @@ def distributed_example() -> None:
     worker's certificate (``repro serve --tls-cert/--tls-key`` also
     works) and ``REPRO_DISTRIBUTED_TLS_CA`` at the CA bundle the
     coordinator should verify it against; setting the CA *and* a cert on
-    the coordinator side upgrades to mutual TLS. Certificate-verification
-    failures are always fatal for that host (the pool warns once and
-    evaluates elsewhere); only ``REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT=1``
-    lets a coordinator retry a non-TLS legacy worker unencrypted. TLS and
-    the HMAC secret compose — see "Transport security" in
-    ``ARCHITECTURE.md``.
+    the coordinator side upgrades to mutual TLS. A failed TLS handshake
+    (an untrusted certificate, or a worker that does not speak TLS) is
+    always fatal for that host: the pool warns once and evaluates
+    elsewhere. So is a worker on another protocol version (an older or
+    newer build). TLS and the HMAC secret compose — see "Transport
+    security" in ``ARCHITECTURE.md``.
     """
     from repro import config, plan_from_bytes
 

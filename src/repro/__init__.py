@@ -85,7 +85,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "classify",
         "cqa_stats",
         "fo_rewriting",
-        "reset_cqa_stats",
     ),
     ".events": ("EventSpace", "Formula", "var"),
     ".instances": (

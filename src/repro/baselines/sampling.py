@@ -29,9 +29,10 @@ the pool, ``hosts=`` routes the same shards to remote workers over TCP
 process-wide ``distributed_hosts`` knob
 (``REPRO_DISTRIBUTED_HOSTS`` / CLI ``--hosts``), and because the shard
 decomposition and seeding never change, a fixed seed estimates to the
-same value in-process, on the pool, and across hosts. Only workers that
-speak this build's Monte-Carlo stream
-(:data:`repro.circuits.distributed.MC_STREAM_CAP`) take sampling shards.
+same value in-process, on the pool, and across hosts. Only workers on
+this build's protocol version
+(:data:`repro.circuits.distributed.PROTOCOL_VERSION`), and so on its
+Monte-Carlo stream, take sampling shards.
 """
 
 from __future__ import annotations

@@ -59,8 +59,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "batch_stats",
         "compile_circuit",
         "compile_stats",
-        "reset_batch_stats",
-        "reset_compile_stats",
     ),
     ".dd": ("check_decomposability", "check_determinism_sampled"),
     ".distributed": (

@@ -108,39 +108,22 @@ _UNBUILT = object()
 
 #: Process-wide lowering counters: how often a full lowering ran and how
 #: many compiles were answered from the arena memo. Read by
-#: :func:`compile_stats` and reset by tests via :func:`reset_compile_stats`.
+#: :func:`compile_stats`; they only count up, so a reader takes deltas.
 _STATS = {
     "lowerings": 0,
     "arena_cache_hits": 0,
 }
 
-#: Folded-in totals from before each :func:`reset_compile_stats` call, so
-#: ``compile_stats(lifetime=True)`` survives test-isolation resets.
-_LIFETIME = dict.fromkeys(_STATS, 0)
 
-
-def compile_stats(lifetime: bool = False) -> dict:
-    """A snapshot of the process-wide compile counters.
-
-    With ``lifetime=True`` the counts span the whole process, including
-    everything zeroed by intervening :func:`reset_compile_stats` calls.
-    """
-    if lifetime:
-        return {key: _STATS[key] + _LIFETIME[key] for key in _STATS}
+def compile_stats() -> dict:
+    """A snapshot of the process-wide compile counters."""
     return dict(_STATS)
-
-
-def reset_compile_stats() -> None:
-    """Zero the compile counters (test isolation); totals are kept."""
-    for key in _STATS:
-        _LIFETIME[key] += _STATS[key]
-        _STATS[key] = 0
 
 
 #: Process-wide batch-execution counters: how many matrix passes the batch
 #: entry points ran and how many rows they covered. The query service's
 #: tests read these to prove coalescing really merged N requests into one
-#: pass; ``/stats`` exposes them for operators.
+#: pass; ``/stats`` exposes them for operators. They only count up.
 _BATCH_STATS = {
     "probability_passes": 0,
     "probability_rows": 0,
@@ -148,29 +131,15 @@ _BATCH_STATS = {
     "evaluate_rows": 0,
 }
 
-_BATCH_LIFETIME = dict.fromkeys(_BATCH_STATS, 0)
 
-
-def batch_stats(lifetime: bool = False) -> dict:
+def batch_stats() -> dict:
     """A snapshot of the process-wide batch-pass counters.
 
     One "pass" is one :meth:`CompiledCircuit.probability_batch` or
     :meth:`CompiledCircuit.evaluate_batch` call, whatever execution tier
-    it lands on; "rows" counts the matrix rows those passes covered. With
-    ``lifetime=True`` the counts span the whole process, including
-    everything zeroed by intervening :func:`reset_batch_stats` calls.
+    it lands on; "rows" counts the matrix rows those passes covered.
     """
-    if lifetime:
-        return {key: _BATCH_STATS[key] + _BATCH_LIFETIME[key]
-                for key in _BATCH_STATS}
     return dict(_BATCH_STATS)
-
-
-def reset_batch_stats() -> None:
-    """Zero the batch-pass counters (test isolation); totals are kept."""
-    for key in _BATCH_STATS:
-        _BATCH_LIFETIME[key] += _BATCH_STATS[key]
-        _BATCH_STATS[key] = 0
 
 
 def gate_levels(kinds, offsets, indices) -> list[int]:

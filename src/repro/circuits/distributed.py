@@ -33,20 +33,19 @@ over TCP so any number of hosts can chew on one batch or Monte-Carlo run:
   transparently reconnected, so a bounced worker rejoins the pool (and is
   re-sent any plan it lost). **A shard is retried on worker disconnect**
   (on another worker, or locally when none remain), exactly as before.
-- **Auth + transport security** — a pluggable :class:`AuthProvider` seam.
-  Shared-secret authentication (a worker started with ``repro serve
-  --secret …`` or ``REPRO_DISTRIBUTED_SECRET`` embeds a random challenge
-  in its ``HELLO`` and requires an HMAC-SHA256 response) remains one
-  provider; :class:`TLSAuth` wraps every socket in TLS — mutual TLS when
-  a CA bundle demands client certificates — configured by ``repro serve
-  --tls-cert/--tls-key/--tls-ca`` and the ``distributed_tls`` knob
-  (``REPRO_DISTRIBUTED_TLS_*``), with a plaintext retry only when
-  explicitly allowed (``REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT``).
-- **Capability handshake + pipelining + elastic membership** — ``HELLO``
-  carries a capability set (:data:`PROTOCOL_CAPS`) and peers restrict
-  themselves to the intersection, so mixed worker versions keep serving
-  each other (only an empty intersection rejects). Connections whose
-  worker negotiated ``pipeline`` keep ``pipeline_depth`` task frames
+- **Auth + transport security** — an :class:`AuthProvider` built from the
+  knobs by :func:`provider_from_knobs`. Shared-secret authentication (a
+  worker started with ``repro serve --secret …`` or
+  ``REPRO_DISTRIBUTED_SECRET`` embeds a random challenge in its ``HELLO``
+  and requires an HMAC-SHA256 response) is one provider; :class:`TLSAuth`
+  wraps every socket in TLS — mutual TLS when a CA bundle demands client
+  certificates — configured by ``repro serve --tls-cert/--tls-key/--tls-ca``
+  and the ``distributed_tls`` knob (``REPRO_DISTRIBUTED_TLS_*``). A failed
+  TLS handshake refuses the host.
+- **One protocol version + pipelining + elastic membership** — ``HELLO``
+  carries :data:`PROTOCOL_VERSION` and the coordinator serves only a
+  worker whose version matches exactly; any other is refused like an
+  unreachable host. Every connection keeps ``pipeline_depth`` task frames
   in flight with out-of-order RESULT correlation by shard id — shard N+1
   crosses the wire while shard N computes. Workers may also dial *in*:
   ``repro serve --register host:port`` REGISTERs with the coordinator's
@@ -59,16 +58,16 @@ defaulting to the process-wide ``distributed_hosts`` knob (set with
 ``config.configure``/``config.overrides`` of :mod:`repro.config`, the
 ``REPRO_DISTRIBUTED_HOSTS`` environment variable — a comma-separated
 ``host:port`` list — or the CLI ``--hosts`` flag). The transport knobs
-(``distributed_secret``, ``distributed_tls``, ``auth_provider``,
-``pipeline_depth``) live in the same registry; this module keeps none of
-them, and reads them when it connects. An empty host list means
+(``distributed_secret``, ``distributed_tls``, ``pipeline_depth``) live in
+the same registry; this module keeps none of them, and reads them when it
+connects. An empty host list means
 "stay local": every entry point then defers to the worker pool / in-process
 kernels, so the five execution tiers degrade gracefully top to bottom.
-Unreachable hosts are warned about once per process and skipped; a run
-whose every worker dies still completes locally with identical results.
+Unreachable, refused or misbehaving hosts are warned about once per
+process and skipped; a run whose every worker fails still completes
+locally with identical results.
 :func:`pool_stats` exposes the runtime's counters (connects, reconnects,
-digest hits, plans published, steals, hosts skipped for a missing
-capability, per-host task counts);
+digest hits, plans published, steals, per-host task counts);
 :func:`reset_pool` drops the persistent connections (the per-call baseline
 benchmarks measure against).
 """
@@ -106,69 +105,22 @@ WIRE_MAGIC = b"RCP1"
 #: Version of the wire layout; bumped on any incompatible change.
 WIRE_VERSION = 1
 
-#: Version of the *connection* protocol, carried in HELLO and checked by
-#: the coordinator — distinct from the blob layout version above so either
-#: can move alone. Bumped to 2 when the digest handshake (PLAN_OFFER /
-#: PLAN_HAVE / PLAN_NEED) and the AUTH challenge became part of every
-#: conversation: a version-1 peer would not merely miss features, it would
-#: drop the connection on the first unknown frame, so mismatches must fail
-#: loudly at hello time instead. From there on the int is frozen: new
-#: features negotiate through the capability set below instead of another
-#: bump, so mixed worker versions keep serving each other.
-PROTOCOL_VERSION = 2
-
-#: What a plain version-2 peer can do. A HELLO without a ``caps`` entry
-#: (an older build) is assumed to speak exactly this set — the behaviours
-#: the version-2 protocol already required.
-V2_BASELINE_CAPS = frozenset({"mc", "kl", "eval", "ping", "plan-offer"})
+#: Version of the *connection* protocol, carried in HELLO — distinct from
+#: the blob layout version above so either can move alone. The
+#: coordinator serves only a worker whose HELLO carries exactly this
+#: version, so it is bumped on any change to a frame, to a task's result,
+#: or to the Monte-Carlo stream a worker draws: summing hits from two
+#: streams would match neither. Earlier builds said 2 (or 1), those that
+#: drew a float32 stream and ignored a task's ``stream`` field included,
+#: so 3 keeps their hits out of this build's sums.
+PROTOCOL_VERSION = 3
 
 #: The Monte-Carlo stream this build's ``mc`` shards draw: the lazy
 #: bit-sliced comparison of :func:`repro.circuits.parallel._mc_shard_hits`.
-#: Older builds answered ``mc`` from a float32 stream, so a coordinator
-#: sends Monte-Carlo shards only to workers that negotiated this
-#: capability; summing hits from two streams would match neither. The
-#: other direction is guarded too: each ``mc`` task names this stream in
-#: its ``stream`` field, and a worker refuses a task that names none (an
-#: older coordinator) or another one, so that coordinator falls back to
-#: its own local stream.
-MC_STREAM_CAP = "mc-lazy24"
-
-#: Everything this build speaks. HELLO carries ``sorted(PROTOCOL_CAPS)``
-#: and each side restricts itself to the *intersection* with its peer's
-#: set: a worker missing ``pipeline`` is simply driven lockstep, one
-#: missing :data:`MC_STREAM_CAP` takes no Monte-Carlo shards, a
-#: coordinator that never registers ignores ``register``, and only an
-#: empty intersection is a hard handshake failure. ``caps`` itself is
-#: advertised so peers can tell "negotiated baseline" from "legacy hello".
-PROTOCOL_CAPS = V2_BASELINE_CAPS | frozenset(
-    {"caps", "pipeline", "register", MC_STREAM_CAP}
-)
-
-
-def negotiate_caps(meta: dict, peer: str) -> frozenset:
-    """The capability set shared with a peer, from its HELLO metadata.
-
-    A hello without ``caps`` must carry the exact legacy version int (the
-    old all-or-nothing check) and grants :data:`V2_BASELINE_CAPS`. With
-    ``caps`` present the version int is advisory and the intersection with
-    :data:`PROTOCOL_CAPS` decides; an empty intersection — nothing both
-    sides can do — is the only remaining hard rejection.
-    """
-    advertised = meta.get("caps")
-    if advertised is None:
-        if meta.get("version") != PROTOCOL_VERSION:
-            raise ReproError(
-                f"peer {peer} speaks protocol {meta.get('version')!r} with no "
-                f"capability set, not {PROTOCOL_VERSION}"
-            )
-        return V2_BASELINE_CAPS
-    shared = PROTOCOL_CAPS & frozenset(str(cap) for cap in advertised)
-    if not (shared - {"caps"}):
-        raise ReproError(
-            f"peer {peer} shares no protocol capabilities with this build "
-            f"(it offered {sorted(str(c) for c in advertised)!r})"
-        )
-    return shared
+#: Each ``mc`` task names it in its ``stream`` field, and a worker refuses
+#: a task that names none or another one, so such a coordinator falls
+#: back to its own local stream.
+MC_STREAM = "mc-lazy24"
 
 #: Fixed wire header: magic, version, flags, crc32(meta+payload), meta
 #: length, payload length — little-endian, 24 bytes.
@@ -504,18 +456,17 @@ def auth_response(secret: str, challenge_hex: str) -> str:
 
 
 # --------------------------------------------------------------------------- #
-# transport security: the pluggable AuthProvider seam
+# transport security: the AuthProvider built from the knobs
 
 class AuthProvider:
     """How a coordinator secures (and authenticates) worker connections.
 
     The base class is the plaintext provider: no transport encryption, and
     worker challenges answered with the process-wide
-    ``distributed_secret`` knob. Subclasses override any of the three
-    seams — :meth:`client_ssl` / :meth:`server_ssl` for transport
-    contexts, :meth:`secret` for the challenge-response credential — so
-    HMAC, TLS, mTLS, or a custom backend all plug into the same
-    :class:`HostPool` without it knowing which is active.
+    ``distributed_secret`` knob. Subclasses override the transport
+    contexts (:meth:`client_ssl` / :meth:`server_ssl`), so HMAC, TLS and
+    mTLS all plug into the same :class:`HostPool` without it knowing
+    which is active; :func:`provider_from_knobs` picks one.
     """
 
     name = "plaintext"
@@ -532,21 +483,11 @@ class AuthProvider:
         """The shared secret used to answer HMAC challenges, if any."""
         return config.get("distributed_secret")
 
-    def plaintext_fallback(self) -> bool:
-        """Whether a failed TLS handshake may retry in plaintext (opt-in)."""
-        return False
-
 
 class HMACAuth(AuthProvider):
     """Shared-secret challenge-response only (the pre-TLS behaviour)."""
 
     name = "hmac"
-
-    def __init__(self, secret: str | None = None):
-        self._secret = str(secret) if secret else None
-
-    def secret(self) -> str | None:
-        return self._secret if self._secret is not None else super().secret()
 
 
 class TLSAuth(AuthProvider):
@@ -558,19 +499,14 @@ class TLSAuth(AuthProvider):
     is verified against: a coordinator needs it to trust workers; a worker
     that sets it demands (and verifies) client certificates, turning the
     link into mTLS. Hostname/IP checking stays on — certificates must name
-    the address they serve. ``allow_plaintext`` opts into a one-shot
-    plaintext retry when the peer does not speak TLS at all (never when
-    certificate *verification* fails).
+    the address they serve.
     """
 
     def __init__(self, certfile: str | None = None, keyfile: str | None = None,
-                 cafile: str | None = None, *, secret: str | None = None,
-                 allow_plaintext: bool = False):
+                 cafile: str | None = None):
         self.certfile = str(certfile) if certfile else None
         self.keyfile = str(keyfile) if keyfile else None
         self.cafile = str(cafile) if cafile else None
-        self._secret = str(secret) if secret else None
-        self._allow_plaintext = bool(allow_plaintext)
         self._client_ctx: ssl.SSLContext | None = None
         self._server_ctx: ssl.SSLContext | None = None
 
@@ -608,24 +544,14 @@ class TLSAuth(AuthProvider):
             self._server_ctx = context
         return self._server_ctx
 
-    def secret(self) -> str | None:
-        return self._secret if self._secret is not None else super().secret()
-
-    def plaintext_fallback(self) -> bool:
-        return self._allow_plaintext
-
 
 _TLS_PROVIDER_CACHE: tuple[tuple, TLSAuth] | None = None
 _PLAINTEXT_PROVIDER = AuthProvider()
 
 
-def auth_provider() -> AuthProvider:
-    """The active provider: the ``auth_provider`` knob's effective value."""
-    return config.get("auth_provider")
-
-
 def provider_from_knobs() -> AuthProvider:
-    """The provider no explicit install overrides: TLS > HMAC > plaintext."""
+    """The active provider, from the ``distributed_tls`` and
+    ``distributed_secret`` knobs: TLS > HMAC > plaintext."""
     global _TLS_PROVIDER_CACHE
     tls = config.get("distributed_tls")
     if tls is not None:
@@ -738,7 +664,12 @@ async def _read_message(reader) -> tuple[int, dict, bytes]:
     kind, meta_len = struct.unpack_from("<BI", payload)
     if 5 + meta_len > length:
         raise ReproError("protocol frame header overruns the frame")
-    meta = json.loads(payload[5 : 5 + meta_len])
+    try:
+        meta = json.loads(payload[5 : 5 + meta_len])
+    except ValueError:  # also UnicodeDecodeError
+        meta = None
+    if not isinstance(meta, dict):
+        raise ReproError("protocol frame header is not a JSON object")
     return kind, meta, payload[5 + meta_len :]
 
 
@@ -755,39 +686,22 @@ _CONNECTION_ERRORS = (
 async def _open_transport(host: str, port: int, provider: AuthProvider):
     """``(reader, writer)`` with the provider's transport security applied.
 
-    Certificate *verification* failures are always fatal (the peer speaks
-    TLS; trust is the whole point). A peer that does not speak TLS at all
-    raises unless the provider explicitly allows a one-shot plaintext
-    retry — the "mixed fleet mid-rollout" escape hatch.
+    A failed TLS handshake refuses the host, whether the peer's
+    certificate failed verification or the peer does not speak TLS.
     """
-    context = provider.client_ssl()
-    if context is None:
-        return await asyncio.wait_for(
-            asyncio.open_connection(host, port), CONNECT_TIMEOUT
-        )
     try:
         return await asyncio.wait_for(
-            asyncio.open_connection(host, port, ssl=context), CONNECT_TIMEOUT
+            asyncio.open_connection(host, port, ssl=provider.client_ssl()),
+            CONNECT_TIMEOUT,
         )
     except ssl.SSLCertVerificationError as exc:
         raise ReproError(
             f"worker {host}:{port} failed TLS certificate verification ({exc})"
         ) from None
     except ssl.SSLError as exc:
-        if not provider.plaintext_fallback():
-            raise ReproError(
-                f"TLS handshake with worker {host}:{port} failed ({exc}); set "
-                "REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT=1 to permit a plaintext "
-                "retry during rollout"
-            ) from None
-        _warn_once(
-            f"tls-fallback:{host}:{port}",
-            f"worker {host}:{port} does not speak TLS; retrying in plaintext "
-            "as explicitly allowed",
-        )
-        return await asyncio.wait_for(
-            asyncio.open_connection(host, port), CONNECT_TIMEOUT
-        )
+        raise ReproError(
+            f"TLS handshake with worker {host}:{port} failed ({exc})"
+        ) from None
 
 
 # --------------------------------------------------------------------------- #
@@ -816,31 +730,22 @@ class WorkerServer:
     and drills: the process dies abruptly (``os._exit``) when asked to
     run task ``max_tasks + 1``, simulating a mid-run crash. ``delay``
     sleeps before every task — the slow-host hook the work-stealing tests
-    and drills use. ``hello_caps``/``hello_version`` override what HELLO
-    advertises — the mixed-version drill hooks (``hello_caps=()`` sends a
-    caps-less legacy version-2 hello).
+    and drills use.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
                  max_tasks: int | None = None, secret: str | None = None,
                  delay: float = 0.0, tls_cert: str | None = None,
                  tls_key: str | None = None, tls_ca: str | None = None,
-                 register: str | None = None, advertise: str | None = None,
-                 hello_caps=None, hello_version: int | None = None):
+                 register: str | None = None, advertise: str | None = None):
         self.host = host
         self.port = port  # 0 = ephemeral; replaced by the bound port on start
         self.max_tasks = max_tasks
         self.secret = str(secret) if secret else None
         self.delay = float(delay or 0.0)
-        self.tls = (
-            TLSAuth(tls_cert, tls_key, tls_ca, secret=self.secret)
-            if tls_cert
-            else None
-        )
+        self.tls = TLSAuth(tls_cert, tls_key, tls_ca) if tls_cert else None
         self.register = str(register) if register else None
         self.advertise = str(advertise) if advertise else None
-        self.hello_caps = None if hello_caps is None else tuple(hello_caps)
-        self.hello_version = hello_version
         self.registered = False  # True while the registry link is up
         self._executed = 0
         self._plans: dict[str, WirePlan] = {}
@@ -849,18 +754,12 @@ class WorkerServer:
         self._register_task = None
 
     def _hello_meta(self) -> dict:
-        hello = {
-            "version": (
-                PROTOCOL_VERSION if self.hello_version is None else self.hello_version
-            ),
+        return {
+            "version": PROTOCOL_VERSION,
             "wire": WIRE_VERSION,
             "pid": os.getpid(),
             "auth": self.secret is not None,
         }
-        caps = sorted(PROTOCOL_CAPS) if self.hello_caps is None else self.hello_caps
-        if caps:  # an empty override simulates a caps-less legacy hello
-            hello["caps"] = list(caps)
-        return hello
 
     async def start(self) -> None:
         self._server = await asyncio.start_server(
@@ -938,8 +837,7 @@ class WorkerServer:
                             raise ReproError("registry rejected authentication")
                     await _send_message(
                         writer, MSG_REGISTER,
-                        {"advertise": advertise, "pid": os.getpid(),
-                         "caps": sorted(PROTOCOL_CAPS)},
+                        {"advertise": advertise, "pid": os.getpid()},
                     )
                     kind, meta, _blob = await asyncio.wait_for(
                         _read_message(reader), CONNECT_TIMEOUT
@@ -1096,12 +994,12 @@ class WorkerServer:
         task_id = meta["id"]
         if op == "mc":
             # A coordinator names the stream it sums; one that names none
-            # (an older build) or another one falls back locally instead.
+            # or another one falls back locally instead.
             stream = meta.get("stream")
             check(
-                stream == MC_STREAM_CAP,
+                stream == MC_STREAM,
                 f"mc task asks for stream {stream!r}; this worker draws "
-                f"{MC_STREAM_CAP!r}",
+                f"{MC_STREAM!r}",
             )
             plan = self._held(held, meta["plan"], self._plans)
             check(plan is not None, "task references a plan this worker never got")
@@ -1227,15 +1125,14 @@ def spawn_local_worker(max_tasks: int | None = None,
 class _Conn:
     """One pooled worker connection plus what that worker is known to hold."""
 
-    __slots__ = ("hostport", "reader", "writer", "published", "pid", "caps")
+    __slots__ = ("hostport", "reader", "writer", "published", "pid")
 
-    def __init__(self, hostport: str, reader, writer, pid, caps=V2_BASELINE_CAPS):
+    def __init__(self, hostport: str, reader, writer, pid):
         self.hostport = hostport
         self.reader = reader
         self.writer = writer
         self.published: set[str] = set()  # digests confirmed on this worker
         self.pid = pid
-        self.caps = caps  # negotiated capability intersection
 
 
 class _StealQueue:
@@ -1312,7 +1209,6 @@ def _fresh_stats() -> dict:
         "steals": 0,
         "registrations": 0,
         "drains": 0,
-        "capability_skips": 0,
         "per_host_tasks": {},
     }
 
@@ -1529,7 +1425,7 @@ class HostPool:
         self._submit(self._drain(hostport)).result(timeout=CONNECT_TIMEOUT)
 
     async def _start_registry(self, host: str, port: int):
-        provider = auth_provider()
+        provider = provider_from_knobs()
         try:
             context = provider.server_ssl()
         except ReproError:
@@ -1565,14 +1461,13 @@ class HostPool:
 
     async def _handle_registration(self, reader, writer) -> None:
         """One registry peer: challenge, REGISTER, then hold until EOF."""
-        provider = auth_provider()
+        provider = provider_from_knobs()
         advertise = None
         task = asyncio.current_task()
         self._registry_tasks.add(task)
         try:
             hello = {
                 "version": PROTOCOL_VERSION,
-                "caps": sorted(PROTOCOL_CAPS),
                 "role": "registry",
                 "pid": os.getpid(),
             }
@@ -1660,7 +1555,7 @@ class HostPool:
 
     async def _connect(self, hostport: str) -> _Conn:
         host, port = parse_hostport(hostport)
-        provider = auth_provider()
+        provider = provider_from_knobs()
         reader, writer = await _open_transport(host, port, provider)
         try:
             kind, meta, _blob = await asyncio.wait_for(
@@ -1668,7 +1563,11 @@ class HostPool:
             )
             if kind != MSG_HELLO:
                 raise ReproError(f"worker {hostport} did not greet with HELLO")
-            caps = negotiate_caps(meta, f"worker {hostport}")
+            if meta.get("version") != PROTOCOL_VERSION:
+                raise ReproError(
+                    f"worker {hostport} speaks protocol "
+                    f"{meta.get('version')!r}, not {PROTOCOL_VERSION}"
+                )
             challenge = meta.get("challenge")
             if challenge is not None:
                 secret = provider.secret()
@@ -1691,7 +1590,7 @@ class HostPool:
         except BaseException:
             writer.close()
             raise
-        conn = _Conn(hostport, reader, writer, meta.get("pid"), caps)
+        conn = _Conn(hostport, reader, writer, meta.get("pid"))
         self._stats["connects"] += 1
         if hostport in self._ever_connected:
             self._stats["reconnects"] += 1
@@ -1699,18 +1598,16 @@ class HostPool:
         self._conns[hostport] = conn
         return conn
 
-    async def _acquire(self, hostport: str, payloads, needs=None) -> _Conn | None:
+    async def _acquire(self, hostport: str, payloads) -> _Conn | None:
         """A healthy connection with ``payloads`` published, or ``None``.
 
         Reuses the pooled connection when its heartbeat answers; otherwise
-        reconnects (a bounced worker rejoining the pool). Failures warn
-        once per host per process and return ``None`` — the caller's other
-        hosts, or the local fallback, absorb the work. So does a worker
-        that did not negotiate the capability ``needs``: it stays pooled
-        for other calls, is counted in ``capability_skips`` and warned
-        about once per host, and is sent no payload. The whole sequence
-        (heartbeat included) runs inside one try so no failure path can
-        leave a dead connection behind in the pool map.
+        reconnects (a bounced worker rejoining the pool). Failures — a
+        worker on another protocol version or with the wrong credentials
+        included — warn once per host per process and return ``None``: the
+        caller's other hosts, or the local fallback, absorb the work. The
+        whole sequence (heartbeat included) runs inside one try so no
+        failure path can leave a dead connection behind in the pool map.
         """
         conn = self._conns.get(hostport)
         try:
@@ -1720,15 +1617,6 @@ class HostPool:
                 conn = None
             if conn is None:
                 conn = await self._connect(hostport)
-            if needs is not None and needs not in conn.caps:
-                self._stats["capability_skips"] += 1
-                _warn_once(
-                    f"caps:{hostport}:{needs}",
-                    f"distributed worker {hostport} lacks the {needs!r} "
-                    "capability (an older build); it takes no shard of "
-                    "calls that need it",
-                )
-                return None
             await self._publish(conn, payloads)
         except asyncio.CancelledError:
             # Cancelled mid-exchange (a steal completed the call while
@@ -1744,8 +1632,8 @@ class HostPool:
                 self._discard(conn)
             _warn_once(
                 f"connect:{hostport}",
-                f"distributed worker {hostport} unreachable ({exc}); "
-                "continuing without it",
+                f"distributed worker {hostport} unreachable or refused "
+                f"({exc}); continuing without it",
             )
             return None
         return conn
@@ -1789,31 +1677,26 @@ class HostPool:
 
     # -- coordinated calls ------------------------------------------------ #
 
-    def run(self, hosts, payloads, tasks, needs=None) -> dict:
+    def run(self, hosts, payloads, tasks) -> dict:
         """Coordinate ``tasks`` over ``hosts``; returns ``{task_id: result}``.
 
         Blocks the calling thread until the workers have done what they
         can; anything missing from the returned dict is the caller's to
-        run locally. Only hosts that negotiated the capability ``needs``
-        (when given) take tasks. Thread-safe: concurrent calls interleave
-        on the pool loop, serialized per host by a host lock.
+        run locally. Thread-safe: concurrent calls interleave on the pool
+        loop, serialized per host by a host lock.
         """
         if not hosts or not tasks:
             return {}
-        return self._submit(
-            self._run(tuple(hosts), payloads, tasks, needs)
-        ).result()
+        return self._submit(self._run(tuple(hosts), payloads, tasks)).result()
 
-    async def _run(self, hosts, payloads, tasks, needs) -> dict:
+    async def _run(self, hosts, payloads, tasks) -> dict:
         self._stats["calls"] += 1
         results: dict = {}
         complete = asyncio.Event()
         queue = _StealQueue(len(tasks), self._stats)
         pumps = [
             asyncio.ensure_future(
-                self._pump(
-                    hostport, payloads, queue, tasks, results, complete, needs
-                )
+                self._pump(hostport, payloads, queue, tasks, results, complete)
             )
             for hostport in dict.fromkeys(hosts)  # dedupe, keep order
         ]
@@ -1839,21 +1722,22 @@ class HostPool:
                 raise outcome
         return results
 
-    async def _pump(
-        self, hostport, payloads, queue, tasks, results, complete, needs
-    ):
+    async def _pump(self, hostport, payloads, queue, tasks, results, complete):
         """One host's task loop for one call: pull, pipeline, record, steal.
 
-        Up to ``pipeline_depth`` (the knob) task frames ride the connection at
-        once (when the worker negotiated the ``pipeline`` capability), so
-        shard N+1 crosses the wire while shard N computes; RESULT frames
-        are correlated back to their shard by task id, out of order.
+        Up to ``pipeline_depth`` (the knob) task frames ride the connection
+        at once, so shard N+1 crosses the wire while shard N computes;
+        RESULT frames are correlated back to their shard by task id, out
+        of order.
         Outstanding payload bytes beyond the first frame are capped at
         :data:`PIPELINE_WINDOW_BYTES` — a frame that will not fit waits
         for the pipe to empty and goes lockstep, which keeps unread bytes
         in both directions bounded far below the kernel socket buffers
         (the classic both-sides-blocked-writing pipelining deadlock).
 
+        A lost connection or a malformed reply costs the connection: the
+        shards in flight on it are requeued, and the host gets one rejoin
+        per call.
         Tracks its own per-task latency so the stealing grace scales with
         the connection's real speed (a fast host may steal a shard that
         has been in flight for twice its own per-shard time; a slow one
@@ -1879,12 +1763,11 @@ class HostPool:
         try:
             async with lock:
                 dirty = True  # _acquire exchanges heartbeat/auth/plan frames
-                conn = await self._acquire(hostport, payloads, needs)
+                conn = await self._acquire(hostport, payloads)
                 dirty = False
                 if conn is None:
                     return
-                pipelined = config.get("pipeline_depth")
-                depth = pipelined if "pipeline" in conn.caps else 1
+                depth = config.get("pipeline_depth")
                 rejoined = False
                 latency_total = 0.0
                 latency_count = 0
@@ -1924,7 +1807,7 @@ class HostPool:
                             await asyncio.sleep(min(retry_in, STEAL_GRACE))
                             continue
                         kind, rmeta, rblob = await _read_message(conn.reader)
-                    except _CONNECTION_ERRORS:
+                    except _CONNECTION_ERRORS + (ReproError,):
                         abandon_inflight()
                         window_bytes = 0
                         dirty = False
@@ -1932,18 +1815,17 @@ class HostPool:
                         conn = None
                         _warn_once(
                             "worker-died",
-                            "a distributed worker disconnected mid-run; its "
-                            "shards were requeued",
+                            "a distributed worker disconnected or sent a "
+                            "malformed reply mid-run; its shards were requeued",
                         )
                         if rejoined:
                             return
                         rejoined = True  # one rejoin attempt per host per call
                         dirty = True
-                        conn = await self._acquire(hostport, payloads, needs)
+                        conn = await self._acquire(hostport, payloads)
                         dirty = False
                         if conn is None:
                             return
-                        depth = pipelined if "pipeline" in conn.caps else 1
                         continue
                     entry = (
                         inflight.pop(rmeta.get("id"), None)
@@ -2046,7 +1928,7 @@ def close_pool() -> None:
 atexit.register(close_pool)
 
 
-def _run_distributed(hosts, payloads, tasks, run_local, needs=None) -> list:
+def _run_distributed(hosts, payloads, tasks, run_local) -> list:
     """Execute wire tasks over ``hosts``, completing any remainder locally.
 
     ``tasks`` is ``[(task_id, meta, blob), ...]`` (``blob`` may be a
@@ -2054,13 +1936,12 @@ def _run_distributed(hosts, payloads, tasks, run_local, needs=None) -> list:
     ``(result_meta, result_blob)`` pairs in task order — the deterministic
     merge order — regardless of which host (or the local fallback) ran each
     shard. Never loses a shard: anything the workers did not finish is
-    evaluated in-process through ``run_local(meta)``. With ``needs`` set,
-    only hosts that negotiated that capability take tasks. Coordination
+    evaluated in-process through ``run_local(meta)``. Coordination
     runs on the persistent :class:`HostPool` (its own loop thread), so
     this is safe to call from plain code and from inside a running event
     loop alike.
     """
-    results = _HOST_POOL.run(hosts, payloads, tasks, needs)
+    results = _HOST_POOL.run(hosts, payloads, tasks)
     for task_id, meta, _blob in tasks:
         if task_id not in results:
             results[task_id] = run_local(meta)
@@ -2083,9 +1964,9 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     the same ``(seed, shard_index, count)`` shard decomposition is streamed
     to remote workers that rebuilt the plan from its wire form, and the
     per-shard hit counts are summed in shard order — bit-identical to the
-    in-process and pool paths for a fixed seed. Only workers that
-    negotiated :data:`MC_STREAM_CAP` take shards, so every shard comes from
-    the same stream; the other hosts or the local fallback run the rest.
+    in-process and pool paths for a fixed seed. Every task names
+    :data:`MC_STREAM`, and only workers on this :data:`PROTOCOL_VERSION`
+    are served, so every shard comes from the same stream.
     The arguments are checked before anything is shipped. With no
     effective hosts the call simply defers to the pool entry point
     (honouring ``workers=``).
@@ -2104,7 +1985,7 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     tasks = [
         (
             slot,
-            {"id": slot, "op": "mc", "plan": checksum, "stream": MC_STREAM_CAP,
+            {"id": slot, "op": "mc", "plan": checksum, "stream": MC_STREAM,
              "seed": seed, "index": index, "count": count},
             probs_blob,
         )
@@ -2118,8 +1999,7 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
         return {"hits": hits}, b""
 
     results = _run_distributed(
-        hosts, [(MSG_PLAN, {"checksum": checksum}, plan_bytes)], tasks, run_local,
-        needs=MC_STREAM_CAP,
+        hosts, [(MSG_PLAN, {"checksum": checksum}, plan_bytes)], tasks, run_local
     )
     return sum(int(meta["hits"]) for meta, _blob in results)
 

@@ -74,7 +74,7 @@ def capabilities() -> dict:
         "parallel_workers": config.get("parallel_workers"),
         "distributed_hosts": list(config.get("distributed_hosts")),
         "distributed_auth": config.get("distributed_secret") is not None,
-        "distributed_transport": config.get("auth_provider").name,
+        "distributed_transport": distributed.provider_from_knobs().name,
         "distributed_pipeline": config.get("pipeline_depth"),
         "distributed_registered": list(distributed.registered_hosts()),
         "distributed_pool": distributed.pool_stats(),

@@ -210,7 +210,6 @@ def command_cqa(
         cqa_stats,
         fo_rewriting,
         repair_count,
-        reset_cqa_stats,
     )
     from repro.cqa.attacks import FO
     from repro.cqa.engine import METHODS
@@ -237,7 +236,7 @@ def command_cqa(
     count = repair_count(instance, keys, relations)
     print(f"instance: {len(instance)} facts, seed={seed}, "
           f"violation rate {rate}, {count} repair(s)")
-    reset_cqa_stats()
+    routed_before = cqa_stats()
     for name, q in selected.items():
         classification = classify(q, keys)
         print(f"\n{name}: {q}")
@@ -250,8 +249,8 @@ def command_cqa(
             oracle = certain_oracle(q, instance, keys)
             agree = "agrees" if oracle == answer else "DISAGREES"
             print(f"  all-repairs oracle: {oracle} ({agree})")
-    stats = cqa_stats()
-    print("\nrouting: " + ", ".join(f"{k}={v}" for k, v in stats.items() if v))
+    routed = {k: v - routed_before[k] for k, v in cqa_stats().items()}
+    print("\nrouting: " + ", ".join(f"{k}={v}" for k, v in routed.items() if v))
 
 
 def command_paper() -> None:
@@ -385,7 +384,9 @@ def command_dist_eval(
     — the second call reuses the authenticated connections and skips the
     plan transfer (the digest handshake), so its wall time shows the
     amortized steady state — and finishes with the pool's counters. With
-    no hosts the run stays local and says so.
+    no hosts the run stays local and says so; with hosts of which none
+    served a shard (unreachable, or refused for their protocol version,
+    TLS or secret) it exits non-zero.
     """
     import time
 
@@ -415,6 +416,7 @@ def command_dist_eval(
               "start workers with 'repro serve' to distribute this run")
         return
     knobs = {} if secret is None else {"distributed_secret": secret}
+    served_before = distributed.pool_stats()["tasks_completed"]
     with config.overrides(**knobs):
         timings = []
         for attempt in ("first (connect + publish)", "repeat (pool reuse)"):
@@ -431,10 +433,15 @@ def command_dist_eval(
                   f"in {timings[-1] * 1e3:.1f} ms")
             if remote_hits != local_hits:
                 raise SystemExit("distributed estimate diverged from the local one")
+    stats = distributed.pool_stats()
+    if stats["tasks_completed"] == served_before:
+        raise SystemExit(
+            f"no host of {', '.join(host_list)} served a shard (see the "
+            "warnings above); both estimates ran locally"
+        )
     if timings[1] > 0:
         print(f"repeat-call amortization: {timings[0] / timings[1]:.2f}x "
               "(plan publish + connect eliminated)")
-    stats = distributed.pool_stats()
     print("pool stats: "
           f"{len(stats['open_connections'])} open connection(s), "
           f"{stats['connects']} connect(s) ({stats['reconnects']} reconnect(s)), "

@@ -23,10 +23,11 @@ changes; a malformed variable is refused naming the variable, when its
 knob is read.
 
 This module imports no subsystem at module scope, so ``import
-repro.config`` stays cheap. The two checks that need one (the engine
-registry, :class:`~repro.circuits.distributed.AuthProvider`) import it
-when their knob is set, and the auth provider derived from the other
-knobs imports :mod:`repro.circuits.distributed` when it is read.
+repro.config`` stays cheap. The one check that needs one (the engine
+registry) imports it when its knob is set. The transport knobs
+(``distributed_secret``, ``distributed_tls``) are plain values:
+:func:`repro.circuits.distributed.provider_from_knobs` builds the auth
+provider from them when a connection needs it.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ __all__ = ["Knob", "configure", "describe", "get", "knobs", "overrides"]
 INSTANCE_BACKENDS = ("object", "columnar")
 
 #: The keys of the ``distributed_tls`` knob's dict.
-_TLS_KEYS = ("certfile", "keyfile", "cafile", "allow_plaintext")
+_TLS_KEYS = ("certfile", "keyfile", "cafile")
 
 # The stored state of a knob with no override installed; ``accept``
 # returns it for a ``None`` that means "follow the environment" (the
-# instance backend) or "derive from the other knobs" (the auth provider).
+# instance backend).
 _UNSET = object()
 
 
@@ -58,9 +59,8 @@ class Knob(NamedTuple):
     ``accept`` checks and normalizes a configured value; ``parse`` turns
     the text of the ``env`` variable into a value. ``default`` is the
     value when no override is installed and the variable is unset — or,
-    for the two knobs whose unset value is computed (TLS reads its four
-    variables together; the auth provider follows the TLS and secret
-    knobs), a function returning it.
+    for the TLS knob, which reads its three variables together, a
+    function returning it.
     """
 
     name: str
@@ -159,34 +159,15 @@ def _tls(value: Any) -> dict | None:
     check(not unknown, f"unknown key(s) {unknown}; expected {_TLS_KEYS}")
     if not (value.get("certfile") or value.get("cafile")):
         return None
-    tls = {key: str(value[key]) if value.get(key) else None for key in _TLS_KEYS[:3]}
-    tls["allow_plaintext"] = bool(value.get("allow_plaintext", False))
-    return tls
+    return {key: str(value[key]) if value.get(key) else None for key in _TLS_KEYS}
 
 
 def _tls_from_environment() -> dict | None:
-    flag = os.environ.get("REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT", "")
     return _tls({
         "certfile": os.environ.get("REPRO_DISTRIBUTED_TLS_CERT"),
         "keyfile": os.environ.get("REPRO_DISTRIBUTED_TLS_KEY"),
         "cafile": os.environ.get("REPRO_DISTRIBUTED_TLS_CA"),
-        "allow_plaintext": flag.strip().lower() not in ("", "0", "false", "no"),
     })
-
-
-def _provider(value: Any):
-    if value is None:
-        return _UNSET
-    from repro.circuits.distributed import AuthProvider
-
-    check(isinstance(value, AuthProvider), "expected an AuthProvider")
-    return value
-
-
-def _derived_provider():
-    from repro.circuits.distributed import provider_from_knobs
-
-    return provider_from_knobs()
 
 
 # Task frames kept in flight per pooled worker connection by default.
@@ -260,17 +241,10 @@ _KNOBS: dict[str, Knob] = {
         ),
         Knob(
             "distributed_tls",
-            "TLS knob dict (certfile/keyfile/cafile/allow_plaintext; None = off).",
+            "TLS knob dict (certfile/keyfile/cafile; None = off).",
             _tls_from_environment,
             _tls,
             "REPRO_DISTRIBUTED_TLS_*",
-        ),
-        Knob(
-            "auth_provider",
-            "AuthProvider securing worker connections: an installed one, else "
-            "TLS > HMAC > plaintext from the other knobs (None = derive).",
-            _derived_provider,
-            _provider,
         ),
         Knob(
             "pipeline_depth",

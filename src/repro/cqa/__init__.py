@@ -37,7 +37,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "classify",
     ),
     ".circuit": ("certain_by_circuit", "repair_lineage"),
-    ".engine": ("METHODS", "certain_answers", "cqa_stats", "reset_cqa_stats"),
+    ".engine": ("METHODS", "certain_answers", "cqa_stats"),
     ".repairs": ("blocks", "certain_oracle", "iter_repairs", "repair_count"),
     ".rewrite": ("FORewriting", "elimination_order", "fo_rewriting"),
 })

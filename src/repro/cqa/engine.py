@@ -32,7 +32,7 @@ from repro.queries.cq import Atom, ConjunctiveQuery, Variable, _match
 from repro.queries.keys import KeySpec
 from repro.util import ReproError, check
 
-__all__ = ["certain_answers", "cqa_stats", "reset_cqa_stats"]
+__all__ = ["certain_answers", "cqa_stats"]
 
 _STATS = {
     "fo": 0,
@@ -49,14 +49,8 @@ METHODS = ("auto", "rewrite", "circuit", "oracle")
 
 
 def cqa_stats() -> dict[str, int]:
-    """Counters of how queries were routed since the last reset."""
+    """Counters of how queries were routed since the process started."""
     return dict(_STATS)
-
-
-def reset_cqa_stats() -> None:
-    """Zero the routing counters (used by benchmarks and tests)."""
-    for name in _STATS:
-        _STATS[name] = 0
 
 
 class _BlockCache:

@@ -152,6 +152,22 @@ class TestDistributedCli:
         output = capsys.readouterr().out
         assert "determinism verified" in output
 
+    def test_dist_eval_fails_when_no_host_served(self, capsys, unused_tcp_port):
+        """Both estimates ran locally, so the run proves nothing about
+        the hosts: it exits non-zero instead of reporting success."""
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(SystemExit, match="no host .* served a shard"):
+                main([
+                    "dist-eval", "--hosts", f"127.0.0.1:{unused_tcp_port}",
+                    "--samples", "2000",
+                ])
+        output = capsys.readouterr().out
+        assert "determinism verified" not in output
+        assert "amortization" not in output
+
     def test_worker_main_requires_command(self):
         from repro.cli import worker_main
 

@@ -4,11 +4,9 @@ import pytest
 
 import repro
 from repro import config
-from repro.circuits.distributed import TLSAuth
 from repro.util import ReproError
 
 EXPECTED_KNOBS = (
-    "auth_provider",
     "distributed_hosts",
     "distributed_secret",
     "distributed_tls",
@@ -20,7 +18,6 @@ EXPECTED_KNOBS = (
 )
 
 EXPECTED_ENV = {
-    "auth_provider": None,
     "distributed_hosts": "REPRO_DISTRIBUTED_HOSTS",
     "distributed_secret": "REPRO_DISTRIBUTED_SECRET",
     "distributed_tls": "REPRO_DISTRIBUTED_TLS_*",
@@ -39,7 +36,6 @@ KNOB_VARIABLES = [
     "REPRO_DISTRIBUTED_TLS_CERT",
     "REPRO_DISTRIBUTED_TLS_KEY",
     "REPRO_DISTRIBUTED_TLS_CA",
-    "REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT",
 ]
 
 
@@ -50,14 +46,8 @@ def clean_environment(monkeypatch):
     return monkeypatch
 
 
-def tls(certfile=None, keyfile=None, cafile=None, allow_plaintext=False):
-    return {"certfile": certfile, "keyfile": keyfile, "cafile": cafile,
-            "allow_plaintext": allow_plaintext}
-
-
-def seen(value):
-    """What a test compares: providers by transport name, the rest as is."""
-    return getattr(value, "name", value)
+def tls(certfile=None, keyfile=None, cafile=None):
+    return {"certfile": certfile, "keyfile": keyfile, "cafile": cafile}
 
 
 class TestRegistry:
@@ -80,7 +70,7 @@ class TestRegistry:
             assert set(entry) == {"value", "doc", "env"}
             assert entry["doc"]
             assert entry["env"] == EXPECTED_ENV[name]
-            assert seen(entry["value"]) == seen(config.get(name))
+            assert entry["value"] == config.get(name)
 
     def test_facade_exports(self):
         assert repro.configure is config.configure
@@ -101,8 +91,6 @@ ROUND_TRIPS = [
      ("REPRO_DISTRIBUTED_SECRET", "s3cret", "s3cret")),
     ("distributed_tls", {"cafile": "ca.pem"}, tls(cafile="ca.pem"),
      ("REPRO_DISTRIBUTED_TLS_CERT", "c.pem", tls(certfile="c.pem"))),
-    ("auth_provider", TLSAuth(cafile="ca.pem"), "tls",
-     ("REPRO_DISTRIBUTED_SECRET", "s3cret", "hmac")),
     ("pipeline_depth", 7, 7, ("REPRO_DISTRIBUTED_PIPELINE", "9", 9)),
 ]
 
@@ -120,14 +108,14 @@ def test_override_round_trip_restores_no_override(
 ):
     """``get`` reads an override; on exit "no override" returns, so the
     knob's variable is read again rather than pinned at entry."""
-    unset = seen(config.get(name))
+    unset = config.get(name)
     with config.overrides(**{name: value}):
-        assert seen(config.get(name)) == expected
-    assert seen(config.get(name)) == unset
+        assert config.get(name) == expected
+    assert config.get(name) == unset
     if variable is not None:
         env, text, parsed = variable
         clean_environment.setenv(env, text)
-        assert seen(config.get(name)) == parsed
+        assert config.get(name) == parsed
 
 
 #: Malformed configured values: each is refused naming its knob.
@@ -145,13 +133,13 @@ MALFORMED = [
 
 @pytest.mark.parametrize("name, value", MALFORMED)
 def test_configure_refuses_malformed_values(name, value):
-    before = {knob: seen(config.get(knob)) for knob in ("engine", name)}
+    before = {knob: config.get(knob) for knob in ("engine", name)}
     overrides_before = dict(config._OVERRIDES)
     with pytest.raises(ReproError, match=f"^{name}="):
         # A valid change in the same call must not be applied either.
         config.configure(engine="shannon", **{name: value})
     assert config._OVERRIDES == overrides_before
-    assert {knob: seen(config.get(knob)) for knob in before} == before
+    assert {knob: config.get(knob) for knob in before} == before
 
 
 class TestConfigure:

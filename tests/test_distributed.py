@@ -639,7 +639,7 @@ class TestDistributedExecution:
         decoded = distributed.plan_from_bytes(plan_bytes)
         tasks = [
             (slot, {"id": slot, "op": "mc", "plan": checksum,
-                    "stream": distributed.MC_STREAM_CAP,
+                    "stream": distributed.MC_STREAM,
                     "seed": 2, "index": index, "count": count}, probs_blob)
             for slot, (index, count) in enumerate(shards)
         ]

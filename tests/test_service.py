@@ -41,12 +41,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.circuits import (
-    Circuit,
-    batch_stats,
-    compile_circuit,
-    reset_batch_stats,
-)
+from repro.circuits import Circuit, batch_stats, compile_circuit
 from repro.core import build_lineage, compile_query_plan
 from repro.instances.columnar import ColumnarInstance
 from repro.queries import atom, cq, variables
@@ -573,7 +568,6 @@ class TestColumnarPayload:
 class TestBatchStats:
     def test_probability_batch_counts_passes_and_rows(self):
         compiled, marginals = chain_setup(n=8, seed=11)
-        reset_batch_stats()
         before = batch_stats()
         direct_marginals(compiled, [marginals, marginals])
         after = batch_stats()
@@ -583,21 +577,11 @@ class TestBatchStats:
     def test_evaluate_batch_counts_worlds(self):
         compiled, _marginals = chain_setup(n=6, seed=12)
         n = len(compiled.variables())
-        reset_batch_stats()
+        before = batch_stats()
         compiled.evaluate_batch([[0] * n, [1] * n, [0] * n])
-        stats = batch_stats()
-        assert stats["evaluate_passes"] == 1
-        assert stats["evaluate_rows"] == 3
-
-    def test_lifetime_totals_survive_reset(self):
-        compiled, marginals = chain_setup(n=6, seed=13)
-        direct_marginals(compiled, [marginals])
-        lifetime_before = batch_stats(lifetime=True)["probability_passes"]
-        reset_batch_stats()
-        assert batch_stats()["probability_passes"] == 0
-        direct_marginals(compiled, [marginals])
-        lifetime_after = batch_stats(lifetime=True)["probability_passes"]
-        assert lifetime_after == lifetime_before + 1
+        after = batch_stats()
+        assert after["evaluate_passes"] == before["evaluate_passes"] + 1
+        assert after["evaluate_rows"] == before["evaluate_rows"] + 3
 
 
 # --------------------------------------------------------------------------- #

@@ -1,27 +1,25 @@
-"""Tests for the fleet transport: TLS/mTLS, capability handshake,
+"""Tests for the fleet transport: the protocol version, TLS/mTLS,
 shard pipelining, and elastic worker registration.
 
-Four layers, matching the transport additions to
-:mod:`repro.circuits.distributed`:
+Four layers, matching the transport of :mod:`repro.circuits.distributed`:
 
-- the **capability handshake** — socket-free unit coverage of
-  :func:`negotiate_caps` (legacy caps-less hellos, advisory version ints,
-  unknown capabilities, the empty-intersection hard reject), plus live
-  mixed-version drills: a "v2" worker (caps-less hello) is driven
-  lockstep by this coordinator, and this worker's hello still satisfies
-  an old all-or-nothing version check;
-- the **auth provider seam** — knob parsing/scoping for the TLS and
-  pipeline knobs, the provider resolution order (explicit install > TLS
-  knobs > secret > plaintext), and the :class:`TLSAuth` context
-  preconditions;
+- the **protocol version** — a worker's hello carries exactly
+  :data:`PROTOCOL_VERSION`; a worker on another version (a test-side
+  subclass) is refused before any plan or task reaches it and its share
+  runs locally, bit-identical to the 0-host oracle; a worker refuses an
+  ``mc`` task that names no stream; a malformed reply costs the
+  connection, not the call;
+- the **auth provider** — knob parsing/scoping for the TLS and pipeline
+  knobs, the provider :func:`provider_from_knobs` builds (TLS > secret >
+  plaintext), and the :class:`TLSAuth` context preconditions;
 - the **TLS fault drills** — real localhost workers with the committed
   ``tests/certs`` material: server-auth TLS and mutual TLS must be
   bit-identical to the 0-host oracle; an untrusted or expired worker
-  certificate is never served (local fallback, warning, no silent
-  plaintext retry); a plaintext peer behind a TLS coordinator is only
-  retried in plaintext when explicitly allowed;
+  certificate, or a worker that does not speak TLS, is never served
+  (local fallback, warning);
 - **pipelining + elastic membership** — deeper pipelines return the same
-  bits as lockstep and as the local oracle; a worker that dials in and
+  bits as lockstep and as the local oracle, and a worker is sent
+  ``pipeline_depth`` tasks at once; a worker that dials in and
   REGISTERs serves shards with no static host list, and draining it
   returns the pool to local-only execution with identical results.
 
@@ -31,6 +29,7 @@ deselect them.
 
 import asyncio
 import os
+import struct
 import threading
 import time
 import warnings
@@ -66,14 +65,14 @@ def random_circuit(seed: int, n_vars: int = 6, steps: int = 16) -> Circuit:
 class InProcessWorker:
     """A :class:`WorkerServer` on a private loop thread (no subprocess).
 
-    The handshake drills need worker-side hooks (``hello_caps`` /
-    ``hello_version``) and a worker whose transport is pinned regardless
-    of the ambient ``REPRO_DISTRIBUTED_TLS_*`` environment — neither of
-    which the CLI spawn path exposes.
+    The drills need worker subclasses (another protocol version, broken
+    replies) and a worker whose transport is pinned regardless of the
+    ambient ``REPRO_DISTRIBUTED_TLS_*`` environment — neither of which
+    the CLI spawn path exposes.
     """
 
-    def __init__(self, **kwargs):
-        self.server = distributed.WorkerServer(**kwargs)
+    def __init__(self, server_class=distributed.WorkerServer, **kwargs):
+        self.server = server_class(**kwargs)
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(
             target=self._run, name="test-worker-loop", daemon=True
@@ -128,10 +127,47 @@ def plaintext_provider():
 
     The CI TLS topology arms ``REPRO_DISTRIBUTED_TLS_*`` suite-wide; the
     in-process drill workers are deliberately plaintext, so the
-    coordinator must not try TLS against them.
+    coordinator must not try TLS (or a secret) against them.
     """
-    with config.overrides(auth_provider=distributed.AuthProvider()):
+    with config.overrides(distributed_tls=None, distributed_secret=None):
         yield
+
+
+class V2Worker(distributed.WorkerServer):
+    """A worker of an older build: its hello says protocol version 2."""
+
+    def _hello_meta(self) -> dict:
+        return dict(super()._hello_meta(), version=2)
+
+
+class MalformedReplyWorker(distributed.WorkerServer):
+    """Greets and takes plans like a worker of this build, then answers
+    every ``TASK`` with the raw bytes ``reply`` instead of a RESULT."""
+
+    def __init__(self, reply: bytes, **kwargs):
+        super().__init__(**kwargs)
+        self.reply = reply
+
+    async def _handle(self, reader, writer) -> None:
+        send = distributed._send_message
+        try:
+            await send(writer, distributed.MSG_HELLO, self._hello_meta())
+            while True:
+                kind, meta, _blob = await distributed._read_message(reader)
+                if kind == distributed.MSG_PLAN_OFFER:
+                    await send(
+                        writer, distributed.MSG_PLAN_NEED,
+                        {"checksum": meta["checksum"]},
+                    )
+                elif kind == distributed.MSG_PING:
+                    await send(writer, distributed.MSG_PONG, {})
+                elif kind == distributed.MSG_TASK:
+                    writer.write(self.reply)
+                    await writer.drain()
+        except (asyncio.IncompleteReadError, OSError, ReproError):
+            pass  # the coordinator dropped the connection
+        finally:
+            writer.close()
 
 
 def wait_until(predicate, timeout: float = 15.0) -> bool:
@@ -144,55 +180,12 @@ def wait_until(predicate, timeout: float = 15.0) -> bool:
 
 
 # --------------------------------------------------------------------------- #
-# capability negotiation (socket-free)
+# the protocol version (socket-free)
 
-class TestNegotiateCaps:
-    def test_legacy_capsless_hello_grants_the_v2_baseline(self):
-        shared = distributed.negotiate_caps(
-            {"version": distributed.PROTOCOL_VERSION}, "worker x"
-        )
-        assert shared == distributed.V2_BASELINE_CAPS
-        assert "pipeline" not in shared and "register" not in shared
-
-    def test_legacy_hello_with_wrong_version_hard_rejects(self):
-        with pytest.raises(ReproError, match="speaks protocol 99"):
-            distributed.negotiate_caps({"version": 99}, "worker x")
-        with pytest.raises(ReproError, match="speaks protocol None"):
-            distributed.negotiate_caps({}, "worker x")
-
-    def test_caps_hello_makes_the_version_int_advisory(self):
-        shared = distributed.negotiate_caps(
-            {"version": 99, "caps": sorted(distributed.PROTOCOL_CAPS)}, "worker x"
-        )
-        assert shared == distributed.PROTOCOL_CAPS
-
-    def test_unknown_future_caps_are_ignored(self):
-        shared = distributed.negotiate_caps(
-            {"version": 4, "caps": ["caps", "mc", "eval", "quantum-teleport"]},
-            "worker x",
-        )
-        assert shared == frozenset({"caps", "mc", "eval"})
-
-    def test_empty_intersection_hard_rejects(self):
-        with pytest.raises(ReproError, match="shares no protocol capabilities"):
-            distributed.negotiate_caps({"version": 4, "caps": ["warp"]}, "w")
-        # "caps" alone means "I can negotiate but do nothing": also reject.
-        with pytest.raises(ReproError, match="shares no protocol capabilities"):
-            distributed.negotiate_caps({"version": 4, "caps": ["caps"]}, "w")
-
-    def test_protocol_version_is_frozen(self):
-        """The version int stays 2 forever — compat rides on ``caps``."""
-        assert distributed.PROTOCOL_VERSION == 2
-        assert distributed.V2_BASELINE_CAPS < distributed.PROTOCOL_CAPS
-
-    def test_our_hello_satisfies_an_old_all_or_nothing_coordinator(self):
-        """The v3→v2 direction: an old coordinator checked exactly
-        ``meta["version"] == 2`` and ignored unknown keys, so this build's
-        worker hello must still carry the legacy version int."""
-        server = distributed.WorkerServer()
-        hello = server._hello_meta()
-        assert hello["version"] == 2  # what the old check compared against
-        assert set(hello["caps"]) == distributed.PROTOCOL_CAPS
+def test_hello_carries_the_protocol_version_and_no_capabilities():
+    hello = distributed.WorkerServer()._hello_meta()
+    assert hello["version"] == distributed.PROTOCOL_VERSION == 3
+    assert "caps" not in hello
 
 
 # --------------------------------------------------------------------------- #
@@ -207,43 +200,38 @@ class TestTLSKnob:
             assert config.get("distributed_tls")["cafile"] == "ca.pem"
 
     def test_env_parsing(self, monkeypatch):
-        for name in ("CERT", "KEY", "CA", "ALLOW_PLAINTEXT"):
+        for name in ("CERT", "KEY", "CA"):
             monkeypatch.delenv(f"REPRO_DISTRIBUTED_TLS_{name}", raising=False)
         assert config.get("distributed_tls") is None
         monkeypatch.setenv("REPRO_DISTRIBUTED_TLS_CA", "/tmp/ca.pem")
-        parsed = config.get("distributed_tls")
-        assert parsed["cafile"] == "/tmp/ca.pem"
-        assert parsed["certfile"] is None
-        assert parsed["allow_plaintext"] is False
-        monkeypatch.setenv("REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT", "1")
-        assert config.get("distributed_tls")["allow_plaintext"] is True
-        monkeypatch.setenv("REPRO_DISTRIBUTED_TLS_ALLOW_PLAINTEXT", "false")
-        assert config.get("distributed_tls")["allow_plaintext"] is False
+        assert config.get("distributed_tls") == {
+            "certfile": None, "keyfile": None, "cafile": "/tmp/ca.pem",
+        }
 
     def test_provider_resolution_order(self):
-        with config.overrides(auth_provider=None), \
-                config.overrides(distributed_tls=None), \
-                config.overrides(distributed_secret=None):
-            assert distributed.auth_provider().name == "plaintext"
+        with config.overrides(distributed_tls=None, distributed_secret=None):
+            provider = distributed.provider_from_knobs()
+            assert provider.name == "plaintext"
+            assert provider.secret() is None
             with config.overrides(distributed_secret="s3cret"):
-                assert distributed.auth_provider().name == "hmac"
+                provider = distributed.provider_from_knobs()
+                assert provider.name == "hmac"
+                assert provider.secret() == "s3cret"
                 with config.overrides(distributed_tls={"cafile": "ca.pem"}):
-                    assert distributed.auth_provider().name == "tls"
-                    custom = distributed.HMACAuth("other")
-                    with config.overrides(auth_provider=custom):
-                        assert distributed.auth_provider() is custom
+                    provider = distributed.provider_from_knobs()
+                    assert provider.name == "tls"
+                    assert provider.secret() == "s3cret"
 
     def test_tls_provider_cached_per_config(self):
-        with config.overrides(auth_provider=None):
-            with config.overrides(distributed_tls={"cafile": "a.pem"}):
-                first = distributed.auth_provider()
-                assert first is distributed.auth_provider()
-            with config.overrides(distributed_tls={"cafile": "b.pem"}):
-                assert distributed.auth_provider() is not first
+        with config.overrides(distributed_tls={"cafile": "a.pem"}):
+            first = distributed.provider_from_knobs()
+            assert first is distributed.provider_from_knobs()
+        with config.overrides(distributed_tls={"cafile": "b.pem"}):
+            assert distributed.provider_from_knobs() is not first
 
     def test_provider_names(self):
         assert distributed.AuthProvider().name == "plaintext"
-        assert distributed.HMACAuth("x").name == "hmac"
+        assert distributed.HMACAuth().name == "hmac"
         assert distributed.TLSAuth(cafile="ca.pem").name == "tls"
         assert distributed.TLSAuth(
             certfile="c.pem", keyfile="k.pem", cafile="ca.pem"
@@ -256,15 +244,6 @@ class TestTLSKnob:
     def test_server_context_requires_cert_and_key(self):
         with pytest.raises(ReproError, match="certificate and key"):
             distributed.TLSAuth(cafile=str(CERTS / "ca.pem")).server_ssl()
-
-    def test_rejects_non_provider_objects(self):
-        with pytest.raises(ReproError, match="AuthProvider"):
-            config.configure(auth_provider=object())
-
-    def test_hmac_secret_precedence(self):
-        with config.overrides(distributed_secret="process-wide"):
-            assert distributed.HMACAuth("explicit").secret() == "explicit"
-            assert distributed.HMACAuth().secret() == "process-wide"
 
 
 class TestPipelineKnob:
@@ -319,7 +298,7 @@ class TestTLSTransport:
         )
         before = distributed.pool_stats()
         with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}):
-            assert distributed.auth_provider().name == "tls"
+            assert distributed.provider_from_knobs().name == "tls"
             assert self._mc(compiled, marginals, (worker.address,)) == serial
         after = distributed.pool_stats()
         assert after["tasks_completed"] > before["tasks_completed"]
@@ -336,7 +315,7 @@ class TestTLSTransport:
             "keyfile": str(CERTS / "client.key"),
             "cafile": str(CERTS / "ca.pem"),
         }):
-            assert distributed.auth_provider().name == "mtls"
+            assert distributed.provider_from_knobs().name == "mtls"
             assert self._mc(compiled, marginals, (worker.address,)) == serial
 
     def test_tls_and_hmac_compose(self, worker_factory):
@@ -394,8 +373,7 @@ class TestTLSTransport:
 
     def test_untrusted_certificate_is_never_served(self, worker_factory):
         """Bad-cert drill: a worker presenting a certificate our CA did
-        not sign completes zero shards — even when plaintext fallback is
-        allowed, verification failure must not downgrade the link."""
+        not sign completes zero shards."""
         compiled, marginals, serial = self._oracle_and_marginals(73)
         worker = worker_factory(
             tls_cert=str(CERTS / "selfsigned.pem"),
@@ -404,9 +382,7 @@ class TestTLSTransport:
         before = distributed.pool_stats()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with config.overrides(distributed_tls={
-                "cafile": str(CERTS / "ca.pem"), "allow_plaintext": True,
-            }):
+            with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}):
                 hits = self._mc(compiled, marginals, (worker.address,))
         after = distributed.pool_stats()
         assert hits == serial  # the local fallback absorbed the work
@@ -433,121 +409,97 @@ class TestTLSTransport:
         assert any("certificate verification" in m for m in messages), messages
         assert any("expired" in m for m in messages), messages
 
-    def test_plaintext_peer_refused_without_the_escape_hatch(
-        self, inprocess_worker_factory
-    ):
+    def test_plaintext_peer_is_refused(self, inprocess_worker_factory):
         """A TLS coordinator meeting a worker that does not speak TLS at
-        all refuses the link (and falls back locally) unless plaintext
-        fallback was explicitly allowed."""
+        all refuses the link and falls back locally; it never retries in
+        plaintext."""
         compiled, marginals, serial = self._oracle_and_marginals(75)
         worker = inprocess_worker_factory()  # plaintext, no TLS arguments
+        before = distributed.pool_stats()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with config.overrides(distributed_tls={"cafile": str(CERTS / "ca.pem")}):
                 hits = self._mc(compiled, marginals, (worker.address,))
+        after = distributed.pool_stats()
         assert hits == serial
+        assert after["connects"] == before["connects"]
+        assert worker.server._executed == 0
         assert any(
             "TLS handshake" in str(w.message) for w in caught
         ), [str(w.message) for w in caught]
 
-    def test_plaintext_peer_served_when_explicitly_allowed(
-        self, inprocess_worker_factory
-    ):
-        compiled, marginals, serial = self._oracle_and_marginals(76)
-        worker = inprocess_worker_factory()
-        before = distributed.pool_stats()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with config.overrides(distributed_tls={
-                "cafile": str(CERTS / "ca.pem"), "allow_plaintext": True,
-            }):
-                hits = self._mc(compiled, marginals, (worker.address,))
-        after = distributed.pool_stats()
-        assert hits == serial
-        assert after["per_host_tasks"].get(worker.address, 0) > \
-            before["per_host_tasks"].get(worker.address, 0)
-        assert any(
-            "retrying in plaintext" in str(w.message) for w in caught
-        ), [str(w.message) for w in caught]
-
 
 # --------------------------------------------------------------------------- #
-# mixed-version handshake drills (live)
+# workers of other builds, and malformed replies (live)
 
-@pytest.mark.distributed
-class TestMixedVersionFleet:
-    def test_v2_worker_serves_a_v3_coordinator_lockstep(
-        self, inprocess_worker_factory, plaintext_provider
-    ):
-        """A legacy worker (caps-less version-2 hello) still completes
-        batch shards for this coordinator — negotiated down to the v2
-        baseline, driven lockstep instead of pipelined, bit-identical
-        results. (Its Monte-Carlo shards run elsewhere: see below.)"""
+def shipping_call(entry: str):
+    """The entry point ``entry`` on a fixed workload, as a function of
+    ``hosts``; ``hosts=()`` is its 0-host oracle."""
+    if entry == "monte_carlo_hits":
+        compiled = compile_circuit(random_circuit(83))
+        marginals = [0.3] * len(compiled.variables())
+        return lambda hosts: distributed.monte_carlo_hits(
+            compiled, marginals, 700, seed=9, hosts=hosts
+        )
+    if entry == "evaluate_batch_distributed":
         compiled = compile_circuit(random_circuit(80))
         worlds = np.random.default_rng(80).random(
             (3000, len(compiled.variables()))
         ) < 0.4
-        serial = distributed.evaluate_batch_distributed(compiled, worlds, hosts=())
-        legacy = inprocess_worker_factory(hello_caps=())
-        assert np.array_equal(
-            distributed.evaluate_batch_distributed(
-                compiled, worlds, hosts=(legacy.address,)
-            ),
-            serial,
+        return lambda hosts: distributed.evaluate_batch_distributed(
+            compiled, worlds, hosts=hosts
         )
-        stats = distributed.pool_stats()
-        assert stats["per_host_tasks"].get(legacy.address, 0) > 0
-        conn = distributed._HOST_POOL._conns[legacy.address]
-        assert conn.caps == distributed.V2_BASELINE_CAPS
-        assert "pipeline" not in conn.caps
-
-    @pytest.mark.parametrize(
-        "hello_caps",
-        (
-            sorted(distributed.PROTOCOL_CAPS - {distributed.MC_STREAM_CAP}),
-            (),
-        ),
-        ids=("float32-stream-build", "legacy-hello"),
+    assert entry == "karp_luby_hits"
+    membership = [[1, 0, 1, 0], [0, 1, 1, 0], [1, 1, 0, 1]]
+    probs, weights = [0.3, 0.5, 0.2, 0.4], [0.06, 0.1, 0.06]
+    return lambda hosts: distributed.karp_luby_hits(
+        membership, probs, weights, 400, seed=4, hosts=hosts
     )
-    def test_worker_without_the_stream_takes_no_monte_carlo_shard(
-        self, inprocess_worker_factory, plaintext_provider, monkeypatch,
-        hello_caps,
+
+
+def frame(kind: int, header: bytes) -> bytes:
+    """A protocol frame with ``header`` as its raw JSON header bytes."""
+    payload = struct.pack("<BI", kind, len(header)) + header
+    return struct.pack("<I", len(payload)) + payload
+
+
+@pytest.mark.distributed
+class TestMixedVersionFleet:
+    @pytest.mark.parametrize(
+        "entry",
+        ("monte_carlo_hits", "evaluate_batch_distributed", "karp_luby_hits"),
+    )
+    def test_worker_on_another_version_is_refused(
+        self, entry, inprocess_worker_factory, plaintext_provider, monkeypatch
     ):
-        """A worker that did not negotiate the Monte-Carlo stream answers
-        no ``mc`` shard: the call completes locally on the one stream, the
-        skip is counted, and a warning names the host."""
+        """A worker whose hello says version 2 is refused at the hello:
+        it is offered no plan and sent no task, one warning names it and
+        both versions, and its share runs locally, bit-identical to the
+        0-host oracle."""
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
-        compiled = compile_circuit(random_circuit(83))
-        marginals = [0.3] * len(compiled.variables())
-        serial = parallel.monte_carlo_hits(
-            compiled, marginals, 700, seed=9, workers=0
-        )
-        older = inprocess_worker_factory(hello_caps=hello_caps)
+        call = shipping_call(entry)
+        oracle = call(())
+        older = inprocess_worker_factory(server_class=V2Worker)
         before = distributed.pool_stats()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            hits = distributed.monte_carlo_hits(
-                compiled, marginals, 700, seed=9, hosts=(older.address,)
-            )
+            got = call((older.address,))
         after = distributed.pool_stats()
-        assert hits == serial
-        assert after["per_host_tasks"].get(older.address, 0) == \
-            before["per_host_tasks"].get(older.address, 0)
-        assert after["capability_skips"] - before["capability_skips"] == 1
-        assert after["plan_offers"] == before["plan_offers"]  # nothing shipped
-        messages = [str(w.message) for w in caught]
-        assert any(
-            older.address in m and distributed.MC_STREAM_CAP in m
-            for m in messages
-        ), messages
+        assert np.array_equal(got, oracle)
+        assert after["connects"] == before["connects"]
+        assert after["plan_offers"] == before["plan_offers"]
+        assert older.server._executed == 0
+        assert older.address not in distributed._HOST_POOL._conns
+        named = [str(w.message) for w in caught if older.address in str(w.message)]
+        assert len(named) == 1, named
+        assert f"protocol 2, not {distributed.PROTOCOL_VERSION}" in named[0], named
 
     def test_mc_task_naming_no_stream_is_refused(
         self, inprocess_worker_factory, plaintext_provider, monkeypatch
     ):
-        """An older coordinator sends ``mc`` tasks without the ``stream``
-        field: the worker answers each with an error reply, not hits, the
-        coordinator warns and requeues, and every shard runs locally on
-        the coordinator's own stream."""
+        """A coordinator that sends ``mc`` tasks without the ``stream``
+        field gets an error reply to each, not hits: it warns and
+        requeues, and every shard runs locally on its own stream."""
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         monkeypatch.setattr(distributed, "_WARNED", set())  # re-arm warnings
         compiled = compile_circuit(random_circuit(84))
@@ -585,49 +537,45 @@ class TestMixedVersionFleet:
                 tasks, run_local,
             )
         after = distributed.pool_stats()
-        assert any(distributed.MC_STREAM_CAP in str(w.message) for w in caught)
+        assert any(distributed.MC_STREAM in str(w.message) for w in caught)
         assert sorted(ran_locally) == [slot for slot, _meta, _blob in tasks]
         assert after["tasks_completed"] == before["tasks_completed"]
         assert sum(meta["hits"] for meta, _blob in results) == serial
 
-    def test_future_worker_with_caps_is_accepted(
-        self, inprocess_worker_factory, plaintext_provider
-    ):
-        """A worker from the future (version 99) negotiates fine as long
-        as it advertises capabilities we share."""
-        compiled = compile_circuit(random_circuit(81))
-        marginals = [0.4] * len(compiled.variables())
-        serial = parallel.monte_carlo_hits(
-            compiled, marginals, 700, seed=9, workers=0
-        )
-        future = inprocess_worker_factory(hello_version=99)
-        assert distributed.monte_carlo_hits(
-            compiled, marginals, 700, seed=9, hosts=(future.address,)
-        ) == serial
-        assert distributed._HOST_POOL._conns[future.address].caps == \
-            distributed.PROTOCOL_CAPS
 
-    def test_capsless_future_worker_is_refused(
-        self, inprocess_worker_factory, plaintext_provider
+@pytest.mark.distributed
+class TestMalformedReplies:
+    @pytest.mark.parametrize(
+        "reply",
+        (
+            frame(distributed.MSG_RESULT, b"{not json"),
+            frame(distributed.MSG_RESULT, b"[1, 2]"),
+            struct.pack("<I", 2) + b"\0\0",
+        ),
+        ids=("header-not-json", "header-not-an-object", "length-2"),
+    )
+    def test_malformed_reply_requeues_the_shards(
+        self, reply, inprocess_worker_factory, plaintext_provider, monkeypatch
     ):
-        """Version drift without a capability set is the one remaining
-        hard handshake failure — the old all-or-nothing rule."""
-        compiled = compile_circuit(random_circuit(82))
-        marginals = [0.5] * len(compiled.variables())
-        serial = parallel.monte_carlo_hits(
-            compiled, marginals, 700, seed=9, workers=0
+        """A reply to a TASK that is no frame of this protocol costs the
+        worker's connection, not the call: the shards in flight are
+        requeued, one warning says so, and the hits equal the 0-host
+        oracle's."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        monkeypatch.setattr(distributed, "_WARNED", set())  # re-arm warnings
+        call = shipping_call("monte_carlo_hits")
+        oracle = call(())
+        broken = inprocess_worker_factory(
+            server_class=MalformedReplyWorker, reply=reply
         )
-        alien = inprocess_worker_factory(hello_caps=(), hello_version=99)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            hits = distributed.monte_carlo_hits(
-                compiled, marginals, 700, seed=9, hosts=(alien.address,)
-            )
-        assert hits == serial
-        assert alien.address not in distributed._HOST_POOL._conns
-        assert any(
-            "speaks protocol 99" in str(w.message) for w in caught
-        ), [str(w.message) for w in caught]
+        before = distributed.pool_stats()
+        with pytest.warns(RuntimeWarning, match="malformed reply"):
+            hits = call((broken.address,))
+        after = distributed.pool_stats()
+        assert hits == oracle
+        assert after["tasks_completed"] == before["tasks_completed"]
+        assert after["connects"] > before["connects"]  # it was served tasks
+        assert broken.address not in distributed._HOST_POOL._conns
 
 
 # --------------------------------------------------------------------------- #
@@ -656,6 +604,50 @@ class TestPipelining:
                     compiled, marginals, samples, seed=5, hosts=(worker.address,)
                 )
         assert results == {1: serial, 2: serial, 8: serial}
+
+    def test_worker_is_sent_pipeline_depth_tasks_at_once(
+        self, worker_factory, monkeypatch
+    ):
+        """A worker of this build is served at the knob's depth: the
+        coordinator sends ``pipeline_depth`` task frames before it reads
+        the first result, and never more."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        compiled = compile_circuit(random_circuit(88))
+        marginals = [0.3] * len(compiled.variables())
+        samples = 64 * 12
+        serial = parallel.monte_carlo_hits(
+            compiled, marginals, samples, seed=3, workers=0
+        )
+        worker = worker_factory()
+        send, read = distributed._send_message, distributed._read_message
+        in_flight = [0]  # task frames sent and not yet answered, per frame
+
+        async def counting_send(writer, kind, meta, blob=b""):
+            await send(writer, kind, meta, blob)
+            if kind == distributed.MSG_TASK:
+                in_flight.append(in_flight[-1] + 1)
+
+        async def counting_read(reader):
+            kind, meta, blob = await read(reader)
+            if kind == distributed.MSG_RESULT:
+                in_flight.append(in_flight[-1] - 1)
+            return kind, meta, blob
+
+        monkeypatch.setattr(distributed, "_send_message", counting_send)
+        monkeypatch.setattr(distributed, "_read_message", counting_read)
+        for depth in (1, 3):
+            in_flight[:] = [0]
+            before = distributed.pool_stats()["per_host_tasks"]
+            with config.overrides(pipeline_depth=depth):
+                assert distributed.monte_carlo_hits(
+                    compiled, marginals, samples, seed=3,
+                    hosts=(worker.address,),
+                ) == serial
+            served = distributed.pool_stats()["per_host_tasks"]
+            assert served.get(worker.address, 0) - before.get(
+                worker.address, 0
+            ) == 12
+            assert max(in_flight) == depth, in_flight
 
     def test_pipelined_fault_injection_loses_no_shards(
         self, worker_factory, monkeypatch
@@ -812,7 +804,8 @@ class TestTransportModeConformance:
     """
 
     def _mode(self, name, inprocess_worker_factory):
-        """Returns (worker, coordinator-context) for a transport mode."""
+        """Returns (worker, coordinator-context) for a transport mode; the
+        coordinator is configured only through the two transport knobs."""
         server = dict(
             tls_cert=str(CERTS / "server.pem"),
             tls_key=str(CERTS / "server.key"),
@@ -820,31 +813,33 @@ class TestTransportModeConformance:
         if name == "plaintext":
             return (
                 inprocess_worker_factory(),
-                config.overrides(auth_provider=distributed.AuthProvider()),
+                config.overrides(distributed_tls=None, distributed_secret=None),
             )
         if name == "hmac":
             return (
                 inprocess_worker_factory(secret="corpus-secret"),
-                config.overrides(auth_provider=
-                    distributed.HMACAuth("corpus-secret")
+                config.overrides(
+                    distributed_tls=None, distributed_secret="corpus-secret"
                 ),
             )
         if name == "tls":
             return (
                 inprocess_worker_factory(**server),
-                config.overrides(auth_provider=
-                    distributed.TLSAuth(cafile=str(CERTS / "ca.pem"))
+                config.overrides(
+                    distributed_tls={"cafile": str(CERTS / "ca.pem")},
+                    distributed_secret=None,
                 ),
             )
         assert name == "mtls"
         return (
             inprocess_worker_factory(**server, tls_ca=str(CERTS / "ca.pem")),
-            config.overrides(auth_provider=
-                distributed.TLSAuth(
-                    certfile=str(CERTS / "client.pem"),
-                    keyfile=str(CERTS / "client.key"),
-                    cafile=str(CERTS / "ca.pem"),
-                )
+            config.overrides(
+                distributed_tls={
+                    "certfile": str(CERTS / "client.pem"),
+                    "keyfile": str(CERTS / "client.key"),
+                    "cafile": str(CERTS / "ca.pem"),
+                },
+                distributed_secret=None,
             ),
         )
 
@@ -859,6 +854,7 @@ class TestTransportModeConformance:
 
         worker, coordinator = self._mode(mode, inprocess_worker_factory)
         with coordinator:
+            assert distributed.provider_from_knobs().name == mode
             for scenario in sorted(conformance.SCENARIOS):
                 compiled, worlds, rows = conformance.scenario_fixture_data(
                     scenario
