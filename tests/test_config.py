@@ -128,6 +128,7 @@ MALFORMED = [
     ("distributed_hosts", 7761),
     ("distributed_hosts", ["127.0.0.1:7761", 7762]),
     ("distributed_tls", {"cafile": "c", "bogus": 1}),
+    ("distributed_tls", "ca.pem"),
 ]
 
 

@@ -7,7 +7,8 @@ Four layers, matching the transport of :mod:`repro.circuits.distributed`:
   :data:`PROTOCOL_VERSION`; a worker on another version (a test-side
   subclass) is refused before any plan or task reaches it and its share
   runs locally, bit-identical to the 0-host oracle; a worker refuses an
-  ``mc`` task that names no stream; a malformed reply costs the
+  ``mc`` task that names no stream; bytes that are no frame of the
+  protocol raise :class:`ReproError`, and such a reply costs the
   connection, not the call;
 - the **auth provider** — knob parsing/scoping for the TLS and pipeline
   knobs, the provider :func:`provider_from_knobs` builds (TLS > secret >
@@ -133,11 +134,23 @@ def plaintext_provider():
         yield
 
 
-class V2Worker(distributed.WorkerServer):
-    """A worker of an older build: its hello says protocol version 2."""
+class OtherBuildWorker(distributed.WorkerServer):
+    """A worker of another build: its hello is this build's with the
+    fields of ``hello`` set on top (say ``{"version": 2}``)."""
+
+    def __init__(self, hello: dict, **kwargs):
+        super().__init__(**kwargs)
+        self.hello = hello
 
     def _hello_meta(self) -> dict:
-        return dict(super()._hello_meta(), version=2)
+        return dict(super()._hello_meta(), **self.hello)
+
+
+#: The capabilities a float32-stream build's hello listed: all but the
+#: Monte-Carlo stream this build draws.
+FLOAT32_STREAM_CAPS = [
+    "caps", "eval", "kl", "mc", "pipeline", "ping", "plan-offer", "register",
+]
 
 
 class MalformedReplyWorker(distributed.WorkerServer):
@@ -179,13 +192,82 @@ def wait_until(predicate, timeout: float = 15.0) -> bool:
     return predicate()
 
 
+def frame(kind: int, header: bytes) -> bytes:
+    """A protocol frame with ``header`` as its raw JSON header bytes."""
+    payload = struct.pack("<BI", kind, len(header)) + header
+    return struct.pack("<I", len(payload)) + payload
+
+
 # --------------------------------------------------------------------------- #
-# the protocol version (socket-free)
+# the protocol version and frame reading (socket-free)
 
 def test_hello_carries_the_protocol_version_and_no_capabilities():
     hello = distributed.WorkerServer()._hello_meta()
     assert hello["version"] == distributed.PROTOCOL_VERSION == 3
     assert "caps" not in hello
+
+
+def read_frame(data: bytes):
+    """What :func:`_read_message` makes of the bytes ``data``."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await distributed._read_message(reader)
+
+    return asyncio.run(read())
+
+
+class BytesWriter:
+    """The writer half of a stream, collecting what is written."""
+
+    def __init__(self):
+        self.data = b""
+
+    def write(self, data: bytes) -> None:
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+
+class TestReadMessage:
+    def test_reads_what_send_message_writes(self):
+        writer = BytesWriter()
+        asyncio.run(distributed._send_message(
+            writer, distributed.MSG_RESULT, {"id": 4, "hits": 17}, b"\1\2\3"
+        ))
+        assert read_frame(writer.data) == (
+            distributed.MSG_RESULT, {"id": 4, "hits": 17}, b"\1\2\3"
+        )
+
+    @pytest.mark.parametrize(
+        "data, refusal",
+        (
+            (frame(distributed.MSG_RESULT, b"{not json"), "not a JSON object"),
+            (frame(distributed.MSG_RESULT, b"[1, 2]"), "not a JSON object"),
+            (frame(distributed.MSG_RESULT, b"\xff\xfe"), "not a JSON object"),
+            (struct.pack("<I", 2) + b"\0\0", "length 2 out of bounds"),
+            (
+                struct.pack("<I", distributed.MAX_FRAME_BYTES + 1),
+                "out of bounds",
+            ),
+            (
+                struct.pack("<IBI", 7, distributed.MSG_RESULT, 9) + b"{}",
+                "overruns the frame",
+            ),
+        ),
+        ids=(
+            "header-not-json", "header-not-an-object", "header-not-utf8",
+            "length-2", "length-over-the-limit", "header-overruns-the-frame",
+        ),
+    )
+    def test_refuses_a_malformed_frame(self, data, refusal):
+        """Bytes from a peer that are no frame of this protocol raise
+        :class:`ReproError`, the error the pool treats as a lost peer."""
+        with pytest.raises(ReproError, match=refusal):
+            read_frame(data)
 
 
 # --------------------------------------------------------------------------- #
@@ -457,14 +539,34 @@ def shipping_call(entry: str):
     )
 
 
-def frame(kind: int, header: bytes) -> bytes:
-    """A protocol frame with ``header`` as its raw JSON header bytes."""
-    payload = struct.pack("<BI", kind, len(header)) + header
-    return struct.pack("<I", len(payload)) + payload
-
-
 @pytest.mark.distributed
 class TestMixedVersionFleet:
+    @staticmethod
+    def _assert_refused(entry, factory, hello):
+        """A worker whose hello is ``hello`` is refused at the hello: it is
+        offered no plan and sent no task, one warning names it and both
+        versions, and its share of ``entry`` runs locally, bit-identical
+        to the 0-host oracle."""
+        call = shipping_call(entry)
+        oracle = call(())
+        other = factory(server_class=OtherBuildWorker, hello=hello)
+        before = distributed.pool_stats()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = call((other.address,))
+        after = distributed.pool_stats()
+        assert np.array_equal(got, oracle)
+        assert after["connects"] == before["connects"]
+        assert after["plan_offers"] == before["plan_offers"]
+        assert other.server._executed == 0
+        assert other.address not in distributed._HOST_POOL._conns
+        named = [str(w.message) for w in caught if other.address in str(w.message)]
+        assert len(named) == 1, named
+        assert (
+            f"protocol {hello['version']!r}, not {distributed.PROTOCOL_VERSION}"
+            in named[0]
+        ), named
+
     @pytest.mark.parametrize(
         "entry",
         ("monte_carlo_hits", "evaluate_batch_distributed", "karp_luby_hits"),
@@ -472,27 +574,57 @@ class TestMixedVersionFleet:
     def test_worker_on_another_version_is_refused(
         self, entry, inprocess_worker_factory, plaintext_provider, monkeypatch
     ):
-        """A worker whose hello says version 2 is refused at the hello:
-        it is offered no plan and sent no task, one warning names it and
-        both versions, and its share runs locally, bit-identical to the
-        0-host oracle."""
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
-        call = shipping_call(entry)
+        self._assert_refused(entry, inprocess_worker_factory, {"version": 2})
+
+    @pytest.mark.parametrize(
+        "hello",
+        ({"version": 2, "caps": FLOAT32_STREAM_CAPS}, {"version": 2}),
+        ids=("float32-stream-build", "legacy-hello"),
+    )
+    def test_worker_without_the_stream_takes_no_monte_carlo_shard(
+        self, hello, inprocess_worker_factory, plaintext_provider, monkeypatch
+    ):
+        """The hellos of the builds that drew a float32 stream, with and
+        without a capability list: their hits never join this build's
+        sum, which stays on the one stream."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        self._assert_refused("monte_carlo_hits", inprocess_worker_factory, hello)
+
+    def test_capsless_future_worker_is_refused(
+        self, inprocess_worker_factory, plaintext_provider, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        self._assert_refused(
+            "monte_carlo_hits", inprocess_worker_factory, {"version": 99}
+        )
+
+    def test_future_worker_with_caps_is_refused(
+        self, inprocess_worker_factory, plaintext_provider, monkeypatch
+    ):
+        """A capability list no longer buys a worker on another version
+        its way in."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        self._assert_refused(
+            "monte_carlo_hits", inprocess_worker_factory,
+            {"version": 99, "caps": FLOAT32_STREAM_CAPS + ["mc-lazy24", "warp"]},
+        )
+
+    def test_unknown_hello_fields_are_ignored(
+        self, inprocess_worker_factory, plaintext_provider, monkeypatch
+    ):
+        """Only the version decides: a worker on this version whose hello
+        carries fields this build does not know is served."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        call = shipping_call("monte_carlo_hits")
         oracle = call(())
-        older = inprocess_worker_factory(server_class=V2Worker)
-        before = distributed.pool_stats()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = call((older.address,))
-        after = distributed.pool_stats()
-        assert np.array_equal(got, oracle)
-        assert after["connects"] == before["connects"]
-        assert after["plan_offers"] == before["plan_offers"]
-        assert older.server._executed == 0
-        assert older.address not in distributed._HOST_POOL._conns
-        named = [str(w.message) for w in caught if older.address in str(w.message)]
-        assert len(named) == 1, named
-        assert f"protocol 2, not {distributed.PROTOCOL_VERSION}" in named[0], named
+        worker = inprocess_worker_factory(
+            server_class=OtherBuildWorker,
+            hello={"caps": ["caps", "mc", "warp"], "build": "next"},
+        )
+        assert call((worker.address,)) == oracle
+        assert worker.server._executed > 0
+        assert worker.address in distributed._HOST_POOL._conns
 
     def test_mc_task_naming_no_stream_is_refused(
         self, inprocess_worker_factory, plaintext_provider, monkeypatch
