@@ -16,8 +16,13 @@ both, and checks them bit-identical, on three circuits:
   follows the gates, not the depth, so it runs the array path like the
   shallow circuits.
 
+On E13's lineage and the deep one it also times the level plan built on
+the lowering (same-kind AND/OR chains folded into n-ary gates) and a
+warm one-row float pass on it, checked bitwise against the scalar pass,
+and reports the plan's levels and groups beside the lowering's.
+
 Writes ``BENCH_compile_path.json``; ``check_regression.py`` gates the
-E13 speedup and the two equality booleans.
+E13 speedup and the two equality booleans, and reports the plan rows.
 
 Run the table:  python benchmarks/bench_compile_path.py
 """
@@ -72,6 +77,34 @@ def _best_of(run, repeats: int):
         result = run()
         best = min(best, time.perf_counter() - start)
     return best, result
+
+
+def measure_plan(compiled: CompiledCircuit, repeats: int) -> dict:
+    """Build time of the level plan, its shape, and a warm one-row float
+    pass on it (median of ``repeats``), checked bitwise against
+    :meth:`CompiledCircuit.probability`."""
+    arrays = (*compiled._int32_arrays(), compiled.levels_array(), compiled.output)
+    build_seconds, plan = _best_of(
+        lambda: compiled_module._BatchPlan(*arrays), repeats=repeats
+    )
+    row = np.random.default_rng(17).random((1, len(compiled.variables())))
+    plan.run(row, True)
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        answer = plan.run(row, True)
+        times.append(time.perf_counter() - start)
+    scalar = compiled.probability(row[0].tolist())
+    return {
+        "build_seconds": build_seconds,
+        "pass_1row_seconds": float(np.median(times)),
+        "levels": len(plan.levels),
+        "groups": sum(len(level) for level in plan.levels),
+        "equals_scalar": bool(
+            np.array_equal(answer.view(np.uint64),
+                           np.array([scalar]).view(np.uint64))
+        ),
+    }
 
 
 def _same_lowering(left: CompiledCircuit, right: CompiledCircuit) -> bool:
@@ -163,6 +196,8 @@ def main() -> None:
         and _same_lowering(deep_vectorized, deep_cold)
     )
     deep_levels = int(deep_vectorized.levels_array().max())
+    plan = measure_plan(vectorized, repeats=9)
+    deep_plan = measure_plan(deep_vectorized, repeats=5)
 
     print(f"\n{'path':<46} {'time':>11} {'speedup':>9}")
     rows = [
@@ -181,6 +216,16 @@ def main() -> None:
     print(f"(monitor: {monitor_gates}-gate arena; deep lineage: "
           f"{deep_vectorized.size} gates)")
 
+    print(f"\n{'level plan':<16} {'levels':>7} {'plan levels':>12} "
+          f"{'groups':>7} {'build':>11} {'warm 1-row pass':>16}")
+    for label, lowered, measured in (("E13 lineage", vectorized, plan),
+                                     ("deep lineage", deep_vectorized,
+                                      deep_plan)):
+        print(f"{label:<16} {int(lowered.levels_array().max()):>7} "
+              f"{measured['levels']:>12} {measured['groups']:>7} "
+              f"{measured['build_seconds'] * 1e3:>8.2f} ms "
+              f"{measured['pass_1row_seconds'] * 1e3:>13.3f} ms")
+
     result = {
         "gates": gates,
         "variables": len(circuit.variables()),
@@ -197,6 +242,16 @@ def main() -> None:
         "deep_python_lower_seconds": deep_python_seconds,
         "deep_vector_lower_seconds": deep_vector_seconds,
         "deep_vectorized_equals_python": deep_identical,
+        "plan_levels": plan["levels"],
+        "plan_groups": plan["groups"],
+        "plan_build_seconds": plan["build_seconds"],
+        "plan_pass_1row_seconds": plan["pass_1row_seconds"],
+        "plan_pass_equals_scalar": plan["equals_scalar"],
+        "deep_plan_levels": deep_plan["levels"],
+        "deep_plan_groups": deep_plan["groups"],
+        "deep_plan_build_seconds": deep_plan["build_seconds"],
+        "deep_plan_pass_1row_seconds": deep_plan["pass_1row_seconds"],
+        "deep_plan_pass_equals_scalar": deep_plan["equals_scalar"],
     }
     out_path = Path(__file__).resolve().parents[1] / "BENCH_compile_path.json"
     out_path.write_text(json.dumps(result, indent=2) + "\n")
@@ -210,6 +265,8 @@ def main() -> None:
         ("monitor requery bit-identical to python", requery_identical),
         ("deep lineage lowers on the array path, bit-identical to python",
          deep_identical),
+        ("one-row plan pass bit-identical to the scalar pass",
+         plan["equals_scalar"] and deep_plan["equals_scalar"]),
     ]:
         print(f"check: {label} — {'PASS' if flag else 'FAIL'}")
 

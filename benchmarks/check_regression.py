@@ -80,6 +80,20 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     ("BENCH_compile_path.json", "vectorized_equals_python", "true", None),
     ("BENCH_compile_path.json", "deep_vectorized_equals_python", "true", None),
     ("BENCH_compile_path.json", "monitor_requery_seconds", "report", None),
+    # The level plan on E13's lineage and the deep one (folded chains):
+    # build time, warm one-row pass and shape, beside deep_levels.
+    ("BENCH_compile_path.json", "deep_levels", "report", None),
+    ("BENCH_compile_path.json", "plan_levels", "report", None),
+    ("BENCH_compile_path.json", "plan_groups", "report", None),
+    ("BENCH_compile_path.json", "plan_build_seconds", "report", None),
+    ("BENCH_compile_path.json", "plan_pass_1row_seconds", "report", None),
+    ("BENCH_compile_path.json", "plan_pass_equals_scalar", "report", None),
+    ("BENCH_compile_path.json", "deep_plan_levels", "report", None),
+    ("BENCH_compile_path.json", "deep_plan_groups", "report", None),
+    ("BENCH_compile_path.json", "deep_plan_build_seconds", "report", None),
+    ("BENCH_compile_path.json", "deep_plan_pass_1row_seconds", "report", None),
+    ("BENCH_compile_path.json", "deep_plan_pass_equals_scalar", "report",
+     None),
     # E18 columnar pipeline. The speedup floor sits under the measured
     # ~12x with CI-noise headroom; the booleans pin the columnar pipeline
     # bit-identical (circuits, lowerings, Monte-Carlo marginals) to the

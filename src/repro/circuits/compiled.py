@@ -301,6 +301,137 @@ def _group_starts(op_depth, op_kind, op_fan):
     return block_start[heads]
 
 
+#: Widest fan-in a fold may give a gate (:func:`_fold_chains`). The served
+#: chain lineage needs 4; uncapped, a prefix chain whose every prefix is
+#: read elsewhere would give its gates quadratically many inputs.
+FOLD_CAP = 8
+
+
+def _fold_chains(kinds, offsets, indices, depth, output):
+    """The level plan's operators after folding same-kind AND/OR chains.
+
+    An AND/OR gate whose input 0 or 1 is a gate of its own kind (its
+    *head*) reads the head's folded inputs in the head's place, followed
+    by its other inputs in order, unless that would give it more than
+    :data:`FOLD_CAP` inputs (input 0 is tried first). Both passes stay
+    exact: a float reduce runs left to right from its identity, so
+    ``op(h, x1, x2, ...)`` and the folded ``op(*h's inputs, x1, x2, ...)``
+    take the same steps, and a head at input 1 only swaps the first step's
+    operands, which commute exactly; word AND/OR are associative. A head
+    at input 2 or later would reorder the sum, and NOT never folds. A
+    gate that no kept gate reads any more (every reader folded it) is
+    dropped, and the kept gates are scheduled by the depth of the folded
+    DAG.
+
+    Returns ``(positions, starts, fans, depths, indices)``: the kept
+    operators in topological order, their CSR segments into ``indices``
+    and their depths. Without a fold candidate among the operators at
+    level 2 or above (the only ones that can read an operator) these are
+    the given arrays, after one vectorized test.
+    """
+    lengths = offsets[1:] - offsets[:-1]
+    ops = _np.flatnonzero(kinds >= K_NOT)
+    op_depths = depth[ops]
+    gates = ops[op_depths >= 2]  # fan-in >= 1: they read a level 1
+    gates = gates[kinds[gates] >= K_AND]
+    fan = lengths[gates]
+    first = offsets[gates]
+    kind = kinds[gates]
+    head0 = indices[first]
+    head1 = indices[first + (fan >= 2)]
+    same0 = kinds[head0] == kind
+    same1 = (fan >= 2) & (kinds[head1] == kind)
+    candidate = same0 | same1
+    if not candidate.any():
+        return ops, offsets[ops], lengths[ops], op_depths, indices
+
+    # Which head each candidate folds, in topological order: a head's
+    # folded fan-in is known before any reader of it is decided.
+    folded_fan: dict[int, int] = {}
+    fan_of = folded_fan.get
+    folders: list[int] = []
+    slots: list[int] = []
+    for gate, width, h0, s0, w0, h1, s1, w1 in zip(
+        gates[candidate].tolist(), fan[candidate].tolist(),
+        head0[candidate].tolist(), same0[candidate].tolist(),
+        lengths[head0[candidate]].tolist(), head1[candidate].tolist(),
+        same1[candidate].tolist(), lengths[head1[candidate]].tolist(),
+    ):
+        if s0:
+            total = fan_of(h0, w0) + width - 1
+            if total <= FOLD_CAP:
+                folded_fan[gate] = total
+                folders.append(gate)
+                slots.append(0)
+                continue
+        if s1:
+            total = fan_of(h1, w1) + width - 1
+            if total <= FOLD_CAP:
+                folded_fan[gate] = total
+                folders.append(gate)
+                slots.append(1)
+    size = kinds.size
+    folders = _np.array(folders, dtype=_np.intp)
+    slots = _np.array(slots, dtype=_np.intp)
+    slot_of = _np.full(size, -1, dtype=_np.intp)
+    slot_of[folders] = slots
+    head_of = _np.full(size, -1, dtype=_np.intp)
+    head_of[folders] = indices[offsets[folders] + slots]
+    # A gate stays when some reader did not fold it: every input of a
+    # dropped head is read by the gates that folded it.
+    kept = _np.bincount(indices, minlength=size) > _np.bincount(
+        head_of[folders], minlength=size
+    )
+    kept[output] = True
+    ops = _np.flatnonzero(kept & (kinds >= K_NOT))
+
+    # Each kept gate's chain: itself, its head, the head's head, ...
+    owner_parts = [_np.arange(ops.size)]
+    member_parts = [ops]
+    owner, member = owner_parts[0], ops
+    while True:
+        member = head_of[member]
+        live = member >= 0
+        if not live.any():
+            break
+        owner, member = owner[live], member[live]
+        owner_parts.append(owner)
+        member_parts.append(member)
+    # Its folded inputs: the chain's segments, deepest member first; a
+    # member's segment is its inputs less the head it folded.
+    chain = _np.bincount(_np.concatenate(owner_parts), minlength=ops.size)
+    last = _np.cumsum(chain) - 1  # where each kept gate itself goes
+    member = _np.empty(int(chain.sum()), dtype=_np.intp)
+    for step, (owners, members) in enumerate(zip(owner_parts, member_parts)):
+        member[last[owners] - step] = members
+    width = lengths[member]
+    skip = _np.where(slot_of[member] >= 0, slot_of[member], width)
+    segment = width - (skip < width)
+    base = _np.cumsum(segment) - segment
+    entry = _np.repeat(_np.arange(member.size), width)
+    slot = _np.arange(entry.size) - _np.repeat(_np.cumsum(width) - width, width)
+    read = slot != skip[entry]
+    entry, slot = entry[read], slot[read]
+    folded = _np.empty(int(segment.sum()), dtype=indices.dtype)
+    folded[base[entry] + slot - (slot > skip[entry])] = indices[
+        offsets[member[entry]] + slot
+    ]
+    fans = _np.add.reduceat(segment, last + 1 - chain)
+    starts = _np.cumsum(fans) - fans
+
+    # Depths of the folded DAG, one kept gate at a time; a gate without
+    # inputs reads the level-0 entry past the gates.
+    levels = [0] * (size + 1)
+    level_of = levels.__getitem__
+    flat = folded.tolist()
+    no_inputs = [size]
+    for gate, start, end in zip(
+        ops.tolist(), starts.tolist(), (starts + fans).tolist()
+    ):
+        levels[gate] = 1 + max(map(level_of, flat[start:end] or no_inputs))
+    return ops, starts, fans, _np.array(levels, dtype=_np.intp)[ops], folded
+
+
 #: Above this many index slots, a group whose gates share one fan-in
 #: builds its gather on its own with one broadcast add; smaller or padded
 #: groups share one scatter. The scatter spends about a dozen array passes
@@ -357,12 +488,20 @@ def _group_gathers(row_of, indices, csr, op_fan, starts, ends, fans, pad_rows):
 class _BatchPlan:
     """The third lowering stage: level-scheduled numpy batch arrays.
 
-    Gates are grouped into *levels* — every gate's inputs live in strictly
-    earlier levels — and renumbered into a gate-major layout: one value row
-    per gate, variables first, then constants, then one contiguous row
-    block per (level, kind, fan-in), ascending in fan-in. Two more rows
-    follow the gates, the *identity rows*: TRUE (the AND identity) and
-    FALSE (the OR identity). Each step covers adjacent blocks of one
+    First, same-kind AND/OR chains fold into n-ary gates
+    (:func:`_fold_chains`): an AND/OR whose input 0 or 1 is a gate of its
+    own kind reads that gate's inputs instead, up to :data:`FOLD_CAP`
+    inputs, and a gate no kept gate reads any more is dropped. On the
+    served chain lineage that halves the levels (478 to 240), and the
+    answers stay bit for bit those of the unfolded circuit. Then the kept
+    gates are grouped into *levels* of the folded DAG — every gate's
+    inputs live in strictly earlier levels — and renumbered into a
+    gate-major layout: one value row per gate, variables first, then
+    constants, then one contiguous row block per (level, kind, fan-in),
+    ascending in fan-in, then the dropped gates' rows, which are never
+    written. Two more rows follow the gates, the *identity rows*: TRUE
+    (the AND identity) and FALSE (the OR identity). Each step covers
+    adjacent blocks of one
     (level, kind), padded to their widest fan-in from the identity rows
     wherever that at most doubles the group's gathered elements
     (:func:`_group_starts`), so most levels cost one step per gate kind.
@@ -404,9 +543,10 @@ class _BatchPlan:
     cannot leak its set padding bits.
 
     The plan is built from the int32 CSR arrays (``kinds``, ``offsets``,
-    ``indices``, ``var_slot``), the level schedule and the output position,
-    which every source carries: a lowering (:meth:`CompiledCircuit.batch_plan`),
-    a wire plan, or the shared-memory segment of
+    ``indices``, ``var_slot``), the unfolded level schedule and the output
+    position, which every source carries: a lowering
+    (:meth:`CompiledCircuit.batch_plan`), a wire plan, or the shared-memory
+    segment of
     :mod:`repro.circuits.parallel`. :meth:`run` executes one pass;
     :meth:`run_into` chunks it. Callers that draw worlds themselves fill a
     :meth:`word_buffer`'s variable rows directly and call
@@ -432,18 +572,17 @@ class _BatchPlan:
         size = kinds.size
         self.size = size
 
+        op_positions, op_starts, op_fans, op_depths, indices = _fold_chains(
+            kinds, offsets, indices, depth, output
+        )
         # Renumber: variables, constants, then level by level, block by
-        # block — one stable lexsort; ties keep topological order, exactly
-        # like the historical per-gate bucketing.
-        lengths = offsets[1:] - offsets[:-1]
+        # block — one stable lexsort; ties keep topological order. The
+        # rows of gates the fold dropped follow, and are never written.
         var_positions = _np.flatnonzero(kinds == K_VAR)
         const_positions = _np.flatnonzero(
             (kinds == K_TRUE) | (kinds == K_FALSE)
         )
-        op_positions = _np.flatnonzero(kinds >= K_NOT)
-        order = _np.lexsort(
-            (lengths[op_positions], kinds[op_positions], depth[op_positions])
-        )
+        order = _np.lexsort((op_fans, kinds[op_positions], op_depths))
         sorted_ops = op_positions[order]
         n_vars = var_positions.size
         n_consts = const_positions.size
@@ -451,27 +590,31 @@ class _BatchPlan:
         row_of = _np.empty(size, dtype=_np.intp)
         row_of[var_positions] = _np.arange(n_vars)
         row_of[const_positions] = n_vars + _np.arange(n_consts)
-        row_of[sorted_ops] = leaf_rows + _np.arange(sorted_ops.size)
+        n_ops = sorted_ops.size
+        row_of[sorted_ops] = leaf_rows + _np.arange(n_ops)
+        if leaf_rows + n_ops < size:
+            unused = kinds >= K_NOT
+            unused[op_positions] = False
+            row_of[unused] = _np.arange(leaf_rows + n_ops, size)
         self.row_of = row_of
         self.var_slots = var_slot[var_positions].astype(_np.intp)
         self.const_rows = (int(n_vars), int(leaf_rows))
         self.const_values = kinds[const_positions] == K_TRUE
         self.identity_rows = (size, size + 1)
         self.output_row = int(row_of[output])
-        n_ops = sorted_ops.size
         if not n_ops:
             self.levels = ()
             return
 
-        op_depth = depth[sorted_ops]
+        op_depth = op_depths[order]
         op_kind = kinds[sorted_ops]
-        op_fan = lengths[sorted_ops]
+        op_fan = op_fans[order]
         starts = _group_starts(op_depth, op_kind, op_fan)
         ends = _np.append(starts[1:], n_ops)
         fans = op_fan[ends - 1]  # the widest: blocks ascend in fan-in
         group_kind = op_kind[starts]
         gathers = _group_gathers(
-            row_of, indices, offsets[sorted_ops], op_fan, starts, ends, fans,
+            row_of, indices, op_starts[order], op_fan, starts, ends, fans,
             _np.where(group_kind == K_OR, size + 1, size),
         )
         buckets: list[list[tuple]] = [[] for _ in range(int(op_depth[-1]))]

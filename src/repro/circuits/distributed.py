@@ -673,6 +673,12 @@ async def _read_message(reader) -> tuple[int, dict, bytes]:
     return kind, meta, payload[5 + meta_len :]
 
 
+def _field(meta: dict, name: str):
+    """A frame header's required field; a frame without it is malformed."""
+    check(name in meta, f"protocol frame has no {name!r} field")
+    return meta[name]
+
+
 #: Exceptions that mean "this connection is gone", triggering a shard retry.
 _CONNECTION_ERRORS = (
     ConnectionError,
@@ -931,7 +937,7 @@ class WorkerServer:
                 if kind == MSG_PING:
                     await _send_message(writer, MSG_PONG, {"pid": os.getpid()})
                 elif kind == MSG_PLAN_OFFER:
-                    key = meta["checksum"]
+                    key = _field(meta, "checksum")
                     cache = self._tables if meta.get("kind") == "tables" else self._plans
                     payload = self._held(held, key, cache)
                     reply = {"checksum": key}
@@ -951,16 +957,18 @@ class WorkerServer:
                         reply,
                     )
                 elif kind == MSG_PLAN:
-                    key = meta["checksum"]
+                    key = _field(meta, "checksum")
                     if key not in self._plans:
                         self._cache_put(self._plans, key, plan_from_bytes(blob))
                     held[key] = self._plans[key]
                 elif kind == MSG_TABLES:
-                    key = meta["checksum"]
+                    key = _field(meta, "checksum")
                     if key not in self._tables:
                         self._cache_put(self._tables, key, tables_from_bytes(blob))
                     held[key] = self._tables[key]
                 elif kind == MSG_TASK:
+                    _field(meta, "op")
+                    _field(meta, "id")
                     if self.max_tasks is not None and self._executed >= self.max_tasks:
                         os._exit(17)  # fault injection: die instead of answering
                     self._executed += 1
@@ -1807,6 +1815,13 @@ class HostPool:
                             await asyncio.sleep(min(retry_in, STEAL_GRACE))
                             continue
                         kind, rmeta, rblob = await _read_message(conn.reader)
+                        task_id = rmeta.get("id")
+                        entry = (
+                            inflight.get(task_id) if kind == MSG_RESULT
+                            and type(task_id) is int else None
+                        )
+                        if entry is not None:
+                            _check_result(tasks[entry[0]][1], rmeta, rblob)
                     except _CONNECTION_ERRORS + (ReproError,):
                         abandon_inflight()
                         window_bytes = 0
@@ -1827,11 +1842,6 @@ class HostPool:
                         if conn is None:
                             return
                         continue
-                    entry = (
-                        inflight.pop(rmeta.get("id"), None)
-                        if kind == MSG_RESULT
-                        else None
-                    )
                     if entry is None:
                         # MSG_ERROR (e.g. a cache-evicted plan on a shared
                         # worker) or a reply for nothing in flight: requeue
@@ -1849,10 +1859,9 @@ class HostPool:
                         )
                         self._discard(conn)
                         return
-                    slot, started, nbytes = entry
+                    slot, started, nbytes = inflight.pop(task_id)
                     window_bytes -= nbytes
                     dirty = bool(inflight)  # pipelined replies still unread
-                    task_id = rmeta.get("id")
                     queue.done(slot)
                     latency_total += loop.time() - started
                     latency_count += 1
@@ -1871,6 +1880,28 @@ class HostPool:
             if conn is not None and (dirty or inflight):
                 self._discard(conn)
             raise
+
+
+def _check_result(meta: dict, rmeta: dict, rblob: bytes) -> None:
+    """Refuse a RESULT that lacks what its task's op returns.
+
+    ``mc`` and ``kl`` answer a non-negative int ``hits``; ``eval`` answers
+    one output value per row of its shard as the blob. Anything else is a
+    malformed reply, which :meth:`HostPool._pump` handles like a lost
+    connection.
+    """
+    if meta["op"] == "eval":
+        itemsize = 8 if meta["as_float"] else 1
+        check(
+            len(rblob) == meta["rows"] * itemsize,
+            "distributed eval result has the wrong length",
+        )
+        return
+    hits = rmeta.get("hits")
+    check(
+        type(hits) is int and hits >= 0,
+        f"distributed {meta['op']} result has no hit count",
+    )
 
 
 _HOST_POOL = HostPool()
@@ -2096,12 +2127,7 @@ def _distributed_matrix_pass(compiled, matrix, as_float: bool, hosts):
     )
     for (slot, meta, _blob), (rmeta, rblob) in zip(tasks, results):
         start = meta["start"]
-        rows = meta["rows"]
-        check(
-            len(rblob) == rows * out.dtype.itemsize,
-            "distributed eval result has the wrong length",
-        )
-        out[start : start + rows] = np.frombuffer(rblob, dtype=dtype)
+        out[start : start + meta["rows"]] = np.frombuffer(rblob, dtype=dtype)
     return out
 
 

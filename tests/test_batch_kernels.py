@@ -295,6 +295,8 @@ class TestBatchPlan:
 
 #: Float inputs the passes must carry exactly like the scalar pass.
 SPECIAL_VALUES = (-0.0, math.nan, math.inf, -math.inf, 2.0 ** -1074, 1.0)
+#: The same, with +0.0 and a larger subnormal, for the fold test's rows.
+FOLD_VALUES = SPECIAL_VALUES + (0.0, 2.0 ** -1030)
 
 
 def mixed_fan_circuit(seed: int, n_vars: int = 8, steps: int = 40,
@@ -315,12 +317,13 @@ def mixed_fan_circuit(seed: int, n_vars: int = 8, steps: int = 40,
 
 
 def padded_or_circuit() -> Circuit:
-    """OR(OR(x0, x1), OR(x2, x3, x4)): the level-1 ORs share one group, so
-    ``OR(x0, x1)`` reads one identity row, and -0.0 inputs reach the output
-    as -0.0 only if that row adds nothing."""
+    """OR(x0, x1, OR(x2, x3), OR(x4, x5, x6)): the level-1 ORs share one
+    group, so ``OR(x2, x3)`` reads one identity row, and -0.0 inputs reach
+    the output as -0.0 only if that row adds nothing. Their heads sit at
+    inputs 2 and 3, which never fold."""
     c = Circuit()
-    xs = [c.variable(f"x{i}") for i in range(5)]
-    c.set_output(c.or_gate([c.or_gate(xs[:2]), c.or_gate(xs[2:])]))
+    xs = [c.variable(f"x{i}") for i in range(7)]
+    c.set_output(c.or_gate(xs[:2] + [c.or_gate(xs[2:4]), c.or_gate(xs[4:])]))
     return c
 
 
@@ -342,17 +345,92 @@ def wide_or_circuit(width: int = 16) -> Circuit:
     return c
 
 
+def fold_reference(compiled) -> dict:
+    """``position -> (level, inputs)`` of every operator the folded plan
+    evaluates, recomputed gate by gate from the rule: an AND/OR whose input
+    0, else input 1, is a gate of its own kind reads that gate's folded
+    inputs in its place, followed by its other inputs in order, unless
+    that passes ``FOLD_CAP`` inputs; a gate no kept gate reads is dropped,
+    and levels are the folded DAG's depths."""
+    kinds = compiled.kinds
+    cap = compiled_module.FOLD_CAP
+    folded = []
+    for pos, kind in enumerate(kinds):
+        inputs = compiled.inputs_of(pos)
+        if kind in (K_AND, K_OR):
+            for slot in (0, 1):
+                if slot < len(inputs) and kinds[inputs[slot]] == kind:
+                    merged = (folded[inputs[slot]] + inputs[:slot]
+                              + inputs[slot + 1:])
+                    if len(merged) <= cap:
+                        inputs = merged
+                        break
+        folded.append(inputs)
+    kept = {compiled.output}
+    for pos in reversed(range(compiled.size)):
+        if pos in kept:
+            kept.update(folded[pos])
+    levels = [0] * compiled.size
+    for pos, kind in enumerate(kinds):
+        if kind >= K_NOT:
+            levels[pos] = 1 + max((levels[i] for i in folded[pos]), default=0)
+    return {pos: (levels[pos], folded[pos]) for pos in sorted(kept)
+            if kinds[pos] >= K_NOT}
+
+
+def fold_circuit(seed: int, output: str, n_vars: int = 6,
+                 steps: int = 60) -> Circuit:
+    """A random circuit full of fold candidates, appended without the
+    arena's constant folding: same-kind heads at inputs 0, 1 and 2, heads
+    read by several gates, fan-in-1 gates, constant inputs, NOT gates
+    between chains, and an AND and an OR prefix chain of ``2 * FOLD_CAP``
+    gates each, whose every prefix is read again. ``output`` picks the
+    random gates' last one or the OR chain's (whose all -0.0 row answers
+    -0.0 only if its folded ORs start from -0.0)."""
+    rng = stable_rng(seed)
+    c = Circuit()
+    gates = [c.variable(f"v{i}") for i in range(n_vars)] + [c.true(), c.false()]
+    last = {K_AND: [], K_OR: []}
+
+    def append(kind, inputs):
+        gate = c.append_gates(kind, inputs, [0, len(inputs)])[0]
+        gates.append(gate)
+        return gate
+
+    for kind in (K_AND, K_OR):
+        prefix = gates[0]
+        for index in range(1, 2 * compiled_module.FOLD_CAP + 1):
+            prefix = append(kind, [prefix, gates[index % n_vars]])
+            last[kind].append(prefix)
+    chain_top = prefix
+    for _ in range(steps):
+        kind = rng.choice((K_AND, K_OR, K_AND, K_OR, K_NOT))
+        if kind == K_NOT:
+            append(K_NOT, [rng.choice(gates[n_vars:])])
+            continue
+        fan = rng.randint(1, 4)
+        others = [rng.choice(gates) for _ in range(fan - 1)]
+        if rng.random() < 0.8:
+            head = rng.choice(last[kind][-3:])
+        else:
+            head = rng.choice(gates)
+        slot = rng.randint(0, fan - 1)
+        last[kind].append(append(kind, others[:slot] + [head] + others[slot:]))
+    random_top = append(K_OR, [rng.choice(gates[n_vars:]) for _ in range(5)])
+    c.set_output(chain_top if output == "or-chain" else random_top)
+    return c
+
+
 def grouping_reference(compiled) -> dict:
     """``(level, kind) -> sorted (fan_in, count)`` of the plan's groups,
-    recomputed gate by gate from the rule: a (level, kind) is one group
-    padded to its widest fan-in when that at most doubles the gathered
-    elements, else one group per fan-in."""
-    levels = compiled.levels_list()
+    recomputed gate by gate from the rule over :func:`fold_reference`'s
+    folded gates: a (level, kind) is one group padded to its widest fan-in
+    when that at most doubles the gathered elements, else one group per
+    fan-in."""
     blocks: dict = {}
-    for pos, kind in enumerate(compiled.kinds):
-        if kind >= K_NOT:
-            key = (levels[pos], kind)
-            blocks.setdefault(key, Counter())[len(compiled.inputs_of(pos))] += 1
+    for pos, (level, inputs) in fold_reference(compiled).items():
+        key = (level, compiled.kinds[pos])
+        blocks.setdefault(key, Counter())[len(inputs)] += 1
     expected = {}
     for key, fans in blocks.items():
         gates = sum(fans.values())
@@ -373,11 +451,11 @@ def plan_grouping(plan) -> dict:
 
 
 def block_count(compiled) -> int:
-    """The (level, kind, fan-in) blocks: one step each before merging."""
-    levels = compiled.levels_list()
+    """The folded (level, kind, fan-in) blocks: one step each before
+    merging."""
     return len({
-        (levels[pos], kind, len(compiled.inputs_of(pos)))
-        for pos, kind in enumerate(compiled.kinds) if kind >= K_NOT
+        (level, compiled.kinds[pos], len(inputs))
+        for pos, (level, inputs) in fold_reference(compiled).items()
     })
 
 
@@ -393,8 +471,9 @@ def same_floats(got, want) -> bool:
 
 class TestGroupedPlan:
     def test_served_chain_lineage_counts(self):
-        """E19's served plan: 717 (level, kind, fan-in) blocks merge into
-        579 steps, one per (level, kind) of its 478 levels. The plan is
+        """E19's served plan: its 5187 gates fold into 3480 rows in 240
+        levels (478 unfolded), and the folded plan's (level, kind, fan-in)
+        blocks merge into 241 steps, one per (level, kind). The plan is
         built on the object backend, as the served benchmark builds it:
         the columnar backend lists the same facts in another order, and
         the lineage's size follows that order (4979 gates there)."""
@@ -411,9 +490,11 @@ class TestGroupedPlan:
         )
         plan = compiled.batch_plan()
         assert compiled.size == 5187
-        assert len(plan.levels) == 478
-        assert block_count(compiled) == 717
-        assert sum(len(level) for level in plan.levels) == 579
+        assert max(compiled.levels_list()) == 478
+        assert len(plan.levels) == 240
+        assert plan.const_rows[1] + len(fold_reference(compiled)) == 3480
+        assert block_count(compiled) == 477
+        assert sum(len(level) for level in plan.levels) == 241
         assert plan_grouping(plan) == grouping_reference(compiled)
 
     @pytest.mark.parametrize("seed", (3, 19, 41, 77))
@@ -473,16 +554,44 @@ class TestGroupedPlan:
             ]
 
     def test_or_padding_keeps_negative_zero(self):
-        """OR(x0, x1) reads the OR identity row, and an all -0.0 row still
+        """OR(x2, x3) reads the OR identity row, and an all -0.0 row still
         answers -0.0, in the level plan and in :meth:`probability`'s scalar
         pass, whose ORs start from -0.0."""
         compiled = compile_circuit(padded_or_circuit())
         grouping = plan_grouping(compiled.batch_plan())
-        assert grouping[(1, K_OR)] == [(3, 2)]  # OR(x0, x1) padded
-        rows = np.full((2, 5), -0.0)
+        assert grouping[(1, K_OR)] == [(3, 2)]  # OR(x2, x3) padded
+        rows = np.full((2, 7), -0.0)
         scalar = [compiled.probability(row.tolist()) for row in rows]
         assert same_floats(compiled.probability_batch(rows), scalar)
         assert math.copysign(1.0, scalar[0]) == -1.0
+
+    @pytest.mark.parametrize("output", ("random", "or-chain"))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_folded_plan_matches_scalar_passes(self, seed, output):
+        """Folded chains evaluate bit for bit like the scalar passes, at
+        widths across the one-row and word boundaries, on rows mixing
+        -0.0, +0.0, 1.0, ±inf, NaN and subnormals into random marginals:
+        a fold at input 2 would reorder a sum, and a folded OR started at
+        +0.0 would lose a -0.0."""
+        compiled = compile_circuit(fold_circuit(seed, output))
+        plan = compiled.batch_plan()
+        assert plan_grouping(plan) == grouping_reference(compiled)
+        assert len(plan.levels) < max(compiled.levels_list())
+        n = len(compiled.variables())
+        for width in (1, 2, 3, 64, 65):
+            rng = np.random.default_rng([seed, width])
+            rows = rng.random((width, n))
+            special = rng.random((width, n)) < 0.5
+            rows[special] = rng.choice(FOLD_VALUES, size=int(special.sum()))
+            rows[0] = -0.0
+            with np.errstate(invalid="ignore"):
+                got = compiled.probability_batch(rows)
+            want = [compiled.probability(row.tolist()) for row in rows]
+            assert same_floats(got, want), (width, got, want)
+            worlds = rng.random((width, n)) < 0.5
+            assert compiled.evaluate_batch(worlds) == [
+                compiled.evaluate(world.tolist()) for world in worlds
+            ]
 
     def test_single_row_wide_or_sums_left_to_right(self):
         """A one-row float pass over a fan-in-16 OR matches the scalar

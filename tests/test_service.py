@@ -79,11 +79,13 @@ def direct_marginals(compiled, rows):
 
 
 def deep_chain(depth: int):
-    """``x0 AND (x1 AND (... AND x_depth))``: one level-plan group a level."""
+    """``x0 AND (x1 OR (x2 AND (...)))``: one level-plan group a level,
+    since an AND never folds an OR and an OR never folds an AND."""
     circuit = Circuit()
     gate = circuit.variable("x0")
     for index in range(1, depth + 1):
-        gate = circuit.and_gate([circuit.variable(f"x{index}"), gate])
+        inputs = [circuit.variable(f"x{index}"), gate]
+        gate = (circuit.or_gate if index % 2 else circuit.and_gate)(inputs)
     circuit.set_output(gate)
     return compile_circuit(circuit)
 

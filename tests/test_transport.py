@@ -29,7 +29,9 @@ deselect them.
 """
 
 import asyncio
+import json
 import os
+import socket
 import struct
 import threading
 import time
@@ -155,7 +157,8 @@ FLOAT32_STREAM_CAPS = [
 
 class MalformedReplyWorker(distributed.WorkerServer):
     """Greets and takes plans like a worker of this build, then answers
-    every ``TASK`` with the raw bytes ``reply`` instead of a RESULT."""
+    every ``TASK`` with the raw bytes ``reply`` instead of a RESULT, or
+    with the bytes ``reply(header)`` makes of the task's header."""
 
     def __init__(self, reply: bytes, **kwargs):
         super().__init__(**kwargs)
@@ -175,7 +178,8 @@ class MalformedReplyWorker(distributed.WorkerServer):
                 elif kind == distributed.MSG_PING:
                     await send(writer, distributed.MSG_PONG, {})
                 elif kind == distributed.MSG_TASK:
-                    writer.write(self.reply)
+                    reply = self.reply
+                    writer.write(reply(meta) if callable(reply) else reply)
                     await writer.drain()
         except (asyncio.IncompleteReadError, OSError, ReproError):
             pass  # the coordinator dropped the connection
@@ -708,6 +712,88 @@ class TestMalformedReplies:
         assert after["tasks_completed"] == before["tasks_completed"]
         assert after["connects"] > before["connects"]  # it was served tasks
         assert broken.address not in distributed._HOST_POOL._conns
+
+    @pytest.mark.parametrize(
+        "entry, fields",
+        (
+            ("monte_carlo_hits", {}),
+            ("monte_carlo_hits", {"hits": -1}),
+            ("monte_carlo_hits", {"hits": "7"}),
+            ("karp_luby_hits", {}),
+            ("evaluate_batch_distributed", {}),
+        ),
+        ids=("mc-no-hits", "mc-negative-hits", "mc-hits-a-string",
+             "kl-no-hits", "eval-no-rows"),
+    )
+    def test_result_without_its_task_fields_requeues_the_shards(
+        self, entry, fields, inprocess_worker_factory, plaintext_provider,
+        monkeypatch,
+    ):
+        """A RESULT frame for a task in flight that lacks what the task's
+        op returns (a non-negative int ``hits`` for ``mc`` and ``kl``, one
+        value a row for ``eval``) is a malformed reply: the shards are
+        requeued, the connection is dropped, one warning says so, and the
+        call finishes locally, bit-identical to the 0-host oracle."""
+        monkeypatch.setattr(parallel, "MC_SHARD", 64)
+        monkeypatch.setattr(distributed, "_WARNED", set())  # re-arm warnings
+        call = shipping_call(entry)
+        oracle = call(())
+
+        def reply(task):
+            header = json.dumps({"id": task["id"], **fields}).encode()
+            return frame(distributed.MSG_RESULT, header)
+
+        broken = inprocess_worker_factory(
+            server_class=MalformedReplyWorker, reply=reply
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = call((broken.address,))
+        assert np.array_equal(got, oracle)
+        assert len(caught) == 1
+        assert "malformed reply" in str(caught[0].message)
+        assert "malformed reply" in str(caught[0].message)
+        assert broken.address not in distributed._HOST_POOL._conns
+
+
+class TestWorkerFrames:
+    @pytest.mark.parametrize(
+        "kind, header",
+        (
+            (distributed.MSG_PLAN_OFFER, b'{"kind": "plan"}'),
+            (distributed.MSG_PLAN, b"{}"),
+            (distributed.MSG_TABLES, b"{}"),
+            (distributed.MSG_TASK, b'{"id": 0, "plan": "x"}'),
+            (distributed.MSG_TASK, b'{"op": "mc", "plan": "x"}'),
+        ),
+        ids=("plan-offer-no-checksum", "plan-no-checksum",
+             "tables-no-checksum", "task-no-op", "task-no-id"),
+    )
+    def test_frame_without_a_required_field_ends_the_connection(
+        self, kind, header, inprocess_worker_factory
+    ):
+        """A worker ends the connection on a frame that lacks a field it
+        needs, answering nothing, like any other malformed frame, and no
+        exception escapes its connection handler to the event loop."""
+        worker = inprocess_worker_factory()
+        escaped = []
+        worker.loop.call_soon_threadsafe(
+            worker.loop.set_exception_handler,
+            lambda _loop, context: escaped.append(context),
+        )
+        with socket.create_connection(
+            ("127.0.0.1", worker.server.port), timeout=5.0
+        ) as sock:
+            sock.sendall(frame(kind, header))
+            received = b""
+            while chunk := sock.recv(65536):
+                received += chunk
+        (length,) = struct.unpack_from("<I", received)
+        assert len(received) == 4 + length  # the hello, then end of stream
+        asyncio.run_coroutine_threadsafe(
+            asyncio.sleep(0.1), worker.loop
+        ).result(5)  # let the handler's task finish
+        assert escaped == []
 
 
 # --------------------------------------------------------------------------- #
