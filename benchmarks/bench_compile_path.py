@@ -1,11 +1,14 @@
-"""E17 — the compile path: array lowering against per-gate lowering.
+"""E17 — the compile path: the array lowering against the per-gate reference.
 
 E13 made lowering the bottleneck visible: a ~13k-gate lineage circuit costs
 tens of milliseconds of per-gate python before the first world is ever
 evaluated — dwarfing the warm per-batch cost it feeds. The array lowering
 (reachability by peeling, topological order, variable interning, CSR
-packing, the level schedule) replaces that python. This experiment times
-both, and checks them bit-identical, on three circuits:
+packing, the level schedule) is the one lowering :class:`CompiledCircuit`
+runs; the per-gate python loop survives only as
+:func:`repro.circuits.compiled.reference_lowering`, which nothing in the
+package calls. This experiment times both, and checks the lowering
+bit-identical to the reference, on three circuits:
 
 - **E13's lineage** — the Theorem-1 lineage of a 200-link chain;
 - **the streaming monitor** — a :class:`repro.workloads.logs.StreamingLogMonitor`
@@ -13,8 +16,7 @@ both, and checks them bit-identical, on three circuits:
   lowers the grown arena afresh;
 - **a deep lineage** — the chain lineage of ``rst_chain_tid(3000)`` under a
   left-to-right elimination order, 11,998 levels deep. Lowering's cost
-  follows the gates, not the depth, so it runs the array path like the
-  shallow circuits.
+  follows the gates, not the depth.
 
 On E13's lineage and the deep one it also times the level plan built on
 the lowering (same-kind AND/OR chains folded into n-ary gates) and a
@@ -22,7 +24,8 @@ warm one-row float pass on it, checked bitwise against the scalar pass,
 and reports the plan's levels and groups beside the lowering's.
 
 Writes ``BENCH_compile_path.json``; ``check_regression.py`` gates the
-E13 speedup and the two equality booleans, and reports the plan rows.
+E13 speedup, the three lowering equality booleans and the two plan pass
+booleans, and reports the plan's other rows.
 
 Run the table:  python benchmarks/bench_compile_path.py
 """
@@ -37,7 +40,7 @@ import numpy as np
 
 from repro.circuits import Circuit
 from repro.circuits import compiled as compiled_module
-from repro.circuits.compiled import CompiledCircuit
+from repro.circuits.compiled import CompiledCircuit, reference_lowering
 from repro.core import build_lineage
 from repro.queries import atom, cq, variables
 from repro.treewidth.decomposition import from_elimination_order
@@ -107,31 +110,18 @@ def measure_plan(compiled: CompiledCircuit, repeats: int) -> dict:
     }
 
 
-def _same_lowering(left: CompiledCircuit, right: CompiledCircuit) -> bool:
-    return (
-        left.kinds == right.kinds
-        and left.offsets == right.offsets
-        and left.indices == right.indices
-        and left.var_slot == right.var_slot
-        and left.var_names == right.var_names
-        and left.output == right.output
-        and left.gate_ids == right.gate_ids
-        and left.levels_list() == right.levels_list()
-    )
-
-
-def python_lowering(circuit: Circuit) -> CompiledCircuit:
-    """The per-gate python lowering, forced on a circuit of any size.
-
-    Raising ``VECTOR_MIN_GATES`` above the arena size keeps the lowering
-    on its python loop; both lowerings gather the same level schedule.
-    """
-    saved = compiled_module.VECTOR_MIN_GATES
-    compiled_module.VECTOR_MIN_GATES = len(circuit) + 1
-    try:
-        return CompiledCircuit(circuit)
-    finally:
-        compiled_module.VECTOR_MIN_GATES = saved
+def _same_lowering(compiled: CompiledCircuit, reference: dict) -> bool:
+    """Whether ``compiled`` holds the arrays of :func:`reference_lowering`."""
+    return reference == {
+        "kinds": compiled.kinds,
+        "offsets": compiled.offsets,
+        "indices": compiled.indices,
+        "var_slot": compiled.var_slot,
+        "var_names": compiled.var_names,
+        "output": compiled.output,
+        "gate_ids": compiled.gate_ids,
+        "levels": compiled.levels_list(),
+    }
 
 
 def grow_monitor() -> StreamingLogMonitor:
@@ -145,8 +135,8 @@ def grow_monitor() -> StreamingLogMonitor:
 
 
 def measure_requery(monitor: StreamingLogMonitor):
-    """Time ``requery`` after ~1% appends, each checked against the python
-    lowering of the same grown arena."""
+    """Time ``requery`` after ~1% appends, each checked against the
+    per-gate reference lowering of the same grown arena."""
     best = float("inf")
     edited_gates = 0
     identical = True
@@ -160,20 +150,20 @@ def measure_requery(monitor: StreamingLogMonitor):
         compiled = monitor.requery()
         best = min(best, time.perf_counter() - start)
         identical = identical and _same_lowering(
-            compiled, python_lowering(monitor.circuit)
+            compiled, reference_lowering(monitor.circuit)
         )
     return best, edited_gates, identical
 
 
 def main() -> None:
-    print("E17 — compile path: array lowering vs per-gate python lowering")
+    print("E17 — compile path: array lowering vs the per-gate reference")
     circuit = build_lineage_circuit()
     gates = len(circuit.reachable_from_output())
     print(f"lineage circuit: {gates} reachable gates,"
           f" {len(circuit.variables())} variables")
     print(f"lowering backend: numpy {np.__version__} array lowering passes")
 
-    cold_seconds, cold = _best_of(lambda: python_lowering(circuit), repeats=3)
+    cold_seconds, cold = _best_of(lambda: reference_lowering(circuit), repeats=3)
     vector_seconds, vectorized = _best_of(
         lambda: CompiledCircuit(circuit), repeats=5
     )
@@ -186,26 +176,23 @@ def main() -> None:
 
     deep = build_deep_circuit()
     deep_python_seconds, deep_cold = _best_of(
-        lambda: python_lowering(deep), repeats=2
+        lambda: reference_lowering(deep), repeats=2
     )
     deep_vector_seconds, deep_vectorized = _best_of(
         lambda: CompiledCircuit(deep), repeats=3
     )
-    deep_identical = (
-        deep_vectorized._np32 is not None
-        and _same_lowering(deep_vectorized, deep_cold)
-    )
+    deep_identical = _same_lowering(deep_vectorized, deep_cold)
     deep_levels = int(deep_vectorized.levels_array().max())
     plan = measure_plan(vectorized, repeats=9)
     deep_plan = measure_plan(deep_vectorized, repeats=5)
 
     print(f"\n{'path':<46} {'time':>11} {'speedup':>9}")
     rows = [
-        ("E13 lineage, per-gate python", cold_seconds, 1.0),
+        ("E13 lineage, per-gate reference", cold_seconds, 1.0),
         ("E13 lineage, array passes", vector_seconds, vectorized_speedup),
         (f"monitor requery after {edited_gates}-gate edit",
          requery_seconds, None),
-        (f"deep lineage ({deep_levels} levels), per-gate python",
+        (f"deep lineage ({deep_levels} levels), per-gate reference",
          deep_python_seconds, 1.0),
         ("deep lineage, array passes", deep_vector_seconds,
          deep_python_seconds / deep_vector_seconds),
@@ -258,13 +245,12 @@ def main() -> None:
     print(f"\nwrote {out_path}")
 
     verdict = "PASS" if vectorized_speedup >= 5.0 else "FAIL"
-    print(f"target: array lowering >= 5x python on E13's lineage — {verdict}"
+    print(f"target: array lowering >= 5x the reference on E13's lineage — {verdict}"
           f" ({vectorized_speedup:.1f}x)")
     for label, flag in [
-        ("array lowering bit-identical to python", lowerings_identical),
-        ("monitor requery bit-identical to python", requery_identical),
-        ("deep lineage lowers on the array path, bit-identical to python",
-         deep_identical),
+        ("array lowering bit-identical to the reference", lowerings_identical),
+        ("monitor requery bit-identical to the reference", requery_identical),
+        ("deep lineage bit-identical to the reference", deep_identical),
         ("one-row plan pass bit-identical to the scalar pass",
          plan["equals_scalar"] and deep_plan["equals_scalar"]),
     ]:

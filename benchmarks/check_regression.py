@@ -74,11 +74,16 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
      "true", None),
     # E17 compile path. The speedup floor sits under the measured number
     # with CI-noise headroom; the booleans pin the array lowering
-    # bit-identical to the per-gate python lowering, on E13's lineage and
-    # on a lineage 11,998 levels deep, which must lower on the array path.
+    # bit-identical to the per-gate reference lowering, on E13's lineage,
+    # on the streaming monitor's requeries and on a lineage 11,998 levels
+    # deep, and the level plan's warm one-row pass bitwise equal to the
+    # scalar pass on E13's lineage and the deep one.
     ("BENCH_compile_path.json", "vectorized_speedup", "min", 4.0),
     ("BENCH_compile_path.json", "vectorized_equals_python", "true", None),
+    ("BENCH_compile_path.json", "requery_equals_python", "true", None),
     ("BENCH_compile_path.json", "deep_vectorized_equals_python", "true", None),
+    ("BENCH_compile_path.json", "plan_pass_equals_scalar", "true", None),
+    ("BENCH_compile_path.json", "deep_plan_pass_equals_scalar", "true", None),
     ("BENCH_compile_path.json", "monitor_requery_seconds", "report", None),
     # The level plan on E13's lineage and the deep one (folded chains):
     # build time, warm one-row pass and shape, beside deep_levels.
@@ -87,13 +92,10 @@ HEADLINES: list[tuple[str, str, str, float | None]] = [
     ("BENCH_compile_path.json", "plan_groups", "report", None),
     ("BENCH_compile_path.json", "plan_build_seconds", "report", None),
     ("BENCH_compile_path.json", "plan_pass_1row_seconds", "report", None),
-    ("BENCH_compile_path.json", "plan_pass_equals_scalar", "report", None),
     ("BENCH_compile_path.json", "deep_plan_levels", "report", None),
     ("BENCH_compile_path.json", "deep_plan_groups", "report", None),
     ("BENCH_compile_path.json", "deep_plan_build_seconds", "report", None),
     ("BENCH_compile_path.json", "deep_plan_pass_1row_seconds", "report", None),
-    ("BENCH_compile_path.json", "deep_plan_pass_equals_scalar", "report",
-     None),
     # E18 columnar pipeline. The speedup floor sits under the measured
     # ~12x with CI-noise headroom; the booleans pin the columnar pipeline
     # bit-identical (circuits, lowerings, Monte-Carlo marginals) to the

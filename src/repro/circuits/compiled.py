@@ -4,7 +4,8 @@ The hash-consed :class:`repro.circuits.circuit.Circuit` is the right arena
 for *building* lineages, but evaluating it repeatedly (per possible world,
 per Monte-Carlo sample, per conditioning query) pays per-gate dict lookups
 and a fresh valuation dict every time. A :class:`CompiledCircuit` lowers the
-gate DAG once into flat, topologically-sorted arrays:
+gate DAG once, in array passes at any size, into flat, topologically-sorted
+``int32`` arrays:
 
 - ``kinds`` — one small int code per gate (``K_FALSE`` … ``K_OR``);
 - ``offsets``/``indices`` — gate inputs in CSR form, as *positions* into the
@@ -14,6 +15,9 @@ gate DAG once into flat, topologically-sorted arrays:
 - cached variable order, moral graph, tree decompositions (per heuristic)
   and the binarized form, so repeated message-passing runs share all the
   structural preprocessing.
+
+:func:`reference_lowering` is the same lowering gate by gate, kept as the
+tests' reference.
 
 Every evaluation entry point then runs a single tight bottom-up loop over
 these arrays: :meth:`CompiledCircuit.evaluate` for one world,
@@ -30,8 +34,7 @@ baseline), so it builds nothing per circuit.
 
 **Batch evaluation** adds a third lowering stage on top of the flat IR.
 The topologically sorted gates are grouped into *levels* — every gate's
-inputs live in strictly earlier levels — and the CSR arrays are
-materialized as ``int32`` numpy buffers. A batch of worlds is a
+inputs live in strictly earlier levels. A batch of worlds is a
 ``(n_worlds, n_vars)`` matrix; the
 value buffer is gate-major (one row per gate) and each level evaluates in
 a handful of vectorized operations, one per gate kind for most levels:
@@ -99,11 +102,6 @@ ENUMERATION_VARIABLE_CAP = 26
 #: one ``uint64`` word per 64 worlds in the Boolean pass.
 BATCH_BYTE_BUDGET = 1 << 25
 
-#: Below this gate count lowering stays on the plain Python passes —
-#: per-call array overhead beats them on tiny circuits, and the Python
-#: path is the reference the vectorized one is pinned against.
-VECTOR_MIN_GATES = 512
-
 _UNBUILT = object()
 
 #: Process-wide lowering counters: how often a full lowering ran and how
@@ -147,11 +145,12 @@ def gate_levels(kinds, offsets, indices) -> list[int]:
 
     Variables and constants sit at level 0; every other gate one past its
     deepest input. This is the schedule :class:`_BatchPlan` groups by and
-    the one :mod:`repro.circuits.distributed` ships (and re-verifies) in
-    the wire format, so both derive it from this single definition. The
-    lowerings gather it from the arena's incrementally maintained levels
-    (``Circuit._gate_levels``), and :func:`levels_consistent` verifies a
-    shipped one, so this loop is the definition, not a hot path.
+    the one :mod:`repro.circuits.distributed` ships in the wire format.
+    The lowering gathers it from the arena's incrementally maintained
+    levels (``Circuit._gate_levels``) and :func:`levels_consistent`
+    verifies a shipped one in array passes, so nothing in the package
+    runs this loop: it stays as the definition the tests check both
+    against.
     """
     depth = [0] * len(kinds)
     for pos in range(len(kinds)):
@@ -179,23 +178,21 @@ def levels_consistent(kinds, offsets, indices, levels) -> bool:
     size = len(kinds)
     if len(levels) != size:
         return False
-    if size >= VECTOR_MIN_GATES:
-        akinds = _np.asarray(kinds, dtype=_np.int32)
-        aoffsets = _np.asarray(offsets, dtype=_np.int64)
-        aindices = _np.asarray(indices, dtype=_np.int64)
-        alevels = _np.asarray(levels, dtype=_np.int64)
-        # Degenerate zero-input op gates sit at level 1 (the python pass's
-        # ``default=0`` branch); leaves at 0; everything else is checked
-        # against its inputs below.
-        expected = _np.ones(size, dtype=_np.int64)
-        expected[akinds <= K_VAR] = 0
-        nonempty = _np.flatnonzero(aoffsets[1:] > aoffsets[:-1])
-        if nonempty.size:
-            expected[nonempty] = (
-                _np.maximum.reduceat(alevels[aindices], aoffsets[nonempty]) + 1
-            )
-        return bool(_np.array_equal(expected, alevels))
-    return gate_levels(list(kinds), list(offsets), list(indices)) == list(levels)
+    akinds = _np.asarray(kinds, dtype=_np.int32)
+    aoffsets = _np.asarray(offsets, dtype=_np.int64)
+    aindices = _np.asarray(indices, dtype=_np.int64)
+    alevels = _np.asarray(levels, dtype=_np.int64)
+    # Degenerate zero-input op gates sit at level 1 (the ``default=0`` of
+    # :func:`gate_levels`); leaves at 0; everything else is checked
+    # against its inputs below.
+    expected = _np.ones(size, dtype=_np.int64)
+    expected[akinds <= K_VAR] = 0
+    nonempty = _np.flatnonzero(aoffsets[1:] > aoffsets[:-1])
+    if nonempty.size:
+        expected[nonempty] = (
+            _np.maximum.reduceat(alevels[aindices], aoffsets[nonempty]) + 1
+        )
+    return bool(_np.array_equal(expected, alevels))
 
 
 def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
@@ -206,9 +203,8 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
     the wire format (and the service's ``/plans``): consistent lengths, an
     in-range output, monotone offsets, known gate kinds, leaf gates without
     inputs, in-range variable slots, and strictly topological input
-    references (every input position below its gate's). Vectorized from
-    :data:`VECTOR_MIN_GATES` gates; the Python loops below are the same
-    checks.
+    references (every input position below its gate's), each one array
+    pass.
     """
     check(size >= 1, "plan has no gates")
     check(
@@ -222,57 +218,33 @@ def check_plan_arrays(*, size, kinds, offsets, indices, var_slot, n_vars,
         offsets[0] == 0 and offsets[-1] == len(indices),
         "plan CSR offsets are inconsistent",
     )
-    if size >= VECTOR_MIN_GATES:
-        akinds = _np.asarray(kinds, dtype=_np.int64)
-        aoffsets = _np.asarray(offsets, dtype=_np.int64)
-        aindices = _np.asarray(indices, dtype=_np.int64)
-        avar_slot = _np.asarray(var_slot, dtype=_np.int64)
-        lengths = aoffsets[1:] - aoffsets[:-1]
-        check(bool((lengths >= 0).all()), "plan CSR offsets are not monotone")
-        check(
-            bool(((akinds >= K_FALSE) & (akinds <= K_OR)).all()),
-            "plan has an unknown gate kind",
-        )
-        leaf = akinds <= K_VAR
-        check(
-            bool((lengths[leaf] == 0).all()),
-            "plan leaf gate has inputs",
-        )
-        var_mask = akinds == K_VAR
-        check(
-            bool(
-                ((avar_slot[var_mask] >= 0) & (avar_slot[var_mask] < n_vars)).all()
-            ),
-            "plan variable slot out of range",
-        )
-        owners = _np.repeat(_np.arange(size, dtype=_np.int64), lengths)
-        check(
-            bool(((aindices >= 0) & (aindices < owners)).all()),
-            "plan gate input does not precede its gate",
-        )
-        return
-    for pos in range(size):
-        check(
-            offsets[pos] <= offsets[pos + 1],
-            "plan CSR offsets are not monotone",
-        )
-        kind = kinds[pos]
-        check(K_FALSE <= kind <= K_OR, f"plan has unknown gate kind {kind}")
-        if kind <= K_VAR:
-            check(
-                offsets[pos] == offsets[pos + 1],
-                "plan leaf gate has inputs",
-            )
-        if kind == K_VAR:
-            check(
-                0 <= var_slot[pos] < n_vars,
-                "plan variable slot out of range",
-            )
-        for j in range(offsets[pos], offsets[pos + 1]):
-            check(
-                0 <= indices[j] < pos,
-                "plan gate input does not precede its gate",
-            )
+    akinds = _np.asarray(kinds, dtype=_np.int64)
+    aoffsets = _np.asarray(offsets, dtype=_np.int64)
+    aindices = _np.asarray(indices, dtype=_np.int64)
+    avar_slot = _np.asarray(var_slot, dtype=_np.int64)
+    lengths = aoffsets[1:] - aoffsets[:-1]
+    check(bool((lengths >= 0).all()), "plan CSR offsets are not monotone")
+    check(
+        bool(((akinds >= K_FALSE) & (akinds <= K_OR)).all()),
+        "plan has an unknown gate kind",
+    )
+    leaf = akinds <= K_VAR
+    check(
+        bool((lengths[leaf] == 0).all()),
+        "plan leaf gate has inputs",
+    )
+    var_mask = akinds == K_VAR
+    check(
+        bool(
+            ((avar_slot[var_mask] >= 0) & (avar_slot[var_mask] < n_vars)).all()
+        ),
+        "plan variable slot out of range",
+    )
+    owners = _np.repeat(_np.arange(size, dtype=_np.int64), lengths)
+    check(
+        bool(((aindices >= 0) & (aindices < owners)).all()),
+        "plan gate input does not precede its gate",
+    )
 
 
 def _group_starts(op_depth, op_kind, op_fan):
@@ -802,15 +774,13 @@ class CompiledCircuit:
 
     def __init__(self, circuit: Circuit):
         check(circuit.output is not None, "circuit has no output gate")
-        # The CSR lists; ``None`` means "materialize from _np32 on demand"
-        # (the array lowering never pays ``tolist`` unless a scalar
-        # consumer actually asks for the lists).
+        # The CSR lists, materialized from ``_np32`` when a scalar
+        # consumer first asks for them.
         self._kinds = None
         self._offsets = None
         self._indices = None
         self._var_slot = None
         self._position_of = None
-        self._np32 = None  # (kinds, offsets, indices, var_slot) as int32
         self._binarized: CompiledCircuit | None = None
         self._decompositions: dict[str, object] = {}
         self._batch_plan = _UNBUILT
@@ -818,54 +788,8 @@ class CompiledCircuit:
         self._wire_cache = None  # lazily packed by repro.circuits.distributed
         self._wire_digest = None  # content digest of _wire_cache, cached with it
         self.source = circuit
-        # Either lowering sets ``_gate_ids`` (a tuple, or an int64 array
-        # from the array path) and ``_levels32``, the gate_levels schedule.
-        if len(circuit) >= VECTOR_MIN_GATES:
-            self._lower_vector(circuit)
-        else:
-            self._lower_python(circuit)
+        self._lower_vector(circuit)
         _STATS["lowerings"] += 1
-
-    def _lower_python(self, circuit: Circuit) -> None:
-        """The reference per-gate lowering, for arenas of few gates.
-
-        Reads the arena's flat mirrors, so fact-id variables stay unnamed,
-        and gathers the level schedule from the arena's levels.
-        """
-        gate_ids = circuit.reachable_from_output()
-        self._gate_ids = tuple(gate_ids)
-        position_of: dict[int, int] = {gid: pos for pos, gid in enumerate(gate_ids)}
-        self._position_of = position_of
-        self.size = len(gate_ids)
-        codes = circuit._kind_codes
-        arena_slots = circuit._var_slots
-        flat = circuit._inputs_flat
-        arena_offsets = circuit._input_offsets
-        kinds: list[int] = []
-        offsets: list[int] = [0]
-        indices: list[int] = []
-        var_slot: list[int] = []
-        rank: dict[int, int] = {}  # arena slot → compiled slot
-        for gid in gate_ids:
-            kind = codes[gid]
-            slot = -1
-            if kind == K_VAR:
-                slot = rank.setdefault(arena_slots[gid], len(rank))
-            kinds.append(kind)
-            var_slot.append(slot)
-            indices.extend(
-                position_of[i]
-                for i in flat[arena_offsets[gid] : arena_offsets[gid + 1]]
-            )
-            offsets.append(len(indices))
-        self._kinds = kinds
-        self._offsets = offsets
-        self._indices = indices
-        self._var_slot = var_slot
-        self.var_names = _names_of_slots(circuit._slot_names, list(rank))
-        self.output = position_of[circuit.output]  # type: ignore[index]
-        levels = circuit._gate_levels
-        self._levels32 = _np.array([levels[gid] for gid in gate_ids], _np.int32)
 
     def _lower_vector(self, circuit: Circuit) -> None:
         """Array-pass lowering over the arena's flat mirrors (numpy).
@@ -882,8 +806,10 @@ class CompiledCircuit:
         remapping is one boolean edge mask plus an inverse-permutation
         gather, variable interning is a rank map over the arena's (already
         first-occurrence ordered) slot numbers, and the level schedule is
-        one gather from the arena's levels. Produces exactly the arrays of
-        :meth:`_lower_python`.
+        one gather from the arena's levels. Sets ``_np32`` (the int32
+        ``kinds``, ``offsets``, ``indices`` and ``var_slot``), ``_gate_ids``
+        (an int64 array) and ``_levels32``: exactly the arrays of
+        :func:`reference_lowering`, which the tests and E17 compare it with.
         """
         out = circuit.output
         aoffsets = _np.frombuffer(circuit._input_offsets, dtype=_np.int32)[
@@ -909,9 +835,8 @@ class CompiledCircuit:
                 break
             starts = _np.repeat(aoffsets[dead] - cum + counts, counts)
             inputs = ainputs[starts + _np.arange(total)]
-            inputs, hits = _np.unique(inputs, return_counts=True)
-            consumers[inputs] -= hits
-            dead = inputs[consumers[inputs] == 0]
+            _np.subtract.at(consumers, inputs, 1)
+            dead = _np.unique(inputs[consumers[inputs] == 0])
         gate_ids = _np.flatnonzero(reach)
         size = int(gate_ids.size)
         pos_of = _np.zeros(out + 1, dtype=_np.int32)
@@ -932,8 +857,6 @@ class CompiledCircuit:
         var_slot32 = _np.full(size, -1, dtype=_np.int32)
         var_slot32[var_mask] = slot_rank[arena_slots]
         self.size = size
-        # The lists stay unmaterialized (the properties build them from
-        # ``_np32`` if a scalar consumer asks).
         self.var_names = _names_of_slots(circuit._slot_names, arena_slots)
         self.output = int(pos_of[out])
         self._gate_ids = gate_ids
@@ -998,7 +921,7 @@ class CompiledCircuit:
     def levels_array(self):
         """The :func:`gate_levels` schedule of this lowering, an int32 array.
 
-        Both lowerings gather it from the arena's levels; the batch plan,
+        The lowering gathers it from the arena's levels; the batch plan,
         the wire encoding and the shared-memory segment read it.
         """
         return self._levels32
@@ -1008,18 +931,7 @@ class CompiledCircuit:
         return self._levels32.tolist()
 
     def _int32_arrays(self):
-        """``(kinds, offsets, indices, var_slot)`` as int32 arrays, built once.
-
-        The array lowering produces them directly; the per-gate one builds
-        them from its lists on first use.
-        """
-        if self._np32 is None:
-            self._np32 = tuple(
-                _np.asarray(values, dtype=_np.int32)
-                for values in (
-                    self._kinds, self._offsets, self._indices, self._var_slot
-                )
-            )
+        """``(kinds, offsets, indices, var_slot)``: the lowering's int32 arrays."""
         return self._np32
 
     def variables(self) -> Sequence[str]:
@@ -1453,6 +1365,51 @@ def _names_of_slots(slot_names, arena_slots):
     if hasattr(arena_slots, "tolist"):
         arena_slots = arena_slots.tolist()
     return tuple(slot_names[s] for s in arena_slots)
+
+
+def reference_lowering(circuit: Circuit) -> dict:
+    """The per-gate lowering of ``circuit``: the arrays it must lower to.
+
+    One loop over the gates the output reaches, in gate-id order, over the
+    arena's flat mirrors. Returns the lists ``kinds``, ``offsets``,
+    ``indices``, ``var_slot`` and ``levels``, ``var_names``, ``output``
+    and the ``gate_ids`` tuple. Nothing in the package calls it: the tests
+    and E17 hold :meth:`CompiledCircuit._lower_vector` to it, key for key.
+    """
+    gate_ids = circuit.reachable_from_output()
+    position_of: dict[int, int] = {gid: pos for pos, gid in enumerate(gate_ids)}
+    codes = circuit._kind_codes
+    arena_slots = circuit._var_slots
+    flat = circuit._inputs_flat
+    arena_offsets = circuit._input_offsets
+    kinds: list[int] = []
+    offsets: list[int] = [0]
+    indices: list[int] = []
+    var_slot: list[int] = []
+    rank: dict[int, int] = {}  # arena slot → compiled slot
+    for gid in gate_ids:
+        kind = codes[gid]
+        slot = -1
+        if kind == K_VAR:
+            slot = rank.setdefault(arena_slots[gid], len(rank))
+        kinds.append(kind)
+        var_slot.append(slot)
+        indices.extend(
+            position_of[i]
+            for i in flat[arena_offsets[gid] : arena_offsets[gid + 1]]
+        )
+        offsets.append(len(indices))
+    levels = circuit._gate_levels
+    return {
+        "kinds": kinds,
+        "offsets": offsets,
+        "indices": indices,
+        "var_slot": var_slot,
+        "var_names": _names_of_slots(circuit._slot_names, list(rank)),
+        "output": position_of[circuit.output],
+        "gate_ids": tuple(gate_ids),
+        "levels": [levels[gid] for gid in gate_ids],
+    }
 
 
 #: Entries kept in the per-arena ``(version, output)`` compile memo; small,

@@ -206,26 +206,41 @@ def _unpack_blob(data: bytes) -> tuple[dict, dict]:
         meta = json.loads(meta_bytes)
     except ValueError as exc:  # pragma: no cover - crc catches random damage
         raise ReproError(f"wire metadata is not valid JSON: {exc}") from None
+    check(isinstance(meta, dict), "wire metadata is not a JSON object")
+    directory = meta.pop("sections", None)
+    check(isinstance(directory, list), "wire metadata has no 'sections' list")
     out: dict[str, np.ndarray] = {}
-    for name, typecode, offset, nbytes in meta.pop("sections"):
+    for entry in directory:
+        check(
+            type(entry) is list and len(entry) == 4
+            and all(isinstance(field, str) for field in entry[:2])
+            and all(map(_is_count, entry[2:])),
+            f"wire section entry {entry!r} is not [name, type, offset, size]",
+        )
+        name, typecode, offset, nbytes = entry
         check(typecode in _DTYPES, f"unknown wire section type {typecode!r}")
         check(
-            0 <= offset and offset + nbytes <= len(payload),
+            offset + nbytes <= len(payload),
             f"wire section {name!r} overruns the payload",
         )
         out[name] = _values_from_bytes(typecode, payload[offset : offset + nbytes])
     return meta, out
 
 
+def _is_count(value) -> bool:
+    """Whether a decoded JSON value is a non-negative integer (no bool)."""
+    return type(value) is int and value >= 0
+
+
 def plan_to_bytes(compiled) -> bytes:
     """Serialize a compiled circuit's batch plan to the versioned wire format.
 
-    Packs the four int32 CSR buffers, the per-gate level schedule
-    (:func:`repro.circuits.compiled.gate_levels`, which the receiver
-    re-verifies against the CSR arrays and then groups its batch plan
-    by), and the ``size``/``output``/``n_vars`` metadata. The result is
-    cached on the compiled circuit, so repeated connections reuse one
-    encoding.
+    Packs the lowering's four int32 CSR arrays as they are, the per-gate
+    level schedule (:func:`repro.circuits.compiled.gate_levels`, which
+    the receiver re-verifies against the CSR arrays and then groups its
+    batch plan by), and the ``size``/``output``/``n_vars`` metadata. The
+    result is cached on the compiled circuit, so repeated connections
+    reuse one encoding.
     """
     compiled = _compiled.compile_circuit(compiled)
     cached = compiled._wire_cache
@@ -278,9 +293,10 @@ class WirePlan:
                  "var_slot", "levels", "_plan")
 
     def __init__(self, meta: dict, sections: dict[str, np.ndarray]):
-        self.size = int(meta["size"])
-        self.output = int(meta["output"])
-        self.n_vars = int(meta["n_vars"])
+        for name in ("size", "output", "n_vars"):
+            check(_is_count(meta.get(name)),
+                  f"wire plan header's {name!r} is not a non-negative integer")
+            setattr(self, name, meta[name])
         for name in ("kinds", "offsets", "indices", "var_slot", "levels"):
             check(name in sections, f"wire plan is missing the {name!r} section")
             setattr(self, name, sections[name])
@@ -381,9 +397,16 @@ class WireTables:
                  "probs", "cumulative")
 
     def __init__(self, meta: dict, sections: dict[str, np.ndarray]):
-        self.n_witnesses = int(meta["n_witnesses"])
-        self.n_facts = int(meta["n_facts"])
-        self.total_weight = float(meta["total_weight"])
+        for name in ("n_witnesses", "n_facts"):
+            check(_is_count(meta.get(name)),
+                  f"wire tables header's {name!r} is not a non-negative integer")
+            setattr(self, name, meta[name])
+        total_weight = meta.get("total_weight")
+        check(type(total_weight) in (int, float),
+              "wire tables header's 'total_weight' is not a number")
+        self.total_weight = float(total_weight)
+        for name in ("membership", "probs", "cumulative"):
+            check(name in sections, f"wire tables is missing the {name!r} section")
         check(
             len(sections["membership"]) == self.n_witnesses * self.n_facts
             and len(sections["probs"]) == self.n_facts

@@ -59,7 +59,7 @@ EXPERIMENTS = {
     "E13": ("bench_compiled_eval", "Compiled circuit IR vs object-graph evaluation"),
     "E14": ("bench_parallel_eval", "Sharded multi-process vs single-process batch eval"),
     "E15": ("bench_distributed_eval", "Distributed shard execution over localhost workers"),
-    "E17": ("bench_compile_path", "Compile path: array lowering vs per-gate, shallow and deep"),
+    "E17": ("bench_compile_path", "Compile path: array lowering vs the per-gate reference, shallow and deep"),
     "E18": ("bench_columnar_pipeline", "Columnar pipeline: generate/query/provenance/compile at scale"),
     "E19": ("bench_service", "Query service: coalesced vs uncoalesced QPS and tail latency"),
     "E20": ("bench_cqa", "Certain answers: trichotomy routing vs repairs oracle vs circuits"),

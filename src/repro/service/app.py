@@ -70,16 +70,17 @@ DEFAULT_SAMPLE_CAP = 100_000_000
 
 #: What one group of a level plan costs to dispatch (its ``take`` and its
 #: ufunc call), in gate-rows of pass arithmetic: a pass over ``rows`` rows
-#: of a plan with ``size`` gates in ``groups`` groups does about
-#: ``rows * size + GROUP_WORK * groups`` gate-rows of work. Timed on
-#: chain plans of 471 to 52,347 gates, a group cost 1.5-2.5 us and a
+#: of a plan that writes ``written`` value rows in ``groups`` groups does
+#: about ``rows * written + GROUP_WORK * groups`` gate-rows of work. Timed
+#: on chain plans of 471 to 52,347 gates, a group cost 1.5-2.5 us and a
 #: gate-row 2-5 ns (2-vCPU container).
 GROUP_WORK = 512
 
 #: The most work a pass may do on the event loop, in gate-rows: about
-#: 2-4 ms of pass at the rates above, which admits E19's biggest pass
-#: (64 rows of the 5,187-gate chain-120 plan). A bigger pass runs in the
-#: compute thread. See :meth:`_PlanEntry.fits_loop`.
+#: 2-4 ms of pass at the rates above. E19's biggest pass, 64 rows of the
+#: chain-120 plan (3,480 written rows of 5,187 gates, 241 groups), comes
+#: to 346,112. A bigger pass runs in the compute thread. See
+#: :meth:`_PlanEntry.fits_loop`.
 LOOP_PASS_WORK = 1 << 20
 
 
@@ -230,8 +231,8 @@ class _PlanEntry:
     library callers' do.
     """
 
-    __slots__ = ("digest", "compiled", "wire", "n_vars", "size", "groups",
-                 "hits")
+    __slots__ = ("digest", "compiled", "wire", "n_vars", "size", "written",
+                 "groups", "hits")
 
     def __init__(self, digest: str, compiled=None, wire=None):
         """Builds the source's level plan, so run it off the event loop."""
@@ -244,18 +245,27 @@ class _PlanEntry:
         self.n_vars = (len(compiled.var_names) if compiled is not None
                        else wire.n_vars)
         self.size = source.size
-        self.groups = sum(map(len, source.batch_plan().levels))
+        plan = source.batch_plan()
+        steps = [step for level in plan.levels for step in level]
+        # The leaf rows and each step's rows; a gate the fold dropped keeps
+        # a row that no pass writes.
+        self.written = plan.const_rows[1] + sum(
+            end - start for _kind, _fan_in, (start, end), _gather in steps
+        )
+        self.groups = len(steps)
         self.hits = 0
 
     def fits_loop(self, n_rows: int) -> bool:
         """Whether a pass over ``n_rows`` rows may run on the event loop.
 
         It must stay in this process (no pool worker or remote host to
-        wait on) and do at most :data:`LOOP_PASS_WORK` gate-rows of work.
+        wait on) and do at most :data:`LOOP_PASS_WORK` gate-rows of work,
+        counted over the rows the pass writes.
         """
         return (
             not _parallel.may_leave_process(n_rows)
-            and n_rows * self.size + GROUP_WORK * self.groups <= LOOP_PASS_WORK
+            and n_rows * self.written + GROUP_WORK * self.groups
+            <= LOOP_PASS_WORK
         )
 
     def probability_rows(self, matrix) -> list[float]:

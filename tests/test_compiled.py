@@ -16,7 +16,14 @@ from repro.circuits import (
     probability,
     register_engine,
 )
-from repro.circuits.compiled import K_AND, K_NOT, K_OR, K_TRUE, K_VAR
+from repro.circuits.compiled import (
+    K_AND,
+    K_NOT,
+    K_OR,
+    K_TRUE,
+    K_VAR,
+    reference_lowering,
+)
 from repro.core import build_lineage
 from repro.events import EventSpace
 from repro.instances import TIDInstance, fact
@@ -151,32 +158,27 @@ def _apply_edits(c: Circuit, seed: int, n_edits: int) -> None:
     c.set_output(last)
 
 
-def both_lowerings(c: Circuit) -> tuple[CompiledCircuit, CompiledCircuit]:
-    """The array lowering and the per-gate python lowering of one arena."""
-    from repro.circuits import compiled as compiled_module
-
-    saved = compiled_module.VECTOR_MIN_GATES
-    try:
-        compiled_module.VECTOR_MIN_GATES = 0
-        vectorized = CompiledCircuit(c)
-        compiled_module.VECTOR_MIN_GATES = len(c) + 1
-        scalar = CompiledCircuit(c)
-    finally:
-        compiled_module.VECTOR_MIN_GATES = saved
-    assert vectorized._np32 is not None  # the array path actually ran
-    assert scalar._np32 is None  # the python lowering actually ran
-    return vectorized, scalar
+def lowering_of(compiled: CompiledCircuit) -> dict:
+    """A lowering's arrays, keyed as :func:`reference_lowering` keys them."""
+    return {
+        "kinds": compiled.kinds,
+        "offsets": compiled.offsets,
+        "indices": compiled.indices,
+        "var_slot": compiled.var_slot,
+        "var_names": compiled.var_names,
+        "output": compiled.output,
+        "gate_ids": compiled.gate_ids,
+        "levels": compiled.levels_list(),
+    }
 
 
 def assert_same_lowering(left: CompiledCircuit, right: CompiledCircuit) -> None:
-    assert left.kinds == right.kinds
-    assert left.offsets == right.offsets
-    assert left.indices == right.indices
-    assert left.var_slot == right.var_slot
-    assert left.var_names == right.var_names
-    assert left.output == right.output
-    assert left.gate_ids == right.gate_ids
-    assert left.levels_list() == right.levels_list()
+    assert lowering_of(left) == lowering_of(right)
+
+
+def assert_lowers_like_the_reference(compiled: CompiledCircuit, c: Circuit) -> None:
+    """``compiled`` holds the arrays of the per-gate reference lowering."""
+    assert lowering_of(compiled) == reference_lowering(c)
 
 
 class TestGrownArena:
@@ -205,9 +207,9 @@ class TestGrownArena:
         compile_circuit(c)
         # New output that does NOT contain the old output gate's cone.
         c.set_output(c.and_gate([c.variable("solo"), c.variable("duo")]))
-        vectorized, scalar = both_lowerings(c)
-        assert_same_lowering(vectorized, scalar)
-        assert vectorized.var_names == ("solo", "duo")
+        compiled = CompiledCircuit(c)
+        assert_lowers_like_the_reference(compiled, c)
+        assert compiled.var_names == ("solo", "duo")
 
 
 @settings(max_examples=50, deadline=None)
@@ -218,33 +220,29 @@ class TestGrownArena:
 def test_grown_arena_array_lowering_matches_python_lowering(seed, n_edits):
     """Property: after any append-only edit sequence, which leaves cones
     of gates no longer reachable from the moved output, the array
-    lowering peels exactly those and produces the python lowering's
-    arrays — same CSR, same interning, same levels, same gate map."""
+    lowering peels exactly those and produces the per-gate python
+    reference's arrays — same CSR, same interning, same levels, same gate
+    map — and evaluates like the arena."""
     c = random_circuit(seed, n_vars=6, steps=20)
     compile_circuit(c)
     _apply_edits(c, seed + 1, n_edits)
-    vectorized, scalar = both_lowerings(c)
-    assert_same_lowering(vectorized, scalar)
-    assert_same_lowering(compile_circuit(c), scalar)
+    compiled = compile_circuit(c)
+    assert_lowers_like_the_reference(compiled, c)
     rng = stable_rng(seed + 2)
     for _ in range(4):
-        world = {name: rng.random() < 0.5 for name in scalar.var_names}
-        assert vectorized.evaluate(world) == scalar.evaluate(world)
+        world = {name: rng.random() < 0.5 for name in compiled.var_names}
+        assert compiled.evaluate(world) == c.evaluate(world)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_vectorized_lowering_matches_python_lowering(seed):
-    """Property: above ``VECTOR_MIN_GATES`` the array-pass lowering and the
-    per-gate python lowering are indistinguishable."""
-    from repro.circuits import compiled as compiled_module
-
+    """Property: on random arenas of 512 gates and more, the array-pass
+    lowering and the per-gate python reference are indistinguishable."""
     c = random_circuit(seed, n_vars=12, steps=700)
-    while len(c) < compiled_module.VECTOR_MIN_GATES:
+    while len(c) < 512:
         c.set_output(c.or_gate([c.output, c.variable(f"pad{len(c)}")]))
-    assert CompiledCircuit(c)._np32 is not None  # the default picks arrays
-    vectorized, scalar = both_lowerings(c)
-    assert_same_lowering(vectorized, scalar)
+    assert_lowers_like_the_reference(CompiledCircuit(c), c)
 
 
 def alternating_chain(links: int, dead_tail: int = 0) -> Circuit:
@@ -271,16 +269,15 @@ def alternating_chain(links: int, dead_tail: int = 0) -> Circuit:
 def test_deep_chain_lowers_on_the_array_path():
     """Depth is no limit: a chain of more than 8192 levels (where a
     level-by-level walk used to give up) lowers on the array path, with
-    the python lowering's arrays and level schedule."""
+    the per-gate reference's arrays and level schedule."""
     c = alternating_chain(9000)
     compiled = CompiledCircuit(c)
-    assert compiled._np32 is not None
     assert max(compiled.levels_list()) == 9000
-    vectorized, scalar = both_lowerings(c)
-    assert_same_lowering(compiled, scalar)
-    assert_same_lowering(vectorized, scalar)
+    assert_lowers_like_the_reference(compiled, c)
     marginals = [0.5] * len(compiled.var_names)
-    assert compiled.probability_batch([marginals])[0] == scalar.probability(marginals)
+    assert compiled.probability_batch([marginals])[0] == compiled.probability(
+        marginals
+    )
 
 
 def test_dead_chain_under_a_small_output_lowers_exactly():
@@ -288,9 +285,9 @@ def test_dead_chain_under_a_small_output_lowers_exactly():
     reachable, one peeled per round, under a 3-gate output."""
     c = alternating_chain(4, dead_tail=3000)
     assert c.output == len(c) - 1
-    vectorized, scalar = both_lowerings(c)
-    assert vectorized.size == 3
-    assert_same_lowering(vectorized, scalar)
+    compiled = CompiledCircuit(c)
+    assert compiled.size == 3
+    assert_lowers_like_the_reference(compiled, c)
 
 
 # Edge cases of the peeling, each returning (arena, gates the output
@@ -431,32 +428,31 @@ PEEL_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(PEEL_SHAPES))
 def test_peeling_keeps_exactly_the_gates_the_output_reaches(shape):
     """The array lowering keeps the hand-counted gates of each shape,
-    equals the python lowering, and evaluates like the arena."""
+    equals the per-gate python reference, and evaluates like the arena."""
     c, reached = PEEL_SHAPES[shape]()
-    vectorized, scalar = both_lowerings(c)
-    assert vectorized.size == reached
-    assert_same_lowering(vectorized, scalar)
-    names = vectorized.var_names
+    compiled = CompiledCircuit(c)
+    assert compiled.size == reached
+    assert_lowers_like_the_reference(compiled, c)
+    names = compiled.var_names
     for mask in range(1 << len(names)):
         world = {name: bool(mask >> i & 1) for i, name in enumerate(names)}
-        assert vectorized.evaluate(world) == c.evaluate(world)
+        assert compiled.evaluate(world) == c.evaluate(world)
 
 
-@pytest.mark.parametrize("array_path", (True, False), ids=("array", "python"))
 @settings(max_examples=30, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10_000),
     st.integers(min_value=0, max_value=12),
 )
-def test_gathered_levels_are_the_level_definition(array_path, seed, n_edits):
-    """Both lowerings gather their level schedule from the arena; it is
-    :func:`gate_levels` of their own CSR arrays, which is what the batch
+def test_gathered_levels_are_the_level_definition(seed, n_edits):
+    """The lowering gathers its level schedule from the arena; it is
+    :func:`gate_levels` of its own CSR arrays, which is what the batch
     plan, the wire format and the shared segment rely on."""
     from repro.circuits import compiled as compiled_module
 
     c = random_circuit(seed, n_vars=6, steps=20)
     _apply_edits(c, seed + 1, n_edits)
-    lowered = both_lowerings(c)[0 if array_path else 1]
+    lowered = CompiledCircuit(c)
     levels = lowered.levels_list()
     assert levels == compiled_module.gate_levels(
         lowered.kinds, lowered.offsets, lowered.indices

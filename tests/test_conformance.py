@@ -19,10 +19,12 @@ parametrized matrix:
 The *producer* axis pins how the compiled plan came to be: a fresh
 :func:`compile_circuit`, a :func:`compile_circuit` of the arena grown by
 an append edit after a first compile (the edit leaves gates no longer
-reachable, which the lowering peels), the same grown arena lowered on
-the array path, or an arena rebuilt through the bulk construction APIs. Each producer asserts its arrays are
-bit-identical to a from-scratch compile before the execution paths ever
-run, so a produced plan can never drift from the oracle unnoticed.
+reachable, which the lowering peels), or an arena rebuilt through the
+bulk construction APIs. The grown producer asserts its arrays are
+bit-identical to the per-gate reference lowering
+(:func:`~repro.circuits.compiled.reference_lowering`), and the rebuilt one
+to a from-scratch compile, before the execution paths ever run, so a
+produced plan can never drift from the oracle unnoticed.
 
 Every path must agree with the oracle **exactly**: Boolean results by
 equality, probabilities bit for bit (sign of zero included). The oracle
@@ -132,15 +134,18 @@ SCENARIOS = {
 # --------------------------------------------------------------------------- #
 # plan producers: how the compiled object came to be
 
-def _assert_identical_lowering(produced, fresh):
-    """Pin a produced plan bit-identical to a from-scratch compile."""
-    assert produced.kinds == fresh.kinds
-    assert produced.offsets == fresh.offsets
-    assert produced.indices == fresh.indices
-    assert produced.var_slot == fresh.var_slot
-    assert produced.var_names == fresh.var_names
-    assert produced.output == fresh.output
-    assert produced.levels_list() == fresh.levels_list()
+def _lowering(compiled):
+    """A lowering's arrays, keyed as ``reference_lowering`` keys them."""
+    return {
+        "kinds": compiled.kinds,
+        "offsets": compiled.offsets,
+        "indices": compiled.indices,
+        "var_slot": compiled.var_slot,
+        "var_names": compiled.var_names,
+        "output": compiled.output,
+        "gate_ids": compiled.gate_ids,
+        "levels": compiled.levels_list(),
+    }
 
 
 def _produce_fresh(name):
@@ -160,33 +165,12 @@ def _grown(name):
     return c
 
 
-def _lowered(c, array_path):
-    """``c`` lowered on the array path, or on the per-gate python one."""
-    min_gates = 0 if array_path else len(c) + 1
-    with mock.patch.object(compiled_module, "VECTOR_MIN_GATES", min_gates):
-        lowered = compiled_module.CompiledCircuit(c)
-    assert (lowered._np32 is not None) == array_path
-    return lowered
-
-
 def _produce_grown(name):
-    """Compile the grown arena."""
+    """Compile the grown arena, so every execution path runs a plan that
+    peeling produced, pinned to the per-gate reference lowering."""
     c = _grown(name)
     produced = compile_circuit(c)
-    for array_path in (True, False):
-        _assert_identical_lowering(produced, _lowered(c, array_path))
-    return produced
-
-
-def _produce_array_lowered(name):
-    """Lower the grown arena on the array path, whatever its size, so
-    every execution path runs a plan that peeling produced (the scenarios
-    are far below ``VECTOR_MIN_GATES``, where :func:`compile_circuit`
-    takes the python lowering): its CSR lists are materialized from the
-    int32 arrays, not built gate by gate."""
-    c = _grown(name)
-    produced = _lowered(c, array_path=True)
-    _assert_identical_lowering(produced, _lowered(c, array_path=False))
+    assert _lowering(produced) == compiled_module.reference_lowering(c)
     return produced
 
 
@@ -249,14 +233,13 @@ def _produce_bulk_rebuilt(name):
     """Rebuild the scenario arena through append_variables/append_gates."""
     fresh = SCENARIOS[name]()
     produced = compile_circuit(_rebuild_bulk(fresh))
-    _assert_identical_lowering(produced, compile_circuit(fresh))
+    assert _lowering(produced) == _lowering(compile_circuit(fresh))
     return produced
 
 
 PRODUCERS = {
     "fresh": _produce_fresh,
     "grown": _produce_grown,
-    "array-lowered": _produce_array_lowered,
     "bulk-rebuilt": _produce_bulk_rebuilt,
 }
 
@@ -642,17 +625,18 @@ def _bits(marginals):
     query_index=st.integers(0, len(FACT_ID_QUERIES) - 1),
     edit=st.sampled_from(("none", "discard", "overwrite")),
     pick=st.integers(0, 1 << 16),
-    vector=st.booleans(),
 )
-def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vector):
+def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick):
     """Columnar lineage variables are fact ids, named only on demand.
 
     The marginals gathered by fact id are bitwise the name path's; the
-    variables' names equal the object backend's circuit's, one slot per
-    fact even across UCQ disjuncts; reading ``len()`` names nothing. After
-    a ``discard`` renumbers the ids, the circuit still names the facts it
-    was built over and no gather reads the new numbering; after a ``tid.add``
-    overwrites a probability, an earlier event space keeps its snapshot.
+    lowering holds the per-gate reference's arrays, fact-id names
+    included; the variables' names equal the object backend's circuit's,
+    one slot per fact even across UCQ disjuncts; reading ``len()`` names
+    nothing. After a ``discard`` renumbers the ids, the circuit still
+    names the facts it was built over and no gather reads the new
+    numbering; after a ``tid.add`` overwrites a probability, an earlier
+    event space keeps its snapshot.
     """
     tid = TIDInstance(backend="columnar")
     obj = Instance()
@@ -664,9 +648,7 @@ def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vecto
     namer = mock.patch.object(
         ColumnarInstance, "variable_names_for", side_effect=AssertionError
     )
-    min_gates = 0 if vector else compiled_module.VECTOR_MIN_GATES
-    lowering = mock.patch.object(compiled_module, "VECTOR_MIN_GATES", min_gates)
-    with namer, lowering:
+    with namer:
         lineage = build_provenance_circuit(tid.instance, query)
         compiled = compile_circuit(lineage.circuit)
         space = tid.event_space()
@@ -675,6 +657,9 @@ def test_fact_ids_are_the_lineage_variables(rows, query_index, edit, pick, vecto
         assert len(space) == len(tid)
         gathered = compiled.slot_marginals(space)
     assert tid.instance.facts_materialized == 0
+    assert _lowering(compiled) == compiled_module.reference_lowering(
+        lineage.circuit
+    )
     expected = compile_circuit(build_provenance_circuit(obj, query).circuit)
     assert compiled.variables() == expected.variables()
     assert len(set(expected.variables())) == n_vars  # one slot per fact

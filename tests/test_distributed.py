@@ -55,6 +55,89 @@ def random_circuit(seed: int, n_vars: int = 6, steps: int = 16) -> Circuit:
     return c
 
 
+def alternating_chain(links: int) -> Circuit:
+    """An AND/OR chain over fresh variables: ``2 * links + 1`` gates."""
+    c = Circuit()
+    gate = c.variable("x0")
+    for i in range(1, links + 1):
+        pair = [gate, c.variable(f"x{i}")]
+        gate = c.and_gate(pair) if i % 2 else c.or_gate(pair)
+    c.set_output(gate)
+    return c
+
+
+def forge_plan(meta: dict, plan: dict) -> bytes:
+    """A checksum-valid plan blob of these int32 sections, sound or not."""
+    return distributed._pack_blob(
+        meta, [(name, "i", values) for name, values in plan.items()]
+    )
+
+
+def _no_gates(meta, plan):
+    meta["size"] = meta["output"] = 0
+    for name in plan:
+        plan[name] = [0] if name == "offsets" else []
+
+
+def _sections_disagree(meta, plan):
+    plan["var_slot"].pop()
+
+
+def _output_out_of_range(meta, plan):
+    meta["output"] = meta["size"]
+
+
+def _offsets_start_past_zero(meta, plan):
+    plan["offsets"][0] = 1
+
+
+def _offsets_end_short_of_the_inputs(meta, plan):
+    plan["offsets"][-1] -= 1
+
+
+def _offsets_not_monotone(meta, plan):
+    offsets = plan["offsets"]
+    first = next(pos for pos in range(meta["size"]) if offsets[pos + 1])
+    offsets[first + 1] = offsets[first] - 1  # the first gate with inputs
+
+
+def _unknown_gate_kind(meta, plan):
+    plan["kinds"][-1] = compiled_module.K_OR + 1
+
+
+def _leaf_with_inputs(meta, plan):
+    plan["kinds"][-1] = compiled_module.K_VAR
+    plan["var_slot"][-1] = 0
+
+
+def _variable_slot_out_of_range(meta, plan):
+    plan["var_slot"][plan["kinds"].index(compiled_module.K_VAR)] = meta["n_vars"]
+
+
+def _input_after_its_gate(meta, plan):
+    plan["indices"][-1] = meta["size"] - 1  # the output reads itself
+
+
+#: The refusals of ``check_plan_arrays``: how each breaks a sound plan,
+#: and what the refusal says.
+PLAN_REFUSALS = {
+    "no-gates": (_no_gates, "plan has no gates"),
+    "sections-disagree": (_sections_disagree, "disagree about the gate count"),
+    "output-out-of-range": (_output_out_of_range, "output gate out of range"),
+    "offsets-start-past-zero": (_offsets_start_past_zero,
+                                "offsets are inconsistent"),
+    "offsets-end-short": (_offsets_end_short_of_the_inputs,
+                          "offsets are inconsistent"),
+    "offsets-not-monotone": (_offsets_not_monotone, "not monotone"),
+    "unknown-gate-kind": (_unknown_gate_kind, "unknown gate kind"),
+    "leaf-with-inputs": (_leaf_with_inputs, "leaf gate has inputs"),
+    "variable-slot-out-of-range": (_variable_slot_out_of_range,
+                                   "variable slot out of range"),
+    "input-after-its-gate": (_input_after_its_gate,
+                             "input does not precede its gate"),
+}
+
+
 def all_worlds(n_vars: int) -> list[list[int]]:
     return [[(mask >> i) & 1 for i in range(n_vars)] for mask in range(1 << n_vars)]
 
@@ -88,26 +171,18 @@ class TestWireFormat:
         assert compiled.wire_bytes() is compiled.wire_bytes()
         assert distributed.plan_to_bytes(compiled) is compiled.wire_bytes()
 
-    @pytest.mark.parametrize(
-        "min_gates",
-        (0, compiled_module.VECTOR_MIN_GATES),
-        ids=("int32-arrays", "python-lists"),
-    )
-    def test_layout_decodes_with_stdlib_only(self, monkeypatch, min_gates):
+    def test_layout_decodes_with_stdlib_only(self):
         """A plan blob follows ARCHITECTURE.md's layout table exactly.
 
         Decoded with ``struct``, ``json`` and ``zlib`` alone: magic,
         version, flags, CRC, lengths, the JSON section directory, and
-        little-endian int32 sections equal to the compiled arrays — for
-        lowerings held as int32 arrays and as python lists alike.
+        little-endian int32 sections equal to the compiled arrays.
         """
         import json
         import struct
         import zlib
 
-        monkeypatch.setattr(compiled_module, "VECTOR_MIN_GATES", min_gates)
         compiled = compiled_module.CompiledCircuit(random_circuit(13, steps=40))
-        assert (compiled._np32 is not None) == (min_gates == 0)
         blob = distributed.plan_to_bytes(compiled)
         magic, version, flags, crc, meta_len, payload_len = struct.unpack_from(
             "<4sHHIIQ", blob
@@ -279,7 +354,6 @@ class TestWireFormat:
             gate = c.and_gate(pair) if i % 2 else c.or_gate(pair)
         c.set_output(gate)
         compiled = compile_circuit(c)
-        assert compiled._np32 is not None
         plan = distributed.plan_from_bytes(compiled.wire_bytes())
         assert list(plan.levels) == compiled.levels_list()
         assert max(plan.levels) == 9000
@@ -304,6 +378,67 @@ class TestWireFormat:
         )
         with pytest.raises(ReproError, match="level schedule"):
             distributed.plan_from_bytes(forged)
+
+    @pytest.mark.parametrize("links", (3, 300), ids=("7-gates", "601-gates"))
+    @pytest.mark.parametrize("refusal", sorted(PLAN_REFUSALS))
+    def test_structurally_broken_plan_refused(self, refusal, links):
+        """Each check of ``check_plan_arrays`` refuses a checksum-valid
+        plan that breaks it, on a plan of a few gates and of hundreds,
+        with ``ReproError`` naming what is wrong."""
+        compiled = compile_circuit(alternating_chain(links))
+        meta = {
+            "kind": "plan",
+            "size": compiled.size,
+            "output": compiled.output,
+            "n_vars": len(compiled.variables()),
+        }
+        plan = {
+            "kinds": list(compiled.kinds),
+            "offsets": list(compiled.offsets),
+            "indices": list(compiled.indices),
+            "var_slot": list(compiled.var_slot),
+            "levels": compiled.levels_list(),
+        }
+        distributed.plan_from_bytes(forge_plan(meta, plan))  # sound as made
+        damage, message = PLAN_REFUSALS[refusal]
+        damage(meta, plan)
+        with pytest.raises(ReproError, match=message):
+            distributed.plan_from_bytes(forge_plan(meta, plan))
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        (
+            (lambda meta, tables: meta.pop("n_facts"), "'n_facts'"),
+            (lambda meta, tables: meta.update(n_witnesses=True),
+             "'n_witnesses'"),
+            (lambda meta, tables: meta.update(total_weight="0.5"),
+             "'total_weight'"),
+            (lambda meta, tables: tables.pop("probs"), "'probs' section"),
+        ),
+        ids=("no-n-facts", "bool-n-witnesses", "string-total-weight",
+             "no-probs-section"),
+    )
+    def test_malformed_tables_refused(self, damage, message):
+        """A checksum-valid witness-table blob whose header lacks a field
+        or holds one of the wrong type, or that lacks a section, is
+        refused with ``ReproError``, not a ``KeyError`` or ``TypeError``."""
+        meta = {"kind": "tables", "n_witnesses": 2, "n_facts": 2,
+                "total_weight": 0.5}
+        tables = {
+            "membership": ("i", [1, 0, 0, 1]),
+            "probs": ("d", [0.5, 0.25]),
+            "cumulative": ("d", [0.25, 0.5]),
+        }
+        sound = distributed._pack_blob(
+            meta, [(name, *section) for name, section in tables.items()]
+        )
+        assert distributed.tables_from_bytes(sound).n_facts == 2
+        damage(meta, tables)
+        blob = distributed._pack_blob(
+            meta, [(name, *section) for name, section in tables.items()]
+        )
+        with pytest.raises(ReproError, match=message):
+            distributed.tables_from_bytes(blob)
 
     def test_non_plan_payload_rejected(self):
         tables = distributed._tables_to_bytes(

@@ -36,6 +36,7 @@ import math
 import os
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -624,6 +625,62 @@ def register_wire(service, compiled) -> str:
     return registered["digest"]
 
 
+def reforge(blob: bytes, edit) -> bytes:
+    """``blob`` with its JSON header replaced by ``edit(header)`` and its
+    checksum made valid again, so only the header is malformed."""
+    meta_len = struct.unpack_from("<I", blob, 12)[0]
+    meta = json.dumps(edit(json.loads(blob[24 : 24 + meta_len]))).encode()
+    payload = blob[24 + meta_len :]
+    crc = zlib.crc32(payload, zlib.crc32(meta))
+    return struct.pack(
+        "<4sHHIIQ", b"RCP1", 1, 0, crc, len(meta), len(payload)
+    ) + meta + payload
+
+
+def _without(header: dict, name: str) -> dict:
+    return {key: value for key, value in header.items() if key != name}
+
+
+def _first_entry(header: dict, entry) -> dict:
+    """``header`` with ``entry`` in place of its first section entry."""
+    return {**header, "sections": [entry, *header["sections"][1:]]}
+
+
+#: Checksum-valid wire plans that ``/plans`` refuses with a 400, by test
+#: id: how each breaks a sound plan's JSON header.
+MALFORMED_PLAN_HEADERS = {
+    "header-a-list": lambda header: [header],
+    "no-sections": lambda header: _without(header, "sections"),
+    "sections-an-object": lambda header: {
+        **header, "sections": {"kinds": ["i", 0, 4]}
+    },
+    "entry-short": lambda header: _first_entry(
+        header, header["sections"][0][:3]
+    ),
+    "entry-name-a-number": lambda header: _first_entry(header, [7, "i", 0, 4]),
+    "entry-offset-a-string": lambda header: _first_entry(
+        header, ["kinds", "i", "0", 4]
+    ),
+    "entry-size-a-float": lambda header: _first_entry(
+        header, ["kinds", "i", 0, 4.0]
+    ),
+    "entry-offset-negative": lambda header: _first_entry(
+        header, ["kinds", "i", -8, 4]
+    ),
+    "no-size": lambda header: _without(header, "size"),
+    "no-output": lambda header: _without(header, "output"),
+    "no-n-vars": lambda header: _without(header, "n_vars"),
+    "size-a-string": lambda header: {**header, "size": "abc"},
+    "size-null": lambda header: {**header, "size": None},
+    "size-a-float": lambda header: {**header, "size": header["size"] + 0.5},
+    "size-a-bool": lambda header: {**header, "size": True},
+    "output-a-float": lambda header: {
+        **header, "output": float(header["output"])
+    },
+    "n-vars-negative": lambda header: {**header, "n_vars": -1},
+}
+
+
 def bits(values):
     """The float64 bit patterns of ``values``, for bitwise comparisons."""
     return np.asarray(values, dtype=np.float64).view(np.uint64)
@@ -840,6 +897,26 @@ class TestQueryServiceDispatch:
         assert status == 400
         assert "rejected wire plan" in payload["error"]
 
+    @pytest.mark.parametrize("malformation", sorted(MALFORMED_PLAN_HEADERS))
+    def test_malformed_wire_metadata_refused(self, app, malformation):
+        """A wire plan whose checksum holds but whose JSON header is
+        malformed (not an object, no section list, a section entry that is
+        not ``[name, type, offset, size]`` with integer offset and size, a
+        count missing or not a non-negative JSON integer) is answered 400,
+        never 500, and counts under ``errors`` only."""
+        compiled, _marginals = chain_setup(n=3, seed=33)
+        blob = reforge(compiled.wire_bytes(),
+                       MALFORMED_PLAN_HEADERS[malformation])
+        status, payload = dispatch(app, "POST", "/plans", {
+            "plan_b64": base64.b64encode(blob).decode("ascii"),
+        })
+        assert status == 400
+        assert "rejected wire plan" in payload["error"]
+        _status, stats = dispatch(app, "GET", "/stats")
+        assert stats["endpoints"]["/plans"]["errors"] == 1
+        assert stats["endpoints"]["/plans"]["server_errors"] == 0
+        assert list(app._plans) == []
+
     def test_stats_exposes_every_layer(self, app):
         status, stats = dispatch(app, "GET", "/stats")
         assert status == 200
@@ -880,6 +957,32 @@ class TestQueryServiceDispatch:
         assert threads == [threading.get_ident()]
         _status, stats = dispatch(app, "GET", "/stats")
         assert stats["passes"] == {"on_loop": 1, "in_thread": 0}
+
+    def test_pass_work_counts_the_rows_a_pass_writes(self, app):
+        """E19's served plan (chain-120 on the object backend) has 5,187
+        gates, but a pass writes only 3,480 rows (359 leaves and 3,121
+        operators) in 241 groups; the fold drops the rest. So its 64-row
+        pass, E19's biggest, counts 64 * 3,480 + 512 * 241 = 346,112
+        gate-rows of loop work, while ``/plans`` still answers the gate
+        count."""
+        from repro.core import instance_decomposition
+        from repro.service.app import GROUP_WORK
+
+        x, y = variables("x", "y")
+        query = cq(atom("R", x), atom("S", x, y), atom("T", y))
+        tid = rst_chain_tid(120, probability=0.15, seed=1, backend="object")
+        decomposition = instance_decomposition(tid.instance, "min_fill")
+        compiled = compile_circuit(
+            build_lineage(tid.instance, query, decomposition).circuit
+        )
+        encoded = base64.b64encode(compiled.wire_bytes()).decode("ascii")
+        _status, registered = dispatch(app, "POST", "/plans",
+                                       {"plan_b64": encoded})
+        assert registered["size"] == 5187
+        entry = app._plans[registered["digest"]]
+        assert (entry.size, entry.written, entry.groups) == (5187, 3480, 241)
+        assert 64 * entry.written + GROUP_WORK * entry.groups == 346_112
+        assert entry.fits_loop(64)
 
     @pytest.mark.parametrize("plan", ("wide-batch", "deep-plan"))
     def test_long_pass_runs_in_the_compute_thread(self, app, monkeypatch, plan):

@@ -196,9 +196,9 @@ def wait_until(predicate, timeout: float = 15.0) -> bool:
     return predicate()
 
 
-def frame(kind: int, header: bytes) -> bytes:
+def frame(kind: int, header: bytes, blob: bytes = b"") -> bytes:
     """A protocol frame with ``header`` as its raw JSON header bytes."""
-    payload = struct.pack("<BI", kind, len(header)) + header
+    payload = struct.pack("<BI", kind, len(header)) + header + blob
     return struct.pack("<I", len(payload)) + payload
 
 
@@ -756,24 +756,49 @@ class TestMalformedReplies:
         assert broken.address not in distributed._HOST_POOL._conns
 
 
+def plan_without_size() -> bytes:
+    """A checksum-valid plan blob whose header has no ``size``."""
+    meta, sections = distributed._unpack_blob(
+        compile_circuit(random_circuit(7)).wire_bytes()
+    )
+    del meta["size"]
+    return distributed._pack_blob(
+        meta, [(name, "i", values) for name, values in sections.items()]
+    )
+
+
+def tables_without_a_section() -> bytes:
+    """A checksum-valid witness-table blob without its ``cumulative``."""
+    return distributed._pack_blob(
+        {"kind": "tables", "n_witnesses": 1, "n_facts": 2,
+         "total_weight": 0.25},
+        [("membership", "i", [1, 1]), ("probs", "d", [0.5, 0.5])],
+    )
+
+
 class TestWorkerFrames:
     @pytest.mark.parametrize(
-        "kind, header",
+        "kind, header, blob",
         (
-            (distributed.MSG_PLAN_OFFER, b'{"kind": "plan"}'),
-            (distributed.MSG_PLAN, b"{}"),
-            (distributed.MSG_TABLES, b"{}"),
-            (distributed.MSG_TASK, b'{"id": 0, "plan": "x"}'),
-            (distributed.MSG_TASK, b'{"op": "mc", "plan": "x"}'),
+            (distributed.MSG_PLAN_OFFER, b'{"kind": "plan"}', None),
+            (distributed.MSG_PLAN, b"{}", None),
+            (distributed.MSG_TABLES, b"{}", None),
+            (distributed.MSG_TASK, b'{"id": 0, "plan": "x"}', None),
+            (distributed.MSG_TASK, b'{"op": "mc", "plan": "x"}', None),
+            (distributed.MSG_PLAN, b'{"checksum": "x"}', plan_without_size),
+            (distributed.MSG_TABLES, b'{"checksum": "y"}',
+             tables_without_a_section),
         ),
         ids=("plan-offer-no-checksum", "plan-no-checksum",
-             "tables-no-checksum", "task-no-op", "task-no-id"),
+             "tables-no-checksum", "task-no-op", "task-no-id",
+             "plan-blob-no-size", "tables-blob-no-section"),
     )
     def test_frame_without_a_required_field_ends_the_connection(
-        self, kind, header, inprocess_worker_factory
+        self, kind, header, blob, inprocess_worker_factory
     ):
         """A worker ends the connection on a frame that lacks a field it
-        needs, answering nothing, like any other malformed frame, and no
+        needs, in its header or in the plan or tables it carries,
+        answering nothing, like any other malformed frame, and no
         exception escapes its connection handler to the event loop."""
         worker = inprocess_worker_factory()
         escaped = []
@@ -784,7 +809,7 @@ class TestWorkerFrames:
         with socket.create_connection(
             ("127.0.0.1", worker.server.port), timeout=5.0
         ) as sock:
-            sock.sendall(frame(kind, header))
+            sock.sendall(frame(kind, header, blob() if blob else b""))
             received = b""
             while chunk := sock.recv(65536):
                 received += chunk
