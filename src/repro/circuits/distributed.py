@@ -298,7 +298,8 @@ class WirePlan:
                   f"wire plan header's {name!r} is not a non-negative integer")
             setattr(self, name, meta[name])
         for name in ("kinds", "offsets", "indices", "var_slot", "levels"):
-            check(name in sections, f"wire plan is missing the {name!r} section")
+            check(name in sections and sections[name].dtype == "<i4",
+                  f"wire plan has no int32 {name!r} section")
             setattr(self, name, sections[name])
         self._validate()
         self._plan = None
@@ -405,8 +406,10 @@ class WireTables:
         check(type(total_weight) in (int, float),
               "wire tables header's 'total_weight' is not a number")
         self.total_weight = float(total_weight)
-        for name in ("membership", "probs", "cumulative"):
-            check(name in sections, f"wire tables is missing the {name!r} section")
+        for name, dtype in (("membership", "<i4"), ("probs", "<f8"),
+                            ("cumulative", "<f8")):
+            check(name in sections and sections[name].dtype == dtype,
+                  f"wire tables have no {np.dtype(dtype).name} {name!r} section")
         check(
             len(sections["membership"]) == self.n_witnesses * self.n_facts
             and len(sections["probs"]) == self.n_facts

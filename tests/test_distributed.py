@@ -344,16 +344,10 @@ class TestWireFormat:
             distributed.plan_from_bytes(forged)
 
     def test_deep_plan_ships_and_verifies_its_levels(self):
-        """A chain of 9,000 levels, lowered on the array path, ships its
-        level schedule; the receiver verifies it in one pass whatever the
-        depth, runs it like the sender, and rejects one level that lies."""
-        c = Circuit()
-        gate = c.variable("x0")
-        for i in range(1, 9001):
-            pair = [gate, c.variable(f"x{i}")]
-            gate = c.and_gate(pair) if i % 2 else c.or_gate(pair)
-        c.set_output(gate)
-        compiled = compile_circuit(c)
+        """A chain of 9,000 levels ships its level schedule; the receiver
+        verifies it in one pass whatever the depth, runs it like the
+        sender, and rejects one level that lies."""
+        compiled = compile_circuit(alternating_chain(9000))
         plan = distributed.plan_from_bytes(compiled.wire_bytes())
         assert list(plan.levels) == compiled.levels_list()
         assert max(plan.levels) == 9000
@@ -414,9 +408,11 @@ class TestWireFormat:
             (lambda meta, tables: meta.update(total_weight="0.5"),
              "'total_weight'"),
             (lambda meta, tables: tables.pop("probs"), "'probs' section"),
+            (lambda meta, tables: tables.update(membership=("d", [1, 0, 0, 1])),
+             "int32 'membership' section"),
         ),
         ids=("no-n-facts", "bool-n-witnesses", "string-total-weight",
-             "no-probs-section"),
+             "no-probs-section", "float-membership"),
     )
     def test_malformed_tables_refused(self, damage, message):
         """A checksum-valid witness-table blob whose header lacks a field
@@ -439,6 +435,18 @@ class TestWireFormat:
         )
         with pytest.raises(ReproError, match=message):
             distributed.tables_from_bytes(blob)
+
+    def test_plan_section_of_another_type_refused(self):
+        """Every plan section must be int32: a ``var_slot`` section sent
+        as float64, even of whole numbers, is refused rather than cast."""
+        compiled = compile_circuit(random_circuit(3))
+        meta, sections = distributed._unpack_blob(compiled.wire_bytes())
+        blob = distributed._pack_blob(meta, [
+            (name, "d" if name == "var_slot" else "i", values)
+            for name, values in sections.items()
+        ])
+        with pytest.raises(ReproError, match="int32 'var_slot' section"):
+            distributed.plan_from_bytes(blob)
 
     def test_non_plan_payload_rejected(self):
         tables = distributed._tables_to_bytes(
