@@ -836,6 +836,7 @@ class CompiledCircuit:
             starts = _np.repeat(aoffsets[dead] - cum + counts, counts)
             inputs = ainputs[starts + _np.arange(total)]
             _np.subtract.at(consumers, inputs, 1)
+            # Once each: a gate read twice in this round is listed twice.
             dead = _np.unique(inputs[consumers[inputs] == 0])
         gate_ids = _np.flatnonzero(reach)
         size = int(gate_ids.size)
