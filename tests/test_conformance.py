@@ -19,9 +19,11 @@ parametrized matrix:
 The *producer* axis pins how the compiled plan came to be: a fresh
 :func:`compile_circuit`, a :func:`compile_circuit` of the arena grown by
 an append edit after a first compile (the edit leaves gates no longer
-reachable, which the lowering peels), or an arena rebuilt through the
-bulk construction APIs. The grown producer asserts its arrays are
-bit-identical to the per-gate reference lowering
+reachable, which the lowering peels), the same grown arena with a long
+unused chain under its output (an arena past 512 gates, peeled one gate
+per round), or an arena rebuilt through the bulk construction APIs. The
+grown and dead-chain producers assert their arrays are bit-identical to
+the per-gate reference lowering
 (:func:`~repro.circuits.compiled.reference_lowering`), and the rebuilt one
 to a from-scratch compile, before the execution paths ever run, so a
 produced plan can never drift from the oracle unnoticed.
@@ -152,16 +154,23 @@ def _produce_fresh(name):
     return compile_circuit(SCENARIOS[name]())
 
 
-def _grown(name):
+def _grown(name, dead_links=0):
     """The scenario arena, compiled once, then grown: a contradiction
     OR-ed into the output, so every gate kind joins the new cone, and,
     unless the output is a constant, an unused gate over the old output
-    that the lowering must peel."""
+    that the lowering must peel. With ``dead_links``, a chain of that many
+    more unused gates follows it, each an AND or OR of the gate before, a
+    fresh variable and (unless it is a constant) the old output."""
     c = SCENARIOS[name]()
     compile_circuit(c)
+    old = c.output
     aux = c.variable("aux")
-    c.and_gate([c.output, aux])
-    c.set_output(c.or_gate([c.output, c.and_gate([aux, c.negation(aux)])]))
+    link = c.and_gate([old, aux])
+    reads_old = c.gate(old).kind != CONST
+    for i in range(dead_links):
+        inputs = [link, c.variable(f"dead{i}")] + ([old] if reads_old else [])
+        link = c.or_gate(inputs) if i % 2 else c.and_gate(inputs)
+    c.set_output(c.or_gate([old, c.and_gate([aux, c.negation(aux)])]))
     return c
 
 
@@ -171,6 +180,28 @@ def _produce_grown(name):
     c = _grown(name)
     produced = compile_circuit(c)
     assert _lowering(produced) == compiled_module.reference_lowering(c)
+    return produced
+
+
+#: Unused links the ``dead-chain`` producer buries under the output: every
+#: scenario's arena passes 512 gates, and the lowering peels one per round.
+DEAD_LINKS = 600
+
+
+def _produce_dead_chain(name):
+    """Compile the grown arena with :data:`DEAD_LINKS` more unused gates
+    under its output, so every execution path runs the grown plan lowered
+    out of a large arena, every peel round decrementing the old output's
+    consumer count unless it is a constant. Pinned to the per-gate
+    reference lowering and, gate ids aside, to the grown arena's plan."""
+    c = _grown(name, dead_links=DEAD_LINKS)
+    assert len(c) > 512
+    produced = compile_circuit(c)
+    lowering = _lowering(produced)
+    assert lowering == compiled_module.reference_lowering(c)
+    grown = _lowering(compile_circuit(_grown(name)))
+    del lowering["gate_ids"], grown["gate_ids"]
+    assert lowering == grown
     return produced
 
 
@@ -240,6 +271,7 @@ def _produce_bulk_rebuilt(name):
 PRODUCERS = {
     "fresh": _produce_fresh,
     "grown": _produce_grown,
+    "dead-chain": _produce_dead_chain,
     "bulk-rebuilt": _produce_bulk_rebuilt,
 }
 
