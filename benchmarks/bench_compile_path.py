@@ -86,7 +86,7 @@ def measure_plan(compiled: CompiledCircuit, repeats: int) -> dict:
     """Build time of the level plan, its shape, and a warm one-row float
     pass on it (median of ``repeats``), checked bitwise against
     :meth:`CompiledCircuit.probability`."""
-    arrays = (*compiled._int32_arrays(), compiled.levels_array(), compiled.output)
+    arrays = (*compiled.plan.arrays(), compiled.output)
     build_seconds, plan = _best_of(
         lambda: compiled_module._BatchPlan(*arrays), repeats=repeats
     )
@@ -120,7 +120,7 @@ def _same_lowering(compiled: CompiledCircuit, reference: dict) -> bool:
         "var_names": compiled.var_names,
         "output": compiled.output,
         "gate_ids": compiled.gate_ids,
-        "levels": compiled.levels_list(),
+        "levels": compiled.plan.levels.tolist(),
     }
 
 
@@ -182,7 +182,7 @@ def main() -> None:
         lambda: CompiledCircuit(deep), repeats=3
     )
     deep_identical = _same_lowering(deep_vectorized, deep_cold)
-    deep_levels = int(deep_vectorized.levels_array().max())
+    deep_levels = int(deep_vectorized.plan.levels.max())
     plan = measure_plan(vectorized, repeats=9)
     deep_plan = measure_plan(deep_vectorized, repeats=5)
 
@@ -208,7 +208,7 @@ def main() -> None:
     for label, lowered, measured in (("E13 lineage", vectorized, plan),
                                      ("deep lineage", deep_vectorized,
                                       deep_plan)):
-        print(f"{label:<16} {int(lowered.levels_array().max()):>7} "
+        print(f"{label:<16} {int(lowered.plan.levels.max()):>7} "
               f"{measured['levels']:>12} {measured['groups']:>7} "
               f"{measured['build_seconds'] * 1e3:>8.2f} ms "
               f"{measured['pass_1row_seconds'] * 1e3:>13.3f} ms")

@@ -336,7 +336,7 @@ def distributed_example() -> None:
     space = tid.event_space()
     world = space.sample(seed=1)
     row = [world[name] for name in compiled.variables()]
-    assert plan.run_rows([row], as_float=False)[0] == compiled.evaluate(world)
+    assert plan.run([row], as_float=False)[0] == compiled.evaluate(world)
     print(f"wire plan: {len(blob)} bytes for {compiled.size} gates — "
           "decoded copy agrees with the local circuit")
 

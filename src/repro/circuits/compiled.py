@@ -55,19 +55,24 @@ once into ``multiprocessing.shared_memory`` with the level schedule, the
 workers of a persistent :class:`concurrent.futures.ProcessPoolExecutor`
 build the level plan from them, and big world/marginal matrices are split
 into row shards evaluated on every core.
-:meth:`~CompiledCircuit.evaluate_batch` and
-:meth:`~CompiledCircuit.probability_batch` route there automatically when
-the ``parallel_workers`` knob is set and the batch is large enough
-(``parallel.should_shard``); results are bit-identical to the in-process
-kernels, and any pool failure falls back to them with a warning.
 
 **Distributed execution** is the fifth stage, in
-:mod:`repro.circuits.distributed`: :meth:`CompiledCircuit.wire_bytes`
-serializes the plan to a versioned, checksummed wire format, and an asyncio
-coordinator streams the same deterministic shards to remote worker
-processes over TCP (knob: ``distributed_hosts`` /
-``REPRO_DISTRIBUTED_HOSTS``), retrying on worker loss — again with
-bit-identical results. The full pipeline is documented in
+:mod:`repro.circuits.distributed`: :meth:`Plan.wire_bytes` serializes the
+plan to a versioned, checksummed wire format, and an asyncio coordinator
+streams the same deterministic shards to remote worker processes over
+TCP (knob: ``distributed_hosts`` / ``REPRO_DISTRIBUTED_HOSTS``), retrying
+on worker loss — again with bit-identical results.
+
+**One plan type.** A :class:`Plan` holds the five int32 arrays stages 3
+to 5 read, whether a lowering made them (:attr:`CompiledCircuit.plan`) or
+:func:`repro.circuits.distributed.plan_from_bytes` decoded them, and
+builds each stage's form of them once: the level plan, the wire bytes
+and digest, the shared-memory segment. :meth:`Plan.run` is the one tier
+ladder every batch pass takes: a batch of ``parallel.PARALLEL_MIN_ROWS``
+rows or more goes to the hosts, then the pool, when the knobs name them,
+and everything else runs the in-process kernels; results are
+bit-identical on every tier, and a failing tier falls through to the
+next with a warning. The full pipeline is documented in
 ``ARCHITECTURE.md`` at the repository root.
 """
 
@@ -102,8 +107,6 @@ ENUMERATION_VARIABLE_CAP = 26
 #: one ``uint64`` word per 64 worlds in the Boolean pass.
 BATCH_BYTE_BUDGET = 1 << 25
 
-_UNBUILT = object()
-
 #: Process-wide lowering counters: how often a full lowering ran and how
 #: many compiles were answered from the arena memo. Read by
 #: :func:`compile_stats`; they only count up, so a reader takes deltas.
@@ -118,10 +121,10 @@ def compile_stats() -> dict:
     return dict(_STATS)
 
 
-#: Process-wide batch-execution counters: how many matrix passes the batch
-#: entry points ran and how many rows they covered. The query service's
-#: tests read these to prove coalescing really merged N requests into one
-#: pass; ``/stats`` exposes them for operators. They only count up.
+#: Process-wide batch-execution counters: how many matrix passes the tier
+#: ladder (:meth:`Plan.run`) ran and how many rows they covered. The query
+#: service's tests read these to prove coalescing really merged N requests
+#: into one pass; ``/stats`` exposes them for operators. They only count up.
 _BATCH_STATS = {
     "probability_passes": 0,
     "probability_rows": 0,
@@ -133,9 +136,12 @@ _BATCH_STATS = {
 def batch_stats() -> dict:
     """A snapshot of the process-wide batch-pass counters.
 
-    One "pass" is one :meth:`CompiledCircuit.probability_batch` or
-    :meth:`CompiledCircuit.evaluate_batch` call, whatever execution tier
-    it lands on; "rows" counts the matrix rows those passes covered.
+    One "pass" is one :meth:`Plan.run` call that evaluates rows, whatever
+    execution tier it lands on: a :meth:`CompiledCircuit.probability_batch`
+    or :meth:`CompiledCircuit.evaluate_batch` call, a served pass, or a
+    sharded or distributed entry point's. "rows" counts the matrix rows
+    those passes covered. A call with no rows runs no kernel and counts
+    no pass.
     """
     return dict(_BATCH_STATS)
 
@@ -741,17 +747,214 @@ _WORD_PASS = (
 )
 
 
+#: A :class:`Plan`'s int32 arrays, in :class:`_BatchPlan` order: the
+#: wire format's sections and the shared-memory segment's arrays.
+PLAN_ARRAYS = ("kinds", "offsets", "indices", "var_slot", "levels")
+
+
+class Plan:
+    """The compiled plan: what every execution tier evaluates.
+
+    Five int32 arrays, the CSR lowering (``kinds``, ``offsets``,
+    ``indices``, ``var_slot``) and its :func:`gate_levels` schedule
+    (``levels``), with the gate count ``size``, the ``output`` position
+    and the variable count ``n_vars``. A lowering holds one
+    (:attr:`CompiledCircuit.plan`), and
+    :func:`repro.circuits.distributed.plan_from_bytes` checks and decodes
+    one whose arrays are read-only views over its blob. Whichever made it,
+    a plan's passes take one path.
+
+    It builds, once each, what the tiers read from the arrays: the level
+    plan (:meth:`batch_plan`), the wire bytes and their digest
+    (:meth:`wire_bytes`, :meth:`digest`), and the shared-memory segment
+    the process pool reads (:meth:`shared_handle`). :meth:`run` is the
+    tier ladder.
+    """
+
+    __slots__ = (*PLAN_ARRAYS, "size", "output", "n_vars", "_batch",
+                 "_wire", "_digest", "_shared", "__weakref__")
+
+    def __init__(self, kinds, offsets, indices, var_slot, levels,
+                 output: int, n_vars: int, wire: bytes | None = None):
+        """``wire`` is the blob a decoded plan came from."""
+        self.kinds = kinds
+        self.offsets = offsets
+        self.indices = indices
+        self.var_slot = var_slot
+        self.levels = levels
+        self.size = len(kinds)
+        self.output = output
+        self.n_vars = n_vars
+        self._batch = None
+        self._wire = wire
+        self._digest = None
+        self._shared = None
+
+    def arrays(self) -> tuple:
+        """The five int32 arrays, in :data:`PLAN_ARRAYS` order."""
+        return (self.kinds, self.offsets, self.indices, self.var_slot,
+                self.levels)
+
+    def batch_plan(self) -> _BatchPlan:
+        """The level-scheduled numpy plan, built once."""
+        if self._batch is None:
+            self._batch = _BatchPlan(*self.arrays(), self.output)
+        return self._batch
+
+    def wire_bytes(self) -> bytes:
+        """The plan in the versioned wire format, packed once.
+
+        The blob (:func:`repro.circuits.distributed.plan_to_bytes`) carries
+        the five arrays and the metadata, and round-trips through
+        :func:`repro.circuits.distributed.plan_from_bytes` on any host. A
+        decoded plan's is the blob it came from.
+        """
+        if self._wire is None:
+            from repro.circuits.distributed import plan_to_bytes
+
+            self._wire = plan_to_bytes(self)
+        return self._wire
+
+    def digest(self) -> str:
+        """Content digest of :meth:`wire_bytes`, computed once.
+
+        The identity plans are keyed by: workers cache decoded plans by
+        it, the coordinator's ``PLAN_OFFER`` handshake sends it instead of
+        the plan, so a plan crosses the wire at most once per worker, and
+        the service registers a plan under it.
+        """
+        if self._digest is None:
+            from repro.circuits.distributed import plan_checksum
+
+            self._digest = plan_checksum(self.wire_bytes())
+        return self._digest
+
+    def shared_handle(self):
+        """The arrays in one shared-memory segment, published once.
+
+        :func:`repro.circuits.parallel._plan_handle` publishes it, and the
+        pool's workers build their level plans from it. It is unlinked
+        when this plan is garbage-collected or the pool shuts down; the
+        next call then publishes again.
+        """
+        handle = self._shared
+        if handle is None or handle.closed:
+            from repro.circuits.parallel import _plan_handle
+
+            handle = self._shared = _plan_handle(self)
+        return handle
+
+    def mc_shard_hits(self, probs, seed: int, index: int, count: int) -> int:
+        """Hit count of one deterministic ``(seed, index, count)`` shard.
+
+        Exactly :func:`repro.circuits.parallel._mc_shard_hits` on the level
+        plan, bit-identical on every tier. The probabilities, seed and
+        count may come off the wire, so they are checked first: one
+        probability per variable slot, a non-negative int seed, a positive
+        int count.
+        """
+        from repro.circuits import parallel
+
+        probs32 = parallel.mc_marginals(probs, self.n_vars)
+        seed = parallel.check_sampling(count, seed)
+        return parallel._mc_shard_hits(
+            self.batch_plan(), probs32, seed, index, count
+        )
+
+    def run(self, matrix, as_float: bool, hosts=None, workers=None):
+        """One pass over a ``(n_rows, n_vars)`` matrix, down the tier ladder.
+
+        ``matrix`` holds one world (bool) or one marginal vector (float64)
+        per row, columns in variable-slot order; returns the outputs as a
+        1-D array. The tiers, top down: the distributed hosts, the process
+        pool (two workers or more), this process. With ``hosts`` and
+        ``workers`` left ``None`` they come from the knobs, a batch under
+        ``parallel.PARALLEL_MIN_ROWS`` rows stays here before any knob is
+        read, and a failing tier falls through to the next, warned once
+        per process. The entry points that name a tier pass ``hosts`` or
+        ``workers`` (``()`` and ``0`` leave a tier out): a batch of any
+        size then goes to it, and its failure raises.
+
+        A batch with rows counts one pass in :func:`batch_stats`.
+        """
+        dtype = _np.float64 if as_float else _np.bool_
+        matrix = _np.asarray(matrix, dtype=dtype)
+        if matrix.ndim != 2 or matrix.shape[1] != self.n_vars:
+            raise ReproError(
+                f"{'marginal' if as_float else 'world'} matrix needs "
+                f"{self.n_vars} columns, one per variable, got shape "
+                f"{matrix.shape}"
+            )
+        n_rows = matrix.shape[0]
+        if not n_rows:
+            return _np.empty(0, dtype=dtype)
+        counter = "probability" if as_float else "evaluate"
+        _BATCH_STATS[counter + "_passes"] += 1
+        _BATCH_STATS[counter + "_rows"] += n_rows
+        from repro.circuits import parallel
+
+        pinned = hosts is not None or workers is not None
+        if pinned or parallel.may_leave_process(n_rows):
+            from repro.circuits import distributed
+
+            hosts = distributed.effective_hosts(hosts)
+            if hosts:
+                try:
+                    return distributed._distributed_matrix_pass(
+                        self, matrix, as_float, hosts
+                    )
+                except (ReproError, OSError):
+                    if pinned:
+                        raise
+                    parallel.warn_serial_fallback(
+                        "distributed batch evaluation failed; falling back "
+                        "to the local execution tiers"
+                    )
+            workers = parallel._effective_workers(workers)
+            if workers >= 2:
+                try:
+                    return parallel._sharded_matrix_pass(
+                        self, matrix, as_float, workers
+                    )
+                except (ReproError, OSError):
+                    # OSError covers shared-memory allocation (ENOSPC on a
+                    # small /dev/shm) and process-spawn failures; the
+                    # in-process kernels below need neither.
+                    if pinned:
+                        raise
+                    parallel.warn_serial_fallback(
+                        "sharded batch evaluation failed; falling back to "
+                        "the single-process kernels"
+                    )
+        out = _np.empty(n_rows, dtype=dtype)
+        self.batch_plan().run_into(matrix, out, as_float)
+        return out
+
+
+def plan_of(source) -> Plan:
+    """``source`` if it is a :class:`Plan`, else its lowering's plan.
+
+    ``source`` may also be a :class:`CompiledCircuit` or a :class:`Circuit`
+    (:func:`compile_circuit`).
+    """
+    if isinstance(source, Plan):
+        return source
+    return compile_circuit(source).plan
+
+
 class CompiledCircuit:
     """An immutable, flat, topologically-sorted lowering of a :class:`Circuit`.
 
     Positions ``0 .. size-1`` enumerate the gates reachable from the output
     in topological order; ``output`` is the position of the output gate.
-    Construct through :func:`compile_circuit`, which caches the compiled
-    form on the source circuit.
+    The lowering's arrays are its :attr:`plan`, which every batch entry
+    point evaluates. Construct through :func:`compile_circuit`, which
+    caches the compiled form on the source circuit.
     """
 
     __slots__ = (
         "source",
+        "plan",
         "size",
         "_kinds",
         "_offsets",
@@ -761,20 +964,14 @@ class CompiledCircuit:
         "output",
         "_gate_ids",
         "_position_of",
-        "_levels32",
-        "_np32",
         "_binarized",
         "_decompositions",
-        "_batch_plan",
-        "_shared_plan",
-        "_wire_cache",
-        "_wire_digest",
         "__weakref__",
     )
 
     def __init__(self, circuit: Circuit):
         check(circuit.output is not None, "circuit has no output gate")
-        # The CSR lists, materialized from ``_np32`` when a scalar
+        # The CSR lists, materialized from the plan's arrays when a scalar
         # consumer first asks for them.
         self._kinds = None
         self._offsets = None
@@ -783,10 +980,6 @@ class CompiledCircuit:
         self._position_of = None
         self._binarized: CompiledCircuit | None = None
         self._decompositions: dict[str, object] = {}
-        self._batch_plan = _UNBUILT
-        self._shared_plan = None  # lazily published by repro.circuits.parallel
-        self._wire_cache = None  # lazily packed by repro.circuits.distributed
-        self._wire_digest = None  # content digest of _wire_cache, cached with it
         self.source = circuit
         self._lower_vector(circuit)
         _STATS["lowerings"] += 1
@@ -806,9 +999,9 @@ class CompiledCircuit:
         remapping is one boolean edge mask plus an inverse-permutation
         gather, variable interning is a rank map over the arena's (already
         first-occurrence ordered) slot numbers, and the level schedule is
-        one gather from the arena's levels. Sets ``_np32`` (the int32
-        ``kinds``, ``offsets``, ``indices`` and ``var_slot``), ``_gate_ids``
-        (an int64 array) and ``_levels32``: exactly the arrays of
+        one gather from the arena's levels. Sets :attr:`plan` (the int32
+        ``kinds``, ``offsets``, ``indices``, ``var_slot`` and ``levels``)
+        and ``_gate_ids`` (an int64 array): exactly the arrays of
         :func:`reference_lowering`, which the tests and E17 compare it with.
         """
         out = circuit.output
@@ -861,10 +1054,11 @@ class CompiledCircuit:
         self.var_names = _names_of_slots(circuit._slot_names, arena_slots)
         self.output = int(pos_of[out])
         self._gate_ids = gate_ids
-        self._np32 = (kinds32, offsets32, indices32, var_slot32)
-        self._levels32 = _np.frombuffer(
-            circuit._gate_levels, dtype=_np.int32
-        )[gate_ids]
+        self.plan = Plan(
+            kinds32, offsets32, indices32, var_slot32,
+            _np.frombuffer(circuit._gate_levels, dtype=_np.int32)[gate_ids],
+            self.output, len(self.var_names),
+        )
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -874,7 +1068,7 @@ class CompiledCircuit:
         """Gate kind codes by position (list, materialized on demand)."""
         value = self._kinds
         if value is None:
-            value = self._kinds = self._np32[0].tolist()
+            value = self._kinds = self.plan.kinds.tolist()
         return value
 
     @property
@@ -882,7 +1076,7 @@ class CompiledCircuit:
         """CSR input offsets, one past the last gate (materialized lazily)."""
         value = self._offsets
         if value is None:
-            value = self._offsets = self._np32[1].tolist()
+            value = self._offsets = self.plan.offsets.tolist()
         return value
 
     @property
@@ -890,7 +1084,7 @@ class CompiledCircuit:
         """CSR input positions, flat (materialized lazily)."""
         value = self._indices
         if value is None:
-            value = self._indices = self._np32[2].tolist()
+            value = self._indices = self.plan.indices.tolist()
         return value
 
     @property
@@ -898,7 +1092,7 @@ class CompiledCircuit:
         """Variable slot per position, ``-1`` off VAR gates (lazy)."""
         value = self._var_slot
         if value is None:
-            value = self._var_slot = self._np32[3].tolist()
+            value = self._var_slot = self.plan.var_slot.tolist()
         return value
 
     @property
@@ -918,22 +1112,6 @@ class CompiledCircuit:
                 gid: pos for pos, gid in enumerate(self.gate_ids)
             }
         return mapping
-
-    def levels_array(self):
-        """The :func:`gate_levels` schedule of this lowering, an int32 array.
-
-        The lowering gathers it from the arena's levels; the batch plan,
-        the wire encoding and the shared-memory segment read it.
-        """
-        return self._levels32
-
-    def levels_list(self) -> list[int]:
-        """:meth:`levels_array` as a list."""
-        return self._levels32.tolist()
-
-    def _int32_arrays(self):
-        """``(kinds, offsets, indices, var_slot)``: the lowering's int32 arrays."""
-        return self._np32
 
     def variables(self) -> Sequence[str]:
         """Variable names in slot order (first topological occurrence).
@@ -1023,15 +1201,11 @@ class CompiledCircuit:
     # level-scheduled numpy batch kernels (third lowering stage)
 
     def batch_plan(self) -> _BatchPlan:
-        """The level-scheduled numpy plan, built once."""
-        if self._batch_plan is _UNBUILT:
-            self._batch_plan = _BatchPlan(
-                *self._int32_arrays(), self._levels32, self.output
-            )
-        return self._batch_plan
+        """The level-scheduled numpy plan of :attr:`plan`, built once."""
+        return self.plan.batch_plan()
 
     def wire_bytes(self) -> bytes:
-        """This circuit's plan in the versioned wire format, packed once.
+        """:attr:`plan` in the versioned wire format, packed once.
 
         The stage-5 export hook: the blob
         (:func:`repro.circuits.distributed.plan_to_bytes`) carries the int32
@@ -1039,82 +1213,23 @@ class CompiledCircuit:
         through :func:`repro.circuits.distributed.plan_from_bytes` on any
         host.
         """
-        from repro.circuits import distributed
-
-        return distributed.plan_to_bytes(self)
+        return self.plan.wire_bytes()
 
     def plan_digest(self) -> str:
-        """Content digest of :meth:`wire_bytes`, computed once per circuit.
+        """Content digest of :meth:`wire_bytes`, computed once per circuit
+        (:meth:`Plan.digest`)."""
+        return self.plan.digest()
 
-        The identity the distributed runtime keys its caches on: workers
-        cache decoded plans by it and the coordinator's ``PLAN_OFFER``
-        handshake sends it instead of the plan, so a plan crosses the wire
-        at most once per worker per circuit.
-        """
-        if self._wire_digest is None:
-            from repro.circuits import distributed
-
-            self._wire_digest = distributed.plan_checksum(self.wire_bytes())
-        return self._wire_digest
-
-    def _maybe_sharded(self, matrix, as_float: bool):
-        """Route a big batch to distributed hosts or the worker pool.
-
-        The knob ladder, top down: distributed hosts (stage 5) when the
-        ``distributed_hosts`` knob names workers and the batch is large
-        enough; the multi-process pool (stage 4) when ``parallel_workers``
-        says so; otherwise ``None`` — the caller's in-process kernels.
-        Either backend failing falls through to the next tier (warned once
-        per process) rather than losing the batch.
-        """
-        from repro.circuits import distributed, parallel
-
-        n_rows = matrix.shape[0]
-        if distributed.should_distribute(n_rows):
-            try:
-                return distributed._distributed_matrix_pass(
-                    self, matrix, as_float, None
-                )
-            except (ReproError, OSError):
-                parallel.warn_serial_fallback(
-                    "distributed batch evaluation failed; falling back to "
-                    "the local execution tiers"
-                )
-        if not parallel.should_shard(n_rows):
-            return None
-        try:
-            return parallel._sharded_matrix_pass(self, matrix, as_float, None)
-        except (ReproError, OSError):
-            # OSError covers shared-memory allocation (ENOSPC on a small
-            # /dev/shm) and process-spawn failures; the in-process kernels
-            # below need neither.
-            parallel.warn_serial_fallback(
-                "sharded batch evaluation failed; falling back to the "
-                "single-process kernels"
-            )
-            return None
-
-    def _as_world_matrix(self, valuations):
-        """Normalize worlds to a ``(n_worlds, n_vars)`` bool matrix.
-
-        Accepts a 2-D numpy array of truth values in slot order (any dtype
-        with a sensible truthiness: ``bool``, 0/1 ints, ``np.bool_``) or an
-        iterable of per-world valuations as taken by :meth:`evaluate`. Rows
-        are copied as they are drawn, so generators that refill one shared
-        row buffer are safe.
-        """
-        n_vars = len(self.var_names)
-        if isinstance(valuations, _np.ndarray) and valuations.ndim == 2:
-            check(
-                valuations.shape[1] == n_vars,
-                f"world matrix has {valuations.shape[1]} columns for "
-                f"{n_vars} variables",
-            )
-            return valuations.astype(_np.bool_, copy=False)
-        rows = [tuple(self.slot_values(v)) for v in valuations]
-        if not rows:
-            return _np.empty((0, n_vars), dtype=_np.bool_)
-        return _np.asarray(rows, dtype=_np.bool_)
+    def _matrix(self, batch, row_of, dtype):
+        """A batch as :meth:`Plan.run` takes it: a 2-D numpy array as it
+        is, anything else one row per item through ``row_of``. Rows are
+        copied as they are drawn, so generators that refill one shared
+        row buffer are safe."""
+        if isinstance(batch, _np.ndarray) and batch.ndim == 2:
+            return batch
+        rows = [tuple(row_of(item)) for item in batch]
+        matrix = _np.array(rows, dtype=dtype)
+        return matrix.reshape(len(rows), len(self.var_names))
 
     # ------------------------------------------------------------------ #
     # Boolean evaluation
@@ -1159,24 +1274,15 @@ class CompiledCircuit:
 
         ``valuations`` is an iterable of valuations as accepted by
         :meth:`evaluate`, or a ``(n_worlds, n_vars)`` numpy matrix in slot
-        order. The whole batch runs through the level-scheduled vectorized
-        kernels (:meth:`batch_plan`), chunked to bound memory — and
-        row-sharded across the worker processes of
-        :mod:`repro.circuits.parallel` when the ``parallel_workers`` knob
-        is set and the batch is big enough, with identical results.
+        order. The whole batch is one pass down :attr:`plan`'s tier ladder
+        (:meth:`Plan.run`): through the level-scheduled vectorized kernels
+        (:meth:`batch_plan`), chunked to bound memory, or row-sharded
+        across remote hosts or the worker processes of
+        :mod:`repro.circuits.parallel` when the knobs name them and the
+        batch is big enough, with identical results.
         """
-        matrix = self._as_world_matrix(valuations)
-        n_worlds = matrix.shape[0]
-        if n_worlds == 0:
-            return []
-        _BATCH_STATS["evaluate_passes"] += 1
-        _BATCH_STATS["evaluate_rows"] += n_worlds
-        sharded = self._maybe_sharded(matrix, as_float=False)
-        if sharded is not None:
-            return sharded.tolist()
-        out = _np.empty(n_worlds, dtype=_np.bool_)
-        self.batch_plan().run_into(matrix, out, as_float=False)
-        return out.tolist()
+        matrix = self._matrix(valuations, self.slot_values, _np.bool_)
+        return self.plan.run(matrix, as_float=False).tolist()
 
     # ------------------------------------------------------------------ #
     # probability fast paths
@@ -1223,33 +1329,14 @@ class CompiledCircuit:
         accepted by :meth:`probability` (event spaces, mappings, slot
         sequences), or a ``(n_rows, n_vars)`` float matrix in slot order.
         All rows share one level-scheduled float pass (grouped
-        ``np.multiply`` at AND, ``np.add`` at OR, left to right),
-        row-sharded across worker processes for big batches when the
-        ``parallel_workers`` knob is set. Like :meth:`probability`, correct
+        ``np.multiply`` at AND, ``np.add`` at OR, left to right) down
+        :attr:`plan`'s tier ladder, as :meth:`evaluate_batch`'s worlds do.
+        Like :meth:`probability`, correct
         only on deterministic decomposable circuits over independent
         variables.
         """
-        n_vars = len(self.var_names)
-        if isinstance(marginals_batch, _np.ndarray) and marginals_batch.ndim == 2:
-            check(
-                marginals_batch.shape[1] == n_vars,
-                f"marginal matrix has {marginals_batch.shape[1]} columns for "
-                f"{n_vars} variables",
-            )
-            matrix = marginals_batch.astype(_np.float64, copy=False)
-        else:
-            rows = [tuple(self.slot_marginals(row)) for row in marginals_batch]
-            if not rows:
-                return []
-            matrix = _np.asarray(rows, dtype=_np.float64)
-        _BATCH_STATS["probability_passes"] += 1
-        _BATCH_STATS["probability_rows"] += matrix.shape[0]
-        sharded = self._maybe_sharded(matrix, as_float=True)
-        if sharded is not None:
-            return sharded.tolist()
-        out = _np.empty(matrix.shape[0], dtype=_np.float64)
-        self.batch_plan().run_into(matrix, out, as_float=True)
-        return out.tolist()
+        matrix = self._matrix(marginals_batch, self.slot_marginals, _np.float64)
+        return self.plan.run(matrix, as_float=True).tolist()
 
     def probability_enumerate(
         self, marginals, max_vars: int = ENUMERATION_VARIABLE_CAP

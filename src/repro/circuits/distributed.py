@@ -4,13 +4,14 @@ The sharded worker pool (:mod:`repro.circuits.parallel`, fourth stage) is
 bounded by one machine. This module fans the *same* deterministic shards out
 over TCP so any number of hosts can chew on one batch or Monte-Carlo run:
 
-- **Wire format** — :func:`plan_to_bytes` / :func:`plan_from_bytes` pack a
-  compiled circuit's int32 CSR buffers, its level schedule, and the metadata
-  a worker needs (``size``/``output``/``n_vars``) into a self-describing,
-  versioned, CRC-checksummed binary blob (layout table in
-  ``ARCHITECTURE.md``). Corrupted, truncated, or wrong-version payloads are
-  rejected with :class:`~repro.util.ReproError` before any evaluation can
-  happen.
+- **Wire format** — :func:`plan_to_bytes` packs a
+  :class:`~repro.circuits.compiled.Plan`'s int32 CSR buffers, its level
+  schedule, and the metadata a worker needs (``size``/``output``/
+  ``n_vars``) into a self-describing, versioned, CRC-checksummed binary
+  blob (layout table in ``ARCHITECTURE.md``), and :func:`plan_from_bytes`
+  decodes one back into a ``Plan``, its arrays views over the blob.
+  Corrupted, truncated, or wrong-version payloads are rejected with
+  :class:`~repro.util.ReproError` before any evaluation can happen.
 - **Protocol** — length-prefixed frames over TCP (``uint32`` length, one
   message-kind byte, a JSON header, a binary blob). A coordinator publishes
   the plan (and, for Karp–Luby, the witness tables) **once per connection**,
@@ -94,7 +95,7 @@ from repro import config
 from repro.circuits import compiled as _compiled
 from repro.circuits import parallel as _parallel
 from repro.util import ReproError, check, parse_hostport
-from repro.util.helpers import spawn_until_ready
+from repro.util.helpers import LocalProcess, spawn_until_ready
 
 # --------------------------------------------------------------------------- #
 # wire format: versioned, checksummed plan serialization
@@ -232,39 +233,24 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def plan_to_bytes(compiled) -> bytes:
-    """Serialize a compiled circuit's batch plan to the versioned wire format.
+def plan_to_bytes(plan) -> bytes:
+    """Serialize a :class:`~repro.circuits.compiled.Plan` to the wire format.
 
-    Packs the lowering's four int32 CSR arrays as they are, the per-gate
+    Packs the plan's four int32 CSR arrays as they are, the per-gate
     level schedule (:func:`repro.circuits.compiled.gate_levels`, which
     the receiver re-verifies against the CSR arrays and then groups its
-    batch plan by), and the ``size``/``output``/``n_vars`` metadata. The
-    result is cached on the compiled circuit, so repeated connections
-    reuse one encoding.
+    batch plan by), and the ``size``/``output``/``n_vars`` metadata.
+    ``plan`` may also be a compiled circuit or a circuit (its lowering's
+    plan). Each call packs afresh; the plan keeps one packing
+    (:meth:`~repro.circuits.compiled.Plan.wire_bytes`).
     """
-    compiled = _compiled.compile_circuit(compiled)
-    cached = compiled._wire_cache
-    if cached is None:
-        kinds, offsets, indices, var_slot = compiled._int32_arrays()
-        cached = _pack_blob(
-            {
-                "kind": "plan",
-                "size": compiled.size,
-                "output": compiled.output,
-                "n_vars": len(compiled.var_names),
-            },
-            [
-                ("kinds", "i", kinds),
-                ("offsets", "i", offsets),
-                ("indices", "i", indices),
-                ("var_slot", "i", var_slot),
-                ("levels", "i", compiled.levels_array()),
-            ],
-        )
-        compiled._wire_cache = cached
-        if compiled._wire_digest is None:
-            compiled._wire_digest = plan_checksum(cached)
-    return cached
+    plan = _compiled.plan_of(plan)
+    return _pack_blob(
+        {"kind": "plan", "size": plan.size, "output": plan.output,
+         "n_vars": plan.n_vars},
+        [(name, "i", array)
+         for name, array in zip(_compiled.PLAN_ARRAYS, plan.arrays())],
+    )
 
 
 def plan_checksum(plan_bytes: bytes) -> str:
@@ -278,99 +264,42 @@ def plan_checksum(plan_bytes: bytes) -> str:
     return hashlib.sha256(plan_bytes).hexdigest()[:32]
 
 
-class WirePlan:
-    """A circuit plan decoded from the wire, ready to evaluate shards.
-
-    Holds the CSR arrays and the level schedule as read-only int32 arrays
-    over the payload and lowers them to the level-scheduled
-    :class:`~repro.circuits.compiled._BatchPlan` on first use. The level
-    schedule shipped in the payload is re-verified against the CSR arrays
-    on construction, and the batch plan groups by it — a plan that decodes
-    is a plan that evaluates.
-    """
-
-    __slots__ = ("size", "output", "n_vars", "kinds", "offsets", "indices",
-                 "var_slot", "levels", "_plan")
-
-    def __init__(self, meta: dict, sections: dict[str, np.ndarray]):
-        for name in ("size", "output", "n_vars"):
-            check(_is_count(meta.get(name)),
-                  f"wire plan header's {name!r} is not a non-negative integer")
-            setattr(self, name, meta[name])
-        for name in ("kinds", "offsets", "indices", "var_slot", "levels"):
-            check(name in sections and sections[name].dtype == "<i4",
-                  f"wire plan has no int32 {name!r} section")
-            setattr(self, name, sections[name])
-        self._validate()
-        self._plan = None
-
-    def _validate(self) -> None:
-        size = self.size
-        check(
-            len(self.levels) == size,
-            "wire plan sections disagree about the gate count",
-        )
-        _compiled.check_plan_arrays(
-            size=size, kinds=self.kinds, offsets=self.offsets,
-            indices=self.indices, var_slot=self.var_slot,
-            n_vars=self.n_vars, output=self.output,
-        )
-        check(
-            _compiled.levels_consistent(
-                self.kinds, self.offsets, self.indices, self.levels
-            ),
-            "wire plan corrupt: level schedule does not match the CSR arrays",
-        )
-
-    # -- evaluation ------------------------------------------------------- #
-
-    def batch_plan(self):
-        """The level-scheduled numpy plan, built once."""
-        if self._plan is None:
-            self._plan = _compiled._BatchPlan(
-                self.kinds, self.offsets, self.indices, self.var_slot,
-                self.levels, self.output,
-            )
-        return self._plan
-
-    def run_rows(self, rows, as_float: bool) -> list:
-        """Evaluate an iterable of slot-value rows, one output per row."""
-        rows = [list(row) for row in rows]  # copies rows drawn from shared buffers
-        dtype = np.float64 if as_float else np.bool_
-        matrix = np.asarray(rows, dtype=dtype)
-        if matrix.ndim != 2:  # empty batch, or zero-variable circuit
-            matrix = matrix.reshape(len(rows), self.n_vars)
-        out = np.empty(matrix.shape[0], dtype=dtype)
-        self.batch_plan().run_into(matrix, out, as_float)
-        return out.tolist()
-
-    def mc_shard_hits(self, probs, seed: int, index: int, count: int) -> int:
-        """Hit count of one deterministic ``(seed, index, count)`` MC shard.
-
-        Exactly :func:`repro.circuits.parallel._mc_shard_hits` on the
-        decoded plan — bit-identical to the in-process and pool paths.
-        The probabilities, seed and count come off the wire, so they are
-        checked first: one probability per variable slot, a non-negative
-        int seed, a positive int count.
-        """
-        probs32 = _parallel.mc_marginals(probs, self.n_vars)
-        seed = _parallel.check_sampling(count, seed)
-        return _parallel._mc_shard_hits(
-            self.batch_plan(), probs32, seed, index, count
-        )
-
-
-def plan_from_bytes(data: bytes) -> WirePlan:
-    """Decode, verify and lower a :func:`plan_to_bytes` payload.
+def plan_from_bytes(data: bytes) -> _compiled.Plan:
+    """Decode and verify a :func:`plan_to_bytes` payload.
 
     Raises :class:`~repro.util.ReproError` for anything that is not a
     byte-exact, current-version plan: wrong magic, unsupported version,
     truncation, checksum mismatch, or internally inconsistent sections
-    (including a level schedule that disagrees with the CSR arrays).
+    (including a level schedule that disagrees with the CSR arrays). The
+    plan's arrays are read-only views over the blob, and its
+    :meth:`~repro.circuits.compiled.Plan.wire_bytes` is the blob, so a
+    plan that decodes is a plan that evaluates and ships on unchanged.
     """
     meta, sections = _unpack_blob(data)
     check(meta.get("kind") == "plan", "wire payload is not a circuit plan")
-    return WirePlan(meta, sections)
+    for name in ("size", "output", "n_vars"):
+        check(_is_count(meta.get(name)),
+              f"wire plan header's {name!r} is not a non-negative integer")
+    for name in _compiled.PLAN_ARRAYS:
+        check(name in sections and sections[name].dtype == "<i4",
+              f"wire plan has no int32 {name!r} section")
+    kinds, offsets, indices, var_slot, levels = (
+        sections[name] for name in _compiled.PLAN_ARRAYS
+    )
+    size = meta["size"]
+    check(len(levels) == size, "wire plan sections disagree about the gate count")
+    _compiled.check_plan_arrays(
+        size=size, kinds=kinds, offsets=offsets, indices=indices,
+        var_slot=var_slot, n_vars=meta["n_vars"], output=meta["output"],
+    )
+    check(
+        _compiled.levels_consistent(kinds, offsets, indices, levels),
+        "wire plan corrupt: level schedule does not match the CSR arrays",
+    )
+    return _compiled.Plan(
+        kinds, offsets, indices, var_slot, levels, meta["output"],
+        meta["n_vars"], wire=bytes(data),
+    )
 
 
 def _tables_to_bytes(membership, probs, cumulative, total_weight):
@@ -780,7 +709,7 @@ class WorkerServer:
         self.advertise = str(advertise) if advertise else None
         self.registered = False  # True while the registry link is up
         self._executed = 0
-        self._plans: dict[str, WirePlan] = {}
+        self._plans: dict[str, _compiled.Plan] = {}
         self._tables: dict[str, WireTables] = {}
         self._server = None
         self._register_task = None
@@ -1063,42 +992,6 @@ class WorkerServer:
         raise ReproError(f"unknown distributed task op {op!r}")
 
 
-class LocalWorker:
-    """A ``repro serve`` worker subprocess spawned by :func:`spawn_local_worker`."""
-
-    __slots__ = ("process", "host", "port")
-
-    def __init__(self, process, host: str, port: int):
-        self.process = process
-        self.host = host
-        self.port = port
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
-
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
-    def wait_dead(self, timeout: float = 10.0) -> int:
-        """Block until the process exits; returns its exit code."""
-        return self.process.wait(timeout=timeout)
-
-    def stop(self) -> None:
-        """Terminate the worker and reap it (idempotent, escalates to kill)."""
-        import subprocess
-
-        if self.process.poll() is None:
-            self.process.terminate()
-            try:
-                self.process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck worker
-                self.process.kill()
-                self.process.wait(timeout=5.0)
-        if self.process.stdout is not None:
-            self.process.stdout.close()
-
-
 def spawn_local_worker(max_tasks: int | None = None,
                        startup_timeout: float = 30.0, port: int = 0,
                        secret: str | None = None,
@@ -1107,7 +1000,7 @@ def spawn_local_worker(max_tasks: int | None = None,
                        tls_key: str | None = None,
                        tls_ca: str | None = None,
                        register: str | None = None,
-                       advertise: str | None = None) -> LocalWorker:
+                       advertise: str | None = None) -> LocalProcess:
     """Start a localhost shard worker subprocess and wait until it is ready.
 
     Runs ``python -m repro serve`` (``port=0`` lets the OS pick, so any
@@ -1115,12 +1008,12 @@ def spawn_local_worker(max_tasks: int | None = None,
     relaunch it at the same address) with this process's ``repro`` package
     on the child's path, and blocks until the worker prints its
     ``repro-worker listening on host:port`` readiness line. The caller owns
-    teardown (:meth:`LocalWorker.stop`). Tests and benchmarks share this
-    one implementation of the spawn/readiness/teardown dance; ``max_tasks``
-    (crash after N tasks), ``secret`` (require auth), ``delay`` (sleep
-    before each task), the ``tls_*`` certificate paths and
-    ``register``/``advertise`` (elastic membership) pass the serve flags
-    through.
+    teardown (:meth:`~repro.util.helpers.LocalProcess.stop`). Tests and
+    benchmarks share this one implementation of the
+    spawn/readiness/teardown dance; ``max_tasks`` (crash after N tasks),
+    ``secret`` (require auth), ``delay`` (sleep before each task), the
+    ``tls_*`` certificate paths and ``register``/``advertise`` (elastic
+    membership) pass the serve flags through.
     """
     env = dict(os.environ)
     if tls_cert is not None or tls_key is not None or tls_ca is not None:
@@ -1150,7 +1043,7 @@ def spawn_local_worker(max_tasks: int | None = None,
         command += ["--register", str(register)]
     if advertise is not None:
         command += ["--advertise", str(advertise)]
-    return LocalWorker(*spawn_until_ready(command, env, startup_timeout, "worker"))
+    return spawn_until_ready(command, env, startup_timeout, "worker")
 
 
 # --------------------------------------------------------------------------- #
@@ -2008,11 +1901,6 @@ def _run_distributed(hosts, payloads, tasks, run_local) -> list:
 # --------------------------------------------------------------------------- #
 # entry points
 
-def _plan_payload(compiled) -> tuple[bytes, str]:
-    plan_bytes = plan_to_bytes(compiled)
-    return plan_bytes, compiled.plan_digest()
-
-
 def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
                      hosts=None, workers: int | None = None) -> int:
     """Monte-Carlo hit count, fanned out over distributed workers.
@@ -2026,18 +1914,19 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
     are served, so every shard comes from the same stream.
     The arguments are checked before anything is shipped. With no
     effective hosts the call simply defers to the pool entry point
-    (honouring ``workers=``).
+    (honouring ``workers=``). ``compiled`` may also be a
+    :class:`~repro.circuits.compiled.Plan` or a circuit.
     """
-    compiled = _compiled.compile_circuit(compiled)
+    plan = _compiled.plan_of(compiled)
     hosts = effective_hosts(hosts)
     if not hosts:
         return _parallel.monte_carlo_hits(
-            compiled, marginals, samples, seed=seed, workers=workers
+            plan, marginals, samples, seed=seed, workers=workers
         )
     seed = _parallel.check_sampling(samples, seed)
-    probs32 = _parallel.mc_marginals(marginals, len(compiled.variables()))
+    probs32 = _parallel.mc_marginals(marginals, plan.n_vars)
     probs_blob = _values_to_bytes("f", probs32)
-    plan_bytes, checksum = _plan_payload(compiled)
+    checksum = plan.digest()
 
     tasks = [
         (
@@ -2051,12 +1940,13 @@ def monte_carlo_hits(compiled, marginals, samples: int, seed: int = 0,
 
     def run_local(meta):
         hits = _parallel._mc_shard_hits(
-            compiled.batch_plan(), probs32, meta["seed"], meta["index"], meta["count"]
+            plan.batch_plan(), probs32, meta["seed"], meta["index"], meta["count"]
         )
         return {"hits": hits}, b""
 
     results = _run_distributed(
-        hosts, [(MSG_PLAN, {"checksum": checksum}, plan_bytes)], tasks, run_local
+        hosts, [(MSG_PLAN, {"checksum": checksum}, plan.wire_bytes())], tasks,
+        run_local,
     )
     return sum(int(meta["hits"]) for meta, _blob in results)
 
@@ -2099,23 +1989,16 @@ def karp_luby_hits(membership, probs, weights, samples: int, seed: int = 0,
     return sum(int(meta["hits"]) for meta, _blob in results)
 
 
-def _distributed_matrix_pass(compiled, matrix, as_float: bool, hosts):
-    hosts = effective_hosts(hosts)
-    compiled = _compiled.compile_circuit(compiled)
-    dtype = np.float64 if as_float else np.bool_
-    matrix = np.ascontiguousarray(matrix, dtype=dtype)
-    check(
-        matrix.ndim == 2 and matrix.shape[1] == len(compiled.var_names),
-        f"world matrix must be (n, {len(compiled.var_names)}), got {matrix.shape}",
-    )
+def _distributed_matrix_pass(plan, matrix, as_float: bool, hosts):
+    """A checked matrix's row shards, streamed to ``hosts`` and merged.
+
+    The hosts tier of :meth:`~repro.circuits.compiled.Plan.run`; a shard
+    no worker finished runs in this process.
+    """
     n_rows = matrix.shape[0]
+    dtype = matrix.dtype
     out = np.empty(n_rows, dtype=dtype)
-    if n_rows == 0:
-        return out
-    if not hosts:
-        compiled.batch_plan().run_into(matrix, out, as_float)
-        return out
-    plan_bytes, checksum = _plan_payload(compiled)
+    checksum = plan.digest()
     # Shard into STEAL_SHARDS_PER_HOST pieces per host (slack for the
     # stealing queue to rebalance), then re-split so no single shard's
     # payload can exceed MAX_SHARD_BYTES: frames stay far under the wire
@@ -2145,11 +2028,12 @@ def _distributed_matrix_pass(compiled, matrix, as_float: bool, hosts):
         start = meta["start"]
         rows = meta["rows"]
         shard_out = np.empty(rows, dtype=dtype)
-        compiled.batch_plan().run_into(matrix[start : start + rows], shard_out, as_float)
+        plan.batch_plan().run_into(matrix[start : start + rows], shard_out, as_float)
         return meta, shard_out.tobytes()
 
     results = _run_distributed(
-        hosts, [(MSG_PLAN, {"checksum": checksum}, plan_bytes)], tasks, run_local
+        hosts, [(MSG_PLAN, {"checksum": checksum}, plan.wire_bytes())], tasks,
+        run_local,
     )
     for (slot, meta, _blob), (rmeta, rblob) in zip(tasks, results):
         start = meta["start"]
@@ -2163,12 +2047,17 @@ def evaluate_batch_distributed(compiled, matrix, hosts=None):
     The stage-5 analogue of
     :func:`repro.circuits.parallel.evaluate_batch_sharded`: same kernels on
     the same rows (after a wire round trip of the plan), so the result is
-    bit-identical to the local paths. With no effective hosts the pass runs
-    in-process.
+    bit-identical to the local paths, whatever the batch size. With no
+    effective hosts the pass runs in-process. ``compiled`` may also be a
+    :class:`~repro.circuits.compiled.Plan` or a circuit.
     """
-    return _distributed_matrix_pass(compiled, matrix, as_float=False, hosts=hosts)
+    return _compiled.plan_of(compiled).run(
+        matrix, as_float=False, hosts=hosts, workers=0
+    )
 
 
 def probability_batch_distributed(compiled, matrix, hosts=None):
     """The Theorem-1 float pass with row shards streamed to remote workers."""
-    return _distributed_matrix_pass(compiled, matrix, as_float=True, hosts=hosts)
+    return _compiled.plan_of(compiled).run(
+        matrix, as_float=True, hosts=hosts, workers=0
+    )

@@ -5,11 +5,12 @@ whole world matrix through one level-scheduled pass — but on a single core.
 This module shards that work across a persistent
 :class:`concurrent.futures.ProcessPoolExecutor`:
 
-- the compiled circuit's CSR arrays (``kinds``/``offsets``/``indices``/
-  ``var_slot``) and its level schedule are published **once** per circuit
-  into a :mod:`multiprocessing.shared_memory` segment (:func:`_plan_handle`);
-  workers attach, build the level plan from them, and cache it, so a task
-  pickles a small descriptor, never a copy of the plan;
+- a :class:`~repro.circuits.compiled.Plan`'s CSR arrays (``kinds``/
+  ``offsets``/``indices``/``var_slot``) and its level schedule are
+  published **once** per plan into a :mod:`multiprocessing.shared_memory`
+  segment (:func:`_plan_handle`); workers attach, build the level plan
+  from them, and cache it, so a task pickles a small descriptor, never a
+  copy of the plan;
 - world/marginal matrices are placed in a per-call shared segment and split
   into contiguous **row shards**; each worker writes its slice of the output
   into the same segment, so no matrix crosses a pipe
@@ -29,9 +30,9 @@ never on the worker count or scheduling order. A fixed seed therefore gives
 *bit-identical* estimates whether the shards run in-process (``workers=0``)
 or on 1, 2 or 8 workers.
 
-**Lifecycle.** Segments are named ``repro-plan-*`` (per compiled circuit,
-unlinked when the circuit is garbage-collected) and ``repro-buf-*`` (per
-call, unlinked in a ``finally``). Everything still live is torn down by an
+**Lifecycle.** Segments are named ``repro-plan-*`` (per plan, unlinked
+when the plan is garbage-collected) and ``repro-buf-*`` (per call,
+unlinked in a ``finally``). Everything still live is torn down by an
 ``atexit`` hook (:func:`shutdown`), and :func:`active_segments` exposes the
 registry so tests can assert nothing leaked. A worker death, between
 calls or during one, costs one re-run: the call drops the broken pool and
@@ -75,10 +76,11 @@ MC_SHARD = 1 << 14
 
 #: Below this many rows the sharded matrix paths are not worth the
 #: shared-memory round trip: :func:`may_leave_process` says no, and with
-#: it ``should_shard`` and the distributed tier's ``should_distribute``.
+#: it the tier ladder (:meth:`~repro.circuits.compiled.Plan.run`),
+#: ``should_shard`` and the distributed tier's ``should_distribute``.
 PARALLEL_MIN_ROWS = 2048
 
-#: Shared-memory name prefixes: per-circuit plans vs per-call buffers.
+#: Shared-memory name prefixes: per-plan segments vs per-call buffers.
 PLAN_PREFIX = "repro-plan-"
 BUFFER_PREFIX = "repro-buf-"
 
@@ -242,29 +244,23 @@ class SharedBuffers:
         return shm, meta, views
 
 
-#: The int32 arrays of a published plan, in :class:`_BatchPlan` order.
-_PLAN_ARRAYS = ("kinds", "offsets", "indices", "var_slot", "levels")
+def _plan_handle(plan) -> SharedBuffers:
+    """A :class:`~repro.circuits.compiled.Plan`'s arrays in a new segment.
 
-
-def _plan_handle(compiled) -> SharedBuffers:
-    """The circuit's plan arrays in shared memory, published once and cached.
-
-    The segment holds the four int32 CSR arrays and the level schedule,
-    everything a worker's :class:`~repro.circuits.compiled._BatchPlan`
-    is built from. It is unlinked when the compiled circuit is
-    garbage-collected (or at interpreter exit via :func:`shutdown`), after
-    which a fresh call republishes.
+    The shared-memory segment holds the four int32 CSR arrays and the
+    level schedule, everything a worker's
+    :class:`~repro.circuits.compiled._BatchPlan` is built from. It is
+    unlinked when the plan is garbage-collected (or at interpreter exit
+    via :func:`shutdown`). The plan keeps the handle
+    (:meth:`~repro.circuits.compiled.Plan.shared_handle`), so each plan
+    is published once.
     """
-    handle = compiled._shared_plan
-    if handle is None or handle.closed:
-        arrays = (*compiled._int32_arrays(), compiled.levels_array())
-        handle = SharedBuffers(
-            dict(zip(_PLAN_ARRAYS, arrays)),
-            prefix=PLAN_PREFIX,
-            meta={"output": compiled.output},
-        )
-        compiled._shared_plan = handle
-        weakref.finalize(compiled, handle.close)
+    handle = SharedBuffers(
+        dict(zip(_compiled.PLAN_ARRAYS, plan.arrays())),
+        prefix=PLAN_PREFIX,
+        meta={"output": plan.output},
+    )
+    weakref.finalize(plan, handle.close)
     return handle
 
 
@@ -283,7 +279,7 @@ def _worker_plan(manifest, cache):
         shm, meta, views = SharedBuffers.attach(manifest)
         try:
             # Copies, so nothing the plan keeps can pin the closed segment.
-            arrays = [views[key].copy() for key in _PLAN_ARRAYS]
+            arrays = [views[key].copy() for key in _compiled.PLAN_ARRAYS]
         finally:
             views = None
             shm.close()
@@ -648,28 +644,19 @@ def _row_shards(
     return [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
 
 
-def _sharded_matrix_pass(compiled, matrix, as_float: bool, workers: int | None):
-    check(parallel_available(), "sharded evaluation requires shared memory")
-    compiled = _compiled.compile_circuit(compiled)
-    workers = _effective_workers(workers)
-    dtype = np.float64 if as_float else np.bool_
-    matrix = np.ascontiguousarray(matrix, dtype=dtype)
-    check(
-        matrix.ndim == 2 and matrix.shape[1] == len(compiled.var_names),
-        f"world matrix must be (n, {len(compiled.var_names)}), got {matrix.shape}",
-    )
+def _sharded_matrix_pass(plan, matrix, as_float: bool, workers: int):
+    """A checked matrix's row shards, evaluated by ``workers`` pool workers.
+
+    The pool tier of :meth:`~repro.circuits.compiled.Plan.run`: the
+    matrix goes into a per-call segment, each worker writes its rows of
+    the output there, and the call returns a copy.
+    """
     n_rows = matrix.shape[0]
-    if n_rows == 0:
-        return np.empty(0, dtype=dtype)
-    if workers < 2:
-        out = np.empty(n_rows, dtype=dtype)
-        compiled.batch_plan().run_into(matrix, out, as_float)
-        return out
-    plan = _plan_handle(compiled)
-    data = SharedBuffers({"matrix": matrix, "out": ((n_rows,), dtype)})
+    manifest = plan.shared_handle().manifest
+    data = SharedBuffers({"matrix": matrix, "out": ((n_rows,), matrix.dtype)})
     try:
         calls = [
-            (plan.manifest, data.manifest, as_float, start, end)
+            (manifest, data.manifest, as_float, start, end)
             for start, end in _row_shards(n_rows, workers)
         ]
         _run_tasks(_eval_shard, calls, workers)
@@ -684,10 +671,14 @@ def evaluate_batch_sharded(compiled, matrix, workers: int | None = None):
     ``matrix`` is ``(n_worlds, n_vars)`` in variable-slot order; returns a
     boolean array, one entry per row, bit-identical to
     :meth:`~repro.circuits.compiled.CompiledCircuit.evaluate_batch` — the
-    shards run the exact same kernels on the exact same rows. With fewer
-    than two effective workers the pass runs in-process.
+    shards run the exact same kernels on the exact same rows, whatever
+    the batch size. With fewer than two effective workers the pass runs
+    in-process. ``compiled`` may also be a
+    :class:`~repro.circuits.compiled.Plan` or a circuit.
     """
-    return _sharded_matrix_pass(compiled, matrix, as_float=False, workers=workers)
+    return _compiled.plan_of(compiled).run(
+        matrix, as_float=False, hosts=(), workers=workers
+    )
 
 
 def probability_batch_sharded(compiled, matrix, workers: int | None = None):
@@ -698,7 +689,9 @@ def probability_batch_sharded(compiled, matrix, workers: int | None = None):
     (correct on deterministic decomposable circuits only); returns a
     float64 array.
     """
-    return _sharded_matrix_pass(compiled, matrix, as_float=True, workers=workers)
+    return _compiled.plan_of(compiled).run(
+        matrix, as_float=True, hosts=(), workers=workers
+    )
 
 
 def _sample_shards(samples: int) -> list[tuple[int, int]]:
@@ -786,18 +779,18 @@ def monte_carlo_hits(
     they are bit-identical at any worker count. The full world matrix is
     never materialized; only per-shard hit counts are reduced.
     """
-    compiled = _compiled.compile_circuit(compiled)
+    plan = _compiled.plan_of(compiled)
     seed = check_sampling(samples, seed)
-    probs32 = mc_marginals(marginals, len(compiled.variables()))
+    probs32 = mc_marginals(marginals, plan.n_vars)
     shards = _sample_shards(samples)
     workers = _effective_workers(workers)
     if workers < 2 or len(shards) < 2:
-        plan = compiled.batch_plan()
+        batch_plan = plan.batch_plan()
         return sum(
-            _mc_shard_hits(plan, probs32, seed, index, count)
+            _mc_shard_hits(batch_plan, probs32, seed, index, count)
             for index, count in shards
         )
-    manifest = _plan_handle(compiled).manifest
+    manifest = plan.shared_handle().manifest
     calls = [(manifest, probs32, seed, index, count) for index, count in shards]
     return sum(_run_tasks(_mc_shard, calls, workers))
 

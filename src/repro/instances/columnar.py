@@ -394,9 +394,9 @@ class ColumnarInstance(AbstractInstance):
         for start, stop in zip(run_starts, run_starts[1:]):
             relation = self._rel_names[rel_ids[start]]
             rel = self._rels[relation]
-            run_rows = rows[start:stop]
+            rows_of_run = rows[start:stop]
             cols = [
-                _np.frombuffer(col, dtype=_np.int32)[run_rows].tolist()
+                _np.frombuffer(col, dtype=_np.int32)[rows_of_run].tolist()
                 for col in rel.columns
             ]
             if rel.arity == 1:

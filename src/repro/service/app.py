@@ -30,9 +30,11 @@ cache, the coalescer and the pass see only that matrix.
 Plans are identified everywhere by their wire digest
 (:func:`repro.circuits.distributed.plan_checksum`); a request for a
 digest that is not registered (or was evicted) answers 404, and the
-client registers it again. Evaluation degrades down the usual tier ladder
-(distributed hosts → process pool → in-process kernels); a failure never
-produces a wrong marginal, only a slower one.
+client registers it again. Whichever endpoint registered it, a resident
+plan is one :class:`~repro.circuits.compiled.Plan`, and its passes
+degrade down the one tier ladder (distributed hosts → process pool →
+in-process kernels); a failure never produces a wrong marginal, only a
+slower one.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from repro.circuits import parallel as _parallel
 from repro.circuits.evaluation import capabilities
 from repro.service.cache import LatencyHistogram, ResultCache, valuation_hash
 from repro.service.coalesce import Coalescer
-from repro.util import ReproError, check
+from repro.util import ReproError
 
 #: Default cap on resident registered plans (LRU-evicted beyond it).
 DEFAULT_MAX_PLANS = 256
@@ -221,35 +223,26 @@ def parse_query(spec):
 
 
 class _PlanEntry:
-    """One resident plan: evaluates rows, compiled or wire-only.
+    """One resident plan and what a pass over it costs.
 
-    Plans registered from wire bytes have no circuit arena (and no
-    variable names) — they evaluate through :class:`WirePlan`, always
-    in-process. Plans built by ``/compile`` keep the full
-    :class:`CompiledCircuit`, so their passes ride the whole tier ladder
-    (distributed hosts / process pool / in-process kernels) exactly like
-    library callers' do.
+    ``/plans`` registers a decoded wire plan and ``/compile`` its
+    lowering's plan; both are one :class:`~repro.circuits.compiled.Plan`
+    type, so every resident plan's passes take the one tier ladder
+    (:meth:`~repro.circuits.compiled.Plan.run`: distributed hosts,
+    process pool, in-process kernels) exactly like library callers' do.
     """
 
-    __slots__ = ("digest", "compiled", "wire", "n_vars", "size", "written",
-                 "groups", "hits")
+    __slots__ = ("plan", "digest", "written", "groups", "hits")
 
-    def __init__(self, digest: str, compiled=None, wire=None):
-        """Builds the source's level plan, so run it off the event loop."""
-        check(compiled is not None or wire is not None,
-              "a plan entry needs a compiled circuit or a wire plan")
-        self.digest = digest
-        self.compiled = compiled
-        self.wire = wire
-        source = compiled if compiled is not None else wire
-        self.n_vars = (len(compiled.var_names) if compiled is not None
-                       else wire.n_vars)
-        self.size = source.size
-        plan = source.batch_plan()
-        steps = [step for level in plan.levels for step in level]
+    def __init__(self, plan):
+        """Builds the plan's level plan, so run it off the event loop."""
+        self.plan = plan
+        self.digest = plan.digest()
+        batch_plan = plan.batch_plan()
+        steps = [step for level in batch_plan.levels for step in level]
         # The leaf rows and each step's rows; a gate the fold dropped keeps
         # a row that no pass writes.
-        self.written = plan.const_rows[1] + sum(
+        self.written = batch_plan.const_rows[1] + sum(
             end - start for _kind, _fan_in, (start, end), _gather in steps
         )
         self.groups = len(steps)
@@ -271,21 +264,9 @@ class _PlanEntry:
     def probability_rows(self, matrix) -> list[float]:
         """One float pass over a ``(n_rows, n_vars)`` float64 matrix.
 
-        Columns in slot order; one marginal per row. A wire plan runs its
-        level plan on the matrix as the worker's ``eval`` task does.
+        Columns in slot order; one marginal per row.
         """
-        if self.compiled is not None:
-            return self.compiled.probability_batch(matrix)
-        out = np.empty(len(matrix), dtype=np.float64)
-        self.wire.batch_plan().run_into(matrix, out, as_float=True)
-        return out.tolist()
-
-    def mc_shard_hits(self, probs32, seed: int, index: int, count: int) -> int:
-        """One ``/sample`` shard's hit count, on this plan's level plan."""
-        source = self.compiled if self.compiled is not None else self.wire
-        return _parallel._mc_shard_hits(
-            source.batch_plan(), probs32, seed, index, count
-        )
+        return self.plan.run(matrix, as_float=True).tolist()
 
 
 class QueryService:
@@ -466,7 +447,7 @@ class QueryService:
                 raise ServiceError(
                     400, "request carries both 'rows' and 'rows_b64'; send one"
                 )
-            matrix = self._binary_rows(payload, entry.n_vars)
+            matrix = self._binary_rows(payload, entry.plan.n_vars)
         else:
             rows = payload.get("rows")
             if not isinstance(rows, list) or not rows:
@@ -474,12 +455,12 @@ class QueryService:
                     400, "request needs a non-empty 'rows' list or 'rows_b64'"
                 )
             self._check_row_count(len(rows))
+            n_vars = entry.plan.n_vars
             for row in rows:
-                if not isinstance(row, list) or len(row) != entry.n_vars:
+                if not isinstance(row, list) or len(row) != n_vars:
                     raise ServiceError(
                         400,
-                        f"each row must list {entry.n_vars} marginals in slot "
-                        "order",
+                        f"each row must list {n_vars} marginals in slot order",
                     )
             matrix = _json_marginals(rows)
         return matrix, [valuation_hash(row) for row in matrix]
@@ -567,7 +548,7 @@ class QueryService:
             self._plans.move_to_end(digest)
         else:
             def build():
-                return _PlanEntry(digest, wire=_distributed.plan_from_bytes(blob))
+                return _PlanEntry(_distributed.plan_from_bytes(blob))
 
             loop = asyncio.get_running_loop()
             try:
@@ -579,8 +560,8 @@ class QueryService:
             self._register(entry)
         return 200, {
             "digest": digest,
-            "size": entry.size,
-            "n_vars": entry.n_vars,
+            "size": entry.plan.size,
+            "n_vars": entry.plan.n_vars,
             "already_registered": already,
         }
 
@@ -627,13 +608,14 @@ class QueryService:
         def build():
             instance, fids = ColumnarInstance.ingest_payload(instance_payload)
             query = parse_query(query_spec)
-            _lineage, plan = compile_query_plan(instance, query, method=method)
-            return instance, fids, _PlanEntry(plan.plan_digest(), compiled=plan)
+            _lineage, compiled = compile_query_plan(instance, query, method=method)
+            return instance, fids, compiled, _PlanEntry(compiled.plan)
 
         # Compilation can be heavy; keep the event loop serving.
-        instance, fids, entry = await loop.run_in_executor(self._compute, build)
-        plan = entry.compiled
-        variables = list(plan.variables())
+        instance, fids, compiled, entry = await loop.run_in_executor(
+            self._compute, build
+        )
+        variables = list(compiled.variables())
         probability_by_name: dict[str, float] = {}
         for relation, per_row in checked.items():
             row_fids = fids.get(relation)
@@ -656,7 +638,7 @@ class QueryService:
         self._register(entry)
         return 200, {
             "digest": entry.digest,
-            "size": plan.size,
+            "size": compiled.size,
             "n_vars": len(variables),
             "variables": variables,
             "default_row": default_row,
@@ -698,9 +680,10 @@ class QueryService:
     def _handle_sample(self, payload) -> StreamResponse:
         entry = self._plan_entry(payload.get("digest"))
         row = payload.get("row")
-        if not isinstance(row, list) or len(row) != entry.n_vars:
+        n_vars = entry.plan.n_vars
+        if not isinstance(row, list) or len(row) != n_vars:
             raise ServiceError(
-                400, f"'row' must list {entry.n_vars} marginals in slot order"
+                400, f"'row' must list {n_vars} marginals in slot order"
             )
         probs32 = _json_marginals([row])[0].astype(np.float32)
         samples = payload.get("samples", _parallel.MC_SHARD)
@@ -728,7 +711,8 @@ class QueryService:
                         break
                     count = min(chunk, samples - drawn)
                     shard = await loop.run_in_executor(
-                        mc_pool, entry.mc_shard_hits, probs32, seed, index, count
+                        mc_pool, entry.plan.mc_shard_hits, probs32, seed, index,
+                        count,
                     )
                     hits += shard
                     drawn += count

@@ -25,7 +25,7 @@ import os
 import struct
 
 from repro.util import ReproError
-from repro.util.helpers import spawn_until_ready
+from repro.util.helpers import LocalProcess, spawn_until_ready
 
 #: The readiness line a spawned service prints, parsed by spawn_service.
 READY_PREFIX = "repro-service listening on"
@@ -215,19 +215,10 @@ class ServiceClient:
             self.close()
 
 
-class LocalService:
+class LocalService(LocalProcess):
     """A ``repro serve-http`` subprocess spawned by :func:`spawn_service`."""
 
-    __slots__ = ("process", "host", "port")
-
-    def __init__(self, process, host: str, port: int):
-        self.process = process
-        self.host = host
-        self.port = port
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
+    __slots__ = ()
 
     @property
     def url(self) -> str:
@@ -235,27 +226,6 @@ class LocalService:
 
     def client(self, timeout: float = 60.0) -> ServiceClient:
         return ServiceClient(self.address, timeout=timeout)
-
-    def alive(self) -> bool:
-        return self.process.poll() is None
-
-    def wait_dead(self, timeout: float = 10.0) -> int:
-        """Block until the process exits; returns its exit code."""
-        return self.process.wait(timeout=timeout)
-
-    def stop(self) -> None:
-        """Terminate the service and reap it (idempotent, escalates)."""
-        import subprocess
-
-        if self.process.poll() is None:
-            self.process.terminate()
-            try:
-                self.process.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck
-                self.process.kill()
-                self.process.wait(timeout=5.0)
-        if self.process.stdout is not None:
-            self.process.stdout.close()
 
 
 def spawn_service(port: int = 0, coalesce: bool = True,
@@ -282,6 +252,6 @@ def spawn_service(port: int = 0, coalesce: bool = True,
     if cache_size is not None:
         command += ["--cache-size", str(cache_size)]
     command += list(extra_args)
-    return LocalService(
-        *spawn_until_ready(command, child_env, startup_timeout, "service")
+    return spawn_until_ready(
+        command, child_env, startup_timeout, "service", LocalService
     )

@@ -76,17 +76,58 @@ def parse_hostport(spec: str) -> tuple[str, int]:
     return host, port_number
 
 
+class LocalProcess:
+    """A ``python -m repro`` child serving on ``host:port``.
+
+    :func:`spawn_until_ready` returns one once the child is ready; the
+    caller owns its teardown (:meth:`stop`).
+    """
+
+    __slots__ = ("process", "host", "port")
+
+    def __init__(self, process, host: str, port: int):
+        self.process = process
+        self.host = host
+        self.port = port
+
+    @property
+    def address(self) -> str:
+        return f"{self.host}:{self.port}"
+
+    def alive(self) -> bool:
+        return self.process.poll() is None
+
+    def wait_dead(self, timeout: float = 10.0) -> int:
+        """Block until the process exits; returns its exit code."""
+        return self.process.wait(timeout=timeout)
+
+    def stop(self) -> None:
+        """Terminate the child and reap it (idempotent, escalates to kill)."""
+        import subprocess
+
+        if self.process.poll() is None:
+            self.process.terminate()
+            try:
+                self.process.wait(timeout=5.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover - stuck child
+                self.process.kill()
+                self.process.wait(timeout=5.0)
+        if self.process.stdout is not None:
+            self.process.stdout.close()
+
+
 def spawn_until_ready(args: list[str], env: dict, startup_timeout: float,
-                      what: str):
+                      what: str, handle=LocalProcess):
     """Run ``python -m repro *args`` and wait for its readiness line.
 
     The child finds this process's ``repro`` package first on its
     ``PYTHONPATH`` (``env`` supplies the rest of its environment) and
     prints ``... listening on host:port`` once it serves. The wait reads
-    the child's output against one deadline and returns ``(process, host,
-    port)`` as soon as that line arrives. A child that exits first, or is
-    not ready after ``startup_timeout`` seconds, printing or silent, is
-    killed, and :class:`ReproError` names ``what`` and its last output.
+    the child's output against one deadline and returns ``handle(process,
+    host, port)``, a :class:`LocalProcess` or a subclass of it, as soon as
+    that line arrives. A child that exits first, or is not ready after
+    ``startup_timeout`` seconds, printing or silent, is killed, and
+    :class:`ReproError` names ``what`` and its last output.
     """
     import os
     import re
@@ -119,7 +160,7 @@ def spawn_until_ready(args: list[str], env: dict, startup_timeout: float,
         lines = output[:output.rfind(b"\n") + 1]  # complete lines only
         match = re.search(rb"listening on ([\w.\-]+):(\d+)", lines)
         if match:
-            return process, match.group(1).decode(), int(match.group(2))
+            return handle(process, match.group(1).decode(), int(match.group(2)))
     process.kill()
     process.wait(timeout=5.0)
     process.stdout.close()

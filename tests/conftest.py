@@ -21,6 +21,7 @@ import pytest
 
 from repro import config
 from repro.circuits import distributed, evaluation, parallel
+from repro.util.helpers import LocalProcess
 
 
 def pytest_configure(config):
@@ -92,7 +93,7 @@ def worker_factory():
 
     Yields a ``factory(max_tasks=None, port=0, secret=None, delay=None,
     tls_cert=None, tls_key=None, tls_ca=None, register=None,
-    advertise=None) -> LocalWorker`` built on
+    advertise=None) -> LocalProcess`` built on
     :func:`repro.circuits.distributed.spawn_local_worker` (the same spawn/
     readiness-wait/teardown implementation the benchmarks use); every
     spawned worker — including ones the test deliberately crashed — is
@@ -102,7 +103,7 @@ def worker_factory():
     the ``tls_*`` paths arm transport security and ``register`` dials a
     coordinator registry (elastic membership).
     """
-    spawned: list[distributed.LocalWorker] = []
+    spawned: list[LocalProcess] = []
 
     def factory(
         max_tasks: int | None = None, port: int = 0,
@@ -110,7 +111,7 @@ def worker_factory():
         tls_cert: str | None = None, tls_key: str | None = None,
         tls_ca: str | None = None, register: str | None = None,
         advertise: str | None = None,
-    ) -> distributed.LocalWorker:
+    ) -> LocalProcess:
         handle = distributed.spawn_local_worker(
             max_tasks=max_tasks, port=port, secret=secret, delay=delay,
             tls_cert=tls_cert, tls_key=tls_key, tls_ca=tls_ca,

@@ -258,10 +258,9 @@ class TestBatchPlan:
     def test_plan_cached_and_csr_mirrored_as_int32(self):
         compiled = compile_circuit(random_circuit(13))
         plan = compiled.batch_plan()
-        assert plan is compiled.batch_plan()
-        mirrors = compiled._int32_arrays()
-        assert mirrors is compiled._int32_arrays()
-        for name, mirror in zip(("kinds", "offsets", "indices", "var_slot"), mirrors):
+        assert plan is compiled.batch_plan() is compiled.plan.batch_plan()
+        for name in ("kinds", "offsets", "indices", "var_slot"):
+            mirror = getattr(compiled.plan, name)
             assert mirror.dtype == np.int32
             assert mirror.tolist() == list(getattr(compiled, name))
 
@@ -476,7 +475,9 @@ class TestGroupedPlan:
         blocks merge into 241 steps, one per (level, kind). The plan is
         built on the object backend, as the served benchmark builds it:
         the columnar backend lists the same facts in another order, and
-        the lineage's size follows that order (4979 gates there)."""
+        the lineage's size follows that order (4979 gates there). Its wire
+        bytes, which the benchmark registers through ``/plans``, are pinned
+        too (seeds 1 and 2 give the same bytes)."""
         from repro.core import build_lineage, instance_decomposition
         from repro.queries import atom, cq, variables
         from repro.workloads import rst_chain_tid
@@ -490,7 +491,9 @@ class TestGroupedPlan:
         )
         plan = compiled.batch_plan()
         assert compiled.size == 5187
-        assert max(compiled.levels_list()) == 478
+        assert compiled.plan_digest() == "63f00631cd552418a6d9bc7bdf064265"
+        assert len(compiled.wire_bytes()) == 126_732
+        assert int(compiled.plan.levels.max()) == 478
         assert len(plan.levels) == 240
         assert plan.const_rows[1] + len(fold_reference(compiled)) == 3480
         assert block_count(compiled) == 477
@@ -576,7 +579,7 @@ class TestGroupedPlan:
         compiled = compile_circuit(fold_circuit(seed, output))
         plan = compiled.batch_plan()
         assert plan_grouping(plan) == grouping_reference(compiled)
-        assert len(plan.levels) < max(compiled.levels_list())
+        assert len(plan.levels) < int(compiled.plan.levels.max())
         n = len(compiled.variables())
         for width in (1, 2, 3, 64, 65):
             rng = np.random.default_rng([seed, width])

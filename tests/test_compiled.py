@@ -168,7 +168,7 @@ def lowering_of(compiled: CompiledCircuit) -> dict:
         "var_names": compiled.var_names,
         "output": compiled.output,
         "gate_ids": compiled.gate_ids,
-        "levels": compiled.levels_list(),
+        "levels": compiled.plan.levels.tolist(),
     }
 
 
@@ -272,7 +272,7 @@ def test_deep_chain_lowers_on_the_array_path():
     the per-gate reference's arrays and level schedule."""
     c = alternating_chain(9000)
     compiled = CompiledCircuit(c)
-    assert max(compiled.levels_list()) == 9000
+    assert int(compiled.plan.levels.max()) == 9000
     assert_lowers_like_the_reference(compiled, c)
     marginals = [0.5] * len(compiled.var_names)
     assert compiled.probability_batch([marginals])[0] == compiled.probability(
@@ -453,7 +453,7 @@ def test_gathered_levels_are_the_level_definition(seed, n_edits):
     c = random_circuit(seed, n_vars=6, steps=20)
     _apply_edits(c, seed + 1, n_edits)
     lowered = CompiledCircuit(c)
-    levels = lowered.levels_list()
+    levels = lowered.plan.levels.tolist()
     assert levels == compiled_module.gate_levels(
         lowered.kinds, lowered.offsets, lowered.indices
     )

@@ -146,7 +146,7 @@ def _lowering(compiled):
         "var_names": compiled.var_names,
         "output": compiled.output,
         "gate_ids": compiled.gate_ids,
-        "levels": compiled.levels_list(),
+        "levels": compiled.plan.levels.tolist(),
     }
 
 
@@ -481,8 +481,12 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
         assert pool_probs == base_probs
     # The wire plan (serialize → deserialize) reruns the same level schedule.
     plan = distributed.plan_from_bytes(compiled.wire_bytes())
-    assert plan.run_rows(worlds, as_float=False) == base_eval
-    assert plan.run_rows(marginal_rows, as_float=True) == base_probs
+    assert plan.run(
+        np.reshape(worlds, (len(worlds), n)), as_float=False
+    ).tolist() == base_eval
+    assert plan.run(
+        np.reshape(marginal_rows, (len(marginal_rows), n)), as_float=True
+    ).tolist() == base_probs
     # Batch widths around the 64-world word of the Boolean pass, against
     # the scalar oracle: one row, a word short, a word, one over, two and
     # a bit (row shards of the pool split words too).
@@ -496,7 +500,9 @@ def test_vectorized_tiers_agree_bitwise(scenario, producer, request):
                 assert parallel.evaluate_batch_sharded(
                     compiled, matrix, workers=workers
                 ).tolist() == expected
-        assert plan.run_rows(picked, as_float=False) == expected
+        assert plan.run(
+            np.reshape(picked, (rows, n)), as_float=False
+        ).tolist() == expected
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))

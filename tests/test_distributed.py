@@ -158,10 +158,12 @@ def test_wire_round_trip_preserves_batch_results(seed):
     assert plan.indices.tolist() == list(compiled.indices)
     assert plan.var_slot.tolist() == list(compiled.var_slot)
     worlds = all_worlds(len(compiled.variables()))
-    assert plan.run_rows(worlds, as_float=False) == compiled.evaluate_batch(worlds)
+    assert plan.run(worlds, as_float=False).tolist() == compiled.evaluate_batch(
+        worlds
+    )
     n = len(compiled.variables())
     probs = [0.05 + 0.9 * i / max(1, n) for i in range(n)]
-    got = plan.run_rows([probs], as_float=True)[0]
+    got = plan.run([probs], as_float=True)[0]
     assert math.isclose(got, compiled.probability(probs), abs_tol=1e-12)
 
 
@@ -169,7 +171,8 @@ class TestWireFormat:
     def test_wire_bytes_cached_on_compiled_circuit(self):
         compiled = compile_circuit(random_circuit(5))
         assert compiled.wire_bytes() is compiled.wire_bytes()
-        assert distributed.plan_to_bytes(compiled) is compiled.wire_bytes()
+        assert compiled.plan.wire_bytes() is compiled.wire_bytes()
+        assert distributed.plan_to_bytes(compiled) == compiled.wire_bytes()
 
     def test_layout_decodes_with_stdlib_only(self):
         """A plan blob follows ARCHITECTURE.md's layout table exactly.
@@ -206,7 +209,7 @@ class TestWireFormat:
             "offsets": list(compiled.offsets),
             "indices": list(compiled.indices),
             "var_slot": list(compiled.var_slot),
-            "levels": list(compiled.levels_list()),
+            "levels": compiled.plan.levels.tolist(),
         }
 
     def test_decoded_sections_are_int32_arrays_over_the_payload(self):
@@ -261,7 +264,7 @@ class TestWireFormat:
             "offsets": compiled.offsets,
             "indices": compiled.indices,
             "var_slot": compiled.var_slot,
-            "levels": compiled.levels_list(),
+            "levels": compiled.plan.levels.tolist(),
         }
         payload = b""
         directory = []
@@ -283,7 +286,9 @@ class TestWireFormat:
         for name, values in arrays.items():
             assert getattr(plan, name).tolist() == [int(v) for v in values]
         rows = [[0.5] * n_vars, [0.9] * n_vars]
-        assert plan.run_rows(rows, as_float=True) == compiled.probability_batch(rows)
+        assert plan.run(rows, as_float=True).tolist() == (
+            compiled.probability_batch(rows)
+        )
 
     def test_truncated_payload_rejected(self):
         blob = compile_circuit(random_circuit(3)).wire_bytes()
@@ -349,11 +354,13 @@ class TestWireFormat:
         sender, and rejects one level that lies."""
         compiled = compile_circuit(alternating_chain(9000))
         plan = distributed.plan_from_bytes(compiled.wire_bytes())
-        assert list(plan.levels) == compiled.levels_list()
+        assert list(plan.levels) == compiled.plan.levels.tolist()
         assert max(plan.levels) == 9000
         rows = [[0.5] * len(compiled.variables()), [0.9] * len(compiled.variables())]
-        assert plan.run_rows(rows, as_float=True) == compiled.probability_batch(rows)
-        levels = compiled.levels_list()
+        assert plan.run(rows, as_float=True).tolist() == (
+            compiled.probability_batch(rows)
+        )
+        levels = compiled.plan.levels.tolist()
         levels[compiled.size // 2] += 1
         forged = distributed._pack_blob(
             {
@@ -391,7 +398,7 @@ class TestWireFormat:
             "offsets": list(compiled.offsets),
             "indices": list(compiled.indices),
             "var_slot": list(compiled.var_slot),
-            "levels": compiled.levels_list(),
+            "levels": compiled.plan.levels.tolist(),
         }
         distributed.plan_from_bytes(forge_plan(meta, plan))  # sound as made
         damage, message = PLAN_REFUSALS[refusal]
@@ -654,9 +661,10 @@ class TestDistributedExecution:
         )
         assert serial == hits_1 == hits_2
         # and again through a second serialize/deserialize of the plan
-        compiled._wire_cache = None
+        plan = compiled.plan
+        fresh = compiled_module.Plan(*plan.arrays(), plan.output, plan.n_vars)
         assert distributed.monte_carlo_hits(
-            compiled, marginals, 700, seed=9, hosts=(one.address, two.address)
+            fresh, marginals, 700, seed=9, hosts=(one.address, two.address)
         ) == serial
 
     def test_karp_luby_bit_identical_across_hosts(self, worker_factory, monkeypatch):

@@ -238,7 +238,7 @@ class TestStreamingLogMonitor:
             and left.var_names == right.var_names
             and left.output == right.output
             and left.gate_ids == right.gate_ids
-            and left.levels_list() == right.levels_list()
+            and left.plan.levels.tolist() == right.plan.levels.tolist()
         )
 
     def test_batches_only_append_and_keep_old_output_in_cone(self):

@@ -184,8 +184,8 @@ class TestSharedBuffers:
 
     def test_plan_segment_unlinked_on_circuit_gc(self):
         compiled = compile_circuit(random_circuit(3))
-        name = parallel._plan_handle(compiled).shm.name
-        assert parallel._plan_handle(compiled).shm.name == name  # cached
+        name = compiled.plan.shared_handle().shm.name
+        assert compiled.plan.shared_handle().shm.name == name  # cached
         assert name in parallel.active_segments()
         del compiled
         gc.collect()
@@ -197,8 +197,8 @@ class TestSharedBuffers:
         arrays, so a worker builds its plan without a level pass, and the
         plan computes what the parent's own plan computes."""
         compiled = compile_circuit(random_circuit(5))
-        handle = parallel._plan_handle(compiled)
-        assert handle.arrays["levels"].tolist() == compiled.levels_list()
+        handle = compiled.plan.shared_handle()
+        assert handle.arrays["levels"].tolist() == compiled.plan.levels.tolist()
 
         def no_level_pass(*_args):
             raise AssertionError("the worker recomputed the level schedule")
@@ -779,7 +779,7 @@ class TestPoolLifecycle:
         monkeypatch.setattr(parallel, "MC_SHARD", 64)
         compiled = compile_circuit(random_circuit(34))
         marginals = [0.5] * len(compiled.variables())
-        manifest = parallel._plan_handle(compiled).manifest
+        manifest = compiled.plan.shared_handle().manifest
         probs32 = np.asarray(marginals, dtype=np.float32)
         missing = (parallel.PLAN_PREFIX + "missing", {}, ())
         good = (manifest, probs32, 0, 0, 64)

@@ -586,6 +586,18 @@ class TestBatchStats:
         assert after["evaluate_passes"] == before["evaluate_passes"] + 1
         assert after["evaluate_rows"] == before["evaluate_rows"] + 3
 
+    def test_zero_rows_count_no_pass(self):
+        """Both entry points, given no rows as a matrix or as a list, run
+        no kernel and count no pass."""
+        compiled, _marginals = chain_setup(n=5, seed=13)
+        n = len(compiled.variables())
+        before = batch_stats()
+        assert compiled.probability_batch(np.empty((0, n))) == []
+        assert compiled.probability_batch([]) == []
+        assert compiled.evaluate_batch(np.empty((0, n), dtype=bool)) == []
+        assert compiled.evaluate_batch([]) == []
+        assert batch_stats() == before
+
 
 # --------------------------------------------------------------------------- #
 # the application layer, driven without a socket
@@ -806,7 +818,7 @@ class TestQueryServiceDispatch:
             raise AssertionError("/sample decoded the plan's wire bytes")
 
         compiled, marginals = chain_setup(n=10, seed=29)
-        app._register(_PlanEntry(compiled.plan_digest(), compiled=compiled))
+        app._register(_PlanEntry(compiled.plan))
         monkeypatch.setattr(distributed, "plan_from_bytes", no_decode)
         samples = parallel.MC_SHARD + 100
         stream = dispatch(app, "POST", "/sample", {
@@ -939,11 +951,11 @@ class TestQueryServiceDispatch:
         _status, registered = dispatch(app, "POST", "/plans",
                                        {"plan_b64": encoded})
         threads = []
-        run_rows = _PlanEntry.probability_rows
+        probability_rows = _PlanEntry.probability_rows
 
         def recorded(entry, rows):
             threads.append(threading.get_ident())
-            return run_rows(entry, rows)
+            return probability_rows(entry, rows)
 
         monkeypatch.setattr(_PlanEntry, "probability_rows", recorded)
         status, served = dispatch(app, "POST", "/probability", {
@@ -980,7 +992,7 @@ class TestQueryServiceDispatch:
                                        {"plan_b64": encoded})
         assert registered["size"] == 5187
         entry = app._plans[registered["digest"]]
-        assert (entry.size, entry.written, entry.groups) == (5187, 3480, 241)
+        assert (entry.plan.size, entry.written, entry.groups) == (5187, 3480, 241)
         assert 64 * entry.written + GROUP_WORK * entry.groups == 346_112
         assert entry.fits_loop(64)
 
@@ -1008,13 +1020,13 @@ class TestQueryServiceDispatch:
         assert not app._plans[registered["digest"]].fits_loop(len(rows))
         entered, release = threading.Event(), threading.Event()
         threads = []
-        run_rows = _PlanEntry.probability_rows
+        probability_rows = _PlanEntry.probability_rows
 
         def held(entry, pass_rows):
             threads.append(threading.get_ident())
             entered.set()
             assert release.wait(timeout=5.0), "the pass was never released"
-            return run_rows(entry, pass_rows)
+            return probability_rows(entry, pass_rows)
 
         monkeypatch.setattr(_PlanEntry, "probability_rows", held)
         body = json.dumps({"digest": registered["digest"], "rows": rows})
@@ -1063,7 +1075,7 @@ class TestQueryServiceDispatch:
         rows = unique_rows(parallel.PARALLEL_MIN_ROWS - 1, len(marginals),
                            stable_rng(134))
         expected = [float(v) for v in direct_marginals(compiled, rows)]
-        entry = _PlanEntry(compiled.plan_digest(), compiled=compiled)
+        entry = _PlanEntry(compiled.plan)
         app._register(entry)
         assert entry.fits_loop(len(rows))
         monkeypatch.setattr(distributed, "_distributed_matrix_pass", no_tier)
@@ -1079,6 +1091,58 @@ class TestQueryServiceDispatch:
         assert served["marginals"] == expected
         _status, stats = dispatch(app, "GET", "/stats")
         assert stats["passes"] == {"on_loop": 1, "in_thread": 0}
+
+    @pytest.mark.parametrize("source", ("wire-plan", "compiled"))
+    def test_a_wide_pass_takes_the_ladder_whoever_registered_it(
+        self, app, monkeypatch, source
+    ):
+        """A ``/plans`` plan and a ``/compile`` plan are one plan type, so
+        a pass of ``PARALLEL_MIN_ROWS`` rows on either reaches the process
+        pool, and answers bit for bit as in-process."""
+        from repro import config
+        from repro.circuits import distributed, parallel
+        from repro.service.app import _PlanEntry
+
+        compiled, marginals = chain_setup(n=3, seed=37)
+        rows = unique_rows(parallel.PARALLEL_MIN_ROWS, len(marginals),
+                           stable_rng(137))
+        expected = [float(v) for v in direct_marginals(compiled, rows)]
+        if source == "wire-plan":
+            digest = register_wire(app, compiled)
+        else:
+            digest = compiled.plan_digest()
+            app._register(_PlanEntry(compiled.plan))
+        sharded = []
+        sharded_pass = parallel._sharded_matrix_pass
+
+        def recorded(*args):
+            sharded.append(len(args[1]))
+            return sharded_pass(*args)
+
+        monkeypatch.setattr(parallel, "_sharded_matrix_pass", recorded)
+        monkeypatch.setattr(distributed, "registered_hosts", lambda: ())
+        with config.overrides(distributed_hosts=(), parallel_workers=2):
+            status, served = dispatch(app, "POST", "/probability", {
+                "digest": digest, "rows": rows,
+            })
+        assert status == 200
+        assert served["marginals"] == expected
+        assert sharded == [len(rows)]
+
+    def test_a_plans_entry_holds_the_blob_it_decoded(self, app):
+        """A ``/plans`` entry's plan ships the exact bytes it was sent, and
+        its digest is the registry key."""
+        from repro.circuits import distributed
+
+        compiled, _marginals = chain_setup(n=6, seed=38)
+        blob = compiled.wire_bytes()
+        digest = register_wire(app, compiled)
+        plan = app._plans[digest].plan
+        assert plan.wire_bytes() == blob
+        assert plan.digest() == digest == compiled.plan_digest()
+        decoded = distributed.plan_from_bytes(blob)
+        assert decoded.wire_bytes() is blob
+        assert decoded.digest() == digest
 
     def test_registration_builds_the_level_plan_off_the_loop(
         self, app, monkeypatch
@@ -1236,7 +1300,7 @@ class TestRowEncodings:
                 digest = register_wire(service, compiled)
             else:
                 digest = compiled.plan_digest()
-                service._register(_PlanEntry(digest, compiled=compiled))
+                service._register(_PlanEntry(compiled.plan))
             status, binary = dispatch(service, "POST", "/probability",
                                       binary_body(digest, rows))
             assert status == 200
@@ -1621,11 +1685,13 @@ class TestServiceOverSocket:
         assert "probability-valid" in str(excinfo.value)
 
     def test_stats_covers_every_layer_over_the_wire(self, client):
+        client.health()  # so a histogram is populated, run alone or not
         stats = client.stats()
         for key in ("plans", "result_cache", "coalescer", "streams", "pool",
                     "compile", "batch", "endpoints"):
             assert key in stats
         assert stats["endpoints"], "latency histograms must be populated"
+        assert stats["endpoints"]["/health"]["count"] >= 1
         sample = next(iter(stats["endpoints"].values()))
         for key in ("count", "p50_ms", "p99_ms", "mean_ms", "errors"):
             assert key in sample

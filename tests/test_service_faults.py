@@ -67,29 +67,34 @@ def shutdown_service(handle) -> None:
 # worker killed mid-request
 
 
-def test_worker_killed_mid_request_degrades_to_local(worker_factory):
+@pytest.mark.parametrize("endpoint", ("/compile", "/plans"))
+def test_worker_killed_mid_request_degrades_to_local(worker_factory, endpoint):
     """A distributed worker dying under a batch must cost latency, not
     correctness: the pool retries, the tier ladder falls back to the
-    local kernels, and the marginals stay bit-identical."""
+    local kernels, and the marginals stay bit-identical. A plan compiled
+    by the service and one registered as wire bytes take the same
+    ladder."""
     worker = worker_factory(max_tasks=1)  # dies when asked for task #2
     handle = spawn_service(env={"REPRO_DISTRIBUTED_HOSTS": worker.address})
     try:
         client = handle.client()
         tid = rst_chain_tid(25, probability=0.3, seed=41)
         payload = ColumnarInstance.from_instance(tid.instance).to_payload()
-        query_spec = {
-            "atoms": [["R", ["?x"]], ["S", ["?x", "?y"]], ["T", ["?y"]]]
-        }
-        compiled_resp = client.compile(payload, query_spec)
-        digest = compiled_resp["digest"]
         restored, _fids = ColumnarInstance.ingest_payload(payload)
         x, y = variables("x", "y")
         _lineage, oracle = compile_query_plan(
             restored, cq(atom("R", x), atom("S", x, y), atom("T", y))
         )
+        if endpoint == "/compile":
+            query_spec = {
+                "atoms": [["R", ["?x"]], ["S", ["?x", "?y"]], ["T", ["?y"]]]
+            }
+            digest = client.compile(payload, query_spec)["digest"]
+        else:
+            digest = client.register_compiled(oracle)
         assert oracle.plan_digest() == digest
         rng = stable_rng(411)
-        width = compiled_resp["n_vars"]
+        width = len(oracle.variables())
         # Big enough to clear PARALLEL_MIN_ROWS, so the pass actually
         # goes over the wire — and splits into several shards, so the
         # worker's crash lands mid-request, not between requests.

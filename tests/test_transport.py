@@ -430,9 +430,7 @@ class TestTLSTransport:
             "REPRO_DISTRIBUTED_TLS_KEY": str(CERTS / "server.key"),
             "REPRO_DISTRIBUTED_SECRET": "from-the-variable",
         })
-        worker = distributed.LocalWorker(
-            *spawn_until_ready(["serve", "--port", "0"], env, 30.0, "worker")
-        )
+        worker = spawn_until_ready(["serve", "--port", "0"], env, 30.0, "worker")
         tls = {"cafile": str(CERTS / "ca.pem")}
         try:
             before = distributed.pool_stats()
